@@ -91,7 +91,8 @@ def nullspace(ctx: ScalarContext, a: np.ndarray) -> list[np.ndarray]:
         if a.shape[0] < n:
             return _nullspace_via_gram(ctx, a)
         return [v for v in vecs if v is not None]
-    u, s, vh = np.linalg.svd(a, full_matrices=True)
+    # a tall a only needs the thin factors: vh is n x n either way
+    u, s, vh = np.linalg.svd(a, full_matrices=a.shape[0] < n)
     smax = s[0] if s.size else 0.0
     thresh = ctx.tol * max(smax, 1e-300)
     rank = int(np.sum(s > thresh))
@@ -147,7 +148,10 @@ def solve_lstsq(ctx: ScalarContext, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def kron(ctx: ScalarContext, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.kron(a, b)
+    """Kronecker product of two matrices as one broadcast multiply; the
+    same products as np.kron, without its generic-rank overhead."""
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(
+        a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
 
 
 def norm_inf(a: np.ndarray) -> float:

@@ -204,24 +204,3 @@ def _gauss_binom_coeffs(k: int, l: int) -> tuple[int, ...]:
         out.pop()
     return tuple(out)
 
-
-# module-level functional aliases matching the operation names
-
-def q_power(ctx: ScalarContext, z) -> Scalar:
-    return ctx.q_power(z)
-
-
-def brace(ctx: ScalarContext, z) -> Scalar:
-    return ctx.brace(z)
-
-
-def qint(ctx: ScalarContext, k) -> Scalar:
-    return ctx.qint(k)
-
-
-def qfact(ctx: ScalarContext, k: int) -> Scalar:
-    return ctx.qfact(k)
-
-
-def qbinom(ctx: ScalarContext, k: int, l: int) -> Scalar:
-    return ctx.qbinom(k, l)

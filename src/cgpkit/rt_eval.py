@@ -92,14 +92,11 @@ def evaluate(ctx: ScalarContext, d: dg.Diagram) -> np.ndarray:
 
 def _apply_local(ctx: ScalarContext, state: np.ndarray, m: np.ndarray,
                  dl: int, din: int, dr: int, src: int) -> np.ndarray:
-    # state: (dl * din * dr, src); apply m (dout x din) on the middle factor
-    dout = m.shape[0]
-    x = state.reshape(dl, din, dr * src)
-    x = np.swapaxes(x, 0, 1).reshape(din, dl * dr * src)
-    y = m @ x
-    y = y.reshape(dout, dl, dr * src)
-    y = np.swapaxes(y, 0, 1).reshape(dl * dout * dr, src)
-    return y
+    # state: (dl * din * dr, src); apply m (dout x din) on the middle factor.
+    # Broadcasting m over the left index writes the product straight into
+    # the new layout, so the state is never copied into transposed order.
+    y = np.matmul(m, state.reshape(dl, din, dr * src))
+    return y.reshape(dl * m.shape[0] * dr, src)
 
 
 def expand_formal(ctx: ScalarContext, d: dg.Diagram,

@@ -90,16 +90,19 @@ def graded_vertex_dim(ctx: ScalarContext, word: wc.ObjectWord,
     """Total periodicity-graded invariant dimension of a vertex word.
 
     Default route: sum ordinary Hom(1, word (x) sigma(k)) over the finite
-    window of k in rbar*Z meeting the weight support.  Brute route: count
-    joint null vectors of the raising and lowering actions with weight in
-    rbar*Z, directly on the full tensor word.
+    window of k in rbar*Z meeting the weight support, which is read off the
+    letters' weights.  Brute route: count joint null vectors of the raising
+    and lowering actions with weight in rbar*Z, directly on the full tensor
+    word.
     """
     if brute:
         return wc.hom_dim_graded(ctx, word)
-    M = wc.realize(ctx, word)
+    weights = {0j}
+    for letter in word:
+        weights = {w + lw for w in weights
+                   for lw in wc.realize_letter(ctx, letter).weights}
     ks = set()
-    for w in M.weights:
-        wv = complex(w)
+    for wv in weights:
         if abs(wv.imag) <= ctx.tol:
             r = round(wv.real / ctx.rbar)
             if abs(wv.real - r * ctx.rbar) <= 100 * ctx.tol:
@@ -117,39 +120,29 @@ def genus_n_dim(ctx: ScalarContext, data: TrivalentSurfaceData,
                 brute: bool = False, rep_shift: int = 0) -> int:
     """State-space dimension of a generic surface of genus n >= 2.
 
-    Enumerates fundamental colorings (index-set representatives per edge
-    class, optionally shifted by rep_shift periods) and sums the products
-    of the two vertex dimensions of every theta piece.  With brute=True
-    each vertex dimension is recomputed by the direct nullspace oracle on
-    the full tensor word.
+    Sums over fundamental colorings (index-set representatives per edge
+    class, optionally shifted by rep_shift periods) the products of the two
+    vertex dimensions of every theta piece.  Each piece sees only its own
+    edges, so the sum factorises into prod_i sum_{e, e', e''} of piece i's
+    terms and costs linear, not exponential, time in the genus.  With
+    brute=True each vertex dimension is recomputed by the direct nullspace
+    oracle on the full tensor word.
     """
     if not data.all_generic(ctx.tol):
         raise wc.CriticalDegree("all spine meridian classes must be generic")
-    n = data.genus
     shift = rep_shift * ctx.rbar
     reps0 = [a + shift for a in wc.index_set(ctx, data.m0)]
-    total = 0
-    pieces = []
-    for i in range(n - 1):
+    total = 1
+    for i in range(data.genus - 1):
         repsp = [a + shift for a in wc.index_set(ctx, data.mprime[i])]
         repspp = [a + shift for a in wc.index_set(ctx, data.msecond(i))]
-        pieces.append((repsp, repspp))
-    # the common edges e_1 .. e_{n-1} all carry class m0 but are separate
-    # edges, each with its own coloring
-    for e_colors in product(reps0, repeat=n - 1):
-        piece_total = 1
-        for i in range(n - 1):
-            repsp, repspp = pieces[i]
-            sub = 0
-            for ep, epp in product(repsp, repspp):
-                wa, wb = _vertex_words(ctx, e_colors[i], ep, epp)
-                da = graded_vertex_dim(ctx, wa, brute=brute)
-                if da == 0:
-                    continue
-                db = graded_vertex_dim(ctx, wb, brute=brute)
-                sub += da * db
-            piece_total *= sub
-            if piece_total == 0:
-                break
-        total += piece_total
+        sub = 0
+        for e, ep, epp in product(reps0, repsp, repspp):
+            wa, wb = _vertex_words(ctx, e, ep, epp)
+            da = graded_vertex_dim(ctx, wa, brute=brute)
+            if da:
+                sub += da * graded_vertex_dim(ctx, wb, brute=brute)
+        total *= sub
+        if total == 0:
+            break
     return total

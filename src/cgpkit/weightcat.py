@@ -3,7 +3,7 @@
 This is an executable matrix model of the ribbon category of
 finite-dimensional weight modules: generator actions H, E, F, K on explicit
 weight bases, braiding from the R-matrix, twist, two-sided duality with the
-pivot K^{r/2+1}, an intertwiner solver, the modified trace on projective
+pivot K^{1-r/2}, an intertwiner solver, the modified trace on projective
 objects, Kirby colors, and the global constants (stabilization coefficients,
 their square root, and the relative modularity parameter) that enter the
 surgery formula.
@@ -205,7 +205,7 @@ class WeightModule:
     degree: Degree
 
     def pivot(self, ctx: ScalarContext) -> np.ndarray:
-        """Action of the pivotal element K^{r/2+1}, diagonal on weights."""
+        """Action of the pivotal element K^{1-r/2}, diagonal on weights."""
         p = la.zeros(ctx, (self.dim, self.dim))
         for i, w in enumerate(self.weights):
             p[i, i] = ctx.q_power(ctx.pivot_power * w)
@@ -404,7 +404,7 @@ def ev_coev(ctx: ScalarContext, M: WeightModule, flavor: str) -> np.ndarray:
     'ev_r':   M (x) M* -> 1       v (x) phi |-> phi(pivot v)
     'coev_r': 1 -> M* (x) M       1 |-> sum phi_i (x) pivot^{-1} v_i
 
-    The right flavors carry the pivot K^{r/2+1}; the left flavors are free
+    The right flavors carry the pivot K^{1-r/2}; the left flavors are free
     of it.  Zig-zag identities hold by construction.
     """
     d = M.dim
@@ -560,22 +560,40 @@ def modified_dimension(ctx: ScalarContext, alpha) -> Scalar:
 def hom_basis(ctx: ScalarContext, src: ObjectWord, dst: ObjectWord) -> list[np.ndarray]:
     """Basis of the space of module maps realize(src) -> realize(dst).
 
-    Solves f rho_src(x) = rho_dst(x) f for x in {H, E, F} by a dense
-    nullspace computation; K-intertwining follows from H.  Returns matrices
-    of shape (dim dst, dim src); an empty list means the Hom space is zero.
+    Solves f rho_src(x) = rho_dst(x) f for x in {H, E, F}.  H acts
+    diagonally, so a module map can only have entries f[i, j] with
+    weight(dst_i) = weight(src_j); those entries are the only unknowns, and
+    on them the H equations hold identically (K-intertwining follows).  The
+    E and F equations are built directly on these unknowns and their
+    all-zero rows are dropped.  E and F couple the entries of weight w with
+    those of weight w +- 2, so all the rows go into one nullspace
+    computation; the weight blocks cannot be solved separately.
+    Returns matrices of shape (dim dst, dim src); an empty list means the
+    Hom space is zero.
     """
     S = realize(ctx, src)
     D = realize(ctx, dst)
     nS, nD = S.dim, D.dim
-    Is = la.eye(ctx, nS)
-    Id = la.eye(ctx, nD)
+    gap = np.subtract.outer(np.array(D.weights, dtype=complex),
+                            np.array(S.weights, dtype=complex))
+    rows, cols = np.nonzero(np.abs(gap) <= ctx.tol)
+    if rows.size == 0:
+        return []
+    unknowns = np.arange(rows.size)
     blocks = []
-    for xs, xd in ((S.actH, D.actH), (S.actE, D.actE), (S.actF, D.actF)):
-        blocks.append(la.kron(ctx, Id, xs.T) - la.kron(ctx, xd, Is))
+    for xs, xd in ((S.actE, D.actE), (S.actF, D.actF)):
+        # (f xs - xd f)[i, j] = sum_p f_p (delta(i, rows_p) xs[cols_p, j]
+        #                                  - xd[i, rows_p] delta(cols_p, j))
+        A = la.zeros(ctx, (nD, nS, rows.size))
+        A[rows, :, unknowns] = xs[cols, :]
+        A[:, cols, unknowns] -= xd[:, rows]
+        blocks.append(A.reshape(nD * nS, rows.size))
     A = np.concatenate(blocks, axis=0)
+    A = A[np.any(A != 0, axis=1)]
     basis = []
     for v in la.nullspace(ctx, A):
-        f = v.reshape(nD, nS)
+        f = la.zeros(ctx, (nD, nS))
+        f[rows, cols] = v
         # deterministic normalization: largest entry becomes 1
         idx = max(range(f.size), key=lambda t: abs(f.reshape(-1)[t]))
         basis.append(f / f.reshape(-1)[idx])

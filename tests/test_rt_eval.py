@@ -17,6 +17,19 @@ def test_identity_evaluates_to_identity(ctx):
     assert np.abs(rt_eval.evaluate(ctx, d) - np.eye(M.dim)).max() < 1e-14
 
 
+def test_apply_local_matches_kronecker_reference():
+    """A local cell on the middle factor acts as I_dl (x) m (x) I_dr."""
+    rng = np.random.default_rng(7)
+    for dl, din, dout, dr, src in ((1, 3, 3, 4, 2), (5, 2, 4, 1, 3), (3, 4, 1, 2, 1)):
+        n = dl * din * dr
+        state = rng.standard_normal((n, src)) + 1j * rng.standard_normal((n, src))
+        m = rng.standard_normal((dout, din)) + 1j * rng.standard_normal((dout, din))
+        ref = np.kron(np.kron(np.eye(dl), m), np.eye(dr)) @ state
+        got = rt_eval._apply_local(None, state, m, dl, din, dr, src)
+        assert got.shape == ref.shape
+        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
 def test_closed_unknot_values(ctx):
     v = rt_eval.evaluate(ctx, fx.unknot(wc.Sigma(ctx.rbar)))[0, 0]
     assert abs(v - wc.sigma_dim(ctx, ctx.rbar)) < 1e-12

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -150,6 +152,58 @@ def test_completely_reduced_domination(ctx):
                     dst = wc.ObjectWord([(1, wc.Typical(b)), (1, wc.Sigma(kp))])
                     dim = len(wc.hom_basis(ctx, src, dst))
                     assert dim == (1 if (i == j and k == kp) else 0)
+
+
+def _dense_hom_dim(ctx, src, dst):
+    """dim Hom(src, dst) from the full Kronecker system, H rows included."""
+    S, D = wc.realize(ctx, src), wc.realize(ctx, dst)
+    Is, Id = np.eye(S.dim), np.eye(D.dim)
+    A = np.concatenate([np.kron(Id, np.asarray(xs, dtype=complex).T)
+                        - np.kron(np.asarray(xd, dtype=complex), Is)
+                        for xs, xd in ((S.actH, D.actH), (S.actE, D.actE),
+                                       (S.actF, D.actF))])
+    s = np.linalg.svd(A, compute_uv=False)
+    return S.dim * D.dim - int(np.sum(s > ctx.tol * s[0]))
+
+
+def _assert_intertwiners(ctx, src, dst, basis):
+    S, D = wc.realize(ctx, src), wc.realize(ctx, dst)
+    for f in basis:
+        assert f.shape == (D.dim, S.dim)
+        for x in ("actH", "actE", "actF", "actK"):
+            dev = la.norm_inf(f @ getattr(S, x) - getattr(D, x) @ f)
+            assert dev <= ctx.tol, (src, dst, x, dev)
+
+
+def test_hom_basis_weight_matched_solve_matches_dense_oracle(ctx):
+    """The weight-matched solve against the dense Kronecker nullspace, on
+    every src/dst pair with at most three letters between them."""
+    a, b = GENERIC, GENERIC2
+    letters = [(1, wc.Typical(a)), (-1, wc.Typical(a)), (1, wc.Typical(b)),
+               (1, wc.Typical(a + b - 2)), (1, wc.Typical(ctx.nilpotency - 1)),
+               (1, wc.Sigma(ctx.rbar))]
+    words = [wc.ObjectWord(w) for n in range(4)
+             for w in itertools.product(letters, repeat=n)]
+    nonzero = 0
+    for src in words:
+        for dst in words:
+            if len(src) + len(dst) > 3:
+                continue
+            basis = wc.hom_basis(ctx, src, dst)
+            assert len(basis) == _dense_hom_dim(ctx, src, dst), (src, dst)
+            _assert_intertwiners(ctx, src, dst, basis)
+            nonzero += bool(basis)
+    assert nonzero >= 20
+
+
+def test_hom_basis_weight_matched_solve_high_precision():
+    hp = ScalarContext(4, precision=106)
+    src = wc.ObjectWord([(1, wc.Typical(GENERIC)), (1, wc.Typical(GENERIC2))])
+    dst = wc.ObjectWord([(1, wc.Typical(GENERIC + GENERIC2 - 2)), (1, wc.Sigma(0))])
+    basis = wc.hom_basis(hp, src, dst)
+    assert len(basis) == _dense_hom_dim(hp, src, dst) == 1
+    assert basis[0].dtype == object
+    _assert_intertwiners(hp, src, dst, basis)
 
 
 def test_index_set_critical_degree(ctx):
