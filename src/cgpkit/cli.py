@@ -25,7 +25,6 @@ from . import surgery as sg
 from . import weightcat as wc
 from ._linalg import NumericInstability
 from .qscalars import ScalarContext
-from .rt_eval import NotAdmissible as RTNotAdmissible
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -224,7 +223,7 @@ def cmd_cgp(args) -> int:
     except sg.NotComputable as e:
         print(f"not computable: {e}", file=sys.stderr)
         return EXIT_NOT_COMPUTABLE
-    except (sg.NotAdmissible, RTNotAdmissible) as e:
+    except sg.NotAdmissible as e:
         print(f"not admissible: {e}", file=sys.stderr)
         return EXIT_NOT_ADMISSIBLE
     except (NumericInstability, wc.NotScalar) as e:

@@ -20,14 +20,11 @@ from . import diagrams as dg
 from . import rt_eval
 from . import weightcat as wc
 from .qscalars import ScalarContext, Scalar
+from .rt_eval import NotAdmissible
 
 
 class NotComputable(ValueError):
     """Some surgery meridian degree is critical."""
-
-
-class NotAdmissible(ValueError):
-    """No typical graph edge and no generic surgery meridian."""
 
 
 class CannotStabilize(ValueError):
@@ -272,7 +269,7 @@ def _f_prime_jobs(ctx: ScalarContext, d: dg.Diagram,
         coeff, plain = item
         e = rt_eval.find_typical_edge(ctx, plain)
         if e is None:
-            raise rt_eval.NotAdmissible("no typical edge")
+            raise NotAdmissible("no typical edge")
         cut_d = dg.cut(ctx, plain, e[0], e[1])
         return coeff * wc.modified_trace(ctx, cut_d.source,
                                          rt_eval.evaluate(ctx, cut_d))

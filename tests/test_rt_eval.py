@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+from cgpkit import _linalg as la
 from cgpkit import diagrams as dg
 from cgpkit import fixtures as fx
 from cgpkit import rt_eval
 from cgpkit import weightcat as wc
+from cgpkit.qscalars import ScalarContext
 
 GENERIC = 0.37 + 0.2j
 GENERIC2 = 0.59 - 0.11j
@@ -28,6 +30,97 @@ def test_apply_local_matches_kronecker_reference():
         got = rt_eval._apply_local(None, state, m, dl, din, dr, src)
         assert got.shape == ref.shape
         assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def _hp_random(hp, rng, shape, density):
+    """106-bit entries with full mantissas; about 1 - density of them zero."""
+    a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    a[rng.random(shape) >= density] = 0
+    return la.asarray(hp, a) / hp.scalar(3)
+
+
+def _assert_nonzero_kernel_matches_matmul(hp, state, support, m, nonzeros,
+                                          dl, din, dr, src):
+    got, got_support = rt_eval._apply_local_nonzero(
+        hp, state, support, m, nonzeros, dl, din, dr, src)
+    ref = np.matmul(m, state.reshape(dl, din, dr * src)).reshape(-1, src)
+    assert got.shape == ref.shape == got_support.shape
+    assert all(type(x) is type(hp.scalar(0)) for x in got.flat)
+    assert all(x == y for x, y in zip(got.flat, ref.flat))
+    ref_support = np.matmul(m != 0, support.reshape(dl, din, dr * src)).reshape(-1, src)
+    assert np.array_equal(got_support, ref_support)
+
+
+def test_apply_local_nonzero_matches_object_matmul():
+    """The 106-bit kernel gives the same bits as the dense object matmul on
+    planted zero patterns, real cell matrices and a coupon."""
+    hp = ScalarContext(4, precision=106)
+    rng = np.random.default_rng(11)
+    # dl = 1, dr = 1, a cup (dout = 1), a cap (din = 1), general cells; the
+    # last has many terms per output, where the order of the sum shows
+    for dl, din, dout, dr, src in ((1, 3, 3, 4, 2), (5, 2, 4, 1, 3), (3, 4, 1, 2, 1),
+                                   (2, 1, 4, 3, 2), (3, 4, 4, 2, 3), (2, 9, 9, 3, 2)):
+        state = _hp_random(hp, rng, (dl * din * dr, src), 0.4)
+        blocks = state.reshape(dl, din, dr * src)
+        blocks[dl // 2] = hp.scalar(0)           # a whole zero slice
+        blocks[:, din - 1, :dr] = hp.scalar(0)
+        m = _hp_random(hp, rng, (dout, din), 0.6)
+        m[dout // 2] = hp.scalar(0)              # a zero cell row
+        support = state != 0
+        _assert_nonzero_kernel_matches_matmul(hp, state, support, m, rt_eval._nonzeros(m),
+                                              dl, din, dr, src)
+        # a support wider than the nonzeros (e.g. after a cancellation)
+        _assert_nonzero_kernel_matches_matmul(hp, state, np.ones_like(support), m,
+                                              rt_eval._nonzeros(m), dl, din, dr, src)
+    a, b = wc.Typical(GENERIC), wc.Typical(GENERIC2)
+    w = wc.ObjectWord([(1, a), (-1, b)])
+    cells = [dg.cross((1, a), (-1, b)), dg.cup((1, a), left=False), dg.cap((1, a), left=True),
+             dg.coupon(w, w, wc.braiding(hp, wc.realize(hp, wc.ObjectWord([(1, a)])),
+                                         wc.realize(hp, wc.ObjectWord([(-1, b)]))))]
+    for cell in cells:
+        m = rt_eval.cell_matrix(hp, cell)
+        dout, din = m.shape
+        dl, dr, src = 2, 3, 2
+        state = _hp_random(hp, rng, (dl * din * dr, src), 0.3)
+        _assert_nonzero_kernel_matches_matmul(hp, state, state != 0, m,
+                                              rt_eval._cell_nonzeros(hp, cell, m),
+                                              dl, din, dr, src)
+
+
+def _f_prime_dense_route(monkeypatch, ctx, d):
+    def dense(ctx, state, support, m, nonzeros, dl, din, dr, src):
+        y = rt_eval._apply_local(ctx, state, m, dl, din, dr, src)
+        return y, np.ones(y.shape, dtype=bool)
+    with monkeypatch.context() as mp:
+        mp.setattr(rt_eval, "_apply_local_nonzero", dense)
+        return rt_eval.f_prime(ctx, d)
+
+
+def test_f_prime_high_precision_matches_dense_route(monkeypatch):
+    hp = ScalarContext(4, precision=106)
+    a = wc.Typical(GENERIC)
+    closure = fx.figure_eight(a, framing=1)
+    H = fx.hopf_link(a, wc.Typical(GENERIC2))
+    words = H.boundary_words()
+    b = next(b for b in range(1, len(words)) if len(words[b]) == 2)
+    w = words[b]
+    l0, l1 = w.letters
+    # a crossing undone by a coupon holding the inverse crossing's matrix
+    undo = rt_eval.cell_matrix(hp, dg.cross(l1, l0, positive=False))
+    with_coupon = dg.insert_slices(
+        H, b, [dg.wrap_slice(w, 0, dg.cross(l0, l1)),
+               [dg.coupon(wc.ObjectWord([l1, l0]), w, undo)]])
+    for d in (closure, with_coupon):
+        got = rt_eval.f_prime(hp, d)
+        assert got == _f_prime_dense_route(monkeypatch, hp, d)
+    assert abs(got - rt_eval.f_prime(hp, H)) <= 1e-25 * abs(got)
+
+
+def test_trefoil_high_precision_matches_53_bits(ctx6):
+    hp = ScalarContext(6, precision=106)
+    a = wc.Typical(GENERIC)
+    ref = rt_eval.f_prime(ctx6, fx.trefoil(a))
+    assert abs(complex(rt_eval.f_prime(hp, fx.trefoil(a))) - ref) <= 1e-9 * max(1.0, abs(ref))
 
 
 def test_closed_unknot_values(ctx):

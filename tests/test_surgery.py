@@ -8,6 +8,7 @@ from cgpkit import fixtures as fx
 from cgpkit import surgery as sg
 from cgpkit import surgery_fixtures as sfx
 from cgpkit import weightcat as wc
+from cgpkit.qscalars import ScalarContext
 
 GENERIC = 0.37 + 0.2j
 
@@ -179,6 +180,13 @@ def test_lens_spaces_distinguished(ctx6):
     best = min(max(abs(a - b) for a, b in zip(vals1, p))
                for p in itertools.permutations(vals2))
     assert best > 1e-3
+
+
+def test_lens_chain_high_precision_matches_53_bits(ctx6):
+    hp = ScalarContext(6, precision=106)
+    ref = sg.cgp(ctx6, sfx.lens_chain_presentation(ctx6, 2, 3, 1))
+    got = complex(sg.cgp(hp, sfx.lens_chain_presentation(hp, 2, 3, 1)))
+    assert abs(got - ref) <= 1e-9 * max(1.0, abs(ref))
 
 
 def test_auto_stabilize_unchanged_when_computable(ctx6):
