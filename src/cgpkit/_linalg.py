@@ -134,16 +134,22 @@ def inv(ctx: ScalarContext, a: np.ndarray) -> np.ndarray:
 
 
 def solve_lstsq(ctx: ScalarContext, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Minimum-norm least squares solve, used for section/coefficient fits."""
+    """Minimum-norm least squares solve, used for section/coefficient fits.
+
+    At high precision the pseudo-inverse keeps the singular values above
+    tol * s_max, the cut of `rank`, so a rank-deficient system is solved
+    rather than divided by zero."""
     if ctx.high_precision:
-        mp = ctx._mp
-        am = _to_mp_matrix(ctx, a)
-        bm = _to_mp_matrix(ctx, b.reshape(-1, 1))
-        x = mp.qr_solve(am, bm)[0]
-        out = np.empty(a.shape[1], dtype=object)
-        for i in range(a.shape[1]):
-            out[i] = x[i]
-        return out
+        u, s, v = ctx._mp.svd_c(_to_mp_matrix(ctx, a))
+        u, v = _from_mp_matrix(ctx, u), _from_mp_matrix(ctx, v)
+        svals = [s[i] for i in range(s.rows)]
+        thresh = ctx.tol * max(svals, default=0)
+        # a = u diag(s) v, so x = v^H diag(1/s) u^H b over the kept values
+        x = zeros(ctx, a.shape[1])
+        for i, si in enumerate(svals):
+            if si > thresh:
+                x = x + np.conjugate(v[i, :]) * ((np.conjugate(u[:, i]) @ b) / si)
+        return x
     return np.linalg.lstsq(a, b, rcond=None)[0]
 
 

@@ -94,7 +94,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--precision", type=int,
                        default=int(_env_default("PRECISION", 53)))
         p.add_argument("--tol", type=float, default=float(_env_default("TOL", 1e-9)))
-        p.add_argument("--jobs", type=int, default=int(_env_default("JOBS", 1)))
 
     p = sub.add_parser("cgp", help="evaluate a surgery presentation from JSON")
     common(p)
@@ -208,7 +207,7 @@ def cmd_cgp(args) -> int:
             link = sg.linking_data(ctx, p)
             ells += len(p.surgery_components)
             sigmas.append(link.signature)
-            total = total * sg.cgp(ctx, p, auto=args.auto_stabilize, jobs=args.jobs)
+            total = total * sg.cgp(ctx, p, auto=args.auto_stabilize)
             if offending:
                 warnings.append(
                     f"auto-stabilized components {offending}")

@@ -1,11 +1,17 @@
 """Sliced combinatorial ribbon-graph diagrams.
 
-A diagram is a list of slices read bottom to top; each slice is a list of
-cells acting on adjacent groups of letters of the current boundary word.
-Cells are the elementary tangles: identities, the two crossings, the four
-cup/cap flavors, and coupons holding explicit matrices.  Framing is
-blackboard: a framing change is a curl built out of a cap, a self-crossing
-and a cup, which evaluates to the twist.
+A diagram is a tuple of slices read bottom to top; each slice is a tuple
+of cells acting on adjacent groups of letters of the current boundary
+word.  Cells are the elementary tangles: identities, the two crossings,
+the four cup/cap flavors, and coupons holding explicit matrices.  Framing
+is blackboard: a framing change is a curl built out of a cap, a
+self-crossing and a cup, which evaluates to the twist.
+
+Diagrams are immutable: every edit returns a new diagram.  Each diagram
+computes its boundary words and its strand components once, on first
+use.  Edits that stack rows on a diagram extend its words row by row,
+checking each row against the word below it, and a recolored diagram
+takes over the component map of the diagram it came from.
 
 Strand components are recovered by union-find over boundary ports; a
 coupon joins all of its legs into one component.  Components can carry
@@ -16,6 +22,7 @@ evaluation time.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from types import MappingProxyType
 
 import numpy as np
 
@@ -117,38 +124,84 @@ def coupon(domain: ObjectWord, codomain: ObjectWord, matrix: np.ndarray) -> Cell
     return Cell("coupon", (), domain, codomain, matrix)
 
 
-Slice = list[Cell]
+Slice = tuple[Cell, ...]
+
+# where each of a cell's letters sits: (0, t) is input port t of the cell,
+# (1, t) output port t
+_LETTER_PORTS = {
+    "id": ((0, 0),), "xpos": ((0, 0), (0, 1)), "xneg": ((0, 0), (0, 1)),
+    "cup_l": ((0, 1),), "cup_r": ((0, 0),), "cap_l": ((1, 0),), "cap_r": ((1, 1),),
+}
 
 
-@dataclass
+def _ports(s: int, pin: int, pout: int, cell: Cell):
+    """Input and output ports of a cell placed at slice s."""
+    return ([(s, pin + t) for t in range(len(cell.in_letters()))],
+            [(s + 1, pout + t) for t in range(len(cell.out_letters()))])
+
+
+def _next_word(word: ObjectWord, row, s: int) -> ObjectWord:
+    """The boundary word above slice s, whose cells must consume `word`."""
+    out = []
+    pos = 0
+    for cell in row:
+        ins = cell.in_letters()
+        if word.letters[pos:pos + len(ins)] != ins:
+            raise BoundaryMismatch(
+                f"slice {s}: cell {cell.kind} expects {ins}, boundary has "
+                f"{word.letters[pos:pos + len(ins)]}"
+            )
+        pos += len(ins)
+        out.extend(cell.out_letters())
+    if pos != len(word):
+        raise BoundaryMismatch(f"slice {s}: {len(word) - pos} unconsumed letters")
+    return ObjectWord(out)
+
+
+def _extend(words: list[ObjectWord], rows) -> list[ObjectWord]:
+    """Append the word above each row, checking each row against the word
+    below it."""
+    for row in rows:
+        words.append(_next_word(words[-1], row, len(words) - 1))
+    return words
+
+
+@dataclass(frozen=True)
 class Diagram:
+    """Immutable; `slices` may be given as any iterables of cells and is
+    stored as a tuple of tuples.  Boundary words and the component map are
+    computed on first use and kept; both are read-only, since every caller
+    gets the same object."""
+
     source: ObjectWord
-    slices: list[Slice]
+    slices: tuple[Slice, ...]
     prefactor: Scalar = 1.0 + 0.0j
     formal: dict[int, FormalColorSum] = field(default_factory=dict)
+    _words: tuple[ObjectWord, ...] | None = field(
+        default=None, init=False, repr=False, compare=False)
+    _comp: MappingProxyType | None = field(
+        default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "slices", tuple(map(tuple, self.slices)))
+
+    def _cache(self, words=None, comp=None) -> "Diagram":
+        if words is not None:
+            object.__setattr__(self, "_words", tuple(words))
+        if comp is not None:
+            object.__setattr__(self, "_comp", comp)
+        return self
+
+    def _relabelled(self, **changes) -> "Diagram":
+        """`replace` of the prefactor or formal colors, keeping the caches."""
+        return replace(self, **changes)._cache(self._words, self._comp)
 
     # -- structure ---------------------------------------------------------
 
-    def boundary_words(self) -> list[ObjectWord]:
-        words = [self.source]
-        w = self.source
-        for s, cells in enumerate(self.slices):
-            out = []
-            pos = 0
-            for cell in cells:
-                ins = cell.in_letters()
-                if tuple(w.letters[pos:pos + len(ins)]) != ins:
-                    raise BoundaryMismatch(
-                        f"slice {s}: cell {cell.kind} expects {ins}, boundary has "
-                        f"{w.letters[pos:pos + len(ins)]}"
-                    )
-                pos += len(ins)
-                out.extend(cell.out_letters())
-            if pos != len(w):
-                raise BoundaryMismatch(f"slice {s}: {len(w) - pos} unconsumed letters")
-            w = ObjectWord(out)
-            words.append(w)
-        return words
+    def boundary_words(self) -> tuple[ObjectWord, ...]:
+        if self._words is None:
+            self._cache(_extend([self.source], self.slices))
+        return self._words
 
     @property
     def target(self) -> ObjectWord:
@@ -159,6 +212,15 @@ class Diagram:
 
     # -- components ---------------------------------------------------------
 
+    def _placed_cells(self):
+        """(slice, first input port, first output port, cell) of every cell."""
+        for s, cells in enumerate(self.slices):
+            pin = pout = 0
+            for cell in cells:
+                yield s, pin, pout, cell
+                pin += len(cell.in_letters())
+                pout += len(cell.out_letters())
+
     def ports_and_components(self):
         """Union-find over boundary ports; returns (port -> comp id) map.
 
@@ -166,8 +228,10 @@ class Diagram:
         by first appearance scanning boundaries bottom to top, left to
         right.
         """
+        if self._comp is not None:
+            return self._comp
         words = self.boundary_words()
-        parent: dict[tuple[int, int], tuple[int, int]] = {}
+        parent = {(b, i): (b, i) for b, w in enumerate(words) for i in range(len(w))}
 
         def find(p):
             while parent[p] != p:
@@ -176,47 +240,29 @@ class Diagram:
             return p
 
         def union(p, q):
-            parent.setdefault(p, p)
-            parent.setdefault(q, q)
             rp, rq = find(p), find(q)
             if rp != rq:
                 parent[rp] = rq
 
-        for b, w in enumerate(words):
-            for i in range(len(w)):
-                parent.setdefault((b, i), (b, i))
-        for s, cells in enumerate(self.slices):
-            pin = 0
-            pout = 0
-            for cell in cells:
-                nin = len(cell.in_letters())
-                nout = len(cell.out_letters())
-                ins = [(s, pin + t) for t in range(nin)]
-                outs = [(s + 1, pout + t) for t in range(nout)]
-                k = cell.kind
-                if k == "id":
-                    union(ins[0], outs[0])
-                elif k in ("xpos", "xneg"):
-                    union(ins[0], outs[1])
-                    union(ins[1], outs[0])
-                elif k in ("cup_l", "cup_r"):
-                    union(ins[0], ins[1])
-                elif k in ("cap_l", "cap_r"):
-                    union(outs[0], outs[1])
-                elif k == "coupon":
-                    for p in ins[1:] + outs:
-                        union(ins[0] if ins else outs[0], p)
-                pin += nin
-                pout += nout
-        comp_of: dict[tuple[int, int], int] = {}
+        for placed in self._placed_cells():
+            ins, outs = _ports(*placed)
+            k = placed[3].kind
+            if k == "id":
+                union(ins[0], outs[0])
+            elif k in ("xpos", "xneg"):
+                union(ins[0], outs[1])
+                union(ins[1], outs[0])
+            elif k in ("cup_l", "cup_r"):
+                union(ins[0], ins[1])
+            elif k in ("cap_l", "cap_r"):
+                union(outs[0], outs[1])
+            elif k == "coupon":
+                for p in ins[1:] + outs:
+                    union(ins[0] if ins else outs[0], p)
         roots: dict[tuple[int, int], int] = {}
-        for b in range(len(words)):
-            for i in range(len(words[b])):
-                r = find((b, i))
-                if r not in roots:
-                    roots[r] = len(roots)
-                comp_of[(b, i)] = roots[r]
-        return comp_of
+        self._cache(comp=MappingProxyType(
+            {p: roots.setdefault(find(p), len(roots)) for p in parent}))
+        return self._comp
 
     def component_count(self) -> int:
         comp = self.ports_and_components()
@@ -233,25 +279,17 @@ class Diagram:
     def components_with_coupons(self) -> set[int]:
         comp = self.ports_and_components()
         bad = set()
-        for s, cells in enumerate(self.slices):
-            pin = 0
-            pout = 0
-            for cell in cells:
-                nin = len(cell.in_letters())
-                nout = len(cell.out_letters())
-                if cell.kind == "coupon":
-                    for t in range(nin):
-                        bad.add(comp[(s, pin + t)])
-                    for t in range(nout):
-                        bad.add(comp[(s + 1, pout + t)])
-                pin += nin
-                pout += nout
+        for placed in self._placed_cells():
+            if placed[3].kind == "coupon":
+                ins, outs = _ports(*placed)
+                bad.update(comp[p] for p in ins + outs)
         return bad
 
     def recolor_component(self, comp_id: int, color: Color) -> "Diagram":
-        """Replace the color on every leg of one coupon-free component."""
-        if comp_id in self.components_with_coupons():
-            raise ValueError("cannot recolor a component attached to coupons")
+        """Replace the color on every leg of one coupon-free component.
+
+        The result has the same components, so it takes over this
+        diagram's component map."""
         comp = self.ports_and_components()
 
         def rl(letter: Letter, port) -> Letter:
@@ -259,53 +297,32 @@ class Diagram:
 
         new_source = ObjectWord(
             [rl(l, (0, i)) for i, l in enumerate(self.source.letters)])
-        new_slices: list[Slice] = []
-        for s, cells in enumerate(self.slices):
-            pin = 0
-            pout = 0
-            row: Slice = []
-            for cell in cells:
-                nin = len(cell.in_letters())
-                nout = len(cell.out_letters())
-                k = cell.kind
-                if k == "id":
-                    row.append(id_cell(rl(cell.letters[0], (s, pin))))
-                elif k in ("xpos", "xneg"):
-                    l1 = rl(cell.letters[0], (s, pin))
-                    l2 = rl(cell.letters[1], (s, pin + 1))
-                    row.append(Cell(k, (l1, l2)))
-                elif k in ("cup_l", "cup_r"):
-                    anchor = cell.letters[0]
-                    port = (s, pin + (1 if k == "cup_l" else 0))
-                    row.append(Cell(k, (rl(anchor, port),)))
-                elif k in ("cap_l", "cap_r"):
-                    anchor = cell.letters[0]
-                    port = (s + 1, pout + (0 if k == "cap_l" else 1))
-                    row.append(Cell(k, (rl(anchor, port),)))
-                else:
-                    row.append(cell)
-                pin += nin
-                pout += nout
-            new_slices.append(row)
+        new_slices: list[list[Cell]] = [[] for _ in self.slices]
+        for s, pin, pout, cell in self._placed_cells():
+            k = cell.kind
+            if k == "coupon":
+                ins, outs = _ports(s, pin, pout, cell)
+                if any(comp[p] == comp_id for p in ins + outs):
+                    raise ValueError("cannot recolor a component attached to coupons")
+            else:
+                letters = tuple(rl(l, (s + up, (pout if up else pin) + off))
+                                for l, (up, off) in zip(cell.letters, _LETTER_PORTS[k]))
+                if letters != cell.letters:
+                    cell = Cell(k, letters)
+            new_slices[s].append(cell)
         return Diagram(new_source, new_slices, self.prefactor,
-                       {c: f for c, f in self.formal.items() if c != comp_id})
+                       {c: f for c, f in self.formal.items() if c != comp_id}
+                       )._cache(comp=comp)
 
     def crossing_records(self) -> list[tuple[int, int, int, Color, Color]]:
         """(comp a, comp b, sign, color a, color b) for every crossing."""
         comp = self.ports_and_components()
         out = []
-        for s, cells in enumerate(self.slices):
-            pin = 0
-            for cell in cells:
-                nin = len(cell.in_letters())
-                if cell.kind in ("xpos", "xneg"):
-                    c1 = comp[(s, pin)]
-                    c2 = comp[(s, pin + 1)]
-                    e1 = cell.letters[0][0]
-                    e2 = cell.letters[1][0]
-                    sign = e1 * e2 * (1 if cell.kind == "xpos" else -1)
-                    out.append((c1, c2, sign, cell.letters[0][1], cell.letters[1][1]))
-                pin += nin
+        for s, pin, _, cell in self._placed_cells():
+            if cell.kind in ("xpos", "xneg"):
+                (e1, col1), (e2, col2) = cell.letters
+                sign = e1 * e2 * (1 if cell.kind == "xpos" else -1)
+                out.append((comp[(s, pin)], comp[(s, pin + 1)], sign, col1, col2))
         return out
 
     def component_colors(self) -> dict[int, Color]:
@@ -335,7 +352,7 @@ class Diagram:
 def validate(ctx: ScalarContext, d: Diagram) -> str | None:
     """None when structurally sound, else a description of the first problem."""
     try:
-        words = d.boundary_words()
+        d.boundary_words()
     except BoundaryMismatch as e:
         return str(e)
     for s, cells in enumerate(d.slices):
@@ -354,14 +371,7 @@ def validate(ctx: ScalarContext, d: Diagram) -> str | None:
     for c in d.formal:
         if c in d.components_with_coupons():
             return f"formal color on component {c} which touches a coupon"
-    _ = words
     return None
-
-
-def ensure_valid(ctx: ScalarContext, d: Diagram) -> None:
-    msg = validate(ctx, d)
-    if msg is not None:
-        raise ValueError(msg)
 
 
 def identity_diagram(word: ObjectWord) -> Diagram:
@@ -372,63 +382,37 @@ def compose(d1: Diagram, d2: Diagram) -> Diagram:
     """d2 after d1; boundary words must match exactly."""
     if d1.target.letters != d2.source.letters:
         raise BoundaryMismatch("compose: target of first != source of second")
-    out = Diagram(d1.source, [list(s) for s in d1.slices] + [list(s) for s in d2.slices],
-                  d1.prefactor * d2.prefactor)
-    out.formal = _remap_formal(d1, d2, out)
-    return out
+    out = Diagram(d1.source, d1.slices + d2.slices, d1.prefactor * d2.prefactor)
+    n1 = len(d1.slices)
+    return _carry_formal(out, (d1, lambda b, i: (b, i)), (d2, lambda b, i: (b + n1, i)))
 
 
 def tensor(d1: Diagram, d2: Diagram) -> Diagram:
     """Horizontal juxtaposition, stacking d1's slices below d2's."""
     w1t = d1.target
     w2s = d2.source
-    slices: list[Slice] = []
-    for s in d1.slices:
-        slices.append(list(s) + [id_cell(l) for l in w2s])
-    for s in d2.slices:
-        slices.append([id_cell(l) for l in w1t] + list(s))
+    slices = [s + tuple(id_cell(l) for l in w2s) for s in d1.slices]
+    slices += [tuple(id_cell(l) for l in w1t) + s for s in d2.slices]
     out = Diagram(d1.source + d2.source, slices, d1.prefactor * d2.prefactor)
-    out.formal = _remap_formal_tensor(d1, d2, out)
-    return out
-
-
-def _remap_formal(d1: Diagram, d2: Diagram, out: Diagram) -> dict[int, FormalColorSum]:
-    if not d1.formal and not d2.formal:
-        return {}
-    comp_out = out.ports_and_components()
-    mapping: dict[int, FormalColorSum] = {}
-    off = len(d1.slices)
-    for d, boundary_shift in ((d1, 0), (d2, off)):
-        if not d.formal:
-            continue
-        comp_d = d.ports_and_components()
-        for cid, fc in d.formal.items():
-            port = next(p for p, c in comp_d.items() if c == cid)
-            port_out = (port[0] + boundary_shift, port[1])
-            mapping[comp_out[port_out]] = fc
-    return mapping
-
-
-def _remap_formal_tensor(d1: Diagram, d2: Diagram, out: Diagram) -> dict[int, FormalColorSum]:
     # boundary b <= n1 of out reads d1.words[b] + d2.source; boundary b >= n1
     # reads d1.target + d2.words[b - n1]
-    if not d1.formal and not d2.formal:
-        return {}
+    n1, w1 = len(d1.slices), len(w1t)
+    return _carry_formal(out, (d1, lambda b, i: (b, i)), (d2, lambda b, i: (b + n1, i + w1)))
+
+
+def _carry_formal(out: Diagram, *parts) -> Diagram:
+    """out carrying the formal colors of each part (d, move): a labeled
+    component of d is found at its first port (b, i), which is port
+    move(b, i) of out."""
+    if not any(d.formal for d, _ in parts):
+        return out
     comp_out = out.ports_and_components()
-    mapping: dict[int, FormalColorSum] = {}
-    if d1.formal:
-        comp_d = d1.ports_and_components()
-        for cid, fc in d1.formal.items():
-            port = next(p for p, c in comp_d.items() if c == cid)
-            mapping[comp_out[port]] = fc
-    if d2.formal:
-        n1 = len(d1.slices)
-        w1 = len(d1.target)
-        comp_d = d2.ports_and_components()
-        for cid, fc in d2.formal.items():
-            b, i = next(p for p, c in comp_d.items() if c == cid)
-            mapping[comp_out[(b + n1, i + w1)]] = fc
-    return mapping
+    formal = {}
+    for d, move in parts:
+        for cid, fc in d.formal.items():
+            port = next(p for p, c in d.ports_and_components().items() if c == cid)
+            formal[comp_out[move(*port)]] = fc
+    return out._relabelled(formal=formal)
 
 
 # ---------------------------------------------------------------------------
@@ -481,9 +465,7 @@ def exchange_distant(d: Diagram, i: int) -> Diagram:
                             - len(c_hi.in_letters()), c_lo)
     else:
         raise ValueError("slices are not distant")
-    return Diagram(d.source,
-                   [list(s) for s in d.slices[:i]] + [first, second]
-                   + [list(s) for s in d.slices[i + 2:]],
+    return Diagram(d.source, d.slices[:i] + (first, second) + d.slices[i + 2:],
                    d.prefactor, dict(d.formal))
 
 
@@ -494,27 +476,21 @@ def insert_slices(d: Diagram, boundary: int, rows: list[Slice]) -> Diagram:
     Formal color labels are carried across by re-anchoring each labeled
     component at a representative port.
     """
-    anchors = []
-    if d.formal:
-        comp = d.ports_and_components()
-        for cid, fc in d.formal.items():
-            port = min(p for p, c in comp.items() if c == cid)
-            anchors.append((port, fc))
-    out = Diagram(d.source,
-                  [list(s) for s in d.slices[:boundary]] + [list(r) for r in rows]
-                  + [list(s) for s in d.slices[boundary:]],
-                  d.prefactor)
-    if anchors:
-        comp_new = out.ports_and_components()
-        n = len(rows)
-        out.formal = {
-            comp_new[(b, i) if b <= boundary else (b + n, i)]: fc
-            for (b, i), fc in anchors
-        }
-    return out
+    old = d.boundary_words()
+    words = _extend(list(old[:boundary + 1]), rows)
+    # rows that give back the word leave the words above it as they were;
+    # any other word fails at the next slice, or is the new target
+    if words[-1] == old[boundary]:
+        words.extend(old[boundary + 1:])
+    else:
+        _extend(words, d.slices[boundary:])
+    out = Diagram(d.source, d.slices[:boundary] + tuple(rows) + d.slices[boundary:],
+                  d.prefactor)._cache(words)
+    n = len(rows)
+    return _carry_formal(out, (d, lambda b, i: (b, i) if b <= boundary else (b + n, i)))
 
 
-def wrap_slice(word: ObjectWord, pos: int, cell: Cell) -> Slice:
+def wrap_slice(word: ObjectWord, pos: int, cell: Cell) -> list[Cell]:
     """One-nontrivial-cell slice acting at a given letter position."""
     ins = cell.in_letters()
     if tuple(word.letters[pos:pos + len(ins)]) != ins:
@@ -525,12 +501,38 @@ def wrap_slice(word: ObjectWord, pos: int, cell: Cell) -> Slice:
     return row
 
 
+class _Stack:
+    """Rows stacked on top of a diagram, each checked against the boundary
+    word below it as it is added."""
+
+    def __init__(self, d: Diagram):
+        self.source = d.source
+        self.slices = list(d.slices)
+        self.words = list(d.boundary_words())
+
+    def add(self, row) -> None:
+        self.words.append(_next_word(self.words[-1], row, len(self.slices)))
+        self.slices.append(row)
+
+    def cell(self, pos: int, cell: Cell) -> None:
+        self.add(wrap_slice(self.words[-1], pos, cell))
+
+    def between(self, slices, nleft: int, nright: int) -> None:
+        """Stack slices between identities on the nleft leftmost and the
+        nright rightmost letters."""
+        for s in slices:
+            w = self.words[-1].letters
+            self.add([*map(id_cell, w[:nleft]), *s, *map(id_cell, w[len(w) - nright:])])
+
+    def diagram(self, prefactor: Scalar, formal: dict | None = None) -> Diagram:
+        return Diagram(self.source, self.slices, prefactor, formal or {})._cache(self.words)
+
+
 def apply_cell(d: Diagram, pos: int, cell: Cell) -> Diagram:
     """Append one slice containing the cell at position pos."""
-    w = d.target
-    out = Diagram(d.source, [list(s) for s in d.slices], d.prefactor, dict(d.formal))
-    out.slices.append(wrap_slice(w, pos, cell))
-    return out
+    st = _Stack(d)
+    st.cell(pos, cell)
+    return st.diagram(d.prefactor, dict(d.formal))
 
 
 def add_curl(d: Diagram, pos: int, positive: bool) -> Diagram:
@@ -580,12 +582,9 @@ def trace_closure(d: Diagram) -> Diagram:
     if len(d.source) != 1 or len(d.target) != 1 or d.source.letters != d.target.letters:
         raise ValueError("trace closure needs an endomorphism of one letter")
     letter = d.source[0]
-    out = Diagram(ObjectWord(()), [])
-    out = apply_cell(out, 0, cap(letter, left=True))
+    out = apply_cell(Diagram(ObjectWord(()), (), d.prefactor), 0, cap(letter, left=True))
     out = _stack_between(out, d.slices, 0, 1)
-    out.prefactor = d.prefactor
-    out = apply_cell(out, 0, cup(letter, left=False))
-    return out
+    return apply_cell(out, 0, cup(letter, left=False))
 
 
 # ---------------------------------------------------------------------------
@@ -614,50 +613,34 @@ def cut(ctx: ScalarContext, d: Diagram, boundary: int, pos: int) -> Diagram:
     v = w[pos]
     if not isinstance(v[1], Typical):
         raise NotProjectiveEdge(f"cut edge must be typical, got {v[1]!r}")
-    x = list(w.letters[:pos])
-    y = list(w.letters[pos + 1:])
-    lower = Diagram(EMPTY := ObjectWord(()), [list(s) for s in d.slices[:boundary]],
-                    d.prefactor)
-    upper = Diagram(w, [list(s) for s in d.slices[boundary:]])
-
-    out = identity_diagram(ObjectWord([v]))
+    x = w.letters[:pos]
+    y = w.letters[pos + 1:]
+    # one pass, bottom to top, with a running boundary word
+    st = _Stack(identity_diagram(ObjectWord([v])))
     # create the x-letters to the left: caps outermost first
     for t in range(len(x) - 1, -1, -1):
-        out = apply_cell(out, len(x) - 1 - t, cap(x[t], left=False))
+        st.cell(len(x) - 1 - t, cap(x[t], left=False))
     # create the y-letters to the right: caps outermost first
     base = 2 * len(x) + 1
     for t in range(len(y)):
-        out = apply_cell(out, base + t, cap(y[t], left=True))
-    # stack the upper part (consumes x, v, y in the middle)
-    nxd = len(x)  # dual-tail width on the left
-    nyd = len(y)
-    for s in upper.slices:
-        word_now = out.target
-        row = [id_cell(l) for l in word_now.letters[:nxd]]
-        row.extend(s)
-        row.extend(id_cell(l) for l in word_now.letters[len(word_now) - nyd:])
-        out = Diagram(out.source, out.slices + [row], out.prefactor)
-    # stack the lower part between the dual tails
-    out = _stack_between(out, lower.slices, nxd, nyd)
-    out.prefactor = d.prefactor
+        st.cell(base + t, cap(y[t], left=True))
+    # the upper part (consumes x, v, y in the middle), then the lower part,
+    # between the dual tails
+    st.between(d.slices[boundary:], len(x), len(y))
+    st.between(d.slices[:boundary], len(x), len(y))
     # close x-duals innermost first
     for t in range(len(x)):
-        out = apply_cell(out, len(x) - 1 - t, cup(x[t], left=True))
+        st.cell(len(x) - 1 - t, cup(x[t], left=True))
     # close y-duals innermost first
     for t in range(len(y) - 1, -1, -1):
-        out = apply_cell(out, 1 + t, cup(y[t], left=False))
-    return out
+        st.cell(1 + t, cup(y[t], left=False))
+    return st.diagram(d.prefactor)
 
 
-def _stack_between(d: Diagram, slices: list[Slice], nleft: int, nright: int) -> Diagram:
-    out = Diagram(d.source, [list(s) for s in d.slices], d.prefactor, dict(d.formal))
-    for s in slices:
-        word_now = out.target
-        row = [id_cell(l) for l in word_now.letters[:nleft]]
-        row.extend(s)
-        row.extend(id_cell(l) for l in word_now.letters[len(word_now) - nright:])
-        out.slices.append(row)
-    return out
+def _stack_between(d: Diagram, slices, nleft: int, nright: int) -> Diagram:
+    st = _Stack(d)
+    st.between(slices, nleft, nright)
+    return st.diagram(d.prefactor, dict(d.formal))
 
 
 # ---------------------------------------------------------------------------
@@ -741,11 +724,9 @@ def stabilize_generic(ctx: ScalarContext, d: Diagram, boundary: int,
     comp_map = out.ports_and_components()
     plus_comp = comp_map[(boundary + 1, i)]
     minus_comp = comp_map[(boundary + 1 + len(rows_plus), i)]
-    out.formal = dict(out.formal)
-    out.formal[minus_comp] = omega
-    out.formal[plus_comp] = omega
-    out.prefactor = out.prefactor / (consts.delta_minus * consts.delta_plus)
-    return out
+    return out._relabelled(
+        formal={**out.formal, minus_comp: omega, plus_comp: omega},
+        prefactor=out.prefactor / (consts.delta_minus * consts.delta_plus))
 
 
 def encircle_at(d: Diagram, boundary: int, span: tuple[int, int], color: Color,
@@ -833,13 +814,12 @@ def diagram_to_json(d: Diagram):
 
 
 def diagram_from_json(obj) -> Diagram:
-    d = Diagram(
-        ObjectWord([letter_from_json(l) for l in obj["source"]]),
-        [[cell_from_json(c) for c in s["cells"]] for s in obj["slices"]],
-    )
-    if "prefactor" in obj:
-        d.prefactor = complex(obj["prefactor"][0], obj["prefactor"][1])
-    for cid, terms in obj.get("formal", {}).items():
-        d.formal[int(cid)] = FormalColorSum(
+    source = ObjectWord([letter_from_json(l) for l in obj["source"]])
+    slices = [[cell_from_json(c) for c in s["cells"]] for s in obj["slices"]]
+    pf = obj.get("prefactor", (1.0, 0.0))
+    return Diagram(
+        source, slices, complex(pf[0], pf[1]),
+        {int(cid): FormalColorSum(
             tuple((complex(co[0], co[1]), color_from_json(c)) for co, c in terms))
-    return d
+         for cid, terms in obj.get("formal", {}).items()},
+    )

@@ -169,7 +169,10 @@ def _apply_local_nonzero(ctx: ScalarContext, state: np.ndarray, support: np.ndar
 
 def expand_formal(ctx: ScalarContext, d: dg.Diagram,
                   extra: dict[int, wc.FormalColorSum] | None = None):
-    """Iterate (coefficient, plain diagram) over all formal color choices."""
+    """Iterate (coefficient, plain diagram) over all formal color choices.
+
+    Each recoloring drops its component's formal label and hands on the
+    component map, so a term costs no union-find."""
     assignments = dict(d.formal)
     if extra:
         for cid, fc in extra.items():
@@ -186,7 +189,6 @@ def expand_formal(ctx: ScalarContext, d: dg.Diagram,
         for cid, (co, col) in zip(comp_ids, combo):
             coeff = coeff * co
             plain = plain.recolor_component(cid, col)
-        plain.formal = {}
         yield coeff, plain
 
 

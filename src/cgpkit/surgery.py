@@ -10,7 +10,6 @@ eta D^{-ell} delta^{n - sigma(L)}.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -44,10 +43,6 @@ class SurgeryPresentation:
             c: (g if isinstance(g, wc.Degree) else wc.Degree(complex(g)))
             for c, g in self.meridian_degrees.items()
         }
-
-    def graph_components(self) -> set[int]:
-        comp = set(self.diagram.ports_and_components().values())
-        return comp - self.surgery_components
 
 
 @dataclass(frozen=True)
@@ -192,6 +187,7 @@ def _check_cohomology(ctx: ScalarContext, p: SurgeryPresentation) -> None:
     Kirby index for formally colored ones, the color degree otherwise).
     """
     formal = p.diagram.formal
+    crossings = p.diagram.crossing_records()
 
     def deg_of(c: int, color) -> complex:
         if c in p.meridian_degrees:
@@ -202,7 +198,7 @@ def _check_cohomology(ctx: ScalarContext, p: SurgeryPresentation) -> None:
 
     for i in sorted(p.surgery_components):
         total = 0j
-        for a, b, s, ca, cb in p.diagram.crossing_records():
+        for a, b, s, ca, cb in crossings:
             if i not in (a, b):
                 continue
             if a == b == i:
@@ -219,8 +215,7 @@ def _check_cohomology(ctx: ScalarContext, p: SurgeryPresentation) -> None:
                 f"longitude evaluates to {total}")
 
 
-def cgp(ctx: ScalarContext, p: SurgeryPresentation, auto: bool = False,
-        jobs: int = 1) -> Scalar:
+def cgp(ctx: ScalarContext, p: SurgeryPresentation, auto: bool = False) -> Scalar:
     """CGP invariant of the presented closed 3-manifold.
 
     Kirby-colors each surgery component by the color of its meridian
@@ -244,40 +239,18 @@ def cgp(ctx: ScalarContext, p: SurgeryPresentation, auto: bool = False,
     ell = len(p.surgery_components)
     extra = {c: wc.kirby_color(ctx, p.meridian_degrees[c])
              for c in sorted(p.surgery_components)}
-    fp = _f_prime_jobs(ctx, p.diagram, extra, jobs)
+    fp = rt_eval.f_prime(ctx, p.diagram, extra=extra)
     n = p.signature_defect
     return (consts.eta * consts.D ** (-ell) * consts.delta ** (n - link.signature)
             * fp)
 
 
 def cgp_disjoint(ctx: ScalarContext, pieces: list[SurgeryPresentation],
-                 auto: bool = False, jobs: int = 1) -> Scalar:
+                 auto: bool = False) -> Scalar:
     """Product over the connected pieces of a disjoint-union presentation."""
     total = ctx.scalar(1)
     for p in pieces:
-        total = total * cgp(ctx, p, auto=auto, jobs=jobs)
-    return total
-
-
-def _f_prime_jobs(ctx: ScalarContext, d: dg.Diagram,
-                  extra: dict[int, wc.FormalColorSum], jobs: int) -> Scalar:
-    if jobs <= 1:
-        return rt_eval.f_prime(ctx, d, extra=extra)
-    terms = list(rt_eval.expand_formal(ctx, d, extra))
-
-    def one(item):
-        coeff, plain = item
-        e = rt_eval.find_typical_edge(ctx, plain)
-        if e is None:
-            raise NotAdmissible("no typical edge")
-        cut_d = dg.cut(ctx, plain, e[0], e[1])
-        return coeff * wc.modified_trace(ctx, cut_d.source,
-                                         rt_eval.evaluate(ctx, cut_d))
-    with ThreadPoolExecutor(max_workers=jobs) as ex:
-        vals = list(ex.map(one, terms))
-    total = ctx.scalar(0)
-    for v in vals:
-        total = total + v
+        total = total * cgp(ctx, p, auto=auto)
     return total
 
 
@@ -321,7 +294,7 @@ def _insert_rider(ctx: ScalarContext, d: dg.Diagram, target: int,
     words = d.boundary_words()
     rl = (1, rider)
     rd = (-1, rider)
-    out_slices: list[dg.Slice] = []
+    out_slices: list[list[dg.Cell]] = []
     w: list = list(d.source.letters)
     port_map: dict[tuple[int, int], tuple[int, int]] = {}
 

@@ -1,9 +1,13 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from cgpkit import diagrams as dg
 from cgpkit import fixtures as fx
 from cgpkit import rt_eval
+from cgpkit import surgery as sg
+from cgpkit import surgery_fixtures as sfx
 from cgpkit import weightcat as wc
 
 GENERIC = 0.37 + 0.2j
@@ -25,8 +29,8 @@ def test_validate_reports_mismatch(ctx):
     w = word((1, wc.Typical(GENERIC)))
     d = dg.identity_diagram(w)
     # a slice expecting the wrong letter
-    d.slices.append([dg.id_cell((1, wc.Sigma(0)))])
-    msg = dg.validate(ctx, d)
+    bad = dg.Diagram(d.source, d.slices + ((dg.id_cell((1, wc.Sigma(0))),),))
+    msg = dg.validate(ctx, bad)
     assert msg is not None and "slice" in msg
 
 
@@ -98,7 +102,7 @@ def test_formal_remap_through_compose_tensor(ctx):
     om = wc.kirby_color(ctx, g)
     u = fx.unknot(om.terms[0][1])
     comp = u.ports_and_components()[(1, 0)]
-    u.formal[comp] = om
+    u = replace(u, formal={comp: om})
     # tensor with something on the left shifts ports
     both = dg.tensor(fx.unknot(wc.Typical(GENERIC)), u)
     assert len(both.formal) == 1
@@ -109,8 +113,7 @@ def test_formal_remap_through_compose_tensor(ctx):
 
 def test_serialization_roundtrip(ctx):
     a = wc.Typical(GENERIC)
-    d = fx.trefoil(a)
-    d.prefactor = 2.5 - 1.25j
+    d = replace(fx.trefoil(a), prefactor=2.5 - 1.25j)
     om = wc.kirby_color(ctx, wc.Degree(0.5))
     mer = dg.encircle(d, (0, 0), om.terms[0][1])  # empty span circle
     blob = dg.diagram_to_json(mer)
@@ -204,3 +207,83 @@ def test_exchange_distant_cells(ctx):
     assert dg.validate(ctx, swapped) is None
     assert swapped.component_count() == count0
     assert abs(rt_eval.f_prime(ctx, swapped) - v0) < 1e-10 * max(1, abs(v0))
+
+
+# -- cached structure -----------------------------------------------------------
+
+
+def _exchanged(d):
+    for i in range(len(d.slices) - 1):
+        try:
+            return dg.exchange_distant(d, i)
+        except ValueError:
+            continue
+    raise AssertionError("no exchangeable slices")
+
+
+def _middle_edge(d):
+    """A typical edge with letters on both sides of it."""
+    words = d.boundary_words()
+    return next((b, i) for b in range(1, len(words)) for i in range(1, len(words[b]) - 1)
+                if isinstance(words[b][i][1], wc.Typical))
+
+
+def _rider(ctx):
+    p = sfx.split_surgery_unknot_presentation(ctx, GENERIC, 1)
+    target = next(iter(p.surgery_components))
+    return sg._insert_rider(ctx, p.diagram, target, wc.Typical(GENERIC2))[0]
+
+
+A, B = wc.Typical(GENERIC), wc.Typical(GENERIC2)
+LINE = dg.identity_diagram(word((1, A), (-1, B)))
+EDITS = {
+    "apply_cell": lambda ctx: dg.apply_cell(LINE, 1, dg.cap((1, B), left=True)),
+    "add_curl": lambda ctx: dg.add_curl(LINE, 1, positive=False),
+    "encircle": lambda ctx: dg.encircle(LINE, (0, 2), B, framing=1),
+    "insert_slices": lambda ctx: dg.encircle_at(fx.hopf_link(A, B), 2, (0, 2), A, framing=-1),
+    "compose": lambda ctx: dg.compose(dg.add_curl(LINE, 0, positive=True),
+                                      dg.encircle(LINE, (1, 2), A)),
+    "tensor": lambda ctx: dg.tensor(fx.hopf_link(A, B), fx.figure_eight(B)),
+    "exchange_distant": lambda ctx: _exchanged(dg.tensor(fx.unknot(A), fx.unknot(B))),
+    "trace_closure": lambda ctx: dg.trace_closure(
+        dg.cut(ctx, fx.figure_eight(A), *_middle_edge(fx.figure_eight(A)))),
+    "cut": lambda ctx: dg.cut(ctx, fx.hopf_link(A, B), *_middle_edge(fx.hopf_link(A, B))),
+    "recolor_component": lambda ctx: fx.hopf_link(A, B).recolor_component(1, wc.Sigma(0)),
+    "stabilize_projective": lambda ctx: dg.stabilize_projective(
+        ctx, fx.figure_eight(A), 2, 0, wc.Degree(0.7), wc.index_set(ctx, wc.Degree(0.7))[0]),
+    "stabilize_generic": lambda ctx: dg.stabilize_generic(
+        ctx, fx.unknot(A), 1, (0, 1), wc.Degree(GENERIC)),
+    "auto_stabilize_rider": _rider,
+}
+
+
+@pytest.mark.parametrize("edit", sorted(EDITS))
+def test_cached_structure_matches_recomputation(ctx, edit):
+    d = EDITS[edit](ctx)
+    assert dg.validate(ctx, d) is None
+    assert d.boundary_words() is d.boundary_words()
+    assert d.ports_and_components() is d.ports_and_components()
+    fresh = dg.Diagram(d.source, d.slices, d.prefactor, d.formal)
+    assert d.boundary_words() == fresh.boundary_words()
+    assert d.ports_and_components() == fresh.ports_and_components()
+
+
+def test_recolor_hands_on_component_map(ctx):
+    hopf = fx.hopf_link(A, B)
+    comp = hopf.ports_and_components()
+    assert hopf.recolor_component(0, B).ports_and_components() is comp
+
+
+def test_planted_row_mismatch_raises(ctx):
+    hopf = fx.hopf_link(A, B)
+    w = hopf.boundary_words()[1]
+    wrong = [dg.id_cell((1, wc.Sigma(0)))] * len(w)
+    with pytest.raises(dg.BoundaryMismatch):
+        dg.insert_slices(hopf, 1, [wrong])
+    # a row that fits its word but changes it no longer fits the next slice
+    with pytest.raises(dg.BoundaryMismatch):
+        dg.insert_slices(hopf, 1, [dg.wrap_slice(w, 0, dg.cap((1, A), left=True))])
+    with pytest.raises(dg.BoundaryMismatch):
+        dg._stack_between(LINE, [[dg.id_cell((1, wc.Sigma(0)))]], 1, 0)
+    with pytest.raises(dg.BoundaryMismatch):
+        dg._stack_between(LINE, [[dg.id_cell((1, A))]], 0, 0)

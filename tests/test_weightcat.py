@@ -206,6 +206,21 @@ def test_hom_basis_weight_matched_solve_high_precision():
     _assert_intertwiners(hp, src, dst, basis)
 
 
+def test_solve_lstsq_high_precision_rank_deficient():
+    # a 9 x 3 system of rank 1, as in the section solve of a projective
+    # stabilization: the minimum-norm solution, as numpy's lstsq gives it
+    hp = ScalarContext(6, precision=106)
+    rng = np.random.default_rng(7)
+    col = rng.normal(size=(9, 1)) + 1j * rng.normal(size=(9, 1))
+    row = rng.normal(size=(1, 3)) + 1j * rng.normal(size=(1, 3))
+    a = col @ row
+    b = rng.normal(size=9) + 1j * rng.normal(size=9)
+    x = la.solve_lstsq(hp, la.asarray(hp, a), la.asarray(hp, b))
+    assert x.dtype == object and x.shape == (3,)
+    ref = np.linalg.lstsq(a, b, rcond=None)[0]
+    assert np.abs(np.array([complex(t) for t in x]) - ref).max() < 1e-12
+
+
 def test_index_set_critical_degree(ctx):
     with pytest.raises(wc.CriticalDegree):
         wc.index_set(ctx, wc.Degree(1.0))
