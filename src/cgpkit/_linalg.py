@@ -163,6 +163,8 @@ def kron(ctx: ScalarContext, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def norm_inf(a: np.ndarray) -> float:
     if a.size == 0:
         return 0.0
+    if a.dtype != object:
+        return float(np.abs(a).max())
     return float(max(abs(x) for x in a.reshape(-1)))
 
 

@@ -19,6 +19,7 @@ def run_all(ctx: ScalarContext) -> list[tuple[str, bool, str]]:
     report = []
 
     def add(name, dev, bound=None):
+        dev = float(dev)  # an mpf at high precision, which f"{:.3e}" rejects
         bound = 100 * ctx.tol if bound is None else bound
         report.append((name, dev <= bound, f"deviation {dev:.3e}"))
 
@@ -38,7 +39,7 @@ def run_all(ctx: ScalarContext) -> list[tuple[str, bool, str]]:
 
     S = wc.sigma_module(ctx, ctx.rbar)
     dbl = wc.braiding(ctx, S, V) @ wc.braiding(ctx, V, S)
-    add("periodicity compatibility", la.norm_inf(dbl - ctx.q_power(a * ctx.rbar) * la.eye(ctx, V.dim)))
+    add("periodicity compatibility", la.norm_inf(dbl - la.eye(ctx, V.dim) * ctx.q_power(a * ctx.rbar)))
 
     add("twist self-duality",
         abs(wc.twist(ctx, D)[0, 0] - wc.twist(ctx, V)[0, 0]))

@@ -111,19 +111,28 @@ def stabilization_coefficient(ctx: ScalarContext, probe_alpha: complex,
     evaluates to Delta_+ times a -1 twist.  Blowing the meridian down
     twists the strand, so the extraction divides the compensating twist
     back out.  The result is independent of the probe.
+
+    The meridian's +-1 framing curl is not drawn: on a strand colored by
+    a simple module V_i a curl is the twist scalar theta_{V_i}^{+-1}, so
+    the figure is the 0-framed meridian with each Kirby coefficient
+    weighted by theta_{V_i}^framing.
     """
     if framing not in (-1, 1):
         raise ValueError("stabilization coefficient needs framing +-1")
     probe = wc.Typical(complex(probe_alpha))
     g = wc.color_degree(ctx, probe)
     index = g if framing < 0 else wc.Degree(-g.g)
-    omega = wc.kirby_color(ctx, index)
-    base = strand(probe)
-    d, comp = meridian_around_strand(base, (0, 1), omega.terms[0][1], framing)
-    mat = rt_eval.evaluate_formal(ctx, d, extra={comp: omega})
-    fig = wc.scalar_of(ctx, mat)
-    theta = wc.twist(ctx, wc.realize_letter(ctx, (1, probe)))[0, 0]
+    omega = wc.FormalColorSum(tuple(
+        (coeff * _twist_scalar(ctx, color) ** framing, color)
+        for coeff, color in wc.kirby_color(ctx, index).terms))
+    d, comp = meridian_around_strand(strand(probe), (0, 1), omega.terms[0][1], 0)
+    fig = wc.scalar_of(ctx, rt_eval.evaluate_formal(ctx, d, extra={comp: omega}))
+    theta = _twist_scalar(ctx, probe)
     return fig / theta if framing < 0 else fig * theta
+
+
+def _twist_scalar(ctx: ScalarContext, color: wc.Color) -> Scalar:
+    return wc.twist(ctx, wc.realize_letter(ctx, (1, color)))[0, 0]
 
 
 def relative_modularity_matrix(ctx: ScalarContext, wi: complex, wj: complex,
@@ -154,7 +163,7 @@ def relative_modularity_scalar(ctx: ScalarContext, g: wc.Degree,
     B = wc.ev_coev(ctx, Vi, "coev_l") @ wc.ev_coev(ctx, Vi, "ev_r")
     denom = la.frobenius_inner(B, B)
     fit = la.frobenius_inner(B, A) / denom
-    resid = la.norm_inf(A - fit * B)
+    resid = la.norm_inf(A - B * fit)
     if resid > ctx.tol * max(1.0, la.norm_inf(A)) * 10:
         raise wc.NotScalar(
             f"meridian figure is not a multiple of the unit projector "

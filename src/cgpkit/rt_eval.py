@@ -19,6 +19,7 @@ same bits as the dense route.
 from __future__ import annotations
 
 import itertools
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -65,7 +66,7 @@ def _nonzeros(m: np.ndarray):
     """Nonzero entries of a cell matrix grouped by input (column) index:
     per input its number of nonzeros and their offset, then the output
     index and the value of each nonzero in (input, output) order."""
-    ins, outs = np.nonzero(m.T != 0)
+    ins, outs = np.nonzero(m.T)
     count = np.bincount(ins, minlength=m.shape[1])
     return count, np.cumsum(count) - count, outs, m[outs, ins]
 
@@ -95,7 +96,7 @@ def evaluate(ctx: ScalarContext, d: dg.Diagram) -> np.ndarray:
     if d.formal:
         raise ValueError("diagram carries formal colors; use evaluate_formal")
     words = d.boundary_words()
-    src_dim = int(np.prod(_letter_dims(ctx, words[0]))) if len(words[0]) else 1
+    src_dim = math.prod(_letter_dims(ctx, words[0]))
     state = la.eye(ctx, src_dim)
     support = np.eye(src_dim, dtype=bool) if ctx.high_precision else None
     for s, cells in enumerate(d.slices):
@@ -109,9 +110,9 @@ def evaluate(ctx: ScalarContext, d: dg.Diagram) -> np.ndarray:
                 pos += 1
                 continue
             m = cell_matrix(ctx, cell)
-            din = int(np.prod(dims[pos:pos + nin])) if nin else 1
-            dl = int(np.prod(out_dims_prefix + [1]))
-            dr = int(np.prod(dims[pos + nin:] + [1]))
+            din = math.prod(dims[pos:pos + nin])
+            dl = math.prod(out_dims_prefix)
+            dr = math.prod(dims[pos + nin:])
             if support is None:
                 state = _apply_local(ctx, state, m, dl, din, dr, src_dim)
             else:
@@ -197,7 +198,7 @@ def evaluate_formal(ctx: ScalarContext, d: dg.Diagram,
     """Linear expansion of Kirby-colored components, summed with coefficients."""
     total = None
     for coeff, plain in expand_formal(ctx, d, extra):
-        val = coeff * evaluate(ctx, plain)
+        val = evaluate(ctx, plain) * coeff
         total = val if total is None else total + val
     return total
 

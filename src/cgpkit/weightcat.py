@@ -355,13 +355,37 @@ def check_module_relations(ctx: ScalarContext, M: WeightModule) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _swap_matrix(ctx: ScalarContext, dA: int, dB: int) -> np.ndarray:
-    P = la.zeros(ctx, (dB * dA, dA * dB))
-    one = ctx.scalar(1)
-    for i in range(dA):
-        for j in range(dB):
-            P[j * dA + i, i * dB + j] = one
-    return P
+def _weight_steps(ctx: ScalarContext, M: WeightModule) -> np.ndarray:
+    """Integers a_i with weight_i = weight_0 + 2 a_i.  They exist because
+    all weights of a module lie in its degree class."""
+    w0 = complex(M.weights[0])
+    half = [(complex(w) - w0) / 2 for w in M.weights]
+    steps = np.array([round(h.real) for h in half], dtype=np.int64)
+    if any(abs(h - s) > ctx.tol for h, s in zip(half, steps)):
+        raise ValueError("module weights do not lie in one degree class")
+    return steps
+
+
+def _powers(ctx: ScalarContext, z: Scalar, exponents) -> np.ndarray:
+    return la.asarray(ctx, [z ** int(e) for e in exponents])
+
+
+def _power_nonzeros(ctx: ScalarContext, X: np.ndarray, top: int):
+    """Nonzeros (rows, cols, values) of X^0, ..., X^top, stopping before a
+    power without any.  X^k = X^{k-1} X is summed from the products of
+    nonzero entries only."""
+    step = {t: [(c, x) for c, x in enumerate(row) if x] for t, row in enumerate(X.tolist())}
+    power = {(i, i): ctx.scalar(1) for i in range(X.shape[0])}
+    out = []
+    while power and len(out) <= top:
+        rows, cols = np.array(list(power)).T
+        out.append((rows, cols, la.asarray(ctx, list(power.values()))))
+        nxt = {}
+        for (r, t), v in power.items():
+            for c, x in step[t]:
+                nxt[r, c] = nxt[r, c] + v * x if (r, c) in nxt else v * x
+        power = nxt
+    return out
 
 
 def braiding(ctx: ScalarContext, V: WeightModule, W: WeightModule) -> np.ndarray:
@@ -369,31 +393,50 @@ def braiding(ctx: ScalarContext, V: WeightModule, W: WeightModule) -> np.ndarray
 
     c = swap o (Cartan factor q^{lambda*mu/2}) o Theta, with the truncated
     quasi-R-matrix Theta = sum_b q^{b(b-1)/2} {1}^b/[b]! E^b (x) F^b.
+    Only the nonzero products of E^b and F^b entries are formed; on the
+    weight basis of a simple module each power has at most one nonzero per
+    column.  With lambda = lambda_0 + 2a and mu = mu_0 + 2b (integers a, b)
+    the Cartan factor is q^{lambda_0 mu_0/2} (q^{mu_0})^a (q^{lambda_0})^b
+    (q^2)^{ab}: four q_power calls per braiding, not one per row.  The swap
+    is an index permutation of the rows.
     """
-    m = ctx.nilpotency
-    theta = la.zeros(ctx, (V.dim * W.dim, V.dim * W.dim))
-    Eb = la.eye(ctx, V.dim)
-    Fb = la.eye(ctx, W.dim)
-    for b in range(m):
-        if b > 0:
-            Eb = Eb @ V.actE
-            Fb = Fb @ W.actF
-            if la.norm_inf(Eb) == 0.0 or la.norm_inf(Fb) == 0.0:
-                break
-        coeff = ctx.q_power(b * (b - 1) / 2) * ctx.brace(1) ** b / ctx.qfact_nonzero(b)
-        theta = theta + coeff * la.kron(ctx, Eb, Fb)
-    out = theta.copy()
-    # Cartan factor is diagonal in the weight basis of the target of Theta;
-    # row (i,j) of the composite carries weights (lam_i, mu_j)
-    for i, lam in enumerate(V.weights):
-        for j, mu in enumerate(W.weights):
-            out[i * W.dim + j, :] *= ctx.q_power(complex(lam) * complex(mu) / 2.0)
-    return _swap_matrix(ctx, V.dim, W.dim) @ out
+    dV, dW, m = V.dim, W.dim, ctx.nilpotency
+    a, b = _weight_steps(ctx, V), _weight_steps(ctx, W)
+    lam0, mu0 = complex(V.weights[0]), complex(W.weights[0])
+    q2 = _powers(ctx, ctx.q_power(2), range(m))
+    cartan = (np.multiply.outer(_powers(ctx, ctx.q_power(mu0), a),
+                                _powers(ctx, ctx.q_power(lam0), b))
+              * q2[np.multiply.outer(a, b) % m]
+              * ctx.q_power(ctx.scalar(lam0) * ctx.scalar(mu0) / 2)).reshape(-1)
+    # row i*dW + j of Theta (weights lambda_i, mu_j) is row j*dV + i of c
+    swap = np.arange(dV * dW).reshape(dW, dV).T.reshape(-1)
+    out = la.zeros(ctx, (dW * dV, dV * dW))
+    powers = zip(_power_nonzeros(ctx, V.actE, m - 1), _power_nonzeros(ctx, W.actF, m - 1))
+    for k, ((ei, ej, ev), (fi, fj, fv)) in enumerate(powers):
+        coeff = ctx.q_power(k * (k - 1) / 2) * ctx.brace(1) ** k / ctx.qfact_nonzero(k)
+        rows = np.add.outer(ei * dW, fi).reshape(-1)
+        cols = np.add.outer(ej * dW, fj).reshape(-1)
+        vals = np.multiply.outer(ev, fv).reshape(-1) * coeff
+        out[swap[rows], cols] += vals * cartan[rows]
+    return out
 
 
 def braiding_inv(ctx: ScalarContext, V: WeightModule, W: WeightModule) -> np.ndarray:
-    """Inverse braiding (c_{V,W})^{-1}: W(x)V -> V(x)W by matrix inversion."""
-    return la.inv(ctx, braiding(ctx, V, W))
+    """Inverse braiding (c_{V,W})^{-1}: W(x)V -> V(x)W by matrix inversion.
+
+    The braiding preserves total weight, so it is inverted one total-weight
+    block at a time; for simple V and W each block is at most
+    min(dim V, dim W) square.
+    """
+    c = braiding(ctx, V, W)
+    a, b = _weight_steps(ctx, V), _weight_steps(ctx, W)
+    src = np.add.outer(a, b).reshape(-1)  # weight steps of V(x)W
+    dst = np.add.outer(b, a).reshape(-1)  # weight steps of W(x)V
+    out = la.zeros(ctx, c.shape)
+    for s in set(src.tolist()):
+        cols, rows = np.flatnonzero(src == s), np.flatnonzero(dst == s)
+        out[cols[:, None], rows] = la.inv(ctx, c[rows[:, None], cols])
+    return out
 
 
 def ev_coev(ctx: ScalarContext, M: WeightModule, flavor: str) -> np.ndarray:
@@ -451,7 +494,7 @@ def twist(ctx: ScalarContext, V: WeightModule) -> np.ndarray:
 def scalar_of(ctx: ScalarContext, f: np.ndarray) -> Scalar:
     """Extract s from f = s*id, enforcing the deviation policy."""
     s = f[0, 0]
-    dev = la.norm_inf(f - s * la.eye(ctx, f.shape[0]))
+    dev = la.norm_inf(f - la.eye(ctx, f.shape[0]) * s)
     if dev > ctx.tol * max(1.0, abs(s)):
         raise NotScalar(f"endomorphism deviates from scalar*id by {dev:.3e}")
     return s
@@ -468,7 +511,7 @@ def partial_trace_right(ctx: ScalarContext, f: np.ndarray, dA: int, B: WeightMod
     out = la.zeros(ctx, (dA, dA))
     for b, w in enumerate(B.weights):
         pb = ctx.q_power(ctx.pivot_power * w)
-        out += pb * f[b::dB, b::dB]
+        out += f[b::dB, b::dB] * pb
     return out
 
 
@@ -478,7 +521,7 @@ def partial_trace_left(ctx: ScalarContext, f: np.ndarray, A: WeightModule, dB: i
     out = la.zeros(ctx, (dB, dB))
     for a, w in enumerate(A.weights):
         pa = ctx.q_power(-ctx.pivot_power * w)
-        out += pa * f[a * dB:(a + 1) * dB, a * dB:(a + 1) * dB]
+        out += f[a * dB:(a + 1) * dB, a * dB:(a + 1) * dB] * pa
     return out
 
 
@@ -714,10 +757,12 @@ def constants(ctx: ScalarContext, probe_g: Degree | None = None,
     """Global constants from meridian evaluations.
 
     Delta_-/Delta_+ are the scalars of the Kirby-colored -1/+1 framed
-    meridian around a typical probe strand; zeta is extracted from the
-    double-strand projector figure; D is the principal square root of
-    Delta_- Delta_+, eta = |Z/Z_+|/D and delta = Delta_+/D.  Values are
-    memoized per context and probe.
+    meridian around a typical probe strand; the framing enters as
+    twist-weighted Kirby coefficients (each V_i's coefficient times
+    theta_{V_i}^{-+1}) on a 0-framed meridian, not as a drawn curl.  zeta
+    is extracted from the double-strand projector figure; D is the
+    principal square root of Delta_- Delta_+, eta = |Z/Z_+|/D and
+    delta = Delta_+/D.  Values are memoized per context and probe.
     """
     from . import fixtures  # local import; fixtures builds on diagrams/rt_eval
 

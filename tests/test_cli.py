@@ -104,6 +104,16 @@ def test_constants_command():
     assert abs(complex(*doc["D"]) - 4) < 1e-9
 
 
+@pytest.mark.parametrize("argv", [["check", "6"], ["check", "4", "--precision", "106"]])
+def test_check_command(argv):
+    # in a fresh process: cell matrices cached here would carry this
+    # process's own mpmath context into later 106-bit tests
+    proc = subprocess.run([sys.executable, "-m", "cgpkit.cli", *argv],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "all checks passed"
+
+
 def test_moddim_command():
     code, out = run_cli(["moddim", "4", "0.5"])
     assert code == 0

@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 
 import cgpkit._linalg as la
+from cgpkit import checks
+from cgpkit import fixtures as fx
+from cgpkit import rt_eval
 from cgpkit import weightcat as wc
 from cgpkit.qscalars import ScalarContext
 
@@ -396,3 +399,131 @@ def test_relations_hold_for_random_typicals(alpha):
         return
     M = wc.typical_module(ctx, alpha)
     assert wc.check_module_relations(ctx, M) < 1e-8
+
+
+# ---------------------------------------------------------------------------
+# cell matrices and constants against the dense constructions
+# ---------------------------------------------------------------------------
+
+# weights exact in binary, so alpha - 2n is exact and the 106-bit oracles
+# can be compared at 106-bit rounding
+DYADIC = 0.375 + 0.25j
+DYADIC2 = 0.625 - 0.125j
+
+
+def _braiding_oracle(ctx, V, W):
+    """c_{V,W} as a dense product: Theta summed over Kronecker products,
+    the Cartan factor q^{lambda mu/2} on every row, then a permutation
+    matrix for the swap."""
+    dV, dW = V.dim, W.dim
+    theta = la.zeros(ctx, (dV * dW, dV * dW))
+    Eb, Fb = la.eye(ctx, dV), la.eye(ctx, dW)
+    for b in range(ctx.nilpotency):
+        if b > 0:
+            Eb, Fb = Eb @ V.actE, Fb @ W.actF
+        coeff = ctx.q_power(b * (b - 1) / 2) * ctx.brace(1) ** b / ctx.qfact_nonzero(b)
+        theta = theta + la.kron(ctx, Eb, Fb) * coeff
+    for i, lam in enumerate(V.weights):
+        for j, mu in enumerate(W.weights):
+            theta[i * dW + j, :] *= ctx.q_power(ctx.scalar(lam) * ctx.scalar(mu) / 2)
+    P = la.zeros(ctx, (dW * dV, dV * dW))
+    for i in range(dV):
+        for j in range(dW):
+            P[j * dV + i, i * dW + j] = ctx.scalar(1)
+    return P @ theta
+
+
+def _curled_stabilization_oracle(ctx, alpha, framing):
+    """Delta_-+ from the meridian figure with its framing drawn as a curl."""
+    probe = wc.Typical(alpha)
+    g = wc.color_degree(ctx, probe)
+    omega = wc.kirby_color(ctx, g if framing < 0 else wc.Degree(-g.g))
+    d, comp = fx.meridian_around_strand(fx.strand(probe), (0, 1), omega.terms[0][1], framing)
+    fig = wc.scalar_of(ctx, rt_eval.evaluate_formal(ctx, d, extra={comp: omega}))
+    theta = wc.twist(ctx, wc.realize_letter(ctx, (1, probe)))[0, 0]
+    return fig / theta if framing < 0 else fig * theta
+
+
+def _letter_pairs(ctx, a, b):
+    """Typical, dual and sigma letter pairs."""
+    s = wc.Sigma(ctx.rbar)
+    return [((1, wc.Typical(a)), (1, wc.Typical(b))),
+            ((1, wc.Typical(a)), (-1, wc.Typical(b))),
+            ((-1, wc.Typical(a)), (-1, wc.Typical(a))),
+            ((1, wc.Typical(a)), (1, s)), ((-1, s), (-1, wc.Typical(b)))]
+
+
+def _max_rel(x, y):
+    return max(abs(u - v) for u, v in zip(x.reshape(-1), y.reshape(-1))) / max(
+        1.0, max(abs(v) for v in y.reshape(-1)))
+
+
+@pytest.mark.parametrize("r,precision,tol", [
+    (4, 53, 1e-12), (6, 53, 1e-12), (10, 53, 1e-12), (4, 106, 1e-28), (6, 106, 1e-28)])
+def test_braiding_matches_dense_oracle(r, precision, tol):
+    ctx = ScalarContext(r, precision=precision)
+    a, b = (GENERIC, GENERIC2) if precision == 53 else (DYADIC, DYADIC2)
+    for la_, lb in _letter_pairs(ctx, a, b):
+        V, W = wc.realize_letter(ctx, la_), wc.realize_letter(ctx, lb)
+        c = wc.braiding(ctx, V, W)
+        assert _max_rel(c, _braiding_oracle(ctx, V, W)) < tol, (la_, lb)
+        cinv = wc.braiding_inv(ctx, V, W)
+        assert _max_rel(cinv, la.inv(ctx, c)) < tol, (la_, lb)
+        assert _max_rel(c @ cinv, la.eye(ctx, c.shape[0])) < tol, (la_, lb)
+        assert _max_rel(cinv @ c, la.eye(ctx, c.shape[0])) < tol, (la_, lb)
+
+
+@pytest.mark.parametrize("r", [4, 6, 10])
+def test_twist_folded_stabilization_matches_curled_figure(r):
+    ctx = ScalarContext(r)
+    for framing in (-1, 1):
+        got = fx.stabilization_coefficient(ctx, GENERIC, framing)
+        want = _curled_stabilization_oracle(ctx, GENERIC, framing)
+        assert abs(got - want) <= 1e-11 * abs(want)
+    hp = ScalarContext(min(r, 6), precision=106)
+    for framing in (-1, 1):
+        got = fx.stabilization_coefficient(hp, 0.5, framing)
+        want = _curled_stabilization_oracle(hp, 0.5, framing)
+        assert abs(got - want) <= 1e-28 * abs(want)
+
+
+def test_constants_r10_high_precision_match_53_bits():
+    lo = wc.constants(ScalarContext(10))
+    hi = wc.constants(ScalarContext(10, precision=106))
+    for name in ("delta_minus", "delta_plus", "zeta", "D"):
+        want = getattr(lo, name)
+        assert abs(complex(getattr(hi, name)) - want) <= 1e-9 * abs(want), name
+
+
+def test_high_precision_products_keep_the_array_on_the_left(monkeypatch):
+    """`scalar * array` with an mpmath scalar first has mpmath convert the
+    whole array, formatting it into a TypeError, before numpy's reflected
+    product runs; `array * scalar` goes to numpy directly."""
+    from mpmath.ctx_mp import MPContext
+
+    arrays = []
+    convert = MPContext.npconvert
+
+    def counting(mp, x):
+        if isinstance(x, np.ndarray):
+            arrays.append(x.shape)
+        return convert(mp, x)
+
+    monkeypatch.setattr(MPContext, "npconvert", counting)
+    hp = ScalarContext(4, precision=106)
+    rt_eval.f_prime(hp, fx.unknot(wc.Typical(GENERIC), framing=1))
+    word = wc.ObjectWord([(1, wc.Typical(GENERIC)), (-1, wc.Typical(GENERIC))])
+    wc.modified_trace(hp, word, la.eye(hp, wc.realize(hp, word).dim))
+    wc.constants.__wrapped__(hp)
+    checks.run_all(hp)
+    assert arrays == []
+
+
+def test_norm_inf_matches_elementwise_max():
+    rng = np.random.default_rng(5)
+    a = rng.normal(size=(7, 9)) + 1j * rng.normal(size=(7, 9))
+    hp = ScalarContext(4, precision=106)
+    for x in (a, a.real, a[:0], la.asarray(hp, a), la.zeros(hp, (0, 3))):
+        want = float(max((abs(t) for t in x.reshape(-1)), default=0.0))
+        got = la.norm_inf(x)
+        assert type(got) is float and got == want
