@@ -14,6 +14,7 @@ import hashlib
 import json
 import os
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -143,6 +144,8 @@ def _degree_from_json(v) -> wc.Degree:
 
 
 def load_presentation(obj) -> sg.SurgeryPresentation:
+    """ParseError for malformed input; a component id that names no
+    component the presentation can color raises ValueError."""
     try:
         d = dg.diagram_from_json(obj["diagram"])
         surgery = frozenset(int(c) for c in obj["surgery_components"])
@@ -151,6 +154,8 @@ def load_presentation(obj) -> sg.SurgeryPresentation:
         for cid, col in obj.get("graph_colors", {}).items():
             d = d.recolor_component(int(cid), dg.color_from_json(col))
         n = int(obj.get("signature_defect", 0))
+    except dg.ComponentError:
+        raise
     except (KeyError, TypeError, ValueError) as e:
         raise ParseError(f"bad presentation: {e}") from e
     return sg.SurgeryPresentation(d, surgery, degrees, n)
@@ -168,32 +173,27 @@ def cmd_cgp(args) -> int:
     except (OSError, json.JSONDecodeError) as e:
         print(f"parse error: {e}", file=sys.stderr)
         return EXIT_PARSE
-    cache_key = None
-    if args.cache_dir:
-        cache_key = _canonical_digest(
-            {"input": payload, "version": __version__,
-             "auto": bool(args.auto_stabilize), "tol": args.tol,
-             "precision": args.precision})
-        cache_file = Path(args.cache_dir) / f"{cache_key}.json"
-        if cache_file.exists():
-            sys.stdout.write(cache_file.read_text())
-            return EXIT_OK
     try:
         level = args.level or int(payload["level"])
         precision = int(payload.get("precision", args.precision))
         ctx = ScalarContext(level, precision=precision, tol=args.tol)
-        if "presentations" in payload:
-            pieces = [load_presentation(o) for o in payload["presentations"]]
-        else:
-            pieces = [load_presentation(payload["presentation"])]
-    except ParseError as e:
-        print(f"parse error: {e}", file=sys.stderr)
-        return EXIT_PARSE
+        objs = payload["presentations"] if "presentations" in payload \
+            else [payload["presentation"]]
     except (KeyError, TypeError, ValueError) as e:
         print(f"parse error: {e}", file=sys.stderr)
         return EXIT_PARSE
+    cache_file = None
+    if args.cache_dir:
+        key = _canonical_digest(
+            {"input": payload, "version": __version__, "level": level,
+             "precision": precision, "tol": args.tol, "auto": bool(args.auto_stabilize)})
+        cache_file = Path(args.cache_dir) / f"{key}.json"
+        if cache_file.exists():
+            sys.stdout.write(cache_file.read_text())
+            return EXIT_OK
     warnings = []
     try:
+        pieces = [load_presentation(o) for o in objs]
         total = ctx.scalar(1)
         ells = 0
         sigmas = []
@@ -219,6 +219,9 @@ def cmd_cgp(args) -> int:
             "sigma": sigmas[0] if len(sigmas) == 1 else sigmas,
             "warnings": warnings,
         }
+    except ParseError as e:
+        print(f"parse error: {e}", file=sys.stderr)
+        return EXIT_PARSE
     except sg.NotComputable as e:
         print(f"not computable: {e}", file=sys.stderr)
         return EXIT_NOT_COMPUTABLE
@@ -232,9 +235,13 @@ def cmd_cgp(args) -> int:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_ERROR
     text = render_json(out) + "\n"
-    if args.cache_dir:
-        Path(args.cache_dir).mkdir(parents=True, exist_ok=True)
-        (Path(args.cache_dir) / f"{cache_key}.json").write_text(text)
+    if cache_file is not None:
+        # a concurrent reader sees the whole entry or none of it
+        cache_file.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=cache_file.parent, suffix=".tmp")
+        with os.fdopen(fd, "w") as f:
+            f.write(text)
+        os.replace(tmp, cache_file)
     sys.stdout.write(text)
     return EXIT_OK
 

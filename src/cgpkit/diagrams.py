@@ -14,9 +14,11 @@ checking each row against the word below it, and a recolored diagram
 takes over the component map of the diagram it came from.
 
 Strand components are recovered by union-find over boundary ports; a
-coupon joins all of its legs into one component.  Components can carry
-formal color sums (Kirby colors); expansion into plain diagrams happens at
-evaluation time.
+coupon joins all of its legs into one component.  A Kirby color is a
+color like any other, carried by the letters of one coupon-free
+component, so no edit has to track it; the evaluator substitutes its
+summands cell by cell.  Component ids appear only where input names
+components by id (JSON, surgery presentations), in `mark_components`.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from .qscalars import ScalarContext, Scalar
 from .weightcat import (
     Color,
     FormalColorSum,
+    Kirby,
     Letter,
     ObjectWord,
     Sigma,
@@ -44,8 +47,9 @@ class BoundaryMismatch(ValueError):
     pass
 
 
-class NoProjectiveEdge(ValueError):
-    pass
+class ComponentError(ValueError):
+    """Input names a component id that is not in the diagram, or one that
+    cannot take the color it is given."""
 
 
 class NotProjectiveEdge(ValueError):
@@ -169,17 +173,18 @@ def _extend(words: list[ObjectWord], rows) -> list[ObjectWord]:
 @dataclass(frozen=True)
 class Diagram:
     """Immutable; `slices` may be given as any iterables of cells and is
-    stored as a tuple of tuples.  Boundary words and the component map are
-    computed on first use and kept; both are read-only, since every caller
-    gets the same object."""
+    stored as a tuple of tuples.  Boundary words, the component map and
+    the Kirby colors are computed on first use and kept; all are
+    read-only, since every caller gets the same object."""
 
     source: ObjectWord
     slices: tuple[Slice, ...]
     prefactor: Scalar = 1.0 + 0.0j
-    formal: dict[int, FormalColorSum] = field(default_factory=dict)
     _words: tuple[ObjectWord, ...] | None = field(
         default=None, init=False, repr=False, compare=False)
     _comp: MappingProxyType | None = field(
+        default=None, init=False, repr=False, compare=False)
+    _kirby: tuple[Kirby, ...] | None = field(
         default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -193,7 +198,7 @@ class Diagram:
         return self
 
     def _relabelled(self, **changes) -> "Diagram":
-        """`replace` of the prefactor or formal colors, keeping the caches."""
+        """`replace` of the prefactor, keeping the caches."""
         return replace(self, **changes)._cache(self._words, self._comp)
 
     # -- structure ---------------------------------------------------------
@@ -209,6 +214,15 @@ class Diagram:
 
     def is_closed(self) -> bool:
         return len(self.source) == 0 and len(self.target) == 0
+
+    def kirby_colors(self) -> tuple[Kirby, ...]:
+        """The Kirby colors on the letters, by first appearance scanning the
+        boundaries bottom to top, left to right: the order of their
+        components' ids."""
+        if self._kirby is None:
+            object.__setattr__(self, "_kirby", tuple(dict.fromkeys(
+                c for w in self.boundary_words() for _, c in w if isinstance(c, Kirby))))
+        return self._kirby
 
     # -- components ---------------------------------------------------------
 
@@ -285,34 +299,35 @@ class Diagram:
                 bad.update(comp[p] for p in ins + outs)
         return bad
 
-    def recolor_component(self, comp_id: int, color: Color) -> "Diagram":
-        """Replace the color on every leg of one coupon-free component.
-
-        The result has the same components, so it takes over this
-        diagram's component map."""
-        comp = self.ports_and_components()
-
-        def rl(letter: Letter, port) -> Letter:
-            return (letter[0], color) if comp[port] == comp_id else letter
-
+    def _relettered(self, rl) -> "Diagram":
+        """The letter l at port p of the source and of every non-coupon cell
+        replaced by rl(l, p).  The components stay, so the result takes over
+        this diagram's component map."""
         new_source = ObjectWord(
             [rl(l, (0, i)) for i, l in enumerate(self.source.letters)])
         new_slices: list[list[Cell]] = [[] for _ in self.slices]
         for s, pin, pout, cell in self._placed_cells():
             k = cell.kind
-            if k == "coupon":
-                ins, outs = _ports(s, pin, pout, cell)
-                if any(comp[p] == comp_id for p in ins + outs):
-                    raise ValueError("cannot recolor a component attached to coupons")
-            else:
+            if k != "coupon":
                 letters = tuple(rl(l, (s + up, (pout if up else pin) + off))
                                 for l, (up, off) in zip(cell.letters, _LETTER_PORTS[k]))
                 if letters != cell.letters:
                     cell = Cell(k, letters)
             new_slices[s].append(cell)
-        return Diagram(new_source, new_slices, self.prefactor,
-                       {c: f for c, f in self.formal.items() if c != comp_id}
-                       )._cache(comp=comp)
+        return Diagram(new_source, new_slices, self.prefactor)._cache(comp=self._comp)
+
+    def recolor_component(self, comp_id: int, color: Color) -> "Diagram":
+        """Replace the color on every leg of one coupon-free component."""
+        comp = self.ports_and_components()
+        if comp_id in self.components_with_coupons():
+            raise ValueError("cannot recolor a component attached to coupons")
+        return self._relettered(
+            lambda letter, port: (letter[0], color) if comp[port] == comp_id else letter)
+
+    def recolor(self, old: Color, new: Color) -> "Diagram":
+        """Replace the color `old` by `new` on every letter outside coupons."""
+        return self._relettered(
+            lambda letter, port: (letter[0], new) if letter[1] == old else letter)
 
     def crossing_records(self) -> list[tuple[int, int, int, Color, Color]]:
         """(comp a, comp b, sign, color a, color b) for every crossing."""
@@ -368,10 +383,36 @@ def validate(ctx: ScalarContext, d: Diagram) -> str | None:
         d.component_colors()
     except ValueError as e:
         return f"component labeling: {e}"
-    for c in d.formal:
-        if c in d.components_with_coupons():
-            return f"formal color on component {c} which touches a coupon"
+    coupons = d.components_with_coupons()
+    owner: dict[Kirby, int] = {}
+    for c, letters in d.component_letters().items():
+        for color in {col for _, col in letters if isinstance(col, Kirby)}:
+            if c in coupons:
+                return f"Kirby color on component {c} which touches a coupon"
+            if owner.setdefault(color, c) != c:
+                return f"{color!r} on components {owner[color]} and {c}"
     return None
+
+
+def mark_components(d: Diagram, colors: dict[int, Color]) -> Diagram:
+    """Recolor the components named by id, as input from outside names
+    them.  ComponentError if an id names no coupon-free component, or one
+    that a graph Kirby color already expands (a surgery color may be
+    replaced)."""
+    now = d.component_colors()
+    bad = [c for c in sorted(colors) if c not in now
+           or isinstance(now[c], Kirby) and not now[c].surgery]
+    if bad:
+        raise ComponentError(f"components {bad} are not in the diagram, "
+                             f"touch coupons or carry a graph Kirby color")
+    for c in sorted(colors):
+        d = d.recolor_component(c, colors[c])
+    return d
+
+
+def fresh_tag(d: Diagram) -> int:
+    """A Kirby tag that no Kirby color of d carries."""
+    return 1 + max((k.tag for k in d.kirby_colors()), default=-1)
 
 
 def identity_diagram(word: ObjectWord) -> Diagram:
@@ -382,9 +423,7 @@ def compose(d1: Diagram, d2: Diagram) -> Diagram:
     """d2 after d1; boundary words must match exactly."""
     if d1.target.letters != d2.source.letters:
         raise BoundaryMismatch("compose: target of first != source of second")
-    out = Diagram(d1.source, d1.slices + d2.slices, d1.prefactor * d2.prefactor)
-    n1 = len(d1.slices)
-    return _carry_formal(out, (d1, lambda b, i: (b, i)), (d2, lambda b, i: (b + n1, i)))
+    return Diagram(d1.source, d1.slices + d2.slices, d1.prefactor * d2.prefactor)
 
 
 def tensor(d1: Diagram, d2: Diagram) -> Diagram:
@@ -393,26 +432,7 @@ def tensor(d1: Diagram, d2: Diagram) -> Diagram:
     w2s = d2.source
     slices = [s + tuple(id_cell(l) for l in w2s) for s in d1.slices]
     slices += [tuple(id_cell(l) for l in w1t) + s for s in d2.slices]
-    out = Diagram(d1.source + d2.source, slices, d1.prefactor * d2.prefactor)
-    # boundary b <= n1 of out reads d1.words[b] + d2.source; boundary b >= n1
-    # reads d1.target + d2.words[b - n1]
-    n1, w1 = len(d1.slices), len(w1t)
-    return _carry_formal(out, (d1, lambda b, i: (b, i)), (d2, lambda b, i: (b + n1, i + w1)))
-
-
-def _carry_formal(out: Diagram, *parts) -> Diagram:
-    """out carrying the formal colors of each part (d, move): a labeled
-    component of d is found at its first port (b, i), which is port
-    move(b, i) of out."""
-    if not any(d.formal for d, _ in parts):
-        return out
-    comp_out = out.ports_and_components()
-    formal = {}
-    for d, move in parts:
-        for cid, fc in d.formal.items():
-            port = next(p for p, c in d.ports_and_components().items() if c == cid)
-            formal[comp_out[move(*port)]] = fc
-    return out._relabelled(formal=formal)
+    return Diagram(d1.source + d2.source, slices, d1.prefactor * d2.prefactor)
 
 
 # ---------------------------------------------------------------------------
@@ -466,15 +486,13 @@ def exchange_distant(d: Diagram, i: int) -> Diagram:
     else:
         raise ValueError("slices are not distant")
     return Diagram(d.source, d.slices[:i] + (first, second) + d.slices[i + 2:],
-                   d.prefactor, dict(d.formal))
+                   d.prefactor)
 
 
 def insert_slices(d: Diagram, boundary: int, rows: list[Slice]) -> Diagram:
     """Insert word-preserving slices at an interior boundary.
 
     The inserted block must consume and reproduce the boundary word there.
-    Formal color labels are carried across by re-anchoring each labeled
-    component at a representative port.
     """
     old = d.boundary_words()
     words = _extend(list(old[:boundary + 1]), rows)
@@ -484,10 +502,8 @@ def insert_slices(d: Diagram, boundary: int, rows: list[Slice]) -> Diagram:
         words.extend(old[boundary + 1:])
     else:
         _extend(words, d.slices[boundary:])
-    out = Diagram(d.source, d.slices[:boundary] + tuple(rows) + d.slices[boundary:],
-                  d.prefactor)._cache(words)
-    n = len(rows)
-    return _carry_formal(out, (d, lambda b, i: (b, i) if b <= boundary else (b + n, i)))
+    return Diagram(d.source, d.slices[:boundary] + tuple(rows) + d.slices[boundary:],
+                   d.prefactor)._cache(words)
 
 
 def wrap_slice(word: ObjectWord, pos: int, cell: Cell) -> list[Cell]:
@@ -501,7 +517,7 @@ def wrap_slice(word: ObjectWord, pos: int, cell: Cell) -> list[Cell]:
     return row
 
 
-class _Stack:
+class Stack:
     """Rows stacked on top of a diagram, each checked against the boundary
     word below it as it is added."""
 
@@ -524,15 +540,15 @@ class _Stack:
             w = self.words[-1].letters
             self.add([*map(id_cell, w[:nleft]), *s, *map(id_cell, w[len(w) - nright:])])
 
-    def diagram(self, prefactor: Scalar, formal: dict | None = None) -> Diagram:
-        return Diagram(self.source, self.slices, prefactor, formal or {})._cache(self.words)
+    def diagram(self, prefactor: Scalar) -> Diagram:
+        return Diagram(self.source, self.slices, prefactor)._cache(self.words)
 
 
 def apply_cell(d: Diagram, pos: int, cell: Cell) -> Diagram:
     """Append one slice containing the cell at position pos."""
-    st = _Stack(d)
+    st = Stack(d)
     st.cell(pos, cell)
-    return st.diagram(d.prefactor, dict(d.formal))
+    return st.diagram(d.prefactor)
 
 
 def add_curl(d: Diagram, pos: int, positive: bool) -> Diagram:
@@ -596,7 +612,8 @@ def cut(ctx: ScalarContext, d: Diagram, boundary: int, pos: int) -> Diagram:
     """Cutting presentation of a closed diagram along one edge.
 
     The edge is the strand crossing the given slice boundary at letter
-    position pos; it must be colored by a typical module.  The result is an
+    position pos; it must be colored by a typical module or by a Kirby
+    color, all of whose summands are typical.  The result is an
     endomorphism diagram of that single letter whose trace closure is
     isotopic to the input, so the renormalized invariant can be computed as
     a modified trace.  Duality bends route the remaining letters around the
@@ -604,19 +621,17 @@ def cut(ctx: ScalarContext, d: Diagram, boundary: int, pos: int) -> Diagram:
     """
     if not d.is_closed():
         raise ValueError("cut needs a closed diagram")
-    if d.formal:
-        raise ValueError("expand formal colors before cutting")
     words = d.boundary_words()
     if not (0 < boundary < len(words)):
         raise ValueError("boundary index out of range")
     w = words[boundary]
     v = w[pos]
-    if not isinstance(v[1], Typical):
+    if not isinstance(v[1], (Typical, Kirby)):
         raise NotProjectiveEdge(f"cut edge must be typical, got {v[1]!r}")
     x = w.letters[:pos]
     y = w.letters[pos + 1:]
     # one pass, bottom to top, with a running boundary word
-    st = _Stack(identity_diagram(ObjectWord([v])))
+    st = Stack(identity_diagram(ObjectWord([v])))
     # create the x-letters to the left: caps outermost first
     for t in range(len(x) - 1, -1, -1):
         st.cell(len(x) - 1 - t, cap(x[t], left=False))
@@ -638,9 +653,9 @@ def cut(ctx: ScalarContext, d: Diagram, boundary: int, pos: int) -> Diagram:
 
 
 def _stack_between(d: Diagram, slices, nleft: int, nright: int) -> Diagram:
-    st = _Stack(d)
+    st = Stack(d)
     st.between(slices, nleft, nright)
-    return st.diagram(d.prefactor, dict(d.formal))
+    return st.diagram(d.prefactor)
 
 
 # ---------------------------------------------------------------------------
@@ -708,25 +723,18 @@ def stabilize_generic(ctx: ScalarContext, d: Diagram, boundary: int,
     deg = g if isinstance(g, wc.Degree) else wc.Degree(complex(g))
     if deg.is_critical(ctx.tol):
         raise wc.CriticalDegree(f"stabilization index {deg.g} is critical")
-    omega = wc.kirby_color(ctx, deg)
-    first = omega.terms[0][1]
     consts = wc.constants(ctx)
+    tag = fresh_tag(d)
 
     # two concentric circles of index g around the corridor, oppositely
     # oriented, framings -1 and +1; blowing both down is a trivial double
     # surgery, and the two stabilization skeins cancel their twists
     w = d.boundary_words()[boundary]
-    i, _ = span
-    rows_minus = encircle(Diagram(w, []), span, first, framing=-1, sign=+1).slices
+    rows_minus = encircle(Diagram(w, []), span, Kirby(deg.g, tag), framing=-1, sign=+1).slices
     out = insert_slices(d, boundary, rows_minus)
-    rows_plus = encircle(Diagram(w, []), span, first, framing=+1, sign=-1).slices
+    rows_plus = encircle(Diagram(w, []), span, Kirby(deg.g, tag + 1), framing=+1, sign=-1).slices
     out = insert_slices(out, boundary, rows_plus)
-    comp_map = out.ports_and_components()
-    plus_comp = comp_map[(boundary + 1, i)]
-    minus_comp = comp_map[(boundary + 1 + len(rows_plus), i)]
-    return out._relabelled(
-        formal={**out.formal, minus_comp: omega, plus_comp: omega},
-        prefactor=out.prefactor / (consts.delta_minus * consts.delta_plus))
+    return out._relabelled(prefactor=out.prefactor / (consts.delta_minus * consts.delta_plus))
 
 
 def encircle_at(d: Diagram, boundary: int, span: tuple[int, int], color: Color,
@@ -742,10 +750,25 @@ def encircle_at(d: Diagram, boundary: int, span: tuple[int, int], color: Color,
 # ---------------------------------------------------------------------------
 
 
+def _pair(z) -> list[float]:
+    z = complex(z)
+    return [z.real, z.imag]
+
+
+def _terms_from_json(terms) -> FormalColorSum:
+    return FormalColorSum(tuple((complex(co[0], co[1]), color_from_json(c))
+                                for co, c in terms))
+
+
 def color_to_json(c: Color):
     if isinstance(c, Typical):
         a = complex(c.alpha)
         return {"typical": {"re": a.real, "im": a.imag}}
+    if isinstance(c, Kirby):
+        out = {"g": _pair(c.g), "tag": c.tag, "surgery": c.surgery}
+        if c.terms is not None:
+            out["terms"] = [[_pair(co), color_to_json(col)] for co, col in c.terms.terms]
+        return {"kirby": out}
     return {"sigma": c.k}
 
 
@@ -754,6 +777,10 @@ def color_from_json(obj) -> Color:
         return Typical(complex(obj["typical"]["re"], obj["typical"]["im"]))
     if "sigma" in obj:
         return Sigma(int(obj["sigma"]))
+    if "kirby" in obj:
+        k = obj["kirby"]
+        terms = _terms_from_json(k["terms"]) if "terms" in k else None
+        return Kirby(complex(*k["g"]), int(k["tag"]), bool(k["surgery"]), terms)
     raise ValueError(f"bad color: {obj!r}")
 
 
@@ -804,22 +831,21 @@ def diagram_to_json(d: Diagram):
     pf = complex(d.prefactor)
     if pf != 1.0 + 0.0j:
         out["prefactor"] = [pf.real, pf.imag]
-    if d.formal:
-        out["formal"] = {
-            str(cid): [[[complex(co).real, complex(co).imag], color_to_json(c)]
-                       for co, c in fc.terms]
-            for cid, fc in d.formal.items()
-        }
     return out
 
 
 def diagram_from_json(obj) -> Diagram:
+    """Also reads `formal`, the color sums of graph components keyed by
+    component id, into Kirby colors on their letters."""
     source = ObjectWord([letter_from_json(l) for l in obj["source"]])
     slices = [[cell_from_json(c) for c in s["cells"]] for s in obj["slices"]]
     pf = obj.get("prefactor", (1.0, 0.0))
-    return Diagram(
-        source, slices, complex(pf[0], pf[1]),
-        {int(cid): FormalColorSum(
-            tuple((complex(co[0], co[1]), color_from_json(c)) for co, c in terms))
-         for cid, terms in obj.get("formal", {}).items()},
-    )
+    d = Diagram(source, slices, complex(pf[0], pf[1]))
+    formal = {int(cid): _terms_from_json(terms)
+              for cid, terms in obj.get("formal", {}).items()}
+    if not formal:
+        return d
+    tag = fresh_tag(d)
+    return mark_components(d, {
+        cid: Kirby(color_degree(None, fc.terms[0][1]).g, tag + t, terms=fc)
+        for t, (cid, fc) in enumerate(sorted(formal.items()))})

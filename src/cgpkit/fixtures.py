@@ -86,16 +86,6 @@ def hopf_link(c1: wc.Color, c2: wc.Color, positive: bool = True,
     return d
 
 
-def meridian_around_strand(probe: dg.Diagram, span: tuple[int, int],
-                           color: wc.Color, framing: int) -> tuple[dg.Diagram, int]:
-    """Encircle the top boundary of a diagram; returns the meridian's
-    component id as well."""
-    b = len(probe.slices)
-    d = dg.encircle(probe, span, color, framing=framing)
-    comp = d.ports_and_components()[(b + 1, span[0])]
-    return d, comp
-
-
 # ---------------------------------------------------------------------------
 # constants extractors
 # ---------------------------------------------------------------------------
@@ -125,8 +115,8 @@ def stabilization_coefficient(ctx: ScalarContext, probe_alpha: complex,
     omega = wc.FormalColorSum(tuple(
         (coeff * _twist_scalar(ctx, color) ** framing, color)
         for coeff, color in wc.kirby_color(ctx, index).terms))
-    d, comp = meridian_around_strand(strand(probe), (0, 1), omega.terms[0][1], 0)
-    fig = wc.scalar_of(ctx, rt_eval.evaluate_formal(ctx, d, extra={comp: omega}))
+    d = dg.encircle(strand(probe), (0, 1), wc.Kirby(index.g, terms=omega))
+    fig = wc.scalar_of(ctx, rt_eval.evaluate_formal(ctx, d))
     theta = _twist_scalar(ctx, probe)
     return fig / theta if framing < 0 else fig * theta
 
@@ -140,10 +130,8 @@ def relative_modularity_matrix(ctx: ScalarContext, wi: complex, wj: complex,
     """Evaluation of the index-h Kirby meridian around the pair of strands
     colored V_i (upward) and V_j (downward)."""
     word = wc.ObjectWord([(1, wc.Typical(complex(wi))), (-1, wc.Typical(complex(wj)))])
-    base = dg.Diagram(word, [])
-    omega = wc.kirby_color(ctx, h)
-    d, comp = meridian_around_strand(base, (0, 2), omega.terms[0][1], framing=0)
-    return rt_eval.evaluate_formal(ctx, d, extra={comp: omega})
+    d = dg.encircle(dg.Diagram(word, []), (0, 2), wc.Kirby(h.g))
+    return rt_eval.evaluate_formal(ctx, d)
 
 
 def relative_modularity_scalar(ctx: ScalarContext, g: wc.Degree,

@@ -9,8 +9,10 @@ used by every numerical equality test in the package.
 
 At the default precision (53 bits) scalars are plain Python complex
 numbers.  Above 53 bits they are mpmath complex numbers created through a
-private mpmath context owned by the ScalarContext, so contexts at
-different precisions never interfere with one another.
+private mpmath context, one per precision and shared by every
+ScalarContext at that precision: contexts at different precisions never
+interfere with one another, and equal contexts, which share every cached
+matrix, also share the mpmath types of its entries.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ class VanishingDenominator(ArithmeticError):
     """A quantum-factorial quotient was requested at a vanishing factor."""
 
 
+@lru_cache(maxsize=None)
 def _make_mp(precision: int) -> MPContext:
     ctx = MPContext()
     ctx.prec = precision + 16  # guard digits; results carry full precision

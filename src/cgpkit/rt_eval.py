@@ -7,6 +7,11 @@ index.  Closed diagrams with a typical edge are evaluated through a
 cutting presentation and the modified trace, which is independent of the
 chosen cut.
 
+Kirby colors expand linearly.  A diagram is cut once, whatever its Kirby
+colors; each term of the expansion is a substitution of one summand V_i
+for each Kirby color, applied to a cell's letters where its matrix is
+looked up, so a term rebuilds no diagram.
+
 At the default 53 bits each cell is one batched complex128 product.  At
 106 bits (mpmath object arrays) the sweep touches only nonzero products:
 every cell is a module map and so preserves weight, which leaves almost
@@ -56,10 +61,17 @@ def _cell_matrix_cached(ctx: ScalarContext, kind: str, letters) -> np.ndarray:
     return wc.ev_coev(ctx, M, flavor)
 
 
-def cell_matrix(ctx: ScalarContext, cell: dg.Cell) -> np.ndarray:
+def _substituted(letters: tuple, sub: dict) -> tuple:
+    """The letters with each Kirby color replaced by its summand in the
+    substitution `sub`."""
+    return tuple((sign, sub.get(color, color)) for sign, color in letters)
+
+
+def cell_matrix(ctx: ScalarContext, cell: dg.Cell, sub: dict | None = None) -> np.ndarray:
     if cell.kind == "coupon":
         return cell.matrix if not ctx.high_precision else la.asarray(ctx, cell.matrix)
-    return _cell_matrix_cached(ctx, cell.kind, cell.letters)
+    return _cell_matrix_cached(
+        ctx, cell.kind, _substituted(cell.letters, sub) if sub else cell.letters)
 
 
 def _nonzeros(m: np.ndarray):
@@ -76,25 +88,26 @@ def _cell_nonzeros_cached(ctx: ScalarContext, kind: str, letters):
     return _nonzeros(_cell_matrix_cached(ctx, kind, letters))
 
 
-def _cell_nonzeros(ctx: ScalarContext, cell: dg.Cell, m: np.ndarray):
+def _cell_nonzeros(ctx: ScalarContext, cell: dg.Cell, m: np.ndarray,
+                   sub: dict | None = None):
     if cell.kind == "coupon":
         return _nonzeros(m)
-    return _cell_nonzeros_cached(ctx, cell.kind, cell.letters)
+    return _cell_nonzeros_cached(
+        ctx, cell.kind, _substituted(cell.letters, sub) if sub else cell.letters)
 
 
 def _letter_dims(ctx: ScalarContext, word: wc.ObjectWord) -> list[int]:
     return [wc.color_dim(ctx, c) for _, c in word]
 
 
-def evaluate(ctx: ScalarContext, d: dg.Diagram) -> np.ndarray:
+def evaluate(ctx: ScalarContext, d: dg.Diagram, sub: dict | None = None) -> np.ndarray:
     """Matrix of the diagram from realize(source) to realize(target).
 
     Functorial under compose and monoidal under tensor.  The diagram's
-    scalar prefactor multiplies the result.  Formal color labels must be
-    expanded first.
+    scalar prefactor multiplies the result.  `sub` maps each Kirby color
+    of the diagram to a summand (one term of `expand_formal`); a Kirby
+    color left out cannot be realized.
     """
-    if d.formal:
-        raise ValueError("diagram carries formal colors; use evaluate_formal")
     words = d.boundary_words()
     src_dim = math.prod(_letter_dims(ctx, words[0]))
     state = la.eye(ctx, src_dim)
@@ -109,7 +122,7 @@ def evaluate(ctx: ScalarContext, d: dg.Diagram) -> np.ndarray:
                 out_dims_prefix.append(dims[pos])
                 pos += 1
                 continue
-            m = cell_matrix(ctx, cell)
+            m = cell_matrix(ctx, cell, sub)
             din = math.prod(dims[pos:pos + nin])
             dl = math.prod(out_dims_prefix)
             dr = math.prod(dims[pos + nin:])
@@ -117,7 +130,7 @@ def evaluate(ctx: ScalarContext, d: dg.Diagram) -> np.ndarray:
                 state = _apply_local(ctx, state, m, dl, din, dr, src_dim)
             else:
                 state, support = _apply_local_nonzero(
-                    ctx, state, support, m, _cell_nonzeros(ctx, cell, m),
+                    ctx, state, support, m, _cell_nonzeros(ctx, cell, m, sub),
                     dl, din, dr, src_dim)
             out_lets = cell.out_letters()
             out_dims_prefix.extend(wc.color_dim(ctx, c) for _, c in out_lets)
@@ -168,72 +181,58 @@ def _apply_local_nonzero(ctx: ScalarContext, state: np.ndarray, support: np.ndar
     return y.reshape(shape), new_support.reshape(shape)
 
 
-def expand_formal(ctx: ScalarContext, d: dg.Diagram,
-                  extra: dict[int, wc.FormalColorSum] | None = None):
-    """Iterate (coefficient, plain diagram) over all formal color choices.
+def expand_formal(ctx: ScalarContext, d: dg.Diagram):
+    """Iterate (coefficient, substitution) over the terms of the linear
+    expansion of the diagram's Kirby colors.
 
-    Each recoloring drops its component's formal label and hands on the
-    component map, so a term costs no union-find."""
-    assignments = dict(d.formal)
-    if extra:
-        for cid, fc in extra.items():
-            if cid in assignments:
-                raise ValueError(f"component {cid} already formally colored")
-            assignments[cid] = fc
-    if not assignments:
-        yield ctx.scalar(1), d
-        return
-    comp_ids = sorted(assignments)
-    for combo in itertools.product(*(assignments[c].terms for c in comp_ids)):
+    A substitution maps each Kirby color to one of its summands.  Kirby
+    colors are taken in the order of their components' ids, the first
+    varying slowest, and a coefficient is the product of its summands'
+    coefficients in that order."""
+    kirby = d.kirby_colors()
+    for combo in itertools.product(*(k.color_sum(ctx).terms for k in kirby)):
         coeff = ctx.scalar(1)
-        plain = d
-        for cid, (co, col) in zip(comp_ids, combo):
+        for co, _ in combo:
             coeff = coeff * co
-            plain = plain.recolor_component(cid, col)
-        yield coeff, plain
+        yield coeff, {k: col for k, (_, col) in zip(kirby, combo)}
 
 
-def evaluate_formal(ctx: ScalarContext, d: dg.Diagram,
-                    extra: dict[int, wc.FormalColorSum] | None = None) -> np.ndarray:
+def evaluate_formal(ctx: ScalarContext, d: dg.Diagram) -> np.ndarray:
     """Linear expansion of Kirby-colored components, summed with coefficients."""
     total = None
-    for coeff, plain in expand_formal(ctx, d, extra):
-        val = evaluate(ctx, plain) * coeff
+    for coeff, sub in expand_formal(ctx, d):
+        val = evaluate(ctx, d, sub) * coeff
         total = val if total is None else total + val
     return total
 
 
 def find_typical_edge(ctx: ScalarContext, d: dg.Diagram) -> tuple[int, int] | None:
+    """The first letter above the source colored by a typical module or by
+    a Kirby color, whose summands are all typical."""
     words = d.boundary_words()
     for b in range(1, len(words)):
         for i, (sign, color) in enumerate(words[b]):
-            if isinstance(color, wc.Typical):
+            if isinstance(color, (wc.Typical, wc.Kirby)):
                 return (b, i)
     return None
 
 
 def f_prime(ctx: ScalarContext, d: dg.Diagram,
-            edge: tuple[int, int] | None = None,
-            extra: dict[int, wc.FormalColorSum] | None = None) -> Scalar:
+            edge: tuple[int, int] | None = None) -> Scalar:
     """Renormalized invariant of an admissible closed diagram.
 
     Cuts along a typical edge, evaluates, and applies the modified trace;
-    the value does not depend on the chosen cut.  Formal color labels are
-    expanded linearly before cutting.
+    the value does not depend on the chosen cut.  The diagram is cut once;
+    its Kirby colors are expanded linearly over the cut diagram.
     """
     if not d.is_closed():
         raise ValueError("renormalized invariant needs a closed diagram")
+    e = edge if edge is not None else find_typical_edge(ctx, d)
+    if e is None:
+        raise NotAdmissible("closed diagram has no typical edge to cut")
+    cut_d = dg.cut(ctx, d, e[0], e[1])
     total = ctx.scalar(0)
-    found_any = False
-    for coeff, plain in expand_formal(ctx, d, extra):
-        e = edge if edge is not None else find_typical_edge(ctx, plain)
-        if e is None:
-            raise NotAdmissible("closed diagram has no typical edge to cut")
-        found_any = True
-        cut_d = dg.cut(ctx, plain, e[0], e[1])
-        word = cut_d.source
-        mat = evaluate(ctx, cut_d)
-        total = total + coeff * wc.modified_trace(ctx, word, mat)
-    if not found_any:
-        raise NotAdmissible("empty expansion")
+    for coeff, sub in expand_formal(ctx, d):
+        word = wc.ObjectWord(_substituted(cut_d.source.letters, sub))
+        total = total + coeff * wc.modified_trace(ctx, word, evaluate(ctx, cut_d, sub))
     return total

@@ -1,17 +1,19 @@
 """Decorated surgery presentations and the CGP invariant.
 
-A presentation is a closed diagram together with a subset of its strand
-components marked for surgery, the degree that the ambient cohomology
-class takes on each surgery meridian, and an integer signature defect.
-The invariant Kirby-colors every surgery component, expands linearly,
+A presentation is a closed diagram and an integer signature defect.  Its
+surgery components are the components colored by a surgery Kirby color,
+which carries the degree that the ambient cohomology class takes on the
+component's meridian.  The invariant expands the Kirby colors linearly,
 evaluates the renormalized invariant, and multiplies the normalization
-eta D^{-ell} delta^{n - sigma(L)}.
+eta D^{-ell} delta^{n - sigma(L)}.  Component ids name surgery
+components only in the constructor and in what the properties report.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -30,19 +32,41 @@ class CannotStabilize(ValueError):
     """Automatic stabilization does not apply to this presentation."""
 
 
-@dataclass
 class SurgeryPresentation:
-    diagram: dg.Diagram
-    surgery_components: frozenset[int]
-    meridian_degrees: dict[int, wc.Degree]
-    signature_defect: int = 0
+    """A closed diagram whose surgery components carry surgery Kirby colors.
 
-    def __post_init__(self):
-        self.surgery_components = frozenset(self.surgery_components)
-        self.meridian_degrees = {
-            c: (g if isinstance(g, wc.Degree) else wc.Degree(complex(g)))
-            for c, g in self.meridian_degrees.items()
-        }
+    `components` and `degrees` mark further components by id, as JSON
+    input names them: each is recolored by the surgery Kirby color of its
+    meridian degree (see `dg.mark_components`).
+    """
+
+    def __init__(self, diagram: dg.Diagram, components=(), degrees=None,
+                 signature_defect: int = 0):
+        degrees = degrees or {}
+        if set(degrees) != set(components):
+            raise dg.ComponentError(
+                "meridian degrees must cover exactly the surgery components")
+        if components:
+            tag = dg.fresh_tag(diagram)
+            diagram = dg.mark_components(diagram, {
+                c: wc.Kirby(g.g if isinstance(g, wc.Degree) else complex(g), tag + t, True)
+                for t, (c, g) in enumerate(sorted(degrees.items()))})
+        self.diagram = diagram
+        self.signature_defect = signature_defect
+
+    @cached_property
+    def surgery_colors(self) -> dict[int, wc.Kirby]:
+        """The surgery Kirby color of each surgery component, by id."""
+        return {c: k for c, k in sorted(self.diagram.component_colors().items())
+                if isinstance(k, wc.Kirby) and k.surgery}
+
+    @property
+    def surgery_components(self) -> frozenset[int]:
+        return frozenset(self.surgery_colors)
+
+    @property
+    def meridian_degrees(self) -> dict[int, wc.Degree]:
+        return {c: wc.Degree(k.g) for c, k in self.surgery_colors.items()}
 
 
 @dataclass(frozen=True)
@@ -58,19 +82,6 @@ def validate_presentation(ctx: ScalarContext, p: SurgeryPresentation) -> None:
         raise ValueError(f"invalid diagram: {msg}")
     if not p.diagram.is_closed():
         raise ValueError("surgery presentations need a closed diagram")
-    comps = set(p.diagram.ports_and_components().values())
-    unknown = p.surgery_components - comps
-    if unknown:
-        raise ValueError(f"surgery components {sorted(unknown)} not in diagram")
-    if set(p.meridian_degrees) != set(p.surgery_components):
-        raise ValueError("meridian degrees must cover exactly the surgery components")
-    with_coupons = p.diagram.components_with_coupons()
-    bad = p.surgery_components & with_coupons
-    if bad:
-        raise ValueError(f"surgery components {sorted(bad)} contain coupons")
-    formal = set(p.diagram.formal)
-    if formal & p.surgery_components:
-        raise ValueError("surgery components may not be pre-colored formally")
     _check_cohomology(ctx, p)
 
 
@@ -166,16 +177,11 @@ def check_computable(ctx: ScalarContext, p: SurgeryPresentation) -> list[int]:
 
 
 def check_admissible(ctx: ScalarContext, p: SurgeryPresentation) -> bool:
-    comp = p.diagram.ports_and_components()
-    words = p.diagram.boundary_words()
-    for b, w in enumerate(words):
-        for i, (_, color) in enumerate(w):
-            if isinstance(color, wc.Typical) and comp[(b, i)] not in p.surgery_components:
-                return True
-    for c in p.diagram.formal:
-        if c not in p.surgery_components:
-            return True  # Kirby-colored graph components are projective
-    return any(not g.is_critical(ctx.tol) for g in p.meridian_degrees.values())
+    """Some edge is typical: a typical graph letter, a Kirby-colored graph
+    component, or a surgery component of generic meridian degree."""
+    return any(isinstance(c, wc.Typical) or (isinstance(c, wc.Kirby) and not (
+                   c.surgery and wc.Degree(c.g).is_critical(ctx.tol)))
+               for w in p.diagram.boundary_words() for _, c in w)
 
 
 def _check_cohomology(ctx: ScalarContext, p: SurgeryPresentation) -> None:
@@ -183,31 +189,19 @@ def _check_cohomology(ctx: ScalarContext, p: SurgeryPresentation) -> None:
 
     The longitude class is writhe * own meridian degree plus, for every
     crossing with another strand, half the crossing sign times the degree
-    carried by that strand (its meridian degree for surgery components, the
-    Kirby index for formally colored ones, the color degree otherwise).
+    of that strand's color (a Kirby color's degree is its index, a surgery
+    component's its meridian degree).
     """
-    formal = p.diagram.formal
     crossings = p.diagram.crossing_records()
-
-    def deg_of(c: int, color) -> complex:
-        if c in p.meridian_degrees:
-            return p.meridian_degrees[c].g
-        if c in formal:
-            return formal[c].degree(ctx).g
-        return wc.color_degree(ctx, color).g
-
-    for i in sorted(p.surgery_components):
+    for i, k in p.surgery_colors.items():
         total = 0j
-        for a, b, s, ca, cb in crossings:
-            if i not in (a, b):
-                continue
-            if a == b == i:
-                total += s * p.meridian_degrees[i].g
-            else:
+        for _, _, s, ca, cb in crossings:
+            if ca == cb == k:
+                total += s * k.g
+            elif k in (ca, cb):
                 # the crossing sign includes the strand orientation, so the
                 # unsigned color degree enters here
-                other, color = (b, cb) if a == i else (a, ca)
-                total += (s / 2) * deg_of(other, color)
+                total += (s / 2) * wc.color_degree(ctx, cb if ca == k else ca).g
         d = wc.Degree(total)
         if not d.equals(wc.Degree(0j), 100 * ctx.tol):
             raise ValueError(
@@ -237,9 +231,7 @@ def cgp(ctx: ScalarContext, p: SurgeryPresentation, auto: bool = False) -> Scala
     consts = wc.constants(ctx)
     link = linking_data(ctx, p)
     ell = len(p.surgery_components)
-    extra = {c: wc.kirby_color(ctx, p.meridian_degrees[c])
-             for c in sorted(p.surgery_components)}
-    fp = rt_eval.f_prime(ctx, p.diagram, extra=extra)
+    fp = rt_eval.f_prime(ctx, p.diagram)
     n = p.signature_defect
     return (consts.eta * consts.D ** (-ell) * consts.delta ** (n - link.signature)
             * fp)
@@ -259,26 +251,21 @@ def cgp_disjoint(ctx: ScalarContext, pieces: list[SurgeryPresentation],
 # ---------------------------------------------------------------------------
 
 
-def _find_threading_site(ctx: ScalarContext, p: SurgeryPresentation, target: int,
-                         rider: wc.Typical):
+def _find_threading_site(d: dg.Diagram, target: wc.Kirby, rider: wc.Typical):
     """Boundary exposing (-T)(+U)(+rider) with T a typical graph letter and
     U the target component's upward leg."""
-    words = p.diagram.boundary_words()
-    comp = p.diagram.ports_and_components()
+    words = d.boundary_words()
     for b in range(1, len(words)):
         w = words[b]
         for i in range(len(w) - 2):
             l0, l1, l2 = w[i], w[i + 1], w[i + 2]
-            if (l0[0] < 0 and isinstance(l0[1], wc.Typical)
-                    and l0[1] != rider
-                    and comp[(b, i)] not in p.surgery_components
-                    and comp[(b, i + 1)] == target and l1[0] > 0
-                    and l2 == (1, rider)):
+            if (l0[0] < 0 and isinstance(l0[1], wc.Typical) and l0[1] != rider
+                    and l1 == (1, target) and l2 == (1, rider)):
                 return b, i
     return None
 
 
-def _insert_rider(ctx: ScalarContext, d: dg.Diagram, target: int,
+def _insert_rider(ctx: ScalarContext, d: dg.Diagram, target: wc.Kirby,
                   rider: wc.Typical) -> dg.Diagram:
     """Add a companion circle riding parallel inside a round component.
 
@@ -288,54 +275,26 @@ def _insert_rider(ctx: ScalarContext, d: dg.Diagram, target: int,
     cable curls, so the rider follows the framed push-off and links
     everything exactly as the component does.  The new word at each
     boundary is the old one with the rider's letters inserted right after
-    the upward leg and right before the downward leg.
+    the upward leg and right before the downward leg.  The component's
+    legs are the letters of its color.
     """
-    comp = d.ports_and_components()
     words = d.boundary_words()
     rl = (1, rider)
     rd = (-1, rider)
-    out_slices: list[list[dg.Cell]] = []
-    w: list = list(d.source.letters)
-    port_map: dict[tuple[int, int], tuple[int, int]] = {}
+    st = dg.Stack(dg.Diagram(d.source, []))
 
     def legs_at(bi: int):
         up = dn = None
-        for t, (sgn, _) in enumerate(words[bi]):
-            if comp[(bi, t)] == target:
+        for t, (sgn, color) in enumerate(words[bi]):
+            if color == target:
                 if sgn > 0 and up is None:
                     up = t
                 else:
                     dn = t
         return up, dn
 
-    def pad_row(cells_with_pos):
-        row = []
-        pos = 0
-        for cpos, cell in sorted(cells_with_pos):
-            while pos < cpos:
-                row.append(dg.id_cell(tuple(w[pos])))
-                pos += 1
-            row.append(cell)
-            pos += len(cell.in_letters())
-        while pos < len(w):
-            row.append(dg.id_cell(tuple(w[pos])))
-            pos += 1
-        return row
-
-    def apply_row(row):
-        nonlocal w
-        out = []
-        for cell in row:
-            out.extend(cell.out_letters())
-        out_slices.append(row)
-        w = out
-
     for si, cells in enumerate(d.slices):
         up, dn = legs_at(si)
-
-        def record_ports():
-            for t in range(len(words[si])):
-                port_map[(si, t)] = (len(out_slices), newpos(t))
 
         def newpos(op, insertion=False):
             # letters shift by one past the upward leg and once more at the
@@ -348,88 +307,67 @@ def _insert_rider(ctx: ScalarContext, d: dg.Diagram, target: int,
                 np_ += 1
             return np_
 
-        record_ports()
         # locate the one nontrivial cell of this slice (normalized form)
         pin = 0
-        pout = 0
         main = None
         for cell in cells:
             if cell.kind != "id":
                 if main is not None:
                     raise CannotStabilize("slice with several nontrivial cells")
-                main = (pin, pout, cell)
+                main = (pin, cell)
             pin += len(cell.in_letters())
-            pout += len(cell.out_letters())
         if main is None:
-            apply_row(pad_row([]))
+            st.add([dg.id_cell(l) for l in st.words[-1]])
             continue
-        pin, pout, cell = main
+        pin, cell = main
         nin = len(cell.in_letters())
-        nout = len(cell.out_letters())
-        touches_in = [comp[(si, pin + t)] == target for t in range(nin)]
-        touches_out = [comp[(si + 1, pout + t)] == target for t in range(nout)]
+        touches_in = [color == target for _, color in cell.in_letters()]
+        touches_out = [color == target for _, color in cell.out_letters()]
         k = cell.kind
         if not (any(touches_in) or any(touches_out)):
-            apply_row(pad_row([(newpos(pin, insertion=nin == 0), cell)]))
+            st.cell(newpos(pin, insertion=nin == 0), cell)
         elif k == "cap_l" and any(touches_out):
             pos = newpos(pin, insertion=True)
-            apply_row(pad_row([(pos, cell)]))
-            apply_row(pad_row([(pos + 1, dg.cap(rl, left=True))]))
+            st.cell(pos, cell)
+            st.cell(pos + 1, dg.cap(rl, left=True))
         elif k == "cup_r" and any(touches_in):
-            apply_row(pad_row([(newpos(pin) + 1, dg.cup(rl, left=False))]))
-            apply_row(pad_row([(newpos(pin), cell)]))
+            st.cell(newpos(pin) + 1, dg.cup(rl, left=False))
+            st.cell(newpos(pin), cell)
         elif k in ("xpos", "xneg") and touches_in[1] and not touches_in[0]:
             mover = cell.letters[0]
             leg = cell.letters[1]
             if leg[0] > 0:
                 # rightward across the upward leg, then across the rider
-                apply_row(pad_row([(newpos(pin), cell)]))
-                apply_row(pad_row([(newpos(pin) + 1, dg.Cell(k, (mover, rl)))]))
+                st.cell(newpos(pin), cell)
+                st.cell(newpos(pin) + 1, dg.Cell(k, (mover, rl)))
             else:
                 # rightward: the rider's return strand sits just before
                 # the downward leg
-                apply_row(pad_row([(newpos(pin), dg.Cell(k, (mover, rd)))]))
-                apply_row(pad_row([(newpos(pin) + 1, cell)]))
+                st.cell(newpos(pin), dg.Cell(k, (mover, rd)))
+                st.cell(newpos(pin) + 1, cell)
         elif k in ("xpos", "xneg") and touches_in[0] and not touches_in[1]:
             mover = cell.letters[1]
             leg = cell.letters[0]
             if leg[0] > 0:
                 # leftward back across the rider, then the upward leg
-                apply_row(pad_row([(newpos(pin) + 1, dg.Cell(k, (rl, mover)))]))
-                apply_row(pad_row([(newpos(pin), cell)]))
+                st.cell(newpos(pin) + 1, dg.Cell(k, (rl, mover)))
+                st.cell(newpos(pin), cell)
             else:
-                apply_row(pad_row([(newpos(pin), cell)]))
-                apply_row(pad_row([(newpos(pin) - 1, dg.Cell(k, (rd, mover)))]))
+                st.cell(newpos(pin), cell)
+                st.cell(newpos(pin) - 1, dg.Cell(k, (rd, mover)))
         elif k in ("xpos", "xneg") and touches_in[0] and touches_in[1]:
             # framing curl of the component: curl the two-strand cable,
             # so the rider follows the framed push-off through the kink
             P = newpos(pin)
-            lu = w[P]
-            lc = w[P + 1]
-            lu2 = w[P + 2]
-            lc2 = w[P + 3]
-            apply_row(pad_row([(P + 1, dg.Cell(k, (lc, lu2)))]))
-            apply_row(pad_row([(P, dg.Cell(k, (lu, lu2)))]))
-            apply_row(pad_row([(P + 2, dg.Cell(k, (lc, lc2)))]))
-            apply_row(pad_row([(P + 1, dg.Cell(k, (lu, lc2)))]))
+            lu, lc, lu2, lc2 = st.words[-1].letters[P:P + 4]
+            st.cell(P + 1, dg.Cell(k, (lc, lu2)))
+            st.cell(P, dg.Cell(k, (lu, lu2)))
+            st.cell(P + 2, dg.Cell(k, (lc, lc2)))
+            st.cell(P + 1, dg.Cell(k, (lu, lc2)))
         else:
             raise CannotStabilize(
                 f"unsupported cell {k} on the critical component")
-    # ports of the final boundary
-    nb = len(d.slices)
-    up, dn = legs_at(nb)
-
-    def final_newpos(op):
-        np_ = op
-        if up is not None and op > up:
-            np_ += 1
-        if dn is not None and op >= dn:
-            np_ += 1
-        return np_
-
-    for t in range(len(words[nb])):
-        port_map[(nb, t)] = (len(out_slices), final_newpos(t))
-    return dg.Diagram(d.source, out_slices, d.prefactor, dict(d.formal)), port_map
+    return st.diagram(d.prefactor)
 
 
 def auto_stabilize(ctx: ScalarContext, p: SurgeryPresentation,
@@ -449,38 +387,25 @@ def auto_stabilize(ctx: ScalarContext, p: SurgeryPresentation,
         return p
     cur = p
     for _ in range(len(offending)):
-        cur = _stabilize_one(ctx, cur, index)
+        target = cur.surgery_colors[offending[0]]
+        cur = _thread_detour(ctx, cur, target, index or _pick_index(ctx, target))
         offending = check_computable(ctx, cur)
         if not offending:
             return cur
     raise CannotStabilize(f"still critical after stabilization: {offending}")
 
 
-def _stabilize_one(ctx: ScalarContext, p: SurgeryPresentation,
-                   index: wc.Degree | None) -> SurgeryPresentation:
-    offending = check_computable(ctx, p)
-    target = offending[0]
-    if index is None:
-        index = _pick_index(ctx, p, [target])
-    return _thread_detour(ctx, p, target, index)
-
-
-def _thread_detour(ctx: ScalarContext, p: SurgeryPresentation, target: int,
+def _thread_detour(ctx: ScalarContext, p: SurgeryPresentation, target: wc.Kirby,
                    index: wc.Degree) -> SurgeryPresentation:
-    """Stabilize a typical edge and slide the detour over one component.
+    """Stabilize a typical edge and slide the detour over the surgery
+    component colored `target`.
 
     The component's meridian reading drops by the stabilization index.
     """
     vh = wc.Typical(complex(wc.index_set(ctx, index)[0]))
 
-    d_r, port_map = _insert_rider(ctx, p.diagram, target, vh)
-    remap = _remap_components(p, d_r, port_map)
-    target_new = remap[target]
-    p_mid = SurgeryPresentation(
-        d_r, frozenset(remap.values()),
-        {remap[c]: g for c, g in p.meridian_degrees.items()},
-        p.signature_defect)
-    site = _find_threading_site(ctx, p_mid, target_new, vh)
+    d_r = _insert_rider(ctx, p.diagram, target, vh)
+    site = _find_threading_site(d_r, target, vh)
     if site is None:
         raise CannotStabilize(
             "no boundary exposes a typical edge beside the critical "
@@ -490,65 +415,33 @@ def _thread_detour(ctx: ScalarContext, p: SurgeryPresentation, target: int,
     # tether: detour end crosses its partner and the (+U) leg, swaps with
     # the rider, and the rider's lower strand returns into the coupon
     det = (1, vh)
-    w1 = list(d1.boundary_words()[b + 1].letters)
-    rows = []
+    st = dg.Stack(dg.Diagram(d1.boundary_words()[b + 1], []))
 
-    def row(pos, cell):
-        nonlocal w1
-        r = ([dg.id_cell(l) for l in w1[:pos]] + [cell]
-             + [dg.id_cell(l) for l in w1[pos + len(cell.in_letters()):]])
-        w1 = w1[:pos] + list(cell.out_letters()) + w1[pos + len(cell.in_letters()):]
-        rows.append(r)
+    def w1(t):
+        return st.words[-1][t]
 
-    row(i + 1, dg.cross(det, w1[i + 2], positive=True))   # over the partner
-    row(i + 2, dg.cross(det, w1[i + 3], positive=True))   # over the (+U) leg
-    row(i + 3, dg.cross(det, w1[i + 4], positive=True))   # swap with the rider
+    st.cell(i + 1, dg.cross(det, w1(i + 2), positive=True))   # over the partner
+    st.cell(i + 2, dg.cross(det, w1(i + 3), positive=True))   # over the (+U) leg
+    st.cell(i + 3, dg.cross(det, w1(i + 4), positive=True))   # swap with the rider
     # the three mutual crossings above leave writhe +1 on the detour loop;
     # a negative kink restores its zero framing
-    row(i + 5, dg.cap(det, left=True))
-    row(i + 4, dg.cross(det, det, positive=False))
-    row(i + 5, dg.cup(det, left=False))
-    row(i + 2, dg.cross(w1[i + 2], det, positive=False))  # return over (+U)
-    row(i + 1, dg.cross(w1[i + 1], det, positive=False))  # return over partner
-    d2 = dg.insert_slices(d1, b + 1, rows)
-
-    comp_mid = d_r.ports_and_components()
-    comp_fin = d2.ports_and_components()
-    n_ins = 2 + len(rows)
-    remap2 = {}
-    for cid in p_mid.surgery_components:
-        port = min(pp for pp, cc in comp_mid.items() if cc == cid)
-        bb, ii = port
-        remap2[cid] = comp_fin[(bb, ii) if bb <= b else (bb + n_ins, ii)]
-    new_deg = {}
-    for cid, g in p_mid.meridian_degrees.items():
-        shifted = wc.Degree(g.g - index.g) if cid == target_new else g
-        new_deg[remap2[cid]] = shifted
-    return SurgeryPresentation(
-        d2, frozenset(remap2.values()), new_deg, p.signature_defect)
+    st.cell(i + 5, dg.cap(det, left=True))
+    st.cell(i + 4, dg.cross(det, det, positive=False))
+    st.cell(i + 5, dg.cup(det, left=False))
+    st.cell(i + 2, dg.cross(w1(i + 2), det, positive=False))  # return over (+U)
+    st.cell(i + 1, dg.cross(w1(i + 1), det, positive=False))  # return over partner
+    d2 = dg.insert_slices(d1, b + 1, st.slices)
+    shifted = replace(target, g=target.g - index.g)
+    return SurgeryPresentation(d2.recolor(target, shifted),
+                               signature_defect=p.signature_defect)
 
 
-def _remap_components(p: SurgeryPresentation, d_new: dg.Diagram,
-                      port_map: dict) -> dict[int, int]:
-    comp_old = p.diagram.ports_and_components()
-    comp_new = d_new.ports_and_components()
-    remap = {}
-    for cid in p.surgery_components:
-        port = min(pp for pp, cc in comp_old.items() if cc == cid)
-        remap[cid] = comp_new[port_map[port]]
-    return remap
-
-
-def _pick_index(ctx: ScalarContext, p: SurgeryPresentation, offending) -> wc.Degree:
-    existing = [p.meridian_degrees[c].g for c in offending]
+def _pick_index(ctx: ScalarContext, target: wc.Kirby) -> wc.Degree:
+    """A generic index that keeps the target's degree generic either way."""
     for k in range(1, 64):
         cand = 0.5 + k / 16.0
-        ok = not wc.Degree(complex(cand)).is_critical(ctx.tol)
-        for g in existing:
-            for s in (+1, -1):
-                if wc.Degree(g + s * cand).is_critical(ctx.tol):
-                    ok = False
-        if ok:
+        if not any(wc.Degree(g).is_critical(ctx.tol)
+                   for g in (cand, target.g + cand, target.g - cand)):
             return wc.Degree(complex(cand))
     raise CannotStabilize("could not find a sufficiently generic index")
 

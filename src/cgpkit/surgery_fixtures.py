@@ -1,9 +1,12 @@
 """Curated surgery presentations: unknots, stabilization pairs, lens
 spaces, and handle-slide partners, used by the equivalence suites and the
-command-line check runner.
+command-line check runner.  Surgery components are drawn in their surgery
+Kirby colors, tagged 0, 1, ... in the order of their component ids.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 from . import diagrams as dg
 from . import fixtures as fx
@@ -12,18 +15,15 @@ from .qscalars import ScalarContext
 from .surgery import SurgeryPresentation
 
 
-def _placeholder(ctx: ScalarContext) -> wc.Color:
-    # structurally valid stand-in color for surgery components; replaced by
-    # Kirby terms at expansion time (distinct from the critical-degree
-    # decoration weight used by the lens fixtures)
-    return wc.Typical(2 * ctx.nilpotency - 1)
+def _surgery(g, tag: int = 0) -> wc.Kirby:
+    return wc.Kirby(g.g if isinstance(g, wc.Degree) else complex(g), tag, True)
 
 
 def unknot_presentation(ctx: ScalarContext, alpha: complex,
                         framing: int = 0) -> SurgeryPresentation:
     """Empty surgery: the three-sphere with one framed typical unknot."""
     d = fx.unknot(wc.Typical(complex(alpha)), framing=framing)
-    return SurgeryPresentation(d, frozenset(), {})
+    return SurgeryPresentation(d)
 
 
 def surgery_meridian_presentation(ctx: ScalarContext, alpha: complex,
@@ -38,10 +38,8 @@ def surgery_meridian_presentation(ctx: ScalarContext, alpha: complex,
         raise ValueError("meridian framing must be +-1")
     alpha = complex(alpha)
     base = fx.unknot(wc.Typical(alpha))
-    d = dg.encircle_at(base, 1, (0, 1), _placeholder(ctx), framing=mer_framing)
-    comp = d.ports_and_components()[(2, 0)]
-    g = wc.Degree(-mer_framing * alpha)
-    return SurgeryPresentation(d, frozenset({comp}), {comp: g})
+    return SurgeryPresentation(dg.encircle_at(base, 1, (0, 1), _surgery(-mer_framing * alpha),
+                                              framing=mer_framing))
 
 
 def split_surgery_unknot_presentation(ctx: ScalarContext, alpha: complex,
@@ -54,7 +52,7 @@ def split_surgery_unknot_presentation(ctx: ScalarContext, alpha: complex,
     """
     alpha = complex(alpha)
     lg = (1, wc.Typical(alpha))
-    lk = (1, _placeholder(ctx))
+    lk = (1, _surgery(0j))
     d = dg.Diagram(wc.ObjectWord(()), [])
     d = dg.apply_cell(d, 0, dg.cap(lg, left=True))
     d = dg.apply_cell(d, 2, dg.cap(lk, left=True))
@@ -62,16 +60,12 @@ def split_surgery_unknot_presentation(ctx: ScalarContext, alpha: complex,
         d = dg.add_curl(d, 2, positive=framing > 0)
     d = dg.apply_cell(d, 2, dg.cup(lk, left=False))
     d = dg.apply_cell(d, 0, dg.cup(lg, left=False))
-    comp = d.ports_and_components()[(2, 2)]
-    return SurgeryPresentation(d, frozenset({comp}), {comp: wc.Degree(0j)})
+    return SurgeryPresentation(d)
 
 
 def s1xs2_presentation(ctx: ScalarContext, g) -> SurgeryPresentation:
     """Zero-framed unknot surgery with generic meridian degree, no graph."""
-    d = fx.unknot(_placeholder(ctx))
-    comp = d.ports_and_components()[(1, 0)]
-    deg = g if isinstance(g, wc.Degree) else wc.Degree(complex(g))
-    return SurgeryPresentation(d, frozenset({comp}), {comp: deg})
+    return SurgeryPresentation(fx.unknot(_surgery(g)))
 
 
 def s1xs2_decorated_presentation(ctx: ScalarContext, g,
@@ -82,14 +76,10 @@ def s1xs2_decorated_presentation(ctx: ScalarContext, g,
     class to extend; a single weight needs a critical-degree typical, two
     weights can be generic with opposite classes.
     """
-    d = fx.unknot(_placeholder(ctx))
+    d = fx.unknot(_surgery(g))
     for wgt in weights:
         d = dg.encircle_at(d, 1, (0, 1), wc.Typical(complex(wgt)), framing=0)
-    comp_map = d.ports_and_components()
-    colors = d.component_colors()
-    surg = next(c for c, col in colors.items() if col == _placeholder(ctx))
-    deg = g if isinstance(g, wc.Degree) else wc.Degree(complex(g))
-    return SurgeryPresentation(d, frozenset({surg}), {surg: deg})
+    return SurgeryPresentation(d)
 
 
 def index2_pair(ctx: ScalarContext, g) -> tuple:
@@ -98,26 +88,20 @@ def index2_pair(ctx: ScalarContext, g) -> tuple:
     Both sides share one diagram: a critical-degree typical unknot with a
     meridian circle of the same weight, and a 0-framed index-g Kirby
     circle around the pair of strands (whose degree flux cancels).  On the
-    attach side the Kirby circle is a formally colored graph component; on
+    attach side the Kirby circle is a graph component colored Omega_g; on
     the belt side it is a surgery component of meridian degree g.  The
     invariants differ by exactly 1/D.
     """
     m = ctx.nilpotency
     alpha = complex(m - 1)
-    deg = g if isinstance(g, wc.Degree) else wc.Degree(complex(g))
-    omega = wc.kirby_color(ctx, deg)
+    belt = _surgery(g)
+    attach = replace(belt, surgery=False)
     base = fx.unknot(wc.Typical(alpha))
     d = dg.encircle_at(base, 1, (0, 1), wc.Typical(alpha), framing=0)
     # inner boundary of the meridian block reads (-T)(+U)(+T)(-U); the
     # span (+U)(+T) has flux 2(m-1), zero in C/2Z
-    d = dg.encircle_at(d, 3, (1, 3), omega.terms[0][1], framing=0)
-    comp = d.ports_and_components()[(4, 1)]
-    attach = dg.Diagram(d.source, [list(s) for s in d.slices], d.prefactor,
-                        {comp: omega})
-    pa = SurgeryPresentation(attach, frozenset(), {})
-    belt = dg.Diagram(d.source, [list(s) for s in d.slices], d.prefactor, {})
-    pb = SurgeryPresentation(belt, frozenset({comp}), {comp: deg})
-    return pa, pb
+    d = dg.encircle_at(d, 3, (1, 3), attach, framing=0)
+    return SurgeryPresentation(d), SurgeryPresentation(d.recolor(attach, belt))
 
 
 def _critical_typical(ctx: ScalarContext) -> complex:
@@ -133,11 +117,8 @@ def lens_unknot_presentation(ctx: ScalarContext, p: int, k: int) -> SurgeryPrese
     admissible classes are g = (m - 1 + 2k)/p.
     """
     alpha = _critical_typical(ctx)
-    base = fx.unknot(_placeholder(ctx), framing=p)
-    d = dg.encircle_at(base, 1, (0, 1), wc.Typical(alpha), framing=0)
-    surg = d.ports_and_components()[(1, 0)]
-    g = wc.Degree((alpha.real + 2 * k) / p)
-    return SurgeryPresentation(d, frozenset({surg}), {surg: g})
+    base = fx.unknot(_surgery((alpha.real + 2 * k) / p), framing=p)
+    return SurgeryPresentation(dg.encircle_at(base, 1, (0, 1), wc.Typical(alpha), framing=0))
 
 
 def lens_chain_presentation(ctx: ScalarContext, f1: int, f2: int,
@@ -150,19 +131,12 @@ def lens_chain_presentation(ctx: ScalarContext, f1: int, f2: int,
     det = f1 f2 - 1.
     """
     alpha = _critical_typical(ctx)
-    ph = _placeholder(ctx)
-    d = fx.hopf_link(ph, ph, positive=True, framings=(f1, f2))
-    # the first component's cap sits at slice 0; its (+) letter is at (1, 0)
-    d = dg.encircle_at(d, 1, (0, 1), wc.Typical(alpha), framing=0)
-    comp_map = d.ports_and_components()
-    c1 = comp_map[(1, 0)]
-    colors = d.component_colors()
-    c2 = next(c for c, col in colors.items() if col == ph and c != c1)
     det = f1 * f2 - 1
     g2 = (alpha.real + 2 * k) / det
     g1 = -f2 * g2
-    return SurgeryPresentation(d, frozenset({c1, c2}),
-                               {c1: wc.Degree(complex(g1)), c2: wc.Degree(complex(g2))})
+    d = fx.hopf_link(_surgery(g1, 0), _surgery(g2, 1), positive=True, framings=(f1, f2))
+    # the first component's cap sits at slice 0; its (+) letter is at (1, 0)
+    return SurgeryPresentation(dg.encircle_at(d, 1, (0, 1), wc.Typical(alpha), framing=0))
 
 
 def slid_lens_presentation(ctx: ScalarContext, p: int, k: int) -> SurgeryPresentation:
@@ -174,14 +148,6 @@ def slid_lens_presentation(ctx: ScalarContext, p: int, k: int) -> SurgeryPresent
     same admissible classes as the one-component presentation.
     """
     alpha = _critical_typical(ctx)
-    ph = _placeholder(ctx)
-    d = fx.hopf_link(ph, ph, positive=True, framings=(p + 1, 1))
-    d = dg.encircle_at(d, 1, (0, 1), wc.Typical(alpha), framing=0)
-    comp_map = d.ports_and_components()
-    c1 = comp_map[(1, 0)]
-    colors = d.component_colors()
-    c2 = next(c for c, col in colors.items() if col == ph and c != c1)
     g1 = (alpha.real + 2 * k) / p
-    g2 = -g1
-    return SurgeryPresentation(d, frozenset({c1, c2}),
-                               {c1: wc.Degree(complex(g1)), c2: wc.Degree(complex(g2))})
+    d = fx.hopf_link(_surgery(g1, 0), _surgery(-g1, 1), positive=True, framings=(p + 1, 1))
+    return SurgeryPresentation(dg.encircle_at(d, 1, (0, 1), wc.Typical(alpha), framing=0))

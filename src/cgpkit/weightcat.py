@@ -19,7 +19,7 @@ group.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -99,7 +99,28 @@ class Sigma:
         return f"sigma({self.k})"
 
 
-Color = Typical | Sigma
+@dataclass(frozen=True)
+class Kirby:
+    """Kirby color of one strand component: a formal sum of typical colors.
+
+    A surgery component carries its meridian degree g, which may be
+    critical until automatic stabilization, so Omega_g is formed only at
+    evaluation.  A graph component carries its own sum in `terms`, or
+    Omega_g when `terms` is None; g is then the degree of the summands.
+    `tag` tells apart components whose colors are otherwise equal, so that
+    each expands independently.
+    """
+
+    g: complex
+    tag: int = 0
+    surgery: bool = False
+    terms: FormalColorSum | None = field(default=None, hash=False)
+
+    def color_sum(self, ctx: ScalarContext) -> FormalColorSum:
+        return self.terms if self.terms is not None else kirby_color(ctx, Degree(self.g))
+
+
+Color = Typical | Sigma | Kirby
 
 Letter = tuple[int, Color]  # (+1 or -1, color)
 
@@ -128,17 +149,23 @@ def check_color(ctx: ScalarContext, color: Color) -> None:
     elif isinstance(color, Sigma):
         if color.k % ctx.rbar != 0:
             raise ValueError(f"sigma index {color.k} not a multiple of rbar={ctx.rbar}")
+    elif isinstance(color, Kirby):
+        raise ValueError(f"{color!r} is a formal sum; expand it before realizing")
     else:
         raise TypeError(f"not a color: {color!r}")
 
 
 def color_dim(ctx: ScalarContext, color: Color) -> int:
-    return ctx.nilpotency if isinstance(color, Typical) else 1
+    """r/2 for typical colors and for Kirby colors, whose summands are all
+    typical; 1 for sigma(k)."""
+    return 1 if isinstance(color, Sigma) else ctx.nilpotency
 
 
 def color_degree(ctx: ScalarContext, color: Color) -> Degree:
     if isinstance(color, Typical):
         return Degree(complex(color.alpha))
+    if isinstance(color, Kirby):
+        return Degree(complex(color.g))
     return Degree(complex(color.k))
 
 

@@ -3,6 +3,7 @@ import json
 import subprocess
 import sys
 from contextlib import redirect_stdout
+from pathlib import Path
 
 import pytest
 
@@ -106,8 +107,6 @@ def test_constants_command():
 
 @pytest.mark.parametrize("argv", [["check", "6"], ["check", "4", "--precision", "106"]])
 def test_check_command(argv):
-    # in a fresh process: cell matrices cached here would carry this
-    # process's own mpmath context into later 106-bit tests
     proc = subprocess.run([sys.executable, "-m", "cgpkit.cli", *argv],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
@@ -154,3 +153,30 @@ def test_graph_colors_recoloring(tmp_path):
     from cgpkit import surgery as sg
     direct = sg.cgp(ctx, sfx.unknot_presentation(ctx, 0.8 + 0.3j))
     assert abs(val - direct) < 1e-12
+
+
+def test_cache_is_keyed_on_the_effective_level(tmp_path, capsys):
+    docs = str(Path(__file__).resolve().parents[1] / "docs" / "example_lens_5_1.json")
+    cache = str(tmp_path / "cache")
+    assert cli.main(["cgp", docs, "--cache-dir", cache]) == 0
+    capsys.readouterr()
+    for extra in ([], ["--cache-dir", cache]):
+        assert cli.main(["cgp", docs, "--level", "10", *extra]) == cli.EXIT_ERROR
+        out, err = capsys.readouterr()
+        assert out == "" and "not typical at level 10" in err
+    assert [p.suffix for p in (tmp_path / "cache").iterdir()] == [".json"]
+
+
+def test_component_id_errors_exit_1(tmp_path):
+    ctx = ScalarContext(6)
+    payload = presentation_payload(ctx, sfx.lens_unknot_presentation(ctx, 5, 1), 6)
+    pres = payload["presentation"]
+    bad_surgery = dict(pres, surgery_components=[99], meridian_degrees={"99": [0.8, 0.0]})
+    bad_degrees = dict(pres, meridian_degrees={})
+    bad_formal = dict(pres, diagram=dict(pres["diagram"], formal={"99": [
+        [[1.0, 0.0], {"typical": {"re": 0.5, "im": 0.0}}]]}))
+    for i, bad in enumerate((bad_surgery, bad_degrees, bad_formal)):
+        path = tmp_path / f"bad{i}.json"
+        path.write_text(json.dumps(dict(payload, presentation=bad)))
+        code, out = run_cli(["cgp", str(path)])
+        assert code == cli.EXIT_ERROR and out == ""

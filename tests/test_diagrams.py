@@ -97,18 +97,15 @@ def test_recolor_component(ctx):
     assert dg.validate(ctx, u2) is None
 
 
-def test_formal_remap_through_compose_tensor(ctx):
-    g = wc.Degree(0.5)
-    om = wc.kirby_color(ctx, g)
-    u = fx.unknot(om.terms[0][1])
-    comp = u.ports_and_components()[(1, 0)]
-    u = replace(u, formal={comp: om})
+def test_kirby_color_through_compose_tensor(ctx):
+    k = wc.Kirby(0.5)
+    u = fx.unknot(k)
     # tensor with something on the left shifts ports
     both = dg.tensor(fx.unknot(wc.Typical(GENERIC)), u)
-    assert len(both.formal) == 1
-    cid = next(iter(both.formal))
-    colors = both.component_letters()[cid]
-    assert all(c == om.terms[0][1] for _, c in colors)
+    kirby = [c for c, col in both.component_colors().items() if isinstance(col, wc.Kirby)]
+    assert len(kirby) == 1
+    colors = both.component_letters()[kirby[0]]
+    assert all(c == k for _, c in colors)
 
 
 def test_serialization_roundtrip(ctx):
@@ -183,8 +180,8 @@ def test_stabilize_generic_structure(ctx):
     u = fx.unknot(a)
     d = dg.stabilize_generic(ctx, u, 1, (0, 1), wc.Degree(GENERIC))
     assert dg.validate(ctx, d) is None
-    assert len(d.formal) == 2
-    degs = {fc.degree(ctx).reduced() for fc in d.formal.values()}
+    assert len(d.kirby_colors()) == 2
+    degs = {wc.color_degree(ctx, k).reduced() for k in d.kirby_colors()}
     assert len(degs) == 1
 
 
@@ -230,8 +227,8 @@ def _middle_edge(d):
 
 def _rider(ctx):
     p = sfx.split_surgery_unknot_presentation(ctx, GENERIC, 1)
-    target = next(iter(p.surgery_components))
-    return sg._insert_rider(ctx, p.diagram, target, wc.Typical(GENERIC2))[0]
+    target = next(iter(p.surgery_colors.values()))
+    return sg._insert_rider(ctx, p.diagram, target, wc.Typical(GENERIC2))
 
 
 A, B = wc.Typical(GENERIC), wc.Typical(GENERIC2)
@@ -263,7 +260,7 @@ def test_cached_structure_matches_recomputation(ctx, edit):
     assert dg.validate(ctx, d) is None
     assert d.boundary_words() is d.boundary_words()
     assert d.ports_and_components() is d.ports_and_components()
-    fresh = dg.Diagram(d.source, d.slices, d.prefactor, d.formal)
+    fresh = dg.Diagram(d.source, d.slices, d.prefactor)
     assert d.boundary_words() == fresh.boundary_words()
     assert d.ports_and_components() == fresh.ports_and_components()
 

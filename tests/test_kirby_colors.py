@@ -1,0 +1,150 @@
+"""Kirby colors carried by the letters: one cut per presentation, and values
+equal to the route that recolors each Kirby component and cuts every term
+of the expansion anew."""
+
+import itertools
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from cgpkit import diagrams as dg
+from cgpkit import fixtures as fx
+from cgpkit import rt_eval
+from cgpkit import surgery as sg
+from cgpkit import surgery_fixtures as sfx
+from cgpkit import weightcat as wc
+from cgpkit.qscalars import ScalarContext
+
+GENERIC = 0.37 + 0.2j
+
+
+def _recolor_then_cut(ctx, d):
+    """F' by recoloring: for every choice of summands, recolor each
+    Kirby-colored component by id (ascending ids, the first varying
+    slowest), find the first typical edge of the plain diagram, cut it and
+    take the modified trace."""
+    kirby = {c: col for c, col in sorted(d.component_colors().items())
+             if isinstance(col, wc.Kirby)}
+    sums = [k.terms.terms if k.terms is not None else
+            wc.kirby_color(ctx, wc.Degree(k.g)).terms for k in kirby.values()]
+    total = ctx.scalar(0)
+    for combo in itertools.product(*sums):
+        coeff = ctx.scalar(1)
+        plain = d
+        for cid, (co, col) in zip(kirby, combo):
+            coeff = coeff * co
+            plain = plain.recolor_component(cid, col)
+        cut = dg.cut(ctx, plain, *rt_eval.find_typical_edge(ctx, plain))
+        total = total + coeff * wc.modified_trace(ctx, cut.source, rt_eval.evaluate(ctx, cut))
+    return total
+
+
+def _figures(ctx):
+    pa, pb = sfx.index2_pair(ctx, wc.Degree(0.5))
+    split = sfx.split_surgery_unknot_presentation(ctx, GENERIC, 1)
+    return {
+        "unknot": sfx.unknot_presentation(ctx, GENERIC, framing=1).diagram,
+        "meridian+1": sfx.surgery_meridian_presentation(ctx, GENERIC, 1).diagram,
+        "meridian-1": sfx.surgery_meridian_presentation(ctx, GENERIC, -1).diagram,
+        "s1xs2": sfx.s1xs2_presentation(ctx, 0.5).diagram,
+        "s1xs2-decorated": sfx.s1xs2_decorated_presentation(
+            ctx, 0.5, [GENERIC, -GENERIC]).diagram,
+        "index2-attach": pa.diagram,
+        "index2-belt": pb.diagram,
+        "lens": sfx.lens_unknot_presentation(ctx, 5, 1).diagram,
+        "lens-chain": sfx.lens_chain_presentation(ctx, 2, 3, 1).diagram,
+        "slid-lens": sfx.slid_lens_presentation(ctx, 5, 1).diagram,
+        "stabilize-generic": dg.stabilize_generic(
+            ctx, fx.unknot(wc.Typical(GENERIC)), 1, (0, 1), wc.Degree(GENERIC)),
+        "auto-stabilized-split": sg.auto_stabilize(ctx, split).diagram,
+    }
+
+
+CONTEXTS = {"r4": ScalarContext(4), "r6": ScalarContext(6),
+            "hp4": ScalarContext(4, precision=106)}
+FIGURES = sorted(_figures(CONTEXTS["r4"]))
+
+
+@pytest.mark.parametrize("figure", FIGURES)
+@pytest.mark.parametrize("level", sorted(CONTEXTS))
+def test_f_prime_equals_recolor_then_cut(level, figure):
+    ctx = CONTEXTS[level]
+    d = _figures(ctx)[figure]
+    assert rt_eval.f_prime(ctx, d) == _recolor_then_cut(ctx, d)
+
+
+def test_one_cut_per_presentation(monkeypatch, ctx6):
+    wc.constants(ctx6)  # the constants evaluate figures of their own
+    calls = {"cut": 0, "evaluate": 0}
+
+    def counted(name, f):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return f(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(dg, "cut", counted("cut", dg.cut))
+    monkeypatch.setattr(rt_eval, "evaluate", counted("evaluate", rt_eval.evaluate))
+    sg.cgp(ctx6, sfx.lens_chain_presentation(ctx6, 2, 3, 1))
+    assert calls == {"cut": 1, "evaluate": 9}  # 3 summands on each of 2 components
+
+
+def test_auto_stabilization_shifts_only_the_target(ctx6):
+    crit = sfx.s1xs2_decorated_presentation(ctx6, 0.0, [2.0]).diagram
+    generic = fx.unknot(wc.Kirby(0.5, 1, True))
+    p = sg.SurgeryPresentation(dg.tensor(crit, generic))
+    index = wc.Degree(0.85)
+    target = p.surgery_colors[sg.check_computable(ctx6, p)[0]]
+    q = sg.auto_stabilize(ctx6, p, index=index)
+    assert sg.check_computable(ctx6, q) == []
+    want = set(p.surgery_colors.values()) - {target} | {replace(target, g=target.g - index.g)}
+    assert set(q.surgery_colors.values()) == want
+    assert sorted(g.g.real for g in q.meridian_degrees.values()) == [-0.85, 0.5]
+
+
+def test_kirby_colored_diagram_roundtrips_through_json(ctx):
+    om = wc.kirby_color(ctx, wc.Degree(0.5))
+    twisted = wc.FormalColorSum(tuple((co * (0.25 - 1.5j), col) for co, col in om.terms))
+    d = dg.encircle(fx.strand(wc.Typical(GENERIC)), (0, 1), wc.Kirby(0.5, 0, terms=twisted))
+    d = dg.encircle(d, (0, 1), wc.Kirby(-0.25 + 0.1j, 1, surgery=True), framing=-1)
+    d = dg.encircle(d, (0, 1), wc.Kirby(0.7, 2))
+    back = dg.diagram_from_json(dg.diagram_to_json(d))
+
+    def cells(x):
+        return [[(c.kind, c.letters) for c in s] for s in x.slices]
+
+    assert back.source == d.source and cells(back) == cells(d)
+    assert back.kirby_colors() == d.kirby_colors()
+    assert back.kirby_colors()[0].terms == twisted
+
+
+def test_formal_json_becomes_kirby_letters(ctx):
+    om = wc.kirby_color(ctx, wc.Degree(0.5))
+    d = dg.encircle(fx.strand(wc.Typical(GENERIC)), (0, 1), wc.Typical(GENERIC))
+    mer = d.ports_and_components()[(1, 0)]
+    blob = dg.diagram_to_json(d)
+    blob["formal"] = {str(mer): [[[complex(co).real, complex(co).imag], dg.color_to_json(col)]
+                                 for co, col in om.terms]}
+    back = dg.diagram_from_json(blob)
+    (k,) = back.kirby_colors()
+    assert k.terms == om and back.component_colors()[mer] == k
+    direct = rt_eval.evaluate_formal(ctx, d.recolor_component(mer, wc.Kirby(0.5)))
+    assert np.abs(rt_eval.evaluate_formal(ctx, back) - direct).max() < 1e-12
+    blob["formal"] = {"99": blob["formal"][str(mer)]}
+    with pytest.raises(dg.ComponentError):
+        dg.diagram_from_json(blob)
+
+
+def test_validate_refuses_a_kirby_color_on_two_components(ctx):
+    k = wc.Kirby(0.5)
+    d = dg.tensor(fx.unknot(k), fx.unknot(k))
+    assert "components" in dg.validate(ctx, d)
+    assert dg.validate(ctx, dg.tensor(fx.unknot(k), fx.unknot(replace(k, tag=1)))) is None
+
+
+def test_realize_refuses_a_kirby_color(ctx):
+    with pytest.raises(ValueError):
+        wc.realize_letter(ctx, (1, wc.Kirby(0.5)))
+    assert wc.color_dim(ctx, wc.Kirby(0.5)) == ctx.nilpotency
+    assert wc.color_degree(ctx, wc.Kirby(0.5 + 0.1j, surgery=True)) == wc.Degree(0.5 + 0.1j)

@@ -141,3 +141,19 @@ def test_comparison_policy_and_finiteness():
     assert ctx.check_finite(1 + 2j) == 1 + 2j
     with pytest.raises(ArithmeticError):
         ctx.check_finite(complex("inf"))
+
+
+def test_equal_contexts_share_one_mpmath_context():
+    """Cell matrices are cached per equal context, so a matrix built under
+    one 106-bit context must hold the mpc type of every equal context."""
+    from cgpkit import diagrams as dg
+    from cgpkit import rt_eval
+    from cgpkit import weightcat as wc
+
+    a = ScalarContext(4, precision=106)
+    b = ScalarContext(4, precision=106)
+    assert type(a.scalar(0)) is type(b.scalar(0))
+    letter = (1, wc.Typical(0.37 + 0.2j))
+    cell = dg.cross(letter, letter)
+    rt_eval.cell_matrix(a, cell)
+    assert type(rt_eval.cell_matrix(b, cell)[0, 0]) is type(b.scalar(0))

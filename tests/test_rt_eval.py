@@ -163,9 +163,8 @@ def test_formal_meridian_gives_delta(ctx):
     for fr, expected in ((-1, c.delta_minus * theta), (1, c.delta_plus / theta)):
         g = wc.Degree(a if fr < 0 else -a)
         om = wc.kirby_color(ctx, g)
-        d, comp = fx.meridian_around_strand(fx.strand(wc.Typical(a)), (0, 1),
-                                            om.terms[0][1], fr)
-        mat = rt_eval.evaluate_formal(ctx, d, extra={comp: om})
+        d = dg.encircle(fx.strand(wc.Typical(a)), (0, 1), wc.Kirby(g.g, terms=om), fr)
+        mat = rt_eval.evaluate_formal(ctx, d)
         got = wc.scalar_of(ctx, mat)
         assert abs(got - expected) < 1e-8 * max(1, abs(expected))
 
@@ -174,8 +173,9 @@ def test_formal_linearity(ctx):
     g = wc.Degree(0.5)
     om = wc.kirby_color(ctx, g)
     base = fx.strand(wc.Typical(GENERIC))
-    d, comp = fx.meridian_around_strand(base, (0, 1), om.terms[0][1], 0)
-    total = rt_eval.evaluate_formal(ctx, d, extra={comp: om})
+    d = dg.encircle(base, (0, 1), wc.Kirby(g.g, terms=om), 0)
+    total = rt_eval.evaluate_formal(ctx, d)
+    comp = next(c for c, col in d.component_colors().items() if isinstance(col, wc.Kirby))
     acc = None
     for coeff, color in om.terms:
         plain = d.recolor_component(comp, color)
@@ -266,7 +266,8 @@ def test_kirby_expansion_order_independence(ctx):
     om = wc.kirby_color(ctx, g)
     reversed_om = wc.FormalColorSum(tuple(reversed(om.terms)))
     base = fx.strand(wc.Typical(GENERIC))
-    d, comp = fx.meridian_around_strand(base, (0, 1), om.terms[0][1], -1)
-    v1 = rt_eval.evaluate_formal(ctx, d, extra={comp: om})
-    v2 = rt_eval.evaluate_formal(ctx, d, extra={comp: reversed_om})
+    k = wc.Kirby(g.g, terms=om)
+    d = dg.encircle(base, (0, 1), k, -1)
+    v1 = rt_eval.evaluate_formal(ctx, d)
+    v2 = rt_eval.evaluate_formal(ctx, d.recolor(k, wc.Kirby(g.g, terms=reversed_om)))
     assert np.abs(v1 - v2).max() < 1e-12 * max(1.0, np.abs(v1).max())

@@ -13,8 +13,14 @@ from cgpkit.qscalars import ScalarContext
 GENERIC = 0.37 + 0.2j
 
 
+def _stand_in(ctx):
+    """A typical color for components that the presentation's constructor
+    marks for surgery by id."""
+    return wc.Typical(2 * ctx.nilpotency - 1)
+
+
 def test_linking_data_examples(ctx6):
-    ph = sfx._placeholder(ctx6)
+    ph = _stand_in(ctx6)
     # +1 framed unknot
     u = fx.unknot(ph, framing=1)
     comp = u.ports_and_components()[(1, 0)]
@@ -65,7 +71,7 @@ def test_check_computable(ctx6):
 
 
 def test_cohomology_constraint_enforced(ctx6):
-    ph = sfx._placeholder(ctx6)
+    ph = _stand_in(ctx6)
     base = fx.unknot(ph, framing=1)
     d = dg.encircle_at(base, 1, (0, 1), wc.Typical(GENERIC), framing=0)
     comp = d.ports_and_components()[(1, 0)]
@@ -155,9 +161,12 @@ def test_generic_stabilization_s1xs2_and_double_surgery(ctx6):
     # undo by a double index-2 surgery: both circles become surgery
     # components and the stabilization prefactor is dropped
     c = wc.constants(ctx6)
-    formal_comps = sorted(d2.formal)
+    formal_comps = sorted(c for c, col in d2.component_colors().items()
+                          if isinstance(col, wc.Kirby) and not col.surgery)
     d3 = dg.Diagram(d2.source, [list(s) for s in d2.slices],
-                    d2.prefactor * (c.delta_minus * c.delta_plus), {})
+                    d2.prefactor * (c.delta_minus * c.delta_plus))
+    for comp in formal_comps:
+        d3 = d3.recolor_component(comp, _stand_in(ctx6))
     mer = {surg: wc.Degree(0.5)}
     for comp in formal_comps:
         mer[comp] = wc.Degree(0.5)
@@ -213,7 +222,7 @@ def test_auto_stabilize_critical_meridian_fixture(ctx6):
 
 def test_auto_stabilize_slide_consistency(ctx6):
     """Threading a computable component leaves the invariant unchanged."""
-    ph = sfx._placeholder(ctx6)
+    ph = _stand_in(ctx6)
     T = wc.Typical(2.0)
     base = fx.unknot(ph)
     d = dg.encircle_at(base, 1, (0, 1), T, framing=0)
@@ -235,7 +244,7 @@ def test_auto_stabilize_slide_consistency(ctx6):
     v_direct = sg.cgp(ctx6, p)
     # thread the (computable) middle component: the reading drops by the
     # index, and the value of the presented manifold is unchanged
-    stab = sg._thread_detour(ctx6, p, u2, wc.Degree(0.55))
+    stab = sg._thread_detour(ctx6, p, p.surgery_colors[u2], wc.Degree(0.55))
     v_thread = sg.cgp(ctx6, stab)
     assert abs(v_thread - v_direct) <= 1e-8 * max(1.0, abs(v_direct))
 

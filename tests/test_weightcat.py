@@ -5,6 +5,7 @@ import pytest
 
 import cgpkit._linalg as la
 from cgpkit import checks
+from cgpkit import diagrams as dg
 from cgpkit import fixtures as fx
 from cgpkit import rt_eval
 from cgpkit import weightcat as wc
@@ -437,9 +438,9 @@ def _curled_stabilization_oracle(ctx, alpha, framing):
     """Delta_-+ from the meridian figure with its framing drawn as a curl."""
     probe = wc.Typical(alpha)
     g = wc.color_degree(ctx, probe)
-    omega = wc.kirby_color(ctx, g if framing < 0 else wc.Degree(-g.g))
-    d, comp = fx.meridian_around_strand(fx.strand(probe), (0, 1), omega.terms[0][1], framing)
-    fig = wc.scalar_of(ctx, rt_eval.evaluate_formal(ctx, d, extra={comp: omega}))
+    index = g if framing < 0 else wc.Degree(-g.g)
+    d = dg.encircle(fx.strand(probe), (0, 1), wc.Kirby(index.g), framing)
+    fig = wc.scalar_of(ctx, rt_eval.evaluate_formal(ctx, d))
     theta = wc.twist(ctx, wc.realize_letter(ctx, (1, probe)))[0, 0]
     return fig / theta if framing < 0 else fig * theta
 
