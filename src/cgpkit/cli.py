@@ -151,8 +151,8 @@ def load_presentation(obj) -> sg.SurgeryPresentation:
         surgery = frozenset(int(c) for c in obj["surgery_components"])
         degrees = {int(k): _degree_from_json(v)
                    for k, v in obj.get("meridian_degrees", {}).items()}
-        for cid, col in obj.get("graph_colors", {}).items():
-            d = d.recolor_component(int(cid), dg.color_from_json(col))
+        d = dg.mark_components(d, {int(cid): dg.color_from_json(col)
+                                   for cid, col in obj.get("graph_colors", {}).items()})
         n = int(obj.get("signature_defect", 0))
     except dg.ComponentError:
         raise

@@ -399,7 +399,7 @@ def mark_components(d: Diagram, colors: dict[int, Color]) -> Diagram:
     them.  ComponentError if an id names no coupon-free component, or one
     that a graph Kirby color already expands (a surgery color may be
     replaced)."""
-    now = d.component_colors()
+    now = d.component_colors() if colors else {}
     bad = [c for c in sorted(colors) if c not in now
            or isinstance(now[c], Kirby) and not now[c].surgery]
     if bad:

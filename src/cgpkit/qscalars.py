@@ -130,15 +130,6 @@ class ScalarContext:
         """Quantum integer [k] = {k}/{1}; defined for complex k as well."""
         return self.brace(k) / self.brace(1)
 
-    def qfact(self, k: int) -> Scalar:
-        """Quantum factorial [k]! = [k][k-1]...[1] with [0]! = 1."""
-        if k < 0:
-            raise ValueError("quantum factorial needs k >= 0")
-        out = self.scalar(1)
-        for j in range(1, k + 1):
-            out = out * self.qint(j)
-        return out
-
     def qfact_nonzero(self, k: int) -> Scalar:
         """[k]!, raising VanishingDenominator if any factor vanishes.
 
@@ -152,58 +143,3 @@ class ScalarContext:
                 raise VanishingDenominator(f"[{j}] vanishes at level {self.r}")
             out = out * f
         return out
-
-    def qbinom(self, k: int, l: int) -> Scalar:
-        """Gaussian binomial [k]!/([l]![k-l]!) for integers k >= l >= 0.
-
-        Evaluated through the q-Pascal recursion on integer coefficient
-        lists, so no division by vanishing quantum integers ever happens;
-        the balanced convention of [k] = {k}/{1} corresponds to the
-        one-sided Gaussian polynomial at q^2, centered by q^{-l(k-l)}.
-        """
-        if not (k >= l >= 0):
-            raise ValueError("need k >= l >= 0")
-        coeffs = _gauss_binom_coeffs(k, l)
-        out = self.scalar(0)
-        for d, c in enumerate(coeffs):
-            if c:
-                out = out + c * self.q_power(2 * d)
-        return out * self.q_power(-l * (k - l))
-
-    # -- comparisons --------------------------------------------------------
-
-    def isclose(self, a, b) -> bool:
-        """|a - b| <= tol * max(1, |a|, |b|)."""
-        return abs(a - b) <= self.tol * max(1.0, abs(a), abs(b))
-
-    def is_zero(self, a) -> bool:
-        return abs(a) <= self.tol
-
-    def check_finite(self, a) -> Scalar:
-        if self.high_precision:
-            if not (self._mp.isfinite(a.real) and self._mp.isfinite(a.imag)):
-                raise ArithmeticError("non-finite scalar")
-            return a
-        a = complex(a)
-        if not (math.isfinite(a.real) and math.isfinite(a.imag)):
-            raise ArithmeticError("non-finite scalar")
-        return a
-
-
-@lru_cache(maxsize=None)
-def _gauss_binom_coeffs(k: int, l: int) -> tuple[int, ...]:
-    # integer coefficient list of the Gaussian binomial polynomial in q,
-    # via [n,j]_q = q^j [n-1,j]_q + [n-1,j-1]_q
-    if l == 0 or l == k:
-        return (1,)
-    a = _gauss_binom_coeffs(k - 1, l)      # times q^l
-    b = _gauss_binom_coeffs(k - 1, l - 1)
-    out = [0] * max(len(a) + l, len(b))
-    for d, c in enumerate(a):
-        out[d + l] += c
-    for d, c in enumerate(b):
-        out[d] += c
-    while len(out) > 1 and out[-1] == 0:
-        out.pop()
-    return tuple(out)
-

@@ -115,21 +115,10 @@ def linking_data(ctx: ScalarContext, p: SurgeryPresentation) -> LinkingData:
                     raise ValueError("odd crossing count between distinct components")
                 mat[idx[a], idx[b]] += s // 2
                 mat[idx[b], idx[a]] += s // 2
-    return LinkingData(mat, comps, _signature(ctx, mat))
+    return LinkingData(mat, comps, _signature(mat))
 
 
-def _signature(ctx: ScalarContext, mat: np.ndarray) -> int:
-    n = mat.shape[0]
-    if n == 0:
-        return 0
-    if n <= 12:
-        return _signature_exact(mat)
-    vals = np.linalg.eigvalsh(mat.astype(np.float64))
-    thresh = ctx.tol * max(1.0, float(np.abs(mat).sum()))
-    return int(np.sum(vals > thresh)) - int(np.sum(vals < -thresh))
-
-
-def _signature_exact(mat: np.ndarray) -> int:
+def _signature(mat: np.ndarray) -> int:
     """Exact eigenvalue sign count of an integer symmetric matrix.
 
     Characteristic polynomial by Faddeev-LeVerrier over the rationals;

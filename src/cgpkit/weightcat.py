@@ -670,7 +670,7 @@ def hom_basis(ctx: ScalarContext, src: ObjectWord, dst: ObjectWord) -> list[np.n
     return basis
 
 
-def hom_dim_graded(ctx: ScalarContext, word: ObjectWord, window: int | None = None) -> int:
+def hom_dim_graded(ctx: ScalarContext, word: ObjectWord) -> int:
     """Total dimension of the periodicity-graded Hom from the unit to the word.
 
     Sums dim Hom(1, word (x) sigma(k)) over k in rbar*Z; only weights in the

@@ -175,7 +175,8 @@ def test_component_id_errors_exit_1(tmp_path):
     bad_degrees = dict(pres, meridian_degrees={})
     bad_formal = dict(pres, diagram=dict(pres["diagram"], formal={"99": [
         [[1.0, 0.0], {"typical": {"re": 0.5, "im": 0.0}}]]}))
-    for i, bad in enumerate((bad_surgery, bad_degrees, bad_formal)):
+    bad_graph = dict(pres, graph_colors={"7": {"typical": {"re": 0.8, "im": 0.3}}})
+    for i, bad in enumerate((bad_surgery, bad_degrees, bad_formal, bad_graph)):
         path = tmp_path / f"bad{i}.json"
         path.write_text(json.dumps(dict(payload, presentation=bad)))
         code, out = run_cli(["cgp", str(path)])

@@ -79,28 +79,6 @@ def test_qint_vanishing_pattern():
                 assert abs(v) > 1e-6, (r, k)
 
 
-def test_qfact_and_binom():
-    ctx = ScalarContext(6)
-    assert abs(ctx.qfact(0) - 1) < 1e-15
-    v = ctx.qint(1) * ctx.qint(2)
-    assert abs(ctx.qfact(2) - v) < 1e-14
-    # away from vanishing factorials the Pascal value equals the quotient
-    big = ScalarContext(10)
-    direct = big.qfact(4) / (big.qfact(2) * big.qfact(2))
-    assert abs(big.qbinom(4, 2) - direct) < 1e-12
-    assert abs(ctx.qbinom(3, 1) - ctx.qint(3)) < 1e-12
-    with pytest.raises(ValueError):
-        ctx.qbinom(2, 3)
-
-
-def test_binom_defined_at_vanishing_factorials():
-    # [m choose j] stays finite even though [m]! = 0
-    ctx = ScalarContext(6)
-    m = ctx.nilpotency
-    val = ctx.qbinom(2 * m, m)
-    assert cmath.isfinite(val.real) and cmath.isfinite(val.imag)
-
-
 def test_qfact_nonzero_guard():
     ctx = ScalarContext(6)
     with pytest.raises(VanishingDenominator):
@@ -130,17 +108,6 @@ def test_high_precision_mode():
     # magnitude correct to far beyond double precision
     assert abs(abs(v) - 1) < 1e-50
     assert abs(complex(v) - cmath.exp(2j * cmath.pi / 6)) < 1e-15
-
-
-def test_comparison_policy_and_finiteness():
-    ctx = ScalarContext(6)
-    assert ctx.isclose(1.0, 1.0 + 1e-10)
-    assert not ctx.isclose(1.0, 1.0 + 1e-6)
-    assert ctx.isclose(1e12, 1e12 * (1 + 1e-10))  # relative above 1
-    assert ctx.is_zero(1e-10) and not ctx.is_zero(1e-6)
-    assert ctx.check_finite(1 + 2j) == 1 + 2j
-    with pytest.raises(ArithmeticError):
-        ctx.check_finite(complex("inf"))
 
 
 def test_equal_contexts_share_one_mpmath_context():

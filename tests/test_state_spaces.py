@@ -1,9 +1,11 @@
+import random
 from itertools import product
 
 import pytest
 
 from cgpkit import state_spaces as ss
 from cgpkit import weightcat as wc
+from cgpkit.qscalars import ScalarContext
 
 
 def test_sphere_hom_dim_pattern(ctx):
@@ -83,3 +85,98 @@ def test_critical_data_rejected(ctx6):
     # m'' = m0 - m' = 0 is critical
     with pytest.raises(wc.CriticalDegree):
         ss.genus_n_dim(ctx6, data)
+
+
+def _per_sigma_vertex_dim(ctx, word):
+    """The intertwiner-solver route: sum dim Hom(1, word (x) sigma(k)) over
+    the k in rbar*Z whose negation lies in the word's weight support."""
+    weights = {0j}
+    for letter in word:
+        weights = {w + lw for w in weights
+                   for lw in wc.realize_letter(ctx, letter).weights}
+    ks = set()
+    for wv in weights:
+        r = round(wv.real / ctx.rbar)
+        if abs(wv.imag) <= ctx.tol and abs(wv.real - r * ctx.rbar) <= 100 * ctx.tol:
+            ks.add(-r)
+    return sum(len(wc.hom_basis(ctx, wc.EMPTY_WORD,
+                                wc.ObjectWord([*word, (1, wc.Sigma(k * ctx.rbar))])))
+               for k in ks)
+
+
+def _random_vertex_words(ctx, rng, n):
+    """n generic vertex words at ctx: the two words of a theta piece whose
+    third class is the difference of the first two up to an even shift (or,
+    one time in four, off it), alternating with words of random signs whose
+    first letter's weight lies on, near or off a fusion channel of the
+    other two."""
+    m = ctx.nilpotency
+
+    def weight():
+        im = rng.choice([0.0, rng.uniform(-1, 1)])
+        return complex(round(rng.uniform(-3, 3), 6), round(im, 6))
+
+    words = []
+    while len(words) < n:
+        e, ep = weight(), weight()
+        off = 0.5 if rng.random() < 0.25 else 0.0
+        words.extend(ss._vertex_words(ctx, e, ep, e - ep + 2 * rng.randint(-m, m + 2) + off))
+        signs = [rng.choice((1, -1)) for _ in range(3)]
+        xb, xc = weight(), weight()
+        xa = 2 * (m - 1) - (xb + xc) + 2 * rng.randint(-2, m + 2) + rng.choice([0, 0, 0.5, 1e-3j])
+        words.append(wc.ObjectWord([
+            (s, wc.Typical(x if s > 0 else 2 * (m - 1) - x)) for s, x in zip(signs, (xa, xb, xc))]))
+    return words[:n]
+
+
+@pytest.mark.parametrize("r, n", [(4, 200), (6, 150), (10, 60)])
+def test_vertex_count_equals_per_sigma_solver(r, n):
+    ctx = ScalarContext(r)
+    words = _random_vertex_words(ctx, random.Random(r), n)
+    got = [ss.graded_vertex_dim(ctx, w) for w in words]
+    assert got == [_per_sigma_vertex_dim(ctx, w) for w in words]
+    assert len(set(got)) > 1  # both zero and nonzero counts occur
+
+
+@pytest.mark.parametrize("r, precision, n", [(4, 53, 12), (6, 53, 6), (10, 53, 3), (4, 106, 4)])
+def test_vertex_count_equals_brute(r, precision, n):
+    ctx = ScalarContext(r, precision=precision)
+    words = _random_vertex_words(ctx, random.Random(100 + r), n)
+    assert [ss.graded_vertex_dim(ctx, w) for w in words] == \
+        [ss.graded_vertex_dim(ctx, w, brute=True) for w in words]
+
+
+def test_vertex_count_refuses_other_words(ctx6):
+    a, b = wc.Typical(0.3 + 0.4j), wc.Typical(0.2)
+    for word in ([(1, a), (-1, b)], [(1, a), (1, b), (1, wc.Sigma(6))],
+                 [(1, a), (1, b), (1, wc.Typical(0))], [(1, a), (1, b), (1, wc.Kirby(0.5))]):
+        with pytest.raises(ValueError):
+            ss.graded_vertex_dim(ctx6, wc.ObjectWord(word))
+    with pytest.raises(wc.CriticalDegree):
+        ss.graded_vertex_dim(ctx6, wc.ObjectWord([(1, a), (1, b), (-1, wc.Typical(0.2))]))
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("the intertwiner solver was called")
+
+
+@pytest.mark.parametrize("r, precision", [(6, 53), (4, 106)])
+def test_genus_n_makes_no_solver_call(monkeypatch, r, precision):
+    ctx = ScalarContext(r, precision=precision)
+    data = ss.TrivalentSurfaceData(
+        3, wc.Degree(0.5 + 0.15j), (wc.Degree(0.3 + 0.4j), wc.Degree(0.21)))
+    want = ss.genus_n_dim(ctx, data, brute=True)
+    for name in ("hom_basis", "realize", "hom_dim_graded"):
+        monkeypatch.setattr(wc, name, _refuse)
+    assert ss.genus_n_dim(ctx, data) == want
+
+
+@pytest.mark.parametrize("r", [4, 6, 10, 14])
+def test_genus_n_closed_form(r):
+    """(r/2)^(3g-3) where rbar = r, 4^(g-1) at r = 4, up to genus 6."""
+    ctx = ScalarContext(r)
+    primes = tuple(wc.Degree(complex(0.2 + 0.13 * i, 0.3 + 0.05 * i)) for i in range(5))
+    for g in range(2, 7):
+        data = ss.TrivalentSurfaceData(g, wc.Degree(0.5 + 0.15j), primes[:g - 1])
+        want = 4 ** (g - 1) if r == 4 else (r // 2) ** (3 * g - 3)
+        assert ss.genus_n_dim(ctx, data) == want

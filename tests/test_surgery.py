@@ -47,10 +47,10 @@ def test_linking_data_examples(ctx6):
 
 def test_exact_signature_routes():
     mat = np.array([[6, 1], [1, 1]])
-    assert sg._signature_exact(mat) == 2
-    assert sg._signature_exact(np.array([[0, 1], [1, 0]])) == 0
-    assert sg._signature_exact(np.array([[-3]])) == -1
-    assert sg._signature_exact(np.zeros((3, 3), dtype=int)) == 0
+    assert sg._signature(mat) == 2
+    assert sg._signature(np.array([[0, 1], [1, 0]])) == 0
+    assert sg._signature(np.array([[-3]])) == -1
+    assert sg._signature(np.zeros((3, 3), dtype=int)) == 0
     rng = np.random.default_rng(5)
     for _ in range(20):
         n = int(rng.integers(1, 7))
@@ -58,7 +58,14 @@ def test_exact_signature_routes():
         m = m + m.T
         vals = np.linalg.eigvalsh(m.astype(float))
         want = int((vals > 1e-9).sum()) - int((vals < -1e-9).sum())
-        assert sg._signature_exact(m) == want
+        assert sg._signature(m) == want
+    # 13 and 14 components stay exact, also on a singular matrix (rank 5)
+    a = rng.integers(-2, 3, (5, 13))
+    for m in (rng.integers(-4, 5, (13, 13)), rng.integers(-4, 5, (14, 14)),
+              a.T @ np.diag([1, 1, -1, 2, -3]) @ a):
+        m = m + m.T
+        vals = np.linalg.eigvalsh(m.astype(float))
+        assert sg._signature(m) == int((vals > 1e-9).sum()) - int((vals < -1e-9).sum())
 
 
 def test_check_computable(ctx6):
