@@ -17,8 +17,6 @@ import sys
 import tempfile
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from . import diagrams as dg
 from . import state_spaces as ss
@@ -191,39 +189,23 @@ def cmd_cgp(args) -> int:
         if cache_file.exists():
             sys.stdout.write(cache_file.read_text())
             return EXIT_OK
-    warnings = []
     try:
         pieces = [load_presentation(o) for o in objs]
-        total = ctx.scalar(1)
-        ells = 0
-        sigmas = []
-        for p in pieces:
-            sg.validate_presentation(ctx, p)
-            offending = sg.check_computable(ctx, p)
-            if offending and not args.auto_stabilize:
-                raise sg.NotComputable(
-                    f"critical meridian degrees on components {offending}; "
-                    f"rerun with --auto-stabilize")
-            link = sg.linking_data(ctx, p)
-            ells += len(p.surgery_components)
-            sigmas.append(link.signature)
-            total = total * sg.cgp(ctx, p, auto=args.auto_stabilize)
-            if offending:
-                warnings.append(
-                    f"auto-stabilized components {offending}")
-        consts = wc.constants(ctx)
+        total = complex(sg.cgp_disjoint(ctx, pieces, auto=args.auto_stabilize))
+        sigmas = [p.linking.signature for p in pieces]
         out = {
-            "cgp": [complex(total).real, complex(total).imag],
-            "constants": _constants_dict(consts),
-            "ell": ells,
+            "cgp": [total.real, total.imag],
+            "constants": _constants_dict(wc.constants(ctx)),
+            "ell": sum(len(p.surgery_components) for p in pieces),
             "sigma": sigmas[0] if len(sigmas) == 1 else sigmas,
-            "warnings": warnings,
+            "warnings": [f"auto-stabilized components {c}"
+                         for c in (sg.check_computable(ctx, p) for p in pieces) if c],
         }
     except ParseError as e:
         print(f"parse error: {e}", file=sys.stderr)
         return EXIT_PARSE
     except sg.NotComputable as e:
-        print(f"not computable: {e}", file=sys.stderr)
+        print(f"not computable: {e}; rerun with --auto-stabilize", file=sys.stderr)
         return EXIT_NOT_COMPUTABLE
     except sg.NotAdmissible as e:
         print(f"not admissible: {e}", file=sys.stderr)
@@ -231,7 +213,7 @@ def cmd_cgp(args) -> int:
     except (NumericInstability, wc.NotScalar) as e:
         print(f"numeric instability: {e}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (ValueError, sg.CannotStabilize) as e:
+    except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_ERROR
     text = render_json(out) + "\n"

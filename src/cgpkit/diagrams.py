@@ -24,10 +24,13 @@ components by id (JSON, surgery presentations), in `mark_components`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from math import prod
 from types import MappingProxyType
 
 import numpy as np
 
+from . import _linalg as la
+from . import weightcat as wc
 from .qscalars import ScalarContext, Scalar
 from .weightcat import (
     Color,
@@ -50,10 +53,6 @@ class BoundaryMismatch(ValueError):
 class ComponentError(ValueError):
     """Input names a component id that is not in the diagram, or one that
     cannot take the color it is given."""
-
-
-class NotProjectiveEdge(ValueError):
-    pass
 
 
 class NoSection(ArithmeticError):
@@ -373,11 +372,13 @@ def validate(ctx: ScalarContext, d: Diagram) -> str | None:
     for s, cells in enumerate(d.slices):
         for cell in cells:
             if cell.kind == "coupon":
-                dom = realize(ctx, cell.domain)
-                cod = realize(ctx, cell.codomain)
-                if cell.matrix.shape != (cod.dim, dom.dim):
+                for _, color in (*cell.domain, *cell.codomain):
+                    wc.check_color(ctx, color)
+                dom, cod = (prod(wc.color_dim(ctx, c) for _, c in w)
+                            for w in (cell.domain, cell.codomain))
+                if cell.matrix.shape != (cod, dom):
                     return (f"slice {s}: coupon matrix shape {cell.matrix.shape} "
-                            f"!= ({cod.dim}, {dom.dim})")
+                            f"!= ({cod}, {dom})")
     try:
         d.ports_and_components()
         d.component_colors()
@@ -627,7 +628,7 @@ def cut(ctx: ScalarContext, d: Diagram, boundary: int, pos: int) -> Diagram:
     w = words[boundary]
     v = w[pos]
     if not isinstance(v[1], (Typical, Kirby)):
-        raise NotProjectiveEdge(f"cut edge must be typical, got {v[1]!r}")
+        raise wc.NotProjective(f"cut edge must be typical, got {v[1]!r}")
     x = w.letters[:pos]
     y = w.letters[pos + 1:]
     # one pass, bottom to top, with a running boundary word
@@ -672,14 +673,11 @@ def stabilize_projective(ctx: ScalarContext, d: Diagram, boundary: int, pos: int
     the simple projective module of highest weight index_weight (of generic
     degree g).  Skein-equivalent: closed evaluations are unchanged.
     """
-    from . import weightcat as wc
-    from . import rt_eval
-
     words = d.boundary_words()
     w = words[boundary]
     letter = w[pos]
     if not isinstance(letter[1], Typical):
-        raise NotProjectiveEdge("projective stabilization needs a typical edge")
+        raise wc.NotProjective("projective stabilization needs a typical edge")
     vi = Typical(complex(index_weight))
     uword = ObjectWord([letter])
     bigword = ObjectWord([letter, (1, vi), (-1, vi)])
@@ -690,7 +688,6 @@ def stabilize_projective(ctx: ScalarContext, d: Diagram, boundary: int, pos: int
     U = realize(ctx, uword)
     Vi = realize_letter(ctx, (1, vi))
     evr = wc.ev_coev(ctx, Vi, "ev_r")
-    from . import _linalg as la
     proj = la.kron(ctx, la.eye(ctx, U.dim), evr)
     cols = [np.reshape(proj @ b, -1) for b in basis]
     A = np.stack(cols, axis=1)
@@ -718,8 +715,6 @@ def stabilize_generic(ctx: ScalarContext, d: Diagram, boundary: int,
     corridor's degree flux must be (the generic) g for the enclosing
     invariant to be unchanged.
     """
-    from . import weightcat as wc
-
     deg = g if isinstance(g, wc.Degree) else wc.Degree(complex(g))
     if deg.is_critical(ctx.tol):
         raise wc.CriticalDegree(f"stabilization index {deg.g} is critical")

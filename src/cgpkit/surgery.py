@@ -68,6 +68,34 @@ class SurgeryPresentation:
     def meridian_degrees(self) -> dict[int, wc.Degree]:
         return {c: wc.Degree(k.g) for c, k in self.surgery_colors.items()}
 
+    @cached_property
+    def linking(self) -> LinkingData:
+        """Linking matrix of the surgery components and its exact signature.
+
+        Off-diagonal entries are half the signed crossing count between the
+        two components; diagonal entries are the writhes (blackboard
+        self-linking).
+        """
+        comps = tuple(sorted(self.surgery_components))
+        idx = {c: i for i, c in enumerate(comps)}
+        n = len(comps)
+        mat = np.zeros((n, n), dtype=np.int64)
+        # signed crossing sums per unordered component pair
+        lk2 = {}
+        for a, b, s, _, _ in self.diagram.crossing_records():
+            key = (min(a, b), max(a, b))
+            lk2[key] = lk2.get(key, 0) + s
+        for (a, b), s in lk2.items():
+            if a in idx and b in idx:
+                if a == b:
+                    mat[idx[a], idx[a]] += s
+                else:
+                    if s % 2 != 0:
+                        raise ValueError("odd crossing count between distinct components")
+                    mat[idx[a], idx[b]] += s // 2
+                    mat[idx[b], idx[a]] += s // 2
+        return LinkingData(mat, comps, _signature(mat))
+
 
 @dataclass(frozen=True)
 class LinkingData:
@@ -85,37 +113,9 @@ def validate_presentation(ctx: ScalarContext, p: SurgeryPresentation) -> None:
     _check_cohomology(ctx, p)
 
 
-def _component_link_sums(p: SurgeryPresentation):
-    """Signed crossing sums per unordered component pair."""
-    lk2 = {}
-    for a, b, s, _, _ in p.diagram.crossing_records():
-        key = (min(a, b), max(a, b))
-        lk2[key] = lk2.get(key, 0) + s
-    return lk2
-
-
 def linking_data(ctx: ScalarContext, p: SurgeryPresentation) -> LinkingData:
-    """Linking matrix of the surgery components and its exact signature.
-
-    Off-diagonal entries are half the signed crossing count between the
-    two components; diagonal entries are the writhes (blackboard
-    self-linking).
-    """
-    comps = tuple(sorted(p.surgery_components))
-    idx = {c: i for i, c in enumerate(comps)}
-    n = len(comps)
-    mat = np.zeros((n, n), dtype=np.int64)
-    lk2 = _component_link_sums(p)
-    for (a, b), s in lk2.items():
-        if a in idx and b in idx:
-            if a == b:
-                mat[idx[a], idx[a]] += s
-            else:
-                if s % 2 != 0:
-                    raise ValueError("odd crossing count between distinct components")
-                mat[idx[a], idx[b]] += s // 2
-                mat[idx[b], idx[a]] += s // 2
-    return LinkingData(mat, comps, _signature(mat))
+    """Linking matrix of the surgery components and its exact signature."""
+    return p.linking
 
 
 def _signature(mat: np.ndarray) -> int:
@@ -208,17 +208,15 @@ def cgp(ctx: ScalarContext, p: SurgeryPresentation, auto: bool = False) -> Scala
     validate_presentation(ctx, p)
     if not check_admissible(ctx, p):
         raise NotAdmissible("presentation is not admissible")
+    # stabilization adds only graph components, so the link is the input's
+    link = linking_data(ctx, p)
     offending = check_computable(ctx, p)
     if offending:
         if not auto:
-            raise NotComputable(f"critical meridian degrees on {offending}")
+            raise NotComputable(f"critical meridian degrees on components {offending}")
         p = auto_stabilize(ctx, p)
         validate_presentation(ctx, p)
-        offending = check_computable(ctx, p)
-        if offending:
-            raise CannotStabilize(f"still critical after stabilization: {offending}")
     consts = wc.constants(ctx)
-    link = linking_data(ctx, p)
     ell = len(p.surgery_components)
     fp = rt_eval.f_prime(ctx, p.diagram)
     n = p.signature_defect

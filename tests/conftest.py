@@ -1,3 +1,10 @@
+import os
+
+# one BLAS thread: the suite's many small SVDs run slower, and erratically,
+# under threaded BLAS; set before cgpkit imports numpy
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 import pytest
 
 from cgpkit.qscalars import ScalarContext

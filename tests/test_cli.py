@@ -9,6 +9,7 @@ import pytest
 
 from cgpkit import cli
 from cgpkit import diagrams as dg
+from cgpkit import surgery as sg
 from cgpkit import surgery_fixtures as sfx
 from cgpkit import weightcat as wc
 from cgpkit.qscalars import ScalarContext
@@ -56,7 +57,6 @@ def test_cgp_roundtrip_and_determinism(lens_input):
     assert doc["ell"] == 1 and doc["sigma"] == 1
     val = complex(*doc["cgp"])
     ctx = ScalarContext(6)
-    from cgpkit import surgery as sg
     direct = sg.cgp(ctx, sfx.lens_unknot_presentation(ctx, 5, 1))
     assert abs(val - direct) < 1e-12
 
@@ -84,7 +84,7 @@ def test_exit_codes_on_malformed_inputs(tmp_path):
     assert code == cli.EXIT_PARSE
 
 
-def test_not_computable_exit(tmp_path):
+def test_not_computable_exit(tmp_path, capsys):
     ctx = ScalarContext(6)
     p = sfx.s1xs2_decorated_presentation(ctx, 0.0, [2.0])
     payload = presentation_payload(ctx, p, 6)
@@ -92,6 +92,8 @@ def test_not_computable_exit(tmp_path):
     path.write_text(json.dumps(payload))
     code, _ = run_cli(["cgp", str(path)])
     assert code == cli.EXIT_NOT_COMPUTABLE
+    assert capsys.readouterr().err == ("not computable: critical meridian degrees on "
+                                       "components [0]; rerun with --auto-stabilize\n")
     code2, out = run_cli(["cgp", str(path), "--auto-stabilize"])
     assert code2 == 0
     assert json.loads(out)["warnings"]
@@ -150,7 +152,6 @@ def test_graph_colors_recoloring(tmp_path):
     code, out = run_cli(["cgp", str(path)])
     assert code == 0
     val = complex(*json.loads(out)["cgp"])
-    from cgpkit import surgery as sg
     direct = sg.cgp(ctx, sfx.unknot_presentation(ctx, 0.8 + 0.3j))
     assert abs(val - direct) < 1e-12
 
@@ -181,3 +182,86 @@ def test_component_id_errors_exit_1(tmp_path):
         path.write_text(json.dumps(dict(payload, presentation=bad)))
         code, out = run_cli(["cgp", str(path)])
         assert code == cli.EXIT_ERROR and out == ""
+
+
+def test_inadmissible_critical_exits_4(tmp_path, capsys):
+    """Admissibility is checked before computability: a bare critical
+    surgery unknot is refused as inadmissible, with or without
+    --auto-stabilize."""
+    ctx = ScalarContext(6)
+    path = tmp_path / "bare.json"
+    path.write_text(json.dumps(presentation_payload(ctx, sfx.s1xs2_presentation(ctx, 0.0), 6)))
+    for extra in ([], ["--auto-stabilize"]):
+        code, out = run_cli(["cgp", str(path), *extra])
+        assert code == cli.EXIT_NOT_ADMISSIBLE and out == ""
+        assert capsys.readouterr().err == "not admissible: presentation is not admissible\n"
+
+
+def _two_piece_payload(ctx):
+    pieces = [sfx.lens_unknot_presentation(ctx, 5, 1), sfx.lens_chain_presentation(ctx, 2, 3, 1)]
+    return {"level": 6, "presentations": [presentation_payload(ctx, p, 6)["presentation"]
+                                          for p in pieces]}
+
+
+def _split_payload(ctx):
+    return presentation_payload(ctx, sfx.split_surgery_unknot_presentation(ctx, 0.37 + 0.11j, 1), 6)
+
+
+def _docs_payload(ctx):
+    return json.loads((Path(__file__).resolve().parents[1] / "docs" / "example_lens_5_1.json").read_text())
+
+
+def _per_piece_stdout(ctx, payload, auto):
+    """The output assembled piece by piece: validate, read the critical
+    components and the linking data, then multiply in each piece's cgp."""
+    objs = payload.get("presentations") or [payload["presentation"]]
+    total, ell, sigmas, warnings = ctx.scalar(1), 0, [], []
+    for obj in objs:
+        p = cli.load_presentation(obj)
+        sg.validate_presentation(ctx, p)
+        offending = sg.check_computable(ctx, p)
+        ell += len(p.surgery_components)
+        sigmas.append(sg.linking_data(ctx, p).signature)
+        total = total * sg.cgp(ctx, p, auto=auto)
+        if offending:
+            warnings.append(f"auto-stabilized components {offending}")
+    total = complex(total)
+    return cli.render_json({
+        "cgp": [total.real, total.imag],
+        "constants": cli._constants_dict(wc.constants(ctx)),
+        "ell": ell,
+        "sigma": sigmas[0] if len(sigmas) == 1 else sigmas,
+        "warnings": warnings,
+    }) + "\n"
+
+
+def _count_calls(monkeypatch, owner, name, counts):
+    orig = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        counts[name] = counts.get(name, 0) + 1
+        return orig(*args, **kwargs)
+    monkeypatch.setattr(owner, name, counted)
+
+
+@pytest.mark.parametrize("make, auto, pieces, validations", [
+    (_docs_payload, False, 1, 1),
+    (_two_piece_payload, False, 2, 2),
+    (_split_payload, True, 1, 2),
+])
+def test_cgp_stdout_and_work_per_piece(tmp_path, monkeypatch, make, auto, pieces, validations):
+    """stdout matches the per-piece assembly byte for byte; each piece is
+    validated once, plus once more when stabilized, and its linking data
+    is computed once."""
+    ctx = ScalarContext(6)
+    payload = make(ctx)
+    want = _per_piece_stdout(ctx, payload, auto)
+    assert ("auto-stabilized" in want) == auto
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(payload))
+    counts = {}
+    _count_calls(monkeypatch, sg, "validate_presentation", counts)
+    _count_calls(monkeypatch, sg, "_signature", counts)
+    code, out = run_cli(["cgp", str(path), *(["--auto-stabilize"] if auto else [])])
+    assert code == 0 and out == want
+    assert counts == {"validate_presentation": validations, "_signature": pieces}

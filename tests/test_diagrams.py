@@ -42,6 +42,16 @@ def test_validate_coupon_shape(ctx):
         assert msg is not None and "coupon" in msg
     else:
         assert msg is None
+    # the shape is the product of the letter dimensions; each letter's color
+    # is checked before it is counted
+    m = ctx.nilpotency
+    w3 = word((1, wc.Typical(GENERIC)), (-1, wc.Sigma(0)), (-1, wc.Typical(GENERIC2)))
+    assert dg.validate(ctx, dg.Diagram(w3, [[dg.coupon(w3, w3, np.eye(m * m))]])) is None
+    msg = dg.validate(ctx, dg.Diagram(w3, [[dg.coupon(w3, w, np.zeros((m, m * m + 1)))]]))
+    assert msg is not None and f"({m}, {m * m})" in msg
+    w0 = word((1, wc.Typical(0)))
+    with pytest.raises(wc.NonTypicalColor):
+        dg.validate(ctx, dg.Diagram(w0, [[dg.coupon(w0, w0, np.eye(m))]]))
 
 
 def test_compose_requires_matching_boundary(ctx):
@@ -148,7 +158,7 @@ def test_cut_identity_fixtures(ctx):
 
 def test_cut_requires_typical(ctx):
     s = fx.unknot(wc.Sigma(0))
-    with pytest.raises(dg.NotProjectiveEdge):
+    with pytest.raises(wc.NotProjective):
         dg.cut(ctx, s, 1, 0)
 
 

@@ -1,9 +1,13 @@
 import random
 from itertools import product
 
+import numpy as np
 import pytest
 
+from cgpkit import _linalg as la
 from cgpkit import state_spaces as ss
+from cgpkit import surgery as sg
+from cgpkit import surgery_fixtures as sfx
 from cgpkit import weightcat as wc
 from cgpkit.qscalars import ScalarContext
 
@@ -26,6 +30,49 @@ def test_genus1(ctx4, ctx6):
     assert ss.genus1_dim(ctx6, wc.Degree(0.3 + 0.4j)) == 3
     with pytest.raises(wc.CriticalDegree):
         ss.genus1_dim(ctx6, wc.Degree(1.0))
+
+
+def _random_generic_degrees(ctx, rng, n):
+    degs = []
+    while len(degs) < n:
+        g = wc.Degree(complex(round(rng.uniform(-3, 3), 6),
+                              rng.choice([0.0, round(rng.uniform(-1, 1), 6)])))
+        if not g.is_critical(ctx.tol):
+            degs.append(g)
+    return degs
+
+
+@pytest.mark.parametrize("r, precision", [(4, 53), (6, 53), (10, 53), (4, 106)])
+def test_genus1_equals_invariant_counts(r, precision):
+    """The index-set count equals the number of invariants in V_a^* (x) V_a
+    summed over the representatives a, by the intertwiner solver and by
+    the graded nullspace count."""
+    ctx = ScalarContext(r, precision=precision)
+    degs = [wc.Degree(0.5), wc.Degree(0.3 + 0.4j), *_random_generic_degrees(ctx, random.Random(r), 3)]
+    for g in degs:
+        words = [wc.ObjectWord([(-1, wc.Typical(a)), (1, wc.Typical(a))])
+                 for a in wc.index_set(ctx, g)]
+        want = ss.genus1_dim(ctx, g)
+        assert want == sum(len(wc.hom_basis(ctx, wc.EMPTY_WORD, w)) for w in words)
+        assert want == sum(wc.hom_dim_graded(ctx, w) for w in words)
+
+
+@pytest.mark.parametrize("r", [4, 6, 10])
+def test_genus1_equals_rank_of_cgp_pairing(r):
+    """Universal construction: solid tori with cores colored V_a, a over two
+    periods of the index set, paired in S^2 x S^1; the Gram matrix of CGP
+    values has rank dim V(T^2), and shifting both colors by a period
+    leaves it unchanged."""
+    ctx = ScalarContext(r)
+    m = ctx.nilpotency
+    g = wc.Degree(0.37 + 0.11j)
+    reps = wc.index_set(ctx, g)
+    colors = reps + [a + ctx.rbar for a in reps]
+    gram = np.array([[complex(sg.cgp(ctx, sfx.s1xs2_decorated_presentation(
+        ctx, 0.23 + 0.17j, [a, 2 * (m - 1) - b]))) for b in colors] for a in colors])
+    assert la.rank(ctx, gram) == ss.genus1_dim(ctx, g)
+    n = len(reps)
+    assert np.abs(gram[n:, n:] - gram[:n, :n]).max() <= 1e-12 * np.abs(gram).max()
 
 
 def test_genus2_formula_vs_bruteforce(ctx4):
@@ -168,7 +215,9 @@ def test_genus_n_makes_no_solver_call(monkeypatch, r, precision):
     want = ss.genus_n_dim(ctx, data, brute=True)
     for name in ("hom_basis", "realize", "hom_dim_graded"):
         monkeypatch.setattr(wc, name, _refuse)
+    monkeypatch.setattr(la, "nullspace", _refuse)
     assert ss.genus_n_dim(ctx, data) == want
+    assert ss.genus1_dim(ctx, wc.Degree(0.3 + 0.4j)) == ctx.rbar // 2
 
 
 @pytest.mark.parametrize("r", [4, 6, 10, 14])
