@@ -16,6 +16,11 @@ class NumericInstability(ArithmeticError):
     """A rank or integrality decision had no clear numerical gap."""
 
 
+# the smallest ratio between the singular values either side of the rank
+# cut that `rank` accepts as a clear gap
+RANK_GAP = 10.0
+
+
 def zeros(ctx: ScalarContext, shape):
     if ctx.high_precision:
         a = np.empty(shape, dtype=object)
@@ -59,72 +64,63 @@ def _from_mp_matrix(ctx: ScalarContext, m) -> np.ndarray:
     return a
 
 
+def svd(ctx: ScalarContext, a: np.ndarray, compute_uv: bool = True):
+    """Singular value decomposition a = u diag(s) vh[:k], k = min(a.shape).
+
+    s is in descending order.  vh is square, so for a wide a the
+    factorization is full (mpmath's as numpy's) and the rows of vh past
+    the rank span the right kernel; for a tall a the thin factors suffice.
+    With compute_uv false only s is returned.
+    """
+    wide = a.shape[0] < a.shape[1]
+    if not ctx.high_precision:
+        return np.linalg.svd(a, full_matrices=wide, compute_uv=compute_uv)
+    out = ctx._mp.svd_c(_to_mp_matrix(ctx, a), full_matrices=wide, compute_uv=compute_uv)
+    if not compute_uv:
+        return _from_mp_matrix(ctx, out).reshape(-1)
+    u, s, vh = (_from_mp_matrix(ctx, x) for x in out)
+    return u, s.reshape(-1), vh
+
+
+def _kept(ctx: ScalarContext, s, scale: float = 0.0) -> int:
+    """How many of the descending singular values s lie above the cut,
+    tol times the larger of s_max and an absolute scale."""
+    thresh = ctx.tol * max(float(s[0]), scale)
+    return sum(1 for x in s if x > thresh)
+
+
 def singular_values(ctx: ScalarContext, a: np.ndarray) -> list[float]:
     if a.size == 0:
         return []
-    if ctx.high_precision:
-        mp = ctx._mp
-        s = mp.svd_c(_to_mp_matrix(ctx, a), compute_uv=False)
-        return sorted((float(x) for x in s), reverse=True)
-    return sorted(np.linalg.svd(a, compute_uv=False).tolist(), reverse=True)
+    return [float(x) for x in svd(ctx, a, compute_uv=False)]
 
 
 def nullspace(ctx: ScalarContext, a: np.ndarray) -> list[np.ndarray]:
     """Orthonormal basis of the right kernel, rank cut at tol * s_max."""
     n = a.shape[1]
-    if n == 0:
-        return []
-    if a.shape[0] == 0 or a.size == 0:
+    if a.size == 0:
         return [c for c in eye(ctx, n).T]
-    if ctx.high_precision:
-        mp = ctx._mp
-        u, s, v = mp.svd_c(_to_mp_matrix(ctx, a))
-        smax = max((abs(s[i]) for i in range(s.rows)), default=0.0)
-        thresh = ctx.tol * max(float(smax), 1e-300)
-        vecs = []
-        vh = _from_mp_matrix(ctx, v)
-        svals = [float(s[i]) for i in range(s.rows)]
-        for i in range(n):
-            if i >= len(svals) or svals[i] <= thresh:
-                vecs.append(np.conjugate(vh[i, :]) if i < vh.shape[0] else None)
-        # mpmath returns v with rows = min(m,n); complete the basis if needed
-        if a.shape[0] < n:
-            return _nullspace_via_gram(ctx, a)
-        return [v for v in vecs if v is not None]
-    # a tall a only needs the thin factors: vh is n x n either way
-    u, s, vh = np.linalg.svd(a, full_matrices=a.shape[0] < n)
-    smax = s[0] if s.size else 0.0
-    thresh = ctx.tol * max(smax, 1e-300)
-    rank = int(np.sum(s > thresh))
-    return [np.conjugate(vh[i, :]) for i in range(rank, n)]
+    u, s, vh = svd(ctx, a)
+    return [np.conjugate(vh[i, :]) for i in range(_kept(ctx, s), n)]
 
 
-def _nullspace_via_gram(ctx: ScalarContext, a: np.ndarray) -> list[np.ndarray]:
-    # kernel of a == kernel of a^H a, which is square
-    g = np.conjugate(a.T) @ a
-    return nullspace(ctx, g)
-
-
-def rank(ctx: ScalarContext, a: np.ndarray, guard: float = 10.0,
-         scale: float = 0.0) -> int:
+def rank(ctx: ScalarContext, a: np.ndarray, scale: float = 0.0) -> int:
     """Numerical rank with an explicit gap requirement.
 
     The cut sits at tol times the larger of the top singular value and the
     caller-provided absolute scale; values above and below must be
-    separated by at least the guard factor, otherwise the decision is
+    separated by at least the factor RANK_GAP, otherwise the decision is
     refused.
     """
     s = singular_values(ctx, a)
     if not s or s[0] <= ctx.tol * scale:
         return 0
-    thresh = ctx.tol * max(s[0], scale)
-    above = [x for x in s if x > thresh]
-    below = [x for x in s if x <= thresh]
-    if above and below and below[0] > 0 and above[-1] / below[0] < guard:
+    k = _kept(ctx, s, scale)
+    if 0 < k < len(s) and s[k] > 0 and s[k - 1] / s[k] < RANK_GAP:
         raise NumericInstability(
-            f"ambiguous rank: singular values {above[-1]:.3e} vs {below[0]:.3e}"
+            f"ambiguous rank: singular values {s[k - 1]:.3e} vs {s[k]:.3e}"
         )
-    return len(above)
+    return k
 
 
 def inv(ctx: ScalarContext, a: np.ndarray) -> np.ndarray:
@@ -136,21 +132,13 @@ def inv(ctx: ScalarContext, a: np.ndarray) -> np.ndarray:
 def solve_lstsq(ctx: ScalarContext, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Minimum-norm least squares solve, used for section/coefficient fits.
 
-    At high precision the pseudo-inverse keeps the singular values above
-    tol * s_max, the cut of `rank`, so a rank-deficient system is solved
-    rather than divided by zero."""
-    if ctx.high_precision:
-        u, s, v = ctx._mp.svd_c(_to_mp_matrix(ctx, a))
-        u, v = _from_mp_matrix(ctx, u), _from_mp_matrix(ctx, v)
-        svals = [s[i] for i in range(s.rows)]
-        thresh = ctx.tol * max(svals, default=0)
-        # a = u diag(s) v, so x = v^H diag(1/s) u^H b over the kept values
-        x = zeros(ctx, a.shape[1])
-        for i, si in enumerate(svals):
-            if si > thresh:
-                x = x + np.conjugate(v[i, :]) * ((np.conjugate(u[:, i]) @ b) / si)
-        return x
-    return np.linalg.lstsq(a, b, rcond=None)[0]
+    The pseudo-inverse keeps the singular values above tol * s_max, the
+    cut of `rank`, so a rank-deficient system is solved rather than
+    divided by zero."""
+    u, s, vh = svd(ctx, a)
+    k = _kept(ctx, s)
+    # a = u diag(s) vh, so x = vh^H diag(1/s) u^H b over the kept values
+    return np.conjugate(vh[:k]).T @ ((np.conjugate(u[:, :k]).T @ b) / s[:k])
 
 
 def kron(ctx: ScalarContext, a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -122,7 +122,7 @@ class ScalarContext:
         on a canonical sign representative."""
         zc = complex(z)
         if zc.real < 0 or (zc.real == 0 and zc.imag < 0):
-            return -self.brace(-zc)
+            return -self.brace(-z)
         qz = self.q_power(z)
         return qz - 1 / qz
 

@@ -224,25 +224,12 @@ class WeightModule:
     """Concrete module: weight basis plus generator action matrices."""
 
     dim: int
-    weights: tuple[complex, ...]
+    weights: tuple[Scalar, ...]
     actH: np.ndarray
     actE: np.ndarray
     actF: np.ndarray
     actK: np.ndarray
     degree: Degree
-
-    def pivot(self, ctx: ScalarContext) -> np.ndarray:
-        """Action of the pivotal element K^{1-r/2}, diagonal on weights."""
-        p = la.zeros(ctx, (self.dim, self.dim))
-        for i, w in enumerate(self.weights):
-            p[i, i] = ctx.q_power(ctx.pivot_power * w)
-        return p
-
-    def pivot_inv(self, ctx: ScalarContext) -> np.ndarray:
-        p = la.zeros(ctx, (self.dim, self.dim))
-        for i, w in enumerate(self.weights):
-            p[i, i] = ctx.q_power(-ctx.pivot_power * w)
-        return p
 
     def actK_inv(self, ctx: ScalarContext) -> np.ndarray:
         p = la.zeros(ctx, (self.dim, self.dim))
@@ -260,6 +247,8 @@ def typical_module(ctx: ScalarContext, alpha: complex) -> WeightModule:
     alpha = complex(alpha)
     if not is_typical_weight(ctx, alpha):
         raise NonTypicalColor(f"weight {alpha} is not typical at level {ctx.r}")
+    # at working precision, so that alpha - 2n and alpha - n + 1 are exact
+    alpha = ctx.scalar(alpha)
     m = ctx.nilpotency
     weights = tuple(alpha - 2 * n for n in range(m))
     H = la.zeros(ctx, (m, m))
@@ -294,12 +283,11 @@ def dual_module(ctx: ScalarContext, M: WeightModule) -> WeightModule:
     """Dual action through the antipode: rho*(x) = rho(S(x))^T."""
     weights = tuple(-w for w in M.weights)
     H = la.zeros(ctx, (M.dim, M.dim))
-    K = la.zeros(ctx, (M.dim, M.dim))
     for i, w in enumerate(weights):
         H[i, i] = ctx.scalar(w)
-        K[i, i] = ctx.q_power(w)
-    Kinv = M.actK_inv(ctx)
-    E = -(M.actE @ Kinv).T
+    # K acts on the dual weights -w as K^{-1} on M, and S(E) = -E K^{-1}
+    K = M.actK_inv(ctx)
+    E = -(M.actE @ K).T
     F = -(M.actK @ M.actF).T
     return WeightModule(M.dim, weights, H, E, F, K, _degree_from_weights(weights))
 
@@ -415,55 +403,67 @@ def _power_nonzeros(ctx: ScalarContext, X: np.ndarray, top: int):
     return out
 
 
-def braiding(ctx: ScalarContext, V: WeightModule, W: WeightModule) -> np.ndarray:
-    """Braiding c_{V,W}: V(x)W -> W(x)V.
+@lru_cache(maxsize=None)
+def _theta_coefficients(ctx: ScalarContext, sign: int) -> tuple[Scalar, ...]:
+    """q^{sign b(b-1)/2} {sign}^b/[b]!, b < r/2: the coefficients of Theta
+    for sign +1 and of Theta-bar, Theta with q -> q^{-1}, for sign -1."""
+    return tuple(ctx.q_power(sign * b * (b - 1) / 2) * ctx.brace(sign) ** b / ctx.qfact_nonzero(b)
+                 for b in range(ctx.nilpotency))
+
+
+def _braiding(ctx: ScalarContext, V: WeightModule, W: WeightModule, sign: int) -> np.ndarray:
+    """c_{V,W}: V(x)W -> W(x)V for sign +1, its inverse for sign -1.
 
     c = swap o (Cartan factor q^{lambda*mu/2}) o Theta, with the truncated
-    quasi-R-matrix Theta = sum_b q^{b(b-1)/2} {1}^b/[b]! E^b (x) F^b.
-    Only the nonzero products of E^b and F^b entries are formed; on the
-    weight basis of a simple module each power has at most one nonzero per
-    column.  With lambda = lambda_0 + 2a and mu = mu_0 + 2b (integers a, b)
-    the Cartan factor is q^{lambda_0 mu_0/2} (q^{mu_0})^a (q^{lambda_0})^b
-    (q^2)^{ab}: four q_power calls per braiding, not one per row.  The swap
-    is an index permutation of the rows.
+    quasi-R-matrix Theta = sum_b q^{b(b-1)/2} {1}^b/[b]! E^b (x) F^b, a
+    q-exponential in the nilpotent E (x) F.  Its inverse is Theta-bar,
+    Theta with q -> q^{-1}, so c^{-1} = Theta-bar o (Cartan factor)^{-1} o
+    swap^{-1} has the nonzeros of c and nothing is inverted.  Only the
+    nonzero products of E^b and F^b entries are formed; on the weight basis
+    of a simple module each power has at most one nonzero per column.  With
+    lambda = lambda_0 + 2a and mu = mu_0 + 2b (integers a, b) the Cartan
+    factor is q^{lambda_0 mu_0/2} (q^{mu_0})^a (q^{lambda_0})^b (q^2)^{ab}:
+    four q_power calls per braiding, not one per row.  The swap permutes
+    the rows of c and the columns of c^{-1}.
     """
     dV, dW, m = V.dim, W.dim, ctx.nilpotency
     a, b = _weight_steps(ctx, V), _weight_steps(ctx, W)
-    lam0, mu0 = complex(V.weights[0]), complex(W.weights[0])
-    q2 = _powers(ctx, ctx.q_power(2), range(m))
-    cartan = (np.multiply.outer(_powers(ctx, ctx.q_power(mu0), a),
-                                _powers(ctx, ctx.q_power(lam0), b))
+    lam0, mu0 = V.weights[0], W.weights[0]
+    q2 = _powers(ctx, ctx.q_power(sign * 2), range(m))
+    cartan = (np.multiply.outer(_powers(ctx, ctx.q_power(sign * mu0), a),
+                                _powers(ctx, ctx.q_power(sign * lam0), b))
               * q2[np.multiply.outer(a, b) % m]
-              * ctx.q_power(ctx.scalar(lam0) * ctx.scalar(mu0) / 2)).reshape(-1)
+              * ctx.q_power(sign * ctx.scalar(lam0) * ctx.scalar(mu0) / 2)).reshape(-1)
     # row i*dW + j of Theta (weights lambda_i, mu_j) is row j*dV + i of c
     swap = np.arange(dV * dW).reshape(dW, dV).T.reshape(-1)
+    theta = _theta_coefficients(ctx, sign)
     out = la.zeros(ctx, (dW * dV, dV * dW))
     powers = zip(_power_nonzeros(ctx, V.actE, m - 1), _power_nonzeros(ctx, W.actF, m - 1))
     for k, ((ei, ej, ev), (fi, fj, fv)) in enumerate(powers):
-        coeff = ctx.q_power(k * (k - 1) / 2) * ctx.brace(1) ** k / ctx.qfact_nonzero(k)
         rows = np.add.outer(ei * dW, fi).reshape(-1)
         cols = np.add.outer(ej * dW, fj).reshape(-1)
-        vals = np.multiply.outer(ev, fv).reshape(-1) * coeff
-        out[swap[rows], cols] += vals * cartan[rows]
+        vals = np.multiply.outer(ev, fv).reshape(-1) * theta[k]
+        if sign > 0:
+            out[swap[rows], cols] += vals * cartan[rows]
+        else:
+            out[rows, swap[cols]] += vals * cartan[cols]
     return out
+
+
+def braiding(ctx: ScalarContext, V: WeightModule, W: WeightModule) -> np.ndarray:
+    """Braiding c_{V,W}: V(x)W -> W(x)V."""
+    return _braiding(ctx, V, W, 1)
 
 
 def braiding_inv(ctx: ScalarContext, V: WeightModule, W: WeightModule) -> np.ndarray:
-    """Inverse braiding (c_{V,W})^{-1}: W(x)V -> V(x)W by matrix inversion.
+    """Inverse braiding (c_{V,W})^{-1}: W(x)V -> V(x)W, built from Theta-bar."""
+    return _braiding(ctx, V, W, -1)
 
-    The braiding preserves total weight, so it is inverted one total-weight
-    block at a time; for simple V and W each block is at most
-    min(dim V, dim W) square.
-    """
-    c = braiding(ctx, V, W)
-    a, b = _weight_steps(ctx, V), _weight_steps(ctx, W)
-    src = np.add.outer(a, b).reshape(-1)  # weight steps of V(x)W
-    dst = np.add.outer(b, a).reshape(-1)  # weight steps of W(x)V
-    out = la.zeros(ctx, c.shape)
-    for s in set(src.tolist()):
-        cols, rows = np.flatnonzero(src == s), np.flatnonzero(dst == s)
-        out[cols[:, None], rows] = la.inv(ctx, c[rows[:, None], cols])
-    return out
+
+def _pivot(ctx: ScalarContext, M: WeightModule, sign: int) -> np.ndarray:
+    """Diagonal of the pivotal element K^{1-r/2} (sign +1) or of its
+    inverse (sign -1) on the weight basis of M."""
+    return la.asarray(ctx, [ctx.q_power(sign * ctx.pivot_power * w) for w in M.weights])
 
 
 def ev_coev(ctx: ScalarContext, M: WeightModule, flavor: str) -> np.ndarray:
@@ -477,45 +477,22 @@ def ev_coev(ctx: ScalarContext, M: WeightModule, flavor: str) -> np.ndarray:
     The right flavors carry the pivot K^{1-r/2}; the left flavors are free
     of it.  Zig-zag identities hold by construction.
     """
+    sign = {"ev_l": 0, "coev_l": 0, "ev_r": 1, "coev_r": -1}.get(flavor)
+    if sign is None:
+        raise ValueError(f"unknown flavor {flavor!r}")
     d = M.dim
-    if flavor == "ev_l":
-        out = la.zeros(ctx, (1, d * d))
-        for i in range(d):
-            out[0, i * d + i] = ctx.scalar(1)
-        return out
-    if flavor == "coev_l":
-        out = la.zeros(ctx, (d * d, 1))
-        for i in range(d):
-            out[i * d + i, 0] = ctx.scalar(1)
-        return out
-    if flavor == "ev_r":
-        out = la.zeros(ctx, (1, d * d))
-        for i, w in enumerate(M.weights):
-            out[0, i * d + i] = ctx.q_power(ctx.pivot_power * w)
-        return out
-    if flavor == "coev_r":
-        out = la.zeros(ctx, (d * d, 1))
-        for i, w in enumerate(M.weights):
-            out[i * d + i, 0] = ctx.q_power(-ctx.pivot_power * w)
-        return out
-    raise ValueError(f"unknown flavor {flavor!r}")
+    # entry i*d + i pairs basis vector i with dual basis vector i
+    out = la.zeros(ctx, d * d)
+    out[::d + 1] = _pivot(ctx, M, sign) if sign else ctx.scalar(1)
+    return out.reshape((1, d * d) if flavor.startswith("ev") else (d * d, 1))
 
 
 def twist(ctx: ScalarContext, V: WeightModule) -> np.ndarray:
-    """theta_V = (id (x) ev_r) o (c_{V,V} (x) id) o (id (x) coev_l).
-
-    Equals the pivot-weighted right partial trace of the self-braiding; a
-    scalar multiple of the identity on simple modules.
+    """theta_V = (id (x) ev_r) o (c_{V,V} (x) id) o (id (x) coev_l): the
+    pivot-weighted right partial trace of the self-braiding; a scalar
+    multiple of the identity on simple modules.
     """
-    c = braiding(ctx, V, V)
-    d = V.dim
-    out = la.zeros(ctx, (d, d))
-    for k, w in enumerate(V.weights):
-        pk = ctx.q_power(ctx.pivot_power * w)
-        for a in range(d):
-            for j in range(d):
-                out[a, j] += c[a * d + k, j * d + k] * pk
-    return out
+    return partial_trace_right(ctx, braiding(ctx, V, V), V.dim, V)
 
 
 def scalar_of(ctx: ScalarContext, f: np.ndarray) -> Scalar:
@@ -536,8 +513,7 @@ def partial_trace_right(ctx: ScalarContext, f: np.ndarray, dA: int, B: WeightMod
     """tr_r on End(A (x) B): close the B factor with the right evaluation."""
     dB = B.dim
     out = la.zeros(ctx, (dA, dA))
-    for b, w in enumerate(B.weights):
-        pb = ctx.q_power(ctx.pivot_power * w)
+    for b, pb in enumerate(_pivot(ctx, B, 1)):
         out += f[b::dB, b::dB] * pb
     return out
 
@@ -546,8 +522,7 @@ def partial_trace_left(ctx: ScalarContext, f: np.ndarray, A: WeightModule, dB: i
     """tr_l on End(A (x) B): close the A factor with the left evaluation."""
     dA = A.dim
     out = la.zeros(ctx, (dB, dB))
-    for a, w in enumerate(A.weights):
-        pa = ctx.q_power(-ctx.pivot_power * w)
+    for a, pa in enumerate(_pivot(ctx, A, -1)):
         out += f[a * dB:(a + 1) * dB, a * dB:(a + 1) * dB] * pa
     return out
 
@@ -779,8 +754,7 @@ class InvariantConstants:
 
 
 @lru_cache(maxsize=None)
-def constants(ctx: ScalarContext, probe_g: Degree | None = None,
-              probe_alpha: complex | None = None) -> InvariantConstants:
+def constants(ctx: ScalarContext) -> InvariantConstants:
     """Global constants from meridian evaluations.
 
     Delta_-/Delta_+ are the scalars of the Kirby-colored -1/+1 framed
@@ -789,17 +763,15 @@ def constants(ctx: ScalarContext, probe_g: Degree | None = None,
     theta_{V_i}^{-+1}) on a 0-framed meridian, not as a drawn curl.  zeta
     is extracted from the double-strand projector figure; D is the
     principal square root of Delta_- Delta_+, eta = |Z/Z_+|/D and
-    delta = Delta_+/D.  Values are memoized per context and probe.
+    delta = Delta_+/D.  The values do not depend on the probe, here
+    V_{1/2} and the degree 1/2; they are memoized per context.
     """
     from . import fixtures  # local import; fixtures builds on diagrams/rt_eval
 
-    if probe_g is None:
-        probe_g = Degree(0.5 + 0.0j)
-    if probe_alpha is None:
-        probe_alpha = complex(probe_g.reduced())
-    dm = fixtures.stabilization_coefficient(ctx, probe_alpha, framing=-1)
-    dp = fixtures.stabilization_coefficient(ctx, probe_alpha, framing=+1)
-    zeta = fixtures.relative_modularity_scalar(ctx, probe_g)
+    probe = 0.5 + 0.0j
+    dm = fixtures.stabilization_coefficient(ctx, probe, framing=-1)
+    dp = fixtures.stabilization_coefficient(ctx, probe, framing=+1)
+    zeta = fixtures.relative_modularity_scalar(ctx, Degree(probe))
     nz = z_mod_zplus(ctx)
     D = _principal_sqrt(ctx, dm * dp)
     return InvariantConstants(

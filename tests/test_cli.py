@@ -113,6 +113,13 @@ def test_check_command(argv):
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip().splitlines()[-1] == "all checks passed"
+    if "--precision" in argv:
+        # the module weights are formed at working precision
+        devs = {name: float(detail.split()[-1])
+                for _, name, detail in (line.split("  ") for line in proc.stdout.splitlines()[:-1])}
+        for name in ("algebra relations (typical)", "algebra relations (dual)",
+                     "algebra relations (tensor)", "twist self-duality"):
+            assert devs[name] < 1e-28, (name, devs[name])
 
 
 def test_moddim_command():

@@ -46,6 +46,17 @@ def test_module_relations_suite(ctx):
         assert wc.check_module_relations(ctx, M) < 1e-9
 
 
+@pytest.mark.parametrize("r", [4, 6, 10])
+def test_module_relations_at_working_precision(r):
+    # non-dyadic weights: alpha - 2n and alpha - n + 1 are formed at 106 bits
+    # (at r = 10 some alpha - n + 1 are inexact in double)
+    hp = ScalarContext(r, precision=106)
+    V = wc.typical_module(hp, GENERIC)
+    W = wc.typical_module(hp, GENERIC2)
+    for M in (V, wc.dual_module(hp, V), wc.tensor_module(hp, V, W)):
+        assert wc.check_module_relations(hp, M) < 1e-28
+
+
 def test_realize_examples(ctx):
     unit = wc.realize(ctx, wc.ObjectWord([(1, wc.Sigma(0))]))
     assert unit.dim == 1 and abs(unit.actH[0, 0]) < 1e-15
@@ -354,10 +365,19 @@ def test_pivot_loop_is_categorical_dimension(ctx):
     # coevaluation traces the pivot
     for letter in ((1, wc.Typical(GENERIC)), (1, wc.Sigma(ctx.rbar))):
         M = wc.realize_letter(ctx, letter)
+        pivot = [ctx.q_power((1 - ctx.r // 2) * w) for w in M.weights]
         loop = (wc.ev_coev(ctx, M, "ev_r") @ wc.ev_coev(ctx, M, "coev_l"))[0, 0]
-        assert abs(loop - np.trace(np.asarray(M.pivot(ctx), dtype=complex))) < 1e-12
+        assert abs(loop - sum(pivot)) < 1e-12
         back = (wc.ev_coev(ctx, M, "ev_l") @ wc.ev_coev(ctx, M, "coev_r"))[0, 0]
-        assert abs(back - np.trace(np.asarray(M.pivot_inv(ctx), dtype=complex))) < 1e-12
+        assert abs(back - sum(1 / p for p in pivot)) < 1e-12
+        # the partial traces weight an endomorphism's diagonal the same two
+        # ways (on the identity both give the vanishing quantum dimension)
+        t = np.arange(1, M.dim + 1)
+        f = np.diag(t).astype(complex)
+        tr_r = sum(x * p for x, p in zip(t, pivot))
+        tr_l = sum(x / p for x, p in zip(t, pivot))
+        assert abs(wc.partial_trace_right(ctx, f, 1, M)[0, 0] - tr_r) < 1e-12
+        assert abs(wc.partial_trace_left(ctx, f, M, 1)[0, 0] - tr_l) < 1e-12
 
 
 def test_double_braiding_trivial_on_sigma_pair(ctx):
@@ -381,9 +401,10 @@ def test_modified_trace_rejects_non_scalar_reduction(ctx):
 
 def test_constants_explicit_probe(ctx):
     c1 = wc.constants(ctx)
-    c2 = wc.constants(ctx, wc.Degree(0.7 + 0.3j), 0.7 + 0.3j)
-    assert abs(c1.delta_minus - c2.delta_minus) < 1e-9 * max(1, abs(c1.delta_minus))
-    assert abs(c1.zeta - c2.zeta) < 1e-9 * max(1, abs(c1.zeta))
+    dm2 = fx.stabilization_coefficient(ctx, 0.7 + 0.3j, framing=-1)
+    zeta2 = fx.relative_modularity_scalar(ctx, wc.Degree(0.7 + 0.3j))
+    assert abs(c1.delta_minus - dm2) < 1e-9 * max(1, abs(c1.delta_minus))
+    assert abs(c1.zeta - zeta2) < 1e-9 * max(1, abs(c1.zeta))
 
 
 from hypothesis import given, settings
@@ -463,8 +484,8 @@ def _max_rel(x, y):
     (4, 53, 1e-12), (6, 53, 1e-12), (10, 53, 1e-12), (4, 106, 1e-28), (6, 106, 1e-28)])
 def test_braiding_matches_dense_oracle(r, precision, tol):
     ctx = ScalarContext(r, precision=precision)
-    a, b = (GENERIC, GENERIC2) if precision == 53 else (DYADIC, DYADIC2)
-    for la_, lb in _letter_pairs(ctx, a, b):
+    weights = [(GENERIC, GENERIC2)] + ([(DYADIC, DYADIC2)] if precision > 53 else [])
+    for la_, lb in (p for a, b in weights for p in _letter_pairs(ctx, a, b)):
         V, W = wc.realize_letter(ctx, la_), wc.realize_letter(ctx, lb)
         c = wc.braiding(ctx, V, W)
         assert _max_rel(c, _braiding_oracle(ctx, V, W)) < tol, (la_, lb)
@@ -482,9 +503,9 @@ def test_twist_folded_stabilization_matches_curled_figure(r):
         want = _curled_stabilization_oracle(ctx, GENERIC, framing)
         assert abs(got - want) <= 1e-11 * abs(want)
     hp = ScalarContext(min(r, 6), precision=106)
-    for framing in (-1, 1):
-        got = fx.stabilization_coefficient(hp, 0.5, framing)
-        want = _curled_stabilization_oracle(hp, 0.5, framing)
+    for alpha, framing in itertools.product((0.5, GENERIC), (-1, 1)):
+        got = fx.stabilization_coefficient(hp, alpha, framing)
+        want = _curled_stabilization_oracle(hp, alpha, framing)
         assert abs(got - want) <= 1e-28 * abs(want)
 
 
@@ -494,6 +515,37 @@ def test_constants_r10_high_precision_match_53_bits():
     for name in ("delta_minus", "delta_plus", "zeta", "D"):
         want = getattr(lo, name)
         assert abs(complex(getattr(hi, name)) - want) <= 1e-9 * abs(want), name
+
+
+def test_nothing_is_inverted_at_run_time(monkeypatch):
+    """Inverse braidings come from Theta-bar: a cold set-up of the constants
+    and every inverse braiding of the letter pairs run with `la.inv`
+    refusing."""
+    def _refuse(*args):
+        raise AssertionError("la.inv called")
+
+    monkeypatch.setattr(la, "inv", _refuse)
+    rt_eval._cell_matrix_cached.cache_clear()
+    for ctx in (ScalarContext(4), ScalarContext(4, precision=106)):
+        wc.constants.__wrapped__(ctx)
+        for la_, lb in _letter_pairs(ctx, GENERIC, GENERIC2):
+            wc.braiding_inv(ctx, wc.realize_letter(ctx, la_), wc.realize_letter(ctx, lb))
+
+
+@pytest.mark.parametrize("precision", [53, 106])
+def test_nullspace_cuts_at_tol_times_top_singular_value(precision):
+    """A 3 x 5 matrix with singular values (1, 1, 1e-6) has rank 3 at the
+    cut tol * s_max = 1e-9, so a two-dimensional kernel."""
+    ctx = ScalarContext(4, precision=precision)
+    rng = np.random.default_rng(13)
+    u = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))[0]
+    v = np.linalg.qr(rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5)))[0]
+    a = la.asarray(ctx, u @ np.diag([1.0, 1.0, 1e-6]) @ v[:3])
+    kernel = la.nullspace(ctx, a)
+    assert len(kernel) == 2
+    assert la.rank(ctx, a) == 3
+    for x in kernel:
+        assert la.norm_inf(a @ x) < 1e-12
 
 
 def test_high_precision_products_keep_the_array_on_the_left(monkeypatch):
