@@ -3,9 +3,11 @@
 A diagram is a tuple of slices read bottom to top; each slice is a tuple
 of cells acting on adjacent groups of letters of the current boundary
 word.  Cells are the elementary tangles: identities, the two crossings,
-the four cup/cap flavors, and coupons holding explicit matrices.  Framing
-is blackboard: a framing change is a curl built out of a cap, a
-self-crossing and a cup, which evaluates to the twist.
+the four cup/cap flavors, the two twists and coupons holding explicit
+matrices.  Framing is blackboard, and a framing change on a strand is one
+twist cell, `tpos` or `tneg`, which evaluates to theta^{+-1}: what a curl
+drawn as a cap, a self-crossing and a cup evaluates to, two letters
+narrower.  Linking data read a twist cell as that curl's self-crossing.
 
 Diagrams are immutable: every edit returns a new diagram.  Each diagram
 computes its boundary words and its strand components once, on first
@@ -68,7 +70,7 @@ def flip(letter: Letter) -> Letter:
 class Cell:
     """One elementary tangle piece inside a slice."""
 
-    kind: str  # id | xpos | xneg | cup_l | cup_r | cap_l | cap_r | coupon
+    kind: str  # id | tpos | tneg | xpos | xneg | cup_l | cup_r | cap_l | cap_r | coupon
     letters: tuple[Letter, ...] = ()
     domain: ObjectWord | None = None
     codomain: ObjectWord | None = None
@@ -76,7 +78,7 @@ class Cell:
 
     def in_letters(self) -> tuple[Letter, ...]:
         k = self.kind
-        if k == "id":
+        if k in ("id", "tpos", "tneg"):
             return (self.letters[0],)
         if k in ("xpos", "xneg"):
             return self.letters
@@ -92,7 +94,7 @@ class Cell:
 
     def out_letters(self) -> tuple[Letter, ...]:
         k = self.kind
-        if k == "id":
+        if k in ("id", "tpos", "tneg"):
             return (self.letters[0],)
         if k in ("xpos", "xneg"):
             return (self.letters[1], self.letters[0])
@@ -132,7 +134,8 @@ Slice = tuple[Cell, ...]
 # where each of a cell's letters sits: (0, t) is input port t of the cell,
 # (1, t) output port t
 _LETTER_PORTS = {
-    "id": ((0, 0),), "xpos": ((0, 0), (0, 1)), "xneg": ((0, 0), (0, 1)),
+    "id": ((0, 0),), "tpos": ((0, 0),), "tneg": ((0, 0),),
+    "xpos": ((0, 0), (0, 1)), "xneg": ((0, 0), (0, 1)),
     "cup_l": ((0, 1),), "cup_r": ((0, 0),), "cap_l": ((1, 0),), "cap_r": ((1, 1),),
 }
 
@@ -259,19 +262,13 @@ class Diagram:
 
         for placed in self._placed_cells():
             ins, outs = _ports(*placed)
-            k = placed[3].kind
-            if k == "id":
-                union(ins[0], outs[0])
-            elif k in ("xpos", "xneg"):
+            if placed[3].kind in ("xpos", "xneg"):
                 union(ins[0], outs[1])
                 union(ins[1], outs[0])
-            elif k in ("cup_l", "cup_r"):
-                union(ins[0], ins[1])
-            elif k in ("cap_l", "cap_r"):
-                union(outs[0], outs[1])
-            elif k == "coupon":
-                for p in ins[1:] + outs:
-                    union(ins[0] if ins else outs[0], p)
+            else:
+                # every other cell is one strand, or a coupon joining its legs
+                for p in (ins + outs)[1:]:
+                    union((ins + outs)[0], p)
         roots: dict[tuple[int, int], int] = {}
         self._cache(comp=MappingProxyType(
             {p: roots.setdefault(find(p), len(roots)) for p in parent}))
@@ -329,14 +326,16 @@ class Diagram:
             lambda letter, port: (letter[0], new) if letter[1] == old else letter)
 
     def crossing_records(self) -> list[tuple[int, int, int, Color, Color]]:
-        """(comp a, comp b, sign, color a, color b) for every crossing."""
+        """(comp a, comp b, sign, color a, color b) for every crossing; a
+        twist cell counts as the self-crossing of the curl it stands for."""
         comp = self.ports_and_components()
         out = []
         for s, pin, _, cell in self._placed_cells():
-            if cell.kind in ("xpos", "xneg"):
-                (e1, col1), (e2, col2) = cell.letters
-                sign = e1 * e2 * (1 if cell.kind == "xpos" else -1)
-                out.append((comp[(s, pin)], comp[(s, pin + 1)], sign, col1, col2))
+            if cell.kind in ("xpos", "xneg", "tpos", "tneg"):
+                (e1, col1), (e2, col2) = cell.letters[0], cell.letters[-1]
+                sign = e1 * e2 * (1 if cell.kind.endswith("pos") else -1)
+                out.append((comp[(s, pin)], comp[(s, pin + len(cell.letters) - 1)],
+                            sign, col1, col2))
         return out
 
     def component_colors(self) -> dict[int, Color]:
@@ -553,13 +552,9 @@ def apply_cell(d: Diagram, pos: int, cell: Cell) -> Diagram:
 
 
 def add_curl(d: Diagram, pos: int, positive: bool) -> Diagram:
-    """Framing kink on the strand at letter position pos (one full twist)."""
-    w = d.target
-    letter = w[pos]
-    out = apply_cell(d, pos + 1, cap(letter, left=True))
-    out = apply_cell(out, pos, cross(letter, letter, positive=positive))
-    out = apply_cell(out, pos + 1, cup(letter, left=False))
-    return out
+    """Framing change +-1 on the strand at letter position pos: one twist
+    cell, theta^{+-1}."""
+    return apply_cell(d, pos, Cell("tpos" if positive else "tneg", (d.target[pos],)))
 
 
 def encircle(d: Diagram, span: tuple[int, int], color: Color, framing: int = 0,
@@ -568,8 +563,8 @@ def encircle(d: Diagram, span: tuple[int, int], color: Color, framing: int = 0,
 
     The circle crosses the enclosed strands once in front and once behind,
     linking each enclosed strand by its orientation sign.  Framing is
-    realized by curls on the circle.  Returns the new diagram; the circle
-    is the component of the freshly created letters.
+    |framing| twist cells on the circle.  Returns the new diagram; the
+    circle is the component of the freshly created letters.
     """
     i, j = span
     w = d.target
@@ -577,7 +572,7 @@ def encircle(d: Diagram, span: tuple[int, int], color: Color, framing: int = 0,
         raise ValueError("span out of range")
     mer = (sign, color)
     out = apply_cell(d, i, cap(mer, left=False))  # creates (flip mer, mer) at i
-    # meridian letter sits at position i+1; curls for framing
+    # meridian letter sits at position i+1; twists for framing
     for _ in range(abs(framing)):
         out = add_curl(out, i + 1, positive=framing > 0)
     # pass in front (over) of the enclosed letters, left to right
@@ -808,6 +803,7 @@ def cell_to_json(cell: Cell):
 
 
 def cell_from_json(obj) -> Cell:
+    """ValueError on an unknown kind or on a letter count it does not take."""
     kind = obj["kind"]
     if kind == "coupon":
         return coupon(
@@ -815,7 +811,10 @@ def cell_from_json(obj) -> Cell:
             ObjectWord([letter_from_json(l) for l in obj["codomain"]]),
             _matrix_from_json(obj["matrix"]),
         )
-    return Cell(kind, tuple(letter_from_json(l) for l in obj["letters"]))
+    letters = tuple(letter_from_json(l) for l in obj["letters"])
+    if kind not in _LETTER_PORTS or len(letters) != len(_LETTER_PORTS[kind]):
+        raise ValueError(f"bad cell: kind {kind!r} with {len(letters)} letters")
+    return Cell(kind, letters)
 
 
 def diagram_to_json(d: Diagram):

@@ -1,6 +1,6 @@
-"""Reusable diagram fixtures: unknots, curls, meridians, braid closures,
-and the meridian figures that define the stabilization coefficients and
-the relative modularity scalar.
+"""Reusable diagram fixtures: unknots, meridians and braid closures,
+framed by twist cells (`dg.add_curl`), and the meridian figures that
+define the stabilization coefficients and the relative modularity scalar.
 """
 
 from __future__ import annotations
@@ -19,7 +19,8 @@ def strand(color: wc.Color, sign: int = 1) -> dg.Diagram:
 
 
 def unknot(color: wc.Color, framing: int = 0, sign: int = 1) -> dg.Diagram:
-    """Closed circle with blackboard framing realized by curls."""
+    """Closed circle; its framing is |framing| twist cells, so it is two
+    letters wide at any framing."""
     d = dg.Diagram(wc.ObjectWord(()), [])
     letter = (sign, color)
     d = dg.apply_cell(d, 0, dg.cap(letter, left=True))
@@ -35,7 +36,7 @@ def braid_closure(color: wc.Color, n: int, word: list[int],
 
     word entries are +-k for the positive/negative crossing of strands
     (k-1, k), 1-indexed.  curls is a list of (strand position, +-1) framing
-    kinks inserted after the braid.
+    changes, twist cells inserted after the braid.
     """
     letter = (1, color)
     d = dg.Diagram(wc.ObjectWord(()), [])
@@ -55,7 +56,7 @@ def braid_closure(color: wc.Color, n: int, word: list[int],
 
 def trefoil(color: wc.Color, framing: int = 0) -> dg.Diagram:
     """Right-handed trefoil; the closure of the cubed positive 2-braid has
-    writhe +3, compensated down to the requested framing by curls."""
+    writhe +3, compensated down to the requested framing by twist cells."""
     return braid_closure(color, 2, [1, 1, 1],
                          curls=[(0, -1)] * (3 - framing) if framing <= 3 else
                                [(0, 1)] * (framing - 3))
@@ -101,28 +102,16 @@ def stabilization_coefficient(ctx: ScalarContext, probe_alpha: complex,
     evaluates to Delta_+ times a -1 twist.  Blowing the meridian down
     twists the strand, so the extraction divides the compensating twist
     back out.  The result is independent of the probe.
-
-    The meridian's +-1 framing curl is not drawn: on a strand colored by
-    a simple module V_i a curl is the twist scalar theta_{V_i}^{+-1}, so
-    the figure is the 0-framed meridian with each Kirby coefficient
-    weighted by theta_{V_i}^framing.
     """
     if framing not in (-1, 1):
         raise ValueError("stabilization coefficient needs framing +-1")
     probe = wc.Typical(complex(probe_alpha))
     g = wc.color_degree(ctx, probe)
     index = g if framing < 0 else wc.Degree(-g.g)
-    omega = wc.FormalColorSum(tuple(
-        (coeff * _twist_scalar(ctx, color) ** framing, color)
-        for coeff, color in wc.kirby_color(ctx, index).terms))
-    d = dg.encircle(strand(probe), (0, 1), wc.Kirby(index.g, terms=omega))
+    d = dg.encircle(strand(probe), (0, 1), wc.Kirby(index.g), framing)
     fig = wc.scalar_of(ctx, rt_eval.evaluate_formal(ctx, d))
-    theta = _twist_scalar(ctx, probe)
+    theta = wc.twist(ctx, wc.realize_letter(ctx, (1, probe)))[0, 0]
     return fig / theta if framing < 0 else fig * theta
-
-
-def _twist_scalar(ctx: ScalarContext, color: wc.Color) -> Scalar:
-    return wc.twist(ctx, wc.realize_letter(ctx, (1, color)))[0, 0]
 
 
 def relative_modularity_matrix(ctx: ScalarContext, wi: complex, wj: complex,

@@ -69,15 +69,20 @@ def _colspace(basis: np.ndarray, tol: float) -> np.ndarray:
     return q
 
 
+def _svd_rank(m: np.ndarray, tol: float, full: bool = False):
+    """u, vh and the numerical rank of m: the singular values above
+    tol * max(1, s_max).  `full` gives the whole kernel in vh[rank:]."""
+    u, s, vh = np.linalg.svd(m, full_matrices=full)
+    return u, vh, int(np.sum(s > tol * max(1.0, s[0] if s.size else 0.0)))
+
+
 def _span_basis(space: SymplecticSpace, vectors: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the span of the given columns (may be rank
     deficient)."""
     vectors = np.atleast_2d(vectors)
-    if vectors.shape[1] == 0:
+    if vectors.size == 0:
         return vectors.reshape(space.dim, 0)
-    u, s, _ = np.linalg.svd(vectors, full_matrices=False)
-    smax = s[0] if s.size else 0.0
-    rank = int(np.sum(s > space.tol * max(1.0, smax)))
+    u, _, rank = _svd_rank(vectors, space.tol)
     return u[:, :rank]
 
 
@@ -86,10 +91,7 @@ def perp(space: SymplecticSpace, basis: np.ndarray) -> np.ndarray:
     basis = np.atleast_2d(basis)
     if basis.shape[1] == 0:
         return np.eye(space.dim)
-    a = basis.T @ space.form
-    _, s, vh = np.linalg.svd(a)
-    smax = s[0] if s.size else 0.0
-    rank = int(np.sum(s > space.tol * max(1.0, smax)))
+    _, vh, rank = _svd_rank(basis.T @ space.form, space.tol, full=True)
     return vh[rank:, :].T
 
 
@@ -148,27 +150,17 @@ def contract(space: SymplecticSpace, b_basis: np.ndarray,
     a = _span_basis(space, np.atleast_2d(a_basis))
     b = np.atleast_2d(b_basis)
     ba = _span_basis(space, np.concatenate([b, a], axis=1) if a.shape[1] else b)
-    cap = _intersect(ba, perp(space, a), space.tol)
+    cap = _intersect(space, ba, perp(space, a))
     coords = quo.lift.T @ cap
-    return _span_basis(quo.space, coords) if coords.size else coords.reshape(quo.space.dim, 0), quo
+    return _span_basis(quo.space, coords), quo
 
 
-def _intersect(a: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray:
+def _intersect(space: SymplecticSpace, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Intersection of two column spans via the kernel of [a, -b]."""
     if a.shape[1] == 0 or b.shape[1] == 0:
         return np.zeros((a.shape[0], 0))
-    m = np.concatenate([a, -b], axis=1)
-    _, s, vh = np.linalg.svd(m)
-    smax = s[0] if s.size else 0.0
-    rank = int(np.sum(s > tol * max(1.0, smax)))
-    null = vh[rank:, :].T
-    vecs = a @ null[:a.shape[1], :]
-    if vecs.size == 0:
-        return np.zeros((a.shape[0], 0))
-    u, s2, _ = np.linalg.svd(vecs, full_matrices=False)
-    smax2 = s2[0] if s2.size else 0.0
-    rank2 = int(np.sum(s2 > tol * max(1.0, smax2)))
-    return u[:, :rank2]
+    _, vh, rank = _svd_rank(np.concatenate([a, -b], axis=1), space.tol, full=True)
+    return _span_basis(space, a @ vh[rank:, :a.shape[1]].T)
 
 
 def maslov_index(space: SymplecticSpace, l1: np.ndarray, l2: np.ndarray,
@@ -181,9 +173,9 @@ def maslov_index(space: SymplecticSpace, l1: np.ndarray, l2: np.ndarray,
     b2 = _colspace(np.atleast_2d(l2), space.tol)
     b3 = _colspace(np.atleast_2d(l3), space.tol)
     l23 = _span_basis(space, np.concatenate([b2, b3], axis=1))
-    top = _intersect(b1, l23, space.tol)
+    top = _intersect(space, b1, l23)
     bot = _span_basis(space, np.concatenate(
-        [_intersect(b1, b2, space.tol), _intersect(b1, b3, space.tol)], axis=1))
+        [_intersect(space, b1, b2), _intersect(space, b1, b3)], axis=1))
     # W = top / bot: complement of bot inside top
     if top.shape[1] == 0:
         return 0

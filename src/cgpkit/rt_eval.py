@@ -50,6 +50,8 @@ def _cell_matrix_cached(ctx: ScalarContext, kind: str, letters) -> np.ndarray:
         V = wc.realize_letter(ctx, letters[1])
         W = wc.realize_letter(ctx, letters[0])
         return wc.braiding_inv(ctx, V, W)
+    if kind in ("tpos", "tneg"):
+        return wc.twist(ctx, wc.realize_letter(ctx, letters[0]), 1 if kind == "tpos" else -1)
     sign, color = letters[0]
     M = wc.realize_letter(ctx, (1, color))
     flavor = {

@@ -258,12 +258,14 @@ def _insert_rider(ctx: ScalarContext, d: dg.Diagram, target: wc.Kirby,
 
     The rider pair is created just inside the component's cap and closed
     just inside its cup; crossings of other strands with the component's
-    legs are widened to cross the rider too, and framing curls become
-    cable curls, so the rider follows the framed push-off and links
-    everything exactly as the component does.  The new word at each
-    boundary is the old one with the rider's letters inserted right after
-    the upward leg and right before the downward leg.  The component's
-    legs are the letters of its color.
+    legs are widened to cross the rider too, and a twist cell on a leg
+    becomes the twist theta_{U (x) R} = c_{R,U} c_{U,R} (theta_U (x)
+    theta_R) of the leg and rider pair (a curl drawn in JSON, a cable
+    curl), so the rider follows the framed push-off and links everything
+    exactly as the component does.  The new word at each boundary is the
+    old one with the rider's letters inserted right after the upward leg
+    and right before the downward leg.  The component's legs are the
+    letters of its color.
     """
     words = d.boundary_words()
     rl = (1, rider)
@@ -342,6 +344,17 @@ def _insert_rider(ctx: ScalarContext, d: dg.Diagram, target: wc.Kirby,
             else:
                 st.cell(newpos(pin), cell)
                 st.cell(newpos(pin) - 1, dg.Cell(k, (rd, mover)))
+        elif k in ("tpos", "tneg"):
+            # a twist on each strand of the (leg, rider) pair, then a full
+            # twist of the pair; the rider follows an upward leg and
+            # precedes a downward one
+            P = newpos(pin) - (cell.letters[0][0] < 0)
+            a, b = st.words[-1].letters[P:P + 2]
+            cx = "xpos" if k == "tpos" else "xneg"
+            st.cell(P, dg.Cell(k, (a,)))
+            st.cell(P + 1, dg.Cell(k, (b,)))
+            st.cell(P, dg.Cell(cx, (a, b)))
+            st.cell(P, dg.Cell(cx, (b, a)))
         elif k in ("xpos", "xneg") and touches_in[0] and touches_in[1]:
             # framing curl of the component: curl the two-strand cable,
             # so the rider follows the framed push-off through the kink
@@ -365,9 +378,9 @@ def auto_stabilize(ctx: ScalarContext, p: SurgeryPresentation,
     over each critical surgery component: the detour acquires a companion
     circle running parallel to the component (linking everything the
     component links), and the component's meridian reading drops by the
-    stabilization index.  Components must be round unknots (framing curls
-    allowed) in the standard layout with a typical letter next to their
-    upward leg; otherwise CannotStabilize is raised.
+    stabilization index.  Components must be round unknots (framing twists
+    or curls allowed) in the standard layout with a typical letter next to
+    their upward leg; otherwise CannotStabilize is raised.
     """
     offending = check_computable(ctx, p)
     if not offending:
@@ -411,10 +424,8 @@ def _thread_detour(ctx: ScalarContext, p: SurgeryPresentation, target: wc.Kirby,
     st.cell(i + 2, dg.cross(det, w1(i + 3), positive=True))   # over the (+U) leg
     st.cell(i + 3, dg.cross(det, w1(i + 4), positive=True))   # swap with the rider
     # the three mutual crossings above leave writhe +1 on the detour loop;
-    # a negative kink restores its zero framing
-    st.cell(i + 5, dg.cap(det, left=True))
-    st.cell(i + 4, dg.cross(det, det, positive=False))
-    st.cell(i + 5, dg.cup(det, left=False))
+    # a negative twist restores its zero framing
+    st.cell(i + 4, dg.Cell("tneg", (det,)))
     st.cell(i + 2, dg.cross(w1(i + 2), det, positive=False))  # return over (+U)
     st.cell(i + 1, dg.cross(w1(i + 1), det, positive=False))  # return over partner
     d2 = dg.insert_slices(d1, b + 1, st.slices)

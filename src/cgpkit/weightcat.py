@@ -487,12 +487,14 @@ def ev_coev(ctx: ScalarContext, M: WeightModule, flavor: str) -> np.ndarray:
     return out.reshape((1, d * d) if flavor.startswith("ev") else (d * d, 1))
 
 
-def twist(ctx: ScalarContext, V: WeightModule) -> np.ndarray:
-    """theta_V = (id (x) ev_r) o (c_{V,V} (x) id) o (id (x) coev_l): the
-    pivot-weighted right partial trace of the self-braiding; a scalar
+def twist(ctx: ScalarContext, V: WeightModule, sign: int = 1) -> np.ndarray:
+    """theta_V^{sign} = (id (x) ev_r) o (c_{V,V}^{sign} (x) id) o (id (x)
+    coev_l): the pivot-weighted right partial trace of the self-braiding
+    (sign +1) or of its inverse (sign -1), which is what a curl drawn as a
+    cap, a self-crossing of that sign and a cup evaluates to; a scalar
     multiple of the identity on simple modules.
     """
-    return partial_trace_right(ctx, braiding(ctx, V, V), V.dim, V)
+    return partial_trace_right(ctx, _braiding(ctx, V, V, sign), V.dim, V)
 
 
 def scalar_of(ctx: ScalarContext, f: np.ndarray) -> Scalar:
@@ -758,9 +760,8 @@ def constants(ctx: ScalarContext) -> InvariantConstants:
     """Global constants from meridian evaluations.
 
     Delta_-/Delta_+ are the scalars of the Kirby-colored -1/+1 framed
-    meridian around a typical probe strand; the framing enters as
-    twist-weighted Kirby coefficients (each V_i's coefficient times
-    theta_{V_i}^{-+1}) on a 0-framed meridian, not as a drawn curl.  zeta
+    meridian around a typical probe strand, its framing one twist cell
+    (theta^{-+1} on each summand V_i, as in every other diagram).  zeta
     is extracted from the double-strand projector figure; D is the
     principal square root of Delta_- Delta_+, eta = |Z/Z_+|/D and
     delta = Delta_+/D.  The values do not depend on the probe, here

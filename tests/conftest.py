@@ -7,6 +7,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import pytest
 
+from cgpkit import diagrams as dg
 from cgpkit.qscalars import ScalarContext
 
 
@@ -23,3 +24,21 @@ def ctx6():
 @pytest.fixture(scope="session", params=[4, 6])
 def ctx(request):
     return ScalarContext(request.param)
+
+
+def drawn_kinks(d):
+    """The diagram with each twist cell drawn as the curl it stands for: a
+    cap_l, a self-crossing of the twist's sign and a cup_r.  An oracle that
+    builds on no twist-cell code."""
+    st = dg.Stack(dg.Diagram(d.source, []))
+    for row in d.slices:
+        st.add([dg.id_cell(c.letters[0]) if c.kind in ("tpos", "tneg") else c for c in row])
+        pos = 0
+        for c in row:
+            if c.kind in ("tpos", "tneg"):
+                letter = c.letters[0]
+                st.cell(pos + 1, dg.cap(letter, left=True))
+                st.cell(pos, dg.cross(letter, letter, positive=c.kind == "tpos"))
+                st.cell(pos + 1, dg.cup(letter, left=False))
+            pos += len(c.out_letters())
+    return st.diagram(d.prefactor)

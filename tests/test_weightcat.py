@@ -10,6 +10,7 @@ from cgpkit import fixtures as fx
 from cgpkit import rt_eval
 from cgpkit import weightcat as wc
 from cgpkit.qscalars import ScalarContext
+from conftest import drawn_kinks
 
 GENERIC = 0.37 + 0.2j
 GENERIC2 = 0.59 - 0.11j
@@ -460,7 +461,7 @@ def _curled_stabilization_oracle(ctx, alpha, framing):
     probe = wc.Typical(alpha)
     g = wc.color_degree(ctx, probe)
     index = g if framing < 0 else wc.Degree(-g.g)
-    d = dg.encircle(fx.strand(probe), (0, 1), wc.Kirby(index.g), framing)
+    d = drawn_kinks(dg.encircle(fx.strand(probe), (0, 1), wc.Kirby(index.g), framing))
     fig = wc.scalar_of(ctx, rt_eval.evaluate_formal(ctx, d))
     theta = wc.twist(ctx, wc.realize_letter(ctx, (1, probe)))[0, 0]
     return fig / theta if framing < 0 else fig * theta
