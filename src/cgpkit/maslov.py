@@ -70,10 +70,10 @@ def _colspace(basis: np.ndarray, tol: float) -> np.ndarray:
 
 
 def _svd_rank(m: np.ndarray, tol: float, full: bool = False):
-    """u, vh and the numerical rank of m: the singular values above
+    """u, s, vh and the numerical rank of m: the singular values above
     tol * max(1, s_max).  `full` gives the whole kernel in vh[rank:]."""
     u, s, vh = np.linalg.svd(m, full_matrices=full)
-    return u, vh, int(np.sum(s > tol * max(1.0, s[0] if s.size else 0.0)))
+    return u, s, vh, int(np.sum(s > tol * max(1.0, s[0] if s.size else 0.0)))
 
 
 def _span_basis(space: SymplecticSpace, vectors: np.ndarray) -> np.ndarray:
@@ -82,7 +82,7 @@ def _span_basis(space: SymplecticSpace, vectors: np.ndarray) -> np.ndarray:
     vectors = np.atleast_2d(vectors)
     if vectors.size == 0:
         return vectors.reshape(space.dim, 0)
-    u, _, rank = _svd_rank(vectors, space.tol)
+    u, _, _, rank = _svd_rank(vectors, space.tol)
     return u[:, :rank]
 
 
@@ -91,7 +91,7 @@ def perp(space: SymplecticSpace, basis: np.ndarray) -> np.ndarray:
     basis = np.atleast_2d(basis)
     if basis.shape[1] == 0:
         return np.eye(space.dim)
-    _, vh, rank = _svd_rank(basis.T @ space.form, space.tol, full=True)
+    _, _, vh, rank = _svd_rank(basis.T @ space.form, space.tol, full=True)
     return vh[rank:, :].T
 
 
@@ -159,7 +159,7 @@ def _intersect(space: SymplecticSpace, a: np.ndarray, b: np.ndarray) -> np.ndarr
     """Intersection of two column spans via the kernel of [a, -b]."""
     if a.shape[1] == 0 or b.shape[1] == 0:
         return np.zeros((a.shape[0], 0))
-    _, vh, rank = _svd_rank(np.concatenate([a, -b], axis=1), space.tol, full=True)
+    _, _, vh, rank = _svd_rank(np.concatenate([a, -b], axis=1), space.tol, full=True)
     return _span_basis(space, a @ vh[rank:, :a.shape[1]].T)
 
 
@@ -187,7 +187,9 @@ def maslov_index(space: SymplecticSpace, l1: np.ndarray, l2: np.ndarray,
     k = w.shape[1]
     joint = np.concatenate([b2, b3], axis=1)
     gram = np.zeros((k, k))
-    decomp = np.linalg.lstsq(joint, w, rcond=None)[0]
+    # minimum-norm solution of joint @ decomp = w over the kept singular values
+    u, s, vh, rank = _svd_rank(joint, space.tol)
+    decomp = vh[:rank].T @ ((u[:, :rank].T @ w) / s[:rank, None])
     b2parts = b2 @ decomp[:b2.shape[1], :]
     for i in range(k):
         for j in range(k):

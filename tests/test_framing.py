@@ -4,6 +4,7 @@ widths the twist cell saves, and JSON cells checked at the boundary."""
 
 import io
 import json
+import tracemalloc
 from contextlib import redirect_stdout
 
 import numpy as np
@@ -63,10 +64,17 @@ def test_twist_cells_match_drawn_kinks(name, r, precision, tol):
 
 
 def test_auto_stabilized_split_unknot_completes_at_r10():
+    # a dense sweep of this cut allocates about 300 MiB; the sparse one 18 MiB
     ctx = ScalarContext(10)
-    v = sg.cgp(ctx, sfx.split_surgery_unknot_presentation(ctx, A, 1), auto=True)
+    tracemalloc.start()
+    try:
+        v = sg.cgp(ctx, sfx.split_surgery_unknot_presentation(ctx, A, 1), auto=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     want = wc.constants(ctx).eta * wc.modified_dimension(ctx, A)
     assert abs(v - want) <= 1e-12 * max(1, abs(want))
+    assert peak < 64 * 2 ** 20
 
 
 def test_twist_cells_keep_framed_diagrams_narrow():

@@ -5,6 +5,8 @@ from cgpkit import _linalg as la
 from cgpkit import diagrams as dg
 from cgpkit import fixtures as fx
 from cgpkit import rt_eval
+from cgpkit import surgery as sg
+from cgpkit import surgery_fixtures as sfx
 from cgpkit import weightcat as wc
 from cgpkit.qscalars import ScalarContext
 
@@ -32,68 +34,98 @@ def test_apply_local_matches_kronecker_reference():
         assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
-def _hp_random(hp, rng, shape, density):
-    """106-bit entries with full mantissas; about 1 - density of them zero."""
+def _random(ctx, rng, shape, density):
+    """Entries with full mantissas; about 1 - density of them zero."""
     a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     a[rng.random(shape) >= density] = 0
-    return la.asarray(hp, a) / hp.scalar(3)
+    return la.asarray(ctx, a) / ctx.scalar(3)
 
 
-def _assert_nonzero_kernel_matches_matmul(hp, state, support, m, nonzeros,
-                                          dl, din, dr, src):
-    got, got_support = rt_eval._apply_local_nonzero(
-        hp, state, support, m, nonzeros, dl, din, dr, src)
+def _assert_sparse_kernel_matches_matmul(ctx, state, idx, m, nonzeros, dl, din, dr, src):
+    """The sparse kernel on the stored entries `idx` of `state` against the
+    dense product: the same bits as the object matmul at 106 bits, and
+    I_dl (x) m (x) I_dr within rounding at 53 bits."""
+    dout = m.shape[0]
+    got_idx, got_val = rt_eval._apply_sparse(idx, state.reshape(-1)[idx], nonzeros,
+                                              dl, din, dout, dr * src)
+    assert np.all(np.diff(got_idx) > 0)
+    got = la.zeros(ctx, (dl * dout * dr, src))
+    got.reshape(-1)[got_idx] = got_val
+    if not ctx.high_precision:
+        ref = np.kron(np.kron(np.eye(dl), m), np.eye(dr)) @ state
+        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+        return
     ref = np.matmul(m, state.reshape(dl, din, dr * src)).reshape(-1, src)
-    assert got.shape == ref.shape == got_support.shape
-    assert all(type(x) is type(hp.scalar(0)) for x in got.flat)
+    assert all(type(x) is type(ctx.scalar(0)) for x in got_val)
     assert all(x == y for x, y in zip(got.flat, ref.flat))
-    ref_support = np.matmul(m != 0, support.reshape(dl, din, dr * src)).reshape(-1, src)
-    assert np.array_equal(got_support, ref_support)
+    # an output is stored exactly when it has a term
+    stored = np.zeros(state.size, dtype=bool)
+    stored[idx] = True
+    has_term = np.matmul(m != 0, stored.reshape(dl, din, dr * src))
+    assert np.array_equal(got_idx, np.flatnonzero(has_term))
 
 
-def test_apply_local_nonzero_matches_object_matmul():
-    """The 106-bit kernel gives the same bits as the dense object matmul on
-    planted zero patterns, real cell matrices and a coupon."""
-    hp = ScalarContext(4, precision=106)
+@pytest.mark.parametrize("precision", [53, 106])
+def test_apply_sparse_matches_matmul(precision):
+    """The sparse kernel on planted zero patterns, real cell matrices and a
+    coupon: bit for bit at 106 bits, within rounding at 53."""
+    ctx = ScalarContext(4, precision=precision)
     rng = np.random.default_rng(11)
     # dl = 1, dr = 1, a cup (dout = 1), a cap (din = 1), general cells; the
     # last has many terms per output, where the order of the sum shows
     for dl, din, dout, dr, src in ((1, 3, 3, 4, 2), (5, 2, 4, 1, 3), (3, 4, 1, 2, 1),
                                    (2, 1, 4, 3, 2), (3, 4, 4, 2, 3), (2, 9, 9, 3, 2)):
-        state = _hp_random(hp, rng, (dl * din * dr, src), 0.4)
+        state = _random(ctx, rng, (dl * din * dr, src), 0.4)
         blocks = state.reshape(dl, din, dr * src)
-        blocks[dl // 2] = hp.scalar(0)           # a whole zero slice
-        blocks[:, din - 1, :dr] = hp.scalar(0)
-        m = _hp_random(hp, rng, (dout, din), 0.6)
-        m[dout // 2] = hp.scalar(0)              # a zero cell row
-        support = state != 0
-        _assert_nonzero_kernel_matches_matmul(hp, state, support, m, rt_eval._nonzeros(m),
-                                              dl, din, dr, src)
-        # a support wider than the nonzeros (e.g. after a cancellation)
-        _assert_nonzero_kernel_matches_matmul(hp, state, np.ones_like(support), m,
-                                              rt_eval._nonzeros(m), dl, din, dr, src)
+        blocks[dl // 2] = ctx.scalar(0)           # a whole zero slice
+        blocks[:, din - 1, :dr] = ctx.scalar(0)
+        m = _random(ctx, rng, (dout, din), 0.6)
+        m[dout // 2] = ctx.scalar(0)              # a zero cell row
+        nonzeros = rt_eval._nonzeros(m)
+        _assert_sparse_kernel_matches_matmul(ctx, state, np.flatnonzero(state), m, nonzeros,
+                                             dl, din, dr, src)
+        # stored zeros (e.g. after a cancellation)
+        _assert_sparse_kernel_matches_matmul(ctx, state, np.arange(state.size), m, nonzeros,
+                                             dl, din, dr, src)
     a, b = wc.Typical(GENERIC), wc.Typical(GENERIC2)
     w = wc.ObjectWord([(1, a), (-1, b)])
     cells = [dg.cross((1, a), (-1, b)), dg.cup((1, a), left=False), dg.cap((1, a), left=True),
-             dg.coupon(w, w, wc.braiding(hp, wc.realize(hp, wc.ObjectWord([(1, a)])),
-                                         wc.realize(hp, wc.ObjectWord([(-1, b)]))))]
+             dg.Cell("tneg", ((-1, b),)),
+             dg.coupon(w, w, wc.braiding(ctx, wc.realize(ctx, wc.ObjectWord([(1, a)])),
+                                         wc.realize(ctx, wc.ObjectWord([(-1, b)]))))]
     for cell in cells:
-        m = rt_eval.cell_matrix(hp, cell)
-        dout, din = m.shape
+        m = rt_eval.cell_matrix(ctx, cell)
+        din = m.shape[1]
         dl, dr, src = 2, 3, 2
-        state = _hp_random(hp, rng, (dl * din * dr, src), 0.3)
-        _assert_nonzero_kernel_matches_matmul(hp, state, state != 0, m,
-                                              rt_eval._cell_nonzeros(hp, cell, m),
-                                              dl, din, dr, src)
+        state = _random(ctx, rng, (dl * din * dr, src), 0.3)
+        _assert_sparse_kernel_matches_matmul(ctx, state, np.flatnonzero(state), m,
+                                             rt_eval._cell_nonzeros(ctx, cell, m, None),
+                                             dl, din, dr, src)
 
 
 def _f_prime_dense_route(monkeypatch, ctx, d):
-    def dense(ctx, state, support, m, nonzeros, dl, din, dr, src):
-        y = rt_eval._apply_local(ctx, state, m, dl, din, dr, src)
-        return y, np.ones(y.shape, dtype=bool)
+    """f_prime with every cell applied by `_apply_local` to the dense
+    state, at either precision."""
+    applied = []
+    local = rt_eval._apply_local
+
+    def counted(*args):
+        applied.append(1)
+        return local(*args)
+
+    def dense(idx, val, m, dl, din, dout, rest):
+        state = la.zeros(ctx, dl * din * rest)
+        state[idx] = val
+        y = counted(ctx, state, m, dl, din, 1, rest).reshape(-1)
+        return np.arange(y.size), y
     with monkeypatch.context() as mp:
-        mp.setattr(rt_eval, "_apply_local_nonzero", dense)
-        return rt_eval.f_prime(ctx, d)
+        # the kernel is handed the cell matrix in place of its nonzeros
+        mp.setattr(rt_eval, "_cell_nonzeros", lambda ctx, cell, m, sub: m)
+        mp.setattr(rt_eval, "_apply_sparse", dense)
+        mp.setattr(rt_eval, "_apply_local", counted)
+        value = rt_eval.f_prime(ctx, d)
+    assert applied
+    return value
 
 
 def test_f_prime_high_precision_matches_dense_route(monkeypatch):
@@ -114,6 +146,40 @@ def test_f_prime_high_precision_matches_dense_route(monkeypatch):
         got = rt_eval.f_prime(hp, d)
         assert got == _f_prime_dense_route(monkeypatch, hp, d)
     assert abs(got - rt_eval.f_prime(hp, H)) <= 1e-25 * abs(got)
+
+
+def test_53_bit_sweep_agrees_on_both_sides_of_the_dense_size(monkeypatch):
+    """All cells sparse (DENSE_MAX = 0) and all cells dense agree with the
+    default mix within 1e-12."""
+    ctx10, ctx6 = ScalarContext(10), ScalarContext(6)
+    a = wc.Typical(GENERIC)
+    cases = [lambda: rt_eval.f_prime(ctx10, fx.figure_eight(a)),
+             lambda: rt_eval.f_prime(ctx10, fx.braid_closure(a, 3, [1, -2, 1, 2, -1, 1])),
+             lambda: sg.cgp(ctx6, sfx.lens_unknot_presentation(ctx6, 5, 1))]
+    calls = {"_apply_local": 0, "_apply_sparse": 0}
+    for name in calls:
+        def counted(*args, f=getattr(rt_eval, name), name=name):
+            calls[name] += 1
+            return f(*args)
+        monkeypatch.setattr(rt_eval, name, counted)
+    wants = [case() for case in cases]
+    assert calls["_apply_local"] and calls["_apply_sparse"]
+    for size, off in ((0, "_apply_local"), (2 ** 62, "_apply_sparse")):
+        monkeypatch.setattr(rt_eval, "DENSE_MAX", size)
+        calls[off] = 0
+        for case, want in zip(cases, wants):
+            got = case()
+            assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+        assert calls[off] == 0
+
+
+def test_four_strand_closure_at_r14_is_cut_independent():
+    """A closure whose dense sweep would need a 4.2 GiB state."""
+    ctx = ScalarContext(14)
+    d = fx.braid_closure(wc.Typical(GENERIC), 4, [1, -2, -3, -1, 2, 3, 2])
+    v = rt_eval.f_prime(ctx, d)
+    second = rt_eval.f_prime(ctx, d, edge=(len(d.slices) - 1, 0))
+    assert abs(v - second) <= 1e-9 * max(1.0, abs(v))
 
 
 def test_trefoil_high_precision_matches_53_bits(ctx6):
