@@ -10,7 +10,6 @@ field order.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import sys
@@ -160,6 +159,8 @@ def load_presentation(obj) -> sg.SurgeryPresentation:
 
 
 def _canonical_digest(payload: dict) -> str:
+    import hashlib  # only cached calls need it
+
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
     return hashlib.sha256(blob).hexdigest()
 

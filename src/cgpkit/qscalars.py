@@ -21,8 +21,10 @@ import cmath
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
-from mpmath.ctx_mp import MPContext
+if TYPE_CHECKING:
+    from mpmath.ctx_mp import MPContext
 
 Scalar = complex  # or mpmath.mpc in high-precision mode
 
@@ -33,6 +35,8 @@ class VanishingDenominator(ArithmeticError):
 
 @lru_cache(maxsize=None)
 def _make_mp(precision: int) -> MPContext:
+    from mpmath.ctx_mp import MPContext  # 53-bit runs never load mpmath
+
     ctx = MPContext()
     ctx.prec = precision + 16  # guard digits; results carry full precision
     return ctx

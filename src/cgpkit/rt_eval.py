@@ -7,10 +7,8 @@ index.  Closed diagrams with a typical edge are evaluated through a
 cutting presentation and the modified trace, which is independent of the
 chosen cut.
 
-Kirby colors expand linearly.  A diagram is cut once, whatever its Kirby
-colors; each term of the expansion is a substitution of one summand V_i
-for each Kirby color, applied to a cell's letters where its matrix is
-looked up, so a term rebuilds no diagram.
+Kirby colors expand linearly.  A diagram is cut and swept once: the state
+has a term axis per Kirby color, of size 1 below the first cell touching it.
 
 Every cell is a module map and so preserves weight: each column of the
 state stays in one weight sector, and almost all of it is exact zeros.  So
@@ -18,8 +16,9 @@ the sweep keeps the state's nonzeros, sorted flat indices and values over
 all source columns, and forms only the products of a nonzero cell entry
 with a stored entry.  Each output sums its terms in increasing input
 index, as the object matmul does, so 106-bit values are the bits of the
-dense route.  At 53 bits a small state is one BLAS product per cell
-instead, cheaper than the dozen numpy calls of the scatter.
+dense route.  At 53 bits a cell with a small state and product is one BLAS
+product instead, cheaper than the dozen numpy calls of the scatter; that
+depends on one term's sizes, so each term gets its own sweep's arithmetic.
 """
 
 from __future__ import annotations
@@ -65,108 +64,141 @@ def _cell_matrix_cached(ctx: ScalarContext, kind: str, letters) -> np.ndarray:
 
 
 def _substituted(letters: tuple, sub: dict) -> tuple:
-    """The letters with each Kirby color replaced by its summand in the
-    substitution `sub`."""
+    """The letters with each Kirby color replaced by its summand in `sub`."""
     return tuple((sign, sub.get(color, color)) for sign, color in letters)
 
 
-def cell_matrix(ctx: ScalarContext, cell: dg.Cell, sub: dict | None = None) -> np.ndarray:
+def cell_matrix(ctx: ScalarContext, cell: dg.Cell) -> np.ndarray:
     if cell.kind == "coupon":
         return cell.matrix if not ctx.high_precision else la.asarray(ctx, cell.matrix)
-    return _cell_matrix_cached(
-        ctx, cell.kind, _substituted(cell.letters, sub) if sub else cell.letters)
+    return _cell_matrix_cached(ctx, cell.kind, cell.letters)
 
 
 def _nonzeros(m: np.ndarray):
-    """Nonzero entries of a cell matrix grouped by input (column) index:
-    per input its number of nonzeros and their offset, then the output
-    index and the value of each nonzero in (input, output) order."""
-    ins, outs = np.nonzero(m.T)
-    count = np.bincount(ins, minlength=m.shape[1])
-    return count, np.cumsum(count) - count, outs, m[outs, ins]
+    """Nonzeros of a cell matrix (or a stack on leading axes) by input: per
+    input their count and offset, then each one's output index and values."""
+    ins, outs = np.nonzero((m != 0).reshape(-1, *m.shape[-2:]).any(axis=0).T)
+    count = np.bincount(ins, minlength=m.shape[-1])
+    return count, np.cumsum(count) - count, outs, m[..., outs, ins]
 
 
 @lru_cache(maxsize=None)
-def _cell_nonzeros_cached(ctx: ScalarContext, kind: str, letters):
-    return _nonzeros(_cell_matrix_cached(ctx, kind, letters))
+def _cell_nonzeros_cached(ctx: ScalarContext, kind: str, terms: tuple, axes: tuple):
+    m = np.stack([_cell_matrix_cached(ctx, kind, letters) for letters in terms])
+    return _nonzeros(m.reshape(*axes, *m.shape[1:]))
 
 
-def _cell_nonzeros(ctx: ScalarContext, cell: dg.Cell, m: np.ndarray,
-                   sub: dict | None = None):
-    if cell.kind == "coupon":
-        return _nonzeros(m)
-    return _cell_nonzeros_cached(
-        ctx, cell.kind, _substituted(cell.letters, sub) if sub else cell.letters)
+def _stacked(ctx: ScalarContext, cell: dg.Cell, touched: tuple, kirby: tuple, choices: list):
+    """The cell's matrices over the summands of the Kirby colors kirby[k], k
+    in `touched`, on term axes (of size 1 for the others), and their letters."""
+    if not touched:
+        return cell_matrix(ctx, cell), (cell.letters,)
+    terms = tuple(_substituted(cell.letters, dict(zip((kirby[k] for k in touched), combo)))
+                  for combo in itertools.product(*(choices[k] for k in touched)))
+    m = np.stack([_cell_matrix_cached(ctx, cell.kind, letters) for letters in terms])
+    return m.reshape(*(len(c) if k in touched else 1 for k, c in enumerate(choices)),
+                     *m.shape[1:]), terms
 
 
 def _letter_dims(ctx: ScalarContext, word: wc.ObjectWord) -> list[int]:
     return [wc.color_dim(ctx, c) for _, c in word]
 
 
-# the most entries, dl * max(din, dout) * dr * src, of a 53-bit state that a
-# cell applies dense: sparse everywhere made the r = 4 knots 2.5 times slower,
-# 2^11 the r = 14 S^1 x S^2 2.1 times, 2^16 the r = 6 4-strand knot 1.6 times
+# a 53-bit cell applies dense if its dense state, dl * max(din, dout) * dr *
+# src, has at most DENSE_MAX entries and its product at most 4 * DENSE_MAX
+# multiply-adds: sparse everywhere made the r = 4 knots 2.5 times slower,
+# 2^11 entries the r = 14 S^1 x S^2 2.1 times, 2^16 the r = 6 4-strand knot
+# 1.6 times; the r = 10 meridian's crossings, 15,625 entries and 390,625
+# multiply-adds, have at most 775 products of nonzeros
 DENSE_MAX = 2 ** 14
 
 
-def evaluate(ctx: ScalarContext, d: dg.Diagram, sub: dict | None = None) -> np.ndarray:
-    """Matrix of the diagram from realize(source) to realize(target).
+def _dense_max(ctx: ScalarContext) -> int:
+    return 0 if ctx.high_precision else DENSE_MAX  # mpmath products cost more
 
-    Functorial under compose and monoidal under tensor.  The diagram's
-    scalar prefactor multiplies the result.  `sub` maps each Kirby color
-    of the diagram to a summand (one term of `expand_formal`); a Kirby
-    color left out cannot be realized.
-    """
-    words = d.boundary_words()
-    src = math.prod(_letter_dims(ctx, words[0]))
-    # mpmath products cost more than the numpy calls that skip them
-    dense_max = 0 if ctx.high_precision else DENSE_MAX
-    # the dense state, or None while the state is its nonzeros (idx, val)
-    state, idx, val = la.eye(ctx, src), None, None
+
+def evaluate(ctx: ScalarContext, d: dg.Diagram, kirby: tuple | None = None) -> np.ndarray:
+    """Matrices from realize(source) to realize(target) times the prefactor,
+    with a term axis per Kirby color of `kirby` (by default `d.kirby_colors()`,
+    as in `expand_formal`).  Functorial under compose, monoidal under tensor."""
+    words, kirby = d.boundary_words(), d.kirby_colors() if kirby is None else kirby
+    src, dense_max = math.prod(_letter_dims(ctx, words[0])), _dense_max(ctx)
+    steps = []
     for s, cells in enumerate(d.slices):
         dims, pos = _letter_dims(ctx, words[s]), 0
         for cell in cells:
             if cell.kind == "id":
                 pos += 1
                 continue
-            nin = len(cell.in_letters())
-            m = cell_matrix(ctx, cell, sub)
-            dl, din, dr = (math.prod(dims[:pos]), math.prod(dims[pos:pos + nin]),
-                           math.prod(dims[pos + nin:]))
-            if dl * max(din, m.shape[0]) * dr * src <= dense_max:
-                if state is None:
-                    state = la.zeros(ctx, (dl * din * dr, src))
-                    state.reshape(-1)[idx] = val
-                state = _apply_local(ctx, state, m, dl, din, dr, src)
-            else:
-                if state is not None:
-                    idx = np.flatnonzero(state)
-                    val, state = state.reshape(-1)[idx], None
-                idx, val = _apply_sparse(idx, val, _cell_nonzeros(ctx, cell, m, sub),
-                                         dl, din, m.shape[0], dr * src)
-            dims[pos:pos + nin] = _letter_dims(ctx, cell.out_letters())
-            pos += len(cell.out_letters())
-    if state is None:
-        state = la.zeros(ctx, (math.prod(dims), src))
-        state.reshape(-1)[idx] = val
-    return state * ctx.scalar(d.prefactor)
+            nin, out = len(cell.in_letters()), _letter_dims(ctx, cell.out_letters())
+            dl, din, dout, dr = (math.prod(dims[:pos]), math.prod(dims[pos:pos + nin]),
+                                 math.prod(out), math.prod(dims[pos + nin:]))
+            touched = tuple(k for k, col in enumerate(kirby)
+                            if col in [c for _, c in cell.letters]) if kirby else ()
+            steps.append((cell, touched, dl * max(din, dout) * dr * src <= dense_max
+                          and dl * din * dout * dr * src <= 4 * dense_max, dl, din, dout, dr, src))
+            dims[pos:pos + nin] = out
+            pos += len(out)
+    choices = [[c for _, c in k.color_sum(ctx).terms] for k in kirby]
+    eye = la.eye(ctx, src).reshape((1,) * len(kirby) + (src, src))
+    end = _sweep(ctx, steps, kirby, choices, 0, eye)
+    if kirby:  # a Kirby color on no cell keeps a term axis of size 1
+        end = np.broadcast_to(end, (*map(len, choices), *end.shape[-2:]))
+    return end * ctx.scalar(d.prefactor)
+
+
+def _sweep(ctx: ScalarContext, steps: list, kirby: tuple, choices: list, start: int,
+           state: np.ndarray | None, idx: np.ndarray | None = None, val=None) -> np.ndarray:
+    """Apply `steps[start:]` to the terms of the summands `choices`: to the
+    dense state (term axes, rows, src) or, while it is None, to the sorted
+    flat indices `idx` of its nonzeros and their values (term axes, idx.size)."""
+    for j in range(start, len(steps)):
+        cell, touched, dense, dl, din, dout, dr, src = steps[j]
+        m, letters = _stacked(ctx, cell, touched, kirby, choices)
+        if dense:
+            if state is None:
+                state = _densified(ctx, idx, val, (dl * din * dr, src))
+            state = _apply_local(ctx, state, m, dl, din, dr, src)
+            continue
+        if state is not None:
+            idx = np.flatnonzero(state.reshape(-1, dl * din * dr * src).any(axis=0))
+            val, state = state.reshape(*state.shape[:-2], -1)[..., idx], None
+        nonzeros = (_nonzeros(m) if cell.kind == "coupon"
+                    else _cell_nonzeros_cached(ctx, cell.kind, letters, m.shape[:-2]))
+        axes = np.broadcast_shapes(val.shape[:-1], m.shape[:-2]) if kirby else ()
+        live = math.prod(axes)
+        if live > 1 and live * nonzeros[0][idx // (dr * src) % din].sum() > 4 * DENSE_MAX:
+            # too many products at once: split the terms on a live axis
+            k = next(k for k, n in enumerate(axes) if n > 1)
+            return np.concatenate([_sweep(
+                ctx, steps, kirby, choices[:k] + [[c]] + choices[k + 1:], j, None, idx,
+                val if val.shape[k] == 1 else np.take(val, [i], axis=k))
+                for i, c in enumerate(choices[k])], axis=k)
+        idx, val = _apply_sparse(idx, val, nonzeros, dl, din, dout, dr * src)
+    return state if state is not None else _densified(ctx, idx, val, (dl * dout * dr, src))
+
+
+def _densified(ctx: ScalarContext, idx: np.ndarray, val: np.ndarray, shape: tuple) -> np.ndarray:
+    state = la.zeros(ctx, val.shape[:-1] + (math.prod(shape),))
+    state[..., idx] = val
+    return state.reshape(*val.shape[:-1], *shape)
 
 
 def _apply_local(ctx: ScalarContext, state: np.ndarray, m: np.ndarray,
                  dl: int, din: int, dr: int, src: int) -> np.ndarray:
-    # state: (dl * din * dr, src); apply m (dout x din) on the middle factor.
-    # Broadcasting m over the left index writes the product straight into
-    # the new layout, so the state is never copied into transposed order.
-    y = np.matmul(m, state.reshape(dl, din, dr * src))
-    return y.reshape(dl * m.shape[0] * dr, src)
+    # m (terms..., dout, din) on the middle factor of the state (terms...,
+    # dl * din * dr, src), broadcast over dl: no transposed copy is made
+    y = np.matmul(m if m.ndim == 2 else m[..., None, :, :],
+                  state.reshape(state.shape[:-2] + (dl, din, dr * src)))
+    return y.reshape(y.shape[:-3] + (-1, src))
 
 
 def _apply_sparse(idx: np.ndarray, val: np.ndarray, nonzeros,
                   dl: int, din: int, dout: int, rest: int):
     """`_apply_local` on the state's sorted flat indices `idx` in the
-    (dl, din, rest) layout and their values `val`, given `_nonzeros(m)`.
-    Returns the sorted flat indices in the (dl, dout, rest) layout of the
-    outputs that have a term, and their values."""
+    (dl, din, rest) layout and their values `val`, given `_nonzeros(m)`,
+    broadcasting their term axes.  Returns the sorted flat indices in the
+    (dl, dout, rest) layout of the outputs that have a term, and values."""
     count, offset, outs, vals = nonzeros
     l, i, r = np.unravel_index(idx, (dl, din, rest))
     # one product per (stored entry, nonzero of its input column); the
@@ -178,9 +210,18 @@ def _apply_sparse(idx: np.ndarray, val: np.ndarray, nonzeros,
     k = np.arange(term.size) + np.repeat(offset[i] + per - np.cumsum(per), per)
     dst = (l * (dout * rest) + r)[term] + outs[k] * rest
     order = np.argsort(dst, kind="stable")
-    dst = dst[order]
+    dst, term, k = dst[order], term[order], k[order]
+    del order
     first = np.flatnonzero(np.diff(dst, prepend=-1))
-    return dst[first], np.add.reduceat((vals[k] * val[term])[order], first)
+    if val.ndim == vals.ndim == 1:
+        return dst[first], np.add.reduceat(vals[k] * val[term], first)
+    # the terms share the index work; their values are formed one by one
+    axes = np.broadcast_shapes(val.shape[:-1], vals.shape[:-1])
+    val, vals = (np.broadcast_to(a, axes + a.shape[-1:]) for a in (val, vals))
+    out = np.empty(axes + first.shape, dtype=val.dtype)
+    for t in np.ndindex(axes):
+        np.add.reduceat(vals[t][k] * val[t][term], first, out=out[t])
+    return dst[first], out
 
 
 def expand_formal(ctx: ScalarContext, d: dg.Diagram):
@@ -201,10 +242,9 @@ def expand_formal(ctx: ScalarContext, d: dg.Diagram):
 
 def evaluate_formal(ctx: ScalarContext, d: dg.Diagram) -> np.ndarray:
     """Linear expansion of Kirby-colored components, summed with coefficients."""
-    total = None
-    for coeff, sub in expand_formal(ctx, d):
-        val = evaluate(ctx, d, sub) * coeff
-        total = val if total is None else total + val
+    ends, total = evaluate(ctx, d), None
+    for (coeff, _), end in zip(expand_formal(ctx, d), ends.reshape(-1, *ends.shape[-2:])):
+        total = end * coeff if total is None else total + end * coeff
     return total
 
 
@@ -223,9 +263,9 @@ def f_prime(ctx: ScalarContext, d: dg.Diagram,
             edge: tuple[int, int] | None = None) -> Scalar:
     """Renormalized invariant of an admissible closed diagram.
 
-    Cuts along a typical edge, evaluates, and applies the modified trace;
-    the value does not depend on the chosen cut.  The diagram is cut once;
-    its Kirby colors are expanded linearly over the cut diagram.
+    Cuts along a typical edge, evaluates all terms of the expansion of its
+    Kirby colors in one sweep, and applies the modified trace to each; the
+    value does not depend on the chosen cut.
     """
     if not d.is_closed():
         raise ValueError("renormalized invariant needs a closed diagram")
@@ -233,8 +273,8 @@ def f_prime(ctx: ScalarContext, d: dg.Diagram,
     if e is None:
         raise NotAdmissible("closed diagram has no typical edge to cut")
     cut_d = dg.cut(ctx, d, e[0], e[1])
-    total = ctx.scalar(0)
-    for coeff, sub in expand_formal(ctx, d):
+    ends, total = evaluate(ctx, cut_d, d.kirby_colors()), ctx.scalar(0)
+    for (coeff, sub), end in zip(expand_formal(ctx, d), ends.reshape(-1, *ends.shape[-2:])):
         word = wc.ObjectWord(_substituted(cut_d.source.letters, sub))
-        total = total + coeff * wc.modified_trace(ctx, word, evaluate(ctx, cut_d, sub))
+        total = total + coeff * wc.modified_trace(ctx, word, end)
     return total

@@ -729,6 +729,7 @@ class FormalColorSum:
         return degs[0]
 
 
+@lru_cache(maxsize=None)
 def kirby_color(ctx: ScalarContext, g: Degree) -> FormalColorSum:
     """Kirby color of index g: sum over Z/Z_+ classes and the index set of
     dim sigma(k) d(V_i) * (V_i tensored into the class representative)."""

@@ -147,6 +147,16 @@ def test_entry_point_runs():
     assert "0.5" in proc.stdout
 
 
+def test_cli_import_loads_neither_mpmath_nor_hashlib():
+    # 53-bit calls without a cache directory need neither module
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, cgpkit.cli; "
+         "print(sorted(m for m in ('mpmath', 'hashlib') if m in sys.modules))"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_graph_colors_recoloring(tmp_path):
     ctx = ScalarContext(6)
     p = sfx.unknot_presentation(ctx, 0.37 + 0.2j)

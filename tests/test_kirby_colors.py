@@ -61,7 +61,7 @@ def _figures(ctx):
     }
 
 
-CONTEXTS = {"r4": ScalarContext(4), "r6": ScalarContext(6),
+CONTEXTS = {"r4": ScalarContext(4), "r6": ScalarContext(6), "r10": ScalarContext(10),
             "hp4": ScalarContext(4, precision=106)}
 FIGURES = sorted(_figures(CONTEXTS["r4"]))
 
@@ -76,7 +76,7 @@ def test_f_prime_equals_recolor_then_cut(level, figure):
 
 def test_one_cut_per_presentation(monkeypatch, ctx6):
     wc.constants(ctx6)  # the constants evaluate figures of their own
-    calls = {"cut": 0, "evaluate": 0}
+    calls = {"cut": 0, "evaluate": 0, "terms": 0}
 
     def counted(name, f):
         def wrapper(*args, **kwargs):
@@ -84,10 +84,18 @@ def test_one_cut_per_presentation(monkeypatch, ctx6):
             return f(*args, **kwargs)
         return wrapper
 
+    def terms(*args):
+        for term in expand(*args):
+            calls["terms"] += 1
+            yield term
+
+    expand = rt_eval.expand_formal
     monkeypatch.setattr(dg, "cut", counted("cut", dg.cut))
     monkeypatch.setattr(rt_eval, "evaluate", counted("evaluate", rt_eval.evaluate))
+    monkeypatch.setattr(rt_eval, "expand_formal", terms)
     sg.cgp(ctx6, sfx.lens_chain_presentation(ctx6, 2, 3, 1))
-    assert calls == {"cut": 1, "evaluate": 9}  # 3 summands on each of 2 components
+    # 3 summands on each of 2 components, all swept at once
+    assert calls == {"cut": 1, "evaluate": 1, "terms": 9}
 
 
 def test_auto_stabilization_shifts_only_the_target(ctx6):
@@ -134,6 +142,17 @@ def test_formal_json_becomes_kirby_letters(ctx):
     blob["formal"] = {"99": blob["formal"][str(mer)]}
     with pytest.raises(dg.ComponentError):
         dg.diagram_from_json(blob)
+
+
+def test_a_kirby_color_on_no_cell_keeps_all_its_terms(ctx6):
+    # a through-strand: every term is the identity, with its own coefficient
+    k = wc.Kirby(0.5)
+    d = dg.identity_diagram(wc.ObjectWord([(1, k), (1, wc.Typical(GENERIC))]))
+    terms = [(0.25 - 1.5j, col) for _, col in k.color_sum(ctx6).terms]
+    d = d.recolor(k, wc.Kirby(0.5, terms=wc.FormalColorSum(tuple(terms))))
+    assert rt_eval.evaluate(ctx6, d).shape == (len(terms), 9, 9)
+    want = len(terms) * (0.25 - 1.5j) * np.eye(9)
+    assert np.abs(rt_eval.evaluate_formal(ctx6, d) - want).max() < 1e-12
 
 
 def test_validate_refuses_a_kirby_color_on_two_components(ctx):

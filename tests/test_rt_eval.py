@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -99,32 +101,25 @@ def test_apply_sparse_matches_matmul(precision):
         dl, dr, src = 2, 3, 2
         state = _random(ctx, rng, (dl * din * dr, src), 0.3)
         _assert_sparse_kernel_matches_matmul(ctx, state, np.flatnonzero(state), m,
-                                             rt_eval._cell_nonzeros(ctx, cell, m, None),
+                                             rt_eval._nonzeros(m) if cell.kind == "coupon" else
+                                             rt_eval._cell_nonzeros_cached(
+                                                 ctx, cell.kind, (cell.letters,), ()),
                                              dl, din, dr, src)
 
 
 def _f_prime_dense_route(monkeypatch, ctx, d):
     """f_prime with every cell applied by `_apply_local` to the dense
     state, at either precision."""
-    applied = []
-    local = rt_eval._apply_local
-
-    def counted(*args):
-        applied.append(1)
-        return local(*args)
-
-    def dense(idx, val, m, dl, din, dout, rest):
-        state = la.zeros(ctx, dl * din * rest)
-        state[idx] = val
-        y = counted(ctx, state, m, dl, din, 1, rest).reshape(-1)
-        return np.arange(y.size), y
+    calls = {"_apply_local": 0, "_apply_sparse": 0}
     with monkeypatch.context() as mp:
-        # the kernel is handed the cell matrix in place of its nonzeros
-        mp.setattr(rt_eval, "_cell_nonzeros", lambda ctx, cell, m, sub: m)
-        mp.setattr(rt_eval, "_apply_sparse", dense)
-        mp.setattr(rt_eval, "_apply_local", counted)
+        for name in calls:
+            def counted(*args, f=getattr(rt_eval, name), name=name):
+                calls[name] += 1
+                return f(*args)
+            mp.setattr(rt_eval, name, counted)
+        mp.setattr(rt_eval, "_dense_max", lambda ctx: 2 ** 62)
         value = rt_eval.f_prime(ctx, d)
-    assert applied
+    assert calls["_apply_local"] and not calls["_apply_sparse"]
     return value
 
 
@@ -146,6 +141,10 @@ def test_f_prime_high_precision_matches_dense_route(monkeypatch):
         got = rt_eval.f_prime(hp, d)
         assert got == _f_prime_dense_route(monkeypatch, hp, d)
     assert abs(got - rt_eval.f_prime(hp, H)) <= 1e-25 * abs(got)
+    # a Kirby-colored figure: all 3 terms of the lens in one sweep
+    hp6 = ScalarContext(6, precision=106)
+    lens = sfx.lens_unknot_presentation(hp6, 5, 1).diagram
+    assert rt_eval.f_prime(hp6, lens) == _f_prime_dense_route(monkeypatch, hp6, lens)
 
 
 def test_53_bit_sweep_agrees_on_both_sides_of_the_dense_size(monkeypatch):
@@ -180,6 +179,21 @@ def test_four_strand_closure_at_r14_is_cut_independent():
     v = rt_eval.f_prime(ctx, d)
     second = rt_eval.f_prime(ctx, d, edge=(len(d.slices) - 1, 0))
     assert abs(v - second) <= 1e-9 * max(1.0, abs(v))
+
+
+def test_auto_stabilized_split_sweeps_term_by_term_at_r10():
+    """Its widest scatter forms 164k products per term: all 5 terms at once
+    take a 25 MiB traced peak, term by term 16 MiB."""
+    ctx = ScalarContext(10)
+    p = sg.auto_stabilize(ctx, sfx.split_surgery_unknot_presentation(ctx, GENERIC, 1))
+    wc.constants(ctx)
+    tracemalloc.start()
+    try:
+        rt_eval.f_prime(ctx, p.diagram)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2 ** 20
 
 
 def test_trefoil_high_precision_matches_53_bits(ctx6):
