@@ -190,33 +190,17 @@ def cmd_cgp(args) -> int:
         if cache_file.exists():
             sys.stdout.write(cache_file.read_text())
             return EXIT_OK
-    try:
-        pieces = [load_presentation(o) for o in objs]
-        total = complex(sg.cgp_disjoint(ctx, pieces, auto=args.auto_stabilize))
-        sigmas = [p.linking.signature for p in pieces]
-        out = {
-            "cgp": [total.real, total.imag],
-            "constants": _constants_dict(wc.constants(ctx)),
-            "ell": sum(len(p.surgery_components) for p in pieces),
-            "sigma": sigmas[0] if len(sigmas) == 1 else sigmas,
-            "warnings": [f"auto-stabilized components {c}"
-                         for c in (sg.check_computable(ctx, p) for p in pieces) if c],
-        }
-    except ParseError as e:
-        print(f"parse error: {e}", file=sys.stderr)
-        return EXIT_PARSE
-    except sg.NotComputable as e:
-        print(f"not computable: {e}; rerun with --auto-stabilize", file=sys.stderr)
-        return EXIT_NOT_COMPUTABLE
-    except sg.NotAdmissible as e:
-        print(f"not admissible: {e}", file=sys.stderr)
-        return EXIT_NOT_ADMISSIBLE
-    except (NumericInstability, wc.NotScalar) as e:
-        print(f"numeric instability: {e}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_ERROR
+    pieces = [load_presentation(o) for o in objs]
+    total = complex(sg.cgp_disjoint(ctx, pieces, auto=args.auto_stabilize))
+    sigmas = [p.linking.signature for p in pieces]
+    out = {
+        "cgp": [total.real, total.imag],
+        "constants": _constants_dict(wc.constants(ctx)),
+        "ell": sum(len(p.surgery_components) for p in pieces),
+        "sigma": sigmas[0] if len(sigmas) == 1 else sigmas,
+        "warnings": [f"auto-stabilized components {c}"
+                     for c in (sg.check_computable(ctx, p) for p in pieces) if c],
+    }
     text = render_json(out) + "\n"
     if cache_file is not None:
         # a concurrent reader sees the whole entry or none of it
@@ -301,6 +285,8 @@ def cmd_check(args) -> int:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand; an error it raises becomes one line on stderr
+    and the exit code of its kind."""
     args = build_parser().parse_args(argv)
     handlers = {
         "cgp": cmd_cgp,
@@ -309,7 +295,23 @@ def main(argv=None) -> int:
         "statespace": cmd_statespace,
         "check": cmd_check,
     }
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except ParseError as e:
+        print(f"parse error: {e}", file=sys.stderr)
+        return EXIT_PARSE
+    except sg.NotComputable as e:
+        print(f"not computable: {e}; rerun with --auto-stabilize", file=sys.stderr)
+        return EXIT_NOT_COMPUTABLE
+    except sg.NotAdmissible as e:
+        print(f"not admissible: {e}", file=sys.stderr)
+        return EXIT_NOT_ADMISSIBLE
+    except (NumericInstability, wc.NotScalar) as e:
+        print(f"numeric instability: {e}", file=sys.stderr)
+        return EXIT_NUMERIC
+    except ValueError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_ERROR
 
 
 if __name__ == "__main__":

@@ -10,17 +10,19 @@ drawn as a cap, a self-crossing and a cup evaluates to, two letters
 narrower.  Linking data read a twist cell as that curl's self-crossing.
 
 Diagrams are immutable: every edit returns a new diagram.  Each diagram
-computes its boundary words and its strand components once, on first
-use.  Edits that stack rows on a diagram extend its words row by row,
-checking each row against the word below it, and a recolored diagram
-takes over the component map of the diagram it came from.
+computes its boundary words and finds its strands once, on first use.
+Edits that stack rows on a diagram extend its words row by row, checking
+each row against the word below it, and a recolored diagram takes over
+the component map of the diagram it came from.
 
 Strand components are recovered by union-find over boundary ports; a
-coupon joins all of its legs into one component.  A Kirby color is a
-color like any other, carried by the letters of one coupon-free
-component, so no edit has to track it; the evaluator substitutes its
-summands cell by cell.  Component ids appear only where input names
-components by id (JSON, surgery presentations), in `mark_components`.
+coupon joins all of its legs into one component.  One pass over that map
+finds each component's letters, whether it runs through a coupon and, if
+not, its one color.  A Kirby color is a color like any other, carried by
+the letters of one coupon-free component, so no edit has to track it; the
+evaluator substitutes its summands cell by cell.  Component ids appear
+only where input names components by id (JSON, surgery presentations),
+in `mark_components`.
 """
 
 from __future__ import annotations
@@ -175,9 +177,9 @@ def _extend(words: list[ObjectWord], rows) -> list[ObjectWord]:
 @dataclass(frozen=True)
 class Diagram:
     """Immutable; `slices` may be given as any iterables of cells and is
-    stored as a tuple of tuples.  Boundary words, the component map and
-    the Kirby colors are computed on first use and kept; all are
-    read-only, since every caller gets the same object."""
+    stored as a tuple of tuples.  Boundary words, the component map, the
+    strand pass and the Kirby colors are computed on first use and kept;
+    all are read-only, since every caller gets the same object."""
 
     source: ObjectWord
     slices: tuple[Slice, ...]
@@ -185,6 +187,8 @@ class Diagram:
     _words: tuple[ObjectWord, ...] | None = field(
         default=None, init=False, repr=False, compare=False)
     _comp: MappingProxyType | None = field(
+        default=None, init=False, repr=False, compare=False)
+    _strands: tuple | None = field(
         default=None, init=False, repr=False, compare=False)
     _kirby: tuple[Kirby, ...] | None = field(
         default=None, init=False, repr=False, compare=False)
@@ -274,26 +278,37 @@ class Diagram:
             {p: roots.setdefault(find(p), len(roots)) for p in parent}))
         return self._comp
 
+    def _strand_pass(self) -> tuple[dict[int, set[Letter]], set[int], dict[int, Color]]:
+        """The letters of each component, the components running through a
+        coupon and the color of every other component, found once.
+
+        A non-coupon cell puts one letter on all the ports of its strand,
+        and `_next_word` checks every port, so a coupon-free component
+        carries one color.
+        """
+        if self._strands is None:
+            comp = self.ports_and_components()
+            words = self.boundary_words()
+            letters: dict[int, set[Letter]] = {}
+            for (b, i), c in comp.items():
+                letters.setdefault(c, set()).add(words[b][i])
+            coupons = set()
+            for placed in self._placed_cells():
+                if placed[3].kind == "coupon":
+                    ins, outs = _ports(*placed)
+                    coupons.update(comp[p] for p in (ins + outs)[:1])
+            colors = {c: next(iter(ls))[1] for c, ls in letters.items() if c not in coupons}
+            object.__setattr__(self, "_strands", (letters, coupons, colors))
+        return self._strands
+
     def component_count(self) -> int:
-        comp = self.ports_and_components()
-        return len(set(comp.values())) if comp else 0
+        return len(self._strand_pass()[0])
 
     def component_letters(self) -> dict[int, set[Letter]]:
-        comp = self.ports_and_components()
-        words = self.boundary_words()
-        out: dict[int, set[Letter]] = {}
-        for (b, i), c in comp.items():
-            out.setdefault(c, set()).add(words[b][i])
-        return out
+        return self._strand_pass()[0]
 
     def components_with_coupons(self) -> set[int]:
-        comp = self.ports_and_components()
-        bad = set()
-        for placed in self._placed_cells():
-            if placed[3].kind == "coupon":
-                ins, outs = _ports(*placed)
-                bad.update(comp[p] for p in ins + outs)
-        return bad
+        return self._strand_pass()[1]
 
     def _relettered(self, rl) -> "Diagram":
         """The letter l at port p of the source and of every non-coupon cell
@@ -339,22 +354,10 @@ class Diagram:
         return out
 
     def component_colors(self) -> dict[int, Color]:
-        """Single color of each coupon-free component; error on mixtures.
-
-        Components running through coupons are genuine graphs and may carry
-        several edge colors; they are omitted here.
-        """
-        letters = self.component_letters()
-        skip = self.components_with_coupons()
-        out = {}
-        for c, ls in letters.items():
-            if c in skip:
-                continue
-            colors = {col for _, col in ls}
-            if len(colors) != 1:
-                raise ValueError(f"component {c} carries several colors: {colors}")
-            out[c] = colors.pop()
-        return out
+        """The color of each coupon-free component.  Components running
+        through coupons are genuine graphs and may carry several edge
+        colors; they are omitted here."""
+        return self._strand_pass()[2]
 
 
 # ---------------------------------------------------------------------------
@@ -378,19 +381,12 @@ def validate(ctx: ScalarContext, d: Diagram) -> str | None:
                 if cell.matrix.shape != (cod, dom):
                     return (f"slice {s}: coupon matrix shape {cell.matrix.shape} "
                             f"!= ({cod}, {dom})")
-    try:
-        d.ports_and_components()
-        d.component_colors()
-    except ValueError as e:
-        return f"component labeling: {e}"
-    coupons = d.components_with_coupons()
+    # a Kirby color on a coupon leg was refused above, so every Kirby color
+    # is the color of a coupon-free component
     owner: dict[Kirby, int] = {}
-    for c, letters in d.component_letters().items():
-        for color in {col for _, col in letters if isinstance(col, Kirby)}:
-            if c in coupons:
-                return f"Kirby color on component {c} which touches a coupon"
-            if owner.setdefault(color, c) != c:
-                return f"{color!r} on components {owner[color]} and {c}"
+    for c, color in d.component_colors().items():
+        if isinstance(color, Kirby) and owner.setdefault(color, c) != c:
+            return f"{color!r} on components {owner[color]} and {c}"
     return None
 
 
@@ -440,51 +436,41 @@ def tensor(d1: Diagram, d2: Diagram) -> Diagram:
 # ---------------------------------------------------------------------------
 
 
+def normalized_cell(cells, error=ValueError) -> tuple[int, Cell] | None:
+    """(first input letter, cell) of the one non-identity cell of a
+    normalized slice; None when all its cells are identities.  Raises
+    `error` when the slice has several."""
+    pos, found = 0, None
+    for cell in cells:
+        if cell.kind != "id":
+            if found is not None:
+                raise error("slice with several non-identity cells")
+            found = (pos, cell)
+        pos += len(cell.in_letters())
+    return found
+
+
 def exchange_distant(d: Diagram, i: int) -> Diagram:
     """Swap slices i and i+1 when their nontrivial cells act on disjoint
     letter ranges (a slice-level isotopy rewrite, normalized slices only).
     """
     if not (0 <= i + 1 < len(d.slices)):
         raise ValueError("slice index out of range")
-
-    def main_cell(cells):
-        pos = 0
-        found = None
-        for cell in cells:
-            if cell.kind != "id":
-                if found is not None:
-                    raise ValueError("exchange needs normalized slices")
-                found = (pos, cell)
-            pos += len(cell.in_letters())
-        return found
-
-    lo = main_cell(d.slices[i])
-    hi = main_cell(d.slices[i + 1])
+    lo, hi = normalized_cell(d.slices[i]), normalized_cell(d.slices[i + 1])
     if lo is None or hi is None:
         raise ValueError("nothing to exchange")
     (p_lo, c_lo), (p_hi, c_hi) = lo, hi
-    din_lo = len(c_lo.in_letters())
-    dout_lo = len(c_lo.out_letters())
-    shift = dout_lo - din_lo
-    words = d.boundary_words()
-    w0 = words[i]
-    if p_hi >= p_lo + dout_lo:
+    n_lo, m_lo = len(c_lo.in_letters()), len(c_lo.out_letters())
+    n_hi, m_hi = len(c_hi.in_letters()), len(c_hi.out_letters())
+    w0 = d.boundary_words()[i]
+    if p_hi >= p_lo + m_lo:
         # upper cell sits right of the lower one: pull it down first
-        q = p_hi - shift
-        if q < p_lo + din_lo:
-            raise ValueError("slices are not distant")
-        first = wrap_slice(w0, q, c_hi)
-        mid = ObjectWord([c.out_letters()[t] for c in first
-                          for t in range(len(c.out_letters()))])
-        second = wrap_slice(mid, p_lo, c_lo)
-    elif p_hi + len(c_hi.in_letters()) <= p_lo:
-        first = wrap_slice(w0, p_hi, c_hi)
-        mid = ObjectWord([c.out_letters()[t] for c in first
-                          for t in range(len(c.out_letters()))])
-        second = wrap_slice(mid, p_lo + len(c_hi.out_letters())
-                            - len(c_hi.in_letters()), c_lo)
+        first, p_second = wrap_slice(w0, p_hi - m_lo + n_lo, c_hi), p_lo
+    elif p_hi + n_hi <= p_lo:
+        first, p_second = wrap_slice(w0, p_hi, c_hi), p_lo + m_hi - n_hi
     else:
         raise ValueError("slices are not distant")
+    second = wrap_slice(_next_word(w0, first, i), p_second, c_lo)
     return Diagram(d.source, d.slices[:i] + (first, second) + d.slices[i + 2:],
                    d.prefactor)
 

@@ -74,27 +74,21 @@ class SurgeryPresentation:
 
         Off-diagonal entries are half the signed crossing count between the
         two components; diagonal entries are the writhes (blackboard
-        self-linking).
+        self-linking).  Rows follow the component ids; a crossing names
+        its strands by color, since each surgery color sits on one
+        component of a valid presentation.
         """
-        comps = tuple(sorted(self.surgery_components))
-        idx = {c: i for i, c in enumerate(comps)}
-        n = len(comps)
-        mat = np.zeros((n, n), dtype=np.int64)
-        # signed crossing sums per unordered component pair
-        lk2 = {}
-        for a, b, s, _, _ in self.diagram.crossing_records():
-            key = (min(a, b), max(a, b))
-            lk2[key] = lk2.get(key, 0) + s
-        for (a, b), s in lk2.items():
-            if a in idx and b in idx:
-                if a == b:
-                    mat[idx[a], idx[a]] += s
-                else:
-                    if s % 2 != 0:
-                        raise ValueError("odd crossing count between distinct components")
-                    mat[idx[a], idx[b]] += s // 2
-                    mat[idx[b], idx[a]] += s // 2
-        return LinkingData(mat, comps, _signature(mat))
+        idx = {k: i for i, k in enumerate(self.surgery_colors.values())}
+        mat = np.zeros((len(idx), len(idx)), dtype=np.int64)
+        # twice the linking matrix: each crossing counts at both ends
+        for _, _, s, ca, cb in self.diagram.crossing_records():
+            if ca in idx and cb in idx:
+                mat[idx[ca], idx[cb]] += s
+                mat[idx[cb], idx[ca]] += s
+        if (mat % 2).any():
+            raise ValueError("odd crossing count between distinct components")
+        mat //= 2
+        return LinkingData(mat, tuple(self.surgery_colors), _signature(mat))
 
 
 @dataclass(frozen=True)
@@ -296,15 +290,7 @@ def _insert_rider(ctx: ScalarContext, d: dg.Diagram, target: wc.Kirby,
                 np_ += 1
             return np_
 
-        # locate the one nontrivial cell of this slice (normalized form)
-        pin = 0
-        main = None
-        for cell in cells:
-            if cell.kind != "id":
-                if main is not None:
-                    raise CannotStabilize("slice with several nontrivial cells")
-                main = (pin, cell)
-            pin += len(cell.in_letters())
+        main = dg.normalized_cell(cells, CannotStabilize)
         if main is None:
             st.add([dg.id_cell(l) for l in st.words[-1]])
             continue
@@ -380,19 +366,18 @@ def auto_stabilize(ctx: ScalarContext, p: SurgeryPresentation,
     component links), and the component's meridian reading drops by the
     stabilization index.  Components must be round unknots (framing twists
     or curls allowed) in the standard layout with a typical letter next to
-    their upward leg; otherwise CannotStabilize is raised.
+    their upward leg; otherwise CannotStabilize is raised.  The critical
+    colors are threaded in turn; a detour recolors only its target, so the
+    input's colors name every target.
     """
-    offending = check_computable(ctx, p)
-    if not offending:
-        return p
     cur = p
-    for _ in range(len(offending)):
-        target = cur.surgery_colors[offending[0]]
+    for c in check_computable(ctx, p):
+        target = p.surgery_colors[c]
         cur = _thread_detour(ctx, cur, target, index or _pick_index(ctx, target))
-        offending = check_computable(ctx, cur)
-        if not offending:
-            return cur
-    raise CannotStabilize(f"still critical after stabilization: {offending}")
+    offending = check_computable(ctx, cur)
+    if offending:
+        raise CannotStabilize(f"still critical after stabilization: {offending}")
+    return cur
 
 
 def _thread_detour(ctx: ScalarContext, p: SurgeryPresentation, target: wc.Kirby,

@@ -72,12 +72,6 @@ class Degree:
             return False
         return abs(self.g.real - round(self.g.real)) <= tol
 
-    def __add__(self, other: "Degree") -> "Degree":
-        return Degree(self.g + other.g)
-
-    def __neg__(self) -> "Degree":
-        return Degree(-self.g)
-
 
 @dataclass(frozen=True)
 class Typical:
@@ -203,12 +197,6 @@ class ObjectWord:
 
     def __add__(self, other: "ObjectWord") -> "ObjectWord":
         return ObjectWord(self.letters + other.letters)
-
-    def degree(self, ctx: ScalarContext) -> Degree:
-        g = 0j
-        for sign, color in self.letters:
-            g += sign * color_degree(ctx, color).g
-        return Degree(g)
 
 
 EMPTY_WORD = ObjectWord(())
@@ -577,7 +565,8 @@ def modified_dimension(ctx: ScalarContext, alpha) -> Scalar:
 
     d(V_alpha) = (-1)^{m-1} m {mu} / {m mu},  mu = alpha - m + 1,
 
-    with m = r/2 and mu the middle weight of V_alpha.  The shift is forced
+    with m = r/2 and mu the middle weight of V_alpha, formed at working
+    precision (alpha - (m - 1) in double would round).  The shift is forced
     by trace compatibility: d(V_gamma)/d(V_alpha) must equal the scalar of
     tr_r applied to the projector onto each summand V_gamma of
     V_alpha (x) V_beta, with the ribbon pivot K^{1-r/2}.  It also satisfies
@@ -588,7 +577,7 @@ def modified_dimension(ctx: ScalarContext, alpha) -> Scalar:
     if not is_typical_weight(ctx, alpha):
         raise NonTypicalColor(f"weight {alpha} is not typical at level {ctx.r}")
     m = ctx.nilpotency
-    mu = alpha - (m - 1)
+    mu = ctx.scalar(alpha) - (m - 1)
     den = ctx.brace(m * mu)
     if abs(den) <= 10 * ctx.tol:
         # typical weights on the critical lattice (mu in m Z): both braces

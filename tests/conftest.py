@@ -42,3 +42,12 @@ def drawn_kinks(d):
                 st.cell(pos + 1, dg.cup(letter, left=False))
             pos += len(c.out_letters())
     return st.diagram(d.prefactor)
+
+
+def assert_one_color_per_strand(d):
+    """Each coupon-free component's letters carry exactly one color, the
+    one `component_colors` reports for it."""
+    coupons, colors = d.components_with_coupons(), d.component_colors()
+    for c, letters in d.component_letters().items():
+        if c not in coupons:
+            assert {col for _, col in letters} == {colors[c]}, c

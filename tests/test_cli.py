@@ -139,6 +139,20 @@ def test_statespace_command():
     assert lines[1].startswith("1,") and lines[1].endswith(",3")
 
 
+@pytest.mark.parametrize("argv, code", [
+    (["moddim", "4", "abc"], cli.EXIT_PARSE),
+    (["statespace", "6", "1", "xyz"], cli.EXIT_PARSE),
+    (["statespace", "6", "1", "1"], cli.EXIT_ERROR),  # a critical class
+    (["constants", "8"], cli.EXIT_ERROR),  # a level divisible by 8
+])
+def test_every_subcommand_exits_by_error_kind(argv, code):
+    proc = subprocess.run([sys.executable, "-m", "cgpkit.cli", *argv],
+                          capture_output=True, text=True)
+    assert proc.returncode == code
+    assert proc.stdout == "" and len(proc.stderr.splitlines()) == 1
+    assert "Traceback" not in proc.stderr
+
+
 def test_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "cgpkit.cli", "moddim", "6", "0.5"],

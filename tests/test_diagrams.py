@@ -9,6 +9,7 @@ from cgpkit import rt_eval
 from cgpkit import surgery as sg
 from cgpkit import surgery_fixtures as sfx
 from cgpkit import weightcat as wc
+from conftest import assert_one_color_per_strand
 
 GENERIC = 0.37 + 0.2j
 GENERIC2 = 0.59 - 0.11j
@@ -52,6 +53,19 @@ def test_validate_coupon_shape(ctx):
     w0 = word((1, wc.Typical(0)))
     with pytest.raises(wc.NonTypicalColor):
         dg.validate(ctx, dg.Diagram(w0, [[dg.coupon(w0, w0, np.eye(m))]]))
+
+
+def test_validate_refuses_a_kirby_colored_coupon_leg(ctx):
+    """A Kirby color is a formal sum, so no coupon can take it: validate
+    refuses the leg before any component is looked at."""
+    k = wc.Kirby(0.5)
+    w = word((1, k))
+    d = dg.apply_cell(dg.Diagram(word(), []), 0, dg.cap((1, k), left=True))
+    d = dg.apply_cell(d, 0, dg.coupon(w, w, np.eye(ctx.nilpotency)))
+    d = dg.apply_cell(d, 0, dg.cup((1, k), left=False))
+    with pytest.raises(ValueError) as err:
+        dg.validate(ctx, d)
+    assert str(err.value).startswith(f"{k!r} is a formal sum")
 
 
 def test_compose_requires_matching_boundary(ctx):
@@ -266,13 +280,20 @@ EDITS = {
 
 @pytest.mark.parametrize("edit", sorted(EDITS))
 def test_cached_structure_matches_recomputation(ctx, edit):
+    """Every cached view is kept, and equals the view of the same slices
+    built afresh; a recolored diagram takes over only the component map."""
     d = EDITS[edit](ctx)
     assert dg.validate(ctx, d) is None
-    assert d.boundary_words() is d.boundary_words()
-    assert d.ports_and_components() is d.ports_and_components()
     fresh = dg.Diagram(d.source, d.slices, d.prefactor)
-    assert d.boundary_words() == fresh.boundary_words()
-    assert d.ports_and_components() == fresh.ports_and_components()
+    for view in ("boundary_words", "ports_and_components", "component_letters",
+                 "components_with_coupons", "component_colors"):
+        assert getattr(d, view)() is getattr(d, view)(), view
+        assert getattr(d, view)() == getattr(fresh, view)(), view
+
+
+@pytest.mark.parametrize("edit", sorted(EDITS))
+def test_coupon_free_strands_carry_one_color(ctx, edit):
+    assert_one_color_per_strand(EDITS[edit](ctx))
 
 
 def test_recolor_hands_on_component_map(ctx):

@@ -15,6 +15,7 @@ from cgpkit import surgery as sg
 from cgpkit import surgery_fixtures as sfx
 from cgpkit import weightcat as wc
 from cgpkit.qscalars import ScalarContext
+from conftest import assert_one_color_per_strand
 
 GENERIC = 0.37 + 0.2j
 
@@ -72,6 +73,11 @@ def test_f_prime_equals_recolor_then_cut(level, figure):
     ctx = CONTEXTS[level]
     d = _figures(ctx)[figure]
     assert rt_eval.f_prime(ctx, d) == _recolor_then_cut(ctx, d)
+
+
+@pytest.mark.parametrize("figure", FIGURES)
+def test_coupon_free_strands_carry_one_color(figure):
+    assert_one_color_per_strand(_figures(CONTEXTS["r4"])[figure])
 
 
 def test_one_cut_per_presentation(monkeypatch, ctx6):

@@ -581,3 +581,58 @@ def test_norm_inf_matches_elementwise_max():
         want = float(max((abs(t) for t in x.reshape(-1)), default=0.0))
         got = la.norm_inf(x)
         assert type(got) is float and got == want
+
+
+@pytest.mark.parametrize("r", [6, 10, 14])
+def test_modified_dimension_at_working_precision(r):
+    """mu = alpha - (m - 1) is formed at 106 bits, not rounded to a double
+    first: d(V_alpha) matches (-1)^{m-1} m {mu}/{m mu}, evaluated from the
+    same double alpha in a private 300-bit mpmath context."""
+    from mpmath.ctx_mp import MPContext
+
+    mp = MPContext()
+    mp.prec = 300
+    m = r // 2
+
+    def brace(z):
+        qz = mp.exp(z * 2j * mp.pi / r)
+        return qz - 1 / qz
+
+    ctx = ScalarContext(r, precision=106)
+    for alpha in (GENERIC, GENERIC2):
+        mu = mp.mpc(alpha) - (m - 1)
+        want = (-1) ** (m - 1) * m * brace(mu) / brace(m * mu)
+        got = wc.modified_dimension(ctx, alpha)
+        assert abs(mp.mpc(got.real, got.imag) - want) <= 1e-30 * abs(want), alpha
+
+
+def _rel(got, want) -> float:
+    return abs(complex(got - want)) / abs(complex(want))
+
+
+@pytest.mark.parametrize("precision, tol", [(53, 1e-12), (106, 1e-28)])
+@pytest.mark.parametrize("r", [4, 6, 10])
+def test_modified_trace_left_route_on_sigma_then_typical(r, precision, tol):
+    """The typical letter sits right of sigma(rbar), so the trace reaches it
+    by a left partial trace: the identity traces to dim sigma(rbar) d(V)."""
+    ctx = ScalarContext(r, precision=precision)
+    word = wc.ObjectWord([(1, wc.Sigma(ctx.rbar)), (1, wc.Typical(GENERIC))])
+    t = wc.modified_trace(ctx, word, la.eye(ctx, wc.realize(ctx, word).dim))
+    want = wc.sigma_dim(ctx, ctx.rbar) * wc.modified_dimension(ctx, GENERIC)
+    assert _rel(t, want) <= tol
+
+
+@pytest.mark.parametrize("precision, tol", [(53, 1e-12), (106, 1e-28)])
+@pytest.mark.parametrize("r", [4, 6, 10])
+def test_modified_trace_is_ambidextrous(r, precision, tol):
+    """For the double braiding f on V (x) W of two typicals, the modified
+    trace (a right partial trace onto V) equals d(W) times the scalar of
+    the left partial trace of f onto W."""
+    ctx = ScalarContext(r, precision=precision)
+    V = wc.realize_letter(ctx, (1, wc.Typical(GENERIC)))
+    W = wc.realize_letter(ctx, (1, wc.Typical(GENERIC2)))
+    f = wc.braiding(ctx, W, V) @ wc.braiding(ctx, V, W)
+    word = wc.ObjectWord([(1, wc.Typical(GENERIC)), (1, wc.Typical(GENERIC2))])
+    want = (wc.modified_dimension(ctx, GENERIC2)
+            * wc.scalar_of(ctx, wc.partial_trace_left(ctx, f, V, W.dim)))
+    assert _rel(wc.modified_trace(ctx, word, f), want) <= tol
