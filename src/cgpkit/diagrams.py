@@ -646,13 +646,13 @@ def _stack_between(d: Diagram, slices, nleft: int, nright: int) -> Diagram:
 
 
 def stabilize_projective(ctx: ScalarContext, d: Diagram, boundary: int, pos: int,
-                         g, index_weight: complex) -> Diagram:
+                         index_weight: complex) -> Diagram:
     """Projective stabilization along the edge at (boundary, pos).
 
     Replaces an identity segment of a typical-colored edge by the coupon
     pair (section, id (x) right evaluation) introducing a detour colored by
     the simple projective module of highest weight index_weight (of generic
-    degree g).  Skein-equivalent: closed evaluations are unchanged.
+    degree).  Skein-equivalent: closed evaluations are unchanged.
     """
     words = d.boundary_words()
     w = words[boundary]

@@ -123,19 +123,15 @@ def relative_modularity_matrix(ctx: ScalarContext, wi: complex, wj: complex,
     return rt_eval.evaluate_formal(ctx, d)
 
 
-def relative_modularity_scalar(ctx: ScalarContext, g: wc.Degree,
-                               h: wc.Degree | None = None) -> Scalar:
+def relative_modularity_scalar(ctx: ScalarContext, g: wc.Degree) -> Scalar:
     """Extract the modularity parameter from the i = j projector figure.
 
-    The index-h meridian around the V_i / dual-V_i strand pair evaluates
-    to the parameter times the through-unit projector, normalized by the
-    modified dimension: fig = zeta * (coev_l o ev_r) / d(V_i).  The value
-    is independent of the auxiliary index h.
+    The index-g meridian around the V_i / dual-V_i strand pair, V_i of
+    degree g, evaluates to the parameter times the through-unit projector,
+    normalized by the modified dimension: fig = zeta * (coev_l o ev_r) / d(V_i).
     """
-    if h is None:
-        h = wc.Degree(g.g + 0.0)
     wi = index_first(ctx, g)
-    A = relative_modularity_matrix(ctx, wi, wi, h)
+    A = relative_modularity_matrix(ctx, wi, wi, g)
     Vi = wc.realize(ctx, wc.ObjectWord([(1, wc.Typical(wi))]))
     B = wc.ev_coev(ctx, Vi, "coev_l") @ wc.ev_coev(ctx, Vi, "ev_r")
     denom = la.frobenius_inner(B, B)

@@ -2,8 +2,8 @@
 isotropic subspace, and the Maslov index of a Lagrangian triple.
 
 These are the signature-defect ingredients of the decorated cobordism
-bookkeeping: the Maslov index is the signature of the symmetric form
-<[a1], [b2+b3]> = omega(a1, b2) on (L1 cap (L2+L3)) / ((L1 cap L2) + (L1 cap L3)).
+bookkeeping: the Maslov index is the signature of Kashiwara's symmetric form
+omega(x1, x2) + omega(x2, x3) + omega(x3, x1) on L1 + L2 + L3.
 """
 
 from __future__ import annotations
@@ -165,37 +165,19 @@ def _intersect(space: SymplecticSpace, a: np.ndarray, b: np.ndarray) -> np.ndarr
 
 def maslov_index(space: SymplecticSpace, l1: np.ndarray, l2: np.ndarray,
                  l3: np.ndarray) -> int:
-    """Signature of the Maslov form of three Lagrangian subspaces."""
+    """Signature of Kashiwara's form omega(x1, x2) + omega(x2, x3) + omega(x3, x1)
+    on L1 + L2 + L3, which equals that of Wall's Maslov form (Cappell-Lee-Miller,
+    CPAM 47, 1994)."""
     for l in (l1, l2, l3):
         if not is_lagrangian(space, l):
             raise NotLagrangian("all three subspaces must be Lagrangian")
-    b1 = _colspace(np.atleast_2d(l1), space.tol)
-    b2 = _colspace(np.atleast_2d(l2), space.tol)
-    b3 = _colspace(np.atleast_2d(l3), space.tol)
-    l23 = _span_basis(space, np.concatenate([b2, b3], axis=1))
-    top = _intersect(space, b1, l23)
-    bot = _span_basis(space, np.concatenate(
-        [_intersect(space, b1, b2), _intersect(space, b1, b3)], axis=1))
-    # W = top / bot: complement of bot inside top
-    if top.shape[1] == 0:
-        return 0
-    comp = top - bot @ (bot.T @ top) if bot.shape[1] else top
-    w = _span_basis(space, comp)
-    if w.shape[1] == 0:
-        return 0
-    # write each w-column a1 = b2 + b3 and evaluate omega(a1, b2')
-    k = w.shape[1]
-    joint = np.concatenate([b2, b3], axis=1)
-    gram = np.zeros((k, k))
-    # minimum-norm solution of joint @ decomp = w over the kept singular values
-    u, s, vh, rank = _svd_rank(joint, space.tol)
-    decomp = vh[:rank].T @ ((u[:, :rank].T @ w) / s[:rank, None])
-    b2parts = b2 @ decomp[:b2.shape[1], :]
-    for i in range(k):
-        for j in range(k):
-            gram[i, j] = w[:, i] @ space.form @ b2parts[:, j]
-    gram = 0.5 * (gram + gram.T)
-    vals = np.linalg.eigvalsh(gram)
+    b = [_colspace(np.atleast_2d(l), space.tol) for l in (l1, l2, l3)]
+    # block (i, i + 1) is B_i^T omega B_{i+1}, block (i + 1, i) its transpose
+    w = [b[i].T @ space.form @ b[(i + 1) % 3] for i in range(3)]
+    z = [np.zeros((x.shape[1],) * 2) for x in b]
+    vals = np.linalg.eigvalsh(np.block([[z[0], w[0], w[2].T],
+                                        [w[0].T, z[1], w[1]],
+                                        [w[2], w[1].T, z[2]]]))
     thresh = space.tol * max(1.0, np.abs(vals).max() if vals.size else 0.0)
     return int(np.sum(vals > thresh)) - int(np.sum(vals < -thresh))
 
@@ -215,8 +197,5 @@ def random_lagrangian(n: int, rng, tol: float = 1e-9) -> np.ndarray:
     l = lagrangian_from_graph(n, 0.5 * (s + s.T), tol)
     if rng.random() < 0.5:
         # swap the two halves (a symplectic rotation) for more variety
-        j = np.zeros((2 * n, 2 * n))
-        j[:n, n:] = np.eye(n)
-        j[n:, :n] = -np.eye(n)
-        l = j @ l
+        l = standard_symplectic(n, tol).form @ l
     return l

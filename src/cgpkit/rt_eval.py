@@ -54,13 +54,9 @@ def _cell_matrix_cached(ctx: ScalarContext, kind: str, letters) -> np.ndarray:
         return wc.twist(ctx, wc.realize_letter(ctx, letters[0]), 1 if kind == "tpos" else -1)
     sign, color = letters[0]
     M = wc.realize_letter(ctx, (1, color))
-    flavor = {
-        ("cup_l", 1): "ev_l", ("cup_l", -1): "ev_r",
-        ("cup_r", 1): "ev_r", ("cup_r", -1): "ev_l",
-        ("cap_l", 1): "coev_l", ("cap_l", -1): "coev_r",
-        ("cap_r", 1): "coev_r", ("cap_r", -1): "coev_l",
-    }[(kind, 1 if sign > 0 else -1)]
-    return wc.ev_coev(ctx, M, flavor)
+    # a cup evaluates, a cap coevaluates; a negative letter swaps the side
+    side = "_l" if kind.endswith("_l") == (sign > 0) else "_r"
+    return wc.ev_coev(ctx, M, ("ev" if kind.startswith("cup") else "coev") + side)
 
 
 def _substituted(letters: tuple, sub: dict) -> tuple:
@@ -122,10 +118,11 @@ def evaluate(ctx: ScalarContext, d: dg.Diagram, kirby: tuple | None = None) -> n
     with a term axis per Kirby color of `kirby` (by default `d.kirby_colors()`,
     as in `expand_formal`).  Functorial under compose, monoidal under tensor."""
     words, kirby = d.boundary_words(), d.kirby_colors() if kirby is None else kirby
-    src, dense_max = math.prod(_letter_dims(ctx, words[0])), _dense_max(ctx)
+    dims = _letter_dims(ctx, words[0])  # the cell loop carries it through the slices
+    src, dense_max = math.prod(dims), _dense_max(ctx)
     steps = []
-    for s, cells in enumerate(d.slices):
-        dims, pos = _letter_dims(ctx, words[s]), 0
+    for cells in d.slices:
+        pos = 0
         for cell in cells:
             if cell.kind == "id":
                 pos += 1
@@ -215,7 +212,9 @@ def _apply_sparse(idx: np.ndarray, val: np.ndarray, nonzeros,
     first = np.flatnonzero(np.diff(dst, prepend=-1))
     if val.ndim == vals.ndim == 1:
         return dst[first], np.add.reduceat(vals[k] * val[term], first)
-    # the terms share the index work; their values are formed one by one
+    # the terms share the index work; their values are formed one by one,
+    # so each product array is one term long (one broadcast reduceat over
+    # all terms raised the r = 10 split's traced peak from 15.8 to 17.6 MiB)
     axes = np.broadcast_shapes(val.shape[:-1], vals.shape[:-1])
     val, vals = (np.broadcast_to(a, axes + a.shape[-1:]) for a in (val, vals))
     out = np.empty(axes + first.shape, dtype=val.dtype)

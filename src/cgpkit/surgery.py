@@ -113,44 +113,25 @@ def linking_data(ctx: ScalarContext, p: SurgeryPresentation) -> LinkingData:
 
 
 def _signature(mat: np.ndarray) -> int:
-    """Exact eigenvalue sign count of an integer symmetric matrix.
+    """Exact signature of an integer symmetric matrix.
 
-    Characteristic polynomial by Faddeev-LeVerrier over the rationals;
-    all roots are real, so Descartes' rule counts positive and negative
-    roots exactly.
+    Symmetric elimination over the rationals (Sylvester's law of inertia):
+    a nonzero diagonal pivot adds its sign and leaves its Schur complement.
+    When the diagonal is zero but a_ij is not, adding row and column j to
+    row and column i is a congruence that makes the pivot 2 a_ij.
     """
-    n = mat.shape[0]
-    A = [[Fraction(int(mat[i, j])) for j in range(n)] for i in range(n)]
-
-    def mul(X, Y):
-        return [[sum(X[i][k] * Y[k][j] for k in range(n)) for j in range(n)]
-                for i in range(n)]
-
-    I = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
-    cs = [Fraction(1)]
-    M = [row[:] for row in I]
-    AM = mul(A, M)
-    for k in range(1, n + 1):
-        ck = -sum(AM[i][i] for i in range(n)) / k
-        cs.append(ck)
-        if k == n:
-            break
-        M = [[AM[i][j] + (ck if i == j else 0) for j in range(n)] for i in range(n)]
-        AM = mul(A, M)
-    # cs are the coefficients of lambda^{n-k}; count sign changes for
-    # positive roots, and of the alternating sequence for negative roots
-    zeros = 0
-    while zeros < n and cs[n - zeros] == 0:
-        zeros += 1
-
-    def sign_changes(seq):
-        seq = [s for s in seq if s != 0]
-        return sum(1 for a, b in zip(seq, seq[1:]) if (a > 0) != (b > 0))
-
-    pos = sign_changes(cs)
-    neg = sign_changes([c * ((-1) ** k) for k, c in enumerate(cs)])
-    assert pos + neg + zeros == n
-    return pos - neg
+    a = np.array([[Fraction(int(x)) for x in row] for row in mat], dtype=object).reshape(mat.shape)
+    sig = 0
+    while (nz := np.argwhere(a != 0)).size:
+        diag = nz[nz[:, 0] == nz[:, 1]]
+        p, j = diag[0] if diag.size else nz[0]
+        if p != j:
+            a[p] += a[j]
+            a[:, p] += a[:, j]
+        sig += 1 if a[p, p] > 0 else -1
+        rest = np.arange(len(a)) != p
+        a = a[rest][:, rest] - np.outer(a[rest, p], a[p, rest]) / a[p, p]
+    return sig
 
 
 def check_computable(ctx: ScalarContext, p: SurgeryPresentation) -> list[int]:
@@ -396,7 +377,7 @@ def _thread_detour(ctx: ScalarContext, p: SurgeryPresentation, target: wc.Kirby,
             "no boundary exposes a typical edge beside the critical "
             "component and its rider")
     b, i = site
-    d1 = dg.stabilize_projective(ctx, d_r, b, i, index, vh.alpha)
+    d1 = dg.stabilize_projective(ctx, d_r, b, i, vh.alpha)
     # tether: detour end crosses its partner and the (+U) leg, swaps with
     # the rider, and the rider's lower strand returns into the coupon
     det = (1, vh)

@@ -164,8 +164,7 @@ def test_07_stabilization_invariance():
         a = 0.37 + 0.2j
         p0 = sfx.unknot_presentation(ctx, a)
         v0 = sg.cgp(ctx, p0)
-        d1 = dg.stabilize_projective(ctx, p0.diagram, 1, 0, wc.Degree(0.7),
-                                     wc.index_set(ctx, wc.Degree(0.7))[0])
+        d1 = dg.stabilize_projective(ctx, p0.diagram, 1, 0, wc.index_set(ctx, wc.Degree(0.7))[0])
         v1 = sg.cgp(ctx, sg.SurgeryPresentation(d1, frozenset(), {}))
         worst = max(worst, abs(v1 - v0) / abs(v0))
         d2 = dg.stabilize_generic(ctx, p0.diagram, 1, (0, 1), wc.Degree(a))

@@ -190,7 +190,7 @@ def test_stabilize_projective_section_property(ctx):
     a = wc.Typical(GENERIC)
     u = fx.unknot(a)
     g = wc.Degree(0.7)
-    d = dg.stabilize_projective(ctx, u, 1, 0, g, wc.index_set(ctx, g)[0])
+    d = dg.stabilize_projective(ctx, u, 1, 0, wc.index_set(ctx, g)[0])
     assert dg.validate(ctx, d) is None
     # composing the two inserted coupons gives the identity on the edge
     s_cell = d.slices[1][0]
@@ -271,7 +271,7 @@ EDITS = {
     "cut": lambda ctx: dg.cut(ctx, fx.hopf_link(A, B), *_middle_edge(fx.hopf_link(A, B))),
     "recolor_component": lambda ctx: fx.hopf_link(A, B).recolor_component(1, wc.Sigma(0)),
     "stabilize_projective": lambda ctx: dg.stabilize_projective(
-        ctx, fx.figure_eight(A), 2, 0, wc.Degree(0.7), wc.index_set(ctx, wc.Degree(0.7))[0]),
+        ctx, fx.figure_eight(A), 2, 0, wc.index_set(ctx, wc.Degree(0.7))[0]),
     "stabilize_generic": lambda ctx: dg.stabilize_generic(
         ctx, fx.unknot(A), 1, (0, 1), wc.Degree(GENERIC)),
     "auto_stabilize_rider": _rider,

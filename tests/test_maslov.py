@@ -85,6 +85,40 @@ def test_maslov_antisymmetry_scan():
     assert count >= 100
 
 
+def test_maslov_cocycle_identity():
+    """tau(L2, L3, L4) - tau(L1, L3, L4) + tau(L1, L2, L4) - tau(L1, L2, L3) = 0,
+    also with a Lagrangian repeated."""
+    rng = np.random.default_rng(5)
+    for n in (1, 2, 3):
+        sp = ms.standard_symplectic(n)
+        for _ in range(100):
+            Ls = [ms.random_lagrangian(n, rng) for _ in range(4)]
+            if rng.random() < 0.2:
+                Ls[int(rng.integers(1, 4))] = Ls[0]
+            l1, l2, l3, l4 = Ls
+            assert (ms.maslov_index(sp, l2, l3, l4) - ms.maslov_index(sp, l1, l3, l4)
+                    + ms.maslov_index(sp, l1, l2, l4) - ms.maslov_index(sp, l1, l2, l3)) == 0
+
+
+def test_maslov_additive_under_direct_sums():
+    """The index of L_i + L_i' in the direct sum of two spaces is the sum of
+    the two indices."""
+    rng = np.random.default_rng(6)
+
+    def direct_sum(a, b):
+        return np.block([[a, np.zeros((a.shape[0], b.shape[1]))],
+                         [np.zeros((b.shape[0], a.shape[1])), b]])
+
+    for _ in range(300):
+        n, m = (int(x) for x in rng.integers(1, 4, 2))
+        sn, sm = ms.standard_symplectic(n), ms.standard_symplectic(m)
+        sp = ms.SymplecticSpace(direct_sum(sn.form, sm.form))
+        a = [ms.random_lagrangian(n, rng) for _ in range(3)]
+        b = [ms.random_lagrangian(m, rng) for _ in range(3)]
+        want = ms.maslov_index(sn, *a) + ms.maslov_index(sm, *b)
+        assert ms.maslov_index(sp, *map(direct_sum, a, b)) == want
+
+
 def test_not_lagrangian_rejected():
     sp = ms.standard_symplectic(2)
     not_lag = np.eye(4)[:, [0, 2]]  # omega(e0, e2) = 1

@@ -107,6 +107,29 @@ def test_apply_sparse_matches_matmul(precision):
                                              dl, din, dr, src)
 
 
+@pytest.mark.parametrize("precision", [53, 106])
+def test_apply_sparse_term_axes_match_per_term_calls(precision):
+    """State values on term axes (2, 1) and cell values on (1, 3) give the
+    six terms' values, each the bits of its own 1-D call."""
+    ctx = ScalarContext(4, precision=precision)
+    rng = np.random.default_rng(12)
+    dl, din, dout, dr, src = 2, 4, 3, 2, 3
+    states = [_random(ctx, rng, (dl * din * dr, src), 0.4) for _ in range(2)]
+    idx = np.flatnonzero(states[0])  # stored zeros in the second state
+    val = np.stack([s.reshape(-1)[idx] for s in states]).reshape(2, 1, idx.size)
+    m = np.stack([_random(ctx, rng, (dout, din), 0.6) for _ in range(3)])
+    count, offset, outs, vals = rt_eval._nonzeros(m.reshape(1, 3, dout, din))
+    got_idx, got = rt_eval._apply_sparse(idx, val, (count, offset, outs, vals),
+                                         dl, din, dout, dr * src)
+    assert got.shape == (2, 3, got_idx.size)
+    for a in range(2):
+        for b in range(3):
+            one_idx, one = rt_eval._apply_sparse(idx, val[a, 0], (count, offset, outs, vals[0, b]),
+                                                 dl, din, dout, dr * src)
+            assert np.array_equal(one_idx, got_idx)
+            assert all(x == y for x, y in zip(got[a, b], one))
+
+
 def _f_prime_dense_route(monkeypatch, ctx, d):
     """f_prime with every cell applied by `_apply_local` to the dense
     state, at either precision."""

@@ -68,6 +68,26 @@ def test_exact_signature_routes():
         assert sg._signature(m) == int((vals > 1e-9).sum()) - int((vals < -1e-9).sum())
 
 
+def test_signature_of_zero_diagonals():
+    """Zero diagonals need the congruence step once per hyperbolic pair:
+    permuted sums of [[0, a], [a, 0]] blocks have signature 0, and so has
+    [[0, I], [I, 0]] + diag(2, -3); with diag(2, 3) it is 2."""
+    rng = np.random.default_rng(14)
+    for k in range(1, 8):
+        m = np.zeros((2 * k, 2 * k), dtype=int)
+        for i in range(k):
+            m[2 * i, 2 * i + 1] = m[2 * i + 1, 2 * i] = rng.choice([-3, -2, -1, 1, 2, 3])
+        perm = rng.permutation(2 * k)
+        assert sg._signature(m[perm][:, perm]) == 0
+    for k in range(1, 7):
+        for tail, want in (([2, -3], 0), ([2, 3], 2)):
+            m = np.zeros((2 * k + 2, 2 * k + 2), dtype=int)
+            m[:k, k:2 * k] = m[k:2 * k, :k] = np.eye(k, dtype=int)
+            m[2 * k:, 2 * k:] = np.diag(tail)
+            perm = rng.permutation(2 * k + 2)
+            assert sg._signature(m) == sg._signature(m[perm][:, perm]) == want
+
+
 def test_check_computable(ctx6):
     p = sfx.s1xs2_presentation(ctx6, 0.5)
     assert sg.check_computable(ctx6, p) == []
@@ -143,8 +163,7 @@ def test_projective_stabilization_invariance(ctx):
     a = GENERIC
     p0 = sfx.unknot_presentation(ctx, a)
     v0 = sg.cgp(ctx, p0)
-    d = dg.stabilize_projective(ctx, p0.diagram, 1, 0, wc.Degree(0.7),
-                                wc.index_set(ctx, wc.Degree(0.7))[0])
+    d = dg.stabilize_projective(ctx, p0.diagram, 1, 0, wc.index_set(ctx, wc.Degree(0.7))[0])
     v1 = sg.cgp(ctx, sg.SurgeryPresentation(d, frozenset(), {}))
     assert abs(v1 - v0) <= 1e-9 * max(1.0, abs(v0))
 
