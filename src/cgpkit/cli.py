@@ -252,13 +252,13 @@ def cmd_moddim(args) -> int:
 def cmd_statespace(args) -> int:
     ctx = ScalarContext(args.r, precision=args.precision, tol=args.tol)
     degrees = [_parse_complex(s) for s in args.degrees]
+    if len(degrees) != args.genus:
+        raise ParseError(f"genus {args.genus} takes that many meridian classes "
+                         f"(m0 m1' ...), got {len(degrees)}")
     lines = ["genus,degrees,dimension"]
     if args.genus == 1:
         dim = ss.genus1_dim(ctx, wc.Degree(degrees[0]))
     else:
-        if len(degrees) != args.genus:
-            print("need m0 and one primed class per piece", file=sys.stderr)
-            return EXIT_PARSE
         data = ss.TrivalentSurfaceData(
             args.genus, wc.Degree(degrees[0]),
             tuple(wc.Degree(g) for g in degrees[1:]))

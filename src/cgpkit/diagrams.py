@@ -387,6 +387,18 @@ def validate(ctx: ScalarContext, d: Diagram) -> str | None:
     for c, color in d.component_colors().items():
         if isinstance(color, Kirby) and owner.setdefault(color, c) != c:
             return f"{color!r} on components {owner[color]} and {c}"
+    # a Kirby color sums typical colors of one degree, its own
+    for k in d.kirby_colors():
+        if k.terms is not None:
+            try:
+                for _, c in k.terms.terms:
+                    if not isinstance(c, Typical):
+                        raise wc.NonTypicalColor(f"summand {c!r} is not typical")
+                    wc.check_color(ctx, c)
+                if not k.terms.degree(ctx).equals(wc.Degree(k.g), ctx.tol):
+                    raise ValueError(f"summands are not of degree {k.g}")
+            except ValueError as e:
+                return f"{k!r}: {e}"
     return None
 
 

@@ -130,7 +130,7 @@ def relative_modularity_scalar(ctx: ScalarContext, g: wc.Degree) -> Scalar:
     degree g, evaluates to the parameter times the through-unit projector,
     normalized by the modified dimension: fig = zeta * (coev_l o ev_r) / d(V_i).
     """
-    wi = index_first(ctx, g)
+    wi = wc.index_set(ctx, g)[0]
     A = relative_modularity_matrix(ctx, wi, wi, g)
     Vi = wc.realize(ctx, wc.ObjectWord([(1, wc.Typical(wi))]))
     B = wc.ev_coev(ctx, Vi, "coev_l") @ wc.ev_coev(ctx, Vi, "ev_r")
@@ -142,7 +142,3 @@ def relative_modularity_scalar(ctx: ScalarContext, g: wc.Degree) -> Scalar:
             f"meridian figure is not a multiple of the unit projector "
             f"(residual {resid:.3e})")
     return fit * wc.modified_dimension(ctx, wi)
-
-
-def index_first(ctx: ScalarContext, g: wc.Degree) -> complex:
-    return wc.index_set(ctx, g)[0]

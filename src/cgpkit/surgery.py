@@ -229,111 +229,57 @@ def _find_threading_site(d: dg.Diagram, target: wc.Kirby, rider: wc.Typical):
 
 def _insert_rider(ctx: ScalarContext, d: dg.Diagram, target: wc.Kirby,
                   rider: wc.Typical) -> dg.Diagram:
-    """Add a companion circle riding parallel inside a round component.
+    """The diagram with the component colored `target` replaced by its
+    blackboard 2-cable, whose second strand is a rider circle.
 
-    The rider pair is created just inside the component's cap and closed
-    just inside its cup; crossings of other strands with the component's
-    legs are widened to cross the rider too, and a twist cell on a leg
-    becomes the twist theta_{U (x) R} = c_{R,U} c_{U,R} (theta_U (x)
-    theta_R) of the leg and rider pair (a curl drawn in JSON, a cable
-    curl), so the rider follows the framed push-off and links everything
-    exactly as the component does.  The new word at each boundary is the
-    old one with the rider's letters inserted right after the upward leg
-    and right before the downward leg.  The component's legs are the
-    letters of its color.
+    A letter of the component becomes a pair, the rider on its right:
+    (+U) becomes (+U)(+R) and (-U) becomes (-R)(-U).  Each cell becomes
+    the cells of its cable: a crossing crosses every strand of one cable
+    with every strand of the other, a twist twists each strand and then
+    the pair, theta_{U (x) R} = c_{R,U} c_{U,R} (theta_U (x) theta_R),
+    and a cap or cup nests one cap or cup per strand.  So the rider is the
+    framed push-off, linking everything exactly as the component does.
     """
+    pairs = {(1, target): ((1, target), (1, rider)),
+             (-1, target): ((-1, rider), (-1, target))}
+
+    def cable(l):
+        return pairs.get(l, (l,))
+
     words = d.boundary_words()
-    rl = (1, rider)
-    rd = (-1, rider)
     st = dg.Stack(dg.Diagram(d.source, []))
-
-    def legs_at(bi: int):
-        up = dn = None
-        for t, (sgn, color) in enumerate(words[bi]):
-            if color == target:
-                if sgn > 0 and up is None:
-                    up = t
-                else:
-                    dn = t
-        return up, dn
-
     for si, cells in enumerate(d.slices):
-        up, dn = legs_at(si)
-
-        def newpos(op, insertion=False):
-            # letters shift by one past the upward leg and once more at the
-            # downward leg; a pure insertion at the downward leg lands
-            # inside the annulus, before the rider's return strand
-            np_ = op
-            if up is not None and op > up:
-                np_ += 1
-            if dn is not None and (op > dn if insertion else op >= dn):
-                np_ += 1
-            return np_
-
         main = dg.normalized_cell(cells, CannotStabilize)
         if main is None:
             st.add([dg.id_cell(l) for l in st.words[-1]])
             continue
         pin, cell = main
-        nin = len(cell.in_letters())
-        touches_in = [color == target for _, color in cell.in_letters()]
-        touches_out = [color == target for _, color in cell.out_letters()]
         k = cell.kind
-        if not (any(touches_in) or any(touches_out)):
-            st.cell(newpos(pin, insertion=nin == 0), cell)
-        elif k == "cap_l" and any(touches_out):
-            pos = newpos(pin, insertion=True)
-            st.cell(pos, cell)
-            st.cell(pos + 1, dg.cap(rl, left=True))
-        elif k == "cup_r" and any(touches_in):
-            st.cell(newpos(pin) + 1, dg.cup(rl, left=False))
-            st.cell(newpos(pin), cell)
-        elif k in ("xpos", "xneg") and touches_in[1] and not touches_in[0]:
-            mover = cell.letters[0]
-            leg = cell.letters[1]
-            if leg[0] > 0:
-                # rightward across the upward leg, then across the rider
-                st.cell(newpos(pin), cell)
-                st.cell(newpos(pin) + 1, dg.Cell(k, (mover, rl)))
-            else:
-                # rightward: the rider's return strand sits just before
-                # the downward leg
-                st.cell(newpos(pin), dg.Cell(k, (mover, rd)))
-                st.cell(newpos(pin) + 1, cell)
-        elif k in ("xpos", "xneg") and touches_in[0] and not touches_in[1]:
-            mover = cell.letters[1]
-            leg = cell.letters[0]
-            if leg[0] > 0:
-                # leftward back across the rider, then the upward leg
-                st.cell(newpos(pin) + 1, dg.Cell(k, (rl, mover)))
-                st.cell(newpos(pin), cell)
-            else:
-                st.cell(newpos(pin), cell)
-                st.cell(newpos(pin) - 1, dg.Cell(k, (rd, mover)))
+        p = pin + sum(color == target for _, color in words[si][:pin])
+        if k in ("xpos", "xneg"):
+            a, b = map(cable, cell.letters)
+            for j, y in enumerate(b):
+                for i in reversed(range(len(a))):
+                    st.cell(p + i + j, dg.Cell(k, (a[i], y)))
         elif k in ("tpos", "tneg"):
-            # a twist on each strand of the (leg, rider) pair, then a full
-            # twist of the pair; the rider follows an upward leg and
-            # precedes a downward one
-            P = newpos(pin) - (cell.letters[0][0] < 0)
-            a, b = st.words[-1].letters[P:P + 2]
-            cx = "xpos" if k == "tpos" else "xneg"
-            st.cell(P, dg.Cell(k, (a,)))
-            st.cell(P + 1, dg.Cell(k, (b,)))
-            st.cell(P, dg.Cell(cx, (a, b)))
-            st.cell(P, dg.Cell(cx, (b, a)))
-        elif k in ("xpos", "xneg") and touches_in[0] and touches_in[1]:
-            # framing curl of the component: curl the two-strand cable,
-            # so the rider follows the framed push-off through the kink
-            P = newpos(pin)
-            lu, lc, lu2, lc2 = st.words[-1].letters[P:P + 4]
-            st.cell(P + 1, dg.Cell(k, (lc, lu2)))
-            st.cell(P, dg.Cell(k, (lu, lu2)))
-            st.cell(P + 2, dg.Cell(k, (lc, lc2)))
-            st.cell(P + 1, dg.Cell(k, (lu, lc2)))
+            c = cable(cell.letters[0])
+            for t, l in enumerate(c):
+                st.cell(p + t, dg.Cell(k, (l,)))
+            if len(c) == 2:
+                cx = "xpos" if k == "tpos" else "xneg"
+                st.cell(p, dg.Cell(cx, c))
+                st.cell(p, dg.Cell(cx, c[::-1]))
+        elif k[:3] in ("cap", "cup"):
+            # the cable of the left created (cap) or consumed (cup) letter;
+            # caps nest outer strand first, cups close inner strand first
+            c = cable((cell.out_letters() or cell.in_letters())[0])
+            same = k in ("cap_l", "cup_r")
+            for t in (range(len(c)) if k[:3] == "cap" else reversed(range(len(c)))):
+                st.cell(p + t, dg.Cell(k, (c[t] if same else dg.flip(c[t]),)))
+        elif any(color == target for _, color in cell.in_letters() + cell.out_letters()):
+            raise CannotStabilize(f"cell {k} on the critical component")
         else:
-            raise CannotStabilize(
-                f"unsupported cell {k} on the critical component")
+            st.cell(p, cell)
     return st.diagram(d.prefactor)
 
 
@@ -343,13 +289,14 @@ def auto_stabilize(ctx: ScalarContext, p: SurgeryPresentation,
 
     Projectively stabilizes a typical graph edge and slides the detour
     over each critical surgery component: the detour acquires a companion
-    circle running parallel to the component (linking everything the
-    component links), and the component's meridian reading drops by the
-    stabilization index.  Components must be round unknots (framing twists
-    or curls allowed) in the standard layout with a typical letter next to
-    their upward leg; otherwise CannotStabilize is raised.  The critical
-    colors are threaded in turn; a detour recolors only its target, so the
-    input's colors name every target.
+    circle, the second strand of the component's blackboard 2-cable
+    (linking everything the component links), and the component's meridian
+    reading drops by the stabilization index.  The cabled diagram must have
+    a threading site, a boundary reading (-T)(+U)(+R) with T a typical
+    graph letter, U the component and R the rider; otherwise, or when a
+    slice holds several non-identity cells, CannotStabilize is raised.  The
+    critical colors are threaded in turn; a detour recolors only its
+    target, so the input's colors name every target.
     """
     cur = p
     for c in check_computable(ctx, p):

@@ -263,10 +263,6 @@ def sigma_module(ctx: ScalarContext, k: int) -> WeightModule:
     return WeightModule(1, (complex(k),), H, Z.copy(), Z.copy(), K, Degree(complex(k)))
 
 
-def unit_module(ctx: ScalarContext) -> WeightModule:
-    return sigma_module(ctx, 0)
-
-
 def dual_module(ctx: ScalarContext, M: WeightModule) -> WeightModule:
     """Dual action through the antipode: rho*(x) = rho(S(x))^T."""
     weights = tuple(-w for w in M.weights)
@@ -306,17 +302,13 @@ def realize_letter(ctx: ScalarContext, letter: Letter) -> WeightModule:
 
 def realize(ctx: ScalarContext, word: ObjectWord) -> WeightModule:
     """Concrete module of a signed tensor word; empty word gives the unit."""
-    M = unit_module(ctx)
+    M = sigma_module(ctx, 0)
     first = True
     for letter in word:
         piece = realize_letter(ctx, letter)
         M = piece if first else tensor_module(ctx, M, piece)
         first = False
     return M
-
-
-def letter_modules(ctx: ScalarContext, word: ObjectWord) -> list[WeightModule]:
-    return [realize_letter(ctx, letter) for letter in word]
 
 
 def check_module_relations(ctx: ScalarContext, M: WeightModule) -> float:
@@ -527,7 +519,7 @@ def modified_trace(ctx: ScalarContext, word: ObjectWord, f: np.ndarray) -> Scala
     not scalar.
     """
     letters = list(word)
-    mods = letter_modules(ctx, word)
+    mods = [realize_letter(ctx, letter) for letter in word]
     target = None
     for idx, (sign, color) in enumerate(letters):
         if isinstance(color, Typical):

@@ -144,6 +144,7 @@ def test_statespace_command():
     (["statespace", "6", "1", "xyz"], cli.EXIT_PARSE),
     (["statespace", "6", "1", "1"], cli.EXIT_ERROR),  # a critical class
     (["constants", "8"], cli.EXIT_ERROR),  # a level divisible by 8
+    (["statespace", "6", "1", "0.5", "0.7"], cli.EXIT_PARSE),  # one class too many
 ])
 def test_every_subcommand_exits_by_error_kind(argv, code):
     proc = subprocess.run([sys.executable, "-m", "cgpkit.cli", *argv],
@@ -213,6 +214,43 @@ def test_component_id_errors_exit_1(tmp_path):
         path.write_text(json.dumps(dict(payload, presentation=bad)))
         code, out = run_cli(["cgp", str(path)])
         assert code == cli.EXIT_ERROR and out == ""
+
+
+@pytest.mark.parametrize("summand", [
+    {"typical": {"re": 0.8, "im": 0.0}},  # a second degree beside V_0.5
+    {"sigma": 6},  # not typical
+])
+def test_malformed_formal_sums_exit_1(tmp_path, capsys, summand):
+    ctx = ScalarContext(6)
+    d = dg.encircle_at(sfx.unknot_presentation(ctx, 0.37 + 0.2j).diagram, 1, (0, 1),
+                       wc.Typical(0.5))
+    (mer,) = (c for c, col in d.component_colors().items() if col == wc.Typical(0.5))
+    blob = dg.diagram_to_json(d)
+    blob["formal"] = {str(mer): [[[1.0, 0.0], {"typical": {"re": 0.5, "im": 0.0}}],
+                                 [[1.0, 0.0], summand]]}
+    path = tmp_path / "formal.json"
+    path.write_text(json.dumps({"level": 6, "presentation": {
+        "diagram": blob, "surgery_components": []}}))
+    code, out = run_cli(["cgp", str(path)])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_ERROR and out == ""
+    assert err.startswith("error: invalid diagram: Kirby(") and "terms=" in err
+
+
+def test_kirby_letter_of_another_degree_exits_1(tmp_path, capsys):
+    """A Kirby letter whose g is not its summands' degree is refused: the
+    cohomology check reads g, so V_0.5 passed off as degree 0 would let a
+    surgery longitude of class 0.5 through."""
+    ctx = ScalarContext(6)
+    p = sfx.s1xs2_decorated_presentation(ctx, 0.3, [2.0])
+    fake = wc.Kirby(0j, 5, terms=wc.FormalColorSum(((1.0, wc.Typical(0.5)),)))
+    path = tmp_path / "kirby.json"
+    path.write_text(json.dumps({"level": 6, "presentation": {
+        "diagram": dg.diagram_to_json(p.diagram.recolor(wc.Typical(2.0), fake)),
+        "surgery_components": []}}))
+    code, out = run_cli(["cgp", str(path)])
+    assert code == cli.EXIT_ERROR and out == ""
+    assert "summands are not of degree 0j" in capsys.readouterr().err
 
 
 def test_inadmissible_critical_exits_4(tmp_path, capsys):

@@ -9,6 +9,7 @@ from cgpkit import surgery as sg
 from cgpkit import surgery_fixtures as sfx
 from cgpkit import weightcat as wc
 from cgpkit.qscalars import ScalarContext
+from conftest import drawn_kinks
 
 GENERIC = 0.37 + 0.2j
 
@@ -283,6 +284,62 @@ def test_auto_stabilize_split_unknot(ctx6):
         v = sg.cgp(ctx6, ps, auto=True)
         expect = c.eta * wc.modified_dimension(ctx6, a)
         assert abs(v - expect) <= 1e-8 * max(1.0, abs(expect))
+
+
+def _reversed_split_unknot(framing):
+    """The split surgery unknot with its component drawn the other way
+    round: cap_l((-1, K)) ... cup_r((-1, K))."""
+    lg, lk = (1, wc.Typical(GENERIC)), (-1, wc.Kirby(0j, 0, True))
+    d = dg.apply_cell(dg.Diagram(wc.ObjectWord(()), []), 0, dg.cap(lg, left=True))
+    d = dg.apply_cell(d, 2, dg.cap(lk, left=True))
+    for _ in range(abs(framing)):
+        d = dg.add_curl(d, 2, positive=framing > 0)
+    d = dg.apply_cell(d, 2, dg.cup(lk, left=False))
+    return sg.SurgeryPresentation(dg.apply_cell(d, 0, dg.cup(lg, left=False)))
+
+
+def _lk(d, x, y):
+    """Linking number of the components colored x and y, read from the
+    crossings; the writhe, twist cells included, when y is x."""
+    total = sum(s for _, _, s, ca, cb in d.crossing_records() if {ca, cb} == {x, y})
+    return total if x == y else total / 2
+
+
+def _cable_cases(ctx):
+    for fr in (1, -1, 2, -2):
+        p = sfx.split_surgery_unknot_presentation(ctx, GENERIC, fr)
+        yield f"split {fr}", p.diagram
+        yield f"drawn split {fr}", drawn_kinks(p.diagram)
+        yield f"reversed split {fr}", _reversed_split_unknot(fr).diagram
+    yield "decorated s1xs2", sfx.s1xs2_decorated_presentation(ctx, 0.0, [2.0]).diagram
+    # the three surgery components of the slide-consistency figure
+    ph = _stand_in(ctx)
+    d = dg.encircle_at(fx.unknot(ph), 1, (0, 1), wc.Typical(2.0), framing=0)
+    d = dg.encircle_at(d, 1, (0, 1), ph, framing=2)
+    d = dg.encircle_at(d, 1, (1, 2), ph, framing=3)
+    comps = [c for c, col in d.component_colors().items() if col == ph]
+    yield "slide", sg.SurgeryPresentation(d, comps, {c: wc.Degree(0.8) for c in comps}).diagram
+
+
+def test_rider_is_the_framed_push_off(ctx6):
+    """The rider links every other component as the target does, and links
+    the target by its writhe: the blackboard 2-cable, checked from the
+    crossings alone."""
+    rider = wc.Typical(0.55)
+    for name, d in _cable_cases(ctx6):
+        colors = set(d.component_colors().values())
+        for target in d.kirby_colors():
+            out = sg._insert_rider(ctx6, d, target, rider)
+            assert list(out.component_colors().values()).count(rider) == 1
+            for x in colors - {target}:
+                assert _lk(out, rider, x) == _lk(out, target, x) == _lk(d, target, x), (name, x)
+            w = _lk(d, target, target)
+            assert _lk(out, rider, target) == _lk(out, rider, rider) == w, name
+
+
+def test_reversed_component_is_refused_with_a_reason(ctx6):
+    with pytest.raises(sg.CannotStabilize, match="no boundary exposes a typical edge"):
+        sg.cgp(ctx6, _reversed_split_unknot(1), auto=True)
 
 
 def test_kirby_equivalence_suite_report(ctx6):
