@@ -36,6 +36,13 @@ class ParseError(ValueError):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors leave through main's handler, as one stderr line."""
+
+    def error(self, message):
+        raise ParseError(f"{self.prog}: {message}")
+
+
 def _fmt_float(x: float) -> str:
     x = float(x)
     if x == 0.0:
@@ -75,51 +82,39 @@ def render_json(obj, indent=0) -> str:
 
 
 def _env_default(name: str, fallback):
-    return os.environ.get(f"CGP_{name}", fallback)
+    """CGP_<name>, or `fallback` when unset or empty; argparse converts a
+    string default by the argument's type."""
+    return os.environ.get(f"CGP_{name}") or fallback
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="cgpkit",
-                                 description="CGP quantum invariants of decorated 3-manifolds")
+    ap = _Parser(prog="cgpkit", description="CGP quantum invariants of decorated 3-manifolds")
     ap.add_argument("--version", action="version", version=f"cgpkit {__version__}")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        env_level = _env_default("LEVEL", None)
-        p.add_argument("--level", type=int,
-                       default=int(env_level) if env_level else None,
-                       help="even level r (overrides the input file)")
-        p.add_argument("--precision", type=int,
-                       default=int(_env_default("PRECISION", 53)))
-        p.add_argument("--tol", type=float, default=float(_env_default("TOL", 1e-9)))
+    def command(name, summary, *ints):
+        p = sub.add_parser(name, help=summary)
+        p.add_argument("--precision", type=int, default=_env_default("PRECISION", None),
+                       help="working precision in bits (default 53, or the input file's)")
+        p.add_argument("--tol", type=float, default=_env_default("TOL", 1e-9))
+        for arg in ints:
+            p.add_argument(arg, type=int)
+        return p
 
-    p = sub.add_parser("cgp", help="evaluate a surgery presentation from JSON")
-    common(p)
+    p = command("cgp", "evaluate a surgery presentation from JSON")
+    p.add_argument("--level", type=int, default=_env_default("LEVEL", None),
+                   help="even level r (overrides the input file)")
     p.add_argument("input", help="input JSON file, or - for stdin")
     p.add_argument("--auto-stabilize", action="store_true",
                    default=bool(int(_env_default("AUTO_STABILIZE", "0"))))
     p.add_argument("--cache-dir", default=_env_default("CACHE_DIR", None))
-
-    p = sub.add_parser("constants", help="print the invariant constants at a level")
-    common(p)
-    p.add_argument("r", type=int)
-
-    p = sub.add_parser("moddim", help="modified dimensions of typical weights")
-    common(p)
-    p.add_argument("r", type=int)
-    p.add_argument("alpha", nargs="+",
-                   help="weights as floats or re+imj complex literals")
-
-    p = sub.add_parser("statespace", help="state-space dimension table (CSV)")
-    common(p)
-    p.add_argument("r", type=int)
-    p.add_argument("genus", type=int)
+    command("constants", "print the invariant constants at a level", "r")
+    p = command("moddim", "modified dimensions of typical weights", "r")
+    p.add_argument("alpha", nargs="+", help="weights as floats or re+imj complex literals")
+    p = command("statespace", "state-space dimension table (CSV)", "r", "genus")
     p.add_argument("degrees", nargs="+",
                    help="meridian classes: m0 for genus 1; m0 m1' ... for higher genus")
-
-    p = sub.add_parser("check", help="run the axiom/property suite at a level")
-    common(p)
-    p.add_argument("r", type=int)
+    command("check", "run the axiom/property suite at a level", "r")
     return ap
 
 
@@ -165,27 +160,29 @@ def _canonical_digest(payload: dict) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
+def _context(args, r: int, precision: int = 53) -> ScalarContext:
+    """The working context at level r; --precision, or CGP_PRECISION,
+    overrides `precision`, which is the input file's key or 53 bits."""
+    if args.precision is not None:
+        precision = args.precision
+    return ScalarContext(r, precision=precision, tol=args.tol)
+
+
 def cmd_cgp(args) -> int:
     try:
         raw = sys.stdin.read() if args.input == "-" else Path(args.input).read_text()
         payload = json.loads(raw)
-    except (OSError, json.JSONDecodeError) as e:
-        print(f"parse error: {e}", file=sys.stderr)
-        return EXIT_PARSE
-    try:
-        level = args.level or int(payload["level"])
-        precision = int(payload.get("precision", args.precision))
-        ctx = ScalarContext(level, precision=precision, tol=args.tol)
+        ctx = _context(args, args.level or int(payload["level"]),
+                       int(payload.get("precision", 53)))
         objs = payload["presentations"] if "presentations" in payload \
             else [payload["presentation"]]
-    except (KeyError, TypeError, ValueError) as e:
-        print(f"parse error: {e}", file=sys.stderr)
-        return EXIT_PARSE
+    except (OSError, KeyError, TypeError, ValueError) as e:
+        raise ParseError(e) from e
     cache_file = None
     if args.cache_dir:
         key = _canonical_digest(
-            {"input": payload, "version": __version__, "level": level,
-             "precision": precision, "tol": args.tol, "auto": bool(args.auto_stabilize)})
+            {"input": payload, "version": __version__, "level": ctx.r,
+             "precision": ctx.precision, "tol": args.tol, "auto": bool(args.auto_stabilize)})
         cache_file = Path(args.cache_dir) / f"{key}.json"
         if cache_file.exists():
             sys.stdout.write(cache_file.read_text())
@@ -194,7 +191,7 @@ def cmd_cgp(args) -> int:
     total = complex(sg.cgp_disjoint(ctx, pieces, auto=args.auto_stabilize))
     sigmas = [p.linking.signature for p in pieces]
     out = {
-        "cgp": [total.real, total.imag],
+        "cgp": total,
         "constants": _constants_dict(wc.constants(ctx)),
         "ell": sum(len(p.surgery_components) for p in pieces),
         "sigma": sigmas[0] if len(sigmas) == 1 else sigmas,
@@ -214,23 +211,19 @@ def cmd_cgp(args) -> int:
 
 
 def _constants_dict(c: wc.InvariantConstants) -> dict:
-    def pair(z):
-        z = complex(z)
-        return [z.real, z.imag]
     return {
-        "delta_minus": pair(c.delta_minus),
-        "delta_plus": pair(c.delta_plus),
-        "D": pair(c.D),
-        "eta": pair(c.eta),
-        "delta": pair(c.delta),
-        "zeta": pair(c.zeta),
+        "delta_minus": complex(c.delta_minus),
+        "delta_plus": complex(c.delta_plus),
+        "D": complex(c.D),
+        "eta": complex(c.eta),
+        "delta": complex(c.delta),
+        "zeta": complex(c.zeta),
         "z_mod_zplus": c.z_mod_zplus,
     }
 
 
 def cmd_constants(args) -> int:
-    ctx = ScalarContext(args.r, precision=args.precision, tol=args.tol)
-    c = wc.constants(ctx)
+    c = wc.constants(_context(args, args.r))
     resid = abs(c.delta_minus * c.delta_plus - c.z_mod_zplus * c.zeta)
     out = _constants_dict(c)
     out["identity_residual"] = float(resid)
@@ -239,18 +232,14 @@ def cmd_constants(args) -> int:
 
 
 def cmd_moddim(args) -> int:
-    ctx = ScalarContext(args.r, precision=args.precision, tol=args.tol)
-    out = {}
-    for s in args.alpha:
-        a = _parse_complex(s)
-        d = complex(wc.modified_dimension(ctx, a))
-        out[s] = [d.real, d.imag]
+    ctx = _context(args, args.r)
+    out = {s: complex(wc.modified_dimension(ctx, _parse_complex(s))) for s in args.alpha}
     sys.stdout.write(render_json(out) + "\n")
     return EXIT_OK
 
 
 def cmd_statespace(args) -> int:
-    ctx = ScalarContext(args.r, precision=args.precision, tol=args.tol)
+    ctx = _context(args, args.r)
     degrees = [_parse_complex(s) for s in args.degrees]
     if len(degrees) != args.genus:
         raise ParseError(f"genus {args.genus} takes that many meridian classes "
@@ -273,8 +262,7 @@ def cmd_statespace(args) -> int:
 
 def cmd_check(args) -> int:
     from . import checks
-    report = checks.run_all(ScalarContext(args.r, precision=args.precision,
-                                          tol=args.tol))
+    report = checks.run_all(_context(args, args.r))
     ok = True
     for name, passed, detail in report:
         status = "pass" if passed else "FAIL"
@@ -287,7 +275,6 @@ def cmd_check(args) -> int:
 def main(argv=None) -> int:
     """Run one subcommand; an error it raises becomes one line on stderr
     and the exit code of its kind."""
-    args = build_parser().parse_args(argv)
     handlers = {
         "cgp": cmd_cgp,
         "constants": cmd_constants,
@@ -296,6 +283,7 @@ def main(argv=None) -> int:
         "check": cmd_check,
     }
     try:
+        args = build_parser().parse_args(argv)
         return handlers[args.command](args)
     except ParseError as e:
         print(f"parse error: {e}", file=sys.stderr)

@@ -69,22 +69,25 @@ class SurgeryPresentation:
         return {c: wc.Degree(k.g) for c, k in self.surgery_colors.items()}
 
     @cached_property
-    def linking(self) -> LinkingData:
-        """Linking matrix of the surgery components and its exact signature.
-
-        Off-diagonal entries are half the signed crossing count between the
-        two components; diagonal entries are the writhes (blackboard
-        self-linking).  Rows follow the component ids; a crossing names
-        its strands by color, since each surgery color sits on one
-        component of a valid presentation.
-        """
-        idx = {k: i for i, k in enumerate(self.surgery_colors.values())}
-        mat = np.zeros((len(idx), len(idx)), dtype=np.int64)
-        # twice the linking matrix: each crossing counts at both ends
+    def crossing_signs(self) -> dict[tuple[wc.Color, wc.Color], int]:
+        """Summed crossing signs by ordered color pair, each crossing
+        counted at both ends: twice the linking number of two colors, or
+        twice the writhe of one color, twist cells included."""
+        table = {}
         for _, _, s, ca, cb in self.diagram.crossing_records():
-            if ca in idx and cb in idx:
-                mat[idx[ca], idx[cb]] += s
-                mat[idx[cb], idx[ca]] += s
+            for pair in ((ca, cb), (cb, ca)):
+                table[pair] = table.get(pair, 0) + s
+        return table
+
+    @cached_property
+    def linking(self) -> LinkingData:
+        """Linking matrix of the surgery components and its exact signature:
+        half the surgery block of `crossing_signs`, rows following the
+        component ids (each surgery color sits on one component of a valid
+        presentation), the writhes on the diagonal."""
+        ks = list(self.surgery_colors.values())
+        mat = np.array([[self.crossing_signs.get((a, b), 0) for b in ks] for a in ks],
+                       dtype=np.int64).reshape(len(ks), len(ks))
         if (mat % 2).any():
             raise ValueError("odd crossing count between distinct components")
         mat //= 2
@@ -151,23 +154,15 @@ def check_admissible(ctx: ScalarContext, p: SurgeryPresentation) -> bool:
 def _check_cohomology(ctx: ScalarContext, p: SurgeryPresentation) -> None:
     """Each surgery longitude must evaluate to zero in C/2Z.
 
-    The longitude class is writhe * own meridian degree plus, for every
-    crossing with another strand, half the crossing sign times the degree
-    of that strand's color (a Kirby color's degree is its index, a surgery
-    component's its meridian degree).
+    The longitude class is half the component's row of `crossing_signs`
+    summed against the color degrees (a Kirby color's is its index, a
+    surgery component's its meridian degree); the crossing sign includes
+    the strand orientation, so the unsigned degree enters.
     """
-    crossings = p.diagram.crossing_records()
     for i, k in p.surgery_colors.items():
-        total = 0j
-        for _, _, s, ca, cb in crossings:
-            if ca == cb == k:
-                total += s * k.g
-            elif k in (ca, cb):
-                # the crossing sign includes the strand orientation, so the
-                # unsigned color degree enters here
-                total += (s / 2) * wc.color_degree(ctx, cb if ca == k else ca).g
-        d = wc.Degree(total)
-        if not d.equals(wc.Degree(0j), 100 * ctx.tol):
+        total = sum((s * wc.color_degree(ctx, b).g
+                     for (a, b), s in p.crossing_signs.items() if a == k), 0j) / 2
+        if not wc.Degree(total).equals(wc.Degree(0j), 100 * ctx.tol):
             raise ValueError(
                 f"cohomology constraint fails on surgery component {i}: "
                 f"longitude evaluates to {total}")

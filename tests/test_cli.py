@@ -145,6 +145,12 @@ def test_statespace_command():
     (["statespace", "6", "1", "1"], cli.EXIT_ERROR),  # a critical class
     (["constants", "8"], cli.EXIT_ERROR),  # a level divisible by 8
     (["statespace", "6", "1", "0.5", "0.7"], cli.EXIT_PARSE),  # one class too many
+    # r is positional: only cgp has a file for --level to override
+    (["constants", "6", "--level", "10"], cli.EXIT_PARSE),
+    (["moddim", "4", "0.5", "--level", "10"], cli.EXIT_PARSE),
+    (["statespace", "6", "1", "0.5", "--level", "10"], cli.EXIT_PARSE),
+    (["check", "6", "--level", "10"], cli.EXIT_PARSE),
+    (["constants"], cli.EXIT_PARSE),  # a usage error
 ])
 def test_every_subcommand_exits_by_error_kind(argv, code):
     proc = subprocess.run([sys.executable, "-m", "cgpkit.cli", *argv],
@@ -198,6 +204,28 @@ def test_cache_is_keyed_on_the_effective_level(tmp_path, capsys):
         out, err = capsys.readouterr()
         assert out == "" and "not typical at level 10" in err
     assert [p.suffix for p in (tmp_path / "cache").iterdir()] == [".json"]
+
+
+def test_precision_flag_and_env_override_the_file(tmp_path, monkeypatch, capsys):
+    """--precision, and CGP_PRECISION, win over the input file's precision
+    key, and the cache entry is keyed on the precision used."""
+    docs = Path(__file__).resolve().parents[1] / "docs" / "example_lens_5_1.json"
+    assert cli.main(["cgp", str(docs), "--precision", "106"]) == 0
+    want = capsys.readouterr().out
+    assert json.loads(want)["cgp"][0] == pytest.approx(-0.097647601109490514, abs=1e-17)
+    payload = dict(json.loads(docs.read_text()), precision=53)
+    path = tmp_path / "p53.json"
+    path.write_text(json.dumps(payload))
+    cache = tmp_path / "cache"
+    assert cli.main(["cgp", str(path), "--precision", "106", "--cache-dir", str(cache)]) == 0
+    assert capsys.readouterr().out == want
+    key = cli._canonical_digest({"input": payload, "version": cli.__version__, "level": 6,
+                                 "precision": 106, "tol": 1e-9, "auto": False})
+    assert [p.name for p in cache.iterdir()] == [f"{key}.json"]
+    monkeypatch.setenv("CGP_PRECISION", "106")
+    assert cli.main(["cgp", str(path), "--cache-dir", str(cache)]) == 0
+    assert capsys.readouterr().out == want
+    assert len(list(cache.iterdir())) == 1
 
 
 def test_component_id_errors_exit_1(tmp_path):

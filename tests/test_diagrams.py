@@ -228,6 +228,11 @@ def test_exchange_distant_cells(ctx):
     assert dg.validate(ctx, swapped) is None
     assert swapped.component_count() == count0
     assert abs(rt_eval.f_prime(ctx, swapped) - v0) < 1e-10 * max(1, abs(v0))
+    # the swapped pair has its upper cell left of the lower one: exchanging
+    # it back gives the original rows
+    back = dg.exchange_distant(swapped, i)
+    assert back.slices == d.slices
+    assert abs(rt_eval.f_prime(ctx, back) - v0) < 1e-10 * max(1, abs(v0))
 
 
 # -- cached structure -----------------------------------------------------------

@@ -286,6 +286,33 @@ def test_auto_stabilize_split_unknot(ctx6):
         assert abs(v - expect) <= 1e-8 * max(1.0, abs(expect))
 
 
+def _two_split_unknots(alpha):
+    """Two split surgery unknots of meridian degree 0 and framings +1 and
+    -1 beside a typical graph unknot, each drawn and closed before the
+    next starts: both are critical, so the second is cabled in a diagram
+    that holds the first one's stabilization."""
+    lg = (1, wc.Typical(alpha))
+    d = dg.apply_cell(dg.Diagram(wc.ObjectWord(()), []), 0, dg.cap(lg, left=True))
+    for tag, framing in ((0, 1), (1, -1)):
+        lk = (1, wc.Kirby(0j, tag, True))
+        d = dg.apply_cell(d, 2, dg.cap(lk, left=True))
+        d = dg.add_curl(d, 2, positive=framing > 0)
+        d = dg.apply_cell(d, 2, dg.cup(lk, left=False))
+    return sg.SurgeryPresentation(dg.apply_cell(d, 0, dg.cup(lg, left=False)))
+
+
+@pytest.mark.parametrize("r", [4, 6])
+def test_auto_stabilize_two_critical_components(r):
+    """+1 and -1 surgery on split unknots gives back the three-sphere, so
+    the value is that of the typical unknot alone."""
+    ctx = ScalarContext(r)
+    p = _two_split_unknots(GENERIC)
+    assert len(sg.check_computable(ctx, p)) == 2
+    expect = wc.constants(ctx).eta * wc.modified_dimension(ctx, GENERIC)
+    assert abs(sg.cgp(ctx, p, auto=True) - expect) < 1e-12
+    assert abs(sg.cgp(ctx, sg.auto_stabilize(ctx, p, index=wc.Degree(0.85))) - expect) < 1e-12
+
+
 def _reversed_split_unknot(framing):
     """The split surgery unknot with its component drawn the other way
     round: cap_l((-1, K)) ... cup_r((-1, K))."""

@@ -549,6 +549,20 @@ def test_nullspace_cuts_at_tol_times_top_singular_value(precision):
         assert la.norm_inf(a @ x) < 1e-12
 
 
+@pytest.mark.parametrize("precision", [53, 106])
+def test_rank_refuses_singular_values_astride_the_cut(precision):
+    """Singular values 2e-9 and 5e-10 sit on either side of the cut
+    tol * s_max = 1e-9 but only a factor 4 apart, less than RANK_GAP, so
+    the rank is refused rather than guessed."""
+    ctx = ScalarContext(4, precision=precision)
+    rng = np.random.default_rng(17)
+    u = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))[0]
+    v = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))[0]
+    a = la.asarray(ctx, u @ np.diag([1.0, 2e-9, 5e-10]) @ v)
+    with pytest.raises(la.NumericInstability, match="2.000e-09 vs 5.000e-10"):
+        la.rank(ctx, a)
+
+
 def test_high_precision_products_keep_the_array_on_the_left(monkeypatch):
     """`scalar * array` with an mpmath scalar first has mpmath convert the
     whole array, formatting it into a TypeError, before numpy's reflected
