@@ -172,12 +172,12 @@ def cmd_cgp(args) -> int:
     try:
         raw = sys.stdin.read() if args.input == "-" else Path(args.input).read_text()
         payload = json.loads(raw)
-        ctx = _context(args, args.level or int(payload["level"]),
-                       int(payload.get("precision", 53)))
+        r, precision = args.level or int(payload["level"]), int(payload.get("precision", 53))
         objs = payload["presentations"] if "presentations" in payload \
             else [payload["presentation"]]
     except (OSError, KeyError, TypeError, ValueError) as e:
         raise ParseError(e) from e
+    ctx = _context(args, r, precision)  # a refused level or precision is no parse error
     cache_file = None
     if args.cache_dir:
         key = _canonical_digest(

@@ -609,9 +609,9 @@ def cut(ctx: ScalarContext, d: Diagram, boundary: int, pos: int) -> Diagram:
     position pos; it must be colored by a typical module or by a Kirby
     color, all of whose summands are typical.  The result is an
     endomorphism diagram of that single letter whose trace closure is
-    isotopic to the input, so the renormalized invariant can be computed as
-    a modified trace.  Duality bends route the remaining letters around the
-    sides; no crossings are introduced.
+    isotopic to the input: its modified trace is the renormalized invariant,
+    which `rt_eval.f_prime` gets by opening the diagram instead.  Duality
+    bends route the remaining letters around the sides, with no crossings.
     """
     if not d.is_closed():
         raise ValueError("cut needs a closed diagram")

@@ -3,12 +3,13 @@ invariant of admissible closed diagrams.
 
 The functor sends a diagram to the composite of its slice matrices; the
 basis of a tensor word is lexicographic in letter position then weight
-index.  Closed diagrams with a typical edge are evaluated through a
-cutting presentation and the modified trace, which is independent of the
-chosen cut.
+index.  A closed diagram with a typical edge is opened there: one column
+swept up to the edge and one swept down to it, on transposed cells, pair
+into the edge letter's endomorphism, whose modified trace does not depend
+on the edge.
 
-Kirby colors expand linearly.  A diagram is cut and swept once: the state
-has a term axis per Kirby color, of size 1 below the first cell touching it.
+Kirby colors expand linearly.  Each half is swept once: the state has a
+term axis per Kirby color, of size 1 below the first cell touching it.
 
 Every cell is a module map and so preserves weight: each column of the
 state stays in one weight sector, and almost all of it is exact zeros.  So
@@ -25,7 +26,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -79,8 +80,10 @@ def _nonzeros(m: np.ndarray):
 
 
 @lru_cache(maxsize=None)
-def _cell_nonzeros_cached(ctx: ScalarContext, kind: str, terms: tuple, axes: tuple):
+def _cell_nonzeros_cached(ctx: ScalarContext, kind: str, terms: tuple, axes: tuple,
+                          transposed: bool):
     m = np.stack([_cell_matrix_cached(ctx, kind, letters) for letters in terms])
+    m = m.swapaxes(-1, -2) if transposed else m
     return _nonzeros(m.reshape(*axes, *m.shape[1:]))
 
 
@@ -113,15 +116,14 @@ def _dense_max(ctx: ScalarContext) -> int:
     return 0 if ctx.high_precision else DENSE_MAX  # mpmath products cost more
 
 
-def evaluate(ctx: ScalarContext, d: dg.Diagram, kirby: tuple | None = None) -> np.ndarray:
-    """Matrices from realize(source) to realize(target) times the prefactor,
-    with a term axis per Kirby color of `kirby` (by default `d.kirby_colors()`,
-    as in `expand_formal`).  Functorial under compose, monoidal under tensor."""
-    words, kirby = d.boundary_words(), d.kirby_colors() if kirby is None else kirby
-    dims = _letter_dims(ctx, words[0])  # the cell loop carries it through the slices
-    src, dense_max = math.prod(dims), _dense_max(ctx)
-    steps = []
-    for cells in d.slices:
+def _swept(ctx: ScalarContext, slices, word: wc.ObjectWord, kirby: tuple, src: int,
+           down: bool) -> np.ndarray:
+    """The non-identity cells of `slices`, starting from `word`, applied to
+    the identity on `src` columns, with a term axis per Kirby color of
+    `kirby`; if `down`, the transposed cells from the top down, which take
+    a covector on the top word to one on `word`."""
+    dims, dense_max, steps = _letter_dims(ctx, word), _dense_max(ctx), []
+    for cells in slices:
         pos = 0
         for cell in cells:
             if cell.kind == "id":
@@ -132,16 +134,26 @@ def evaluate(ctx: ScalarContext, d: dg.Diagram, kirby: tuple | None = None) -> n
                                  math.prod(out), math.prod(dims[pos + nin:]))
             touched = tuple(k for k, col in enumerate(kirby)
                             if col in [c for _, c in cell.letters]) if kirby else ()
+            # symmetric in din and dout, so it holds for a transposed cell too
             steps.append((cell, touched, dl * max(din, dout) * dr * src <= dense_max
-                          and dl * din * dout * dr * src <= 4 * dense_max, dl, din, dout, dr, src))
+                          and dl * din * dout * dr * src <= 4 * dense_max,
+                          dl, *((dout, din) if down else (din, dout)), dr, src, down))
             dims[pos:pos + nin] = out
             pos += len(out)
     choices = [[c for _, c in k.color_sum(ctx).terms] for k in kirby]
     eye = la.eye(ctx, src).reshape((1,) * len(kirby) + (src, src))
-    end = _sweep(ctx, steps, kirby, choices, 0, eye)
+    end = _sweep(ctx, steps[::-1] if down else steps, kirby, choices, 0, eye)
     if kirby:  # a Kirby color on no cell keeps a term axis of size 1
         end = np.broadcast_to(end, (*map(len, choices), *end.shape[-2:]))
-    return end * ctx.scalar(d.prefactor)
+    return end
+
+
+def evaluate(ctx: ScalarContext, d: dg.Diagram) -> np.ndarray:
+    """Matrices from realize(source) to realize(target) times the prefactor,
+    with a term axis per Kirby color of `d.kirby_colors()`, as in
+    `expand_formal`.  Functorial under compose, monoidal under tensor."""
+    src = math.prod(_letter_dims(ctx, d.source))
+    return _swept(ctx, d.slices, d.source, d.kirby_colors(), src, False) * ctx.scalar(d.prefactor)
 
 
 def _sweep(ctx: ScalarContext, steps: list, kirby: tuple, choices: list, start: int,
@@ -150,8 +162,9 @@ def _sweep(ctx: ScalarContext, steps: list, kirby: tuple, choices: list, start: 
     dense state (term axes, rows, src) or, while it is None, to the sorted
     flat indices `idx` of its nonzeros and their values (term axes, idx.size)."""
     for j in range(start, len(steps)):
-        cell, touched, dense, dl, din, dout, dr, src = steps[j]
+        cell, touched, dense, dl, din, dout, dr, src, transposed = steps[j]
         m, letters = _stacked(ctx, cell, touched, kirby, choices)
+        m = m.swapaxes(-1, -2) if transposed else m
         if dense:
             if state is None:
                 state = _densified(ctx, idx, val, (dl * din * dr, src))
@@ -161,7 +174,7 @@ def _sweep(ctx: ScalarContext, steps: list, kirby: tuple, choices: list, start: 
             idx = np.flatnonzero(state.reshape(-1, dl * din * dr * src).any(axis=0))
             val, state = state.reshape(*state.shape[:-2], -1)[..., idx], None
         nonzeros = (_nonzeros(m) if cell.kind == "coupon"
-                    else _cell_nonzeros_cached(ctx, cell.kind, letters, m.shape[:-2]))
+                    else _cell_nonzeros_cached(ctx, cell.kind, letters, m.shape[:-2], transposed))
         axes = np.broadcast_shapes(val.shape[:-1], m.shape[:-2]) if kirby else ()
         live = math.prod(axes)
         if live > 1 and live * nonzeros[0][idx // (dr * src) % din].sum() > 4 * DENSE_MAX:
@@ -262,18 +275,34 @@ def f_prime(ctx: ScalarContext, d: dg.Diagram,
             edge: tuple[int, int] | None = None) -> Scalar:
     """Renormalized invariant of an admissible closed diagram.
 
-    Cuts along a typical edge, evaluates all terms of the expansion of its
-    Kirby colors in one sweep, and applies the modified trace to each; the
-    value does not depend on the chosen cut.
+    Opens it at a typical edge, letter i of the boundary word w above slice
+    b: the slices below give a vector L in w, swept up from the empty word,
+    and those above a covector U, swept down from the empty top.  Closing
+    the letters left of the edge as `wc.partial_trace_left` does and those
+    right of it as `wc.partial_trace_right` does, with their pivots p- and
+    p+, gives the endomorphism F of the edge letter that cutting there
+    evaluates to: F[j, k] = sum over a, c of p-(a) p+(c) L[a, j, c] U[a, k, c].
+    Each term of the expansion of the Kirby colors gets the modified trace
+    of its F; the value does not depend on the chosen edge.
     """
     if not d.is_closed():
         raise ValueError("renormalized invariant needs a closed diagram")
     e = edge if edge is not None else find_typical_edge(ctx, d)
     if e is None:
-        raise NotAdmissible("closed diagram has no typical edge to cut")
-    cut_d = dg.cut(ctx, d, e[0], e[1])
-    ends, total = evaluate(ctx, cut_d, d.kirby_colors()), ctx.scalar(0)
-    for (coeff, sub), end in zip(expand_formal(ctx, d), ends.reshape(-1, *ends.shape[-2:])):
-        word = wc.ObjectWord(_substituted(cut_d.source.letters, sub))
-        total = total + coeff * wc.modified_trace(ctx, word, end)
+        raise NotAdmissible("closed diagram has no typical edge to open at")
+    (b, i), kirby = e, d.kirby_colors()
+    word = d.boundary_words()[b]
+    halves = [_swept(ctx, d.slices[:b], d.source, kirby, 1, False),
+              _swept(ctx, d.slices[b:], word, kirby, 1, True)]
+    dims = _letter_dims(ctx, word)
+    shape = (-1, math.prod(dims[:i]), dims[i], math.prod(dims[i + 1:]))
+    total, prefactor = ctx.scalar(0), ctx.scalar(d.prefactor)
+    for (coeff, sub), low, up in zip(expand_formal(ctx, d), *(h.reshape(shape) for h in halves)):
+        letters = _substituted(word.letters, sub)
+        pivots = reduce(np.multiply.outer, [
+            wc._pivot(ctx, wc.realize_letter(ctx, x), 1 if k > i else -1)
+            for k, x in enumerate(letters) if k != i], ctx.scalar(1))
+        end = np.einsum("ajc,akc->jk", low * np.reshape(pivots, (shape[1], 1, shape[3])), up)
+        total = total + coeff * wc.modified_trace(ctx, wc.ObjectWord(letters[i:i + 1]),
+                                                  end * prefactor)
     return total

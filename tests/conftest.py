@@ -51,3 +51,13 @@ def assert_one_color_per_strand(d):
     for c, letters in d.component_letters().items():
         if c not in coupons:
             assert {col for _, col in letters} == {colors[c]}, c
+
+
+def assert_within_rounding(ctx, got, want, size):
+    """|got - want| <= 10^3 u `size`, with u the unit roundoff of the
+    context's precision and `size` the sum of the absolute values of the
+    terms that make up `want`.  Opening a closed diagram sums in another
+    order than cutting it: the worst difference measured is 108 u `size`,
+    at r = 10.  A bound relative to |want| cannot hold, since some values
+    are zero within rounding (|F'| about 1e-14 to 1e-11)."""
+    assert abs(got - want) <= 1e3 * 2.0 ** -ctx.precision * size, (got, want, size)

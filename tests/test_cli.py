@@ -15,6 +15,9 @@ from cgpkit import weightcat as wc
 from cgpkit.qscalars import ScalarContext
 
 
+DOCS_EXAMPLE = str(Path(__file__).resolve().parents[1] / "docs" / "example_lens_5_1.json")
+
+
 def run_cli(argv):
     buf = io.StringIO()
     with redirect_stdout(buf):
@@ -151,6 +154,9 @@ def test_statespace_command():
     (["statespace", "6", "1", "0.5", "--level", "10"], cli.EXIT_PARSE),
     (["check", "6", "--level", "10"], cli.EXIT_PARSE),
     (["constants"], cli.EXIT_PARSE),  # a usage error
+    # a level or precision the context refuses is no parse error on cgp either
+    (["cgp", DOCS_EXAMPLE, "--level", "8"], cli.EXIT_ERROR),
+    (["cgp", DOCS_EXAMPLE, "--precision", "0"], cli.EXIT_ERROR),
 ])
 def test_every_subcommand_exits_by_error_kind(argv, code):
     proc = subprocess.run([sys.executable, "-m", "cgpkit.cli", *argv],
@@ -195,12 +201,11 @@ def test_graph_colors_recoloring(tmp_path):
 
 
 def test_cache_is_keyed_on_the_effective_level(tmp_path, capsys):
-    docs = str(Path(__file__).resolve().parents[1] / "docs" / "example_lens_5_1.json")
     cache = str(tmp_path / "cache")
-    assert cli.main(["cgp", docs, "--cache-dir", cache]) == 0
+    assert cli.main(["cgp", DOCS_EXAMPLE, "--cache-dir", cache]) == 0
     capsys.readouterr()
     for extra in ([], ["--cache-dir", cache]):
-        assert cli.main(["cgp", docs, "--level", "10", *extra]) == cli.EXIT_ERROR
+        assert cli.main(["cgp", DOCS_EXAMPLE, "--level", "10", *extra]) == cli.EXIT_ERROR
         out, err = capsys.readouterr()
         assert out == "" and "not typical at level 10" in err
     assert [p.suffix for p in (tmp_path / "cache").iterdir()] == [".json"]
@@ -209,11 +214,10 @@ def test_cache_is_keyed_on_the_effective_level(tmp_path, capsys):
 def test_precision_flag_and_env_override_the_file(tmp_path, monkeypatch, capsys):
     """--precision, and CGP_PRECISION, win over the input file's precision
     key, and the cache entry is keyed on the precision used."""
-    docs = Path(__file__).resolve().parents[1] / "docs" / "example_lens_5_1.json"
-    assert cli.main(["cgp", str(docs), "--precision", "106"]) == 0
+    assert cli.main(["cgp", DOCS_EXAMPLE, "--precision", "106"]) == 0
     want = capsys.readouterr().out
     assert json.loads(want)["cgp"][0] == pytest.approx(-0.097647601109490514, abs=1e-17)
-    payload = dict(json.loads(docs.read_text()), precision=53)
+    payload = dict(json.loads(Path(DOCS_EXAMPLE).read_text()), precision=53)
     path = tmp_path / "p53.json"
     path.write_text(json.dumps(payload))
     cache = tmp_path / "cache"
@@ -305,7 +309,7 @@ def _split_payload(ctx):
 
 
 def _docs_payload(ctx):
-    return json.loads((Path(__file__).resolve().parents[1] / "docs" / "example_lens_5_1.json").read_text())
+    return json.loads(Path(DOCS_EXAMPLE).read_text())
 
 
 def _per_piece_stdout(ctx, payload, auto):

@@ -11,6 +11,7 @@ from cgpkit import surgery as sg
 from cgpkit import surgery_fixtures as sfx
 from cgpkit import weightcat as wc
 from cgpkit.qscalars import ScalarContext
+from conftest import assert_within_rounding
 
 GENERIC = 0.37 + 0.2j
 GENERIC2 = 0.59 - 0.11j
@@ -103,7 +104,7 @@ def test_apply_sparse_matches_matmul(precision):
         _assert_sparse_kernel_matches_matmul(ctx, state, np.flatnonzero(state), m,
                                              rt_eval._nonzeros(m) if cell.kind == "coupon" else
                                              rt_eval._cell_nonzeros_cached(
-                                                 ctx, cell.kind, (cell.letters,), ()),
+                                                 ctx, cell.kind, (cell.letters,), (), False),
                                              dl, din, dr, src)
 
 
@@ -307,6 +308,41 @@ def test_f_prime_cut_independence(ctx):
     assert len(vals) >= 4
     for v in vals[1:]:
         assert abs(v - vals[0]) <= 1e-9 * max(1.0, abs(vals[0]))
+
+
+def _cut_route(ctx, d, edge):
+    """F' by cutting at `edge`, evaluating the cut and taking the modified
+    trace of each Kirby term; and the sum of the terms' absolute values."""
+    cut = dg.cut(ctx, d, *edge)
+    ends, total, size = rt_eval.evaluate(ctx, cut), ctx.scalar(0), 0
+    for (coeff, sub), end in zip(rt_eval.expand_formal(ctx, cut),
+                                 ends.reshape(-1, *ends.shape[-2:])):
+        word = wc.ObjectWord([(sign, sub.get(c, c)) for sign, c in cut.source])
+        term = coeff * wc.modified_trace(ctx, word, end)
+        total, size = total + term, size + abs(term)
+    return total, size
+
+
+@pytest.mark.parametrize("r, precision", [(4, 53), (6, 53), (4, 106), (6, 106)])
+def test_opened_f_prime_matches_the_cut_route_at_every_edge(r, precision):
+    ctx = ScalarContext(r, precision=precision)
+    a = wc.Typical(GENERIC)
+    figures = [fx.figure_eight(a), fx.hopf_link(a, wc.Typical(GENERIC2)), fx.trefoil(a),
+               sfx.lens_unknot_presentation(ctx, 5, 1).diagram]
+    for d in figures:
+        words = d.boundary_words()
+        edges = [(b, i) for b in range(1, len(words)) for i, (_, c) in enumerate(words[b])
+                 if isinstance(c, (wc.Typical, wc.Kirby))]
+        assert len(edges) >= 4
+        for e in edges:
+            assert_within_rounding(ctx, rt_eval.f_prime(ctx, d, edge=e), *_cut_route(ctx, d, e))
+
+
+def test_opened_four_strand_closure_matches_the_cut_route_at_r10():
+    ctx = ScalarContext(10)
+    d = fx.braid_closure(wc.Typical(GENERIC), 4, [1, -2, -3, -1, 2, 3, 2])
+    e = rt_eval.find_typical_edge(ctx, d)
+    assert_within_rounding(ctx, rt_eval.f_prime(ctx, d), *_cut_route(ctx, d, e))
 
 
 def test_f_prime_split_sigma_factor(ctx):
