@@ -82,21 +82,24 @@ def _nonzeros(m: np.ndarray):
 @lru_cache(maxsize=None)
 def _cell_nonzeros_cached(ctx: ScalarContext, kind: str, terms: tuple, axes: tuple,
                           transposed: bool):
-    m = np.stack([_cell_matrix_cached(ctx, kind, letters) for letters in terms])
-    m = m.swapaxes(-1, -2) if transposed else m
-    return _nonzeros(m.reshape(*axes, *m.shape[1:]))
+    m = _stacked(ctx, kind, terms, axes)
+    return _nonzeros(m.swapaxes(-1, -2) if transposed else m)
 
 
-def _stacked(ctx: ScalarContext, cell: dg.Cell, touched: tuple, kirby: tuple, choices: list):
-    """The cell's matrices over the summands of the Kirby colors kirby[k], k
-    in `touched`, on term axes (of size 1 for the others), and their letters."""
+def _terms(cell: dg.Cell, touched: tuple, kirby: tuple, choices: list):
+    """The cell's letters over the summands of the Kirby colors kirby[k], k
+    in `touched`, and the shape of their term axes (size 1 for the others)."""
     if not touched:
-        return cell_matrix(ctx, cell), (cell.letters,)
-    terms = tuple(_substituted(cell.letters, dict(zip((kirby[k] for k in touched), combo)))
-                  for combo in itertools.product(*(choices[k] for k in touched)))
-    m = np.stack([_cell_matrix_cached(ctx, cell.kind, letters) for letters in terms])
-    return m.reshape(*(len(c) if k in touched else 1 for k, c in enumerate(choices)),
-                     *m.shape[1:]), terms
+        return (cell.letters,), ()
+    return (tuple(_substituted(cell.letters, dict(zip((kirby[k] for k in touched), combo)))
+                  for combo in itertools.product(*(choices[k] for k in touched))),
+            tuple(len(c) if k in touched else 1 for k, c in enumerate(choices)))
+
+
+def _stacked(ctx: ScalarContext, kind: str, terms: tuple, shape: tuple) -> np.ndarray:
+    """The matrices of a `kind` cell on each of `terms`, on term axes of `shape`."""
+    m = np.stack([_cell_matrix_cached(ctx, kind, letters) for letters in terms])
+    return m.reshape(*shape, *m.shape[1:])
 
 
 def _letter_dims(ctx: ScalarContext, word: wc.ObjectWord) -> list[int]:
@@ -163,8 +166,10 @@ def _sweep(ctx: ScalarContext, steps: list, kirby: tuple, choices: list, start: 
     flat indices `idx` of its nonzeros and their values (term axes, idx.size)."""
     for j in range(start, len(steps)):
         cell, touched, dense, dl, din, dout, dr, src, transposed = steps[j]
-        m, letters = _stacked(ctx, cell, touched, kirby, choices)
-        m = m.swapaxes(-1, -2) if transposed else m
+        terms, shape = _terms(cell, touched, kirby, choices)
+        if dense or cell.kind == "coupon":  # a sparse cell's nonzeros are cached
+            m = _stacked(ctx, cell.kind, terms, shape) if shape else cell_matrix(ctx, cell)
+            m = m.swapaxes(-1, -2) if transposed else m
         if dense:
             if state is None:
                 state = _densified(ctx, idx, val, (dl * din * dr, src))
@@ -174,8 +179,8 @@ def _sweep(ctx: ScalarContext, steps: list, kirby: tuple, choices: list, start: 
             idx = np.flatnonzero(state.reshape(-1, dl * din * dr * src).any(axis=0))
             val, state = state.reshape(*state.shape[:-2], -1)[..., idx], None
         nonzeros = (_nonzeros(m) if cell.kind == "coupon"
-                    else _cell_nonzeros_cached(ctx, cell.kind, letters, m.shape[:-2], transposed))
-        axes = np.broadcast_shapes(val.shape[:-1], m.shape[:-2]) if kirby else ()
+                    else _cell_nonzeros_cached(ctx, cell.kind, terms, shape, transposed))
+        axes = np.broadcast_shapes(val.shape[:-1], shape) if kirby else ()
         live = math.prod(axes)
         if live > 1 and live * nonzeros[0][idx // (dr * src) % din].sum() > 4 * DENSE_MAX:
             # too many products at once: split the terms on a live axis
@@ -283,7 +288,10 @@ def f_prime(ctx: ScalarContext, d: dg.Diagram,
     p+, gives the endomorphism F of the edge letter that cutting there
     evaluates to: F[j, k] = sum over a, c of p-(a) p+(c) L[a, j, c] U[a, k, c].
     Each term of the expansion of the Kirby colors gets the modified trace
-    of its F; the value does not depend on the chosen edge.
+    of its F; the value does not depend on the chosen edge.  F is one
+    product over the flattened (a, c) index; p-(a) p+(c) is cached on (ctx,
+    substituted word, i), built from `wc.letter_pivot`'s per-letter cache,
+    and the trace reads d(V_alpha) from `wc.modified_dimension`'s cache.
     """
     if not d.is_closed():
         raise ValueError("renormalized invariant needs a closed diagram")
@@ -299,10 +307,18 @@ def f_prime(ctx: ScalarContext, d: dg.Diagram,
     total, prefactor = ctx.scalar(0), ctx.scalar(d.prefactor)
     for (coeff, sub), low, up in zip(expand_formal(ctx, d), *(h.reshape(shape) for h in halves)):
         letters = _substituted(word.letters, sub)
-        pivots = reduce(np.multiply.outer, [
-            wc._pivot(ctx, wc.realize_letter(ctx, x), 1 if k > i else -1)
-            for k, x in enumerate(letters) if k != i], ctx.scalar(1))
-        end = np.einsum("ajc,akc->jk", low * np.reshape(pivots, (shape[1], 1, shape[3])), up)
+        end = ((low * _closing_pivots(ctx, letters, i)).transpose(1, 0, 2).reshape(dims[i], -1)
+               @ up.transpose(0, 2, 1).reshape(-1, dims[i]))
         total = total + coeff * wc.modified_trace(ctx, wc.ObjectWord(letters[i:i + 1]),
                                                   end * prefactor)
     return total
+
+
+@lru_cache(maxsize=None)
+def _closing_pivots(ctx: ScalarContext, letters: tuple, i: int) -> np.ndarray:
+    """p-(a) p+(c) of `f_prime`, on axes (a, 1, c); read-only."""
+    p = reduce(np.multiply.outer, [wc.letter_pivot(ctx, x, 1 if k > i else -1)
+                                   for k, x in enumerate(letters) if k != i], ctx.scalar(1))
+    p = np.reshape(p, (math.prod(wc.color_dim(ctx, c) for _, c in letters[:i]), 1, -1))
+    p.setflags(write=False)
+    return p

@@ -446,6 +446,14 @@ def _pivot(ctx: ScalarContext, M: WeightModule, sign: int) -> np.ndarray:
     return la.asarray(ctx, [ctx.q_power(sign * ctx.pivot_power * w) for w in M.weights])
 
 
+@lru_cache(maxsize=None)
+def letter_pivot(ctx: ScalarContext, letter: Letter, sign: int) -> np.ndarray:
+    """`_pivot` of the letter's module, cached on (ctx, letter, sign); read-only."""
+    p = _pivot(ctx, realize_letter(ctx, letter), sign)
+    p.setflags(write=False)
+    return p
+
+
 def ev_coev(ctx: ScalarContext, M: WeightModule, flavor: str) -> np.ndarray:
     """(Co)evaluation matrices for a realized module M.
 
@@ -478,9 +486,13 @@ def twist(ctx: ScalarContext, V: WeightModule, sign: int = 1) -> np.ndarray:
 
 
 def scalar_of(ctx: ScalarContext, f: np.ndarray) -> Scalar:
-    """Extract s from f = s*id, enforcing the deviation policy."""
+    """Extract s from f = s*id, enforcing the deviation policy: the largest
+    entry of f - s*id, measured in double at every precision (the diagonal
+    is subtracted at working precision first), is at most tol*max(1, |s|)."""
     s = f[0, 0]
-    dev = la.norm_inf(f - la.eye(ctx, f.shape[0]) * s)
+    dev = f.astype(np.complex128)
+    np.fill_diagonal(dev, (f.diagonal() - s).astype(np.complex128))
+    dev = float(np.abs(dev).max())
     if dev > ctx.tol * max(1.0, abs(s)):
         raise NotScalar(f"endomorphism deviates from scalar*id by {dev:.3e}")
     return s
@@ -518,33 +530,23 @@ def modified_trace(ctx: ScalarContext, word: ObjectWord, f: np.ndarray) -> Scala
     has no typical letter and NotScalar when the reduced endomorphism is
     not scalar.
     """
-    letters = list(word)
     mods = [realize_letter(ctx, letter) for letter in word]
-    target = None
-    for idx, (sign, color) in enumerate(letters):
-        if isinstance(color, Typical):
-            target = idx
-            break
+    target = next((k for k, (_, color) in enumerate(word) if isinstance(color, Typical)), None)
     if target is None:
         raise NotProjective("modified trace needs a typical tensor factor")
-    total = int(np.prod([M.dim for M in mods])) if mods else 1
+    dims = [M.dim for M in mods]
+    total = int(np.prod(dims))
     if f.shape != (total, total):
         raise ValueError(f"endomorphism shape {f.shape} does not match word dim {total}")
     # close letters to the right of the target, then to its left
-    right_dims = [M.dim for M in mods]
     g = f
     for j in range(len(mods) - 1, target, -1):
-        dA = int(np.prod(right_dims[:j])) if j else 1
-        g = partial_trace_right(ctx, g, dA, mods[j])
-        right_dims.pop()
+        g = partial_trace_right(ctx, g, int(np.prod(dims[:j])), mods[j])
     for j in range(target):
-        dB = int(np.prod(right_dims[1:])) if len(right_dims) > 1 else 1
-        g = partial_trace_left(ctx, g, mods[j], dB)
-        right_dims.pop(0)
-    s = scalar_of(ctx, g)
-    sign, color = letters[target]
+        g = partial_trace_left(ctx, g, mods[j], int(np.prod(dims[j + 1:target + 1])))
+    sign, color = word[target]
     alpha = complex(color.alpha) if sign > 0 else complex(dual_color(ctx, color).alpha)
-    return s * modified_dimension(ctx, alpha)
+    return scalar_of(ctx, g) * modified_dimension(ctx, alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -552,8 +554,10 @@ def modified_trace(ctx: ScalarContext, word: ObjectWord, f: np.ndarray) -> Scala
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
 def modified_dimension(ctx: ScalarContext, alpha) -> Scalar:
-    """Modified (projective) dimension of the typical module V_alpha.
+    """Modified (projective) dimension of the typical module V_alpha,
+    cached on (ctx, alpha).
 
     d(V_alpha) = (-1)^{m-1} m {mu} / {m mu},  mu = alpha - m + 1,
 

@@ -1,4 +1,6 @@
+import math
 import tracemalloc
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -410,3 +412,50 @@ def test_kirby_expansion_order_independence(ctx):
     v1 = rt_eval.evaluate_formal(ctx, d)
     v2 = rt_eval.evaluate_formal(ctx, d.recolor(k, wc.Kirby(g.g, terms=reversed_om)))
     assert np.abs(v1 - v2).max() < 1e-12 * max(1.0, np.abs(v1).max())
+
+
+def _uncached_closing(ctx, d):
+    """f_prime with each term closed as before its closing data was cached:
+    a per-term einsum, `wc._pivot` on each realized letter, the mpmath
+    scalar check and the uncached modified dimension; and the sum of the
+    terms' absolute values."""
+    (b, i), kirby = rt_eval.find_typical_edge(ctx, d), d.kirby_colors()
+    word = d.boundary_words()[b]
+    halves = [rt_eval._swept(ctx, d.slices[:b], d.source, kirby, 1, False),
+              rt_eval._swept(ctx, d.slices[b:], word, kirby, 1, True)]
+    dims = [wc.color_dim(ctx, c) for _, c in word]
+    shape = (-1, math.prod(dims[:i]), dims[i], math.prod(dims[i + 1:]))
+    total, size = ctx.scalar(0), 0
+    for (coeff, sub), low, up in zip(rt_eval.expand_formal(ctx, d),
+                                     *(h.reshape(shape) for h in halves)):
+        letters = rt_eval._substituted(word.letters, sub)
+        pivots = reduce(np.multiply.outer, [
+            wc._pivot(ctx, wc.realize_letter(ctx, x), 1 if k > i else -1)
+            for k, x in enumerate(letters) if k != i], ctx.scalar(1))
+        end = np.einsum("ajc,akc->jk", low * np.reshape(pivots, (shape[1], 1, shape[3])), up)
+        end = end * ctx.scalar(d.prefactor)
+        s = end[0, 0]
+        assert la.norm_inf(end - la.eye(ctx, dims[i]) * s) <= ctx.tol * max(1.0, abs(s))
+        sign, color = letters[i]
+        alpha = complex((color if sign > 0 else wc.dual_color(ctx, color)).alpha)
+        term = coeff * (s * wc.modified_dimension.__wrapped__(ctx, alpha))
+        total, size = total + term, size + abs(term)
+    return total, size
+
+
+@pytest.mark.parametrize("precision", [53, 106])
+def test_cached_closing_matches_the_uncached_route(precision):
+    """The cached pivots and modified dimensions, the double scalar check
+    and the one-matmul pairing give the bits of the uncached closing at
+    106 bits, and agree within rounding at 53."""
+    ctx6, ctx4 = (ScalarContext(r, precision=precision) for r in (6, 4))
+    cases = [(ctx6, sfx.lens_unknot_presentation(ctx6, 5, 1).diagram),
+             (ctx6, sfx.unknot_presentation(ctx6, GENERIC, framing=-1).diagram),
+             (ctx6, sfx.s1xs2_presentation(ctx6, wc.Degree(GENERIC2)).diagram),
+             (ctx4, fx.braid_closure(wc.Typical(GENERIC), 3, [1, -2, 1, 2, -1, 1]))]
+    for ctx, d in cases:
+        got, (want, size) = rt_eval.f_prime(ctx, d), _uncached_closing(ctx, d)
+        if ctx.high_precision:
+            assert got == want
+        else:
+            assert_within_rounding(ctx, got, want, size)

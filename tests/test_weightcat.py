@@ -650,3 +650,26 @@ def test_modified_trace_is_ambidextrous(r, precision, tol):
     want = (wc.modified_dimension(ctx, GENERIC2)
             * wc.scalar_of(ctx, wc.partial_trace_left(ctx, f, V, W.dim)))
     assert _rel(wc.modified_trace(ctx, word, f), want) <= tol
+
+
+def test_cached_letter_data_is_keyed_by_context():
+    """Contexts that differ only in precision or tolerance get entries of
+    their own in the pivot and modified-dimension caches, and a cached
+    pivot cannot be written to."""
+    ctxs = [ScalarContext(6), ScalarContext(6, precision=106), ScalarContext(6, tol=1e-6)]
+    alpha = 0.123 + 0.321j  # a weight no other test caches
+    letter = (1, wc.Typical(alpha))
+    for cached, args in ((wc.letter_pivot, (letter, 1)), (wc.modified_dimension, (alpha,))):
+        before = cached.cache_info().currsize
+        values = [cached(ctx, *args) for ctx in ctxs]
+        assert cached.cache_info().currsize == before + 3
+        assert all(cached(ctx, *args) is v for ctx, v in zip(ctxs, values))
+        assert values[2] is not values[0]
+        hp = values[1] if cached is wc.modified_dimension else values[1][0]
+        assert isinstance(hp, ctxs[1]._mp.mpc)
+    for ctx in ctxs:
+        p = wc.letter_pivot(ctx, letter, -1)
+        assert all(x == y for x, y in zip(p, wc._pivot(ctx, wc.realize_letter(ctx, letter), -1)))
+        with pytest.raises(ValueError):
+            p[0] = 1
+        assert wc.modified_dimension(ctx, alpha) == wc.modified_dimension.__wrapped__(ctx, alpha)
