@@ -59,56 +59,59 @@ class ComponentError(ValueError):
     cannot take the color it is given."""
 
 
-class NoSection(ArithmeticError):
-    pass
-
-
 def flip(letter: Letter) -> Letter:
     sign, color = letter
     return (-sign, color)
 
 
+# the letters each non-coupon cell kind consumes and produces, spelled in
+# the cell's own letters a and b, with A for a flipped
+_SHAPES = {
+    "id": ("a", "a"), "tpos": ("a", "a"), "tneg": ("a", "a"),
+    "xpos": ("ab", "ba"), "xneg": ("ab", "ba"),
+    "cup_l": ("Aa", ""), "cup_r": ("aA", ""), "cap_l": ("", "aA"), "cap_r": ("", "Aa"),
+}
+
+# each shape as (letter index, flipped) pairs, and where each of a cell's
+# letters sits: (0, t) is input port t of the cell, (1, t) output port t
+_SPELLING = {kind: tuple(tuple(("ab".index(x.lower()), x.isupper()) for x in w) for w in shape)
+             for kind, shape in _SHAPES.items()}
+_LETTER_PORTS = {
+    kind: tuple(next((side, w.index(x)) for side, w in enumerate(shape) if x in w)
+                for x in "ab" if x in "".join(shape))
+    for kind, shape in _SHAPES.items()
+}
+
+
 @dataclass(frozen=True, eq=False)
 class Cell:
-    """One elementary tangle piece inside a slice."""
+    """One elementary tangle piece inside a slice.  Its input and output
+    letters are spelled once, when it is built; an unknown kind or a letter
+    count the kind does not take is refused then."""
 
-    kind: str  # id | tpos | tneg | xpos | xneg | cup_l | cup_r | cap_l | cap_r | coupon
+    kind: str  # a key of _SHAPES, or coupon
     letters: tuple[Letter, ...] = ()
     domain: ObjectWord | None = None
     codomain: ObjectWord | None = None
     matrix: np.ndarray | None = None
+    _spelled: tuple = field(default=(), init=False, repr=False)
+
+    def __post_init__(self):
+        if self.kind == "coupon":
+            spelled = (self.domain.letters, self.codomain.letters)
+        elif self.kind in _SPELLING and len(self.letters) == len(_LETTER_PORTS[self.kind]):
+            ls = self.letters
+            spelled = tuple(tuple([flip(ls[i]) if flipped else ls[i] for i, flipped in side])
+                            for side in _SPELLING[self.kind])
+        else:
+            raise ValueError(f"bad cell: kind {self.kind!r} with {len(self.letters)} letters")
+        object.__setattr__(self, "_spelled", spelled)
 
     def in_letters(self) -> tuple[Letter, ...]:
-        k = self.kind
-        if k in ("id", "tpos", "tneg"):
-            return (self.letters[0],)
-        if k in ("xpos", "xneg"):
-            return self.letters
-        if k == "cup_l":
-            return (flip(self.letters[0]), self.letters[0])
-        if k == "cup_r":
-            return (self.letters[0], flip(self.letters[0]))
-        if k in ("cap_l", "cap_r"):
-            return ()
-        if k == "coupon":
-            return self.domain.letters
-        raise ValueError(f"unknown cell kind {self.kind!r}")
+        return self._spelled[0]
 
     def out_letters(self) -> tuple[Letter, ...]:
-        k = self.kind
-        if k in ("id", "tpos", "tneg"):
-            return (self.letters[0],)
-        if k in ("xpos", "xneg"):
-            return (self.letters[1], self.letters[0])
-        if k in ("cup_l", "cup_r"):
-            return ()
-        if k == "cap_l":
-            return (self.letters[0], flip(self.letters[0]))
-        if k == "cap_r":
-            return (flip(self.letters[0]), self.letters[0])
-        if k == "coupon":
-            return self.codomain.letters
-        raise ValueError(f"unknown cell kind {self.kind!r}")
+        return self._spelled[1]
 
 
 def id_cell(letter: Letter) -> Cell:
@@ -132,15 +135,6 @@ def coupon(domain: ObjectWord, codomain: ObjectWord, matrix: np.ndarray) -> Cell
 
 
 Slice = tuple[Cell, ...]
-
-# where each of a cell's letters sits: (0, t) is input port t of the cell,
-# (1, t) output port t
-_LETTER_PORTS = {
-    "id": ((0, 0),), "tpos": ((0, 0),), "tneg": ((0, 0),),
-    "xpos": ((0, 0), (0, 1)), "xneg": ((0, 0), (0, 1)),
-    "cup_l": ((0, 1),), "cup_r": ((0, 0),), "cap_l": ((1, 0),), "cap_r": ((1, 1),),
-}
-
 
 def _ports(s: int, pin: int, pout: int, cell: Cell):
     """Input and output ports of a cell placed at slice s."""
@@ -677,7 +671,7 @@ def stabilize_projective(ctx: ScalarContext, d: Diagram, boundary: int, pos: int
     # section s: U -> U (x) Vi (x) Vi* with (id (x) ev_r) o s = id
     basis = wc.hom_basis(ctx, uword, bigword)
     if not basis:
-        raise NoSection("no intertwiners U -> U (x) Vi (x) Vi*")
+        raise la.NumericInstability("no intertwiners U -> U (x) Vi (x) Vi*")
     U = realize(ctx, uword)
     Vi = realize_letter(ctx, (1, vi))
     evr = wc.ev_coev(ctx, Vi, "ev_r")
@@ -688,7 +682,7 @@ def stabilize_projective(ctx: ScalarContext, d: Diagram, boundary: int, pos: int
     coeffs = la.solve_lstsq(ctx, A, target_vec)
     resid = la.norm_inf((A @ coeffs) - target_vec)
     if resid > ctx.tol * max(1.0, la.norm_inf(target_vec)):
-        raise NoSection(f"section solve residual {resid:.3e}")
+        raise la.NumericInstability(f"section solve residual {resid:.3e}")
     smat = sum(c * b for c, b in zip(coeffs, basis))
     w2 = ObjectWord(list(w.letters[:pos]) + list(bigword.letters) + list(w.letters[pos + 1:]))
     rows = [
@@ -802,17 +796,13 @@ def cell_to_json(cell: Cell):
 
 def cell_from_json(obj) -> Cell:
     """ValueError on an unknown kind or on a letter count it does not take."""
-    kind = obj["kind"]
-    if kind == "coupon":
+    if obj["kind"] == "coupon":
         return coupon(
             ObjectWord([letter_from_json(l) for l in obj["domain"]]),
             ObjectWord([letter_from_json(l) for l in obj["codomain"]]),
             _matrix_from_json(obj["matrix"]),
         )
-    letters = tuple(letter_from_json(l) for l in obj["letters"])
-    if kind not in _LETTER_PORTS or len(letters) != len(_LETTER_PORTS[kind]):
-        raise ValueError(f"bad cell: kind {kind!r} with {len(letters)} letters")
-    return Cell(kind, letters)
+    return Cell(obj["kind"], tuple(letter_from_json(l) for l in obj["letters"]))
 
 
 def diagram_to_json(d: Diagram):

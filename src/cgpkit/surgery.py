@@ -350,30 +350,3 @@ def _pick_index(ctx: ScalarContext, target: wc.Kirby) -> wc.Degree:
                    for g in (cand, target.g + cand, target.g - cand)):
             return wc.Degree(complex(cand))
     raise CannotStabilize("could not find a sufficiently generic index")
-
-
-# ---------------------------------------------------------------------------
-# Kirby equivalence reporting
-# ---------------------------------------------------------------------------
-
-
-def kirby_equivalence_suite(ctx: ScalarContext, fixtures) -> list[dict]:
-    """Evaluate curated presentation pairs of one decorated manifold.
-
-    fixtures: iterable of (name, presentation_a, presentation_b); report
-    entries carry both values and their difference.
-    """
-    report = []
-    for name, pa, pb in fixtures:
-        va = cgp(ctx, pa, auto=True)
-        vb = cgp(ctx, pb, auto=True)
-        denom = max(1.0, abs(va), abs(vb))
-        report.append({
-            "name": name,
-            "value_a": va,
-            "value_b": vb,
-            "difference": abs(va - vb),
-            "relative": abs(va - vb) / denom,
-            "pass": abs(va - vb) / denom <= 100 * ctx.tol,
-        })
-    return report

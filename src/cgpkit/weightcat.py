@@ -1,9 +1,10 @@
 """Weight modules over unrolled quantum sl2 at an even root of unity.
 
 This is an executable matrix model of the ribbon category of
-finite-dimensional weight modules: generator actions H, E, F, K on explicit
-weight bases, braiding from the R-matrix, twist, two-sided duality with the
-pivot K^{1-r/2}, an intertwiner solver, the modified trace on projective
+finite-dimensional weight modules: E and F act by matrices on explicit
+weight bases, H by the weights and K^p by q^{p w}; braiding from the
+R-matrix, twist, two-sided duality with the pivot K^{1-r/2}, an
+intertwiner solver, the modified trace on projective
 objects, Kirby colors, and the global constants (stabilization coefficients,
 their square root, and the relative modularity parameter) that enter the
 surgery formula.
@@ -20,7 +21,7 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial, reduce
 
 import numpy as np
 
@@ -209,25 +210,25 @@ EMPTY_WORD = ObjectWord(())
 
 @dataclass(frozen=True)
 class WeightModule:
-    """Concrete module: weight basis plus generator action matrices."""
+    """Concrete module: a weight basis with the actions of E and F.  H acts
+    by the weights and K^p by q^{p w} (`_k_power`), so neither is stored."""
 
-    dim: int
     weights: tuple[Scalar, ...]
-    actH: np.ndarray
     actE: np.ndarray
     actF: np.ndarray
-    actK: np.ndarray
-    degree: Degree
 
-    def actK_inv(self, ctx: ScalarContext) -> np.ndarray:
-        p = la.zeros(ctx, (self.dim, self.dim))
-        for i, w in enumerate(self.weights):
-            p[i, i] = ctx.q_power(-w)
-        return p
+    @property
+    def dim(self) -> int:
+        return len(self.weights)
+
+    @property
+    def degree(self) -> Degree:
+        return Degree(complex(self.weights[0]))
 
 
-def _degree_from_weights(weights) -> Degree:
-    return Degree(complex(weights[0]))
+def _k_power(ctx: ScalarContext, M: WeightModule, p: int) -> np.ndarray:
+    """Diagonal of K^p on the weight basis of M: q^{p w} for each weight w."""
+    return la.asarray(ctx, [ctx.q_power(p * w) for w in M.weights])
 
 
 def typical_module(ctx: ScalarContext, alpha: complex) -> WeightModule:
@@ -238,55 +239,35 @@ def typical_module(ctx: ScalarContext, alpha: complex) -> WeightModule:
     # at working precision, so that alpha - 2n and alpha - n + 1 are exact
     alpha = ctx.scalar(alpha)
     m = ctx.nilpotency
-    weights = tuple(alpha - 2 * n for n in range(m))
-    H = la.zeros(ctx, (m, m))
-    K = la.zeros(ctx, (m, m))
     E = la.zeros(ctx, (m, m))
     F = la.zeros(ctx, (m, m))
-    for n in range(m):
-        H[n, n] = ctx.scalar(weights[n])
-        K[n, n] = ctx.q_power(weights[n])
-        if n + 1 < m:
-            F[n + 1, n] = ctx.scalar(1)
-        if n >= 1:
-            E[n - 1, n] = ctx.qint(n) * ctx.qint(alpha - n + 1)
-    return WeightModule(m, weights, H, E, F, K, _degree_from_weights(weights))
+    for n in range(1, m):
+        F[n, n - 1] = ctx.scalar(1)
+        E[n - 1, n] = ctx.qint(n) * ctx.qint(alpha - n + 1)
+    return WeightModule(tuple(alpha - 2 * n for n in range(m)), E, F)
 
 
 def sigma_module(ctx: ScalarContext, k: int) -> WeightModule:
     if k % ctx.rbar != 0:
         raise ValueError(f"sigma index {k} not a multiple of rbar={ctx.rbar}")
-    H = la.asarray(ctx, [[k]])
-    K = la.asarray(ctx, [[0]])
-    K[0, 0] = ctx.q_power(k)
-    Z = la.zeros(ctx, (1, 1))
-    return WeightModule(1, (complex(k),), H, Z.copy(), Z.copy(), K, Degree(complex(k)))
+    return WeightModule((complex(k),), la.zeros(ctx, (1, 1)), la.zeros(ctx, (1, 1)))
 
 
 def dual_module(ctx: ScalarContext, M: WeightModule) -> WeightModule:
-    """Dual action through the antipode: rho*(x) = rho(S(x))^T."""
-    weights = tuple(-w for w in M.weights)
-    H = la.zeros(ctx, (M.dim, M.dim))
-    for i, w in enumerate(weights):
-        H[i, i] = ctx.scalar(w)
-    # K acts on the dual weights -w as K^{-1} on M, and S(E) = -E K^{-1}
-    K = M.actK_inv(ctx)
-    E = -(M.actE @ K).T
-    F = -(M.actK @ M.actF).T
-    return WeightModule(M.dim, weights, H, E, F, K, _degree_from_weights(weights))
+    """Dual action through the antipode: rho*(x) = rho(S(x))^T, with
+    S(E) = -E K^{-1} and S(F) = -K F."""
+    E = -(M.actE @ np.diag(_k_power(ctx, M, -1))).T
+    F = -(np.diag(_k_power(ctx, M, 1)) @ M.actF).T
+    return WeightModule(tuple(-w for w in M.weights), E, F)
 
 
 def tensor_module(ctx: ScalarContext, A: WeightModule, B: WeightModule) -> WeightModule:
     """Tensor product through the coproduct, basis in lexicographic order."""
-    dim = A.dim * B.dim
-    weights = tuple(a + b for a in A.weights for b in B.weights)
     IA = la.eye(ctx, A.dim)
     IB = la.eye(ctx, B.dim)
-    H = la.kron(ctx, A.actH, IB) + la.kron(ctx, IA, B.actH)
-    E = la.kron(ctx, A.actE, B.actK) + la.kron(ctx, IA, B.actE)
-    F = la.kron(ctx, A.actF, IB) + la.kron(ctx, A.actK_inv(ctx), B.actF)
-    K = la.kron(ctx, A.actK, B.actK)
-    return WeightModule(dim, weights, H, E, F, K, _degree_from_weights(weights))
+    E = la.kron(ctx, A.actE, np.diag(_k_power(ctx, B, 1))) + la.kron(ctx, IA, B.actE)
+    F = la.kron(ctx, A.actF, IB) + la.kron(ctx, np.diag(_k_power(ctx, A, -1)), B.actF)
+    return WeightModule(tuple(a + b for a in A.weights for b in B.weights), E, F)
 
 
 @lru_cache(maxsize=None)
@@ -302,33 +283,23 @@ def realize_letter(ctx: ScalarContext, letter: Letter) -> WeightModule:
 
 def realize(ctx: ScalarContext, word: ObjectWord) -> WeightModule:
     """Concrete module of a signed tensor word; empty word gives the unit."""
-    M = sigma_module(ctx, 0)
-    first = True
-    for letter in word:
-        piece = realize_letter(ctx, letter)
-        M = piece if first else tensor_module(ctx, M, piece)
-        first = False
-    return M
+    mods = [realize_letter(ctx, letter) for letter in word] or [sigma_module(ctx, 0)]
+    return reduce(partial(tensor_module, ctx), mods)
 
 
 def check_module_relations(ctx: ScalarContext, M: WeightModule) -> float:
     """Largest deviation from the defining algebra relations.
 
-    Checks K = q^H on the weight basis, [H,E] = 2E, [H,F] = -2F,
+    Checks [H,E] = 2E and [H,F] = -2F with H the weights,
     [E,F] = (K - K^-1)/(q - q^-1), E^{r/2} = F^{r/2} = 0, and weight/degree
-    congruence.  Returns the max infinity-norm residual.
+    congruence; K = q^H holds by construction.  Returns the max
+    infinity-norm residual.
     """
-    devs = []
-    Kdiag = la.zeros(ctx, (M.dim, M.dim))
-    for i, w in enumerate(M.weights):
-        Kdiag[i, i] = ctx.q_power(w)
-    devs.append(la.norm_inf(M.actK - Kdiag))
-    comm_he = M.actH @ M.actE - M.actE @ M.actH
-    devs.append(la.norm_inf(comm_he - 2 * M.actE))
-    comm_hf = M.actH @ M.actF - M.actF @ M.actH
-    devs.append(la.norm_inf(comm_hf + 2 * M.actF))
+    H = np.diag(la.asarray(ctx, M.weights))
+    devs = [la.norm_inf(H @ M.actE - M.actE @ H - 2 * M.actE),
+            la.norm_inf(H @ M.actF - M.actF @ H + 2 * M.actF)]
     comm_ef = M.actE @ M.actF - M.actF @ M.actE
-    rhs = (M.actK - M.actK_inv(ctx)) / (ctx.q - 1 / ctx.q)
+    rhs = np.diag(_k_power(ctx, M, 1) - _k_power(ctx, M, -1)) / (ctx.q - 1 / ctx.q)
     devs.append(la.norm_inf(comm_ef - rhs))
     m = ctx.nilpotency
     Epow = la.eye(ctx, M.dim)
@@ -443,7 +414,7 @@ def braiding_inv(ctx: ScalarContext, V: WeightModule, W: WeightModule) -> np.nda
 def _pivot(ctx: ScalarContext, M: WeightModule, sign: int) -> np.ndarray:
     """Diagonal of the pivotal element K^{1-r/2} (sign +1) or of its
     inverse (sign -1) on the weight basis of M."""
-    return la.asarray(ctx, [ctx.q_power(sign * ctx.pivot_power * w) for w in M.weights])
+    return _k_power(ctx, M, sign * ctx.pivot_power)
 
 
 @lru_cache(maxsize=None)
@@ -687,7 +658,7 @@ def sigma_dim(ctx: ScalarContext, k: int) -> int:
     val = ctx.q_power(ctx.pivot_power * k)
     out = round(val.real)
     if abs(val - out) > ctx.tol or out not in (1, -1):
-        raise ArithmeticError(f"sigma({k}) dimension not a sign: {val}")
+        raise la.NumericInstability(f"sigma({k}) dimension not a sign: {val}")
     return out
 
 

@@ -9,6 +9,7 @@ import pytest
 
 from cgpkit import cli
 from cgpkit import diagrams as dg
+from cgpkit import state_spaces as ss
 from cgpkit import surgery as sg
 from cgpkit import surgery_fixtures as sfx
 from cgpkit import weightcat as wc
@@ -142,6 +143,36 @@ def test_statespace_command():
     assert lines[1].startswith("1,") and lines[1].endswith(",3")
 
 
+def test_statespace_command_genus2():
+    code, out = run_cli(["statespace", "4", "2", "0.5", "0.3+0.1j"])
+    assert code == 0
+    lines = out.strip().splitlines()
+    assert lines[0] == "genus,degrees,dimension"
+    assert lines[1].startswith("2,0.5;") and lines[1].endswith(",4")
+    data = ss.TrivalentSurfaceData(2, wc.Degree(0.5), (wc.Degree(0.3 + 0.1j),))
+    assert ss.genus_n_dim(ScalarContext(4), data) == 4
+
+
+def _docs_with_degree(tmp_path, degree):
+    payload = json.loads(Path(DOCS_EXAMPLE).read_text())
+    payload["presentation"]["meridian_degrees"]["0"] = degree
+    path = tmp_path / "degree.json"
+    path.write_text(json.dumps(payload))
+    return str(path)
+
+
+@pytest.mark.parametrize("degree", [0.8, "0.8+0j"])
+def test_meridian_degree_as_number_or_string(tmp_path, degree):
+    code, want = run_cli(["cgp", DOCS_EXAMPLE])
+    assert code == 0 and json.loads(want)["cgp"]
+    assert run_cli(["cgp", _docs_with_degree(tmp_path, degree)]) == (0, want)
+
+
+def test_meridian_degree_of_another_type_is_a_parse_error(tmp_path, capsys):
+    assert run_cli(["cgp", _docs_with_degree(tmp_path, {"x": 1})]) == (cli.EXIT_PARSE, "")
+    assert capsys.readouterr().err == "parse error: bad presentation: bad degree {'x': 1}\n"
+
+
 @pytest.mark.parametrize("argv, code", [
     (["moddim", "4", "abc"], cli.EXIT_PARSE),
     (["statespace", "6", "1", "xyz"], cli.EXIT_PARSE),
@@ -157,8 +188,16 @@ def test_statespace_command():
     # a level or precision the context refuses is no parse error on cgp either
     (["cgp", DOCS_EXAMPLE, "--level", "8"], cli.EXIT_ERROR),
     (["cgp", DOCS_EXAMPLE, "--precision", "0"], cli.EXIT_ERROR),
+    # a tolerance below rounding fails a sign, or the section solve, numerically
+    (["constants", "6", "--tol", "1e-17"], cli.EXIT_NUMERIC),
+    (["cgp", DOCS_EXAMPLE, "--tol", "1e-17"], cli.EXIT_NUMERIC),
+    (["cgp", "SPLIT", "--auto-stabilize", "--tol", "1e-16"], cli.EXIT_NUMERIC),
 ])
-def test_every_subcommand_exits_by_error_kind(argv, code):
+def test_every_subcommand_exits_by_error_kind(argv, code, tmp_path):
+    if "SPLIT" in argv:
+        split = tmp_path / "split.json"
+        split.write_text(json.dumps(_split_payload(ScalarContext(6))))
+        argv = [str(split) if a == "SPLIT" else a for a in argv]
     proc = subprocess.run([sys.executable, "-m", "cgpkit.cli", *argv],
                           capture_output=True, text=True)
     assert proc.returncode == code

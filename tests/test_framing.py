@@ -42,10 +42,7 @@ def _width(d):
     return max(len(w) for w in d.boundary_words())
 
 
-# the drawn split unknot at r = 10 asks for a 3.6 GiB state; the
-# twist-cell one is checked against eta d(alpha) below
-CASES = [(name, *level) for level in LEVELS for name in sorted(BUILDERS)
-         if not (level[0] == 10 and name.startswith("split"))]
+CASES = [(name, *level) for level in LEVELS for name in sorted(BUILDERS)]
 
 
 @pytest.mark.parametrize("name,r,precision,tol", CASES)

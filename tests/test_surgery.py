@@ -367,15 +367,3 @@ def test_rider_is_the_framed_push_off(ctx6):
 def test_reversed_component_is_refused_with_a_reason(ctx6):
     with pytest.raises(sg.CannotStabilize, match="no boundary exposes a typical edge"):
         sg.cgp(ctx6, _reversed_split_unknot(1), auto=True)
-
-
-def test_kirby_equivalence_suite_report(ctx6):
-    fixtures = [
-        ("blowdown+1", sfx.surgery_meridian_presentation(ctx6, GENERIC, 1),
-         sfx.unknot_presentation(ctx6, GENERIC, framing=-1)),
-        ("lens-slide", sfx.lens_unknot_presentation(ctx6, 5, 1),
-         sfx.slid_lens_presentation(ctx6, 5, 1)),
-    ]
-    report = sg.kirby_equivalence_suite(ctx6, fixtures)
-    assert all(entry["pass"] for entry in report)
-
