@@ -13,7 +13,7 @@ from .qscalars import ScalarContext
 
 
 class NumericInstability(ArithmeticError):
-    """A rank or integrality decision had no clear numerical gap."""
+    """A rank or integrality decision had no clear gap, or a scalar check failed."""
 
 
 # the smallest ratio between the singular values either side of the rank

@@ -294,7 +294,7 @@ def main(argv=None) -> int:
     except sg.NotAdmissible as e:
         print(f"not admissible: {e}", file=sys.stderr)
         return EXIT_NOT_ADMISSIBLE
-    except (NumericInstability, wc.NotScalar) as e:
+    except NumericInstability as e:
         print(f"numeric instability: {e}", file=sys.stderr)
         return EXIT_NUMERIC
     except ValueError as e:

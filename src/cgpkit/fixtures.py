@@ -138,7 +138,7 @@ def relative_modularity_scalar(ctx: ScalarContext, g: wc.Degree) -> Scalar:
     fit = la.frobenius_inner(B, A) / denom
     resid = la.norm_inf(A - B * fit)
     if resid > ctx.tol * max(1.0, la.norm_inf(A)) * 10:
-        raise wc.NotScalar(
+        raise la.NumericInstability(
             f"meridian figure is not a multiple of the unit projector "
             f"(residual {resid:.3e})")
     return fit * wc.modified_dimension(ctx, wi)

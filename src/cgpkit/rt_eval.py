@@ -8,8 +8,9 @@ swept up to the edge and one swept down to it, on transposed cells, pair
 into the edge letter's endomorphism, whose modified trace does not depend
 on the edge.
 
-Kirby colors expand linearly.  Each half is swept once: the state has a
-term axis per Kirby color, of size 1 below the first cell touching it.
+Kirby colors expand linearly on one term axis per Kirby color, from the
+first cell touching it to the value; `_on_term_axes` alone replaces a
+color by its summands there.
 
 Every cell is a module map and so preserves weight: each column of the
 state stays in one weight sector, and almost all of it is exact zeros.  So
@@ -26,6 +27,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from functools import lru_cache, reduce
 
 import numpy as np
@@ -60,11 +62,6 @@ def _cell_matrix_cached(ctx: ScalarContext, kind: str, letters) -> np.ndarray:
     return wc.ev_coev(ctx, M, ("ev" if kind.startswith("cup") else "coev") + side)
 
 
-def _substituted(letters: tuple, sub: dict) -> tuple:
-    """The letters with each Kirby color replaced by its summand in `sub`."""
-    return tuple((sign, sub.get(color, color)) for sign, color in letters)
-
-
 def cell_matrix(ctx: ScalarContext, cell: dg.Cell) -> np.ndarray:
     if cell.kind == "coupon":
         return cell.matrix if not ctx.high_precision else la.asarray(ctx, cell.matrix)
@@ -79,27 +76,40 @@ def _nonzeros(m: np.ndarray):
     return count, np.cumsum(count) - count, outs, m[..., outs, ins]
 
 
+def _on_term_axes(ctx: ScalarContext, f, letters: tuple, kirby: tuple) -> np.ndarray:
+    """f(letters, coeff) for each term of the expansion of the Kirby colors
+    `kirby`: each color in `letters` replaced by one of its summands, and
+    coeff the product of those summands' coefficients in color order from
+    ctx.scalar(1).  Stacked on one term axis per color of `kirby` (size 1
+    for a color not in `letters`) in the C order of `expand_formal`, then
+    f's own axes; read-only, as the caches share it."""
+    sums = [k.color_sum(ctx).terms if any(c == k for _, c in letters) else ((None, k),)
+            for k in kirby]
+    out = []
+    for combo in itertools.product(*sums):
+        sub = {k: c for k, (_, c) in zip(kirby, combo)}
+        coeff = reduce(operator.mul, (co for co, _ in combo if co is not None), ctx.scalar(1))
+        out.append(f(tuple((sign, sub.get(c, c)) for sign, c in letters), coeff))
+    out = np.reshape(out, (*map(len, sums), *np.shape(out[0])))
+    out.setflags(write=False)
+    return out
+
+
+def _cell_stack(ctx: ScalarContext, kind: str, letters: tuple, kirby: tuple) -> np.ndarray:
+    return _on_term_axes(ctx, lambda ls, _: _cell_matrix_cached(ctx, kind, ls), letters, kirby)
+
+
 @lru_cache(maxsize=None)
-def _cell_nonzeros_cached(ctx: ScalarContext, kind: str, terms: tuple, axes: tuple,
+def _cell_nonzeros_cached(ctx: ScalarContext, kind: str, letters: tuple, kirby: tuple,
                           transposed: bool):
-    m = _stacked(ctx, kind, terms, axes)
+    m = _cell_stack(ctx, kind, letters, kirby)
     return _nonzeros(m.swapaxes(-1, -2) if transposed else m)
 
 
-def _terms(cell: dg.Cell, touched: tuple, kirby: tuple, choices: list):
-    """The cell's letters over the summands of the Kirby colors kirby[k], k
-    in `touched`, and the shape of their term axes (size 1 for the others)."""
-    if not touched:
-        return (cell.letters,), ()
-    return (tuple(_substituted(cell.letters, dict(zip((kirby[k] for k in touched), combo)))
-                  for combo in itertools.product(*(choices[k] for k in touched))),
-            tuple(len(c) if k in touched else 1 for k, c in enumerate(choices)))
-
-
-def _stacked(ctx: ScalarContext, kind: str, terms: tuple, shape: tuple) -> np.ndarray:
-    """The matrices of a `kind` cell on each of `terms`, on term axes of `shape`."""
-    m = np.stack([_cell_matrix_cached(ctx, kind, letters) for letters in terms])
-    return m.reshape(*shape, *m.shape[1:])
+@lru_cache(maxsize=None)
+def _coefficients(ctx: ScalarContext, kirby: tuple) -> np.ndarray:
+    """The coefficient of each term of the expansion, on its term axes."""
+    return _on_term_axes(ctx, lambda _, coeff: coeff, tuple((1, k) for k in kirby), kirby)
 
 
 def _letter_dims(ctx: ScalarContext, word: wc.ObjectWord) -> list[int]:
@@ -135,19 +145,18 @@ def _swept(ctx: ScalarContext, slices, word: wc.ObjectWord, kirby: tuple, src: i
             nin, out = len(cell.in_letters()), _letter_dims(ctx, cell.out_letters())
             dl, din, dout, dr = (math.prod(dims[:pos]), math.prod(dims[pos:pos + nin]),
                                  math.prod(out), math.prod(dims[pos + nin:]))
-            touched = tuple(k for k, col in enumerate(kirby)
-                            if col in [c for _, c in cell.letters]) if kirby else ()
+            # a cell on no Kirby color is one matrix, without term axes
+            colors = kirby if kirby and any(c in kirby for _, c in cell.letters) else ()
             # symmetric in din and dout, so it holds for a transposed cell too
-            steps.append((cell, touched, dl * max(din, dout) * dr * src <= dense_max
+            steps.append((cell, colors, dl * max(din, dout) * dr * src <= dense_max
                           and dl * din * dout * dr * src <= 4 * dense_max,
                           dl, *((dout, din) if down else (din, dout)), dr, src, down))
             dims[pos:pos + nin] = out
             pos += len(out)
-    choices = [[c for _, c in k.color_sum(ctx).terms] for k in kirby]
     eye = la.eye(ctx, src).reshape((1,) * len(kirby) + (src, src))
-    end = _sweep(ctx, steps[::-1] if down else steps, kirby, choices, 0, eye)
+    end = _sweep(ctx, steps[::-1] if down else steps, eye)
     if kirby:  # a Kirby color on no cell keeps a term axis of size 1
-        end = np.broadcast_to(end, (*map(len, choices), *end.shape[-2:]))
+        end = np.broadcast_to(end, _coefficients(ctx, kirby).shape + end.shape[-2:])
     return end
 
 
@@ -159,16 +168,13 @@ def evaluate(ctx: ScalarContext, d: dg.Diagram) -> np.ndarray:
     return _swept(ctx, d.slices, d.source, d.kirby_colors(), src, False) * ctx.scalar(d.prefactor)
 
 
-def _sweep(ctx: ScalarContext, steps: list, kirby: tuple, choices: list, start: int,
-           state: np.ndarray | None, idx: np.ndarray | None = None, val=None) -> np.ndarray:
-    """Apply `steps[start:]` to the terms of the summands `choices`: to the
-    dense state (term axes, rows, src) or, while it is None, to the sorted
-    flat indices `idx` of its nonzeros and their values (term axes, idx.size)."""
-    for j in range(start, len(steps)):
-        cell, touched, dense, dl, din, dout, dr, src, transposed = steps[j]
-        terms, shape = _terms(cell, touched, kirby, choices)
+def _sweep(ctx: ScalarContext, steps: list, state: np.ndarray) -> np.ndarray:
+    """Apply `steps` to the dense state (term axes, rows, src), carried through
+    sparse steps as its nonzeros' sorted flat indices `idx` and values `val`."""
+    for cell, colors, dense, dl, din, dout, dr, src, transposed in steps:
         if dense or cell.kind == "coupon":  # a sparse cell's nonzeros are cached
-            m = _stacked(ctx, cell.kind, terms, shape) if shape else cell_matrix(ctx, cell)
+            m = (_cell_stack(ctx, cell.kind, cell.letters, colors) if colors
+                 else cell_matrix(ctx, cell))
             m = m.swapaxes(-1, -2) if transposed else m
         if dense:
             if state is None:
@@ -179,16 +185,7 @@ def _sweep(ctx: ScalarContext, steps: list, kirby: tuple, choices: list, start: 
             idx = np.flatnonzero(state.reshape(-1, dl * din * dr * src).any(axis=0))
             val, state = state.reshape(*state.shape[:-2], -1)[..., idx], None
         nonzeros = (_nonzeros(m) if cell.kind == "coupon"
-                    else _cell_nonzeros_cached(ctx, cell.kind, terms, shape, transposed))
-        axes = np.broadcast_shapes(val.shape[:-1], shape) if kirby else ()
-        live = math.prod(axes)
-        if live > 1 and live * nonzeros[0][idx // (dr * src) % din].sum() > 4 * DENSE_MAX:
-            # too many products at once: split the terms on a live axis
-            k = next(k for k, n in enumerate(axes) if n > 1)
-            return np.concatenate([_sweep(
-                ctx, steps, kirby, choices[:k] + [[c]] + choices[k + 1:], j, None, idx,
-                val if val.shape[k] == 1 else np.take(val, [i], axis=k))
-                for i, c in enumerate(choices[k])], axis=k)
+                    else _cell_nonzeros_cached(ctx, cell.kind, cell.letters, colors, transposed))
         idx, val = _apply_sparse(idx, val, nonzeros, dl, din, dout, dr * src)
     return state if state is not None else _densified(ctx, idx, val, (dl * dout * dr, src))
 
@@ -251,18 +248,15 @@ def expand_formal(ctx: ScalarContext, d: dg.Diagram):
     coefficients in that order."""
     kirby = d.kirby_colors()
     for combo in itertools.product(*(k.color_sum(ctx).terms for k in kirby)):
-        coeff = ctx.scalar(1)
-        for co, _ in combo:
-            coeff = coeff * co
-        yield coeff, {k: col for k, (_, col) in zip(kirby, combo)}
+        yield (reduce(operator.mul, (co for co, _ in combo), ctx.scalar(1)),
+               {k: col for k, (_, col) in zip(kirby, combo)})
 
 
 def evaluate_formal(ctx: ScalarContext, d: dg.Diagram) -> np.ndarray:
-    """Linear expansion of Kirby-colored components, summed with coefficients."""
-    ends, total = evaluate(ctx, d), None
-    for (coeff, _), end in zip(expand_formal(ctx, d), ends.reshape(-1, *ends.shape[-2:])):
-        total = end * coeff if total is None else total + end * coeff
-    return total
+    """Linear expansion of Kirby-colored components: `evaluate`'s matrices
+    weighted by their terms' coefficients and summed over the term axes."""
+    ends = evaluate(ctx, d) * _coefficients(ctx, d.kirby_colors())[..., None, None]
+    return ends.reshape(-1, *ends.shape[-2:]).sum(axis=0)
 
 
 def find_typical_edge(ctx: ScalarContext, d: dg.Diagram) -> tuple[int, int] | None:
@@ -287,11 +281,11 @@ def f_prime(ctx: ScalarContext, d: dg.Diagram,
     right of it as `wc.partial_trace_right` does, with their pivots p- and
     p+, gives the endomorphism F of the edge letter that cutting there
     evaluates to: F[j, k] = sum over a, c of p-(a) p+(c) L[a, j, c] U[a, k, c].
-    Each term of the expansion of the Kirby colors gets the modified trace
-    of its F; the value does not depend on the chosen edge.  F is one
-    product over the flattened (a, c) index; p-(a) p+(c) is cached on (ctx,
-    substituted word, i), built from `wc.letter_pivot`'s per-letter cache,
-    and the trace reads d(V_alpha) from `wc.modified_dimension`'s cache.
+    The value sums coefficient times the modified trace of F, s d(V_alpha)
+    for F = s id, over the terms of the Kirby expansion in `expand_formal`'s
+    order; it does not depend on the edge.  F of all terms is one product
+    batched over the term axes, checked by one stacked `wc.scalar_of`; the
+    pivots, d(V_alpha) and coefficients on those axes are cached.
     """
     if not d.is_closed():
         raise ValueError("renormalized invariant needs a closed diagram")
@@ -300,25 +294,29 @@ def f_prime(ctx: ScalarContext, d: dg.Diagram,
         raise NotAdmissible("closed diagram has no typical edge to open at")
     (b, i), kirby = e, d.kirby_colors()
     word = d.boundary_words()[b]
-    halves = [_swept(ctx, d.slices[:b], d.source, kirby, 1, False),
-              _swept(ctx, d.slices[b:], word, kirby, 1, True)]
     dims = _letter_dims(ctx, word)
-    shape = (-1, math.prod(dims[:i]), dims[i], math.prod(dims[i + 1:]))
-    total, prefactor = ctx.scalar(0), ctx.scalar(d.prefactor)
-    for (coeff, sub), low, up in zip(expand_formal(ctx, d), *(h.reshape(shape) for h in halves)):
-        letters = _substituted(word.letters, sub)
-        end = ((low * _closing_pivots(ctx, letters, i)).transpose(1, 0, 2).reshape(dims[i], -1)
-               @ up.transpose(0, 2, 1).reshape(-1, dims[i]))
-        total = total + coeff * wc.modified_trace(ctx, wc.ObjectWord(letters[i:i + 1]),
-                                                  end * prefactor)
-    return total
+    shape = (math.prod(dims[:i]), dims[i], math.prod(dims[i + 1:]))
+    low, up = (h.reshape(*h.shape[:-2], *shape) for h in (
+        _swept(ctx, d.slices[:b], d.source, kirby, 1, False),
+        _swept(ctx, d.slices[b:], word, kirby, 1, True)))
+    pivots, dim, coeff = _closing(ctx, word.letters, i, kirby)
+    ends = ((low * pivots).swapaxes(-3, -2).reshape(*low.shape[:-3], dims[i], -1)
+            @ up.swapaxes(-2, -1).reshape(*up.shape[:-3], -1, dims[i]))
+    values = coeff * (wc.scalar_of(ctx, ends * ctx.scalar(d.prefactor)) * dim)
+    return reduce(operator.add, np.ravel(values), ctx.scalar(0))
 
 
 @lru_cache(maxsize=None)
-def _closing_pivots(ctx: ScalarContext, letters: tuple, i: int) -> np.ndarray:
-    """p-(a) p+(c) of `f_prime`, on axes (a, 1, c); read-only."""
-    p = reduce(np.multiply.outer, [wc.letter_pivot(ctx, x, 1 if k > i else -1)
-                                   for k, x in enumerate(letters) if k != i], ctx.scalar(1))
-    p = np.reshape(p, (math.prod(wc.color_dim(ctx, c) for _, c in letters[:i]), 1, -1))
-    p.setflags(write=False)
-    return p
+def _closing(ctx: ScalarContext, letters: tuple, i: int, kirby: tuple) -> tuple:
+    """`f_prime`'s p-(a) p+(c) on axes (a, 1, c), d(V_alpha) of the edge
+    letter i and the coefficients, on the term axes of `kirby`."""
+    def pivots(ls, _):
+        p = reduce(np.multiply.outer, [wc.letter_pivot(ctx, x, 1 if k > i else -1)
+                                       for k, x in enumerate(ls) if k != i], ctx.scalar(1))
+        return np.reshape(p, (math.prod(wc.color_dim(ctx, c) for _, c in ls[:i]), 1, -1))
+
+    def dimension(ls, _):  # d(V) is the modified trace of the identity of V
+        return wc.modified_trace(ctx, wc.ObjectWord(ls), la.eye(ctx, wc.color_dim(ctx, ls[0][1])))
+
+    return (_on_term_axes(ctx, pivots, letters, kirby),
+            _on_term_axes(ctx, dimension, letters[i:i + 1], kirby), _coefficients(ctx, kirby))

@@ -41,10 +41,6 @@ class NotProjective(ValueError):
     """The operation needs a typical (projective) tensor factor."""
 
 
-class NotScalar(ArithmeticError):
-    """An endomorphism expected to be scalar deviates beyond tolerance."""
-
-
 # ---------------------------------------------------------------------------
 # degrees and colors
 # ---------------------------------------------------------------------------
@@ -457,15 +453,18 @@ def twist(ctx: ScalarContext, V: WeightModule, sign: int = 1) -> np.ndarray:
 
 
 def scalar_of(ctx: ScalarContext, f: np.ndarray) -> Scalar:
-    """Extract s from f = s*id, enforcing the deviation policy: the largest
-    entry of f - s*id, measured in double at every precision (the diagonal
-    is subtracted at working precision first), is at most tol*max(1, |s|)."""
-    s = f[0, 0]
+    """Extract s from f = s*id, or each s of a stack of such f on leading
+    axes, enforcing the deviation policy: the largest entry of f - s*id,
+    measured in double at every precision (the diagonal is subtracted at
+    working precision first), is at most tol*max(1, |s|), else refused."""
+    s, i = f[..., 0, 0], np.arange(f.shape[-1])
     dev = f.astype(np.complex128)
-    np.fill_diagonal(dev, (f.diagonal() - s).astype(np.complex128))
-    dev = float(np.abs(dev).max())
-    if dev > ctx.tol * max(1.0, abs(s)):
-        raise NotScalar(f"endomorphism deviates from scalar*id by {dev:.3e}")
+    dev[..., i, i] = (f[..., i, i] - f[..., :1, 0]).astype(np.complex128)
+    dev = np.abs(dev).max(axis=(-2, -1))
+    bad = dev > ctx.tol * np.maximum(1.0, np.abs(np.asarray(s, dtype=np.complex128)))
+    if bad.any():
+        raise la.NumericInstability(
+            f"endomorphism deviates from scalar*id by {dev[bad].max():.3e}")
     return s
 
 
@@ -498,8 +497,8 @@ def modified_trace(ctx: ScalarContext, word: ObjectWord, f: np.ndarray) -> Scala
     Reduces by right/left partial traces down to one typical letter, where
     the result must be scalar*id; the trace is that scalar times the
     modified dimension of the letter.  Raises NotProjective when the word
-    has no typical letter and NotScalar when the reduced endomorphism is
-    not scalar.
+    has no typical letter and NumericInstability when the reduced
+    endomorphism is not scalar.
     """
     mods = [realize_letter(ctx, letter) for letter in word]
     target = next((k for k, (_, color) in enumerate(word) if isinstance(color, Typical)), None)

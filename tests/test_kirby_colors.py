@@ -85,27 +85,30 @@ def test_coupon_free_strands_carry_one_color(figure):
 
 def test_one_opening_per_presentation(monkeypatch, ctx6):
     wc.constants(ctx6)  # the constants evaluate figures of their own
-    calls = {"cut": 0, "_swept": 0, "terms": 0}
+    calls = {"cut": 0, "_swept": 0, "expand_formal": 0}
+    halves = []
 
     def counted(name, f):
         def wrapper(*args, **kwargs):
             calls[name] += 1
-            return f(*args, **kwargs)
+            out = f(*args, **kwargs)
+            if name == "_swept":
+                halves.append(out.shape)
+            return out
         return wrapper
 
-    def terms(*args):
-        for term in expand(*args):
-            calls["terms"] += 1
-            yield term
-
-    expand = rt_eval.expand_formal
     monkeypatch.setattr(dg, "cut", counted("cut", dg.cut))
     monkeypatch.setattr(rt_eval, "_swept", counted("_swept", rt_eval._swept))
-    monkeypatch.setattr(rt_eval, "expand_formal", terms)
-    sg.cgp(ctx6, sfx.lens_chain_presentation(ctx6, 2, 3, 1))
+    monkeypatch.setattr(rt_eval, "expand_formal", counted("expand_formal", rt_eval.expand_formal))
+    p = sfx.lens_chain_presentation(ctx6, 2, 3, 1)
+    sg.cgp(ctx6, p)
     # no cut; one sweep below the edge and one above it carry the 3
-    # summands on each of 2 components at once
-    assert calls == {"cut": 0, "_swept": 2, "terms": 9}
+    # summands on each of 2 components at once, on their term axes
+    assert calls == {"cut": 0, "_swept": 2, "expand_formal": 0}
+    assert [h[:2] for h in halves] == [(3, 3), (3, 3)]
+    # the coefficients meet the matrices on those axes, not term by term
+    rt_eval.evaluate_formal(ctx6, p.diagram)
+    assert calls == {"cut": 0, "_swept": 3, "expand_formal": 0}
 
 
 def test_auto_stabilization_shifts_only_the_target(ctx6):

@@ -106,7 +106,7 @@ def test_apply_sparse_matches_matmul(precision):
         _assert_sparse_kernel_matches_matmul(ctx, state, np.flatnonzero(state), m,
                                              rt_eval._nonzeros(m) if cell.kind == "coupon" else
                                              rt_eval._cell_nonzeros_cached(
-                                                 ctx, cell.kind, (cell.letters,), (), False),
+                                                 ctx, cell.kind, cell.letters, (), False),
                                              dl, din, dr, src)
 
 
@@ -208,8 +208,8 @@ def test_four_strand_closure_at_r14_is_cut_independent():
 
 
 def test_auto_stabilized_split_sweeps_term_by_term_at_r10():
-    """Its widest scatter forms 164k products per term: all 5 terms at once
-    take a 25 MiB traced peak, term by term 16 MiB."""
+    """Its widest scatter forms 16k products for each of its 5 terms, one
+    term at a time in `_apply_sparse`: a 2.8 MiB traced peak."""
     ctx = ScalarContext(10)
     p = sg.auto_stabilize(ctx, sfx.split_surgery_unknot_presentation(ctx, GENERIC, 1))
     wc.constants(ctx)
@@ -428,7 +428,7 @@ def _uncached_closing(ctx, d):
     total, size = ctx.scalar(0), 0
     for (coeff, sub), low, up in zip(rt_eval.expand_formal(ctx, d),
                                      *(h.reshape(shape) for h in halves)):
-        letters = rt_eval._substituted(word.letters, sub)
+        letters = tuple((sign, sub.get(c, c)) for sign, c in word.letters)
         pivots = reduce(np.multiply.outer, [
             wc._pivot(ctx, wc.realize_letter(ctx, x), 1 if k > i else -1)
             for k, x in enumerate(letters) if k != i], ctx.scalar(1))

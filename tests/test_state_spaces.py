@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from cgpkit import _linalg as la
+from cgpkit import diagrams as dg
 from cgpkit import state_spaces as ss
 from cgpkit import surgery as sg
 from cgpkit import surgery_fixtures as sfx
@@ -229,3 +230,52 @@ def test_genus_n_closed_form(r):
         data = ss.TrivalentSurfaceData(g, wc.Degree(0.5 + 0.15j), primes[:g - 1])
         want = 4 ** (g - 1) if r == 4 else (r // 2) ** (3 * g - 3)
         assert ss.genus_n_dim(ctx, data) == want
+
+
+def _sigma_g_x_s1(gc: complex, pairs) -> sg.SurgeryPresentation:
+    """Sigma_g x S^1 as 0-surgery on an unknot C and, for each (ga, gb) in
+    `pairs`, two unknots that form Borromean rings with C (Gompf-Stipsicz,
+    4-Manifolds and Kirby Calculus; T^3 for one pair), with those meridian
+    degrees.  Each pair is the closure of the pure braid (s1 s2^-1)^3 on
+    C's upward strand and its own two, drawn one pair after the other
+    inside C's cap, so the diagram is 6 letters wide for any g.  All
+    linking numbers and writhes are 0, so every class extends."""
+    c = (1, wc.Kirby(gc, 0, True))
+    d = dg.apply_cell(dg.Diagram(wc.ObjectWord(()), []), 0, dg.cap(c, left=True))
+    for n, (ga, gb) in enumerate(pairs):
+        a, b = (1, wc.Kirby(ga, 2 * n + 1, True)), (1, wc.Kirby(gb, 2 * n + 2, True))
+        d = dg.apply_cell(d, 1, dg.cap(a, left=True))
+        d = dg.apply_cell(d, 2, dg.cap(b, left=True))
+        for k in (1, -2) * 3:
+            p = abs(k) - 1
+            d = dg.apply_cell(d, p, dg.cross(d.target[p], d.target[p + 1], positive=k > 0))
+        d = dg.apply_cell(d, 2, dg.cup(b, left=False))
+        d = dg.apply_cell(d, 1, dg.cup(a, left=False))
+    return sg.SurgeryPresentation(dg.apply_cell(d, 0, dg.cup(c, left=False)))
+
+
+PAIR_CLASSES = ([(0.23 + 0.4j, 0.61 - 0.17j), (0.41 + 0.13j, -0.29 + 0.33j)],
+                [(0.71 - 0.3j, 0.15 + 0.27j), (-0.44 + 0.19j, 0.52 + 0.08j)])
+
+
+@pytest.mark.parametrize("pairs", PAIR_CLASSES)
+def test_sigma2_x_s1_is_the_genus2_count_at_r6(ctx6, pairs):
+    """The trace axiom: CGP of Sigma_2 x S^1, through surgery, Kirby colors
+    and the sweep over 3^5 terms, equals the fusion count of the genus-2
+    state space, which shares no code with it."""
+    p = _sigma_g_x_s1(0.37 + 0.21j, pairs)
+    assert max(map(len, p.diagram.boundary_words())) == 6
+    assert not p.linking.matrix.any()
+    want = ss.genus_n_dim(ctx6, ss.TrivalentSurfaceData(
+        2, wc.Degree(pairs[0][0]), (wc.Degree(pairs[0][1]),)))
+    assert want == 27
+    assert abs(sg.cgp(ctx6, p) - want) <= 1e-10 * want
+
+
+@pytest.mark.parametrize("r", [4, 6])
+def test_three_torus_is_the_genus1_count(r):
+    ctx = ScalarContext(r)
+    pair = PAIR_CLASSES[0][0]
+    want = ss.genus1_dim(ctx, wc.Degree(pair[0]))
+    assert want == {4: 1, 6: 3}[r]
+    assert abs(sg.cgp(ctx, _sigma_g_x_s1(0.37 + 0.21j, [pair])) - want) <= 1e-10 * want

@@ -407,8 +407,23 @@ def test_modified_trace_rejects_non_scalar_reduction(ctx):
     M = wc.realize(ctx, word)
     rng = np.random.default_rng(9)
     f = rng.standard_normal((M.dim, M.dim))  # not an intertwiner
-    with pytest.raises(wc.NotScalar):
+    with pytest.raises(la.NumericInstability):
         wc.modified_trace(ctx, word, f)
+
+
+@pytest.mark.parametrize("precision", [53, 106])
+def test_scalar_of_refuses_a_stack_with_one_deviating_term(precision):
+    """A stack of multiples of the identity gives its scalars on the
+    stack's axes; one deviating matrix among six is refused, and the
+    message names its largest deviation."""
+    ctx = ScalarContext(4, precision=precision)
+    scalars = np.array([[ctx.scalar(complex(k, t)) for k in range(3)] for t in range(2)])
+    f = scalars[..., None, None] * la.eye(ctx, 2)
+    assert all(x == y for x, y in zip(wc.scalar_of(ctx, f).flat, scalars.flat))
+    f[1, 2, 1, 1] += ctx.scalar(1e-6)
+    f[1, 2, 0, 1] = ctx.scalar(3e-6)
+    with pytest.raises(la.NumericInstability, match="scalar\\*id by 3.000e-06"):
+        wc.scalar_of(ctx, f)
 
 
 def test_constants_explicit_probe(ctx):
