@@ -252,8 +252,7 @@ def cmd_statespace(args) -> int:
             args.genus, wc.Degree(degrees[0]),
             tuple(wc.Degree(g) for g in degrees[1:]))
         dim = ss.genus_n_dim(ctx, data)
-    deg_str = ";".join(format(g.real, ".17g") +
-                       (f"+{format(g.imag, '.17g')}j" if g.imag else "")
+    deg_str = ";".join(format(g.real, ".17g") + (format(g.imag, "+.17g") + "j" if g.imag else "")
                        for g in degrees)
     lines.append(f"{args.genus},{deg_str},{dim}")
     sys.stdout.write("\n".join(lines) + "\n")

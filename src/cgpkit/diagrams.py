@@ -711,19 +711,16 @@ def stabilize_generic(ctx: ScalarContext, d: Diagram, boundary: int,
     # two concentric circles of index g around the corridor, oppositely
     # oriented, framings -1 and +1; blowing both down is a trivial double
     # surgery, and the two stabilization skeins cancel their twists
-    w = d.boundary_words()[boundary]
-    rows_minus = encircle(Diagram(w, []), span, Kirby(deg.g, tag), framing=-1, sign=+1).slices
-    out = insert_slices(d, boundary, rows_minus)
-    rows_plus = encircle(Diagram(w, []), span, Kirby(deg.g, tag + 1), framing=+1, sign=-1).slices
-    out = insert_slices(out, boundary, rows_plus)
+    out = encircle_at(d, boundary, span, Kirby(deg.g, tag), framing=-1, sign=+1)
+    out = encircle_at(out, boundary, span, Kirby(deg.g, tag + 1), framing=+1, sign=-1)
     return out._relabelled(prefactor=out.prefactor / (consts.delta_minus * consts.delta_plus))
 
 
 def encircle_at(d: Diagram, boundary: int, span: tuple[int, int], color: Color,
-                framing: int = 0) -> Diagram:
-    """Encircle strands at an interior slice boundary."""
+                framing: int = 0, sign: int = 1) -> Diagram:
+    """Encircle strands at an interior slice boundary, as `encircle` does."""
     w = d.boundary_words()[boundary]
-    rows = encircle(Diagram(w, []), span, color, framing=framing).slices
+    rows = encircle(Diagram(w, []), span, color, framing=framing, sign=sign).slices
     return insert_slices(d, boundary, rows)
 
 

@@ -277,10 +277,10 @@ def f_prime(ctx: ScalarContext, d: dg.Diagram,
     Opens it at a typical edge, letter i of the boundary word w above slice
     b: the slices below give a vector L in w, swept up from the empty word,
     and those above a covector U, swept down from the empty top.  Closing
-    the letters left of the edge as `wc.partial_trace_left` does and those
-    right of it as `wc.partial_trace_right` does, with their pivots p- and
-    p+, gives the endomorphism F of the edge letter that cutting there
-    evaluates to: F[j, k] = sum over a, c of p-(a) p+(c) L[a, j, c] U[a, k, c].
+    every letter but the edge as `wc.partial_trace` does, with the pivots
+    p- and p+ of `wc.trace_pivots`, gives the endomorphism F of the edge
+    letter that cutting there evaluates to: F[j, k] = sum over a, c of
+    p-(a) p+(c) L[a, j, c] U[a, k, c].
     The value sums coefficient times the modified trace of F, s d(V_alpha)
     for F = s id, over the terms of the Kirby expansion in `expand_formal`'s
     order; it does not depend on the edge.  F of all terms is one product
@@ -308,12 +308,10 @@ def f_prime(ctx: ScalarContext, d: dg.Diagram,
 
 @lru_cache(maxsize=None)
 def _closing(ctx: ScalarContext, letters: tuple, i: int, kirby: tuple) -> tuple:
-    """`f_prime`'s p-(a) p+(c) on axes (a, 1, c), d(V_alpha) of the edge
-    letter i and the coefficients, on the term axes of `kirby`."""
+    """`f_prime`'s `wc.trace_pivots` for edge letter i, d(V_alpha) of that
+    letter and the coefficients, on the term axes of `kirby`."""
     def pivots(ls, _):
-        p = reduce(np.multiply.outer, [wc.letter_pivot(ctx, x, 1 if k > i else -1)
-                                       for k, x in enumerate(ls) if k != i], ctx.scalar(1))
-        return np.reshape(p, (math.prod(wc.color_dim(ctx, c) for _, c in ls[:i]), 1, -1))
+        return wc.trace_pivots(ctx, [wc.realize_letter(ctx, x) for x in ls], i)
 
     def dimension(ls, _):  # d(V) is the modified trace of the identity of V
         return wc.modified_trace(ctx, wc.ObjectWord(ls), la.eye(ctx, wc.color_dim(ctx, ls[0][1])))

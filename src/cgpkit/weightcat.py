@@ -20,6 +20,7 @@ group.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache, partial, reduce
 
@@ -413,14 +414,6 @@ def _pivot(ctx: ScalarContext, M: WeightModule, sign: int) -> np.ndarray:
     return _k_power(ctx, M, sign * ctx.pivot_power)
 
 
-@lru_cache(maxsize=None)
-def letter_pivot(ctx: ScalarContext, letter: Letter, sign: int) -> np.ndarray:
-    """`_pivot` of the letter's module, cached on (ctx, letter, sign); read-only."""
-    p = _pivot(ctx, realize_letter(ctx, letter), sign)
-    p.setflags(write=False)
-    return p
-
-
 def ev_coev(ctx: ScalarContext, M: WeightModule, flavor: str) -> np.ndarray:
     """(Co)evaluation matrices for a realized module M.
 
@@ -449,7 +442,7 @@ def twist(ctx: ScalarContext, V: WeightModule, sign: int = 1) -> np.ndarray:
     cap, a self-crossing of that sign and a cup evaluates to; a scalar
     multiple of the identity on simple modules.
     """
-    return partial_trace_right(ctx, _braiding(ctx, V, V, sign), V.dim, V)
+    return partial_trace(ctx, _braiding(ctx, V, V, sign), [V, V], 0)
 
 
 def scalar_of(ctx: ScalarContext, f: np.ndarray) -> Scalar:
@@ -469,33 +462,37 @@ def scalar_of(ctx: ScalarContext, f: np.ndarray) -> Scalar:
 
 
 # ---------------------------------------------------------------------------
-# partial traces and the modified trace
+# the partial trace and the modified trace
 # ---------------------------------------------------------------------------
 
 
-def partial_trace_right(ctx: ScalarContext, f: np.ndarray, dA: int, B: WeightModule) -> np.ndarray:
-    """tr_r on End(A (x) B): close the B factor with the right evaluation."""
-    dB = B.dim
-    out = la.zeros(ctx, (dA, dA))
-    for b, pb in enumerate(_pivot(ctx, B, 1)):
-        out += f[b::dB, b::dB] * pb
-    return out
+def trace_pivots(ctx: ScalarContext, mods: list[WeightModule], i: int) -> np.ndarray:
+    """p-(a) p+(c) on axes (a, 1, c): the product, in factor order, of the
+    inverse pivot of each factor left of factor i, which closes with the
+    left evaluation, and the pivot of each factor right of it, which closes
+    with the right evaluation."""
+    p = reduce(np.multiply.outer, [_pivot(ctx, M, 1 if k > i else -1)
+                                   for k, M in enumerate(mods) if k != i], ctx.scalar(1))
+    return np.reshape(p, (math.prod(M.dim for M in mods[:i]), 1, -1))
 
 
-def partial_trace_left(ctx: ScalarContext, f: np.ndarray, A: WeightModule, dB: int) -> np.ndarray:
-    """tr_l on End(A (x) B): close the A factor with the left evaluation."""
-    dA = A.dim
-    out = la.zeros(ctx, (dB, dB))
-    for a, pa in enumerate(_pivot(ctx, A, -1)):
-        out += f[a * dB:(a + 1) * dB, a * dB:(a + 1) * dB] * pa
-    return out
+def partial_trace(ctx: ScalarContext, f: np.ndarray, mods: list[WeightModule], i: int) -> np.ndarray:
+    """Close every factor of End(mods[0] (x) ... ) except factor i:
+    F[j, k] = sum over a, c of p-(a) p+(c) f[(a, j, c), (a, k, c)], with
+    the pivots of `trace_pivots`."""
+    w = trace_pivots(ctx, mods, i)
+    (na, _, nc), n = w.shape, mods[i].dim
+    a, c = np.ix_(range(na), range(nc))
+    # advanced indices split by slices come first: axes (a, c, j, k)
+    diag = f.reshape(na, n, nc, na, n, nc)[a, :, c, a, :, c]
+    return (diag * w.reshape(na, nc, 1, 1)).sum(axis=(0, 1))
 
 
 def modified_trace(ctx: ScalarContext, word: ObjectWord, f: np.ndarray) -> Scalar:
     """Modified trace of an endomorphism of the realized word.
 
-    Reduces by right/left partial traces down to one typical letter, where
-    the result must be scalar*id; the trace is that scalar times the
+    Closes every letter but the first typical one with `partial_trace`,
+    where the result must be scalar*id; the trace is that scalar times the
     modified dimension of the letter.  Raises NotProjective when the word
     has no typical letter and NumericInstability when the reduced
     endomorphism is not scalar.
@@ -504,19 +501,12 @@ def modified_trace(ctx: ScalarContext, word: ObjectWord, f: np.ndarray) -> Scala
     target = next((k for k, (_, color) in enumerate(word) if isinstance(color, Typical)), None)
     if target is None:
         raise NotProjective("modified trace needs a typical tensor factor")
-    dims = [M.dim for M in mods]
-    total = int(np.prod(dims))
+    total = math.prod(M.dim for M in mods)
     if f.shape != (total, total):
         raise ValueError(f"endomorphism shape {f.shape} does not match word dim {total}")
-    # close letters to the right of the target, then to its left
-    g = f
-    for j in range(len(mods) - 1, target, -1):
-        g = partial_trace_right(ctx, g, int(np.prod(dims[:j])), mods[j])
-    for j in range(target):
-        g = partial_trace_left(ctx, g, mods[j], int(np.prod(dims[j + 1:target + 1])))
     sign, color = word[target]
     alpha = complex(color.alpha) if sign > 0 else complex(dual_color(ctx, color).alpha)
-    return scalar_of(ctx, g) * modified_dimension(ctx, alpha)
+    return scalar_of(ctx, partial_trace(ctx, f, mods, target)) * modified_dimension(ctx, alpha)
 
 
 # ---------------------------------------------------------------------------

@@ -153,6 +153,18 @@ def test_statespace_command_genus2():
     assert ss.genus_n_dim(ScalarContext(4), data) == 4
 
 
+@pytest.mark.parametrize("argv", [["6", "1", "0.5-0.3j"],
+                                  ["4", "2", "0.5+0.7j", "0.3-0.1j"],
+                                  ["6", "2", "0.1", "0.45-0.2j"]])
+def test_statespace_degrees_parse_back(argv):
+    """Each printed degree, a negative imaginary part included, is a
+    literal the CLI reads back as the input degree."""
+    code, out = run_cli(["statespace", *argv])
+    assert code == 0
+    printed = out.strip().splitlines()[1].split(",")[1].split(";")
+    assert [cli._parse_complex(s) for s in printed] == [complex(s) for s in argv[2:]]
+
+
 def _docs_with_degree(tmp_path, degree):
     payload = json.loads(Path(DOCS_EXAMPLE).read_text())
     payload["presentation"]["meridian_degrees"]["0"] = degree

@@ -279,3 +279,29 @@ def test_three_torus_is_the_genus1_count(r):
     want = ss.genus1_dim(ctx, wc.Degree(pair[0]))
     assert want == {4: 1, 6: 3}[r]
     assert abs(sg.cgp(ctx, _sigma_g_x_s1(0.37 + 0.21j, [pair])) - want) <= 1e-10 * want
+
+
+# Z(Sigma_g x S^1) as Laurent coefficients {k: c_k} in zeta = e^{i pi g_C}
+# at (r, g): (2 - zeta - 1/zeta)^(g-1) at r = 4, and r = 6 at g = 3
+SIGMA_G_X_S1_FORMS = {(4, 2): {-1: -1, 0: 2, 1: -1},
+                      (4, 3): {-2: 1, -1: -4, 0: 6, 1: -4, 2: 1},
+                      (6, 3): {-2: 108, 0: 513, 2: 108}}
+THIRD_PAIR = (0.33 - 0.21j, -0.17 + 0.29j)
+
+
+@pytest.mark.parametrize("gc", [0.37 + 0.21j, 0.6 - 0.3j])
+@pytest.mark.parametrize("pairs", PAIR_CLASSES)
+@pytest.mark.parametrize("r, g", list(SIGMA_G_X_S1_FORMS))
+def test_sigma_g_x_s1_closed_form(r, g, pairs, gc):
+    """CGP of Sigma_g x S^1 is the closed form at zeta = e^{i pi g_C},
+    whatever the pairs' classes, and the form's absolute coefficients sum
+    to the dimension of the genus-g state space."""
+    ctx = ScalarContext(r)
+    pairs = (pairs + [THIRD_PAIR])[:g]
+    form = SIGMA_G_X_S1_FORMS[r, g]
+    data = ss.TrivalentSurfaceData(g, wc.Degree(pairs[0][0]),
+                                   tuple(wc.Degree(b) for _, b in pairs[:g - 1]))
+    assert sum(map(abs, form.values())) == ss.genus_n_dim(ctx, data)
+    zeta = np.exp(1j * np.pi * gc)
+    want = sum(c * zeta ** k for k, c in form.items())
+    assert abs(sg.cgp(ctx, _sigma_g_x_s1(gc, pairs)) - want) <= 1e-10 * abs(want)

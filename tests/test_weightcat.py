@@ -282,7 +282,7 @@ def test_trace_compatibility_oracle(ctx):
         u = wc.hom_basis(ctx, wg, word)[0]
         w = wc.hom_basis(ctx, word, wg)[0]
         P = (u @ w) / (w @ u)[0, 0]
-        s = wc.partial_trace_right(ctx, P, Va.dim, Vb)[0, 0]
+        s = wc.partial_trace(ctx, P, [Va, Vb], 0)[0, 0]
         ratio = wc.modified_dimension(ctx, gam) / wc.modified_dimension(ctx, a)
         assert abs(ratio - s) < 1e-9
 
@@ -388,8 +388,9 @@ def test_pivot_loop_is_categorical_dimension(ctx):
         f = np.diag(t).astype(complex)
         tr_r = sum(x * p for x, p in zip(t, pivot))
         tr_l = sum(x / p for x, p in zip(t, pivot))
-        assert abs(wc.partial_trace_right(ctx, f, 1, M)[0, 0] - tr_r) < 1e-12
-        assert abs(wc.partial_trace_left(ctx, f, M, 1)[0, 0] - tr_l) < 1e-12
+        unit = wc.sigma_module(ctx, 0)
+        assert abs(wc.partial_trace(ctx, f, [unit, M], 0)[0, 0] - tr_r) < 1e-12
+        assert abs(wc.partial_trace(ctx, f, [M, unit], 1)[0, 0] - tr_l) < 1e-12
 
 
 def test_double_braiding_trivial_on_sigma_pair(ctx):
@@ -674,28 +675,50 @@ def test_modified_trace_is_ambidextrous(r, precision, tol):
     f = wc.braiding(ctx, W, V) @ wc.braiding(ctx, V, W)
     word = wc.ObjectWord([(1, wc.Typical(GENERIC)), (1, wc.Typical(GENERIC2))])
     want = (wc.modified_dimension(ctx, GENERIC2)
-            * wc.scalar_of(ctx, wc.partial_trace_left(ctx, f, V, W.dim)))
+            * wc.scalar_of(ctx, wc.partial_trace(ctx, f, [V, W], 1)))
     assert _rel(wc.modified_trace(ctx, word, f), want) <= tol
+
+
+@pytest.mark.parametrize("precision, tol", [(53, 1e-12), (106, 1e-28)])
+@pytest.mark.parametrize("r", [4, 6])
+def test_modified_trace_keeps_any_typical_letter(r, precision, tol):
+    """For an intertwiner of U (x) V (x) W, three typicals, keeping the
+    middle letter, which closes U with the inverse pivot and W with the
+    pivot, gives the modified trace that keeping the first does."""
+    ctx = ScalarContext(r, precision=precision)
+    alphas = (GENERIC, GENERIC2, -0.6 + 0.4j)
+    U, V, W = mods = [wc.realize_letter(ctx, (1, wc.Typical(a))) for a in alphas]
+    double = [wc.braiding(ctx, Y, X) @ wc.braiding(ctx, X, Y) for X, Y in ((U, V), (V, W))]
+    f = (la.kron(ctx, la.eye(ctx, U.dim), double[1])
+         @ la.kron(ctx, double[0], la.eye(ctx, W.dim)))
+    word = wc.ObjectWord([(1, wc.Typical(a)) for a in alphas])
+    middle = (wc.scalar_of(ctx, wc.partial_trace(ctx, f, mods, 1))
+              * wc.modified_dimension(ctx, alphas[1]))
+    assert _rel(middle, wc.modified_trace(ctx, word, f)) <= tol
 
 
 def test_cached_letter_data_is_keyed_by_context():
     """Contexts that differ only in precision or tolerance get entries of
-    their own in the pivot and modified-dimension caches, and a cached
-    pivot cannot be written to."""
+    their own in the closing and modified-dimension caches, and cached
+    closing data cannot be written to."""
     ctxs = [ScalarContext(6), ScalarContext(6, precision=106), ScalarContext(6, tol=1e-6)]
     alpha = 0.123 + 0.321j  # a weight no other test caches
-    letter = (1, wc.Typical(alpha))
-    for cached, args in ((wc.letter_pivot, (letter, 1)), (wc.modified_dimension, (alpha,))):
+    letters = ((-1, wc.Typical(GENERIC)), (1, wc.Typical(alpha)), (1, wc.Sigma(6)))
+    # the modified dimension first: the closing caches alpha's on its way
+    for cached, args in ((wc.modified_dimension, (alpha,)), (rt_eval._closing, (letters, 1, ()))):
         before = cached.cache_info().currsize
         values = [cached(ctx, *args) for ctx in ctxs]
         assert cached.cache_info().currsize == before + 3
         assert all(cached(ctx, *args) is v for ctx, v in zip(ctxs, values))
         assert values[2] is not values[0]
-        hp = values[1] if cached is wc.modified_dimension else values[1][0]
+        hp = values[1] if cached is wc.modified_dimension else values[1][0].flat[0]
         assert isinstance(hp, ctxs[1]._mp.mpc)
     for ctx in ctxs:
-        p = wc.letter_pivot(ctx, letter, -1)
-        assert all(x == y for x, y in zip(p, wc._pivot(ctx, wc.realize_letter(ctx, letter), -1)))
-        with pytest.raises(ValueError):
-            p[0] = 1
+        pivots, dim, coeff = rt_eval._closing(ctx, letters, 1, ())
+        mods = [wc.realize_letter(ctx, x) for x in letters]
+        assert pivots.shape == (3, 1, 1)
+        assert (pivots == wc.trace_pivots(ctx, mods, 1)).all()
+        for a in (pivots, dim, coeff):
+            with pytest.raises(ValueError):
+                a.flat[0] = 1
         assert wc.modified_dimension(ctx, alpha) == wc.modified_dimension.__wrapped__(ctx, alpha)
