@@ -42,6 +42,14 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise ParseError(f"{self.prog}: {message}")
 
+    def _parse_optional(self, arg_string):
+        # a number such as -0.3-0.1j is a positional, not an unknown option
+        try:
+            _parse_complex(arg_string)
+        except ParseError:
+            return super()._parse_optional(arg_string)
+        return None
+
 
 def _fmt_float(x: float) -> str:
     x = float(x)

@@ -173,7 +173,9 @@ class Diagram:
     """Immutable; `slices` may be given as any iterables of cells and is
     stored as a tuple of tuples.  Boundary words, the component map, the
     strand pass and the Kirby colors are computed on first use and kept;
-    all are read-only, since every caller gets the same object."""
+    all are read-only, since every caller gets the same object.  `_plans`
+    holds `rt_eval`'s sweep plans and openings of the diagram, so that they
+    live exactly as long as it does."""
 
     source: ObjectWord
     slices: tuple[Slice, ...]
@@ -186,6 +188,7 @@ class Diagram:
         default=None, init=False, repr=False, compare=False)
     _kirby: tuple[Kirby, ...] | None = field(
         default=None, init=False, repr=False, compare=False)
+    _plans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "slices", tuple(map(tuple, self.slices)))

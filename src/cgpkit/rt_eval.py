@@ -21,6 +21,14 @@ index, as the object matmul does, so 106-bit values are the bits of the
 dense route.  At 53 bits a cell with a small state and product is one BLAS
 product instead, cheaper than the dozen numpy calls of the scatter; that
 depends on one term's sizes, so each term gets its own sweep's arithmetic.
+
+A sweep is a plan and its run.  The plan lists the non-identity cells as
+steps, each with its sizes, its dense-or-sparse choice and its operand:
+the cell's matrices on their term axes, transposed for a downward sweep,
+or their nonzeros.  The plans of a diagram's halves, per context,
+boundary, direction and dense size, and `f_prime`'s openings of it, per
+context and edge, are kept on the diagram and die with it; the run is a
+loop over the steps.
 """
 
 from __future__ import annotations
@@ -129,12 +137,16 @@ def _dense_max(ctx: ScalarContext) -> int:
     return 0 if ctx.high_precision else DENSE_MAX  # mpmath products cost more
 
 
-def _swept(ctx: ScalarContext, slices, word: wc.ObjectWord, kirby: tuple, src: int,
-           down: bool) -> np.ndarray:
-    """The non-identity cells of `slices`, starting from `word`, applied to
-    the identity on `src` columns, with a term axis per Kirby color of
-    `kirby`; if `down`, the transposed cells from the top down, which take
-    a covector on the top word to one on `word`."""
+def _plan(ctx: ScalarContext, slices, word: wc.ObjectWord, kirby: tuple, src: int,
+          down: bool) -> tuple:
+    """The sweep of the non-identity cells of `slices`, starting from `word`,
+    on the identity on `src` columns, with a term axis per Kirby color of
+    `kirby`; if `down`, of the transposed cells from the top down, which
+    take a covector on the top word to one on `word`.  Returns (steps, start
+    state, term axes) for `_sweep`; a step is (dense, operand, dl, din,
+    dout, dr, src), its operand the cell's matrix (stacked on its term axes,
+    transposed if `down`) for a dense step and that matrix's `_nonzeros`
+    for a sparse one."""
     dims, dense_max, steps = _letter_dims(ctx, word), _dense_max(ctx), []
     for cells in slices:
         pos = 0
@@ -148,46 +160,62 @@ def _swept(ctx: ScalarContext, slices, word: wc.ObjectWord, kirby: tuple, src: i
             # a cell on no Kirby color is one matrix, without term axes
             colors = kirby if kirby and any(c in kirby for _, c in cell.letters) else ()
             # symmetric in din and dout, so it holds for a transposed cell too
-            steps.append((cell, colors, dl * max(din, dout) * dr * src <= dense_max
-                          and dl * din * dout * dr * src <= 4 * dense_max,
-                          dl, *((dout, din) if down else (din, dout)), dr, src, down))
+            dense = (dl * max(din, dout) * dr * src <= dense_max
+                     and dl * din * dout * dr * src <= 4 * dense_max)
+            if dense or cell.kind == "coupon":  # a sparse cell's nonzeros are cached
+                m = (_cell_stack(ctx, cell.kind, cell.letters, colors) if colors
+                     else cell_matrix(ctx, cell))
+                m = m.swapaxes(-1, -2) if down else m
+            operand = (m if dense else _nonzeros(m) if cell.kind == "coupon"
+                       else _cell_nonzeros_cached(ctx, cell.kind, cell.letters, colors, down))
+            steps.append((dense, operand, dl, *((dout, din) if down else (din, dout)), dr, src))
             dims[pos:pos + nin] = out
             pos += len(out)
     eye = la.eye(ctx, src).reshape((1,) * len(kirby) + (src, src))
-    end = _sweep(ctx, steps[::-1] if down else steps, eye)
-    if kirby:  # a Kirby color on no cell keeps a term axis of size 1
-        end = np.broadcast_to(end, _coefficients(ctx, kirby).shape + end.shape[-2:])
-    return end
+    eye.setflags(write=False)
+    # a Kirby color on no cell keeps a term axis of size 1
+    terms = _coefficients(ctx, kirby).shape
+    return tuple(steps[::-1] if down else steps), eye, terms
+
+
+def _half(ctx: ScalarContext, d: dg.Diagram, b: int, down: bool) -> tuple:
+    """The `_plan` of the slices of `d` below boundary b, swept up from the
+    source, or if `down` of those above it, swept down from the target; kept
+    on `d` per context, b, direction and dense size."""
+    key = (ctx, b, down, _dense_max(ctx))
+    plan = d._plans.get(key)
+    if plan is None:
+        end = d.target if down else d.source
+        plan = d._plans[key] = _plan(
+            ctx, d.slices[b:] if down else d.slices[:b], d.boundary_words()[b if down else 0],
+            d.kirby_colors(), math.prod(_letter_dims(ctx, end)), down)
+    return plan
 
 
 def evaluate(ctx: ScalarContext, d: dg.Diagram) -> np.ndarray:
     """Matrices from realize(source) to realize(target) times the prefactor,
     with a term axis per Kirby color of `d.kirby_colors()`, as in
     `expand_formal`.  Functorial under compose, monoidal under tensor."""
-    src = math.prod(_letter_dims(ctx, d.source))
-    return _swept(ctx, d.slices, d.source, d.kirby_colors(), src, False) * ctx.scalar(d.prefactor)
+    return _sweep(ctx, _half(ctx, d, len(d.slices), False)) * ctx.scalar(d.prefactor)
 
 
-def _sweep(ctx: ScalarContext, steps: list, state: np.ndarray) -> np.ndarray:
-    """Apply `steps` to the dense state (term axes, rows, src), carried through
-    sparse steps as its nonzeros' sorted flat indices `idx` and values `val`."""
-    for cell, colors, dense, dl, din, dout, dr, src, transposed in steps:
-        if dense or cell.kind == "coupon":  # a sparse cell's nonzeros are cached
-            m = (_cell_stack(ctx, cell.kind, cell.letters, colors) if colors
-                 else cell_matrix(ctx, cell))
-            m = m.swapaxes(-1, -2) if transposed else m
+def _sweep(ctx: ScalarContext, plan: tuple) -> np.ndarray:
+    """Run a `_plan`: its steps applied to its dense start state (term axes,
+    rows, src), carried through sparse steps as its nonzeros' sorted flat
+    indices `idx` and values `val`, and broadcast to its term axes."""
+    steps, state, terms = plan
+    for dense, operand, dl, din, dout, dr, src in steps:
         if dense:
             if state is None:
                 state = _densified(ctx, idx, val, (dl * din * dr, src))
-            state = _apply_local(ctx, state, m, dl, din, dr, src)
+            state = _apply_local(ctx, state, operand, dl, din, dr, src)
             continue
         if state is not None:
             idx = np.flatnonzero(state.reshape(-1, dl * din * dr * src).any(axis=0))
             val, state = state.reshape(*state.shape[:-2], -1)[..., idx], None
-        nonzeros = (_nonzeros(m) if cell.kind == "coupon"
-                    else _cell_nonzeros_cached(ctx, cell.kind, cell.letters, colors, transposed))
-        idx, val = _apply_sparse(idx, val, nonzeros, dl, din, dout, dr * src)
-    return state if state is not None else _densified(ctx, idx, val, (dl * dout * dr, src))
+        idx, val = _apply_sparse(idx, val, operand, dl, din, dout, dr * src)
+    end = state if state is not None else _densified(ctx, idx, val, (dl * dout * dr, src))
+    return np.broadcast_to(end, terms + end.shape[-2:]) if terms else end
 
 
 def _densified(ctx: ScalarContext, idx: np.ndarray, val: np.ndarray, shape: tuple) -> np.ndarray:
@@ -285,23 +313,27 @@ def f_prime(ctx: ScalarContext, d: dg.Diagram,
     for F = s id, over the terms of the Kirby expansion in `expand_formal`'s
     order; it does not depend on the edge.  F of all terms is one product
     batched over the term axes, checked by one stacked `wc.scalar_of`; the
-    pivots, d(V_alpha) and coefficients on those axes are cached.
+    pivots, d(V_alpha) and coefficients on those axes are cached.  The
+    opening (b, the halves' shape and the closing data) is kept on `d` per context and `edge`, beside the halves'
+    plans.
     """
-    if not d.is_closed():
-        raise ValueError("renormalized invariant needs a closed diagram")
-    e = edge if edge is not None else find_typical_edge(ctx, d)
-    if e is None:
-        raise NotAdmissible("closed diagram has no typical edge to open at")
-    (b, i), kirby = e, d.kirby_colors()
-    word = d.boundary_words()[b]
-    dims = _letter_dims(ctx, word)
-    shape = (math.prod(dims[:i]), dims[i], math.prod(dims[i + 1:]))
-    low, up = (h.reshape(*h.shape[:-2], *shape) for h in (
-        _swept(ctx, d.slices[:b], d.source, kirby, 1, False),
-        _swept(ctx, d.slices[b:], word, kirby, 1, True)))
-    pivots, dim, coeff = _closing(ctx, word.letters, i, kirby)
-    ends = ((low * pivots).swapaxes(-3, -2).reshape(*low.shape[:-3], dims[i], -1)
-            @ up.swapaxes(-2, -1).reshape(*up.shape[:-3], -1, dims[i]))
+    key = (ctx, edge if edge is None else tuple(edge))
+    opening = d._plans.get(key)
+    if opening is None:
+        if not d.is_closed():
+            raise ValueError("renormalized invariant needs a closed diagram")
+        e = edge if edge is not None else find_typical_edge(ctx, d)
+        if e is None:
+            raise NotAdmissible("closed diagram has no typical edge to open at")
+        (b, i), word = e, d.boundary_words()[e[0]]
+        dims, closing = _letter_dims(ctx, word), _closing(ctx, word.letters, i, d.kirby_colors())
+        # the coefficients' shape is that of the term axes
+        opening = d._plans[key] = (b, closing[2].shape + (
+            math.prod(dims[:i]), dims[i], math.prod(dims[i + 1:])), closing)
+    b, shape, (pivots, dim, coeff) = opening
+    low, up = (_sweep(ctx, _half(ctx, d, b, down)).reshape(shape) for down in (False, True))
+    ends = ((low * pivots).swapaxes(-3, -2).reshape(*shape[:-3], shape[-2], -1)
+            @ up.swapaxes(-2, -1).reshape(*shape[:-3], -1, shape[-2]))
     values = coeff * (wc.scalar_of(ctx, ends * ctx.scalar(d.prefactor)) * dim)
     return reduce(operator.add, np.ravel(values), ctx.scalar(0))
 

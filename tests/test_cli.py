@@ -165,6 +165,24 @@ def test_statespace_degrees_parse_back(argv):
     assert [cli._parse_complex(s) for s in printed] == [complex(s) for s in argv[2:]]
 
 
+@pytest.mark.parametrize("alpha", ["-0.5+0.2j", "-0.5"])
+def test_moddim_takes_a_negative_weight(alpha):
+    """A weight with a negative real part is a positional, without `--`."""
+    code, out = run_cli(["moddim", "4", alpha])
+    assert code == 0
+    val = complex(*json.loads(out)[alpha])
+    assert abs(val - wc.modified_dimension(ScalarContext(4), complex(alpha))) < 1e-12
+    assert run_cli(["moddim", "4", "--", alpha]) == (code, out)
+
+
+def test_statespace_takes_a_negative_degree():
+    code, out = run_cli(["statespace", "4", "2", "0.5", "-0.3-0.1j"])
+    assert code == 0
+    assert out.strip().splitlines()[1].endswith(",4")
+    data = ss.TrivalentSurfaceData(2, wc.Degree(0.5), (wc.Degree(-0.3 - 0.1j),))
+    assert ss.genus_n_dim(ScalarContext(4), data) == 4
+
+
 def _docs_with_degree(tmp_path, degree):
     payload = json.loads(Path(DOCS_EXAMPLE).read_text())
     payload["presentation"]["meridian_degrees"]["0"] = degree
@@ -204,6 +222,7 @@ def test_meridian_degree_of_another_type_is_a_parse_error(tmp_path, capsys):
     (["constants", "6", "--tol", "1e-17"], cli.EXIT_NUMERIC),
     (["cgp", DOCS_EXAMPLE, "--tol", "1e-17"], cli.EXIT_NUMERIC),
     (["cgp", "SPLIT", "--auto-stabilize", "--tol", "1e-16"], cli.EXIT_NUMERIC),
+    (["moddim", "4", "-0.5+0.2j", "--bogus"], cli.EXIT_PARSE),  # an unknown option
 ])
 def test_every_subcommand_exits_by_error_kind(argv, code, tmp_path):
     if "SPLIT" in argv:

@@ -2,7 +2,9 @@
 values equal, within rounding, to the route that recolors each Kirby
 component and cuts every term of the expansion anew."""
 
+import gc
 import itertools
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -85,30 +87,64 @@ def test_coupon_free_strands_carry_one_color(figure):
 
 def test_one_opening_per_presentation(monkeypatch, ctx6):
     wc.constants(ctx6)  # the constants evaluate figures of their own
-    calls = {"cut": 0, "_swept": 0, "expand_formal": 0}
+    calls = {"cut": 0, "_plan": 0, "_sweep": 0, "expand_formal": 0}
     halves = []
 
     def counted(name, f):
         def wrapper(*args, **kwargs):
             calls[name] += 1
             out = f(*args, **kwargs)
-            if name == "_swept":
+            if name == "_sweep":
                 halves.append(out.shape)
             return out
         return wrapper
 
-    monkeypatch.setattr(dg, "cut", counted("cut", dg.cut))
-    monkeypatch.setattr(rt_eval, "_swept", counted("_swept", rt_eval._swept))
-    monkeypatch.setattr(rt_eval, "expand_formal", counted("expand_formal", rt_eval.expand_formal))
+    for module, name in ((dg, "cut"), (rt_eval, "_plan"), (rt_eval, "_sweep"),
+                         (rt_eval, "expand_formal")):
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
     p = sfx.lens_chain_presentation(ctx6, 2, 3, 1)
-    sg.cgp(ctx6, p)
+    value = sg.cgp(ctx6, p)
     # no cut; one sweep below the edge and one above it carry the 3
     # summands on each of 2 components at once, on their term axes
-    assert calls == {"cut": 0, "_swept": 2, "expand_formal": 0}
+    assert calls == {"cut": 0, "_plan": 2, "_sweep": 2, "expand_formal": 0}
     assert [h[:2] for h in halves] == [(3, 3), (3, 3)]
+    # a second call runs the plans kept on the diagram
+    assert sg.cgp(ctx6, p) == value
+    assert calls == {"cut": 0, "_plan": 2, "_sweep": 4, "expand_formal": 0}
     # the coefficients meet the matrices on those axes, not term by term
     rt_eval.evaluate_formal(ctx6, p.diagram)
-    assert calls == {"cut": 0, "_swept": 3, "expand_formal": 0}
+    assert calls == {"cut": 0, "_plan": 3, "_sweep": 5, "expand_formal": 0}
+
+
+def test_plans_are_kept_per_context(monkeypatch):
+    """One diagram evaluated at three contexts builds the two half plans of
+    each and gives each context's value: that of a fresh diagram."""
+    contexts = [ScalarContext(6), ScalarContext(6, precision=106), ScalarContext(10)]
+    a = wc.Typical(GENERIC)
+    wants = [rt_eval.f_prime(ctx, fx.figure_eight(a)) for ctx in contexts]
+    builds = []
+    plan = rt_eval._plan
+    monkeypatch.setattr(rt_eval, "_plan", lambda ctx, *args: builds.append(ctx) or plan(ctx, *args))
+    d = fx.figure_eight(a)
+    for _ in range(2):
+        assert [rt_eval.f_prime(ctx, d) for ctx in contexts] == wants
+    assert builds == [ctx for ctx in contexts for _ in range(2)]
+    assert {key[0] for key in d._plans} == set(contexts)
+    assert rt_eval.f_prime(contexts[0], d) != rt_eval.f_prime(contexts[2], d)
+
+
+def test_plans_die_with_their_diagram(ctx6):
+    """No cache outside the diagram keeps an auto-stabilised diagram, which
+    each call makes anew, alive."""
+    crit = sfx.s1xs2_decorated_presentation(ctx6, 0.0, [2.0]).diagram
+    p = sg.SurgeryPresentation(dg.tensor(crit, fx.unknot(wc.Kirby(0.5, 1, True))))
+    q = sg.auto_stabilize(ctx6, p, index=wc.Degree(0.85))
+    rt_eval.f_prime(ctx6, q.diagram)
+    assert q.diagram._plans
+    ref = weakref.ref(q.diagram)
+    del q
+    gc.collect()
+    assert ref() is None
 
 
 def test_auto_stabilization_shifts_only_the_target(ctx6):

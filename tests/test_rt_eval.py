@@ -421,8 +421,8 @@ def _uncached_closing(ctx, d):
     terms' absolute values."""
     (b, i), kirby = rt_eval.find_typical_edge(ctx, d), d.kirby_colors()
     word = d.boundary_words()[b]
-    halves = [rt_eval._swept(ctx, d.slices[:b], d.source, kirby, 1, False),
-              rt_eval._swept(ctx, d.slices[b:], word, kirby, 1, True)]
+    halves = [rt_eval._sweep(ctx, rt_eval._plan(ctx, d.slices[:b], d.source, kirby, 1, False)),
+              rt_eval._sweep(ctx, rt_eval._plan(ctx, d.slices[b:], word, kirby, 1, True))]
     dims = [wc.color_dim(ctx, c) for _, c in word]
     shape = (-1, math.prod(dims[:i]), dims[i], math.prod(dims[i + 1:]))
     total, size = ctx.scalar(0), 0
