@@ -129,18 +129,6 @@ def inv(ctx: ScalarContext, a: np.ndarray) -> np.ndarray:
     return np.linalg.inv(a)
 
 
-def solve_lstsq(ctx: ScalarContext, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Minimum-norm least squares solve, used for section/coefficient fits.
-
-    The pseudo-inverse keeps the singular values above tol * s_max, the
-    cut of `rank`, so a rank-deficient system is solved rather than
-    divided by zero."""
-    u, s, vh = svd(ctx, a)
-    k = _kept(ctx, s)
-    # a = u diag(s) vh, so x = vh^H diag(1/s) u^H b over the kept values
-    return np.conjugate(vh[:k]).T @ ((np.conjugate(u[:, :k]).T @ b) / s[:k])
-
-
 def kron(ctx: ScalarContext, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product of two matrices as one broadcast multiply; the
     same products as np.kron, without its generic-rank overhead."""

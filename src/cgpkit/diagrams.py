@@ -660,8 +660,16 @@ def stabilize_projective(ctx: ScalarContext, d: Diagram, boundary: int, pos: int
 
     Replaces an identity segment of a typical-colored edge by the coupon
     pair (section, id (x) right evaluation) introducing a detour colored by
-    the simple projective module of highest weight index_weight (of generic
-    degree).  Skein-equivalent: closed evaluations are unchanged.
+    the simple projective module V of highest weight index_weight (of
+    generic degree).  Skein-equivalent: closed evaluations are unchanged.
+
+    The section is written down, not solved for: with c2 = c_{V,U} c_{U,V},
+    s = (c2 (x) id_V*) o (id_U (x) coev_l) / lambda, where lambda id_U is the
+    right partial trace of c2, the open Hopf link; so (id (x) ev_r) o s = id.
+    The naive section id (x) coev_l fails, as qdim(V) = 0.  But lambda =
+    q^{mu nu} {m mu}/{mu}, mu and nu the signed middle weights of U and V, is
+    (-1)^{m-1} q^{mu nu} m/d(U), d the modified dimension: nonzero wherever
+    U is typical.  A lambda within tol of zero is refused.
     """
     words = d.boundary_words()
     w = words[boundary]
@@ -671,22 +679,21 @@ def stabilize_projective(ctx: ScalarContext, d: Diagram, boundary: int, pos: int
     vi = Typical(complex(index_weight))
     uword = ObjectWord([letter])
     bigword = ObjectWord([letter, (1, vi), (-1, vi)])
-    # section s: U -> U (x) Vi (x) Vi* with (id (x) ev_r) o s = id
-    basis = wc.hom_basis(ctx, uword, bigword)
-    if not basis:
-        raise la.NumericInstability("no intertwiners U -> U (x) Vi (x) Vi*")
     U = realize(ctx, uword)
     Vi = realize_letter(ctx, (1, vi))
-    evr = wc.ev_coev(ctx, Vi, "ev_r")
-    proj = la.kron(ctx, la.eye(ctx, U.dim), evr)
-    cols = [np.reshape(proj @ b, -1) for b in basis]
-    A = np.stack(cols, axis=1)
-    target_vec = np.reshape(la.eye(ctx, U.dim), -1)
-    coeffs = la.solve_lstsq(ctx, A, target_vec)
-    resid = la.norm_inf((A @ coeffs) - target_vec)
-    if resid > ctx.tol * max(1.0, la.norm_inf(target_vec)):
-        raise la.NumericInstability(f"section solve residual {resid:.3e}")
-    smat = sum(c * b for c, b in zip(coeffs, basis))
+    c2 = wc.braiding(ctx, Vi, U) @ wc.braiding(ctx, U, Vi)
+    lam = wc.scalar_of(ctx, wc.partial_trace(ctx, c2, [U, Vi], 0))
+    if abs(lam) <= ctx.tol:
+        raise la.NumericInstability(f"open Hopf link {complex(lam):.3e} vanishes")
+    # coev_l pairs basis vectors without a pivot, so (c2 (x) id)(id (x)
+    # coev_l) is c2 with its input V leg turned into an output V* leg
+    dU, dV = U.dim, Vi.dim
+    smat = c2.reshape(dU, dV, dU, dV).transpose(0, 1, 3, 2).reshape(dU * dV * dV, dU) / lam
+    eye_u = la.eye(ctx, dU)
+    proj = la.kron(ctx, eye_u, wc.ev_coev(ctx, Vi, "ev_r"))
+    resid = la.norm_inf(proj @ smat - eye_u)
+    if resid > ctx.tol:
+        raise la.NumericInstability(f"section residual {resid:.3e}")
     w2 = ObjectWord(list(w.letters[:pos]) + list(bigword.letters) + list(w.letters[pos + 1:]))
     rows = [
         wrap_slice(w, pos, coupon(uword, bigword, smat)),

@@ -586,10 +586,14 @@ def hom_basis(ctx: ScalarContext, src: ObjectWord, dst: ObjectWord) -> list[np.n
     for v in la.nullspace(ctx, A):
         f = la.zeros(ctx, (nD, nS))
         f[rows, cols] = v
-        # deterministic normalization: largest entry becomes 1
-        idx = max(range(f.size), key=lambda t: abs(f.reshape(-1)[t]))
-        basis.append(f / f.reshape(-1)[idx])
+        basis.append(_lead_to_one(f))
     return basis
+
+
+def _lead_to_one(f: np.ndarray) -> np.ndarray:
+    """f over its first entry of largest modulus, which becomes 1."""
+    flat = f.reshape(-1)
+    return f / flat[np.argmax(np.abs(flat))]
 
 
 def hom_dim_graded(ctx: ScalarContext, word: ObjectWord) -> int:

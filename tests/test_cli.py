@@ -218,7 +218,7 @@ def test_meridian_degree_of_another_type_is_a_parse_error(tmp_path, capsys):
     # a level or precision the context refuses is no parse error on cgp either
     (["cgp", DOCS_EXAMPLE, "--level", "8"], cli.EXIT_ERROR),
     (["cgp", DOCS_EXAMPLE, "--precision", "0"], cli.EXIT_ERROR),
-    # a tolerance below rounding fails a sign, or the section solve, numerically
+    # a tolerance below rounding fails a sign, or a scalar check, numerically
     (["constants", "6", "--tol", "1e-17"], cli.EXIT_NUMERIC),
     (["cgp", DOCS_EXAMPLE, "--tol", "1e-17"], cli.EXIT_NUMERIC),
     (["cgp", "SPLIT", "--auto-stabilize", "--tol", "1e-16"], cli.EXIT_NUMERIC),

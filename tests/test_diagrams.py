@@ -3,12 +3,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import cgpkit._linalg as la
 from cgpkit import diagrams as dg
 from cgpkit import fixtures as fx
 from cgpkit import rt_eval
 from cgpkit import surgery as sg
 from cgpkit import surgery_fixtures as sfx
 from cgpkit import weightcat as wc
+from cgpkit.qscalars import ScalarContext
 from conftest import assert_one_color_per_strand
 
 GENERIC = 0.37 + 0.2j
@@ -186,7 +188,10 @@ def test_trace_closure_inverts_cut(ctx):
     assert abs(v1 - v2) < 1e-9 * max(1, abs(v1))
 
 
-def test_stabilize_projective_section_property(ctx):
+def test_stabilize_projective_section_property(ctx, monkeypatch):
+    calls = []
+    hom_basis = wc.hom_basis
+    monkeypatch.setattr(wc, "hom_basis", lambda *a: calls.append(a) or hom_basis(*a))
     a = wc.Typical(GENERIC)
     u = fx.unknot(a)
     g = wc.Degree(0.7)
@@ -197,6 +202,39 @@ def test_stabilize_projective_section_property(ctx):
     p_cell = d.slices[2][0]
     comp = p_cell.matrix @ s_cell.matrix
     assert np.abs(comp - np.eye(comp.shape[0])).max() < 1e-10
+    # both orientations of a generic and of the integer typical edge, at
+    # both precisions: the coupons are module maps and compose to id
+    for c in (ctx, ScalarContext(ctx.r, precision=106)):
+        for alpha in (GENERIC, c.nilpotency - 1):
+            for sign in (1, -1):
+                edge = word((sign, wc.Typical(alpha)))
+                d = dg.stabilize_projective(c, dg.identity_diagram(edge), 0, 0,
+                                            wc.index_set(c, g)[0])
+                s_cell, p_cell = d.slices[0][0], d.slices[1][0]
+                for cell in (s_cell, p_cell):
+                    S, D = wc.realize(c, cell.domain), wc.realize(c, cell.codomain)
+                    for xs, xd in ((S.actE, D.actE), (S.actF, D.actF)):
+                        assert la.norm_inf(cell.matrix @ xs - xd @ cell.matrix) <= c.tol
+                comp = p_cell.matrix @ s_cell.matrix
+                assert la.norm_inf(comp - la.eye(c, comp.shape[0])) <= c.tol
+    assert calls == []
+
+
+def test_open_hopf_link_closed_form(ctx):
+    # the docstring of stabilize_projective: the right partial trace of the
+    # double braiding of U and V is q^{mu nu} {m mu}/{mu}, mu and nu the
+    # signed middle weights of U and V
+    m = ctx.nilpotency
+    V = wc.typical_module(ctx, GENERIC2)
+    nu = GENERIC2 - (m - 1)
+    for alpha in (GENERIC, 0.5, 2.5 - 1j):
+        for sign in (1, -1):
+            U = wc.realize_letter(ctx, (sign, wc.Typical(alpha)))
+            c2 = wc.braiding(ctx, V, U) @ wc.braiding(ctx, U, V)
+            lam = wc.scalar_of(ctx, wc.partial_trace(ctx, c2, [U, V], 0))
+            mu = sign * (alpha - (m - 1))
+            want = ctx.q_power(mu * nu) * ctx.brace(m * mu) / ctx.brace(mu)
+            assert abs(lam - want) <= 1e-12 * abs(want)
 
 
 def test_stabilize_generic_structure(ctx):

@@ -226,7 +226,8 @@ def test_lens_chain_high_precision_matches_53_bits(ctx6):
 
 
 def test_auto_stabilize_high_precision_matches_53_bits(ctx6):
-    # the section solve of stabilize_projective is rank-deficient here
+    # the section of stabilize_projective divides by the open Hopf link at
+    # working precision
     hp = ScalarContext(6, precision=106)
     ref = sg.cgp(ctx6, sfx.split_surgery_unknot_presentation(ctx6, GENERIC, 1), auto=True)
     got = complex(sg.cgp(hp, sfx.split_surgery_unknot_presentation(hp, GENERIC, 1),

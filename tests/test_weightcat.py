@@ -166,6 +166,27 @@ def test_hom_basis_patterns(ctx):
     assert len(wc.hom_basis(ctx, wa, wb)) == 0
 
 
+def test_hom_basis_normalization_matches_the_first_largest_entry(ctx, monkeypatch):
+    """The vectorized pick of `_lead_to_one` against the per-entry loop it
+    replaced, bit for bit, on the words of test_hom_basis_patterns and the
+    section word U -> U (x) V (x) V*, at 53 and 106 bits."""
+    seen = []
+    lead_to_one = wc._lead_to_one
+    monkeypatch.setattr(wc, "_lead_to_one", lambda f: seen.append((f, lead_to_one(f))) or seen[-1][1])
+    wa = wc.ObjectWord([(1, wc.Typical(GENERIC))])
+    wb = wc.ObjectWord([(1, wc.Typical(GENERIC + 1))])
+    wv = wc.ObjectWord([(1, wc.Typical(GENERIC)), (1, wc.Typical(GENERIC2)),
+                        (-1, wc.Typical(GENERIC2))])
+    for c in (ctx, ScalarContext(ctx.r, precision=106)):
+        for src, dst in ((wa, wa), (wa, wb), (wa, wv)):
+            wc.hom_basis(c, src, dst)
+    assert len(seen) >= 4
+    for f, got in seen:
+        flat = f.reshape(-1)
+        want = f / flat[max(range(f.size), key=lambda t: abs(flat[t]))]
+        assert got.dtype == want.dtype and (got == want).all()
+
+
 def test_completely_reduced_domination(ctx):
     g = wc.Degree(0.5)
     reps = wc.index_set(ctx, g)
@@ -231,21 +252,6 @@ def test_hom_basis_weight_matched_solve_high_precision():
     assert len(basis) == _dense_hom_dim(hp, src, dst) == 1
     assert basis[0].dtype == object
     _assert_intertwiners(hp, src, dst, basis)
-
-
-def test_solve_lstsq_high_precision_rank_deficient():
-    # a 9 x 3 system of rank 1, as in the section solve of a projective
-    # stabilization: the minimum-norm solution, as numpy's lstsq gives it
-    hp = ScalarContext(6, precision=106)
-    rng = np.random.default_rng(7)
-    col = rng.normal(size=(9, 1)) + 1j * rng.normal(size=(9, 1))
-    row = rng.normal(size=(1, 3)) + 1j * rng.normal(size=(1, 3))
-    a = col @ row
-    b = rng.normal(size=9) + 1j * rng.normal(size=9)
-    x = la.solve_lstsq(hp, la.asarray(hp, a), la.asarray(hp, b))
-    assert x.dtype == object and x.shape == (3,)
-    ref = np.linalg.lstsq(a, b, rcond=None)[0]
-    assert np.abs(np.array([complex(t) for t in x]) - ref).max() < 1e-12
 
 
 def test_index_set_critical_degree(ctx):
