@@ -14,21 +14,21 @@ color by its summands there.
 
 Every cell is a module map and so preserves weight: each column of the
 state stays in one weight sector, and almost all of it is exact zeros.  So
-the sweep keeps the state's nonzeros, sorted flat indices and values over
-all source columns, and forms only the products of a nonzero cell entry
-with a stored entry.  Each output sums its terms in increasing input
-index, as the object matmul does, so 106-bit values are the bits of the
-dense route.  At 53 bits a cell with a small state and product is one BLAS
-product instead, cheaper than the dozen numpy calls of the scatter; that
+a sparse step keeps the state's nonzeros, sorted flat indices and values
+over all source columns, and sums the products of a nonzero cell entry
+with a stored entry per output in increasing input index, as the object
+matmul does: 106-bit values are the bits of the dense route.  At 53 bits a
+cell with a small state and product is one BLAS product instead; that
 depends on one term's sizes, so each term gets its own sweep's arithmetic.
 
 A sweep is a plan and its run.  The plan lists the non-identity cells as
-steps, each with its sizes, its dense-or-sparse choice and its operand:
-the cell's matrices on their term axes, transposed for a downward sweep,
-or their nonzeros.  The plans of a diagram's halves, per context,
+steps with their sizes, dense-or-sparse choice and operands.  The stored
+entries depend only on the cells' nonzero patterns, so the plan does each
+sparse step's index work once (Gustavson's symbolic phase, ACM TOMS 4
+(1978) 250), and the run is only matmuls, gathers, products and
+`np.add.reduceat`.  The plans of a diagram's halves, per context,
 boundary, direction and dense size, and `f_prime`'s openings of it, per
-context and edge, are kept on the diagram and die with it; the run is a
-loop over the steps.
+context and edge, are kept on the diagram and die with it.
 """
 
 from __future__ import annotations
@@ -126,10 +126,10 @@ def _letter_dims(ctx: ScalarContext, word: wc.ObjectWord) -> list[int]:
 
 # a 53-bit cell applies dense if its dense state, dl * max(din, dout) * dr *
 # src, has at most DENSE_MAX entries and its product at most 4 * DENSE_MAX
-# multiply-adds: sparse everywhere made the r = 4 knots 2.5 times slower,
-# 2^11 entries the r = 14 S^1 x S^2 2.1 times, 2^16 the r = 6 4-strand knot
-# 1.6 times; the r = 10 meridian's crossings, 15,625 entries and 390,625
-# multiply-adds, have at most 775 products of nonzeros
+# multiply-adds: against planned sparse steps, sparse everywhere makes the
+# warm r = 4 knots 1.1 times slower, 2^11 or 2^16 entries move the r = 14
+# S^1 x S^2 and r = 6 4-strand knots under 3%; the r = 10 meridian's
+# crossings, 15,625 entries and 390,625 multiply-adds, have 775 products
 DENSE_MAX = 2 ** 14
 
 
@@ -145,8 +145,8 @@ def _plan(ctx: ScalarContext, slices, word: wc.ObjectWord, kirby: tuple, src: in
     take a covector on the top word to one on `word`.  Returns (steps, start
     state, term axes) for `_sweep`; a step is (dense, operand, dl, din,
     dout, dr, src), its operand the cell's matrix (stacked on its term axes,
-    transposed if `down`) for a dense step and that matrix's `_nonzeros`
-    for a sparse one."""
+    transposed if `down`) for a dense step and `_indexed`'s planned
+    (values, take, term, k, first, put) of its `_nonzeros` for a sparse one."""
     dims, dense_max, steps = _letter_dims(ctx, word), _dense_max(ctx), []
     for cells in slices:
         pos = 0
@@ -175,7 +175,50 @@ def _plan(ctx: ScalarContext, slices, word: wc.ObjectWord, kirby: tuple, src: in
     eye.setflags(write=False)
     # a Kirby color on no cell keeps a term axis of size 1
     terms = _coefficients(ctx, kirby).shape
-    return tuple(steps[::-1] if down else steps), eye, terms
+    return _indexed(steps[::-1] if down else steps, src), eye, terms
+
+
+def _indexed(steps: list, src: int) -> tuple:
+    """`steps` with each sparse step's index work done once, on the entries
+    that the identity on `src` columns and the cells' patterns store: (the
+    cell's nonzero values, take, `_scatter`'s term, k, first, put), take and
+    put a small dense state's flat indices before and after, else None."""
+    if all(step[0] for step in steps):
+        return tuple(steps)
+    planned, idx = list(steps), np.arange(src) * (src + 1)  # the identity's diagonal
+    for n, (dense, operand, dl, din, dout, dr, src) in enumerate(steps):
+        if dense:
+            pattern = np.bincount(idx, minlength=dl * din * dr * src) > 0
+            cell = (operand != 0).reshape(-1, dout, din).any(axis=0)
+            idx = np.flatnonzero(np.matmul(cell, pattern.reshape(dl, din, dr * src)))
+            continue
+        take = idx.astype(np.int32) if n == 0 or steps[n - 1][0] else None
+        term, k, first, idx = _scatter(idx, *operand[:3], dl, din, dout, dr * src)
+        put = idx if n + 1 == len(steps) or steps[n + 1][0] else None
+        planned[n] = (False, (operand[3], take, term, k, first, put), dl, din, dout, dr, src)
+    return tuple(planned)
+
+
+def _scatter(idx, count, offset, outs, dl: int, din: int, dout: int, rest: int) -> tuple:
+    """The index work of `_apply_local` on sorted flat indices `idx` in the
+    (dl, din, rest) layout, given m's `_nonzeros` count, offset and outs:
+    per product, in output order, its stored entry `term` and nonzero `k`;
+    where each output's products start; the outputs' sorted flat indices in
+    the (dl, dout, rest) layout.  Int32 where the indices fit."""
+    l, i, r = np.unravel_index(idx, (dl, din, rest))
+    # one product per (stored entry, nonzero of its input column); the
+    # stored entries come in (l, i, r) order, so a stable sort on the
+    # output index keeps each output's terms in increasing input index
+    per = count[i]
+    it = np.int32 if max(dl * max(din, dout) * rest, per.sum()) < 2 ** 31 else np.int64
+    term = np.repeat(np.arange(idx.size, dtype=it), per)
+    # k runs over offset[i], ..., offset[i] + per - 1 for each stored entry
+    k = np.arange(term.size, dtype=it) + np.repeat(offset[i] + per - np.cumsum(per), per)
+    dst = ((l * (dout * rest) + r)[term] + outs[k] * rest).astype(it)
+    order = np.argsort(dst, kind="stable")
+    dst = dst[order]
+    first = np.flatnonzero(np.diff(dst, prepend=-1)).astype(it)
+    return term[order], k[order].astype(it), first, dst[first]
 
 
 def _half(ctx: ScalarContext, d: dg.Diagram, b: int, down: bool) -> tuple:
@@ -201,20 +244,20 @@ def evaluate(ctx: ScalarContext, d: dg.Diagram) -> np.ndarray:
 
 def _sweep(ctx: ScalarContext, plan: tuple) -> np.ndarray:
     """Run a `_plan`: its steps applied to its dense start state (term axes,
-    rows, src), carried through sparse steps as its nonzeros' sorted flat
-    indices `idx` and values `val`, and broadcast to its term axes."""
+    rows, src), carried through sparse steps as the values `val` of its
+    planned stored entries, and broadcast to its term axes."""
     steps, state, terms = plan
     for dense, operand, dl, din, dout, dr, src in steps:
         if dense:
             if state is None:
-                state = _densified(ctx, idx, val, (dl * din * dr, src))
+                state = _densified(ctx, put, val, (dl * din * dr, src))
             state = _apply_local(ctx, state, operand, dl, din, dr, src)
             continue
-        if state is not None:
-            idx = np.flatnonzero(state.reshape(-1, dl * din * dr * src).any(axis=0))
-            val, state = state.reshape(*state.shape[:-2], -1)[..., idx], None
-        idx, val = _apply_sparse(idx, val, operand, dl, din, dout, dr * src)
-    end = state if state is not None else _densified(ctx, idx, val, (dl * dout * dr, src))
+        vals, take, term, k, first, put = operand
+        if take is not None:
+            val, state = state.reshape(*state.shape[:-2], -1).take(take, axis=-1), None
+        val = _apply_sparse(val, vals, term, k, first)
+    end = state if state is not None else _densified(ctx, put, val, (dl * dout * dr, src))
     return np.broadcast_to(end, terms + end.shape[-2:]) if terms else end
 
 
@@ -233,28 +276,12 @@ def _apply_local(ctx: ScalarContext, state: np.ndarray, m: np.ndarray,
     return y.reshape(y.shape[:-3] + (-1, src))
 
 
-def _apply_sparse(idx: np.ndarray, val: np.ndarray, nonzeros,
-                  dl: int, din: int, dout: int, rest: int):
-    """`_apply_local` on the state's sorted flat indices `idx` in the
-    (dl, din, rest) layout and their values `val`, given `_nonzeros(m)`,
-    broadcasting their term axes.  Returns the sorted flat indices in the
-    (dl, dout, rest) layout of the outputs that have a term, and values."""
-    count, offset, outs, vals = nonzeros
-    l, i, r = np.unravel_index(idx, (dl, din, rest))
-    # one product per (stored entry, nonzero of its input column); the
-    # stored entries come in (l, i, r) order, so a stable sort on the
-    # output index keeps each output's terms in increasing input index
-    per = count[i]
-    term = np.repeat(np.arange(idx.size), per)
-    # k runs over offset[i], ..., offset[i] + per - 1 for each stored entry
-    k = np.arange(term.size) + np.repeat(offset[i] + per - np.cumsum(per), per)
-    dst = (l * (dout * rest) + r)[term] + outs[k] * rest
-    order = np.argsort(dst, kind="stable")
-    dst, term, k = dst[order], term[order], k[order]
-    del order
-    first = np.flatnonzero(np.diff(dst, prepend=-1))
+def _apply_sparse(val: np.ndarray, vals: np.ndarray, term, k, first) -> np.ndarray:
+    """A sparse step's arithmetic: the stored values `val` times the cell's
+    nonzero values `vals`, paired and summed per output as `_scatter`
+    planned, broadcasting their term axes; the outputs' values."""
     if val.ndim == vals.ndim == 1:
-        return dst[first], np.add.reduceat(vals[k] * val[term], first)
+        return np.add.reduceat(vals.take(k) * val.take(term), first)
     # the terms share the index work; their values are formed one by one,
     # so each product array is one term long (one broadcast reduceat over
     # all terms raised the r = 10 split's traced peak from 15.8 to 17.6 MiB)
@@ -262,8 +289,8 @@ def _apply_sparse(idx: np.ndarray, val: np.ndarray, nonzeros,
     val, vals = (np.broadcast_to(a, axes + a.shape[-1:]) for a in (val, vals))
     out = np.empty(axes + first.shape, dtype=val.dtype)
     for t in np.ndindex(axes):
-        np.add.reduceat(vals[t][k] * val[t][term], first, out=out[t])
-    return dst[first], out
+        np.add.reduceat(vals[t].take(k) * val[t].take(term), first, out=out[t])
+    return out
 
 
 def expand_formal(ctx: ScalarContext, d: dg.Diagram):
@@ -313,9 +340,7 @@ def f_prime(ctx: ScalarContext, d: dg.Diagram,
     for F = s id, over the terms of the Kirby expansion in `expand_formal`'s
     order; it does not depend on the edge.  F of all terms is one product
     batched over the term axes, checked by one stacked `wc.scalar_of`; the
-    pivots, d(V_alpha) and coefficients on those axes are cached.  The
-    opening (b, the halves' shape and the closing data) is kept on `d` per context and `edge`, beside the halves'
-    plans.
+    pivots, d(V_alpha) and coefficients on those axes are cached.
     """
     key = (ctx, edge if edge is None else tuple(edge))
     opening = d._plans.get(key)

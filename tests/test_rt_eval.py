@@ -46,13 +46,65 @@ def _random(ctx, rng, shape, density):
     return la.asarray(ctx, a) / ctx.scalar(3)
 
 
+def _sparse_step(idx, val, nonzeros, dl, din, dout, rest):
+    """One sparse step on the stored flat indices `idx` with values `val`:
+    `_scatter`'s index work, then `_apply_sparse`'s arithmetic.  Returns the
+    outputs' flat indices and values."""
+    term, k, first, out = rt_eval._scatter(idx, *nonzeros[:3], dl, din, dout, rest)
+    return out, rt_eval._apply_sparse(val, nonzeros[3], term, k, first)
+
+
+def _reference_apply_sparse(idx, val, nonzeros, dl, din, dout, rest):
+    """The sparse step with its index work done on every call, as before
+    the plan did it: an oracle for `_scatter` and `_apply_sparse`."""
+    count, offset, outs, vals = nonzeros
+    l, i, r = np.unravel_index(idx, (dl, din, rest))
+    per = count[i]
+    term = np.repeat(np.arange(idx.size), per)
+    k = np.arange(term.size) + np.repeat(offset[i] + per - np.cumsum(per), per)
+    dst = (l * (dout * rest) + r)[term] + outs[k] * rest
+    order = np.argsort(dst, kind="stable")
+    dst, term, k = dst[order], term[order], k[order]
+    first = np.flatnonzero(np.diff(dst, prepend=-1))
+    if val.ndim == vals.ndim == 1:
+        return dst[first], np.add.reduceat(vals[k] * val[term], first)
+    axes = np.broadcast_shapes(val.shape[:-1], vals.shape[:-1])
+    val, vals = (np.broadcast_to(a, axes + a.shape[-1:]) for a in (val, vals))
+    out = np.empty(axes + first.shape, dtype=val.dtype)
+    for t in np.ndindex(axes):
+        np.add.reduceat(vals[t][k] * val[t][term], first, out=out[t])
+    return dst[first], out
+
+
+def _reference_sweep(ctx, plan, switches=None):
+    """`rt_eval._sweep` as before the plan did the index work, on a plan
+    whose sparse operands are `_nonzeros`: a dense state goes sparse at its
+    nonzero values, whose flat indices are appended to `switches`, and each
+    sparse step is `_reference_apply_sparse`."""
+    steps, state, terms = plan
+    for dense, operand, dl, din, dout, dr, src in steps:
+        if dense:
+            if state is None:
+                state = rt_eval._densified(ctx, idx, val, (dl * din * dr, src))
+            state = rt_eval._apply_local(ctx, state, operand, dl, din, dr, src)
+            continue
+        if state is not None:
+            idx = np.flatnonzero(state.reshape(-1, dl * din * dr * src).any(axis=0))
+            val, state = state.reshape(*state.shape[:-2], -1)[..., idx], None
+            if switches is not None:
+                switches.append(idx)
+        idx, val = _reference_apply_sparse(idx, val, operand, dl, din, dout, dr * src)
+    end = state if state is not None else rt_eval._densified(ctx, idx, val, (dl * dout * dr, src))
+    return np.broadcast_to(end, terms + end.shape[-2:]) if terms else end
+
+
 def _assert_sparse_kernel_matches_matmul(ctx, state, idx, m, nonzeros, dl, din, dr, src):
     """The sparse kernel on the stored entries `idx` of `state` against the
     dense product: the same bits as the object matmul at 106 bits, and
     I_dl (x) m (x) I_dr within rounding at 53 bits."""
     dout = m.shape[0]
-    got_idx, got_val = rt_eval._apply_sparse(idx, state.reshape(-1)[idx], nonzeros,
-                                              dl, din, dout, dr * src)
+    got_idx, got_val = _sparse_step(idx, state.reshape(-1)[idx], nonzeros,
+                                    dl, din, dout, dr * src)
     assert np.all(np.diff(got_idx) > 0)
     got = la.zeros(ctx, (dl * dout * dr, src))
     got.reshape(-1)[got_idx] = got_val
@@ -122,15 +174,102 @@ def test_apply_sparse_term_axes_match_per_term_calls(precision):
     val = np.stack([s.reshape(-1)[idx] for s in states]).reshape(2, 1, idx.size)
     m = np.stack([_random(ctx, rng, (dout, din), 0.6) for _ in range(3)])
     count, offset, outs, vals = rt_eval._nonzeros(m.reshape(1, 3, dout, din))
-    got_idx, got = rt_eval._apply_sparse(idx, val, (count, offset, outs, vals),
-                                         dl, din, dout, dr * src)
+    got_idx, got = _sparse_step(idx, val, (count, offset, outs, vals), dl, din, dout, dr * src)
     assert got.shape == (2, 3, got_idx.size)
     for a in range(2):
         for b in range(3):
-            one_idx, one = rt_eval._apply_sparse(idx, val[a, 0], (count, offset, outs, vals[0, b]),
-                                                 dl, din, dout, dr * src)
+            one_idx, one = _sparse_step(idx, val[a, 0], (count, offset, outs, vals[0, b]),
+                                        dl, din, dout, dr * src)
             assert np.array_equal(one_idx, got_idx)
             assert all(x == y for x, y in zip(got[a, b], one))
+
+
+def _unindexed_halves(monkeypatch, ctx, d, edge=None):
+    """The plans of the two halves of `d` opened at `edge` (default: the
+    first typical one) before `_indexed`, their sparse operands `_nonzeros`,
+    each with its planned steps."""
+    b = (edge or rt_eval.find_typical_edge(ctx, d))[0]
+    with monkeypatch.context() as mp:
+        mp.setattr(rt_eval, "_indexed", lambda steps, src: tuple(steps))
+        plans = [rt_eval._plan(ctx, d.slices[:b], d.source, d.kirby_colors(), 1, False),
+                 rt_eval._plan(ctx, d.slices[b:], d.boundary_words()[b], d.kirby_colors(), 1,
+                               True)]
+    return [(plan, rt_eval._indexed(list(plan[0]), 1)) for plan in plans]
+
+
+@pytest.mark.parametrize("precision", [53, 106])
+def test_planned_sparse_steps_match_the_reference(monkeypatch, precision):
+    """The planned index work against `_reference_apply_sparse`, `==` at
+    either precision: each sparse step on random values at its planned
+    stored entries, and whole sweeps, on plans that go dense -> sparse ->
+    dense, without term axes (a 3-strand closure) and with them (the lens's
+    Kirby color).  The planned indices are int32."""
+    ctx = ScalarContext(6, precision=precision)
+    rng = np.random.default_rng(13)
+    monkeypatch.setattr(rt_eval, "_dense_max", lambda ctx: 81)
+    for d in (fx.braid_closure(wc.Typical(GENERIC), 3, [1, -2, 1, 2, -1, 1]),
+              sfx.lens_unknot_presentation(ctx, 5, 1).diagram):
+        raw, steps = _unindexed_halves(monkeypatch, ctx, d)[1]
+        flags = "".join("D" if step[0] else "s" for step in steps)
+        assert "Ds" in flags and "sD" in flags, flags
+        for planned, (_, nonzeros, dl, din, dout, dr, src) in zip(steps, raw[0]):
+            if planned[0]:
+                continue
+            vals, take, term, k, first, put = planned[1]
+            assert all(a is None or a.dtype == np.int32 for a in (take, term, k, first, put))
+            idx = take if take is not None else idx
+            # random values on the step's weight sector, on the plan's term axes
+            val = _random(ctx, rng, raw[2] + idx.shape, 1.0)
+            idx, want = _reference_apply_sparse(idx, val, nonzeros, dl, din, dout, dr * src)
+            assert np.all(rt_eval._apply_sparse(val, vals, term, k, first) == want)
+            assert put is None or np.array_equal(put, idx)
+        assert np.all(rt_eval._sweep(ctx, (steps,) + raw[1:]) == _reference_sweep(ctx, raw))
+
+
+def _cancelling_closure_routes():
+    """The three routes of the 3-strand closure of [-1, 2, 1, -2, 1, -1]
+    at alpha = 0.326975+0.381914j (the `knots` workload's r10:n3 at seed
+    701), each on a fresh diagram: its default edge, its last boundary, and
+    the rotated word."""
+    a, word = wc.Typical(0.326975 + 0.381914j), [-1, 2, 1, -2, 1, -1]
+    d = fx.braid_closure(a, 3, word)
+    return [(d, None), (fx.braid_closure(a, 3, word), (len(d.slices) - 1, 0)),
+            (fx.braid_closure(a, 3, word[1:] + word[:1]), None)]
+
+
+def test_planned_patterns_hold_the_swept_values(monkeypatch):
+    """On the routes of a 3-strand closure and the auto-stabilised split
+    unknot at r = 10, a fresh diagram's F' has the bits of the second call,
+    and each dense state that goes sparse is zero outside the planned stored
+    entries (so every later step's stored entries hold its values too)."""
+    ctx = ScalarContext(10)
+    split = sg.auto_stabilize(ctx, sfx.split_surgery_unknot_presentation(ctx, GENERIC, 1))
+    for d, edge in _cancelling_closure_routes() + [(split.diagram, None)]:
+        assert not d._plans
+        assert rt_eval.f_prime(ctx, d, edge) == rt_eval.f_prime(ctx, d, edge)
+        seen = 0
+        for raw, steps in _unindexed_halves(monkeypatch, ctx, d, edge):
+            switches = []
+            assert np.all(rt_eval._sweep(ctx, (steps,) + raw[1:])
+                          == _reference_sweep(ctx, raw, switches))
+            takes = [s[1][1] for s in steps if not s[0] and s[1][1] is not None]
+            assert len(takes) == len(switches)
+            for take, values in zip(takes, switches):
+                assert np.isin(values, take).all()
+            seen += len(switches)
+        assert seen
+
+
+def test_53_bit_routes_of_a_cancelling_closure_match_106_bits():
+    """An independent precision for 53-bit sparse sweeps: the three routes
+    of a closure whose sweep cancels about two digits, against the 106-bit
+    F' of the same diagram.  Measured: 6.9e-14 relative on the default
+    route, 3.8e-13 and 2.2e-13 on the second cut and the rotated word."""
+    ctx, hp = ScalarContext(10), ScalarContext(10, precision=106)
+    routes = _cancelling_closure_routes()
+    want = complex(rt_eval.f_prime(hp, routes[0][0]))
+    for d, edge in routes:
+        assert abs(rt_eval.f_prime(ctx, d, edge) - want) <= 1e-11 * abs(want)
 
 
 def _f_prime_dense_route(monkeypatch, ctx, d):
