@@ -17,17 +17,20 @@ state stays in one weight sector, and almost all of it is exact zeros.  So
 a sparse step keeps the state's nonzeros, sorted flat indices and values
 over all source columns, and sums the products of a nonzero cell entry
 with a stored entry per output in increasing input index, as the object
-matmul does: 106-bit values are the bits of the dense route.  At 53 bits a
-cell with a small state and product is one BLAS product instead; that
-depends on one term's sizes, so each term gets its own sweep's arithmetic.
+matmul does: 106-bit values are the bits of the dense route.  At 53 bits
+a step is one BLAS product on the dense state instead where that costs
+less, by `_dense_cheaper`'s unit costs, than its products of stored
+entries; the choice weighs all terms of the step together, so a term's
+rounding can differ from that of a sweep of its own.
 
 A sweep is a plan and its run.  The plan lists the non-identity cells as
 steps with their sizes, dense-or-sparse choice and operands.  The stored
-entries depend only on the cells' nonzero patterns, so the plan does each
-sparse step's index work once (Gustavson's symbolic phase, ACM TOMS 4
-(1978) 250), and the run is only matmuls, gathers, products and
-`np.add.reduceat`.  The plans of a diagram's halves, per context,
-boundary, direction and dense size, and `f_prime`'s openings of it, per
+entries depend only on the cells' nonzero patterns, so the plan walks
+them from the start, chooses each step's kernel from its sizes and
+products, and does each sparse step's index work once (Gustavson's
+symbolic phase, ACM TOMS 4 (1978) 250); the run is only matmuls, gathers,
+products and `np.add.reduceat`.  The plans of a diagram's halves, per
+context, boundary and direction, and `f_prime`'s openings of it, per
 context and edge, are kept on the diagram and die with it.
 """
 
@@ -51,7 +54,11 @@ class NotAdmissible(ValueError):
     presentation, no typical graph edge and no generic surgery meridian."""
 
 
-@lru_cache(maxsize=None)
+# the caches keyed on colors are bounded, well above what one pass of every
+# benchmark workload holds (at seed 1: 612 cell matrices, 290 nonzero sets,
+# 36 closings and 36 coefficient stacks), so that recoloring for ever does
+# not grow them for ever
+@lru_cache(maxsize=2048)
 def _cell_matrix_cached(ctx: ScalarContext, kind: str, letters) -> np.ndarray:
     if kind == "xpos":
         V = wc.realize_letter(ctx, letters[0])
@@ -107,14 +114,14 @@ def _cell_stack(ctx: ScalarContext, kind: str, letters: tuple, kirby: tuple) -> 
     return _on_term_axes(ctx, lambda ls, _: _cell_matrix_cached(ctx, kind, ls), letters, kirby)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def _cell_nonzeros_cached(ctx: ScalarContext, kind: str, letters: tuple, kirby: tuple,
                           transposed: bool):
-    m = _cell_stack(ctx, kind, letters, kirby)
+    m = _cell_stack(ctx, kind, letters, kirby) if kirby else _cell_matrix_cached(ctx, kind, letters)
     return _nonzeros(m.swapaxes(-1, -2) if transposed else m)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=128)
 def _coefficients(ctx: ScalarContext, kirby: tuple) -> np.ndarray:
     """The coefficient of each term of the expansion, on its term axes."""
     return _on_term_axes(ctx, lambda _, coeff: coeff, tuple((1, k) for k in kirby), kirby)
@@ -124,17 +131,32 @@ def _letter_dims(ctx: ScalarContext, word: wc.ObjectWord) -> list[int]:
     return [wc.color_dim(ctx, c) for _, c in word]
 
 
-# a 53-bit cell applies dense if its dense state, dl * max(din, dout) * dr *
-# src, has at most DENSE_MAX entries and its product at most 4 * DENSE_MAX
-# multiply-adds: against planned sparse steps, sparse everywhere makes the
-# warm r = 4 knots 1.1 times slower, 2^11 or 2^16 entries move the r = 14
-# S^1 x S^2 and r = 6 4-strand knots under 3%; the r = 10 meridian's
-# crossings, 15,625 entries and 390,625 multiply-adds, have 775 products
-DENSE_MAX = 2 ** 14
+# unit costs of a 53-bit step in ns, fitted to both kernels timed on each
+# of the 870 steps of the halves of the `knots` and `surgery` benchmark
+# diagrams at seeds 1 and 2 (2-CPU x86-64 container, one BLAS thread, numpy
+# 2.4; median errors 12% dense, 3% sparse): per term, a dense step costs
+# 0.15 a multiply-add, 2.2 an output and 42 a matmul of its batch over dl,
+# a sparse one 9 a product and, on term axes, 5,600 a pass of its loop over
+# the terms; going sparse gathers for 1,100, going dense scatters for 2,700.
+# Against the cheaper kernel of each step, switches included, this rule
+# loses 0-2.5% on the sum of each workload level's sweeps
 
 
-def _dense_max(ctx: ScalarContext) -> int:
-    return 0 if ctx.high_precision else DENSE_MAX  # mpmath products cost more
+def _dense_cheaper(ctx: ScalarContext, terms: tuple, after_dense: bool, idx: np.ndarray,
+                   count: np.ndarray, dl: int, din: int, dout: int, dr: int, src: int) -> bool:
+    """Whether a step is cheaper as one matmul on the dense state than as
+    the products of its stored entries `idx` with the nonzeros of their
+    input columns, `count` per input, for each term of the broadcast term
+    axes `terms`; after a dense step or the start (`after_dense`), or after
+    a sparse one."""
+    if ctx.high_precision:
+        return False  # an mpmath product costs more than any index work
+    n = math.prod(terms)
+    dense = (n * (0.15 * dl * din * dout * dr * src + 2.2 * dl * dout * dr * src + 42 * dl)
+             + (0 if after_dense else 2700))
+    sparse = n * (5600 if terms else 0) + (1100 if after_dense else 0)
+    # the products are counted only where they can decide
+    return dense <= sparse or dense <= sparse + n * 9 * int(count[idx // (dr * src) % din].sum())
 
 
 def _plan(ctx: ScalarContext, slices, word: wc.ObjectWord, kirby: tuple, src: int,
@@ -143,11 +165,10 @@ def _plan(ctx: ScalarContext, slices, word: wc.ObjectWord, kirby: tuple, src: in
     on the identity on `src` columns, with a term axis per Kirby color of
     `kirby`; if `down`, of the transposed cells from the top down, which
     take a covector on the top word to one on `word`.  Returns (steps, start
-    state, term axes) for `_sweep`; a step is (dense, operand, dl, din,
-    dout, dr, src), its operand the cell's matrix (stacked on its term axes,
-    transposed if `down`) for a dense step and `_indexed`'s planned
-    (values, take, term, k, first, put) of its `_nonzeros` for a sparse one."""
-    dims, dense_max, steps = _letter_dims(ctx, word), _dense_max(ctx), []
+    state, term axes) for `_sweep`: `_indexed` of the steps (m, nonzeros,
+    dl, din, dout, dr, src), m the cell's matrix (stacked on its term axes,
+    transposed if `down`) and nonzeros its `_nonzeros`."""
+    dims, steps = _letter_dims(ctx, word), []
     for cells in slices:
         pos = 0
         for cell in cells:
@@ -159,43 +180,50 @@ def _plan(ctx: ScalarContext, slices, word: wc.ObjectWord, kirby: tuple, src: in
                                  math.prod(out), math.prod(dims[pos + nin:]))
             # a cell on no Kirby color is one matrix, without term axes
             colors = kirby if kirby and any(c in kirby for _, c in cell.letters) else ()
-            # symmetric in din and dout, so it holds for a transposed cell too
-            dense = (dl * max(din, dout) * dr * src <= dense_max
-                     and dl * din * dout * dr * src <= 4 * dense_max)
-            if dense or cell.kind == "coupon":  # a sparse cell's nonzeros are cached
-                m = (_cell_stack(ctx, cell.kind, cell.letters, colors) if colors
-                     else cell_matrix(ctx, cell))
-                m = m.swapaxes(-1, -2) if down else m
-            operand = (m if dense else _nonzeros(m) if cell.kind == "coupon"
-                       else _cell_nonzeros_cached(ctx, cell.kind, cell.letters, colors, down))
-            steps.append((dense, operand, dl, *((dout, din) if down else (din, dout)), dr, src))
+            m = (_cell_stack(ctx, cell.kind, cell.letters, colors) if colors
+                 else cell_matrix(ctx, cell))
+            m = m.swapaxes(-1, -2) if down else m
+            # a coupon's nonzeros are its own; a cell's are cached
+            nonzeros = (_nonzeros(m) if cell.kind == "coupon"
+                        else _cell_nonzeros_cached(ctx, cell.kind, cell.letters, colors, down))
+            steps.append((m, nonzeros, dl, *((dout, din) if down else (din, dout)), dr, src))
             dims[pos:pos + nin] = out
             pos += len(out)
     eye = la.eye(ctx, src).reshape((1,) * len(kirby) + (src, src))
     eye.setflags(write=False)
     # a Kirby color on no cell keeps a term axis of size 1
     terms = _coefficients(ctx, kirby).shape
-    return _indexed(steps[::-1] if down else steps, src), eye, terms
+    return _indexed(ctx, steps[::-1] if down else steps, src, len(kirby)), eye, terms
 
 
-def _indexed(steps: list, src: int) -> tuple:
-    """`steps` with each sparse step's index work done once, on the entries
-    that the identity on `src` columns and the cells' patterns store: (the
-    cell's nonzero values, take, `_scatter`'s term, k, first, put), take and
-    put a small dense state's flat indices before and after, else None."""
-    if all(step[0] for step in steps):
-        return tuple(steps)
-    planned, idx = list(steps), np.arange(src) * (src + 1)  # the identity's diagonal
-    for n, (dense, operand, dl, din, dout, dr, src) in enumerate(steps):
-        if dense:
-            pattern = np.bincount(idx, minlength=dl * din * dr * src) > 0
-            cell = (operand != 0).reshape(-1, dout, din).any(axis=0)
-            idx = np.flatnonzero(np.matmul(cell, pattern.reshape(dl, din, dr * src)))
+def _indexed(ctx: ScalarContext, steps: list, src: int, axes: int) -> tuple:
+    """`_plan`'s steps as `_sweep` runs them, walked from the identity on
+    `src` columns with `axes` term axes: each step is (dense, operand, dl,
+    din, dout, dr, src), dense as `_dense_cheaper` chooses from the entries
+    that the identity and the cells' patterns store.  A dense step's
+    operand is m; a sparse step's is its index work done once: (the cell's
+    nonzero values, take, `_scatter`'s term, k, first, put), take and put a
+    dense state's flat indices before and after it, else None."""
+    planned, idx, terms = [], np.arange(src) * (src + 1), (1,) * axes  # the identity
+    for m, (count, offset, outs, vals), dl, din, dout, dr, src in steps:
+        if vals.ndim > 1:  # a term axis is of size 1 or of its color's
+            terms = tuple(map(max, terms, vals.shape[:-1]))
+        after_dense = not planned or planned[-1][0]
+        if _dense_cheaper(ctx, terms, after_dense, idx, count, dl, din, dout, dr, src):
+            # the outputs with a product, from the patterns' product in float32
+            pattern = np.zeros(dl * din * dr * src, dtype=np.float32)
+            pattern[idx] = 1
+            cell = m != 0 if m.ndim == 2 else (m != 0).reshape(-1, dout, din).any(axis=0)
+            idx = (np.matmul(cell, pattern.reshape(dl, din, dr * src)) > 0).reshape(-1).nonzero()[0]
+            planned.append((True, m, dl, din, dout, dr, src))
             continue
-        take = idx.astype(np.int32) if n == 0 or steps[n - 1][0] else None
-        term, k, first, idx = _scatter(idx, *operand[:3], dl, din, dout, dr * src)
-        put = idx if n + 1 == len(steps) or steps[n + 1][0] else None
-        planned[n] = (False, (operand[3], take, term, k, first, put), dl, din, dout, dr, src)
+        take = idx.astype(np.int32) if after_dense else None
+        term, k, first, idx = _scatter(idx, count, offset, outs, dl, din, dout, dr * src)
+        planned.append((False, (vals, take, term, k, first, idx), dl, din, dout, dr, src))
+    # a sparse step keeps its outputs' indices as put only before a dense one
+    for n, (dense, operand, *sizes) in enumerate(planned):
+        if not dense and n + 1 < len(planned) and not planned[n + 1][0]:
+            planned[n] = (dense, operand[:5] + (None,), *sizes)
     return tuple(planned)
 
 
@@ -205,27 +233,46 @@ def _scatter(idx, count, offset, outs, dl: int, din: int, dout: int, rest: int) 
     per product, in output order, its stored entry `term` and nonzero `k`;
     where each output's products start; the outputs' sorted flat indices in
     the (dl, dout, rest) layout.  Int32 where the indices fit."""
-    l, i, r = np.unravel_index(idx, (dl, din, rest))
-    # one product per (stored entry, nonzero of its input column); the
-    # stored entries come in (l, i, r) order, so a stable sort on the
-    # output index keeps each output's terms in increasing input index
-    per = count[i]
-    it = np.int32 if max(dl * max(din, dout) * rest, per.sum()) < 2 ** 31 else np.int64
-    term = np.repeat(np.arange(idx.size, dtype=it), per)
-    # k runs over offset[i], ..., offset[i] + per - 1 for each stored entry
-    k = np.arange(term.size, dtype=it) + np.repeat(offset[i] + per - np.cumsum(per), per)
-    dst = ((l * (dout * rest) + r)[term] + outs[k] * rest).astype(it)
-    order = np.argsort(dst, kind="stable")
+    # the stored entries come in (l, i, r) order, in blocks of one l * din + i
+    block, r = np.divmod(idx, rest)
+    bounds = _run_bounds(block)
+    start, size = bounds[:-1], bounds[1:] - bounds[:-1]
+    l, col = np.divmod(block[start], din)
+    # a block's products are formed nonzero by nonzero (a pair), each over
+    # the block's entries: one increasing run of output indices per block,
+    # so a stable sort keeps each output's terms in increasing input index
+    per = count[col]  # pairs per block
+    pair_size = size.repeat(per)
+    n = int(pair_size.sum())
+    it = np.int32 if max(dl * max(din, dout) * rest, n) < 2 ** 31 else np.int64
+    # a block's pairs have k = offset[col], ..., offset[col] + per - 1, and
+    # output l * (dout * rest) + outs[k] * rest + r for each entry's r
+    pair_k = (np.arange(per.sum(), dtype=it)
+              + (offset[col] + per - per.cumsum()).astype(it).repeat(per))
+    pair_base = (l * (dout * rest)).repeat(per) + outs[pair_k] * rest
+    term = np.arange(n, dtype=it) + (start.repeat(per) + pair_size - pair_size.cumsum()).astype(
+        it).repeat(pair_size)
+    k = pair_k.repeat(pair_size)
+    dst = (pair_base.repeat(pair_size) + r[term]).astype(it)
+    order = dst.argsort(kind="stable")
     dst = dst[order]
-    first = np.flatnonzero(np.diff(dst, prepend=-1)).astype(it)
-    return term[order], k[order].astype(it), first, dst[first]
+    first = _run_bounds(dst)[:-1].astype(it)
+    return term[order], k[order], first, dst[first]
+
+
+def _run_bounds(x: np.ndarray) -> np.ndarray:
+    """Where the runs of equal entries of `x` start, then x.size."""
+    new = np.empty(x.size + 1, dtype=bool)
+    new[0] = new[-1] = True
+    np.not_equal(x[1:], x[:-1], out=new[1:-1])
+    return new.nonzero()[0]
 
 
 def _half(ctx: ScalarContext, d: dg.Diagram, b: int, down: bool) -> tuple:
     """The `_plan` of the slices of `d` below boundary b, swept up from the
     source, or if `down` of those above it, swept down from the target; kept
-    on `d` per context, b, direction and dense size."""
-    key = (ctx, b, down, _dense_max(ctx))
+    on `d` per context, b and direction."""
+    key = (ctx, b, down)
     plan = d._plans.get(key)
     if plan is None:
         end = d.target if down else d.source
@@ -363,7 +410,7 @@ def f_prime(ctx: ScalarContext, d: dg.Diagram,
     return reduce(operator.add, np.ravel(values), ctx.scalar(0))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=128)
 def _closing(ctx: ScalarContext, letters: tuple, i: int, kirby: tuple) -> tuple:
     """`f_prime`'s `wc.trace_pivots` for edge letter i, d(V_alpha) of that
     letter and the coefficients, on the term axes of `kirby`."""

@@ -514,7 +514,7 @@ def modified_trace(ctx: ScalarContext, word: ObjectWord, f: np.ndarray) -> Scala
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)  # one pass of every benchmark workload holds 113
 def modified_dimension(ctx: ScalarContext, alpha) -> Scalar:
     """Modified (projective) dimension of the typical module V_alpha,
     cached on (ctx, alpha).

@@ -5,6 +5,7 @@ import os
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
+import numpy as np
 import pytest
 
 from cgpkit import diagrams as dg
@@ -61,3 +62,14 @@ def assert_within_rounding(ctx, got, want, size):
     at r = 10.  A bound relative to |want| cannot hold, since some values
     are zero within rounding (|F'| about 1e-14 to 1e-11)."""
     assert abs(got - want) <= 1e3 * 2.0 ** -ctx.precision * size, (got, want, size)
+
+
+def laurent_coefficients(ctx, f, alpha0: float, n: int) -> dict:
+    """The coefficients c_p of f as a Laurent polynomial in x = q^alpha,
+    f(alpha) = sum over p of c_p x^p, for -n/2 < p <= n/2: the DFT of the n
+    samples f(alpha0 + r k / n), which is exact when f's span in p is below
+    n.  alpha0 is real, so |x| = 1 and the DFT is unitary."""
+    samples = [complex(f(alpha0 + ctx.r * k / n)) for k in range(n)]
+    spectrum = np.fft.fft(samples) / n  # c_p x0^p at p mod n
+    x0 = complex(ctx.q_power(alpha0))
+    return {p: spectrum[p % n] / x0 ** p for p in range(1 - n // 2, n // 2 + 1)}

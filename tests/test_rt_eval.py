@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 from functools import reduce
@@ -186,15 +187,31 @@ def test_apply_sparse_term_axes_match_per_term_calls(precision):
 
 def _unindexed_halves(monkeypatch, ctx, d, edge=None):
     """The plans of the two halves of `d` opened at `edge` (default: the
-    first typical one) before `_indexed`, their sparse operands `_nonzeros`,
-    each with its planned steps."""
+    first typical one) in `_reference_sweep`'s form, a step's operand its
+    matrix where `_indexed` applies it dense and its `_nonzeros` where
+    not, each with its planned steps."""
     b = (edge or rt_eval.find_typical_edge(ctx, d))[0]
     with monkeypatch.context() as mp:
-        mp.setattr(rt_eval, "_indexed", lambda steps, src: tuple(steps))
+        mp.setattr(rt_eval, "_indexed", lambda ctx, steps, src, axes: steps)
         plans = [rt_eval._plan(ctx, d.slices[:b], d.source, d.kirby_colors(), 1, False),
                  rt_eval._plan(ctx, d.slices[b:], d.boundary_words()[b], d.kirby_colors(), 1,
                                True)]
-    return [(plan, rt_eval._indexed(list(plan[0]), 1)) for plan in plans]
+    halves = []
+    for raw, eye, terms in plans:
+        steps = rt_eval._indexed(ctx, list(raw), 1, len(d.kirby_colors()))
+        ref = tuple((step[0], m if step[0] else nonzeros, *sizes)
+                    for step, (m, nonzeros, *sizes) in zip(steps, raw))
+        halves.append(((ref, eye, terms), steps))
+    return halves
+
+
+def _dense_size_rule(size):
+    """A `_dense_cheaper` that applies a step dense when its dense state
+    has at most `size` entries and its product at most 4 `size`
+    multiply-adds, at either precision."""
+    def dense(ctx, terms, after_dense, idx, count, dl, din, dout, dr, src):
+        return dl * max(din, dout) * dr * src <= size and dl * din * dout * dr * src <= 4 * size
+    return dense
 
 
 @pytest.mark.parametrize("precision", [53, 106])
@@ -206,7 +223,7 @@ def test_planned_sparse_steps_match_the_reference(monkeypatch, precision):
     Kirby color).  The planned indices are int32."""
     ctx = ScalarContext(6, precision=precision)
     rng = np.random.default_rng(13)
-    monkeypatch.setattr(rt_eval, "_dense_max", lambda ctx: 81)
+    monkeypatch.setattr(rt_eval, "_dense_cheaper", _dense_size_rule(81))
     for d in (fx.braid_closure(wc.Typical(GENERIC), 3, [1, -2, 1, 2, -1, 1]),
               sfx.lens_unknot_presentation(ctx, 5, 1).diagram):
         raw, steps = _unindexed_halves(monkeypatch, ctx, d)[1]
@@ -273,8 +290,8 @@ def test_53_bit_routes_of_a_cancelling_closure_match_106_bits():
 
 
 def _f_prime_dense_route(monkeypatch, ctx, d):
-    """f_prime with every cell applied by `_apply_local` to the dense
-    state, at either precision."""
+    """f_prime of a copy of `d`, with plans of its own, with every cell
+    applied by `_apply_local` to the dense state, at either precision."""
     calls = {"_apply_local": 0, "_apply_sparse": 0}
     with monkeypatch.context() as mp:
         for name in calls:
@@ -282,8 +299,8 @@ def _f_prime_dense_route(monkeypatch, ctx, d):
                 calls[name] += 1
                 return f(*args)
             mp.setattr(rt_eval, name, counted)
-        mp.setattr(rt_eval, "_dense_max", lambda ctx: 2 ** 62)
-        value = rt_eval.f_prime(ctx, d)
+        mp.setattr(rt_eval, "_dense_cheaper", lambda *step: True)
+        value = rt_eval.f_prime(ctx, dataclasses.replace(d))
     assert calls["_apply_local"] and not calls["_apply_sparse"]
     return value
 
@@ -312,9 +329,9 @@ def test_f_prime_high_precision_matches_dense_route(monkeypatch):
     assert rt_eval.f_prime(hp6, lens) == _f_prime_dense_route(monkeypatch, hp6, lens)
 
 
-def test_53_bit_sweep_agrees_on_both_sides_of_the_dense_size(monkeypatch):
-    """All cells sparse (DENSE_MAX = 0) and all cells dense agree with the
-    default mix within 1e-12."""
+def test_53_bit_sweep_agrees_on_both_kernels(monkeypatch):
+    """All cells sparse and all cells dense agree with the default mix
+    within 1e-12."""
     ctx10, ctx6 = ScalarContext(10), ScalarContext(6)
     a = wc.Typical(GENERIC)
     cases = [lambda: rt_eval.f_prime(ctx10, fx.figure_eight(a)),
@@ -328,13 +345,55 @@ def test_53_bit_sweep_agrees_on_both_sides_of_the_dense_size(monkeypatch):
         monkeypatch.setattr(rt_eval, name, counted)
     wants = [case() for case in cases]
     assert calls["_apply_local"] and calls["_apply_sparse"]
-    for size, off in ((0, "_apply_local"), (2 ** 62, "_apply_sparse")):
-        monkeypatch.setattr(rt_eval, "DENSE_MAX", size)
+    for dense, off in ((False, "_apply_local"), (True, "_apply_sparse")):
+        monkeypatch.setattr(rt_eval, "_dense_cheaper", lambda *step, dense=dense: dense)
         calls[off] = 0
         for case, want in zip(cases, wants):
             got = case()
             assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
         assert calls[off] == 0
+
+
+def test_the_plan_picks_each_kernel_by_its_cost(monkeypatch):
+    """The r = 6 4-strand closure plans its widest crossings (9 x 9 on
+    6,561-row states, mostly zeros) sparse and others dense; every step of
+    the r = 4 closure plans dense; and the default mix agrees with the
+    forced all-dense and all-sparse routes within rounding."""
+    a, word = wc.Typical(GENERIC), [1, 2, 3, 1, 2, 3, 2]
+    ctx4, ctx6 = ScalarContext(4), ScalarContext(6)
+    steps = [s for _, half in _unindexed_halves(monkeypatch, ctx6, fx.braid_closure(a, 4, word))
+             for s in half]
+    crossings = [s for s in steps if s[3] == s[4] == 9]
+    widest = max(s[2] * s[3] * s[5] * s[6] for s in crossings)
+    assert widest == 6561
+    assert all(not s[0] for s in crossings if s[2] * s[3] * s[5] * s[6] == widest)
+    assert any(s[0] for s in steps)
+    assert all(s[0] for _, half in _unindexed_halves(monkeypatch, ctx4,
+                                                     fx.braid_closure(a, 4, word))
+               for s in half)
+    want = rt_eval.f_prime(ctx6, fx.braid_closure(a, 4, word))
+    for dense in (True, False):
+        with monkeypatch.context() as mp:
+            mp.setattr(rt_eval, "_dense_cheaper", lambda *step, dense=dense: dense)
+            got = rt_eval.f_prime(ctx6, fx.braid_closure(a, 4, word))
+        assert_within_rounding(ctx6, got, want, abs(want))
+
+
+def test_color_keyed_caches_are_bounded():
+    """500 recolored 2-strand closures at r = 6, with both crossing signs
+    and both curls, leave every cache keyed on colors at or under its
+    bound (they add 3,000 cell matrices and 500 closings)."""
+    caches = [rt_eval._cell_matrix_cached, rt_eval._cell_nonzeros_cached, rt_eval._closing,
+              rt_eval._coefficients, wc.modified_dimension]
+    ctx = ScalarContext(6)
+    rng = np.random.default_rng(17)
+    for _ in range(500):
+        a = wc.Typical(complex(rng.uniform(0.1, 2.9), rng.uniform(0.05, 0.5)))
+        d = fx.braid_closure(a, 2, [1, -1, 1], curls=[(0, 1), (1, -1)])
+        assert rt_eval.f_prime(ctx, d) / wc.modified_dimension(ctx, a.alpha) != 0
+    for cached in caches:
+        info = cached.cache_info()
+        assert info.maxsize is not None and info.currsize <= info.maxsize, cached
 
 
 def test_four_strand_closure_at_r14_is_cut_independent():

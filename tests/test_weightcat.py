@@ -712,9 +712,9 @@ def test_cached_letter_data_is_keyed_by_context():
     letters = ((-1, wc.Typical(GENERIC)), (1, wc.Typical(alpha)), (1, wc.Sigma(6)))
     # the modified dimension first: the closing caches alpha's on its way
     for cached, args in ((wc.modified_dimension, (alpha,)), (rt_eval._closing, (letters, 1, ()))):
-        before = cached.cache_info().currsize
+        before = cached.cache_info().misses
         values = [cached(ctx, *args) for ctx in ctxs]
-        assert cached.cache_info().currsize == before + 3
+        assert cached.cache_info().misses == before + 3
         assert all(cached(ctx, *args) is v for ctx, v in zip(ctxs, values))
         assert values[2] is not values[0]
         hp = values[1] if cached is wc.modified_dimension else values[1][0].flat[0]
