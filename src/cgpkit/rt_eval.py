@@ -29,9 +29,11 @@ entries depend only on the cells' nonzero patterns, so the plan walks
 them from the start, chooses each step's kernel from its sizes and
 products, and does each sparse step's index work once (Gustavson's
 symbolic phase, ACM TOMS 4 (1978) 250); the run is only matmuls, gathers,
-products and `np.add.reduceat`.  The plans of a diagram's halves, per
-context, boundary and direction, and `f_prime`'s openings of it, per
-context and edge, are kept on the diagram and die with it.
+products and `np.add.reduceat`.  Closed diagrams of the same patterns and
+sizes, recoloured ones too, share the colour-free index work in a cache of
+at most `_INDEX_BYTES`.  The plans of a diagram's halves, per context,
+boundary and direction, and `f_prime`'s openings of it, per context and
+edge, are kept on the diagram and die with it.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from functools import lru_cache, reduce
+from functools import lru_cache, partial, reduce
 
 import numpy as np
 
@@ -85,10 +87,12 @@ def cell_matrix(ctx: ScalarContext, cell: dg.Cell) -> np.ndarray:
 
 def _nonzeros(m: np.ndarray):
     """Nonzeros of a cell matrix (or a stack on leading axes) by input: per
-    input their count and offset, then each one's output index and values."""
+    input their count and offset, each one's output index and values, and
+    the pattern, counts and output indices as bytes (bytes keep a hash)."""
     ins, outs = np.nonzero((m != 0).reshape(-1, *m.shape[-2:]).any(axis=0).T)
     count = np.bincount(ins, minlength=m.shape[-1])
-    return count, np.cumsum(count) - count, outs, m[..., outs, ins]
+    pattern = count.tobytes() + outs.tobytes()
+    return count, np.cumsum(count) - count, outs, m[..., outs, ins], pattern
 
 
 def _on_term_axes(ctx: ScalarContext, f, letters: tuple, kirby: tuple) -> np.ndarray:
@@ -165,9 +169,10 @@ def _plan(ctx: ScalarContext, slices, word: wc.ObjectWord, kirby: tuple, src: in
     on the identity on `src` columns, with a term axis per Kirby color of
     `kirby`; if `down`, of the transposed cells from the top down, which
     take a covector on the top word to one on `word`.  Returns (steps, start
-    state, term axes) for `_sweep`: `_indexed` of the steps (m, nonzeros,
-    dl, din, dout, dr, src), m the cell's matrix (stacked on its term axes,
-    transposed if `down`) and nonzeros its `_nonzeros`."""
+    state, term axes) for `_sweep`: `_indexed`'s steps (shared through
+    `_index_cache` if `src` is 1) with their operands: the cell's matrix
+    (stacked on its term axes, transposed if `down`) if dense, else its
+    nonzero values and the step's index work."""
     dims, steps = _letter_dims(ctx, word), []
     for cells in slices:
         pos = 0
@@ -180,32 +185,43 @@ def _plan(ctx: ScalarContext, slices, word: wc.ObjectWord, kirby: tuple, src: in
                                  math.prod(out), math.prod(dims[pos + nin:]))
             # a cell on no Kirby color is one matrix, without term axes
             colors = kirby if kirby and any(c in kirby for _, c in cell.letters) else ()
-            m = (_cell_stack(ctx, cell.kind, cell.letters, colors) if colors
-                 else cell_matrix(ctx, cell))
-            m = m.swapaxes(-1, -2) if down else m
+            m = partial(_matrix, ctx, cell, colors, down)  # made for dense steps only
             # a coupon's nonzeros are its own; a cell's are cached
-            nonzeros = (_nonzeros(m) if cell.kind == "coupon"
+            nonzeros = (_nonzeros(m()) if cell.kind == "coupon"
                         else _cell_nonzeros_cached(ctx, cell.kind, cell.letters, colors, down))
             steps.append((m, nonzeros, dl, *((dout, din) if down else (din, dout)), dr, src))
             dims[pos:pos + nin] = out
             pos += len(out)
+    steps = steps[::-1] if down else steps
+    # closed diagrams' halves (src 1) share the index work, keyed on all that
+    # `_indexed` reads; an open one's is used once and would only pin memory
+    key = (ctx.high_precision, src, len(kirby),
+           tuple((nz[4], nz[3].shape[:-1], *sizes) for _, nz, *sizes in steps))
+    make = partial(_indexed, ctx, steps, src, len(kirby))
+    indexed = _shared(key, make) if src == 1 else make()
     eye = la.eye(ctx, src).reshape((1,) * len(kirby) + (src, src))
     eye.setflags(write=False)
     # a Kirby color on no cell keeps a term axis of size 1
     terms = _coefficients(ctx, kirby).shape
-    return _indexed(ctx, steps[::-1] if down else steps, src, len(kirby)), eye, terms
+    return tuple((dense, m() if dense else (nz[3],) + work, *sizes)
+                 for (dense, work, *sizes), (m, nz, *_) in zip(indexed, steps)), eye, terms
+
+
+def _matrix(ctx: ScalarContext, cell: dg.Cell, colors: tuple, down: bool) -> np.ndarray:
+    m = _cell_stack(ctx, cell.kind, cell.letters, colors) if colors else cell_matrix(ctx, cell)
+    return m.swapaxes(-1, -2) if down else m
 
 
 def _indexed(ctx: ScalarContext, steps: list, src: int, axes: int) -> tuple:
-    """`_plan`'s steps as `_sweep` runs them, walked from the identity on
-    `src` columns with `axes` term axes: each step is (dense, operand, dl,
-    din, dout, dr, src), dense as `_dense_cheaper` chooses from the entries
-    that the identity and the cells' patterns store.  A dense step's
-    operand is m; a sparse step's is its index work done once: (the cell's
-    nonzero values, take, `_scatter`'s term, k, first, put), take and put a
-    dense state's flat indices before and after it, else None."""
+    """The index work of `_plan`'s steps (m, nonzeros, dl, din, dout, dr,
+    src), walked from the identity on `src` columns with `axes` term axes:
+    each is (dense, work, dl, din, dout, dr, src), dense as `_dense_cheaper`
+    chooses from the entries that the identity and the cells' patterns
+    store.  A dense step's work is None, a sparse step's (take, `_scatter`'s
+    term, k, first, put), take and put a dense state's flat indices before
+    and after it, else None.  Of the values only the term axes are read."""
     planned, idx, terms = [], np.arange(src) * (src + 1), (1,) * axes  # the identity
-    for m, (count, offset, outs, vals), dl, din, dout, dr, src in steps:
+    for _, (count, offset, outs, vals, _), dl, din, dout, dr, src in steps:
         if vals.ndim > 1:  # a term axis is of size 1 or of its color's
             terms = tuple(map(max, terms, vals.shape[:-1]))
         after_dense = not planned or planned[-1][0]
@@ -213,18 +229,41 @@ def _indexed(ctx: ScalarContext, steps: list, src: int, axes: int) -> tuple:
             # the outputs with a product, from the patterns' product in float32
             pattern = np.zeros(dl * din * dr * src, dtype=np.float32)
             pattern[idx] = 1
-            cell = m != 0 if m.ndim == 2 else (m != 0).reshape(-1, dout, din).any(axis=0)
+            cell = np.zeros((dout, din), dtype=np.float32)
+            cell[outs, np.arange(din).repeat(count)] = 1
             idx = (np.matmul(cell, pattern.reshape(dl, din, dr * src)) > 0).reshape(-1).nonzero()[0]
-            planned.append((True, m, dl, din, dout, dr, src))
+            planned.append((True, None, dl, din, dout, dr, src))
             continue
         take = idx.astype(np.int32) if after_dense else None
         term, k, first, idx = _scatter(idx, count, offset, outs, dl, din, dout, dr * src)
-        planned.append((False, (vals, take, term, k, first, idx), dl, din, dout, dr, src))
+        planned.append((False, (take, term, k, first, idx), dl, din, dout, dr, src))
     # a sparse step keeps its outputs' indices as put only before a dense one
-    for n, (dense, operand, *sizes) in enumerate(planned):
+    for n, (dense, work, *sizes) in enumerate(planned):
         if not dense and n + 1 < len(planned) and not planned[n + 1][0]:
-            planned[n] = (dense, operand[:5] + (None,), *sizes)
+            planned[n] = (dense, work[:4] + (None,), *sizes)
     return tuple(planned)
+
+
+# index work is kept up to this many bytes: both halves of the r = 14
+# 4-strand knot plan 11.2 MiB, of the r = 10 5-strand closure 8.1 MiB; the
+# r = 14 5-strand closure's 142 MiB are not kept
+_INDEX_BYTES = 32 * 2 ** 20
+_index_cache: dict = {}  # `_plan`'s key: (plan, bytes), least recently used first
+
+
+def _shared(key, make):
+    """The plan of `key` in `_index_cache`, else make()'s, kept there unless
+    larger than `_INDEX_BYTES`; the least recently used make room."""
+    plan, size = _index_cache.pop(key, (None, 0))
+    if plan is None:
+        plan = make()
+        size = sum(a.nbytes for _, work, *_ in plan if work for a in work if a is not None)
+        if size > _INDEX_BYTES:
+            return plan
+        while size + sum(n for _, n in _index_cache.values()) > _INDEX_BYTES:
+            del _index_cache[next(iter(_index_cache))]
+    _index_cache[key] = plan, size
+    return plan
 
 
 def _scatter(idx, count, offset, outs, dl: int, din: int, dout: int, rest: int) -> tuple:

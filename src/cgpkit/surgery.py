@@ -223,9 +223,10 @@ def _find_threading_site(d: dg.Diagram, target: wc.Kirby, rider: wc.Typical):
 
 
 def _insert_rider(ctx: ScalarContext, d: dg.Diagram, target: wc.Kirby,
-                  rider: wc.Typical) -> dg.Diagram:
+                  rider: wc.Typical, color: wc.Kirby | None = None) -> dg.Diagram:
     """The diagram with the component colored `target` replaced by its
-    blackboard 2-cable, whose second strand is a rider circle.
+    blackboard 2-cable, whose second strand is a rider circle and whose
+    first carries `color` (default `target`).
 
     A letter of the component becomes a pair, the rider on its right:
     (+U) becomes (+U)(+R) and (-U) becomes (-R)(-U).  Each cell becomes
@@ -235,8 +236,9 @@ def _insert_rider(ctx: ScalarContext, d: dg.Diagram, target: wc.Kirby,
     and a cap or cup nests one cap or cup per strand.  So the rider is the
     framed push-off, linking everything exactly as the component does.
     """
-    pairs = {(1, target): ((1, target), (1, rider)),
-             (-1, target): ((-1, rider), (-1, target))}
+    color = color or target
+    pairs = {(1, target): ((1, color), (1, rider)),
+             (-1, target): ((-1, rider), (-1, color))}
 
     def cable(l):
         return pairs.get(l, (l,))
@@ -308,12 +310,13 @@ def _thread_detour(ctx: ScalarContext, p: SurgeryPresentation, target: wc.Kirby,
     """Stabilize a typical edge and slide the detour over the surgery
     component colored `target`.
 
-    The component's meridian reading drops by the stabilization index.
+    The component's meridian reading drops by the stabilization index, and
+    its cable carries the shifted color.
     """
     vh = wc.Typical(complex(wc.index_set(ctx, index)[0]))
-
-    d_r = _insert_rider(ctx, p.diagram, target, vh)
-    site = _find_threading_site(d_r, target, vh)
+    shifted = replace(target, g=target.g - index.g)
+    d_r = _insert_rider(ctx, p.diagram, target, vh, shifted)
+    site = _find_threading_site(d_r, shifted, vh)
     if site is None:
         raise CannotStabilize(
             "no boundary exposes a typical edge beside the critical "
@@ -336,9 +339,7 @@ def _thread_detour(ctx: ScalarContext, p: SurgeryPresentation, target: wc.Kirby,
     st.cell(i + 4, dg.Cell("tneg", (det,)))
     st.cell(i + 2, dg.cross(w1(i + 2), det, positive=False))  # return over (+U)
     st.cell(i + 1, dg.cross(w1(i + 1), det, positive=False))  # return over partner
-    d2 = dg.insert_slices(d1, b + 1, st.slices)
-    shifted = replace(target, g=target.g - index.g)
-    return SurgeryPresentation(d2.recolor(target, shifted),
+    return SurgeryPresentation(dg.insert_slices(d1, b + 1, st.slices),
                                signature_defect=p.signature_defect)
 
 

@@ -267,7 +267,7 @@ def tensor_module(ctx: ScalarContext, A: WeightModule, B: WeightModule) -> Weigh
     return WeightModule(tuple(a + b for a in A.weights for b in B.weights), E, F)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=512)  # one pass of every benchmark workload holds 179
 def realize_letter(ctx: ScalarContext, letter: Letter) -> WeightModule:
     sign, color = letter
     check_color(ctx, color)
@@ -678,7 +678,7 @@ class FormalColorSum:
         return degs[0]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=128)  # one pass of every benchmark workload holds 30
 def kirby_color(ctx: ScalarContext, g: Degree) -> FormalColorSum:
     """Kirby color of index g: sum over Z/Z_+ classes and the index set of
     dim sigma(k) d(V_i) * (V_i tensored into the class representative)."""

@@ -174,7 +174,7 @@ def test_apply_sparse_term_axes_match_per_term_calls(precision):
     idx = np.flatnonzero(states[0])  # stored zeros in the second state
     val = np.stack([s.reshape(-1)[idx] for s in states]).reshape(2, 1, idx.size)
     m = np.stack([_random(ctx, rng, (dout, din), 0.6) for _ in range(3)])
-    count, offset, outs, vals = rt_eval._nonzeros(m.reshape(1, 3, dout, din))
+    count, offset, outs, vals, _ = rt_eval._nonzeros(m.reshape(1, 3, dout, din))
     got_idx, got = _sparse_step(idx, val, (count, offset, outs, vals), dl, din, dout, dr * src)
     assert got.shape == (2, 3, got_idx.size)
     for a in range(2):
@@ -185,22 +185,37 @@ def test_apply_sparse_term_axes_match_per_term_calls(precision):
             assert all(x == y for x, y in zip(got[a, b], one))
 
 
+def _fresh_index_cache(mp):
+    """An empty index cache in place of the shared one while `mp` lasts:
+    plans are made anew, and none is left behind."""
+    mp.setattr(rt_eval, "_index_cache", {})
+
+
+def _force_kernels(mp, rule):
+    """`rule` as `_dense_cheaper` while `mp` lasts, planning in an empty
+    index cache, so that no plan of another rule is taken."""
+    _fresh_index_cache(mp)
+    mp.setattr(rt_eval, "_dense_cheaper", rule)
+
+
 def _unindexed_halves(monkeypatch, ctx, d, edge=None):
     """The plans of the two halves of `d` opened at `edge` (default: the
-    first typical one) in `_reference_sweep`'s form, a step's operand its
-    matrix where `_indexed` applies it dense and its `_nonzeros` where
-    not, each with its planned steps."""
+    first typical one), planned anew, in `_reference_sweep`'s form, a
+    step's operand its matrix where `_indexed` applies it dense and its
+    `_nonzeros` where not, each with its planned steps."""
     b = (edge or rt_eval.find_typical_edge(ctx, d))[0]
+    raws, indexed = [], rt_eval._indexed
     with monkeypatch.context() as mp:
-        mp.setattr(rt_eval, "_indexed", lambda ctx, steps, src, axes: steps)
+        _fresh_index_cache(mp)
+        mp.setattr(rt_eval, "_indexed",
+                   lambda ctx, steps, *args: raws.append(steps) or indexed(ctx, steps, *args))
         plans = [rt_eval._plan(ctx, d.slices[:b], d.source, d.kirby_colors(), 1, False),
                  rt_eval._plan(ctx, d.slices[b:], d.boundary_words()[b], d.kirby_colors(), 1,
                                True)]
     halves = []
-    for raw, eye, terms in plans:
-        steps = rt_eval._indexed(ctx, list(raw), 1, len(d.kirby_colors()))
-        ref = tuple((step[0], m if step[0] else nonzeros, *sizes)
-                    for step, (m, nonzeros, *sizes) in zip(steps, raw))
+    for (steps, eye, terms), raw in zip(plans, raws):
+        ref = tuple((dense, operand if dense else nonzeros[:4], *sizes)
+                    for (dense, operand, *sizes), (_, nonzeros, *_) in zip(steps, raw))
         halves.append(((ref, eye, terms), steps))
     return halves
 
@@ -223,7 +238,7 @@ def test_planned_sparse_steps_match_the_reference(monkeypatch, precision):
     Kirby color).  The planned indices are int32."""
     ctx = ScalarContext(6, precision=precision)
     rng = np.random.default_rng(13)
-    monkeypatch.setattr(rt_eval, "_dense_cheaper", _dense_size_rule(81))
+    _force_kernels(monkeypatch, _dense_size_rule(81))
     for d in (fx.braid_closure(wc.Typical(GENERIC), 3, [1, -2, 1, 2, -1, 1]),
               sfx.lens_unknot_presentation(ctx, 5, 1).diagram):
         raw, steps = _unindexed_halves(monkeypatch, ctx, d)[1]
@@ -299,7 +314,7 @@ def _f_prime_dense_route(monkeypatch, ctx, d):
                 calls[name] += 1
                 return f(*args)
             mp.setattr(rt_eval, name, counted)
-        mp.setattr(rt_eval, "_dense_cheaper", lambda *step: True)
+        _force_kernels(mp, lambda *step: True)
         value = rt_eval.f_prime(ctx, dataclasses.replace(d))
     assert calls["_apply_local"] and not calls["_apply_sparse"]
     return value
@@ -346,7 +361,7 @@ def test_53_bit_sweep_agrees_on_both_kernels(monkeypatch):
     wants = [case() for case in cases]
     assert calls["_apply_local"] and calls["_apply_sparse"]
     for dense, off in ((False, "_apply_local"), (True, "_apply_sparse")):
-        monkeypatch.setattr(rt_eval, "_dense_cheaper", lambda *step, dense=dense: dense)
+        _force_kernels(monkeypatch, lambda *step, dense=dense: dense)
         calls[off] = 0
         for case, want in zip(cases, wants):
             got = case()
@@ -374,7 +389,7 @@ def test_the_plan_picks_each_kernel_by_its_cost(monkeypatch):
     want = rt_eval.f_prime(ctx6, fx.braid_closure(a, 4, word))
     for dense in (True, False):
         with monkeypatch.context() as mp:
-            mp.setattr(rt_eval, "_dense_cheaper", lambda *step, dense=dense: dense)
+            _force_kernels(mp, lambda *step, dense=dense: dense)
             got = rt_eval.f_prime(ctx6, fx.braid_closure(a, 4, word))
         assert_within_rounding(ctx6, got, want, abs(want))
 
@@ -382,9 +397,10 @@ def test_the_plan_picks_each_kernel_by_its_cost(monkeypatch):
 def test_color_keyed_caches_are_bounded():
     """500 recolored 2-strand closures at r = 6, with both crossing signs
     and both curls, leave every cache keyed on colors at or under its
-    bound (they add 3,000 cell matrices and 500 closings)."""
+    bound (they add 3,000 cell matrices and 500 closings), and the shared
+    index work within its bytes."""
     caches = [rt_eval._cell_matrix_cached, rt_eval._cell_nonzeros_cached, rt_eval._closing,
-              rt_eval._coefficients, wc.modified_dimension]
+              rt_eval._coefficients, wc.modified_dimension, wc.realize_letter, wc.kirby_color]
     ctx = ScalarContext(6)
     rng = np.random.default_rng(17)
     for _ in range(500):
@@ -394,6 +410,121 @@ def test_color_keyed_caches_are_bounded():
     for cached in caches:
         info = cached.cache_info()
         assert info.maxsize is not None and info.currsize <= info.maxsize, cached
+    assert sum(size for _, size in rt_eval._index_cache.values()) <= rt_eval._INDEX_BYTES
+
+
+def _counted_indexed(mp):
+    """A list that gains an entry on each `_indexed` call while `mp` lasts."""
+    calls, indexed = [], rt_eval._indexed
+    mp.setattr(rt_eval, "_indexed", lambda *args: calls.append(1) or indexed(*args))
+    return calls
+
+
+def _half_plans(d):
+    """The steps of each half plan kept on `d` (not its openings), by key."""
+    return {key: plan[0] for key, plan in d._plans.items() if len(key) == 3}
+
+
+@pytest.mark.parametrize("precision", [53, 106])
+def test_recolored_closures_share_their_index_work(monkeypatch, precision):
+    """Two colors of a 3-strand closure plan its halves' index work once:
+    their cells have the same nonzero patterns, so their sparse steps hold
+    the same index arrays with their own nonzero values, and each F' is
+    `==` that of a copy planned in an empty cache."""
+    ctx = ScalarContext(6, precision=precision)
+    _fresh_index_cache(monkeypatch)
+    calls = _counted_indexed(monkeypatch)
+    ds = [fx.braid_closure(wc.Typical(a), 3, [1, -2, 1, 2, -1, 1]) for a in (GENERIC, GENERIC2)]
+    values = [rt_eval.f_prime(ctx, d) for d in ds]
+    assert len(calls) == 2
+    shared = 0
+    for key, steps in _half_plans(ds[0]).items():
+        for a, b in zip(steps, _half_plans(ds[1])[key], strict=True):
+            assert a[0] == b[0] and a[2:] == b[2:]
+            if not a[0]:
+                assert all(x is y for x, y in zip(a[1][1:], b[1][1:]))
+                assert a[1][0] is not b[1][0]
+                shared += 1
+    assert shared
+    for d, value in zip(ds, values):
+        with monkeypatch.context() as mp:
+            _fresh_index_cache(mp)
+            assert rt_eval.f_prime(ctx, dataclasses.replace(d)) == value
+
+
+def test_a_106_bit_plan_never_takes_a_53_bit_entry(monkeypatch):
+    """A closure planned at 53 bits, some steps dense, then at 106 bits on
+    the same nonzero patterns: the 106-bit halves are planned anew, every
+    step sparse, and F' is `==` that of a copy planned in an empty cache."""
+    _fresh_index_cache(monkeypatch)
+    calls = _counted_indexed(monkeypatch)
+    ctx, hp = ScalarContext(6), ScalarContext(6, precision=106)
+    d, d_hp = (fx.braid_closure(wc.Typical(GENERIC), 3, [1, -2, 1, 2, -1, 1]) for _ in range(2))
+    rt_eval.f_prime(ctx, d)
+    value = rt_eval.f_prime(hp, d_hp)
+    assert len(calls) == 4
+    keys = list(rt_eval._index_cache)
+    assert len(keys) == 4 and len({key[1:] for key in keys}) == 2  # apart by precision alone
+    assert any(s[0] for steps in _half_plans(d).values() for s in steps)
+    assert not any(s[0] for steps in _half_plans(d_hp).values() for s in steps)
+    with monkeypatch.context() as mp:
+        _fresh_index_cache(mp)
+        assert rt_eval.f_prime(hp, dataclasses.replace(d_hp)) == value
+
+
+def test_a_coupon_with_one_more_nonzero_gets_its_own_entry(monkeypatch):
+    """A Hopf link with a crossing undone by a coupon, then with a coupon
+    of one more nonzero (1e-30 in a zero entry): the half through the
+    coupon is planned anew, the other is shared, and each F' is `==` that
+    of a copy planned in an empty cache."""
+    ctx = ScalarContext(6)
+    H = fx.hopf_link(wc.Typical(GENERIC), wc.Typical(GENERIC2))
+    words = H.boundary_words()
+    b = next(b for b in range(1, len(words)) if len(words[b]) == 2)
+    w = words[b]
+    l0, l1 = w.letters
+    undo = rt_eval.cell_matrix(ctx, dg.cross(l1, l0, positive=False))
+    more = undo.copy()
+    more[tuple(np.argwhere(undo == 0)[0])] = 1e-30
+    _fresh_index_cache(monkeypatch)
+    keys = []
+    for m in (undo, more):
+        d = dg.insert_slices(H, b, [dg.wrap_slice(w, 0, dg.cross(l0, l1)),
+                                    [dg.coupon(wc.ObjectWord([l1, l0]), w, m)]])
+        value = rt_eval.f_prime(ctx, d)
+        keys.append(set(rt_eval._index_cache))
+        with monkeypatch.context() as mp:
+            _fresh_index_cache(mp)
+            assert rt_eval.f_prime(ctx, dataclasses.replace(d)) == value
+    assert len(keys[0]) == 2 and len(keys[1]) == 3 and keys[0] < keys[1]
+
+
+def test_open_diagrams_share_no_index_work(monkeypatch):
+    """An open braid evaluated on its source's columns, as `wc.constants`'
+    meridians are, used once: it leaves nothing in the shared cache."""
+    _fresh_index_cache(monkeypatch)
+    ctx, w = ScalarContext(6), wc.ObjectWord([(1, wc.Typical(GENERIC))] * 2)
+    d = dg.apply_cell(dg.identity_diagram(w), 0, dg.cross(*w.letters))
+    assert rt_eval.evaluate(ctx, d).shape == (9, 9)
+    assert not rt_eval._index_cache
+
+
+def test_many_patterns_keep_the_index_cache_within_its_budget(monkeypatch):
+    """Closures of 40 random braid words on 2-4 strands at r = 6, planned
+    in a cache of 16 KiB: after each, the cache holds at most its budget,
+    its byte total is that of its plans, and it has dropped plans, the
+    least recently used or those over the budget."""
+    cache = {}
+    monkeypatch.setattr(rt_eval, "_index_cache", cache)
+    monkeypatch.setattr(rt_eval, "_INDEX_BYTES", 2 ** 14)
+    calls = _counted_indexed(monkeypatch)
+    ctx, rng = ScalarContext(6), np.random.default_rng(19)
+    for _ in range(40):
+        n = int(rng.integers(2, 5))
+        word = [int(s * g) for s, g in zip(rng.choice((-1, 1), 6), rng.integers(1, n, 6))]
+        rt_eval.f_prime(ctx, fx.braid_closure(wc.Typical(GENERIC), n, word))
+        assert sum(size for _, size in cache.values()) <= 2 ** 14
+    assert len(cache) < len(calls)
 
 
 def test_four_strand_closure_at_r14_is_cut_independent():

@@ -277,6 +277,26 @@ def test_auto_stabilize_slide_consistency(ctx6):
     assert abs(v_thread - v_direct) <= 1e-8 * max(1.0, abs(v_direct))
 
 
+@pytest.mark.parametrize("r", [6, 10])
+def test_detour_cables_with_the_shifted_color(monkeypatch, r):
+    """Cabling with the shifted color draws the diagram of the route that
+    cables with the target's own color and recolors the stabilized result:
+    the same `repr` of its slices, on the split surgery unknot."""
+    ctx = ScalarContext(r)
+    p = sfx.split_surgery_unknot_presentation(ctx, GENERIC, 1)
+    target = p.surgery_colors[sg.check_computable(ctx, p)[0]]
+    index = sg._pick_index(ctx, target)
+    new = sg._thread_detour(ctx, p, target, index).diagram
+    insert, find = sg._insert_rider, sg._find_threading_site
+    monkeypatch.setattr(sg, "_insert_rider",
+                        lambda ctx, d, t, rider, color: insert(ctx, d, t, rider))
+    monkeypatch.setattr(sg, "_find_threading_site", lambda d, color, rider: find(d, target, rider))
+    shifted = next(iter(set(new.kirby_colors()) - {target}))
+    assert shifted.g == target.g - index.g
+    old = sg._thread_detour(ctx, p, target, index).diagram.recolor(target, shifted)
+    assert repr(old.slices) == repr(new.slices)
+
+
 def test_auto_stabilize_split_unknot(ctx6):
     a = GENERIC
     c = wc.constants(ctx6)
