@@ -14,26 +14,23 @@ color by its summands there.
 
 Every cell is a module map and so preserves weight: each column of the
 state stays in one weight sector, and almost all of it is exact zeros.  So
-a sparse step keeps the state's nonzeros, sorted flat indices and values
-over all source columns, and sums the products of a nonzero cell entry
+the sweep keeps only the state's stored entries, sorted flat indices and
+values over all source columns, from the identity's to the end, where the
+state turns dense once.  A step sums the products of a nonzero cell entry
 with a stored entry per output in increasing input index, as the object
-matmul does: 106-bit values are the bits of the dense route.  At 53 bits
-a step is one BLAS product on the dense state instead where that costs
-less, by `_dense_cheaper`'s unit costs, than its products of stored
-entries; the choice weighs all terms of the step together, so a term's
-rounding can differ from that of a sweep of its own.
+matmul does: 106-bit values are the bits of the dense route.  A step's
+terms are one broadcast over the term axes.
 
-A sweep is a plan and its run.  The plan lists the non-identity cells as
-steps with their sizes, dense-or-sparse choice and operands.  The stored
-entries depend only on the cells' nonzero patterns, so the plan walks
-them from the start, chooses each step's kernel from its sizes and
-products, and does each sparse step's index work once (Gustavson's
-symbolic phase, ACM TOMS 4 (1978) 250); the run is only matmuls, gathers,
-products and `np.add.reduceat`.  Closed diagrams of the same patterns and
-sizes, recoloured ones too, share the colour-free index work in a cache of
-at most `_INDEX_BYTES`.  The plans of a diagram's halves, per context,
-boundary and direction, and `f_prime`'s openings of it, per context and
-edge, are kept on the diagram and die with it.
+A sweep is a plan and its run.  The stored entries depend only on the
+cells' nonzero patterns, so the plan walks them from the identity and does
+each step's index work once (Gustavson's symbolic phase, ACM TOMS 4 (1978)
+250); the run is only gathers, products and `np.add.reduceat`.  Closed
+diagrams of the same patterns and sizes share that index work, at either
+precision, on any term axes and in any colours, through a cache of at
+most `_INDEX_BYTES` keyed on the source columns and each step's pattern
+and sizes.  The plans of a diagram's halves, per context, boundary and
+direction, and `f_prime`'s openings of it, per context and edge, are kept
+on the diagram and die with it.
 """
 
 from __future__ import annotations
@@ -41,7 +38,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from functools import lru_cache, partial, reduce
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -89,7 +86,7 @@ def _nonzeros(m: np.ndarray):
     """Nonzeros of a cell matrix (or a stack on leading axes) by input: per
     input their count and offset, each one's output index and values, and
     the pattern, counts and output indices as bytes (bytes keep a hash)."""
-    ins, outs = np.nonzero((m != 0).reshape(-1, *m.shape[-2:]).any(axis=0).T)
+    ins, outs = np.nonzero(m.astype(bool).reshape(-1, *m.shape[-2:]).any(axis=0).T)
     count = np.bincount(ins, minlength=m.shape[-1])
     pattern = count.tobytes() + outs.tobytes()
     return count, np.cumsum(count) - count, outs, m[..., outs, ins], pattern
@@ -114,14 +111,11 @@ def _on_term_axes(ctx: ScalarContext, f, letters: tuple, kirby: tuple) -> np.nda
     return out
 
 
-def _cell_stack(ctx: ScalarContext, kind: str, letters: tuple, kirby: tuple) -> np.ndarray:
-    return _on_term_axes(ctx, lambda ls, _: _cell_matrix_cached(ctx, kind, ls), letters, kirby)
-
-
 @lru_cache(maxsize=1024)
 def _cell_nonzeros_cached(ctx: ScalarContext, kind: str, letters: tuple, kirby: tuple,
                           transposed: bool):
-    m = _cell_stack(ctx, kind, letters, kirby) if kirby else _cell_matrix_cached(ctx, kind, letters)
+    m = (_on_term_axes(ctx, lambda ls, _: _cell_matrix_cached(ctx, kind, ls), letters, kirby)
+         if kirby else _cell_matrix_cached(ctx, kind, letters))
     return _nonzeros(m.swapaxes(-1, -2) if transposed else m)
 
 
@@ -135,45 +129,19 @@ def _letter_dims(ctx: ScalarContext, word: wc.ObjectWord) -> list[int]:
     return [wc.color_dim(ctx, c) for _, c in word]
 
 
-# unit costs of a 53-bit step in ns, fitted to both kernels timed on each
-# of the 870 steps of the halves of the `knots` and `surgery` benchmark
-# diagrams at seeds 1 and 2 (2-CPU x86-64 container, one BLAS thread, numpy
-# 2.4; median errors 12% dense, 3% sparse): per term, a dense step costs
-# 0.15 a multiply-add, 2.2 an output and 42 a matmul of its batch over dl,
-# a sparse one 9 a product and, on term axes, 5,600 a pass of its loop over
-# the terms; going sparse gathers for 1,100, going dense scatters for 2,700.
-# Against the cheaper kernel of each step, switches included, this rule
-# loses 0-2.5% on the sum of each workload level's sweeps
-
-
-def _dense_cheaper(ctx: ScalarContext, terms: tuple, after_dense: bool, idx: np.ndarray,
-                   count: np.ndarray, dl: int, din: int, dout: int, dr: int, src: int) -> bool:
-    """Whether a step is cheaper as one matmul on the dense state than as
-    the products of its stored entries `idx` with the nonzeros of their
-    input columns, `count` per input, for each term of the broadcast term
-    axes `terms`; after a dense step or the start (`after_dense`), or after
-    a sparse one."""
-    if ctx.high_precision:
-        return False  # an mpmath product costs more than any index work
-    n = math.prod(terms)
-    dense = (n * (0.15 * dl * din * dout * dr * src + 2.2 * dl * dout * dr * src + 42 * dl)
-             + (0 if after_dense else 2700))
-    sparse = n * (5600 if terms else 0) + (1100 if after_dense else 0)
-    # the products are counted only where they can decide
-    return dense <= sparse or dense <= sparse + n * 9 * int(count[idx // (dr * src) % din].sum())
-
-
 def _plan(ctx: ScalarContext, slices, word: wc.ObjectWord, kirby: tuple, src: int,
           down: bool) -> tuple:
     """The sweep of the non-identity cells of `slices`, starting from `word`,
     on the identity on `src` columns, with a term axis per Kirby color of
     `kirby`; if `down`, of the transposed cells from the top down, which
-    take a covector on the top word to one on `word`.  Returns (steps, start
-    state, term axes) for `_sweep`: `_indexed`'s steps (shared through
-    `_index_cache` if `src` is 1) with their operands: the cell's matrix
-    (stacked on its term axes, transposed if `down`) if dense, else its
-    nonzero values and the step's index work."""
+    take a covector on the top word to one on `word`.  Returns (steps,
+    start, put, shape, terms) for `_sweep`: per step the cell's nonzero
+    values (stacked on its term axes, transposed if `down`) and `_indexed`'s
+    index work (shared through `_index_cache` if `src` is 1); the
+    identity's stored values, read-only; the flat indices of the last
+    stored entries in the end's dense shape (rows, src); the term axes."""
     dims, steps = _letter_dims(ctx, word), []
+    rows = math.prod(dims)  # the end's, if `down`
     for cells in slices:
         pos = 0
         for cell in cells:
@@ -183,65 +151,38 @@ def _plan(ctx: ScalarContext, slices, word: wc.ObjectWord, kirby: tuple, src: in
             nin, out = len(cell.in_letters()), _letter_dims(ctx, cell.out_letters())
             dl, din, dout, dr = (math.prod(dims[:pos]), math.prod(dims[pos:pos + nin]),
                                  math.prod(out), math.prod(dims[pos + nin:]))
-            # a cell on no Kirby color is one matrix, without term axes
-            colors = kirby if kirby and any(c in kirby for _, c in cell.letters) else ()
-            m = partial(_matrix, ctx, cell, colors, down)  # made for dense steps only
-            # a coupon's nonzeros are its own; a cell's are cached
-            nonzeros = (_nonzeros(m()) if cell.kind == "coupon"
-                        else _cell_nonzeros_cached(ctx, cell.kind, cell.letters, colors, down))
-            steps.append((m, nonzeros, dl, *((dout, din) if down else (din, dout)), dr, src))
+            if cell.kind == "coupon":  # a coupon's nonzeros are its own
+                m = cell_matrix(ctx, cell)
+                nonzeros = _nonzeros(m.T if down else m)
+            else:  # a cell on no Kirby color is one matrix, without term axes
+                colors = kirby if kirby and any(c in kirby for _, c in cell.letters) else ()
+                nonzeros = _cell_nonzeros_cached(ctx, cell.kind, cell.letters, colors, down)
+            steps.append((nonzeros, dl, *((dout, din) if down else (din, dout)), dr))
             dims[pos:pos + nin] = out
             pos += len(out)
     steps = steps[::-1] if down else steps
     # closed diagrams' halves (src 1) share the index work, keyed on all that
     # `_indexed` reads; an open one's is used once and would only pin memory
-    key = (ctx.high_precision, src, len(kirby),
-           tuple((nz[4], nz[3].shape[:-1], *sizes) for _, nz, *sizes in steps))
-    make = partial(_indexed, ctx, steps, src, len(kirby))
-    indexed = _shared(key, make) if src == 1 else make()
-    eye = la.eye(ctx, src).reshape((1,) * len(kirby) + (src, src))
-    eye.setflags(write=False)
+    key = (src, tuple((nz[4], *sizes) for nz, *sizes in steps))
+    work, put = _shared(key, lambda: _indexed(steps, src)) if src == 1 else _indexed(steps, src)
+    start = np.full(src, ctx.scalar(1))
+    start.setflags(write=False)
     # a Kirby color on no cell keeps a term axis of size 1
     terms = _coefficients(ctx, kirby).shape
-    return tuple((dense, m() if dense else (nz[3],) + work, *sizes)
-                 for (dense, work, *sizes), (m, nz, *_) in zip(indexed, steps)), eye, terms
+    return (tuple((nz[3], *w) for (nz, *_), w in zip(steps, work)), start, put,
+            (rows if down else math.prod(dims), src), terms)
 
 
-def _matrix(ctx: ScalarContext, cell: dg.Cell, colors: tuple, down: bool) -> np.ndarray:
-    m = _cell_stack(ctx, cell.kind, cell.letters, colors) if colors else cell_matrix(ctx, cell)
-    return m.swapaxes(-1, -2) if down else m
-
-
-def _indexed(ctx: ScalarContext, steps: list, src: int, axes: int) -> tuple:
-    """The index work of `_plan`'s steps (m, nonzeros, dl, din, dout, dr,
-    src), walked from the identity on `src` columns with `axes` term axes:
-    each is (dense, work, dl, din, dout, dr, src), dense as `_dense_cheaper`
-    chooses from the entries that the identity and the cells' patterns
-    store.  A dense step's work is None, a sparse step's (take, `_scatter`'s
-    term, k, first, put), take and put a dense state's flat indices before
-    and after it, else None.  Of the values only the term axes are read."""
-    planned, idx, terms = [], np.arange(src) * (src + 1), (1,) * axes  # the identity
-    for _, (count, offset, outs, vals, _), dl, din, dout, dr, src in steps:
-        if vals.ndim > 1:  # a term axis is of size 1 or of its color's
-            terms = tuple(map(max, terms, vals.shape[:-1]))
-        after_dense = not planned or planned[-1][0]
-        if _dense_cheaper(ctx, terms, after_dense, idx, count, dl, din, dout, dr, src):
-            # the outputs with a product, from the patterns' product in float32
-            pattern = np.zeros(dl * din * dr * src, dtype=np.float32)
-            pattern[idx] = 1
-            cell = np.zeros((dout, din), dtype=np.float32)
-            cell[outs, np.arange(din).repeat(count)] = 1
-            idx = (np.matmul(cell, pattern.reshape(dl, din, dr * src)) > 0).reshape(-1).nonzero()[0]
-            planned.append((True, None, dl, din, dout, dr, src))
-            continue
-        take = idx.astype(np.int32) if after_dense else None
+def _indexed(steps: list, src: int) -> tuple:
+    """The index work of `_plan`'s steps (nonzeros, dl, din, dout, dr),
+    walked from the identity on `src` columns over the entries that the
+    cells' patterns store: per step `_scatter`'s (term, k, first), then the
+    last stored entries' flat indices."""
+    idx, work = np.arange(src) * (src + 1), []
+    for (count, offset, outs, *_), dl, din, dout, dr in steps:
         term, k, first, idx = _scatter(idx, count, offset, outs, dl, din, dout, dr * src)
-        planned.append((False, (take, term, k, first, idx), dl, din, dout, dr, src))
-    # a sparse step keeps its outputs' indices as put only before a dense one
-    for n, (dense, work, *sizes) in enumerate(planned):
-        if not dense and n + 1 < len(planned) and not planned[n + 1][0]:
-            planned[n] = (dense, work[:4] + (None,), *sizes)
-    return tuple(planned)
+        work.append((term, k, first))
+    return tuple(work), idx
 
 
 # index work is kept up to this many bytes: both halves of the r = 14
@@ -257,7 +198,8 @@ def _shared(key, make):
     plan, size = _index_cache.pop(key, (None, 0))
     if plan is None:
         plan = make()
-        size = sum(a.nbytes for _, work, *_ in plan if work for a in work if a is not None)
+        work, put = plan
+        size = put.nbytes + sum(a.nbytes for arrays in work for a in arrays)
         if size > _INDEX_BYTES:
             return plan
         while size + sum(n for _, n in _index_cache.values()) > _INDEX_BYTES:
@@ -267,8 +209,8 @@ def _shared(key, make):
 
 
 def _scatter(idx, count, offset, outs, dl: int, din: int, dout: int, rest: int) -> tuple:
-    """The index work of `_apply_local` on sorted flat indices `idx` in the
-    (dl, din, rest) layout, given m's `_nonzeros` count, offset and outs:
+    """The index work of a step on sorted flat indices `idx` in the (dl,
+    din, rest) layout, given its cell's `_nonzeros` count, offset and outs:
     per product, in output order, its stored entry `term` and nonzero `k`;
     where each output's products start; the outputs' sorted flat indices in
     the (dl, dout, rest) layout.  Int32 where the indices fit."""
@@ -329,54 +271,23 @@ def evaluate(ctx: ScalarContext, d: dg.Diagram) -> np.ndarray:
 
 
 def _sweep(ctx: ScalarContext, plan: tuple) -> np.ndarray:
-    """Run a `_plan`: its steps applied to its dense start state (term axes,
-    rows, src), carried through sparse steps as the values `val` of its
-    planned stored entries, and broadcast to its term axes."""
-    steps, state, terms = plan
-    for dense, operand, dl, din, dout, dr, src in steps:
-        if dense:
-            if state is None:
-                state = _densified(ctx, put, val, (dl * din * dr, src))
-            state = _apply_local(ctx, state, operand, dl, din, dr, src)
-            continue
-        vals, take, term, k, first, put = operand
-        if take is not None:
-            val, state = state.reshape(*state.shape[:-2], -1).take(take, axis=-1), None
+    """Run a `_plan`: its steps applied to the identity's stored values,
+    then the end made dense (term axes, rows, src) and broadcast to the
+    plan's term axes."""
+    steps, val, put, shape, terms = plan
+    for vals, term, k, first in steps:
         val = _apply_sparse(val, vals, term, k, first)
-    end = state if state is not None else _densified(ctx, put, val, (dl * dout * dr, src))
-    return np.broadcast_to(end, terms + end.shape[-2:]) if terms else end
-
-
-def _densified(ctx: ScalarContext, idx: np.ndarray, val: np.ndarray, shape: tuple) -> np.ndarray:
-    state = la.zeros(ctx, val.shape[:-1] + (math.prod(shape),))
-    state[..., idx] = val
-    return state.reshape(*val.shape[:-1], *shape)
-
-
-def _apply_local(ctx: ScalarContext, state: np.ndarray, m: np.ndarray,
-                 dl: int, din: int, dr: int, src: int) -> np.ndarray:
-    # m (terms..., dout, din) on the middle factor of the state (terms...,
-    # dl * din * dr, src), broadcast over dl: no transposed copy is made
-    y = np.matmul(m if m.ndim == 2 else m[..., None, :, :],
-                  state.reshape(state.shape[:-2] + (dl, din, dr * src)))
-    return y.reshape(y.shape[:-3] + (-1, src))
+    end = la.zeros(ctx, val.shape[:-1] + (math.prod(shape),))
+    end[..., put] = val
+    end = end.reshape(*val.shape[:-1], *shape)
+    return np.broadcast_to(end, terms + shape) if terms else end
 
 
 def _apply_sparse(val: np.ndarray, vals: np.ndarray, term, k, first) -> np.ndarray:
-    """A sparse step's arithmetic: the stored values `val` times the cell's
-    nonzero values `vals`, paired and summed per output as `_scatter`
-    planned, broadcasting their term axes; the outputs' values."""
-    if val.ndim == vals.ndim == 1:
-        return np.add.reduceat(vals.take(k) * val.take(term), first)
-    # the terms share the index work; their values are formed one by one,
-    # so each product array is one term long (one broadcast reduceat over
-    # all terms raised the r = 10 split's traced peak from 15.8 to 17.6 MiB)
-    axes = np.broadcast_shapes(val.shape[:-1], vals.shape[:-1])
-    val, vals = (np.broadcast_to(a, axes + a.shape[-1:]) for a in (val, vals))
-    out = np.empty(axes + first.shape, dtype=val.dtype)
-    for t in np.ndindex(axes):
-        np.add.reduceat(vals[t].take(k) * val[t].take(term), first, out=out[t])
-    return out
+    """A step's arithmetic: the stored values `val` times the cell's nonzero
+    values `vals`, paired and summed per output as `_scatter` planned,
+    broadcast over their term axes; the outputs' values."""
+    return np.add.reduceat(vals.take(k, axis=-1) * val.take(term, axis=-1), first, axis=-1)
 
 
 def expand_formal(ctx: ScalarContext, d: dg.Diagram):

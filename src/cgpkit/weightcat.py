@@ -581,7 +581,7 @@ def hom_basis(ctx: ScalarContext, src: ObjectWord, dst: ObjectWord) -> list[np.n
         A[:, cols, unknowns] -= xd[:, rows]
         blocks.append(A.reshape(nD * nS, rows.size))
     A = np.concatenate(blocks, axis=0)
-    A = A[np.any(A != 0, axis=1)]
+    A = A[A.astype(bool).any(axis=1)]
     basis = []
     for v in la.nullspace(ctx, A):
         f = la.zeros(ctx, (nD, nS))

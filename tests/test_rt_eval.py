@@ -27,6 +27,15 @@ def test_identity_evaluates_to_identity(ctx):
     assert np.abs(rt_eval.evaluate(ctx, d) - np.eye(M.dim)).max() < 1e-14
 
 
+def _apply_local(state, m, dl, din, dr, src):
+    """The dense step, the reference for the sparse kernel: m (terms...,
+    dout, din) on the middle factor of the state (terms..., dl * din * dr,
+    src), broadcast over dl."""
+    y = np.matmul(m if m.ndim == 2 else m[..., None, :, :],
+                  state.reshape(state.shape[:-2] + (dl, din, dr * src)))
+    return y.reshape(y.shape[:-3] + (-1, src))
+
+
 def test_apply_local_matches_kronecker_reference():
     """A local cell on the middle factor acts as I_dl (x) m (x) I_dr."""
     rng = np.random.default_rng(7)
@@ -35,7 +44,7 @@ def test_apply_local_matches_kronecker_reference():
         state = rng.standard_normal((n, src)) + 1j * rng.standard_normal((n, src))
         m = rng.standard_normal((dout, din)) + 1j * rng.standard_normal((dout, din))
         ref = np.kron(np.kron(np.eye(dl), m), np.eye(dr)) @ state
-        got = rt_eval._apply_local(None, state, m, dl, din, dr, src)
+        got = _apply_local(state, m, dl, din, dr, src)
         assert got.shape == ref.shape
         assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
 
@@ -77,26 +86,48 @@ def _reference_apply_sparse(idx, val, nonzeros, dl, din, dout, rest):
     return dst[first], out
 
 
-def _reference_sweep(ctx, plan, switches=None):
-    """`rt_eval._sweep` as before the plan did the index work, on a plan
-    whose sparse operands are `_nonzeros`: a dense state goes sparse at its
-    nonzero values, whose flat indices are appended to `switches`, and each
-    sparse step is `_reference_apply_sparse`."""
-    steps, state, terms = plan
-    for dense, operand, dl, din, dout, dr, src in steps:
-        if dense:
-            if state is None:
-                state = rt_eval._densified(ctx, idx, val, (dl * din * dr, src))
-            state = rt_eval._apply_local(ctx, state, operand, dl, din, dr, src)
-            continue
-        if state is not None:
-            idx = np.flatnonzero(state.reshape(-1, dl * din * dr * src).any(axis=0))
-            val, state = state.reshape(*state.shape[:-2], -1)[..., idx], None
-            if switches is not None:
-                switches.append(idx)
-        idx, val = _reference_apply_sparse(idx, val, operand, dl, din, dout, dr * src)
-    end = state if state is not None else rt_eval._densified(ctx, idx, val, (dl * dout * dr, src))
+def _reference_sweep(ctx, raw, stored=None):
+    """`rt_eval._sweep` as before the plan did the index work, on a plan's
+    steps as `_unindexed_halves` gives them: each step is
+    `_reference_apply_sparse` from the identity's stored entries, and the
+    stored flat indices that each step takes, then the end's, are appended
+    to `stored`."""
+    steps, src, terms = raw
+    idx, val, rows = np.arange(src) * (src + 1), np.full(src, ctx.scalar(1)), src
+    for nonzeros, dl, din, dout, dr in steps:
+        if stored is not None:
+            stored.append(idx)
+        idx, val = _reference_apply_sparse(idx, val, nonzeros[:4], dl, din, dout, dr * src)
+        rows = dl * dout * dr
+    if stored is not None:
+        stored.append(idx)
+    end = la.zeros(ctx, val.shape[:-1] + (rows * src,))
+    end[..., idx] = val
+    end = end.reshape(*val.shape[:-1], rows, src)
     return np.broadcast_to(end, terms + end.shape[-2:]) if terms else end
+
+
+def _matrix(ctx, nonzeros, din, dout):
+    """The cell matrix, on its term axes, whose `_nonzeros` these are."""
+    count, _, outs, vals = nonzeros[:4]
+    m = la.zeros(ctx, vals.shape[:-1] + (dout, din))
+    m[..., outs, np.arange(din).repeat(count)] = vals
+    return m
+
+
+def _dense_sweep(ctx, raw, patterns=None):
+    """The dense route of a plan's steps as `_unindexed_halves` gives them:
+    each step's matrix applied by `_apply_local` to the dense state, from
+    the identity; the flat indices of each state's nonzeros, over all
+    terms, are appended to `patterns`."""
+    steps, src, terms = raw
+    state = la.eye(ctx, src)
+    for nonzeros, dl, din, dout, dr in steps:
+        state = _apply_local(state, _matrix(ctx, nonzeros, din, dout), dl, din, dr, src)
+        if patterns is not None:
+            flat = state.reshape(-1, state.shape[-2] * src)
+            patterns.append(np.flatnonzero(flat.astype(bool).any(axis=0)))
+    return np.broadcast_to(state, terms + state.shape[-2:]) if terms else state
 
 
 def _assert_sparse_kernel_matches_matmul(ctx, state, idx, m, nonzeros, dl, din, dr, src):
@@ -191,71 +222,49 @@ def _fresh_index_cache(mp):
     mp.setattr(rt_eval, "_index_cache", {})
 
 
-def _force_kernels(mp, rule):
-    """`rule` as `_dense_cheaper` while `mp` lasts, planning in an empty
-    index cache, so that no plan of another rule is taken."""
-    _fresh_index_cache(mp)
-    mp.setattr(rt_eval, "_dense_cheaper", rule)
-
-
 def _unindexed_halves(monkeypatch, ctx, d, edge=None):
-    """The plans of the two halves of `d` opened at `edge` (default: the
-    first typical one), planned anew, in `_reference_sweep`'s form, a
-    step's operand its matrix where `_indexed` applies it dense and its
-    `_nonzeros` where not, each with its planned steps."""
+    """The two halves of `d` opened at `edge` (default: the first typical
+    one), planned anew: per half, (steps, src, terms) with its steps as
+    `_plan` hands them to `_indexed`, and its plan."""
     b = (edge or rt_eval.find_typical_edge(ctx, d))[0]
     raws, indexed = [], rt_eval._indexed
     with monkeypatch.context() as mp:
         _fresh_index_cache(mp)
         mp.setattr(rt_eval, "_indexed",
-                   lambda ctx, steps, *args: raws.append(steps) or indexed(ctx, steps, *args))
+                   lambda steps, src: raws.append(steps) or indexed(steps, src))
         plans = [rt_eval._plan(ctx, d.slices[:b], d.source, d.kirby_colors(), 1, False),
                  rt_eval._plan(ctx, d.slices[b:], d.boundary_words()[b], d.kirby_colors(), 1,
                                True)]
-    halves = []
-    for (steps, eye, terms), raw in zip(plans, raws):
-        ref = tuple((dense, operand if dense else nonzeros[:4], *sizes)
-                    for (dense, operand, *sizes), (_, nonzeros, *_) in zip(steps, raw))
-        halves.append(((ref, eye, terms), steps))
-    return halves
-
-
-def _dense_size_rule(size):
-    """A `_dense_cheaper` that applies a step dense when its dense state
-    has at most `size` entries and its product at most 4 `size`
-    multiply-adds, at either precision."""
-    def dense(ctx, terms, after_dense, idx, count, dl, din, dout, dr, src):
-        return dl * max(din, dout) * dr * src <= size and dl * din * dout * dr * src <= 4 * size
-    return dense
+    return [((steps, 1, plan[-1]), plan) for steps, plan in zip(raws, plans)]
 
 
 @pytest.mark.parametrize("precision", [53, 106])
 def test_planned_sparse_steps_match_the_reference(monkeypatch, precision):
     """The planned index work against `_reference_apply_sparse`, `==` at
-    either precision: each sparse step on random values at its planned
-    stored entries, and whole sweeps, on plans that go dense -> sparse ->
-    dense, without term axes (a 3-strand closure) and with them (the lens's
-    Kirby color).  The planned indices are int32."""
+    either precision: each step on random values at its stored entries, and
+    whole sweeps, without term axes (a 3-strand closure) and with them (the
+    lens's Kirby color).  The whole sweeps match the dense route too, `==`
+    at 106 bits and within rounding at 53.  The planned indices are int32."""
     ctx = ScalarContext(6, precision=precision)
     rng = np.random.default_rng(13)
-    _force_kernels(monkeypatch, _dense_size_rule(81))
     for d in (fx.braid_closure(wc.Typical(GENERIC), 3, [1, -2, 1, 2, -1, 1]),
               sfx.lens_unknot_presentation(ctx, 5, 1).diagram):
-        raw, steps = _unindexed_halves(monkeypatch, ctx, d)[1]
-        flags = "".join("D" if step[0] else "s" for step in steps)
-        assert "Ds" in flags and "sD" in flags, flags
-        for planned, (_, nonzeros, dl, din, dout, dr, src) in zip(steps, raw[0]):
-            if planned[0]:
-                continue
-            vals, take, term, k, first, put = planned[1]
-            assert all(a is None or a.dtype == np.int32 for a in (take, term, k, first, put))
-            idx = take if take is not None else idx
+        raw, plan = _unindexed_halves(monkeypatch, ctx, d)[1]
+        stored, got = [], rt_eval._sweep(ctx, plan)
+        assert np.all(got == _reference_sweep(ctx, raw, stored))
+        assert np.array_equal(plan[2], stored[-1])
+        for (vals, term, k, first), (nonzeros, dl, din, dout, dr), idx in zip(
+                plan[0], raw[0], stored[:-1], strict=True):
+            assert all(a.dtype == np.int32 for a in (term, k, first))
             # random values on the step's weight sector, on the plan's term axes
             val = _random(ctx, rng, raw[2] + idx.shape, 1.0)
-            idx, want = _reference_apply_sparse(idx, val, nonzeros, dl, din, dout, dr * src)
+            want = _reference_apply_sparse(idx, val, nonzeros[:4], dl, din, dout, dr)[1]
             assert np.all(rt_eval._apply_sparse(val, vals, term, k, first) == want)
-            assert put is None or np.array_equal(put, idx)
-        assert np.all(rt_eval._sweep(ctx, (steps,) + raw[1:]) == _reference_sweep(ctx, raw))
+        dense = _dense_sweep(ctx, raw)
+        if ctx.high_precision:
+            assert np.all(got == dense)
+        else:
+            assert np.abs(got - dense).max() <= 1e-13 * np.abs(dense).max()
 
 
 def _cancelling_closure_routes():
@@ -272,23 +281,23 @@ def _cancelling_closure_routes():
 def test_planned_patterns_hold_the_swept_values(monkeypatch):
     """On the routes of a 3-strand closure and the auto-stabilised split
     unknot at r = 10, a fresh diagram's F' has the bits of the second call,
-    and each dense state that goes sparse is zero outside the planned stored
-    entries (so every later step's stored entries hold its values too)."""
+    each half's sweep has the bits of `_reference_sweep`, and each state of
+    the dense route is zero outside the step's planned stored entries (so
+    the stored entries hold all its values)."""
     ctx = ScalarContext(10)
     split = sg.auto_stabilize(ctx, sfx.split_surgery_unknot_presentation(ctx, GENERIC, 1))
     for d, edge in _cancelling_closure_routes() + [(split.diagram, None)]:
         assert not d._plans
         assert rt_eval.f_prime(ctx, d, edge) == rt_eval.f_prime(ctx, d, edge)
         seen = 0
-        for raw, steps in _unindexed_halves(monkeypatch, ctx, d, edge):
-            switches = []
-            assert np.all(rt_eval._sweep(ctx, (steps,) + raw[1:])
-                          == _reference_sweep(ctx, raw, switches))
-            takes = [s[1][1] for s in steps if not s[0] and s[1][1] is not None]
-            assert len(takes) == len(switches)
-            for take, values in zip(takes, switches):
-                assert np.isin(values, take).all()
-            seen += len(switches)
+        for raw, plan in _unindexed_halves(monkeypatch, ctx, d, edge):
+            stored, patterns = [], []
+            assert np.all(rt_eval._sweep(ctx, plan) == _reference_sweep(ctx, raw, stored))
+            _dense_sweep(ctx, raw, patterns)
+            assert len(patterns) == len(stored) - 1
+            for idx, pattern in zip(stored[1:], patterns):
+                assert np.isin(pattern, idx).all()
+            seen += len(patterns)
         assert seen
 
 
@@ -305,18 +314,17 @@ def test_53_bit_routes_of_a_cancelling_closure_match_106_bits():
 
 
 def _f_prime_dense_route(monkeypatch, ctx, d):
-    """f_prime of a copy of `d`, with plans of its own, with every cell
-    applied by `_apply_local` to the dense state, at either precision."""
-    calls = {"_apply_local": 0, "_apply_sparse": 0}
+    """f_prime of a copy of `d`, with plans of its own, each half swept by
+    `_dense_sweep` on the steps that its plan indexed, at either precision."""
+    raws, indexed = [], rt_eval._indexed
     with monkeypatch.context() as mp:
-        for name in calls:
-            def counted(*args, f=getattr(rt_eval, name), name=name):
-                calls[name] += 1
-                return f(*args)
-            mp.setattr(rt_eval, name, counted)
-        _force_kernels(mp, lambda *step: True)
+        _fresh_index_cache(mp)
+        mp.setattr(rt_eval, "_indexed",
+                   lambda steps, src: raws.append((steps, src)) or indexed(steps, src))
+        mp.setattr(rt_eval, "_sweep",
+                   lambda ctx, plan: _dense_sweep(ctx, raws.pop(0) + (plan[-1],)))
         value = rt_eval.f_prime(ctx, dataclasses.replace(d))
-    assert calls["_apply_local"] and not calls["_apply_sparse"]
+    assert not raws
     return value
 
 
@@ -342,56 +350,6 @@ def test_f_prime_high_precision_matches_dense_route(monkeypatch):
     hp6 = ScalarContext(6, precision=106)
     lens = sfx.lens_unknot_presentation(hp6, 5, 1).diagram
     assert rt_eval.f_prime(hp6, lens) == _f_prime_dense_route(monkeypatch, hp6, lens)
-
-
-def test_53_bit_sweep_agrees_on_both_kernels(monkeypatch):
-    """All cells sparse and all cells dense agree with the default mix
-    within 1e-12."""
-    ctx10, ctx6 = ScalarContext(10), ScalarContext(6)
-    a = wc.Typical(GENERIC)
-    cases = [lambda: rt_eval.f_prime(ctx10, fx.figure_eight(a)),
-             lambda: rt_eval.f_prime(ctx10, fx.braid_closure(a, 3, [1, -2, 1, 2, -1, 1])),
-             lambda: sg.cgp(ctx6, sfx.lens_unknot_presentation(ctx6, 5, 1))]
-    calls = {"_apply_local": 0, "_apply_sparse": 0}
-    for name in calls:
-        def counted(*args, f=getattr(rt_eval, name), name=name):
-            calls[name] += 1
-            return f(*args)
-        monkeypatch.setattr(rt_eval, name, counted)
-    wants = [case() for case in cases]
-    assert calls["_apply_local"] and calls["_apply_sparse"]
-    for dense, off in ((False, "_apply_local"), (True, "_apply_sparse")):
-        _force_kernels(monkeypatch, lambda *step, dense=dense: dense)
-        calls[off] = 0
-        for case, want in zip(cases, wants):
-            got = case()
-            assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
-        assert calls[off] == 0
-
-
-def test_the_plan_picks_each_kernel_by_its_cost(monkeypatch):
-    """The r = 6 4-strand closure plans its widest crossings (9 x 9 on
-    6,561-row states, mostly zeros) sparse and others dense; every step of
-    the r = 4 closure plans dense; and the default mix agrees with the
-    forced all-dense and all-sparse routes within rounding."""
-    a, word = wc.Typical(GENERIC), [1, 2, 3, 1, 2, 3, 2]
-    ctx4, ctx6 = ScalarContext(4), ScalarContext(6)
-    steps = [s for _, half in _unindexed_halves(monkeypatch, ctx6, fx.braid_closure(a, 4, word))
-             for s in half]
-    crossings = [s for s in steps if s[3] == s[4] == 9]
-    widest = max(s[2] * s[3] * s[5] * s[6] for s in crossings)
-    assert widest == 6561
-    assert all(not s[0] for s in crossings if s[2] * s[3] * s[5] * s[6] == widest)
-    assert any(s[0] for s in steps)
-    assert all(s[0] for _, half in _unindexed_halves(monkeypatch, ctx4,
-                                                     fx.braid_closure(a, 4, word))
-               for s in half)
-    want = rt_eval.f_prime(ctx6, fx.braid_closure(a, 4, word))
-    for dense in (True, False):
-        with monkeypatch.context() as mp:
-            _force_kernels(mp, lambda *step, dense=dense: dense)
-            got = rt_eval.f_prime(ctx6, fx.braid_closure(a, 4, word))
-        assert_within_rounding(ctx6, got, want, abs(want))
 
 
 def test_color_keyed_caches_are_bounded():
@@ -421,55 +379,64 @@ def _counted_indexed(mp):
 
 
 def _half_plans(d):
-    """The steps of each half plan kept on `d` (not its openings), by key."""
-    return {key: plan[0] for key, plan in d._plans.items() if len(key) == 3}
+    """The half plans kept on `d` (not its openings), by context, boundary
+    and direction."""
+    return {key: plan for key, plan in d._plans.items() if len(key) == 3}
+
+
+def _assert_shared(plan, other):
+    """`other` holds the index arrays of `plan` (`is`) with nonzero values
+    of its own."""
+    for a, b in zip(plan[0], other[0], strict=True):
+        assert a[0] is not b[0] and all(x is y for x, y in zip(a[1:], b[1:]))
+    assert plan[2] is other[2]
 
 
 @pytest.mark.parametrize("precision", [53, 106])
 def test_recolored_closures_share_their_index_work(monkeypatch, precision):
     """Two colors of a 3-strand closure plan its halves' index work once:
-    their cells have the same nonzero patterns, so their sparse steps hold
-    the same index arrays with their own nonzero values, and each F' is
-    `==` that of a copy planned in an empty cache."""
+    their cells have the same nonzero patterns, so their steps hold the
+    same index arrays with their own nonzero values, and each F' is `==`
+    that of a copy planned in an empty cache."""
     ctx = ScalarContext(6, precision=precision)
     _fresh_index_cache(monkeypatch)
     calls = _counted_indexed(monkeypatch)
     ds = [fx.braid_closure(wc.Typical(a), 3, [1, -2, 1, 2, -1, 1]) for a in (GENERIC, GENERIC2)]
     values = [rt_eval.f_prime(ctx, d) for d in ds]
     assert len(calls) == 2
-    shared = 0
-    for key, steps in _half_plans(ds[0]).items():
-        for a, b in zip(steps, _half_plans(ds[1])[key], strict=True):
-            assert a[0] == b[0] and a[2:] == b[2:]
-            if not a[0]:
-                assert all(x is y for x, y in zip(a[1][1:], b[1][1:]))
-                assert a[1][0] is not b[1][0]
-                shared += 1
-    assert shared
+    for key, plan in _half_plans(ds[0]).items():
+        assert plan[0]
+        _assert_shared(plan, _half_plans(ds[1])[key])
     for d, value in zip(ds, values):
         with monkeypatch.context() as mp:
             _fresh_index_cache(mp)
             assert rt_eval.f_prime(ctx, dataclasses.replace(d)) == value
 
 
-def test_a_106_bit_plan_never_takes_a_53_bit_entry(monkeypatch):
-    """A closure planned at 53 bits, some steps dense, then at 106 bits on
-    the same nonzero patterns: the 106-bit halves are planned anew, every
-    step sparse, and F' is `==` that of a copy planned in an empty cache."""
+def test_plans_share_index_work_across_precisions_and_term_axes(monkeypatch):
+    """A 3-strand closure at 53 and at 106 bits, and Kirby-colored on the
+    same nonzero patterns (3 terms at r = 6): the halves' index work is
+    made once and held by all three plans (`is`), with nonzero values of
+    their own, and each F' is `==` that of a copy planned in an empty
+    cache."""
     _fresh_index_cache(monkeypatch)
     calls = _counted_indexed(monkeypatch)
-    ctx, hp = ScalarContext(6), ScalarContext(6, precision=106)
-    d, d_hp = (fx.braid_closure(wc.Typical(GENERIC), 3, [1, -2, 1, 2, -1, 1]) for _ in range(2))
-    rt_eval.f_prime(ctx, d)
-    value = rt_eval.f_prime(hp, d_hp)
-    assert len(calls) == 4
-    keys = list(rt_eval._index_cache)
-    assert len(keys) == 4 and len({key[1:] for key in keys}) == 2  # apart by precision alone
-    assert any(s[0] for steps in _half_plans(d).values() for s in steps)
-    assert not any(s[0] for steps in _half_plans(d_hp).values() for s in steps)
-    with monkeypatch.context() as mp:
-        _fresh_index_cache(mp)
-        assert rt_eval.f_prime(hp, dataclasses.replace(d_hp)) == value
+    ctx, hp, word = ScalarContext(6), ScalarContext(6, precision=106), [1, -2, 1, 2, -1, 1]
+    d, kd = fx.braid_closure(wc.Typical(GENERIC), 3, word), fx.braid_closure(wc.Kirby(0.5), 3, word)
+    cases = [(ctx, d), (hp, d), (ctx, kd)]
+    values = [rt_eval.f_prime(c, e) for c, e in cases]
+    assert len(calls) == 2
+    halves = [{key[1:]: plan for key, plan in _half_plans(e).items() if key[0] == c}
+              for c, e in cases]
+    assert all(plan[-1] == (3,) for plan in halves[2].values())
+    for key, plan in halves[0].items():
+        assert plan[0]
+        for other in halves[1:]:
+            _assert_shared(plan, other[key])
+    for (c, e), value in zip(cases, values):
+        with monkeypatch.context() as mp:
+            _fresh_index_cache(mp)
+            assert rt_eval.f_prime(c, dataclasses.replace(e)) == value
 
 
 def test_a_coupon_with_one_more_nonzero_gets_its_own_entry(monkeypatch):
@@ -536,9 +503,9 @@ def test_four_strand_closure_at_r14_is_cut_independent():
     assert abs(v - second) <= 1e-9 * max(1.0, abs(v))
 
 
-def test_auto_stabilized_split_sweeps_term_by_term_at_r10():
-    """Its widest scatter forms 16k products for each of its 5 terms, one
-    term at a time in `_apply_sparse`: a 2.8 MiB traced peak."""
+def test_auto_stabilized_split_sweeps_all_terms_at_once_at_r10():
+    """Its widest step forms 16k products for each of its 5 terms, all in
+    one broadcast in `_apply_sparse`: a 4.25 MiB traced peak."""
     ctx = ScalarContext(10)
     p = sg.auto_stabilize(ctx, sfx.split_surgery_unknot_presentation(ctx, GENERIC, 1))
     wc.constants(ctx)
@@ -556,6 +523,21 @@ def test_trefoil_high_precision_matches_53_bits(ctx6):
     a = wc.Typical(GENERIC)
     ref = rt_eval.f_prime(ctx6, fx.trefoil(a))
     assert abs(complex(rt_eval.f_prime(hp, fx.trefoil(a))) - ref) <= 1e-9 * max(1.0, abs(ref))
+
+
+def test_nonzeros_make_no_mpmath_comparison(monkeypatch):
+    """`_nonzeros` finds a 106-bit matrix's zeros by truthiness, not by an
+    mpmath `!=` per entry: with that `!=` raising, it still finds the
+    nonzeros of an r = 10 crossing."""
+    hp = ScalarContext(10, precision=106)
+    m = rt_eval.cell_matrix(hp, dg.cross((1, wc.Typical(GENERIC)), (1, wc.Typical(GENERIC2))))
+    want = int(np.count_nonzero(m != 0))
+
+    def refuse(*args):
+        raise AssertionError("an mpmath comparison")
+
+    monkeypatch.setattr(type(hp.scalar(0)), "__ne__", refuse)
+    assert rt_eval._nonzeros(m)[0].sum() == want
 
 
 def test_closed_unknot_values(ctx):

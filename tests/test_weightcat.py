@@ -166,6 +166,20 @@ def test_hom_basis_patterns(ctx):
     assert len(wc.hom_basis(ctx, wa, wb)) == 0
 
 
+def test_hom_basis_makes_no_mpmath_comparison(monkeypatch):
+    """`hom_basis` drops the zero rows of a 106-bit system by truthiness,
+    not by an mpmath `!=` per entry: with that `!=` raising, it still finds
+    the one endomorphism of a typical module."""
+    hp = ScalarContext(4, precision=106)
+
+    def refuse(*args):
+        raise AssertionError("an mpmath comparison")
+
+    monkeypatch.setattr(type(hp.scalar(0)), "__ne__", refuse)
+    wa = wc.ObjectWord([(1, wc.Typical(GENERIC))])
+    assert len(wc.hom_basis(hp, wa, wa)) == 1
+
+
 def test_hom_basis_normalization_matches_the_first_largest_entry(ctx, monkeypatch):
     """The vectorized pick of `_lead_to_one` against the per-entry loop it
     replaced, bit for bit, on the words of test_hom_basis_patterns and the
