@@ -82,10 +82,10 @@ def svd(ctx: ScalarContext, a: np.ndarray, compute_uv: bool = True):
     return u, s.reshape(-1), vh
 
 
-def _kept(ctx: ScalarContext, s, scale: float = 0.0) -> int:
+def _kept(ctx: ScalarContext, s) -> int:
     """How many of the descending singular values s lie above the cut,
-    tol times the larger of s_max and an absolute scale."""
-    thresh = ctx.tol * max(float(s[0]), scale)
+    tol times s_max."""
+    thresh = ctx.tol * float(s[0])
     return sum(1 for x in s if x > thresh)
 
 
@@ -104,18 +104,17 @@ def nullspace(ctx: ScalarContext, a: np.ndarray) -> list[np.ndarray]:
     return [np.conjugate(vh[i, :]) for i in range(_kept(ctx, s), n)]
 
 
-def rank(ctx: ScalarContext, a: np.ndarray, scale: float = 0.0) -> int:
+def rank(ctx: ScalarContext, a: np.ndarray) -> int:
     """Numerical rank with an explicit gap requirement.
 
-    The cut sits at tol times the larger of the top singular value and the
-    caller-provided absolute scale; values above and below must be
-    separated by at least the factor RANK_GAP, otherwise the decision is
-    refused.
+    The cut sits at tol times the top singular value; values above and
+    below must be separated by at least the factor RANK_GAP, otherwise the
+    decision is refused.  A zero matrix has rank 0.
     """
     s = singular_values(ctx, a)
-    if not s or s[0] <= ctx.tol * scale:
+    if not s:
         return 0
-    k = _kept(ctx, s, scale)
+    k = _kept(ctx, s)
     if 0 < k < len(s) and s[k] > 0 and s[k - 1] / s[k] < RANK_GAP:
         raise NumericInstability(
             f"ambiguous rank: singular values {s[k - 1]:.3e} vs {s[k]:.3e}"

@@ -10,6 +10,7 @@ field order.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -219,15 +220,9 @@ def cmd_cgp(args) -> int:
 
 
 def _constants_dict(c: wc.InvariantConstants) -> dict:
-    return {
-        "delta_minus": complex(c.delta_minus),
-        "delta_plus": complex(c.delta_plus),
-        "D": complex(c.D),
-        "eta": complex(c.eta),
-        "delta": complex(c.delta),
-        "zeta": complex(c.zeta),
-        "z_mod_zplus": c.z_mod_zplus,
-    }
+    out = {f.name: complex(getattr(c, f.name)) for f in dataclasses.fields(c)}
+    out["z_mod_zplus"] = c.z_mod_zplus  # an int, in its place
+    return out
 
 
 def cmd_constants(args) -> int:

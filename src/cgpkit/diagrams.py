@@ -174,8 +174,9 @@ class Diagram:
     stored as a tuple of tuples.  Boundary words, the component map, the
     strand pass and the Kirby colors are computed on first use and kept;
     all are read-only, since every caller gets the same object.  `_plans`
-    holds `rt_eval`'s sweep plans and openings of the diagram, which live as
-    long as it does (their index work, shared, in a byte-bounded cache)."""
+    holds `rt_eval.f_prime`'s openings of the diagram with their halves'
+    sweep plans, which live as long as it does (their index work, shared,
+    in a byte-bounded cache)."""
 
     source: ObjectWord
     slices: tuple[Slice, ...]

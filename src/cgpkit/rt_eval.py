@@ -28,9 +28,9 @@ each step's index work once (Gustavson's symbolic phase, ACM TOMS 4 (1978)
 diagrams of the same patterns and sizes share that index work, at either
 precision, on any term axes and in any colours, through a cache of at
 most `_INDEX_BYTES` keyed on the source columns and each step's pattern
-and sizes.  The plans of a diagram's halves, per context, boundary and
-direction, and `f_prime`'s openings of it, per context and edge, are kept
-on the diagram and die with it.
+and sizes.  An opening of `f_prime`, per context and edge, holds the
+plans of its two halves; it is kept on the diagram and dies with it.
+`evaluate` keeps nothing: no caller evaluates one diagram twice.
 """
 
 from __future__ import annotations
@@ -249,25 +249,13 @@ def _run_bounds(x: np.ndarray) -> np.ndarray:
     return new.nonzero()[0]
 
 
-def _half(ctx: ScalarContext, d: dg.Diagram, b: int, down: bool) -> tuple:
-    """The `_plan` of the slices of `d` below boundary b, swept up from the
-    source, or if `down` of those above it, swept down from the target; kept
-    on `d` per context, b and direction."""
-    key = (ctx, b, down)
-    plan = d._plans.get(key)
-    if plan is None:
-        end = d.target if down else d.source
-        plan = d._plans[key] = _plan(
-            ctx, d.slices[b:] if down else d.slices[:b], d.boundary_words()[b if down else 0],
-            d.kirby_colors(), math.prod(_letter_dims(ctx, end)), down)
-    return plan
-
-
 def evaluate(ctx: ScalarContext, d: dg.Diagram) -> np.ndarray:
     """Matrices from realize(source) to realize(target) times the prefactor,
     with a term axis per Kirby color of `d.kirby_colors()`, as in
     `expand_formal`.  Functorial under compose, monoidal under tensor."""
-    return _sweep(ctx, _half(ctx, d, len(d.slices), False)) * ctx.scalar(d.prefactor)
+    plan = _plan(ctx, d.slices, d.source, d.kirby_colors(),
+                 math.prod(_letter_dims(ctx, d.source)), False)
+    return _sweep(ctx, plan) * ctx.scalar(d.prefactor)
 
 
 def _sweep(ctx: ScalarContext, plan: tuple) -> np.ndarray:
@@ -337,7 +325,8 @@ def f_prime(ctx: ScalarContext, d: dg.Diagram,
     for F = s id, over the terms of the Kirby expansion in `expand_formal`'s
     order; it does not depend on the edge.  F of all terms is one product
     batched over the term axes, checked by one stacked `wc.scalar_of`; the
-    pivots, d(V_alpha) and coefficients on those axes are cached.
+    pivots, d(V_alpha) and coefficients on those axes are cached, and the
+    opening, with both halves' plans, is kept on `d` per context and edge.
     """
     key = (ctx, edge if edge is None else tuple(edge))
     opening = d._plans.get(key)
@@ -347,13 +336,15 @@ def f_prime(ctx: ScalarContext, d: dg.Diagram,
         e = edge if edge is not None else find_typical_edge(ctx, d)
         if e is None:
             raise NotAdmissible("closed diagram has no typical edge to open at")
-        (b, i), word = e, d.boundary_words()[e[0]]
-        dims, closing = _letter_dims(ctx, word), _closing(ctx, word.letters, i, d.kirby_colors())
+        (b, i), word, kirby = e, d.boundary_words()[e[0]], d.kirby_colors()
+        dims, closing = _letter_dims(ctx, word), _closing(ctx, word.letters, i, kirby)
+        halves = (_plan(ctx, d.slices[:b], d.source, kirby, 1, False),
+                  _plan(ctx, d.slices[b:], word, kirby, 1, True))
         # the coefficients' shape is that of the term axes
-        opening = d._plans[key] = (b, closing[2].shape + (
+        opening = d._plans[key] = (halves, closing[2].shape + (
             math.prod(dims[:i]), dims[i], math.prod(dims[i + 1:])), closing)
-    b, shape, (pivots, dim, coeff) = opening
-    low, up = (_sweep(ctx, _half(ctx, d, b, down)).reshape(shape) for down in (False, True))
+    halves, shape, (pivots, dim, coeff) = opening
+    low, up = (_sweep(ctx, plan).reshape(shape) for plan in halves)
     ends = ((low * pivots).swapaxes(-3, -2).reshape(*shape[:-3], shape[-2], -1)
             @ up.swapaxes(-2, -1).reshape(*shape[:-3], -1, shape[-2]))
     values = coeff * (wc.scalar_of(ctx, ends * ctx.scalar(d.prefactor)) * dim)

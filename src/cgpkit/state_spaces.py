@@ -118,7 +118,7 @@ def genus_n_dim(ctx: ScalarContext, data: TrivalentSurfaceData,
     edges, so the sum factorises into prod_i sum_{e, e', e''} of piece i's
     terms and costs linear, not exponential, time in the genus.  Vertex
     dimensions are fusion counts; with brute=True each is recomputed by the
-    direct nullspace oracle on the full tensor word.
+    brute count `wc.hom_dim_graded` on the full tensor word.
     """
     if not data.all_generic(ctx.tol):
         raise wc.CriticalDegree("all spine meridian classes must be generic")

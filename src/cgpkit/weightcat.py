@@ -117,18 +117,17 @@ Color = Typical | Sigma | Kirby
 Letter = tuple[int, Color]  # (+1 or -1, color)
 
 
-def is_typical_weight(ctx: ScalarContext, alpha: complex, tol: float | None = None) -> bool:
+def is_typical_weight(ctx: ScalarContext, alpha: complex) -> bool:
     """Highest weights of typical (simple projective) modules.
 
     alpha works iff it is not an integer, or is an integer congruent to
     r/2 - 1 mod r/2.
     """
-    tol = ctx.tol if tol is None else tol
     alpha = complex(alpha)
-    if abs(alpha.imag) > tol:
+    if abs(alpha.imag) > ctx.tol:
         return True
     n = round(alpha.real)
-    if abs(alpha.real - n) > tol:
+    if abs(alpha.real - n) > ctx.tol:
         return True
     m = ctx.nilpotency
     return n % m == m - 1
@@ -600,32 +599,23 @@ def hom_dim_graded(ctx: ScalarContext, word: ObjectWord) -> int:
     """Total dimension of the periodicity-graded Hom from the unit to the word.
 
     Sums dim Hom(1, word (x) sigma(k)) over k in rbar*Z; only weights in the
-    support of the word can contribute, so the window is finite.  Computed
-    directly as the space of joint E- and F-null vectors whose weight lies
-    in rbar*Z, which doubles as the brute-force oracle for the per-k counts.
+    support of the word can contribute, so the window is finite.  Counted
+    directly as the joint E- and F-null vectors of weight in rbar*Z, which
+    doubles as the brute-force oracle for the per-k counts: E and F map
+    weight w to w +- 2, so per weight that is its basis vectors less the
+    rank of E and F on them.
     """
     M = realize(ctx, word)
-    vecs = la.nullspace(ctx, np.concatenate([M.actE, M.actF], axis=0))
-    if not vecs:
-        return 0
-    N = np.stack(vecs, axis=1)
-    # the joint kernel is H-invariant, so it splits over the weight
-    # eigenspaces; count the projection rank onto each lattice weight
+    A = np.concatenate([M.actE, M.actF], axis=0)
+    weights = np.array([complex(w) for w in M.weights])
     count = 0
-    seen = []
-    for w0 in M.weights:
-        w0 = complex(w0)
-        if any(abs(w0 - s) <= ctx.tol for s in seen):
-            continue
-        seen.append(w0)
-        if abs(w0.imag) > ctx.tol:
-            continue
+    for i, w0 in enumerate(weights):
+        cols = np.flatnonzero(np.abs(weights - w0) <= ctx.tol)
         ratio = w0.real / ctx.rbar
-        if abs(ratio - round(ratio)) > 100 * ctx.tol:
-            continue
-        rows = [i for i in range(M.dim)
-                if abs(complex(M.weights[i]) - w0) <= ctx.tol]
-        count += la.rank(ctx, N[rows, :], scale=1.0)
+        if cols[0] < i or abs(w0.imag) > ctx.tol or abs(ratio - round(ratio)) > 100 * ctx.tol:
+            continue  # a weight seen before, or off the lattice rbar*Z
+        B = A[:, cols]
+        count += cols.size - la.rank(ctx, B[B.astype(bool).any(axis=1)])
     return count
 
 
@@ -682,8 +672,6 @@ class FormalColorSum:
 def kirby_color(ctx: ScalarContext, g: Degree) -> FormalColorSum:
     """Kirby color of index g: sum over Z/Z_+ classes and the index set of
     dim sigma(k) d(V_i) * (V_i tensored into the class representative)."""
-    if g.is_critical(ctx.tol):
-        raise CriticalDegree(f"degree {g.g} is critical")
     reps = index_set(ctx, g)
     ks = [0] if z_mod_zplus(ctx) == 1 else [0, ctx.rbar]
     terms = []

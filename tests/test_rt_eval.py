@@ -379,9 +379,10 @@ def _counted_indexed(mp):
 
 
 def _half_plans(d):
-    """The half plans kept on `d` (not its openings), by context, boundary
-    and direction."""
-    return {key: plan for key, plan in d._plans.items() if len(key) == 3}
+    """The half plans held by the openings kept on `d`, by context, edge and
+    direction (0 up, 1 down)."""
+    return {(*key, down): plan for key, (halves, *_) in d._plans.items()
+            for down, plan in enumerate(halves)}
 
 
 def _assert_shared(plan, other):
@@ -404,7 +405,9 @@ def test_recolored_closures_share_their_index_work(monkeypatch, precision):
     ds = [fx.braid_closure(wc.Typical(a), 3, [1, -2, 1, 2, -1, 1]) for a in (GENERIC, GENERIC2)]
     values = [rt_eval.f_prime(ctx, d) for d in ds]
     assert len(calls) == 2
-    for key, plan in _half_plans(ds[0]).items():
+    plans = _half_plans(ds[0])
+    assert len(plans) == 2
+    for key, plan in plans.items():
         assert plan[0]
         _assert_shared(plan, _half_plans(ds[1])[key])
     for d, value in zip(ds, values):
@@ -428,6 +431,7 @@ def test_plans_share_index_work_across_precisions_and_term_axes(monkeypatch):
     assert len(calls) == 2
     halves = [{key[1:]: plan for key, plan in _half_plans(e).items() if key[0] == c}
               for c, e in cases]
+    assert [len(h) for h in halves] == [2, 2, 2]
     assert all(plan[-1] == (3,) for plan in halves[2].values())
     for key, plan in halves[0].items():
         assert plan[0]
@@ -474,6 +478,17 @@ def test_open_diagrams_share_no_index_work(monkeypatch):
     d = dg.apply_cell(dg.identity_diagram(w), 0, dg.cross(*w.letters))
     assert rt_eval.evaluate(ctx, d).shape == (9, 9)
     assert not rt_eval._index_cache
+
+
+def test_evaluate_keeps_no_plan(ctx):
+    """`evaluate` plans and sweeps without keeping anything on the diagram:
+    an open braid, a closed knot and a Kirby-colored unknot on its term
+    axis."""
+    w = wc.ObjectWord([(1, wc.Typical(GENERIC))] * 2)
+    for d in (dg.apply_cell(dg.identity_diagram(w), 0, dg.cross(*w.letters)),
+              fx.figure_eight(wc.Typical(GENERIC)), fx.unknot(wc.Kirby(0.5))):
+        rt_eval.evaluate_formal(ctx, d)
+        assert not d._plans
 
 
 def test_many_patterns_keep_the_index_cache_within_its_budget(monkeypatch):
@@ -670,6 +685,10 @@ def test_f_prime_split_sigma_factor(ctx):
 def test_f_prime_requires_admissible(ctx):
     with pytest.raises(rt_eval.NotAdmissible):
         rt_eval.f_prime(ctx, fx.unknot(wc.Sigma(0)))
+    d = dg.identity_diagram(wc.ObjectWord([(1, wc.Typical(GENERIC))]))
+    with pytest.raises(ValueError, match="needs a closed diagram"):
+        rt_eval.f_prime(ctx, d)
+    assert not d._plans
 
 
 def test_connected_sum_factorization(ctx):

@@ -269,8 +269,10 @@ def test_hom_basis_weight_matched_solve_high_precision():
 
 
 def test_index_set_critical_degree(ctx):
-    with pytest.raises(wc.CriticalDegree):
-        wc.index_set(ctx, wc.Degree(1.0))
+    # a Kirby color of critical degree is refused by its index set
+    for f in (wc.index_set, wc.kirby_color):
+        with pytest.raises(wc.CriticalDegree, match="degree 1.0 is critical"):
+            f(ctx, wc.Degree(1.0))
 
 
 def test_modified_dimension_properties(ctx):
