@@ -89,12 +89,6 @@ def _kept(ctx: ScalarContext, s) -> int:
     return sum(1 for x in s if x > thresh)
 
 
-def singular_values(ctx: ScalarContext, a: np.ndarray) -> list[float]:
-    if a.size == 0:
-        return []
-    return [float(x) for x in svd(ctx, a, compute_uv=False)]
-
-
 def nullspace(ctx: ScalarContext, a: np.ndarray) -> list[np.ndarray]:
     """Orthonormal basis of the right kernel, rank cut at tol * s_max."""
     n = a.shape[1]
@@ -111,9 +105,9 @@ def rank(ctx: ScalarContext, a: np.ndarray) -> int:
     below must be separated by at least the factor RANK_GAP, otherwise the
     decision is refused.  A zero matrix has rank 0.
     """
-    s = singular_values(ctx, a)
-    if not s:
+    if a.size == 0:
         return 0
+    s = [float(x) for x in svd(ctx, a, compute_uv=False)]
     k = _kept(ctx, s)
     if 0 < k < len(s) and s[k] > 0 and s[k - 1] / s[k] < RANK_GAP:
         raise NumericInstability(

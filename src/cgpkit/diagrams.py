@@ -16,11 +16,12 @@ each row against the word below it, and a recolored diagram takes over
 the component map of the diagram it came from.
 
 Strand components are recovered by union-find over boundary ports; a
-coupon joins all of its legs into one component.  One pass over that map
-finds each component's letters, whether it runs through a coupon and, if
-not, its one color.  A Kirby color is a color like any other, carried by
-the letters of one coupon-free component, so no edit has to track it; the
-evaluator substitutes its summands cell by cell.  Component ids appear
+coupon joins all of its legs into one component.  That map is the one
+record of the strands: one pass over it finds the components through a
+coupon and reads each other component's one color at its first port.  A
+Kirby color is a color like any other, carried by the letters of one
+coupon-free component, so no edit has to track it; the evaluator
+substitutes its summands cell by cell.  Component ids appear
 only where input names components by id (JSON, surgery presentations),
 in `mark_components`.
 """
@@ -136,12 +137,6 @@ def coupon(domain: ObjectWord, codomain: ObjectWord, matrix: np.ndarray) -> Cell
 
 Slice = tuple[Cell, ...]
 
-def _ports(s: int, pin: int, pout: int, cell: Cell):
-    """Input and output ports of a cell placed at slice s."""
-    return ([(s, pin + t) for t in range(len(cell.in_letters()))],
-            [(s + 1, pout + t) for t in range(len(cell.out_letters()))])
-
-
 def _next_word(word: ObjectWord, row, s: int) -> ObjectWord:
     """The boundary word above slice s, whose cells must consume `word`."""
     out = []
@@ -201,10 +196,6 @@ class Diagram:
             object.__setattr__(self, "_comp", comp)
         return self
 
-    def _relabelled(self, **changes) -> "Diagram":
-        """`replace` of the prefactor, keeping the caches."""
-        return replace(self, **changes)._cache(self._words, self._comp)
-
     # -- structure ---------------------------------------------------------
 
     def boundary_words(self) -> tuple[ObjectWord, ...]:
@@ -257,56 +248,44 @@ class Diagram:
                 p = parent[p]
             return p
 
-        def union(p, q):
-            rp, rq = find(p), find(q)
-            if rp != rq:
-                parent[rp] = rq
-
-        for placed in self._placed_cells():
-            ins, outs = _ports(*placed)
-            if placed[3].kind in ("xpos", "xneg"):
-                union(ins[0], outs[1])
-                union(ins[1], outs[0])
+        for s, pin, pout, cell in self._placed_cells():
+            ports = [(s, pin + t) for t in range(len(cell.in_letters()))]
+            ports += [(s + 1, pout + t) for t in range(len(cell.out_letters()))]
+            if cell.kind in ("xpos", "xneg"):
+                joins = ((ports[0], ports[3]), (ports[1], ports[2]))
             else:
                 # every other cell is one strand, or a coupon joining its legs
-                for p in (ins + outs)[1:]:
-                    union((ins + outs)[0], p)
+                joins = ((ports[0], p) for p in ports[1:])
+            for p, q in joins:
+                parent[find(p)] = find(q)
         roots: dict[tuple[int, int], int] = {}
         self._cache(comp=MappingProxyType(
             {p: roots.setdefault(find(p), len(roots)) for p in parent}))
         return self._comp
 
-    def _strand_pass(self) -> tuple[dict[int, set[Letter]], set[int], dict[int, Color]]:
-        """The letters of each component, the components running through a
-        coupon and the color of every other component, found once.
+    def _strand_pass(self) -> tuple[set[int], dict[int, Color]]:
+        """The components running through a coupon, and the color of every
+        other component, read at its first port; found once.
 
         A non-coupon cell puts one letter on all the ports of its strand,
         and `_next_word` checks every port, so a coupon-free component
         carries one color.
         """
         if self._strands is None:
-            comp = self.ports_and_components()
-            words = self.boundary_words()
-            letters: dict[int, set[Letter]] = {}
-            for (b, i), c in comp.items():
-                letters.setdefault(c, set()).add(words[b][i])
-            coupons = set()
-            for placed in self._placed_cells():
-                if placed[3].kind == "coupon":
-                    ins, outs = _ports(*placed)
-                    coupons.update(comp[p] for p in (ins + outs)[:1])
-            colors = {c: next(iter(ls))[1] for c, ls in letters.items() if c not in coupons}
-            object.__setattr__(self, "_strands", (letters, coupons, colors))
+            comp, words = self.ports_and_components(), self.boundary_words()
+            # a coupon's legs are one component: look it up at the first leg
+            coupons = {comp[(s, pin) if cell.in_letters() else (s + 1, pout)]
+                       for s, pin, pout, cell in self._placed_cells()
+                       if cell.kind == "coupon" and (cell.in_letters() or cell.out_letters())}
+            first: dict[int, tuple[int, int]] = {}
+            for p, c in comp.items():
+                first.setdefault(c, p)
+            colors = {c: words[b][i][1] for c, (b, i) in first.items() if c not in coupons}
+            object.__setattr__(self, "_strands", (coupons, colors))
         return self._strands
 
-    def component_count(self) -> int:
-        return len(self._strand_pass()[0])
-
-    def component_letters(self) -> dict[int, set[Letter]]:
-        return self._strand_pass()[0]
-
     def components_with_coupons(self) -> set[int]:
-        return self._strand_pass()[1]
+        return self._strand_pass()[0]
 
     def _relettered(self, rl) -> "Diagram":
         """The letter l at port p of the source and of every non-coupon cell
@@ -355,7 +334,7 @@ class Diagram:
         """The color of each coupon-free component.  Components running
         through coupons are genuine graphs and may carry several edge
         colors; they are omitted here."""
-        return self._strand_pass()[2]
+        return self._strand_pass()[1]
 
 
 # ---------------------------------------------------------------------------
@@ -464,7 +443,7 @@ def exchange_distant(d: Diagram, i: int) -> Diagram:
     """Swap slices i and i+1 when their nontrivial cells act on disjoint
     letter ranges (a slice-level isotopy rewrite, normalized slices only).
     """
-    if not (0 <= i + 1 < len(d.slices)):
+    if not 0 <= i < len(d.slices) - 1:
         raise ValueError("slice index out of range")
     lo, hi = normalized_cell(d.slices[i]), normalized_cell(d.slices[i + 1])
     if lo is None or hi is None:
@@ -724,7 +703,8 @@ def stabilize_generic(ctx: ScalarContext, d: Diagram, boundary: int,
     # surgery, and the two stabilization skeins cancel their twists
     out = encircle_at(d, boundary, span, Kirby(deg.g, tag), framing=-1, sign=+1)
     out = encircle_at(out, boundary, span, Kirby(deg.g, tag + 1), framing=+1, sign=-1)
-    return out._relabelled(prefactor=out.prefactor / (consts.delta_minus * consts.delta_plus))
+    prefactor = out.prefactor / (consts.delta_minus * consts.delta_plus)
+    return replace(out, prefactor=prefactor)._cache(out._words, out._comp)
 
 
 def encircle_at(d: Diagram, boundary: int, span: tuple[int, int], color: Color,

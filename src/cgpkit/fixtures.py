@@ -14,20 +14,14 @@ from . import weightcat as wc
 from .qscalars import ScalarContext, Scalar
 
 
-def strand(color: wc.Color, sign: int = 1) -> dg.Diagram:
-    return dg.Diagram(wc.ObjectWord([(sign, color)]), [])
+def strand(color: wc.Color) -> dg.Diagram:
+    return dg.Diagram(wc.ObjectWord([(1, color)]), [])
 
 
-def unknot(color: wc.Color, framing: int = 0, sign: int = 1) -> dg.Diagram:
-    """Closed circle; its framing is |framing| twist cells, so it is two
-    letters wide at any framing."""
-    d = dg.Diagram(wc.ObjectWord(()), [])
-    letter = (sign, color)
-    d = dg.apply_cell(d, 0, dg.cap(letter, left=True))
-    for _ in range(abs(framing)):
-        d = dg.add_curl(d, 0, positive=framing > 0)
-    d = dg.apply_cell(d, 0, dg.cup(letter, left=False))
-    return d
+def unknot(color: wc.Color, framing: int = 0) -> dg.Diagram:
+    """Closed circle, the closure of the empty braid on one strand; its framing
+    is |framing| twist cells, so it is two letters wide at any framing."""
+    return braid_closure(color, 1, [], curls=[(0, 1 if framing > 0 else -1)] * abs(framing))
 
 
 def braid_closure(color: wc.Color, n: int, word: list[int],
@@ -68,9 +62,8 @@ def figure_eight(color: wc.Color, framing: int = 0) -> dg.Diagram:
     return braid_closure(color, 3, [1, -2, 1, -2], curls=curls)
 
 
-def hopf_link(c1: wc.Color, c2: wc.Color, positive: bool = True,
-              framings: tuple[int, int] = (0, 0)) -> dg.Diagram:
-    """Hopf link with both components 0-framed by default."""
+def hopf_link(c1: wc.Color, c2: wc.Color, framings: tuple[int, int] = (0, 0)) -> dg.Diagram:
+    """Positive Hopf link with both components 0-framed by default."""
     d = dg.Diagram(wc.ObjectWord(()), [])
     l1 = (1, c1)
     l2 = (1, c2)
@@ -80,8 +73,8 @@ def hopf_link(c1: wc.Color, c2: wc.Color, positive: bool = True,
     d = dg.apply_cell(d, 1, dg.cap(l2, left=True))
     for _ in range(abs(framings[1])):
         d = dg.add_curl(d, 1, positive=framings[1] > 0)
-    d = dg.apply_cell(d, 0, dg.cross(l1, l2, positive=positive))
-    d = dg.apply_cell(d, 0, dg.cross(l2, l1, positive=positive))
+    d = dg.apply_cell(d, 0, dg.cross(l1, l2))
+    d = dg.apply_cell(d, 0, dg.cross(l2, l1))
     d = dg.apply_cell(d, 1, dg.cup(l2, left=False))
     d = dg.apply_cell(d, 0, dg.cup(l1, left=False))
     return d

@@ -91,13 +91,12 @@ class SurgeryPresentation:
         if (mat % 2).any():
             raise ValueError("odd crossing count between distinct components")
         mat //= 2
-        return LinkingData(mat, tuple(self.surgery_colors), _signature(mat))
+        return LinkingData(mat, _signature(mat))
 
 
 @dataclass(frozen=True)
 class LinkingData:
     matrix: np.ndarray  # integer linking matrix over ordered surgery comps
-    components: tuple[int, ...]
     signature: int
 
 

@@ -134,7 +134,7 @@ def lens_chain_presentation(ctx: ScalarContext, f1: int, f2: int,
     det = f1 * f2 - 1
     g2 = (alpha.real + 2 * k) / det
     g1 = -f2 * g2
-    d = fx.hopf_link(_surgery(g1, 0), _surgery(g2, 1), positive=True, framings=(f1, f2))
+    d = fx.hopf_link(_surgery(g1, 0), _surgery(g2, 1), framings=(f1, f2))
     # the first component's cap sits at slice 0; its (+) letter is at (1, 0)
     return SurgeryPresentation(dg.encircle_at(d, 1, (0, 1), wc.Typical(alpha), framing=0))
 
@@ -149,5 +149,5 @@ def slid_lens_presentation(ctx: ScalarContext, p: int, k: int) -> SurgeryPresent
     """
     alpha = _critical_typical(ctx)
     g1 = (alpha.real + 2 * k) / p
-    d = fx.hopf_link(_surgery(g1, 0), _surgery(-g1, 1), positive=True, framings=(p + 1, 1))
+    d = fx.hopf_link(_surgery(g1, 0), _surgery(-g1, 1), framings=(p + 1, 1))
     return SurgeryPresentation(dg.encircle_at(d, 1, (0, 1), wc.Typical(alpha), framing=0))

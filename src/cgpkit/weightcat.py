@@ -57,14 +57,14 @@ class Degree:
         re = self.g.real % 2.0
         return complex(re, self.g.imag)
 
-    def equals(self, other: "Degree", tol: float = 1e-9) -> bool:
+    def equals(self, other: "Degree", tol: float) -> bool:
         d = self.g - other.g
         if abs(d.imag) > tol:
             return False
         half = d.real / 2.0
         return abs(half - round(half)) <= tol
 
-    def is_critical(self, tol: float = 1e-9) -> bool:
+    def is_critical(self, tol: float) -> bool:
         # critical classes are the integers mod 2, i.e. Z/2Z inside C/2Z
         if abs(self.g.imag) > tol:
             return False

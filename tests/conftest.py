@@ -45,11 +45,21 @@ def drawn_kinks(d):
     return st.diagram(d.prefactor)
 
 
+def component_letters(d):
+    """The letters at every port of each component, read off the port map
+    and the boundary words."""
+    words = d.boundary_words()
+    letters = {}
+    for (b, i), c in d.ports_and_components().items():
+        letters.setdefault(c, set()).add(words[b][i])
+    return letters
+
+
 def assert_one_color_per_strand(d):
-    """Each coupon-free component's letters carry exactly one color, the
-    one `component_colors` reports for it."""
+    """Each coupon-free component's letters, at every one of its ports,
+    carry exactly one color, the one `component_colors` reports for it."""
     coupons, colors = d.components_with_coupons(), d.component_colors()
-    for c, letters in d.component_letters().items():
+    for c, letters in component_letters(d).items():
         if c not in coupons:
             assert {col for _, col in letters} == {colors[c]}, c
 

@@ -130,7 +130,7 @@ def test_periodicity_compatibility(ctx):
     rng = np.random.default_rng(11)
     for _ in range(10):
         g = complex(rng.uniform(0.1, 1.9), rng.uniform(-0.5, 0.5))
-        if wc.Degree(g).is_critical():
+        if wc.Degree(g).is_critical(1e-9):
             continue
         k = int(rng.integers(-2, 3)) * ctx.rbar
         V = wc.typical_module(ctx, g)
