@@ -439,31 +439,6 @@ def normalized_cell(cells, error=ValueError) -> tuple[int, Cell] | None:
     return found
 
 
-def exchange_distant(d: Diagram, i: int) -> Diagram:
-    """Swap slices i and i+1 when their nontrivial cells act on disjoint
-    letter ranges (a slice-level isotopy rewrite, normalized slices only).
-    """
-    if not 0 <= i < len(d.slices) - 1:
-        raise ValueError("slice index out of range")
-    lo, hi = normalized_cell(d.slices[i]), normalized_cell(d.slices[i + 1])
-    if lo is None or hi is None:
-        raise ValueError("nothing to exchange")
-    (p_lo, c_lo), (p_hi, c_hi) = lo, hi
-    n_lo, m_lo = len(c_lo.in_letters()), len(c_lo.out_letters())
-    n_hi, m_hi = len(c_hi.in_letters()), len(c_hi.out_letters())
-    w0 = d.boundary_words()[i]
-    if p_hi >= p_lo + m_lo:
-        # upper cell sits right of the lower one: pull it down first
-        first, p_second = wrap_slice(w0, p_hi - m_lo + n_lo, c_hi), p_lo
-    elif p_hi + n_hi <= p_lo:
-        first, p_second = wrap_slice(w0, p_hi, c_hi), p_lo + m_hi - n_hi
-    else:
-        raise ValueError("slices are not distant")
-    second = wrap_slice(_next_word(w0, first, i), p_second, c_lo)
-    return Diagram(d.source, d.slices[:i] + (first, second) + d.slices[i + 2:],
-                   d.prefactor)
-
-
 def insert_slices(d: Diagram, boundary: int, rows: list[Slice]) -> Diagram:
     """Insert word-preserving slices at an interior boundary.
 
@@ -596,6 +571,8 @@ def cut(ctx: ScalarContext, d: Diagram, boundary: int, pos: int) -> Diagram:
     if not (0 < boundary < len(words)):
         raise ValueError("boundary index out of range")
     w = words[boundary]
+    if not 0 <= pos < len(w):
+        raise ValueError("letter position out of range")
     v = w[pos]
     if not isinstance(v[1], (Typical, Kirby)):
         raise wc.NotProjective(f"cut edge must be typical, got {v[1]!r}")
@@ -652,7 +629,11 @@ def stabilize_projective(ctx: ScalarContext, d: Diagram, boundary: int, pos: int
     U is typical.  A lambda within tol of zero is refused.
     """
     words = d.boundary_words()
+    if not 0 <= boundary < len(words):
+        raise ValueError("boundary index out of range")
     w = words[boundary]
+    if not 0 <= pos < len(w):
+        raise ValueError("letter position out of range")
     letter = w[pos]
     if not isinstance(letter[1], Typical):
         raise wc.NotProjective("projective stabilization needs a typical edge")

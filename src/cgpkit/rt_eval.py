@@ -213,7 +213,9 @@ def _scatter(idx, count, offset, outs, dl: int, din: int, dout: int, rest: int) 
     din, rest) layout, given its cell's `_nonzeros` count, offset and outs:
     per product, in output order, its stored entry `term` and nonzero `k`;
     where each output's products start; the outputs' sorted flat indices in
-    the (dl, dout, rest) layout.  Int32 where the indices fit."""
+    the (dl, dout, rest) layout.  Output positions are computed in int64,
+    whatever `idx`'s dtype, since a step can take the state past 2**31 of
+    them; the arrays are stored int32 where positions and products fit."""
     # the stored entries come in (l, i, r) order, in blocks of one l * din + i
     block, r = np.divmod(idx, rest)
     bounds = _run_bounds(block)
@@ -227,10 +229,13 @@ def _scatter(idx, count, offset, outs, dl: int, din: int, dout: int, rest: int) 
     n = int(pair_size.sum())
     it = np.int32 if max(dl * max(din, dout) * rest, n) < 2 ** 31 else np.int64
     # a block's pairs have k = offset[col], ..., offset[col] + per - 1, and
-    # output l * (dout * rest) + outs[k] * rest + r for each entry's r
+    # output l * (dout * rest) + outs[k] * rest + r for each entry's r;
+    # all else is below the input layout's size or n, and fits `idx`'s dtype
+    # or `it`, so only l is widened: int64 copies of the per-product arrays
+    # raised the benchmark workers' max RSS by up to 0.5 MiB
     pair_k = (np.arange(per.sum(), dtype=it)
               + (offset[col] + per - per.cumsum()).astype(it).repeat(per))
-    pair_base = (l * (dout * rest)).repeat(per) + outs[pair_k] * rest
+    pair_base = (l.astype(np.int64) * (dout * rest)).repeat(per) + outs[pair_k] * rest
     term = np.arange(n, dtype=it) + (start.repeat(per) + pair_size - pair_size.cumsum()).astype(
         it).repeat(pair_size)
     k = pair_k.repeat(pair_size)

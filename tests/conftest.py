@@ -45,6 +45,31 @@ def drawn_kinks(d):
     return st.diagram(d.prefactor)
 
 
+def exchange_distant(d, i):
+    """Swap slices i and i+1 when their nontrivial cells act on disjoint
+    letter ranges (a slice-level isotopy rewrite, normalized slices only)."""
+    if not 0 <= i < len(d.slices) - 1:
+        raise ValueError("slice index out of range")
+    lo, hi = dg.normalized_cell(d.slices[i]), dg.normalized_cell(d.slices[i + 1])
+    if lo is None or hi is None:
+        raise ValueError("nothing to exchange")
+    (p_lo, c_lo), (p_hi, c_hi) = lo, hi
+    n_lo, m_lo = len(c_lo.in_letters()), len(c_lo.out_letters())
+    n_hi, m_hi = len(c_hi.in_letters()), len(c_hi.out_letters())
+    w0 = d.boundary_words()[i]
+    if p_hi >= p_lo + m_lo:
+        # upper cell sits right of the lower one: pull it down first
+        first, p_second = dg.wrap_slice(w0, p_hi - m_lo + n_lo, c_hi), p_lo
+    elif p_hi + n_hi <= p_lo:
+        first, p_second = dg.wrap_slice(w0, p_hi, c_hi), p_lo + m_hi - n_hi
+    else:
+        raise ValueError("slices are not distant")
+    w1 = dg.ObjectWord([letter for cell in first for letter in cell.out_letters()])
+    second = dg.wrap_slice(w1, p_second, c_lo)
+    return dg.Diagram(d.source, d.slices[:i] + (first, second) + d.slices[i + 2:],
+                      d.prefactor)
+
+
 def component_letters(d):
     """The letters at every port of each component, read off the port map
     and the boundary words."""

@@ -4,6 +4,11 @@ isotropic subspace, and the Maslov index of a Lagrangian triple.
 These are the signature-defect ingredients of the decorated cobordism
 bookkeeping: the Maslov index is the signature of Kashiwara's symmetric form
 omega(x1, x2) + omega(x2, x3) + omega(x3, x1) on L1 + L2 + L3.
+
+cgpkit computes no anomaly of composed cobordisms, so nothing in the
+package calls this module: it lives beside its tests (`test_maslov.py`
+and the acceptance suite's Maslov criterion), and moves into the package
+with its first caller.
 """
 
 from __future__ import annotations

@@ -10,13 +10,13 @@ import pytest
 
 from cgpkit import diagrams as dg
 from cgpkit import fixtures as fx
-from cgpkit import maslov as ms
 from cgpkit import rt_eval
 from cgpkit import state_spaces as ss
 from cgpkit import surgery as sg
 from cgpkit import surgery_fixtures as sfx
 from cgpkit import weightcat as wc
 from cgpkit.qscalars import ScalarContext
+import maslov as ms
 
 CTX = {r: ScalarContext(r) for r in (4, 6)}
 

@@ -11,7 +11,7 @@ from cgpkit import surgery as sg
 from cgpkit import surgery_fixtures as sfx
 from cgpkit import weightcat as wc
 from cgpkit.qscalars import ScalarContext
-from conftest import assert_one_color_per_strand, component_letters
+from conftest import assert_one_color_per_strand, component_letters, exchange_distant
 
 GENERIC = 0.37 + 0.2j
 GENERIC2 = 0.59 - 0.11j
@@ -265,7 +265,7 @@ def test_exchange_distant_cells(ctx):
     swapped = None
     for i in range(len(d.slices) - 1):
         try:
-            swapped = dg.exchange_distant(d, i)
+            swapped = exchange_distant(d, i)
             break
         except ValueError:
             continue
@@ -275,7 +275,7 @@ def test_exchange_distant_cells(ctx):
     assert abs(rt_eval.f_prime(ctx, swapped) - v0) < 1e-10 * max(1, abs(v0))
     # the swapped pair has its upper cell left of the lower one: exchanging
     # it back gives the original rows
-    back = dg.exchange_distant(swapped, i)
+    back = exchange_distant(swapped, i)
     assert back.slices == d.slices
     assert abs(rt_eval.f_prime(ctx, back) - v0) < 1e-10 * max(1, abs(v0))
 
@@ -286,7 +286,7 @@ def test_exchange_distant_cells(ctx):
 def _exchanged(d):
     for i in range(len(d.slices) - 1):
         try:
-            return dg.exchange_distant(d, i)
+            return exchange_distant(d, i)
         except ValueError:
             continue
     raise AssertionError("no exchangeable slices")

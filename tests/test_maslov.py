@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from cgpkit import maslov as ms
+import maslov as ms
 
 
 def test_is_lagrangian_examples():

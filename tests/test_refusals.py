@@ -13,6 +13,7 @@ from cgpkit import state_spaces as ss
 from cgpkit import surgery as sg
 from cgpkit import surgery_fixtures as sfx
 from cgpkit import weightcat as wc
+from conftest import exchange_distant
 
 GENERIC = 0.37 + 0.2j
 A, B = wc.Typical(GENERIC), wc.Typical(0.59 - 0.11j)
@@ -39,14 +40,14 @@ REFUSALS = {
         lambda ctx: _coupon_cap(ctx).recolor_component(0, B),
         ValueError, "cannot recolor a component attached to coupons"),
     "exchange_distant out of range": (
-        lambda ctx: dg.exchange_distant(fx.unknot(A), 1),
+        lambda ctx: exchange_distant(fx.unknot(A), 1),
         ValueError, "slice index out of range"),
     # slices -1 and 0 are the last and the first: no adjacent pair
     "exchange_distant at a negative index": (
-        lambda ctx: dg.exchange_distant(dg.tensor(fx.unknot(A), fx.unknot(B)), -1),
+        lambda ctx: exchange_distant(dg.tensor(fx.unknot(A), fx.unknot(B)), -1),
         ValueError, "slice index out of range"),
     "exchange_distant of identities": (
-        lambda ctx: dg.exchange_distant(dg.compose(LINE, LINE), 0),
+        lambda ctx: exchange_distant(dg.compose(LINE, LINE), 0),
         ValueError, "nothing to exchange"),
     "wrap_slice misfit": (
         lambda ctx: dg.wrap_slice(LINE.source, 1, dg.cup((1, B), left=True)),
@@ -65,6 +66,25 @@ REFUSALS = {
         ValueError, "boundary index out of range"),
     "cut at the top boundary": (
         lambda ctx: dg.cut(ctx, fx.unknot(A), 3, 0),
+        ValueError, "boundary index out of range"),
+    # the Hopf link's boundary words have 0, 2, 4, 4, 4, 2 and 0 letters
+    "cut past the last letter": (
+        lambda ctx: dg.cut(ctx, fx.hopf_link(A, B), 2, 5),
+        ValueError, "letter position out of range"),
+    "cut at the empty top word": (
+        lambda ctx: dg.cut(ctx, fx.hopf_link(A, B), 6, 0),
+        ValueError, "letter position out of range"),
+    "cut at a negative letter": (
+        lambda ctx: dg.cut(ctx, fx.hopf_link(A, B), 2, -1),
+        ValueError, "letter position out of range"),
+    "stabilize_projective at a negative letter": (
+        lambda ctx: dg.stabilize_projective(ctx, fx.hopf_link(A, B), 2, -1, GENERIC),
+        ValueError, "letter position out of range"),
+    "stabilize_projective past the last letter": (
+        lambda ctx: dg.stabilize_projective(ctx, fx.hopf_link(A, B), 2, 9, GENERIC),
+        ValueError, "letter position out of range"),
+    "stabilize_projective at a negative boundary": (
+        lambda ctx: dg.stabilize_projective(ctx, fx.hopf_link(A, B), -1, 0, GENERIC),
         ValueError, "boundary index out of range"),
     "stabilize_projective on a sigma edge": (
         lambda ctx: dg.stabilize_projective(ctx, fx.unknot(wc.Sigma(0)), 1, 0, GENERIC),

@@ -518,6 +518,35 @@ def test_four_strand_closure_at_r14_is_cut_independent():
     assert abs(v - second) <= 1e-9 * max(1.0, abs(v))
 
 
+def test_seven_strand_closure_past_int32_positions_at_r10():
+    """The closure of s1 ... s6 is the unknot framed 6.  One cap of its
+    sweep takes the state from under 2**31 flat positions to over it, with
+    the incoming indices stored int32: int32 index arithmetic wrapped there
+    and the value was refused with a deviation of 8e3."""
+    ctx, c = ScalarContext(10), wc.Typical(0.37 + 0.21j)
+    v = rt_eval.f_prime(ctx, fx.braid_closure(c, 7, [1, 2, 3, 4, 5, 6]))
+    want = rt_eval.f_prime(ctx, fx.unknot(c, framing=6))
+    assert abs(v - want) <= 1e-9 * abs(want)
+
+
+@pytest.mark.parametrize("dr, src", [(2 ** 21, 1), (2 ** 16, 2 ** 5)])
+def test_scatter_on_int32_indices_past_int32_outputs(dr, src):
+    """A cap-like step (one input, five nonzeros) on int32 input indices in
+    a (dl, 1, rest) layout under 2**31 positions, whose (dl, 25, rest)
+    output layout is over it, with rest = dr * src as `evaluate` lays it
+    out: entry for entry what the same call on int64 indices gives."""
+    dl, rest = 1000, dr * src
+    assert dl * rest < 2 ** 31 < dl * 25 * rest
+    idx = np.unique(np.random.default_rng(23).integers(0, dl * rest, 64))
+    count, offset, outs, *_ = rt_eval._nonzeros(np.eye(5).reshape(25, 1))
+    got = rt_eval._scatter(idx.astype(np.int32), count, offset, outs, dl, 1, 25, rest)
+    want = rt_eval._scatter(idx.astype(np.int64), count, offset, outs, dl, 1, 25, rest)
+    assert want[3].max() >= 2 ** 31
+    for a, b in zip(got, want, strict=True):
+        assert a.dtype == b.dtype == np.int64
+        assert np.array_equal(a, b)
+
+
 def test_auto_stabilized_split_sweeps_all_terms_at_once_at_r10():
     """Its widest step forms 16k products for each of its 5 terms, all in
     one broadcast in `_apply_sparse`: a 4.25 MiB traced peak."""
