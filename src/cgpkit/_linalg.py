@@ -2,7 +2,11 @@
 
 Matrices are numpy arrays: complex128 at the default 53-bit precision,
 object arrays of mpmath complex numbers above it.  The object path reuses
-numpy's generic matmul/kron and routes factorizations through mpmath.
+numpy's generic matmul/kron and routes factorizations through mpmath,
+converting with mpmath's `matrix(list)` and `tolist()`.  With
+`qscalars.ScalarContext`, this is the only module that reads the
+precision to choose the arithmetic; the rest of the package gets the
+right types from these helpers and the context's scalars.
 """
 
 from __future__ import annotations
@@ -23,45 +27,23 @@ RANK_GAP = 10.0
 
 def zeros(ctx: ScalarContext, shape):
     if ctx.high_precision:
-        a = np.empty(shape, dtype=object)
-        a[...] = ctx.scalar(0)
-        return a
+        return np.full(shape, ctx.scalar(0), dtype=object)
+    # calloc'd: pages cost nothing until written, unlike np.full's
     return np.zeros(shape, dtype=np.complex128)
 
 
 def eye(ctx: ScalarContext, n: int):
     a = zeros(ctx, (n, n))
-    one = ctx.scalar(1)
-    for i in range(n):
-        a[i, i] = one
+    np.fill_diagonal(a, ctx.scalar(1))
     return a
 
 
 def asarray(ctx: ScalarContext, data):
+    """`data` as the context's matrix type; at 53 bits a complex128 array
+    is returned as it is."""
     if ctx.high_precision:
-        a = np.array(data, dtype=object)
-        flat = a.reshape(-1)
-        for i in range(flat.size):
-            flat[i] = ctx.scalar(flat[i])
-        return flat.reshape(a.shape)
+        return np.frompyfunc(ctx.scalar, 1, 1)(np.array(data, dtype=object))
     return np.asarray(data, dtype=np.complex128)
-
-
-def _to_mp_matrix(ctx: ScalarContext, a: np.ndarray):
-    mp = ctx._mp
-    m = mp.matrix(a.shape[0], a.shape[1])
-    for i in range(a.shape[0]):
-        for j in range(a.shape[1]):
-            m[i, j] = mp.mpc(a[i, j])
-    return m
-
-
-def _from_mp_matrix(ctx: ScalarContext, m) -> np.ndarray:
-    a = np.empty((m.rows, m.cols), dtype=object)
-    for i in range(m.rows):
-        for j in range(m.cols):
-            a[i, j] = m[i, j]
-    return a
 
 
 def svd(ctx: ScalarContext, a: np.ndarray, compute_uv: bool = True):
@@ -75,10 +57,10 @@ def svd(ctx: ScalarContext, a: np.ndarray, compute_uv: bool = True):
     wide = a.shape[0] < a.shape[1]
     if not ctx.high_precision:
         return np.linalg.svd(a, full_matrices=wide, compute_uv=compute_uv)
-    out = ctx._mp.svd_c(_to_mp_matrix(ctx, a), full_matrices=wide, compute_uv=compute_uv)
+    out = ctx._mp.svd_c(ctx._mp.matrix(a.tolist()), full_matrices=wide, compute_uv=compute_uv)
     if not compute_uv:
-        return _from_mp_matrix(ctx, out).reshape(-1)
-    u, s, vh = (_from_mp_matrix(ctx, x) for x in out)
+        return np.array(out.tolist(), dtype=object).reshape(-1)
+    u, s, vh = (np.array(x.tolist(), dtype=object) for x in out)
     return u, s.reshape(-1), vh
 
 
@@ -118,7 +100,7 @@ def rank(ctx: ScalarContext, a: np.ndarray) -> int:
 
 def inv(ctx: ScalarContext, a: np.ndarray) -> np.ndarray:
     if ctx.high_precision:
-        return _from_mp_matrix(ctx, _to_mp_matrix(ctx, a) ** -1)
+        return np.array((ctx._mp.matrix(a.tolist()) ** -1).tolist(), dtype=object)
     return np.linalg.inv(a)
 
 
@@ -130,11 +112,7 @@ def kron(ctx: ScalarContext, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def norm_inf(a: np.ndarray) -> float:
-    if a.size == 0:
-        return 0.0
-    if a.dtype != object:
-        return float(np.abs(a).max())
-    return float(max(abs(x) for x in a.reshape(-1)))
+    return float(np.abs(a).max()) if a.size else 0.0
 
 
 def frobenius_inner(a: np.ndarray, b: np.ndarray):

@@ -181,7 +181,8 @@ def cmd_cgp(args) -> int:
     try:
         raw = sys.stdin.read() if args.input == "-" else Path(args.input).read_text()
         payload = json.loads(raw)
-        r, precision = args.level or int(payload["level"]), int(payload.get("precision", 53))
+        r = args.level if args.level is not None else int(payload["level"])
+        precision = int(payload.get("precision", 53))
         objs = payload["presentations"] if "presentations" in payload \
             else [payload["presentation"]]
     except (OSError, KeyError, TypeError, ValueError) as e:

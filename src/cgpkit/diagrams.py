@@ -554,6 +554,18 @@ def trace_closure(d: Diagram) -> Diagram:
 # ---------------------------------------------------------------------------
 
 
+def edge_word(words, boundary: int, pos: int, lowest: int = 1) -> ObjectWord:
+    """words[boundary], the boundary word holding the edge at letter pos;
+    refuses a boundary outside lowest <= boundary < len(words) or a
+    position outside the word."""
+    if not lowest <= boundary < len(words):
+        raise ValueError("boundary index out of range")
+    w = words[boundary]
+    if not 0 <= pos < len(w):
+        raise ValueError("letter position out of range")
+    return w
+
+
 def cut(ctx: ScalarContext, d: Diagram, boundary: int, pos: int) -> Diagram:
     """Cutting presentation of a closed diagram along one edge.
 
@@ -567,12 +579,7 @@ def cut(ctx: ScalarContext, d: Diagram, boundary: int, pos: int) -> Diagram:
     """
     if not d.is_closed():
         raise ValueError("cut needs a closed diagram")
-    words = d.boundary_words()
-    if not (0 < boundary < len(words)):
-        raise ValueError("boundary index out of range")
-    w = words[boundary]
-    if not 0 <= pos < len(w):
-        raise ValueError("letter position out of range")
+    w = edge_word(d.boundary_words(), boundary, pos)
     v = w[pos]
     if not isinstance(v[1], (Typical, Kirby)):
         raise wc.NotProjective(f"cut edge must be typical, got {v[1]!r}")
@@ -628,12 +635,7 @@ def stabilize_projective(ctx: ScalarContext, d: Diagram, boundary: int, pos: int
     (-1)^{m-1} q^{mu nu} m/d(U), d the modified dimension: nonzero wherever
     U is typical.  A lambda within tol of zero is refused.
     """
-    words = d.boundary_words()
-    if not 0 <= boundary < len(words):
-        raise ValueError("boundary index out of range")
-    w = words[boundary]
-    if not 0 <= pos < len(w):
-        raise ValueError("letter position out of range")
+    w = edge_word(d.boundary_words(), boundary, pos, lowest=0)
     letter = w[pos]
     if not isinstance(letter[1], Typical):
         raise wc.NotProjective("projective stabilization needs a typical edge")

@@ -12,7 +12,9 @@ numbers.  Above 53 bits they are mpmath complex numbers created through a
 private mpmath context, one per precision and shared by every
 ScalarContext at that precision: contexts at different precisions never
 interfere with one another, and equal contexts, which share every cached
-matrix, also share the mpmath types of its entries.
+matrix, also share the mpmath types of its entries.  This module's
+scalars (`ScalarContext.sqrt` among them) and `_linalg`'s matrices are the
+only places that read the precision to choose the arithmetic.
 """
 
 from __future__ import annotations
@@ -120,6 +122,12 @@ class ScalarContext:
             # unit-modulus result for real exponents
             return cmath.rect(1.0, 2.0 * math.pi * z.real / self.r)
         return cmath.exp(z * 2j * math.pi / self.r)
+
+    def sqrt(self, z) -> Scalar:
+        """The principal square root of z."""
+        if self.high_precision:
+            return self._mp.sqrt(z)
+        return cmath.sqrt(z)
 
     def brace(self, z) -> Scalar:
         """{z} = q^z - q^{-z}.  Antisymmetric in z exactly, by evaluating

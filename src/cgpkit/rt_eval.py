@@ -78,7 +78,7 @@ def _cell_matrix_cached(ctx: ScalarContext, kind: str, letters) -> np.ndarray:
 
 def cell_matrix(ctx: ScalarContext, cell: dg.Cell) -> np.ndarray:
     if cell.kind == "coupon":
-        return cell.matrix if not ctx.high_precision else la.asarray(ctx, cell.matrix)
+        return la.asarray(ctx, cell.matrix)
     return _cell_matrix_cached(ctx, cell.kind, cell.letters)
 
 
@@ -129,19 +129,19 @@ def _letter_dims(ctx: ScalarContext, word: wc.ObjectWord) -> list[int]:
     return [wc.color_dim(ctx, c) for _, c in word]
 
 
-def _plan(ctx: ScalarContext, slices, word: wc.ObjectWord, kirby: tuple, src: int,
+def _plan(ctx: ScalarContext, slices, word: wc.ObjectWord, kirby: tuple,
           down: bool) -> tuple:
-    """The sweep of the non-identity cells of `slices`, starting from `word`,
-    on the identity on `src` columns, with a term axis per Kirby color of
-    `kirby`; if `down`, of the transposed cells from the top down, which
-    take a covector on the top word to one on `word`.  Returns (steps,
-    start, put, shape, terms) for `_sweep`: per step the cell's nonzero
-    values (stacked on its term axes, transposed if `down`) and `_indexed`'s
-    index work (shared through `_index_cache` if `src` is 1); the
-    identity's stored values, read-only; the flat indices of the last
+    """The sweep of the non-identity cells of `slices` from the identity on
+    `word`, with a term axis per Kirby color of `kirby`; if `down`, of the
+    transposed cells from the identity on the top word down, which take a
+    covector on the top word to one on `word`.  Returns (steps, start, put,
+    shape, terms) for `_sweep`: per step the cell's nonzero values (stacked
+    on its term axes, transposed if `down`) and `_indexed`'s index work
+    (shared through `_index_cache` if the start word has src = 1 columns);
+    the identity's stored values, read-only; the flat indices of the last
     stored entries in the end's dense shape (rows, src); the term axes."""
     dims, steps = _letter_dims(ctx, word), []
-    rows = math.prod(dims)  # the end's, if `down`
+    bottom = math.prod(dims)
     for cells in slices:
         pos = 0
         for cell in cells:
@@ -161,6 +161,8 @@ def _plan(ctx: ScalarContext, slices, word: wc.ObjectWord, kirby: tuple, src: in
             dims[pos:pos + nin] = out
             pos += len(out)
     steps = steps[::-1] if down else steps
+    top = math.prod(dims)
+    rows, src = (bottom, top) if down else (top, bottom)
     # closed diagrams' halves (src 1) share the index work, keyed on all that
     # `_indexed` reads; an open one's is used once and would only pin memory
     key = (src, tuple((nz[4], *sizes) for nz, *sizes in steps))
@@ -170,7 +172,7 @@ def _plan(ctx: ScalarContext, slices, word: wc.ObjectWord, kirby: tuple, src: in
     # a Kirby color on no cell keeps a term axis of size 1
     terms = _coefficients(ctx, kirby).shape
     return (tuple((nz[3], *w) for (nz, *_), w in zip(steps, work)), start, put,
-            (rows if down else math.prod(dims), src), terms)
+            (rows, src), terms)
 
 
 def _indexed(steps: list, src: int) -> tuple:
@@ -258,8 +260,7 @@ def evaluate(ctx: ScalarContext, d: dg.Diagram) -> np.ndarray:
     """Matrices from realize(source) to realize(target) times the prefactor,
     with a term axis per Kirby color of `d.kirby_colors()`, as in
     `expand_formal`.  Functorial under compose, monoidal under tensor."""
-    plan = _plan(ctx, d.slices, d.source, d.kirby_colors(),
-                 math.prod(_letter_dims(ctx, d.source)), False)
+    plan = _plan(ctx, d.slices, d.source, d.kirby_colors(), False)
     return _sweep(ctx, plan) * ctx.scalar(d.prefactor)
 
 
@@ -341,10 +342,11 @@ def f_prime(ctx: ScalarContext, d: dg.Diagram,
         e = edge if edge is not None else find_typical_edge(ctx, d)
         if e is None:
             raise NotAdmissible("closed diagram has no typical edge to open at")
-        (b, i), word, kirby = e, d.boundary_words()[e[0]], d.kirby_colors()
+        (b, i), kirby = e, d.kirby_colors()
+        word = dg.edge_word(d.boundary_words(), b, i)
         dims, closing = _letter_dims(ctx, word), _closing(ctx, word.letters, i, kirby)
-        halves = (_plan(ctx, d.slices[:b], d.source, kirby, 1, False),
-                  _plan(ctx, d.slices[b:], word, kirby, 1, True))
+        halves = (_plan(ctx, d.slices[:b], d.source, kirby, False),
+                  _plan(ctx, d.slices[b:], word, kirby, True))
         # the coefficients' shape is that of the term axes
         opening = d._plans[key] = (halves, closing[2].shape + (
             math.prod(dims[:i]), dims[i], math.prod(dims[i + 1:])), closing)

@@ -7,7 +7,9 @@ R-matrix, twist, two-sided duality with the pivot K^{1-r/2}, an
 intertwiner solver, the modified trace on projective
 objects, Kirby colors, and the global constants (stabilization coefficients,
 their square root, and the relative modularity parameter) that enter the
-surgery formula.
+surgery formula.  Nothing here branches on the precision: scalars come
+from the `ScalarContext` (the square root D from `ScalarContext.sqrt`) and
+matrices from `_linalg`.
 
 Typical simple modules V_alpha have highest weight alpha and dimension r/2,
 with weight string alpha, alpha-2, ..., alpha-r+2; this is forced by the
@@ -19,7 +21,6 @@ group.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache, partial, reduce
@@ -712,7 +713,7 @@ def constants(ctx: ScalarContext) -> InvariantConstants:
     dp = fixtures.stabilization_coefficient(ctx, probe, framing=+1)
     zeta = fixtures.relative_modularity_scalar(ctx, Degree(probe))
     nz = z_mod_zplus(ctx)
-    D = _principal_sqrt(ctx, dm * dp)
+    D = ctx.sqrt(dm * dp)
     return InvariantConstants(
         delta_minus=dm,
         delta_plus=dp,
@@ -722,9 +723,3 @@ def constants(ctx: ScalarContext) -> InvariantConstants:
         zeta=zeta,
         z_mod_zplus=nz,
     )
-
-
-def _principal_sqrt(ctx: ScalarContext, z: Scalar) -> Scalar:
-    if ctx.high_precision:
-        return ctx._mp.sqrt(z)
-    return cmath.sqrt(z)

@@ -223,6 +223,8 @@ def test_meridian_degree_of_another_type_is_a_parse_error(tmp_path, capsys):
     (["cgp", DOCS_EXAMPLE, "--tol", "1e-17"], cli.EXIT_NUMERIC),
     (["cgp", "SPLIT", "--auto-stabilize", "--tol", "1e-16"], cli.EXIT_NUMERIC),
     (["moddim", "4", "-0.5+0.2j", "--bogus"], cli.EXIT_PARSE),  # an unknown option
+    # level 0 is a level the context refuses, not "no --level"
+    (["cgp", DOCS_EXAMPLE, "--level", "0"], cli.EXIT_ERROR),
 ])
 def test_every_subcommand_exits_by_error_kind(argv, code, tmp_path):
     if "SPLIT" in argv:

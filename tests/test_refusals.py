@@ -9,6 +9,7 @@ import pytest
 
 from cgpkit import diagrams as dg
 from cgpkit import fixtures as fx
+from cgpkit import rt_eval
 from cgpkit import state_spaces as ss
 from cgpkit import surgery as sg
 from cgpkit import surgery_fixtures as sfx
@@ -77,6 +78,21 @@ REFUSALS = {
     "cut at a negative letter": (
         lambda ctx: dg.cut(ctx, fx.hopf_link(A, B), 2, -1),
         ValueError, "letter position out of range"),
+    "f_prime at the empty bottom word": (
+        lambda ctx: rt_eval.f_prime(ctx, fx.hopf_link(A, B), (0, 0)),
+        ValueError, "boundary index out of range"),
+    "f_prime past the last letter": (
+        lambda ctx: rt_eval.f_prime(ctx, fx.hopf_link(A, B), (1, 5)),
+        ValueError, "letter position out of range"),
+    "f_prime past the top boundary": (
+        lambda ctx: rt_eval.f_prime(ctx, fx.hopf_link(A, B), (99, 0)),
+        ValueError, "boundary index out of range"),
+    "f_prime at a negative letter": (
+        lambda ctx: rt_eval.f_prime(ctx, fx.hopf_link(A, B), (1, -1)),
+        ValueError, "letter position out of range"),
+    "f_prime at a negative boundary": (
+        lambda ctx: rt_eval.f_prime(ctx, fx.hopf_link(A, B), (-1, 0)),
+        ValueError, "boundary index out of range"),
     "stabilize_projective at a negative letter": (
         lambda ctx: dg.stabilize_projective(ctx, fx.hopf_link(A, B), 2, -1, GENERIC),
         ValueError, "letter position out of range"),

@@ -232,9 +232,8 @@ def _unindexed_halves(monkeypatch, ctx, d, edge=None):
         _fresh_index_cache(mp)
         mp.setattr(rt_eval, "_indexed",
                    lambda steps, src: raws.append(steps) or indexed(steps, src))
-        plans = [rt_eval._plan(ctx, d.slices[:b], d.source, d.kirby_colors(), 1, False),
-                 rt_eval._plan(ctx, d.slices[b:], d.boundary_words()[b], d.kirby_colors(), 1,
-                               True)]
+        plans = [rt_eval._plan(ctx, d.slices[:b], d.source, d.kirby_colors(), False),
+                 rt_eval._plan(ctx, d.slices[b:], d.boundary_words()[b], d.kirby_colors(), True)]
     return [((steps, 1, plan[-1]), plan) for steps, plan in zip(raws, plans)]
 
 
@@ -780,8 +779,8 @@ def _uncached_closing(ctx, d):
     terms' absolute values."""
     (b, i), kirby = rt_eval.find_typical_edge(ctx, d), d.kirby_colors()
     word = d.boundary_words()[b]
-    halves = [rt_eval._sweep(ctx, rt_eval._plan(ctx, d.slices[:b], d.source, kirby, 1, False)),
-              rt_eval._sweep(ctx, rt_eval._plan(ctx, d.slices[b:], word, kirby, 1, True))]
+    halves = [rt_eval._sweep(ctx, rt_eval._plan(ctx, d.slices[:b], d.source, kirby, False)),
+              rt_eval._sweep(ctx, rt_eval._plan(ctx, d.slices[b:], word, kirby, True))]
     dims = [wc.color_dim(ctx, c) for _, c in word]
     shape = (-1, math.prod(dims[:i]), dims[i], math.prod(dims[i + 1:]))
     total, size = ctx.scalar(0), 0
