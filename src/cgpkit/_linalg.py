@@ -98,12 +98,6 @@ def rank(ctx: ScalarContext, a: np.ndarray) -> int:
     return k
 
 
-def inv(ctx: ScalarContext, a: np.ndarray) -> np.ndarray:
-    if ctx.high_precision:
-        return np.array((ctx._mp.matrix(a.tolist()) ** -1).tolist(), dtype=object)
-    return np.linalg.inv(a)
-
-
 def kron(ctx: ScalarContext, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product of two matrices as one broadcast multiply; the
     same products as np.kron, without its generic-rank overhead."""

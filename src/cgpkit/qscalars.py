@@ -53,7 +53,7 @@ class ScalarContext:
     r : even integer >= 4 with r % 8 != 0.
     precision : working precision in bits (>= 53; above 53 switches the
         scalar type to mpmath complex numbers).
-    tol : dimensionless comparison tolerance.
+    tol : dimensionless comparison tolerance, positive and finite.
     """
 
     r: int
@@ -68,8 +68,8 @@ class ScalarContext:
             raise ValueError(f"level must not be divisible by 8, got {self.r}")
         if self.precision < 53:
             raise ValueError("precision must be at least 53 bits")
-        if not self.tol > 0:
-            raise ValueError("tolerance must be positive")
+        if not 0 < self.tol < math.inf:
+            raise ValueError("tolerance must be positive and finite")
         if self.precision > 53 and self._mp is None:
             object.__setattr__(self, "_mp", _make_mp(self.precision))
 

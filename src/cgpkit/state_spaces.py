@@ -2,15 +2,15 @@
 
 The spaces are those of the universal construction (Blanchet-Habegger-
 Masbaum-Vogel): cobordisms into the surface modulo the radical of the CGP
-pairing.  The genus-1 space of a generic surface has dimension equal to
-the size of the index set of the meridian class; for genus n > 1 the
-dimension is a sum over fundamental colorings of a trivalent spine of
-products of vertex invariant-space dimensions, where each vertex
-contributes the total periodicity-graded Hom from the unit to its
-incident colors.  Generic tensor products of typicals are semisimple, so
-a vertex dimension is a fusion multiplicity counted from highest weights.
-Neither count solves for intertwiners; the tests check both against the
-solver, and genus 1 against the rank of the CGP pairing.
+pairing.  The genus-1 dimension is the size of the meridian class's
+index set; genus n > 1 sums over fundamental colorings of a trivalent
+spine the products of vertex dimensions, each the total periodicity-
+graded Hom from the unit to the vertex's colors: a fusion multiplicity
+counted from highest weights, as generic tensor products of typicals are
+semisimple.  The index sets are complete residue systems mod rbar, so
+each piece of the spine is summed over one edge's colors alone.  Neither
+count solves for intertwiners; the tests check both against the solver,
+and genus 1 against the rank of the CGP pairing.
 """
 
 from __future__ import annotations
@@ -116,9 +116,12 @@ def genus_n_dim(ctx: ScalarContext, data: TrivalentSurfaceData,
     class, optionally shifted by rep_shift periods) the products of the two
     vertex dimensions of every theta piece.  Each piece sees only its own
     edges, so the sum factorises into prod_i sum_{e, e', e''} of piece i's
-    terms and costs linear, not exponential, time in the genus.  Vertex
-    dimensions are fusion counts; with brute=True each is recomputed by the
-    brute count `wc.hom_dim_graded` on the full tensor word.
+    terms, linear in the genus.  Both vertex counts see u = e' + e'' - e
+    mod rbar alone, and u meets every residue of its class once as e runs
+    over its index set, so piece i's sum is |I'_i| |I''_i| times its sum
+    over e at the first e', e'': rbar/2 pairs of r/2-term fusion counts,
+    O(r^2) a piece.  brute=True enumerates every coloring and recounts each
+    vertex dimension by `wc.hom_dim_graded` on the full tensor word.
     """
     if not data.all_generic(ctx.tol):
         raise wc.CriticalDegree("all spine meridian classes must be generic")
@@ -128,13 +131,16 @@ def genus_n_dim(ctx: ScalarContext, data: TrivalentSurfaceData,
     for i in range(data.genus - 1):
         repsp = [a + shift for a in wc.index_set(ctx, data.mprime[i])]
         repspp = [a + shift for a in wc.index_set(ctx, data.msecond(i))]
+        ways = 1
+        if not brute:  # every (e', e'') has the same sum over e
+            ways, repsp, repspp = len(repsp) * len(repspp), repsp[:1], repspp[:1]
         sub = 0
         for e, ep, epp in product(reps0, repsp, repspp):
             wa, wb = _vertex_words(ctx, e, ep, epp)
             da = graded_vertex_dim(ctx, wa, brute=brute)
             if da:
                 sub += da * graded_vertex_dim(ctx, wb, brute=brute)
-        total *= sub
+        total *= ways * sub
         if total == 0:
             break
     return total

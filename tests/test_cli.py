@@ -238,6 +238,20 @@ def test_every_subcommand_exits_by_error_kind(argv, code, tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("argv, env", [
+    (["statespace", "6", "1", "0.5+0.1j", "--tol", "inf"], None),
+    (["moddim", "6", "0.5", "--tol", "-inf"], None),
+    (["cgp", DOCS_EXAMPLE], "inf"),
+])
+def test_a_non_finite_tolerance_is_refused(argv, env, monkeypatch, capsys):
+    """--tol inf, or CGP_TOL=inf, is refused up front, not taken on to
+    call every class critical or every weight atypical."""
+    if env:
+        monkeypatch.setenv("CGP_TOL", env)
+    assert run_cli(argv) == (cli.EXIT_ERROR, "")
+    assert capsys.readouterr().err == "error: tolerance must be positive and finite\n"
+
+
 def test_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "cgpkit.cli", "moddim", "6", "0.5"],

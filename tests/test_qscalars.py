@@ -16,8 +16,9 @@ def test_context_validation():
         ScalarContext(2)
     with pytest.raises(ValueError):
         ScalarContext(6, precision=32)
-    with pytest.raises(ValueError):
-        ScalarContext(6, tol=0.0)
+    for tol in (0.0, float("inf"), float("-inf"), float("nan")):
+        with pytest.raises(ValueError, match="tolerance must be positive and finite"):
+            ScalarContext(6, tol=tol)
 
 
 def test_rbar_periodicity():

@@ -116,10 +116,33 @@ def _enumerated_dim(ctx, data):
     return total
 
 
-def test_genus3_factorised_sum_equals_enumeration(ctx):
+@pytest.mark.parametrize("r", [4, 6, 10, 12])
+def test_genus3_factorised_sum_equals_enumeration(r):
+    """The one-(e', e'')-per-piece count equals the enumeration over every
+    coloring, for complex and real classes and shifted representatives."""
+    ctx = ScalarContext(r)
+    for m0, mp in ((0.5 + 0.15j, (0.3 + 0.4j, 0.21 + 0.35j)), (0.5, (0.3, 0.21))):
+        data = ss.TrivalentSurfaceData(3, wc.Degree(m0), tuple(map(wc.Degree, mp)))
+        want = _enumerated_dim(ctx, data)
+        for shift in (0, 1, -2):
+            assert ss.genus_n_dim(ctx, data, rep_shift=shift) == want
+
+
+def test_genus_n_sums_each_piece_over_e_alone(monkeypatch):
+    """At r = 10 genus 3 each of the two pieces makes one pair of vertex
+    words per e in the rbar/2 = 5 representatives of m0, not 5^3."""
+    ctx = ScalarContext(10)
     data = ss.TrivalentSurfaceData(
-        3, wc.Degree(0.5 + 0.15j), (wc.Degree(0.3 + 0.4j), wc.Degree(0.21 + 0.35j)))
-    assert ss.genus_n_dim(ctx, data) == _enumerated_dim(ctx, data)
+        3, wc.Degree(0.5 + 0.15j), (wc.Degree(0.3 + 0.4j), wc.Degree(0.21)))
+    calls, vertex_words = [], ss._vertex_words
+
+    def counted(*args):
+        calls.append(args)
+        return vertex_words(*args)
+
+    monkeypatch.setattr(ss, "_vertex_words", counted)
+    assert ss.genus_n_dim(ctx, data) == 5 ** 6
+    assert len(calls) == 10
 
 
 def test_genus3_level6_equals_bruteforce(ctx6):
@@ -221,14 +244,15 @@ def test_genus_n_makes_no_solver_call(monkeypatch, r, precision):
     assert ss.genus1_dim(ctx, wc.Degree(0.3 + 0.4j)) == ctx.rbar // 2
 
 
-@pytest.mark.parametrize("r", [4, 6, 10, 14])
+@pytest.mark.parametrize("r", [4, 6, 10, 12, 14, 20])
 def test_genus_n_closed_form(r):
-    """(r/2)^(3g-3) where rbar = r, 4^(g-1) at r = 4, up to genus 6."""
+    """(r/2)^(3g-3) where rbar = r, and (4 (r/4)^3)^(g-1) where rbar = r/2
+    (4^(g-1) at r = 4), up to genus 6."""
     ctx = ScalarContext(r)
     primes = tuple(wc.Degree(complex(0.2 + 0.13 * i, 0.3 + 0.05 * i)) for i in range(5))
     for g in range(2, 7):
         data = ss.TrivalentSurfaceData(g, wc.Degree(0.5 + 0.15j), primes[:g - 1])
-        want = 4 ** (g - 1) if r == 4 else (r // 2) ** (3 * g - 3)
+        want = (r // 2) ** (3 * g - 3) if ctx.rbar == r else (4 * (r // 4) ** 3) ** (g - 1)
         assert ss.genus_n_dim(ctx, data) == want
 
 
