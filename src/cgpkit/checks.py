@@ -4,8 +4,6 @@ surgery axioms at a given level."""
 
 from __future__ import annotations
 
-import numpy as np
-
 from . import _linalg as la
 from . import fixtures as fx
 from . import rt_eval

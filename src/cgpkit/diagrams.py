@@ -521,18 +521,19 @@ def encircle(d: Diagram, span: tuple[int, int], color: Color, framing: int = 0,
     if not (0 <= i <= j <= len(w)):
         raise ValueError("span out of range")
     mer = (sign, color)
-    out = apply_cell(d, i, cap(mer, left=False))  # creates (flip mer, mer) at i
+    st = Stack(d)
+    st.cell(i, cap(mer, left=False))  # creates (flip mer, mer) at i
     # meridian letter sits at position i+1; twists for framing
     for _ in range(abs(framing)):
-        out = add_curl(out, i + 1, positive=framing > 0)
+        st.cell(i + 1, Cell("tpos" if framing > 0 else "tneg", (mer,)))
     # pass in front (over) of the enclosed letters, left to right
     for t in range(j - i):
-        out = apply_cell(out, i + 1 + t, cross(mer, w[i + t], positive=True))
+        st.cell(i + 1 + t, cross(mer, w[i + t], positive=True))
     # pass behind (under) on the way back
     for t in range(j - i - 1, -1, -1):
-        out = apply_cell(out, i + 1 + t, cross(w[i + t], mer, positive=True))
-    out = apply_cell(out, i, cup(mer, left=True))
-    return out
+        st.cell(i + 1 + t, cross(w[i + t], mer, positive=True))
+    st.cell(i, cup(mer, left=True))
+    return st.diagram(d.prefactor)
 
 
 def trace_closure(d: Diagram) -> Diagram:
@@ -544,9 +545,11 @@ def trace_closure(d: Diagram) -> Diagram:
     if len(d.source) != 1 or len(d.target) != 1 or d.source.letters != d.target.letters:
         raise ValueError("trace closure needs an endomorphism of one letter")
     letter = d.source[0]
-    out = apply_cell(Diagram(ObjectWord(()), (), d.prefactor), 0, cap(letter, left=True))
-    out = _stack_between(out, d.slices, 0, 1)
-    return apply_cell(out, 0, cup(letter, left=False))
+    st = Stack(Diagram(ObjectWord(()), ()))
+    st.cell(0, cap(letter, left=True))
+    st.between(d.slices, 0, 1)
+    st.cell(0, cup(letter, left=False))
+    return st.diagram(d.prefactor)
 
 
 # ---------------------------------------------------------------------------
@@ -604,12 +607,6 @@ def cut(ctx: ScalarContext, d: Diagram, boundary: int, pos: int) -> Diagram:
     # close y-duals innermost first
     for t in range(len(y) - 1, -1, -1):
         st.cell(1 + t, cup(y[t], left=False))
-    return st.diagram(d.prefactor)
-
-
-def _stack_between(d: Diagram, slices, nleft: int, nright: int) -> Diagram:
-    st = Stack(d)
-    st.between(slices, nleft, nright)
     return st.diagram(d.prefactor)
 
 

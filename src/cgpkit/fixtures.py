@@ -1,6 +1,6 @@
-"""Reusable diagram fixtures: unknots, meridians and braid closures,
-framed by twist cells (`dg.add_curl`), and the meridian figures that
-define the stabilization coefficients and the relative modularity scalar.
+"""Reusable diagram fixtures: unknots, Hopf links and knots, all braid
+closures framed by twist cells, and the meridian figures that define the
+stabilization coefficients and the relative modularity scalar.
 """
 
 from __future__ import annotations
@@ -19,65 +19,51 @@ def strand(color: wc.Color) -> dg.Diagram:
 
 
 def unknot(color: wc.Color, framing: int = 0) -> dg.Diagram:
-    """Closed circle, the closure of the empty braid on one strand; its framing
-    is |framing| twist cells, so it is two letters wide at any framing."""
-    return braid_closure(color, 1, [], curls=[(0, 1 if framing > 0 else -1)] * abs(framing))
+    """Closed circle, the closure of the empty braid on one strand, framed by
+    |framing| twist cells: two letters wide at any framing."""
+    return braid_closure(color, 1, [], [framing])
 
 
-def braid_closure(color: wc.Color, n: int, word: list[int],
-                  curls: list[tuple[int, int]] | None = None) -> dg.Diagram:
-    """Trace closure of a braid word on n strands of one color.
-
-    word entries are +-k for the positive/negative crossing of strands
-    (k-1, k), 1-indexed.  curls is a list of (strand position, +-1) framing
-    changes, twist cells inserted after the braid.
+def braid_closure(color: wc.Color | list, n: int, word: list[int], twists=()) -> dg.Diagram:
+    """Trace closure of a braid word on n strands, colored by one color or
+    by n colors, one per strand.  word entries are +-k for the positive or
+    negative crossing of strands (k-1, k), 1-indexed.  Strand t takes
+    |twists[t]| twist cells of its sign after its cap; twists has at most n
+    entries, 0 where missing.  Crossings and cups read their letters off the
+    word below them, so a closure that does not match up raises
+    BoundaryMismatch.
     """
-    letter = (1, color)
-    d = dg.Diagram(wc.ObjectWord(()), [])
-    for t in range(n):
-        d = dg.apply_cell(d, t, dg.cap(letter, left=True))
+    colors = color if isinstance(color, (list, tuple)) else [color] * n
+    twists = list(twists) + [0] * (n - len(twists))
+    st = dg.Stack(dg.Diagram(wc.ObjectWord(()), []))
+    for t, c, f in zip(range(n), colors, twists, strict=True):
+        st.cell(t, dg.cap((1, c), left=True))
+        for _ in range(abs(f)):
+            st.cell(t, dg.Cell("tpos" if f > 0 else "tneg", ((1, c),)))
     for g in word:
         k = abs(g)
         if not 1 <= k < n:
             raise ValueError(f"braid generator {g} out of range")
-        d = dg.apply_cell(d, k - 1, dg.cross(letter, letter, positive=g > 0))
-    for pos, s in curls or []:
-        d = dg.add_curl(d, pos, positive=s > 0)
+        st.cell(k - 1, dg.cross(*st.words[-1][k - 1:k + 1], positive=g > 0))
     for t in range(n - 1, -1, -1):
-        d = dg.apply_cell(d, t, dg.cup(letter, left=False))
-    return d
+        st.cell(t, dg.cup(st.words[-1][t], left=False))
+    return st.diagram(1.0 + 0.0j)
 
 
 def trefoil(color: wc.Color, framing: int = 0) -> dg.Diagram:
     """Right-handed trefoil; the closure of the cubed positive 2-braid has
     writhe +3, compensated down to the requested framing by twist cells."""
-    return braid_closure(color, 2, [1, 1, 1],
-                         curls=[(0, -1)] * (3 - framing) if framing <= 3 else
-                               [(0, 1)] * (framing - 3))
+    return braid_closure(color, 2, [1, 1, 1], [framing - 3])
 
 
 def figure_eight(color: wc.Color, framing: int = 0) -> dg.Diagram:
     """Figure-eight knot as the closure of (s1 s2^-1)^2, writhe 0."""
-    curls = [(0, 1)] * framing if framing >= 0 else [(0, -1)] * (-framing)
-    return braid_closure(color, 3, [1, -2, 1, -2], curls=curls)
+    return braid_closure(color, 3, [1, -2, 1, -2], [framing])
 
 
 def hopf_link(c1: wc.Color, c2: wc.Color, framings: tuple[int, int] = (0, 0)) -> dg.Diagram:
-    """Positive Hopf link with both components 0-framed by default."""
-    d = dg.Diagram(wc.ObjectWord(()), [])
-    l1 = (1, c1)
-    l2 = (1, c2)
-    d = dg.apply_cell(d, 0, dg.cap(l1, left=True))
-    for _ in range(abs(framings[0])):
-        d = dg.add_curl(d, 0, positive=framings[0] > 0)
-    d = dg.apply_cell(d, 1, dg.cap(l2, left=True))
-    for _ in range(abs(framings[1])):
-        d = dg.add_curl(d, 1, positive=framings[1] > 0)
-    d = dg.apply_cell(d, 0, dg.cross(l1, l2))
-    d = dg.apply_cell(d, 0, dg.cross(l2, l1))
-    d = dg.apply_cell(d, 1, dg.cup(l2, left=False))
-    d = dg.apply_cell(d, 0, dg.cup(l1, left=False))
-    return d
+    """Positive Hopf link, the closure of s1^2, 0-framed by default."""
+    return braid_closure([c1, c2], 2, [1, 1], framings)
 
 
 # ---------------------------------------------------------------------------

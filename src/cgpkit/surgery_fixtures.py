@@ -50,17 +50,12 @@ def split_surgery_unknot_presentation(ctx: ScalarContext, alpha: complex,
     requirement of automatic stabilization is met; the meridian degree of
     the split component is 0, which is critical.
     """
-    alpha = complex(alpha)
-    lg = (1, wc.Typical(alpha))
-    lk = (1, _surgery(0j))
-    d = dg.Diagram(wc.ObjectWord(()), [])
-    d = dg.apply_cell(d, 0, dg.cap(lg, left=True))
-    d = dg.apply_cell(d, 2, dg.cap(lk, left=True))
-    for _ in range(abs(framing)):
-        d = dg.add_curl(d, 2, positive=framing > 0)
-    d = dg.apply_cell(d, 2, dg.cup(lk, left=False))
-    d = dg.apply_cell(d, 0, dg.cup(lg, left=False))
-    return SurgeryPresentation(d)
+    lg = (1, wc.Typical(complex(alpha)))
+    st = dg.Stack(dg.Diagram(wc.ObjectWord(()), []))
+    st.cell(0, dg.cap(lg, left=True))
+    st.between(fx.unknot(_surgery(0j), framing).slices, 2, 0)
+    st.cell(0, dg.cup(lg, left=False))
+    return SurgeryPresentation(st.diagram(1.0 + 0.0j))
 
 
 def s1xs2_presentation(ctx: ScalarContext, g) -> SurgeryPresentation:
@@ -82,6 +77,11 @@ def s1xs2_decorated_presentation(ctx: ScalarContext, g,
     return SurgeryPresentation(d)
 
 
+def _critical_typical(ctx: ScalarContext) -> complex:
+    """The minimal integer typical weight; its degree class is critical."""
+    return complex(ctx.nilpotency - 1)
+
+
 def index2_pair(ctx: ScalarContext, g) -> tuple:
     """Attach/belt pair for the index-2 surgery axiom.
 
@@ -92,8 +92,7 @@ def index2_pair(ctx: ScalarContext, g) -> tuple:
     the belt side it is a surgery component of meridian degree g.  The
     invariants differ by exactly 1/D.
     """
-    m = ctx.nilpotency
-    alpha = complex(m - 1)
+    alpha = _critical_typical(ctx)
     belt = _surgery(g)
     attach = replace(belt, surgery=False)
     base = fx.unknot(wc.Typical(alpha))
@@ -102,11 +101,6 @@ def index2_pair(ctx: ScalarContext, g) -> tuple:
     # span (+U)(+T) has flux 2(m-1), zero in C/2Z
     d = dg.encircle_at(d, 3, (1, 3), attach, framing=0)
     return SurgeryPresentation(d), SurgeryPresentation(d.recolor(attach, belt))
-
-
-def _critical_typical(ctx: ScalarContext) -> complex:
-    """The minimal integer typical weight; its degree class is critical."""
-    return complex(ctx.nilpotency - 1)
 
 
 def lens_unknot_presentation(ctx: ScalarContext, p: int, k: int) -> SurgeryPresentation:

@@ -203,6 +203,35 @@ def test_meridian_degree_of_another_type_is_a_parse_error(tmp_path, capsys):
     assert capsys.readouterr().err == "parse error: bad presentation: bad degree {'x': 1}\n"
 
 
+def _docs_with(tmp_path, key, value):
+    """The docs example with one integer field, top-level or of its
+    presentation, set to `value`."""
+    payload = json.loads(Path(DOCS_EXAMPLE).read_text())
+    (payload if key in ("level", "precision") else payload["presentation"])[key] = value
+    path = tmp_path / f"{key}={json.dumps(value)}.json"
+    path.write_text(json.dumps(payload))
+    return str(path)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("level", 6.7), ("precision", 53.5), ("signature_defect", 0.5),
+    ("surgery_components", [0.9])])
+def test_fractional_integers_are_parse_errors(tmp_path, capsys, key, value):
+    """int() would truncate each of these to a number the file does not
+    state (level 6, 53 bits, defect 0, component 0) and exit 0."""
+    assert run_cli(["cgp", _docs_with(tmp_path, key, value)]) == (cli.EXIT_PARSE, "")
+    assert "not an integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value", [
+    ("level", 6), ("precision", 53), ("signature_defect", 1), ("surgery_components", [0])])
+def test_integral_floats_read_as_integers(tmp_path, key, value):
+    code, want = run_cli(["cgp", _docs_with(tmp_path, key, value)])
+    assert code == 0 and json.loads(want)["cgp"]
+    floats = [float(v) for v in value] if isinstance(value, list) else float(value)
+    assert run_cli(["cgp", _docs_with(tmp_path, key, floats)]) == (0, want)
+
+
 @pytest.mark.parametrize("argv, code", [
     (["moddim", "4", "abc"], cli.EXIT_PARSE),
     (["statespace", "6", "1", "xyz"], cli.EXIT_PARSE),

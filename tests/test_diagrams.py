@@ -362,6 +362,58 @@ def test_planted_row_mismatch_raises(ctx):
     with pytest.raises(dg.BoundaryMismatch):
         dg.insert_slices(hopf, 1, [dg.wrap_slice(w, 0, dg.cap((1, A), left=True))])
     with pytest.raises(dg.BoundaryMismatch):
-        dg._stack_between(LINE, [[dg.id_cell((1, wc.Sigma(0)))]], 1, 0)
+        dg.Stack(LINE).between([[dg.id_cell((1, wc.Sigma(0)))]], 1, 0)
     with pytest.raises(dg.BoundaryMismatch):
-        dg._stack_between(LINE, [[dg.id_cell((1, A))]], 0, 0)
+        dg.Stack(LINE).between([[dg.id_cell((1, A))]], 0, 0)
+
+
+def _drawn_hopf_link(c1, c2, framings):
+    """The Hopf link as `fx.hopf_link` drew it by hand before it became the
+    closure of s1^2: each cap with its twist cells, two crossings, two cups."""
+    l1, l2 = (1, c1), (1, c2)
+    d = dg.apply_cell(dg.Diagram(word(), []), 0, dg.cap(l1, left=True))
+    for _ in range(abs(framings[0])):
+        d = dg.add_curl(d, 0, positive=framings[0] > 0)
+    d = dg.apply_cell(d, 1, dg.cap(l2, left=True))
+    for _ in range(abs(framings[1])):
+        d = dg.add_curl(d, 1, positive=framings[1] > 0)
+    d = dg.apply_cell(d, 0, dg.cross(l1, l2))
+    d = dg.apply_cell(d, 0, dg.cross(l2, l1))
+    d = dg.apply_cell(d, 1, dg.cup(l2, left=False))
+    return dg.apply_cell(d, 0, dg.cup(l1, left=False))
+
+
+def _drawn_split_unknot(alpha, framing):
+    """The split surgery unknot as `sfx.split_surgery_unknot_presentation`
+    drew it cell by cell: the surgery circle beside the graph circle."""
+    lg, lk = (1, wc.Typical(alpha)), (1, wc.Kirby(0j, 0, True))
+    d = dg.apply_cell(dg.Diagram(word(), []), 0, dg.cap(lg, left=True))
+    d = dg.apply_cell(d, 2, dg.cap(lk, left=True))
+    for _ in range(abs(framing)):
+        d = dg.add_curl(d, 2, positive=framing > 0)
+    d = dg.apply_cell(d, 2, dg.cup(lk, left=False))
+    return dg.apply_cell(d, 0, dg.cup(lg, left=False))
+
+
+@pytest.mark.parametrize("framings", [(0, 0), (6, 1), (2, -3), (-1, 4)])
+def test_hopf_link_layout_is_pinned(framings):
+    """The benchmark times lens chains drawn on these layouts."""
+    for c1, c2 in ((A, B), (wc.Kirby(0.3, 0, True), wc.Kirby(-0.3, 1, True))):
+        assert (dg.diagram_to_json(fx.hopf_link(c1, c2, framings))
+                == dg.diagram_to_json(_drawn_hopf_link(c1, c2, framings)))
+
+
+@pytest.mark.parametrize("framing", [1, -1])
+def test_split_unknot_layout_is_pinned(ctx, framing):
+    d = sfx.split_surgery_unknot_presentation(ctx, GENERIC, framing).diagram
+    assert dg.diagram_to_json(d) == dg.diagram_to_json(_drawn_split_unknot(GENERIC, framing))
+
+
+def test_braid_closure_refuses_a_coloring_that_does_not_close():
+    """s1 swaps the two strands, so the cups meet B where A's dual is."""
+    with pytest.raises(dg.BoundaryMismatch):
+        fx.braid_closure([A, B], 2, [1])
+    # one color per strand, and no more twist counts than strands
+    for color, twists in (([A], ()), ([A, B, A], ()), (A, (1, 0, 1))):
+        with pytest.raises(ValueError):
+            fx.braid_closure(color, 2, [1, 1], twists)

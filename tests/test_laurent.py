@@ -25,10 +25,9 @@ ALPHA0 = 0.37  # real and not an integer, so every sample is typical
 
 
 def _closure(n, word):
-    """The closure of `word` on n strands, 0-framed: curls undo its writhe."""
+    """The closure of `word` on n strands, 0-framed: twist cells undo its writhe."""
     writhe = sum(1 if g > 0 else -1 for g in word)
-    curls = [(0, -1 if writhe > 0 else 1)] * abs(writhe)
-    return lambda color: fx.braid_closure(color, n, word, curls=curls)
+    return lambda color: fx.braid_closure(color, n, word, [-writhe])
 
 
 # (name, builder, Seifert matrix); the 3-strand closure is 5_2 (Alexander

@@ -353,7 +353,7 @@ def test_f_prime_high_precision_matches_dense_route(monkeypatch):
 
 def test_color_keyed_caches_are_bounded():
     """500 recolored 2-strand closures at r = 6, with both crossing signs
-    and both curls, leave every cache keyed on colors at or under its
+    and both twist signs, leave every cache keyed on colors at or under its
     bound (they add 3,000 cell matrices and 500 closings), and the shared
     index work within its bytes."""
     caches = [rt_eval._cell_matrix_cached, rt_eval._cell_nonzeros_cached, rt_eval._closing,
@@ -362,7 +362,7 @@ def test_color_keyed_caches_are_bounded():
     rng = np.random.default_rng(17)
     for _ in range(500):
         a = wc.Typical(complex(rng.uniform(0.1, 2.9), rng.uniform(0.05, 0.5)))
-        d = fx.braid_closure(a, 2, [1, -1, 1], curls=[(0, 1), (1, -1)])
+        d = fx.braid_closure(a, 2, [1, -1, 1], [1, -1])
         assert rt_eval.f_prime(ctx, d) / wc.modified_dimension(ctx, a.alpha) != 0
     for cached in caches:
         info = cached.cache_info()
