@@ -98,7 +98,7 @@ def rank(ctx: ScalarContext, a: np.ndarray) -> int:
     return k
 
 
-def kron(ctx: ScalarContext, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product of two matrices as one broadcast multiply; the
     same products as np.kron, without its generic-rank overhead."""
     return (a[:, None, :, None] * b[None, :, None, :]).reshape(

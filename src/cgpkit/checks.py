@@ -31,7 +31,7 @@ def run_all(ctx: ScalarContext) -> list[tuple[str, bool, str]]:
     add("algebra relations (tensor)", wc.check_module_relations(ctx, T))
 
     I = la.eye(ctx, V.dim)
-    z = la.kron(ctx, I, wc.ev_coev(ctx, V, "ev_l")) @ la.kron(ctx, wc.ev_coev(ctx, V, "coev_l"), I)
+    z = la.kron(I, wc.ev_coev(ctx, V, "ev_l")) @ la.kron(wc.ev_coev(ctx, V, "coev_l"), I)
     add("zig-zag", la.norm_inf(z - I))
 
     S = wc.sigma_module(ctx, ctx.rbar)

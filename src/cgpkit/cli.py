@@ -134,13 +134,6 @@ def _parse_complex(s: str) -> complex:
         raise ParseError(f"bad complex literal {s!r}") from e
 
 
-def _integer(v) -> int:
-    """int(v), refusing a number with a fractional part instead of truncating it."""
-    if isinstance(v, float) and not v.is_integer():
-        raise ParseError(f"not an integer: {v!r}")
-    return int(v)
-
-
 def _degree_from_json(v) -> wc.Degree:
     if isinstance(v, (int, float)):
         return wc.Degree(complex(v))
@@ -156,12 +149,12 @@ def load_presentation(obj) -> sg.SurgeryPresentation:
     component the presentation can color raises ValueError."""
     try:
         d = dg.diagram_from_json(obj["diagram"])
-        surgery = frozenset(map(_integer, obj["surgery_components"]))
+        surgery = frozenset(map(dg.integer_from_json, obj["surgery_components"]))
         degrees = {int(k): _degree_from_json(v)
                    for k, v in obj.get("meridian_degrees", {}).items()}
         d = dg.mark_components(d, {int(cid): dg.color_from_json(col)
                                    for cid, col in obj.get("graph_colors", {}).items()})
-        n = _integer(obj.get("signature_defect", 0))
+        n = dg.integer_from_json(obj.get("signature_defect", 0))
     except dg.ComponentError:
         raise
     except (KeyError, TypeError, ValueError) as e:
@@ -188,8 +181,8 @@ def cmd_cgp(args) -> int:
     try:
         raw = sys.stdin.read() if args.input == "-" else Path(args.input).read_text()
         payload = json.loads(raw)
-        r = args.level if args.level is not None else _integer(payload["level"])
-        precision = _integer(payload.get("precision", 53))
+        r = args.level if args.level is not None else dg.integer_from_json(payload["level"])
+        precision = dg.integer_from_json(payload.get("precision", 53))
         objs = payload["presentations"] if "presentations" in payload \
             else [payload["presentation"]]
     except (OSError, KeyError, TypeError, ValueError) as e:

@@ -46,7 +46,6 @@ from .weightcat import (
     Sigma,
     Typical,
     color_degree,
-    realize,
     realize_letter,
 )
 
@@ -99,7 +98,7 @@ class Cell:
 
     def __post_init__(self):
         if self.kind == "coupon":
-            spelled = (self.domain.letters, self.codomain.letters)
+            spelled = (self.domain, self.codomain)
         elif self.kind in _SPELLING and len(self.letters) == len(_LETTER_PORTS[self.kind]):
             ls = self.letters
             spelled = tuple(tuple([flip(ls[i]) if flipped else ls[i] for i, flipped in side])
@@ -143,16 +142,16 @@ def _next_word(word: ObjectWord, row, s: int) -> ObjectWord:
     pos = 0
     for cell in row:
         ins = cell.in_letters()
-        if word.letters[pos:pos + len(ins)] != ins:
+        if word[pos:pos + len(ins)] != ins:
             raise BoundaryMismatch(
                 f"slice {s}: cell {cell.kind} expects {ins}, boundary has "
-                f"{word.letters[pos:pos + len(ins)]}"
+                f"{word[pos:pos + len(ins)]}"
             )
         pos += len(ins)
         out.extend(cell.out_letters())
     if pos != len(word):
         raise BoundaryMismatch(f"slice {s}: {len(word) - pos} unconsumed letters")
-    return ObjectWord(out)
+    return tuple(out)
 
 
 def _extend(words: list[ObjectWord], rows) -> list[ObjectWord]:
@@ -291,8 +290,7 @@ class Diagram:
         """The letter l at port p of the source and of every non-coupon cell
         replaced by rl(l, p).  The components stay, so the result takes over
         this diagram's component map."""
-        new_source = ObjectWord(
-            [rl(l, (0, i)) for i, l in enumerate(self.source.letters)])
+        new_source = tuple(rl(l, (0, i)) for i, l in enumerate(self.source))
         new_slices: list[list[Cell]] = [[] for _ in self.slices]
         for s, pin, pout, cell in self._placed_cells():
             k = cell.kind
@@ -406,7 +404,7 @@ def identity_diagram(word: ObjectWord) -> Diagram:
 
 def compose(d1: Diagram, d2: Diagram) -> Diagram:
     """d2 after d1; boundary words must match exactly."""
-    if d1.target.letters != d2.source.letters:
+    if d1.target != d2.source:
         raise BoundaryMismatch("compose: target of first != source of second")
     return Diagram(d1.source, d1.slices + d2.slices, d1.prefactor * d2.prefactor)
 
@@ -459,11 +457,11 @@ def insert_slices(d: Diagram, boundary: int, rows: list[Slice]) -> Diagram:
 def wrap_slice(word: ObjectWord, pos: int, cell: Cell) -> list[Cell]:
     """One-nontrivial-cell slice acting at a given letter position."""
     ins = cell.in_letters()
-    if tuple(word.letters[pos:pos + len(ins)]) != ins:
+    if word[pos:pos + len(ins)] != ins:
         raise BoundaryMismatch(f"cell {cell.kind} does not fit word at {pos}")
-    row = [id_cell(l) for l in word.letters[:pos]]
+    row = [id_cell(l) for l in word[:pos]]
     row.append(cell)
-    row.extend(id_cell(l) for l in word.letters[pos + len(ins):])
+    row.extend(id_cell(l) for l in word[pos + len(ins):])
     return row
 
 
@@ -487,7 +485,7 @@ class Stack:
         """Stack slices between identities on the nleft leftmost and the
         nright rightmost letters."""
         for s in slices:
-            w = self.words[-1].letters
+            w = self.words[-1]
             self.add([*map(id_cell, w[:nleft]), *s, *map(id_cell, w[len(w) - nright:])])
 
     def diagram(self, prefactor: Scalar) -> Diagram:
@@ -542,10 +540,10 @@ def trace_closure(d: Diagram) -> Diagram:
     Gives the closed diagram ev_r o (d (x) id) o coev_l whose renormalized
     invariant is the modified trace of the evaluation of d.
     """
-    if len(d.source) != 1 or len(d.target) != 1 or d.source.letters != d.target.letters:
+    if len(d.source) != 1 or len(d.target) != 1 or d.source != d.target:
         raise ValueError("trace closure needs an endomorphism of one letter")
     letter = d.source[0]
-    st = Stack(Diagram(ObjectWord(()), ()))
+    st = Stack(Diagram((), ()))
     st.cell(0, cap(letter, left=True))
     st.between(d.slices, 0, 1)
     st.cell(0, cup(letter, left=False))
@@ -586,10 +584,10 @@ def cut(ctx: ScalarContext, d: Diagram, boundary: int, pos: int) -> Diagram:
     v = w[pos]
     if not isinstance(v[1], (Typical, Kirby)):
         raise wc.NotProjective(f"cut edge must be typical, got {v[1]!r}")
-    x = w.letters[:pos]
-    y = w.letters[pos + 1:]
+    x = w[:pos]
+    y = w[pos + 1:]
     # one pass, bottom to top, with a running boundary word
-    st = Stack(identity_diagram(ObjectWord([v])))
+    st = Stack(identity_diagram((v,)))
     # create the x-letters to the left: caps outermost first
     for t in range(len(x) - 1, -1, -1):
         st.cell(len(x) - 1 - t, cap(x[t], left=False))
@@ -637,9 +635,9 @@ def stabilize_projective(ctx: ScalarContext, d: Diagram, boundary: int, pos: int
     if not isinstance(letter[1], Typical):
         raise wc.NotProjective("projective stabilization needs a typical edge")
     vi = Typical(complex(index_weight))
-    uword = ObjectWord([letter])
-    bigword = ObjectWord([letter, (1, vi), (-1, vi)])
-    U = realize(ctx, uword)
+    uword = (letter,)
+    bigword = (letter, (1, vi), (-1, vi))
+    U = realize_letter(ctx, letter)
     Vi = realize_letter(ctx, (1, vi))
     c2 = wc.braiding(ctx, Vi, U) @ wc.braiding(ctx, U, Vi)
     lam = wc.scalar_of(ctx, wc.partial_trace(ctx, c2, [U, Vi], 0))
@@ -650,11 +648,11 @@ def stabilize_projective(ctx: ScalarContext, d: Diagram, boundary: int, pos: int
     dU, dV = U.dim, Vi.dim
     smat = c2.reshape(dU, dV, dU, dV).transpose(0, 1, 3, 2).reshape(dU * dV * dV, dU) / lam
     eye_u = la.eye(ctx, dU)
-    proj = la.kron(ctx, eye_u, wc.ev_coev(ctx, Vi, "ev_r"))
+    proj = la.kron(eye_u, wc.ev_coev(ctx, Vi, "ev_r"))
     resid = la.norm_inf(proj @ smat - eye_u)
     if resid > ctx.tol:
         raise la.NumericInstability(f"section residual {resid:.3e}")
-    w2 = ObjectWord(list(w.letters[:pos]) + list(bigword.letters) + list(w.letters[pos + 1:]))
+    w2 = w[:pos] + bigword + w[pos + 1:]
     rows = [
         wrap_slice(w, pos, coupon(uword, bigword, smat)),
         wrap_slice(w2, pos, coupon(bigword, uword, proj)),
@@ -722,15 +720,26 @@ def color_to_json(c: Color):
     return {"sigma": c.k}
 
 
+def integer_from_json(v) -> int:
+    """v as an int: a JSON integer, or an integral float such as 2.0.
+    ValueError for anything else, such as 6.5, "6" or true, which int()
+    would truncate or convert."""
+    if isinstance(v, float) and v.is_integer() or isinstance(v, int) and not isinstance(v, bool):
+        return int(v)
+    raise ValueError(f"not an integer: {v!r}")
+
+
 def color_from_json(obj) -> Color:
     if "typical" in obj:
         return Typical(complex(obj["typical"]["re"], obj["typical"]["im"]))
     if "sigma" in obj:
-        return Sigma(int(obj["sigma"]))
+        return Sigma(integer_from_json(obj["sigma"]))
     if "kirby" in obj:
         k = obj["kirby"]
+        if not isinstance(k["surgery"], bool):
+            raise ValueError(f"surgery is not a boolean: {k['surgery']!r}")
         terms = _terms_from_json(k["terms"]) if "terms" in k else None
-        return Kirby(complex(*k["g"]), int(k["tag"]), bool(k["surgery"]), terms)
+        return Kirby(complex(*k["g"]), integer_from_json(k["tag"]), k["surgery"], terms)
     raise ValueError(f"bad color: {obj!r}")
 
 
@@ -739,6 +748,8 @@ def letter_to_json(l: Letter):
 
 
 def letter_from_json(obj) -> Letter:
+    if obj[0] not in ("+", "-"):
+        raise ValueError(f"letter sign is not '+' or '-': {obj[0]!r}")
     return (1 if obj[0] == "+" else -1, color_from_json(obj[1]))
 
 
@@ -766,8 +777,8 @@ def cell_from_json(obj) -> Cell:
     """ValueError on an unknown kind or on a letter count it does not take."""
     if obj["kind"] == "coupon":
         return coupon(
-            ObjectWord([letter_from_json(l) for l in obj["domain"]]),
-            ObjectWord([letter_from_json(l) for l in obj["codomain"]]),
+            tuple(letter_from_json(l) for l in obj["domain"]),
+            tuple(letter_from_json(l) for l in obj["codomain"]),
             _matrix_from_json(obj["matrix"]),
         )
     return Cell(obj["kind"], tuple(letter_from_json(l) for l in obj["letters"]))
@@ -787,7 +798,7 @@ def diagram_to_json(d: Diagram):
 def diagram_from_json(obj) -> Diagram:
     """Also reads `formal`, the color sums of graph components keyed by
     component id, into Kirby colors on their letters."""
-    source = ObjectWord([letter_from_json(l) for l in obj["source"]])
+    source = tuple(letter_from_json(l) for l in obj["source"])
     slices = [[cell_from_json(c) for c in s["cells"]] for s in obj["slices"]]
     pf = obj.get("prefactor", (1.0, 0.0))
     d = Diagram(source, slices, complex(pf[0], pf[1]))
@@ -797,5 +808,5 @@ def diagram_from_json(obj) -> Diagram:
         return d
     tag = fresh_tag(d)
     return mark_components(d, {
-        cid: Kirby(color_degree(None, fc.terms[0][1]).g, tag + t, terms=fc)
+        cid: Kirby(color_degree(fc.terms[0][1]).g, tag + t, terms=fc)
         for t, (cid, fc) in enumerate(sorted(formal.items()))})

@@ -15,7 +15,7 @@ from .qscalars import ScalarContext, Scalar
 
 
 def strand(color: wc.Color) -> dg.Diagram:
-    return dg.Diagram(wc.ObjectWord([(1, color)]), [])
+    return dg.Diagram(((1, color),), [])
 
 
 def unknot(color: wc.Color, framing: int = 0) -> dg.Diagram:
@@ -35,7 +35,7 @@ def braid_closure(color: wc.Color | list, n: int, word: list[int], twists=()) ->
     """
     colors = color if isinstance(color, (list, tuple)) else [color] * n
     twists = list(twists) + [0] * (n - len(twists))
-    st = dg.Stack(dg.Diagram(wc.ObjectWord(()), []))
+    st = dg.Stack(dg.Diagram((), []))
     for t, c, f in zip(range(n), colors, twists, strict=True):
         st.cell(t, dg.cap((1, c), left=True))
         for _ in range(abs(f)):
@@ -85,7 +85,7 @@ def stabilization_coefficient(ctx: ScalarContext, probe_alpha: complex,
     if framing not in (-1, 1):
         raise ValueError("stabilization coefficient needs framing +-1")
     probe = wc.Typical(complex(probe_alpha))
-    g = wc.color_degree(ctx, probe)
+    g = wc.color_degree(probe)
     index = g if framing < 0 else wc.Degree(-g.g)
     d = dg.encircle(strand(probe), (0, 1), wc.Kirby(index.g), framing)
     fig = wc.scalar_of(ctx, rt_eval.evaluate_formal(ctx, d))
@@ -97,7 +97,7 @@ def relative_modularity_matrix(ctx: ScalarContext, wi: complex, wj: complex,
                                h: wc.Degree) -> np.ndarray:
     """Evaluation of the index-h Kirby meridian around the pair of strands
     colored V_i (upward) and V_j (downward)."""
-    word = wc.ObjectWord([(1, wc.Typical(complex(wi))), (-1, wc.Typical(complex(wj)))])
+    word = ((1, wc.Typical(complex(wi))), (-1, wc.Typical(complex(wj))))
     d = dg.encircle(dg.Diagram(word, []), (0, 2), wc.Kirby(h.g))
     return rt_eval.evaluate_formal(ctx, d)
 
@@ -111,7 +111,7 @@ def relative_modularity_scalar(ctx: ScalarContext, g: wc.Degree) -> Scalar:
     """
     wi = wc.index_set(ctx, g)[0]
     A = relative_modularity_matrix(ctx, wi, wi, g)
-    Vi = wc.realize(ctx, wc.ObjectWord([(1, wc.Typical(wi))]))
+    Vi = wc.realize_letter(ctx, (1, wc.Typical(wi)))
     B = wc.ev_coev(ctx, Vi, "coev_l") @ wc.ev_coev(ctx, Vi, "ev_r")
     denom = la.frobenius_inner(B, B)
     fit = la.frobenius_inner(B, A) / denom

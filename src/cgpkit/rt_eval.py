@@ -344,7 +344,7 @@ def f_prime(ctx: ScalarContext, d: dg.Diagram,
             raise NotAdmissible("closed diagram has no typical edge to open at")
         (b, i), kirby = e, d.kirby_colors()
         word = dg.edge_word(d.boundary_words(), b, i)
-        dims, closing = _letter_dims(ctx, word), _closing(ctx, word.letters, i, kirby)
+        dims, closing = _letter_dims(ctx, word), _closing(ctx, word, i, kirby)
         halves = (_plan(ctx, d.slices[:b], d.source, kirby, False),
                   _plan(ctx, d.slices[b:], word, kirby, True))
         # the coefficients' shape is that of the term axes
@@ -366,7 +366,7 @@ def _closing(ctx: ScalarContext, letters: tuple, i: int, kirby: tuple) -> tuple:
         return wc.trace_pivots(ctx, [wc.realize_letter(ctx, x) for x in ls], i)
 
     def dimension(ls, _):  # d(V) is the modified trace of the identity of V
-        return wc.modified_trace(ctx, wc.ObjectWord(ls), la.eye(ctx, wc.color_dim(ctx, ls[0][1])))
+        return wc.modified_trace(ctx, ls, la.eye(ctx, wc.color_dim(ctx, ls[0][1])))
 
     return (_on_term_axes(ctx, pivots, letters, kirby),
             _on_term_axes(ctx, dimension, letters[i:i + 1], kirby), _coefficients(ctx, kirby))

@@ -55,9 +55,8 @@ def sphere_hom_dim(ctx: ScalarContext, wi: complex, wj: complex,
     """dim Hom(V_i (x) sigma(k) (x) V_j^*, sigma(k')); the two-sphere
     state-space dimension, equal to delta_ij delta_kk' on index-set
     representatives."""
-    src = wc.ObjectWord([(1, wc.Typical(complex(wi))), (1, wc.Sigma(k)),
-                         (-1, wc.Typical(complex(wj)))])
-    dst = wc.ObjectWord([(1, wc.Sigma(kp))])
+    src = ((1, wc.Typical(complex(wi))), (1, wc.Sigma(k)), (-1, wc.Typical(complex(wj))))
+    dst = ((1, wc.Sigma(kp)),)
     return len(wc.hom_basis(ctx, src, dst))
 
 
@@ -72,10 +71,8 @@ def genus1_dim(ctx: ScalarContext, g: wc.Degree) -> int:
 
 def _vertex_words(ctx: ScalarContext, e: complex, ep: complex, epp: complex):
     """The two vertex words of one theta piece, e -> e' + e''."""
-    wa = wc.ObjectWord([(1, wc.Typical(e)), (-1, wc.Typical(ep)),
-                        (-1, wc.Typical(epp))])
-    wb = wc.ObjectWord([(-1, wc.Typical(e)), (1, wc.Typical(ep)),
-                        (1, wc.Typical(epp))])
+    wa = ((1, wc.Typical(e)), (-1, wc.Typical(ep)), (-1, wc.Typical(epp)))
+    wb = ((-1, wc.Typical(e)), (1, wc.Typical(ep)), (1, wc.Typical(epp)))
     return wa, wb
 
 

@@ -159,7 +159,7 @@ def _check_cohomology(ctx: ScalarContext, p: SurgeryPresentation) -> None:
     the strand orientation, so the unsigned degree enters.
     """
     for i, k in p.surgery_colors.items():
-        total = sum((s * wc.color_degree(ctx, b).g
+        total = sum((s * wc.color_degree(b).g
                      for (a, b), s in p.crossing_signs.items() if a == k), 0j) / 2
         if not wc.Degree(total).equals(wc.Degree(0j), 100 * ctx.tol):
             raise ValueError(
@@ -221,8 +221,8 @@ def _find_threading_site(d: dg.Diagram, target: wc.Kirby, rider: wc.Typical):
     return None
 
 
-def _insert_rider(ctx: ScalarContext, d: dg.Diagram, target: wc.Kirby,
-                  rider: wc.Typical, color: wc.Kirby | None = None) -> dg.Diagram:
+def _insert_rider(d: dg.Diagram, target: wc.Kirby, rider: wc.Typical,
+                  color: wc.Kirby | None = None) -> dg.Diagram:
     """The diagram with the component colored `target` replaced by its
     blackboard 2-cable, whose second strand is a rider circle and whose
     first carries `color` (default `target`).
@@ -314,7 +314,7 @@ def _thread_detour(ctx: ScalarContext, p: SurgeryPresentation, target: wc.Kirby,
     """
     vh = wc.Typical(complex(wc.index_set(ctx, index)[0]))
     shifted = replace(target, g=target.g - index.g)
-    d_r = _insert_rider(ctx, p.diagram, target, vh, shifted)
+    d_r = _insert_rider(p.diagram, target, vh, shifted)
     site = _find_threading_site(d_r, shifted, vh)
     if site is None:
         raise CannotStabilize(

@@ -51,7 +51,7 @@ def split_surgery_unknot_presentation(ctx: ScalarContext, alpha: complex,
     the split component is 0, which is critical.
     """
     lg = (1, wc.Typical(complex(alpha)))
-    st = dg.Stack(dg.Diagram(wc.ObjectWord(()), []))
+    st = dg.Stack(dg.Diagram((), []))
     st.cell(0, dg.cap(lg, left=True))
     st.between(fx.unknot(_surgery(0j), framing).slices, 2, 0)
     st.cell(0, dg.cup(lg, left=False))

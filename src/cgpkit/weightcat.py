@@ -16,7 +16,8 @@ with weight string alpha, alpha-2, ..., alpha-r+2; this is forced by the
 nilpotency E^{r/2} = F^{r/2} = 0.  V_alpha is simple projective ("typical")
 iff alpha is not an integer or alpha = r/2 - 1 mod r/2.  One-dimensional
 modules sigma(k), with H acting by k in rbar*Z, realize the periodicity
-group.
+group.  An object is a signed tensor word of colors: a plain tuple of
+letters (sign, color), read left to right.
 """
 
 from __future__ import annotations
@@ -116,6 +117,7 @@ class Kirby:
 Color = Typical | Sigma | Kirby
 
 Letter = tuple[int, Color]  # (+1 or -1, color)
+ObjectWord = tuple[Letter, ...]  # a signed tensor word; ObjectWord([...]) builds one
 
 
 def is_typical_weight(ctx: ScalarContext, alpha: complex) -> bool:
@@ -153,7 +155,7 @@ def color_dim(ctx: ScalarContext, color: Color) -> int:
     return 1 if isinstance(color, Sigma) else ctx.nilpotency
 
 
-def color_degree(ctx: ScalarContext, color: Color) -> Degree:
+def color_degree(color: Color) -> Degree:
     if isinstance(color, Typical):
         return Degree(complex(color.alpha))
     if isinstance(color, Kirby):
@@ -161,43 +163,11 @@ def color_degree(ctx: ScalarContext, color: Color) -> Degree:
     return Degree(complex(color.k))
 
 
-def shift_color(color: Color, k: int) -> Color:
-    """Tensoring with sigma(k) on simple colors: V_a -> V_{a+k}, s(j) -> s(j+k)."""
-    if isinstance(color, Typical):
-        return Typical(complex(color.alpha) + k)
-    return Sigma(color.k + k)
-
-
 def dual_color(ctx: ScalarContext, color: Color) -> Color:
     """Isomorphism class of the dual of a simple module."""
     if isinstance(color, Typical):
         return Typical(2 * (ctx.nilpotency - 1) - complex(color.alpha))
     return Sigma(-color.k)
-
-
-@dataclass(frozen=True)
-class ObjectWord:
-    """Signed tensor word of generating colors."""
-
-    letters: tuple[Letter, ...]
-
-    def __init__(self, letters):
-        object.__setattr__(self, "letters", tuple((int(s), c) for s, c in letters))
-
-    def __len__(self):
-        return len(self.letters)
-
-    def __getitem__(self, i):
-        return self.letters[i]
-
-    def __iter__(self):
-        return iter(self.letters)
-
-    def __add__(self, other: "ObjectWord") -> "ObjectWord":
-        return ObjectWord(self.letters + other.letters)
-
-
-EMPTY_WORD = ObjectWord(())
 
 
 # ---------------------------------------------------------------------------
@@ -262,8 +232,8 @@ def tensor_module(ctx: ScalarContext, A: WeightModule, B: WeightModule) -> Weigh
     """Tensor product through the coproduct, basis in lexicographic order."""
     IA = la.eye(ctx, A.dim)
     IB = la.eye(ctx, B.dim)
-    E = la.kron(ctx, A.actE, np.diag(_k_power(ctx, B, 1))) + la.kron(ctx, IA, B.actE)
-    F = la.kron(ctx, A.actF, IB) + la.kron(ctx, np.diag(_k_power(ctx, A, -1)), B.actF)
+    E = la.kron(A.actE, np.diag(_k_power(ctx, B, 1))) + la.kron(IA, B.actE)
+    F = la.kron(A.actF, IB) + la.kron(np.diag(_k_power(ctx, A, -1)), B.actF)
     return WeightModule(tuple(a + b for a in A.weights for b in B.weights), E, F)
 
 
@@ -662,7 +632,7 @@ class FormalColorSum:
             raise ValueError("formal color sum must be nonempty")
 
     def degree(self, ctx: ScalarContext) -> Degree:
-        degs = [color_degree(ctx, c) for _, c in self.terms]
+        degs = [color_degree(c) for _, c in self.terms]
         for d in degs[1:]:
             if not d.equals(degs[0], ctx.tol):
                 raise ValueError("formal color sum mixes degrees")
@@ -679,7 +649,7 @@ def kirby_color(ctx: ScalarContext, g: Degree) -> FormalColorSum:
     for k in ks:
         dk = sigma_dim(ctx, k)
         for a in reps:
-            terms.append((dk * modified_dimension(ctx, a), shift_color(Typical(a), k)))
+            terms.append((dk * modified_dimension(ctx, a), Typical(a + k)))
     return FormalColorSum(tuple(terms))
 
 

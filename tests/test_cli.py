@@ -232,6 +232,44 @@ def test_integral_floats_read_as_integers(tmp_path, key, value):
     assert run_cli(["cgp", _docs_with(tmp_path, key, floats)]) == (0, want)
 
 
+def _docs_edited(tmp_path, name, edit):
+    """The docs example with `edit` applied to its diagram."""
+    payload = json.loads(Path(DOCS_EXAMPLE).read_text())
+    edit(payload["presentation"]["diagram"])
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(payload))
+    return str(path)
+
+
+def _split_circle(k):
+    """Add a split circle colored {"sigma": k} on top of the diagram."""
+    def edit(diagram):
+        letter = ["+", {"sigma": k}]
+        diagram["slices"] += [{"cells": [{"kind": kind, "letters": [letter]}]}
+                              for kind in ("cap_l", "cup_r")]
+    return edit
+
+
+def _first_sign(sign):
+    def edit(diagram):
+        diagram["slices"][0]["cells"][0]["letters"][0][0] = sign
+    return edit
+
+
+@pytest.mark.parametrize("good, bad, message", [
+    (_split_circle(0), _split_circle(0.5), "not an integer: 0.5"),
+    (_first_sign("+"), _first_sign("x"), "letter sign is not '+' or '-': 'x'")],
+    ids=["sigma index", "letter sign"])
+def test_malformed_colors_and_signs_are_parse_errors(tmp_path, capsys, good, bad, message):
+    """int() would read sigma 0.5 as sigma(0) and exit 0, and any sign but
+    "+" as -1, which fails later as a boundary mismatch with exit 1."""
+    code, out = run_cli(["cgp", _docs_edited(tmp_path, "good", good)])
+    assert code == 0 and json.loads(out)["cgp"]
+    capsys.readouterr()
+    assert run_cli(["cgp", _docs_edited(tmp_path, "bad", bad)]) == (cli.EXIT_PARSE, "")
+    assert capsys.readouterr().err == f"parse error: bad presentation: {message}\n"
+
+
 @pytest.mark.parametrize("argv, code", [
     (["moddim", "4", "abc"], cli.EXIT_PARSE),
     (["statespace", "6", "1", "xyz"], cli.EXIT_PARSE),

@@ -25,7 +25,7 @@ def test_validate_identity(ctx):
     w = word((1, wc.Typical(GENERIC)), (-1, wc.Sigma(0)))
     d = dg.identity_diagram(w)
     assert dg.validate(ctx, d) is None
-    assert d.target.letters == w.letters
+    assert d.target == w
 
 
 def test_validate_reports_mismatch(ctx):
@@ -250,7 +250,7 @@ def test_stabilize_generic_structure(ctx):
     d = dg.stabilize_generic(ctx, u, 1, (0, 1), wc.Degree(GENERIC))
     assert dg.validate(ctx, d) is None
     assert len(d.kirby_colors()) == 2
-    degs = {wc.color_degree(ctx, k).reduced() for k in d.kirby_colors()}
+    degs = {wc.color_degree(k).reduced() for k in d.kirby_colors()}
     assert len(degs) == 1
 
 
@@ -302,7 +302,7 @@ def _middle_edge(d):
 def _rider(ctx):
     p = sfx.split_surgery_unknot_presentation(ctx, GENERIC, 1)
     target = next(iter(p.surgery_colors.values()))
-    return sg._insert_rider(ctx, p.diagram, target, wc.Typical(GENERIC2))
+    return sg._insert_rider(p.diagram, target, wc.Typical(GENERIC2))
 
 
 A, B = wc.Typical(GENERIC), wc.Typical(GENERIC2)

@@ -215,4 +215,4 @@ def test_realize_refuses_a_kirby_color(ctx):
     with pytest.raises(ValueError):
         wc.realize_letter(ctx, (1, wc.Kirby(0.5)))
     assert wc.color_dim(ctx, wc.Kirby(0.5)) == ctx.nilpotency
-    assert wc.color_degree(ctx, wc.Kirby(0.5 + 0.1j, surgery=True)) == wc.Degree(0.5 + 0.1j)
+    assert wc.color_degree(wc.Kirby(0.5 + 0.1j, surgery=True)) == wc.Degree(0.5 + 0.1j)

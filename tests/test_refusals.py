@@ -153,6 +153,26 @@ REFUSALS = {
     "empty FormalColorSum": (
         lambda ctx: wc.FormalColorSum(()),
         ValueError, "formal color sum must be nonempty"),
+    # int() and bool() would read these as sigma(0), sigma(3), sigma(1),
+    # tag 1 and a surgery color, and any sign but "+" as -1
+    "color_from_json fractional sigma": (
+        lambda ctx: dg.color_from_json({"sigma": 0.5}),
+        ValueError, "not an integer: 0.5"),
+    "color_from_json string sigma": (
+        lambda ctx: dg.color_from_json({"sigma": "3"}),
+        ValueError, "not an integer: '3'"),
+    "color_from_json boolean sigma": (
+        lambda ctx: dg.color_from_json({"sigma": True}),
+        ValueError, "not an integer: True"),
+    "color_from_json fractional Kirby tag": (
+        lambda ctx: dg.color_from_json({"kirby": {"g": [0.5, 0], "tag": 1.7, "surgery": False}}),
+        ValueError, "not an integer: 1.7"),
+    "color_from_json string surgery flag": (
+        lambda ctx: dg.color_from_json({"kirby": {"g": [0.5, 0], "tag": 0, "surgery": "false"}}),
+        ValueError, "surgery is not a boolean: 'false'"),
+    "letter_from_json sign x": (
+        lambda ctx: dg.letter_from_json(["x", {"sigma": 0}]),
+        ValueError, "letter sign is not '+' or '-': 'x'"),
 }
 
 

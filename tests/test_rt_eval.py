@@ -335,7 +335,7 @@ def test_f_prime_high_precision_matches_dense_route(monkeypatch):
     words = H.boundary_words()
     b = next(b for b in range(1, len(words)) if len(words[b]) == 2)
     w = words[b]
-    l0, l1 = w.letters
+    l0, l1 = w
     # a crossing undone by a coupon holding the inverse crossing's matrix
     undo = rt_eval.cell_matrix(hp, dg.cross(l1, l0, positive=False))
     with_coupon = dg.insert_slices(
@@ -452,7 +452,7 @@ def test_a_coupon_with_one_more_nonzero_gets_its_own_entry(monkeypatch):
     words = H.boundary_words()
     b = next(b for b in range(1, len(words)) if len(words[b]) == 2)
     w = words[b]
-    l0, l1 = w.letters
+    l0, l1 = w
     undo = rt_eval.cell_matrix(ctx, dg.cross(l1, l0, positive=False))
     more = undo.copy()
     more[tuple(np.argwhere(undo == 0)[0])] = 1e-30
@@ -474,7 +474,7 @@ def test_open_diagrams_share_no_index_work(monkeypatch):
     meridians are, used once: it leaves nothing in the shared cache."""
     _fresh_index_cache(monkeypatch)
     ctx, w = ScalarContext(6), wc.ObjectWord([(1, wc.Typical(GENERIC))] * 2)
-    d = dg.apply_cell(dg.identity_diagram(w), 0, dg.cross(*w.letters))
+    d = dg.apply_cell(dg.identity_diagram(w), 0, dg.cross(*w))
     assert rt_eval.evaluate(ctx, d).shape == (9, 9)
     assert not rt_eval._index_cache
 
@@ -484,7 +484,7 @@ def test_evaluate_keeps_no_plan(ctx):
     an open braid, a closed knot and a Kirby-colored unknot on its term
     axis."""
     w = wc.ObjectWord([(1, wc.Typical(GENERIC))] * 2)
-    for d in (dg.apply_cell(dg.identity_diagram(w), 0, dg.cross(*w.letters)),
+    for d in (dg.apply_cell(dg.identity_diagram(w), 0, dg.cross(*w)),
               fx.figure_eight(wc.Typical(GENERIC)), fx.unknot(wc.Kirby(0.5))):
         rt_eval.evaluate_formal(ctx, d)
         assert not d._plans
@@ -786,7 +786,7 @@ def _uncached_closing(ctx, d):
     total, size = ctx.scalar(0), 0
     for (coeff, sub), low, up in zip(rt_eval.expand_formal(ctx, d),
                                      *(h.reshape(shape) for h in halves)):
-        letters = tuple((sign, sub.get(c, c)) for sign, c in word.letters)
+        letters = tuple((sign, sub.get(c, c)) for sign, c in word)
         pivots = reduce(np.multiply.outer, [
             wc._pivot(ctx, wc.realize_letter(ctx, x), 1 if k > i else -1)
             for k, x in enumerate(letters) if k != i], ctx.scalar(1))

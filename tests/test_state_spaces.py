@@ -54,7 +54,7 @@ def test_genus1_equals_invariant_counts(r, precision):
         words = [wc.ObjectWord([(-1, wc.Typical(a)), (1, wc.Typical(a))])
                  for a in wc.index_set(ctx, g)]
         want = ss.genus1_dim(ctx, g)
-        assert want == sum(len(wc.hom_basis(ctx, wc.EMPTY_WORD, w)) for w in words)
+        assert want == sum(len(wc.hom_basis(ctx, (), w)) for w in words)
         assert want == sum(wc.hom_dim_graded(ctx, w) for w in words)
 
 
@@ -170,7 +170,7 @@ def _per_sigma_vertex_dim(ctx, word):
         r = round(wv.real / ctx.rbar)
         if abs(wv.imag) <= ctx.tol and abs(wv.real - r * ctx.rbar) <= 100 * ctx.tol:
             ks.add(-r)
-    return sum(len(wc.hom_basis(ctx, wc.EMPTY_WORD,
+    return sum(len(wc.hom_basis(ctx, (),
                                 wc.ObjectWord([*word, (1, wc.Sigma(k * ctx.rbar))])))
                for k in ks)
 

@@ -289,7 +289,7 @@ def test_detour_cables_with_the_shifted_color(monkeypatch, r):
     new = sg._thread_detour(ctx, p, target, index).diagram
     insert, find = sg._insert_rider, sg._find_threading_site
     monkeypatch.setattr(sg, "_insert_rider",
-                        lambda ctx, d, t, rider, color: insert(ctx, d, t, rider))
+                        lambda d, t, rider, color: insert(d, t, rider))
     monkeypatch.setattr(sg, "_find_threading_site", lambda d, color, rider: find(d, target, rider))
     shifted = next(iter(set(new.kirby_colors()) - {target}))
     assert shifted.g == target.g - index.g
@@ -377,7 +377,7 @@ def test_rider_is_the_framed_push_off(ctx6):
     for name, d in _cable_cases(ctx6):
         colors = set(d.component_colors().values())
         for target in d.kirby_colors():
-            out = sg._insert_rider(ctx6, d, target, rider)
+            out = sg._insert_rider(d, target, rider)
             assert list(out.component_colors().values()).count(rider) == 1
             for x in colors - {target}:
                 assert _lk(out, rider, x) == _lk(out, target, x) == _lk(d, target, x), (name, x)

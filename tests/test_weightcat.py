@@ -495,7 +495,7 @@ def _braiding_oracle(ctx, V, W):
         if b > 0:
             Eb, Fb = Eb @ V.actE, Fb @ W.actF
         coeff = ctx.q_power(b * (b - 1) / 2) * ctx.brace(1) ** b / ctx.qfact_nonzero(b)
-        theta = theta + la.kron(ctx, Eb, Fb) * coeff
+        theta = theta + la.kron(Eb, Fb) * coeff
     for i, lam in enumerate(V.weights):
         for j, mu in enumerate(W.weights):
             theta[i * dW + j, :] *= ctx.q_power(ctx.scalar(lam) * ctx.scalar(mu) / 2)
@@ -509,7 +509,7 @@ def _braiding_oracle(ctx, V, W):
 def _curled_stabilization_oracle(ctx, alpha, framing):
     """Delta_-+ from the meridian figure with its framing drawn as a curl."""
     probe = wc.Typical(alpha)
-    g = wc.color_degree(ctx, probe)
+    g = wc.color_degree(probe)
     index = g if framing < 0 else wc.Degree(-g.g)
     d = drawn_kinks(dg.encircle(fx.strand(probe), (0, 1), wc.Kirby(index.g), framing))
     fig = wc.scalar_of(ctx, rt_eval.evaluate_formal(ctx, d))
@@ -720,8 +720,8 @@ def test_modified_trace_keeps_any_typical_letter(r, precision, tol):
     alphas = (GENERIC, GENERIC2, -0.6 + 0.4j)
     U, V, W = mods = [wc.realize_letter(ctx, (1, wc.Typical(a))) for a in alphas]
     double = [wc.braiding(ctx, Y, X) @ wc.braiding(ctx, X, Y) for X, Y in ((U, V), (V, W))]
-    f = (la.kron(ctx, la.eye(ctx, U.dim), double[1])
-         @ la.kron(ctx, double[0], la.eye(ctx, W.dim)))
+    f = (la.kron(la.eye(ctx, U.dim), double[1])
+         @ la.kron(double[0], la.eye(ctx, W.dim)))
     word = wc.ObjectWord([(1, wc.Typical(a)) for a in alphas])
     middle = (wc.scalar_of(ctx, wc.partial_trace(ctx, f, mods, 1))
               * wc.modified_dimension(ctx, alphas[1]))
