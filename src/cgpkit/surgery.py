@@ -37,7 +37,10 @@ class SurgeryPresentation:
 
     `components` and `degrees` mark further components by id, as JSON
     input names them: each is recolored by the surgery Kirby color of its
-    meridian degree (see `dg.mark_components`).
+    meridian degree (see `dg.mark_components`).  `_stabilized` keeps
+    `cgp(auto=True)`'s validated stabilization of a critical presentation
+    per `ScalarContext` (r, precision, tol), so it lives exactly as long as
+    the presentation does.
     """
 
     def __init__(self, diagram: dg.Diagram, components=(), degrees=None,
@@ -53,6 +56,7 @@ class SurgeryPresentation:
                 for t, (c, g) in enumerate(sorted(degrees.items()))})
         self.diagram = diagram
         self.signature_defect = signature_defect
+        self._stabilized: dict[ScalarContext, SurgeryPresentation] = {}
 
     @cached_property
     def surgery_colors(self) -> dict[int, wc.Kirby]:
@@ -172,7 +176,9 @@ def cgp(ctx: ScalarContext, p: SurgeryPresentation, auto: bool = False) -> Scala
 
     Kirby-colors each surgery component by the color of its meridian
     degree, expands, applies the renormalized invariant, and multiplies
-    eta D^{-ell} delta^{n - sigma(L)}.
+    eta D^{-ell} delta^{n - sigma(L)}.  `auto` stabilizes a critical `p`
+    once per context, kept in `p._stabilized`; `p`'s own checks run on
+    every call, and a refused stabilization keeps nothing.
     """
     validate_presentation(ctx, p)
     if not check_admissible(ctx, p):
@@ -183,8 +189,11 @@ def cgp(ctx: ScalarContext, p: SurgeryPresentation, auto: bool = False) -> Scala
     if offending:
         if not auto:
             raise NotComputable(f"critical meridian degrees on components {offending}")
-        p = auto_stabilize(ctx, p)
-        validate_presentation(ctx, p)
+        if ctx not in p._stabilized:
+            stab = auto_stabilize(ctx, p)
+            validate_presentation(ctx, stab)
+            p._stabilized[ctx] = stab
+        p = p._stabilized[ctx]
     consts = wc.constants(ctx)
     ell = len(p.surgery_components)
     fp = rt_eval.f_prime(ctx, p.diagram)

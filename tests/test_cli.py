@@ -17,6 +17,8 @@ from cgpkit.qscalars import ScalarContext
 
 
 DOCS_EXAMPLE = str(Path(__file__).resolve().parents[1] / "docs" / "example_lens_5_1.json")
+SPLIT_EXAMPLE = Path(__file__).resolve().parents[1] / "docs" / "example_split_unknot_auto.json"
+SPLIT_ALPHA = 0.37 + 0.11j
 
 
 def run_cli(argv):
@@ -101,6 +103,26 @@ def test_not_computable_exit(tmp_path, capsys):
     code2, out = run_cli(["cgp", str(path), "--auto-stabilize"])
     assert code2 == 0
     assert json.loads(out)["warnings"]
+
+
+def test_split_unknot_docs_example():
+    """docs/example_split_unknot_auto.json is the level-6 split surgery
+    unknot fixture, whose meridian is critical: without --auto-stabilize it
+    exits 3, with it its value is eta d(alpha), the benchmark's check of
+    the auto-stabilized split unknot (relative 1e-7), at 53 and 106 bits."""
+    want = sfx.split_surgery_unknot_presentation(ScalarContext(6), SPLIT_ALPHA, 1)
+    assert json.loads(SPLIT_EXAMPLE.read_text()) == {"level": 6, "presentation": {
+        "diagram": json.loads(json.dumps(dg.diagram_to_json(want.diagram))),
+        "surgery_components": [], "signature_defect": 0}}
+    for precision in ("53", "106"):
+        argv = ["cgp", str(SPLIT_EXAMPLE), "--precision", precision]
+        assert run_cli(argv)[0] == cli.EXIT_NOT_COMPUTABLE
+        code, out = run_cli([*argv, "--auto-stabilize"])
+        assert code == 0
+        ctx = ScalarContext(6, precision=int(precision))
+        eta_d = complex(wc.constants(ctx).eta * wc.modified_dimension(ctx, SPLIT_ALPHA))
+        got = complex(*json.loads(out)["cgp"])
+        assert abs(got - eta_d) <= 1e-7 * abs(eta_d), (precision, got, eta_d)
 
 
 def test_constants_command():

@@ -1,8 +1,11 @@
+import gc
 import itertools
+import weakref
 
 import numpy as np
 import pytest
 
+from cgpkit import NumericInstability
 from cgpkit import diagrams as dg
 from cgpkit import fixtures as fx
 from cgpkit import surgery as sg
@@ -388,3 +391,62 @@ def test_rider_is_the_framed_push_off(ctx6):
 def test_reversed_component_is_refused_with_a_reason(ctx6):
     with pytest.raises(sg.CannotStabilize, match="no boundary exposes a typical edge"):
         sg.cgp(ctx6, _reversed_split_unknot(1), auto=True)
+
+
+def _count_stabilizations(monkeypatch):
+    """The contexts of each `auto_stabilize` call, in order."""
+    calls, stabilize = [], sg.auto_stabilize
+    monkeypatch.setattr(sg, "auto_stabilize",
+                        lambda ctx, p: calls.append(ctx) or stabilize(ctx, p))
+    return calls
+
+
+def test_a_repeated_auto_call_runs_the_kept_stabilization(monkeypatch, ctx6):
+    calls = _count_stabilizations(monkeypatch)
+    p = sfx.split_surgery_unknot_presentation(ctx6, GENERIC, 1)
+    first = sg.cgp(ctx6, p, auto=True)
+    assert p._stabilized[ctx6].diagram._plans
+    assert sg.cgp(ctx6, p, auto=True) == first
+    assert calls == [ctx6]
+
+
+def test_auto_stabilizations_are_kept_per_context(monkeypatch):
+    """One input at three contexts stabilizes once at each and gives each
+    context's value: that of a fresh input."""
+    contexts = [ScalarContext(6), ScalarContext(6, precision=106), ScalarContext(10)]
+    wants = [sg.cgp(ctx, sfx.split_surgery_unknot_presentation(ctx, GENERIC, 1), auto=True)
+             for ctx in contexts]
+    calls = _count_stabilizations(monkeypatch)
+    p = sfx.split_surgery_unknot_presentation(contexts[0], GENERIC, 1)
+    for _ in range(2):
+        assert [sg.cgp(ctx, p, auto=True) for ctx in contexts] == wants
+    assert calls == contexts
+    assert set(p._stabilized) == set(contexts)
+
+
+def test_a_refused_stabilization_keeps_nothing(ctx6):
+    p = _reversed_split_unknot(1)
+    tight = ScalarContext(6, tol=1e-16)
+    q = sfx.split_surgery_unknot_presentation(tight, GENERIC, 1)
+    for _ in range(2):
+        with pytest.raises(sg.CannotStabilize):
+            sg.cgp(ctx6, p, auto=True)
+        with pytest.raises(NumericInstability):
+            sg.cgp(tight, q, auto=True)
+    assert not p._stabilized and not q._stabilized
+
+
+def test_a_kept_stabilization_leaves_auto_false_refused(ctx6):
+    p = sfx.split_surgery_unknot_presentation(ctx6, GENERIC, 1)
+    sg.cgp(ctx6, p, auto=True)
+    with pytest.raises(sg.NotComputable):
+        sg.cgp(ctx6, p)
+
+
+def test_a_kept_stabilization_dies_with_its_input(ctx6):
+    p = sfx.split_surgery_unknot_presentation(ctx6, GENERIC, 1)
+    sg.cgp(ctx6, p, auto=True)
+    refs = [weakref.ref(p), weakref.ref(p._stabilized[ctx6].diagram)]
+    del p
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None]
