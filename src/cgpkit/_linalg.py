@@ -3,9 +3,11 @@
 Matrices are numpy arrays: complex128 at the default 53-bit precision,
 object arrays of mpmath complex numbers above it.  The object path reuses
 numpy's generic matmul/kron and routes factorizations through mpmath,
-converting with mpmath's `matrix(list)` and `tolist()`.  With
-`qscalars.ScalarContext`, this is the only module that reads the
-precision to choose the arithmetic; the rest of the package gets the
+converting with mpmath's `matrix(list)` and `tolist()`, but `rt_eval`'s
+sweeps and closings run exactly: `exact` lifts mpmath numbers to Gaussian
+integers, `product` multiplies those, and `rounded` rounds each result
+once.  With `qscalars.ScalarContext`, this is the only module that reads
+the precision to choose the arithmetic; the rest of the package gets the
 right types from these helpers and the context's scalars.
 """
 
@@ -103,6 +105,38 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     same products as np.kron, without its generic-rank overhead."""
     return (a[:, None, :, None] * b[None, :, None, :]).reshape(
         a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
+
+
+def exact(ctx: ScalarContext, a: np.ndarray) -> tuple:
+    """(g, e) with a = (g[0] + i g[1]) * 2**e exactly: Python ints on a
+    leading (re, im) axis, e the least exponent of a's nonzeros; at 53 bits
+    (a, 0).  A non-finite value, whose mantissa is 0, is refused."""
+    if not ctx.high_precision:
+        return a, 0
+    parts = [p for x in a.flat for p in x._mpc_]  # (sign, man, exp, bc) each
+    if any(exp and not man for _, man, exp, _ in parts):
+        raise NumericInstability("a non-finite value has no exact form")
+    e = min((exp for _, man, exp, _ in parts if man), default=0)
+    ints = [(-man if sign else man) << (exp - e) if man else 0 for sign, man, exp, _ in parts]
+    return np.array(ints, dtype=object).reshape(-1, 2).T.reshape(2, *a.shape), e
+
+
+def product(ctx: ScalarContext, op):
+    """op (operator.mul or .matmul) as is at 53 bits, where `*` reuses a
+    temporary's buffer; above, op on `exact` values as Gaussian integers."""
+    if not ctx.high_precision:
+        return op
+    return lambda a, b: np.stack((op(a[0], b[0]) - op(a[1], b[1]),
+                                  op(a[0], b[1]) + op(a[1], b[0])))
+
+
+def rounded(ctx: ScalarContext, g: np.ndarray, e: int) -> np.ndarray:
+    """The context's scalars nearest the `exact` values (g, e), each
+    rounded once (mpf((man, exp)) rounds man * 2**exp); at 53 bits g."""
+    if not ctx.high_precision:
+        return g
+    mpc, zero = ctx._mp.mpc, ctx.scalar(0)  # most of an `evaluate` is zeros
+    return np.frompyfunc(lambda re, im: mpc((re, e), (im, e)) if re or im else zero, 2, 1)(*g)
 
 
 def norm_inf(a: np.ndarray) -> float:

@@ -17,9 +17,11 @@ state stays in one weight sector, and almost all of it is exact zeros.  So
 the sweep keeps only the state's stored entries, sorted flat indices and
 values over all source columns, from the identity's to the end, where the
 state turns dense once.  A step sums the products of a nonzero cell entry
-with a stored entry per output in increasing input index, as the object
-matmul does: 106-bit values are the bits of the dense route.  A step's
-terms are one broadcast over the term axes.
+with a stored entry per output in increasing input index; its terms are
+one broadcast over the term axes.  The values are `la.exact`'s, Gaussian
+integers above 53 bits at one binary exponent per step: the sweep and
+`f_prime`'s pairing round nothing, and each value is rounded once at the
+end.  `_linalg` chooses that arithmetic; this module reads no precision.
 
 A sweep is a plan and its run.  The stored entries depend only on the
 cells' nonzero patterns, so the plan walks them from the identity and does
@@ -38,7 +40,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from functools import lru_cache, reduce
+from functools import lru_cache, partial, reduce
 
 import numpy as np
 
@@ -59,14 +61,9 @@ class NotAdmissible(ValueError):
 # not grow them for ever
 @lru_cache(maxsize=2048)
 def _cell_matrix_cached(ctx: ScalarContext, kind: str, letters) -> np.ndarray:
-    if kind == "xpos":
-        V = wc.realize_letter(ctx, letters[0])
-        W = wc.realize_letter(ctx, letters[1])
-        return wc.braiding(ctx, V, W)
-    if kind == "xneg":
-        V = wc.realize_letter(ctx, letters[1])
-        W = wc.realize_letter(ctx, letters[0])
-        return wc.braiding_inv(ctx, V, W)
+    if kind in ("xpos", "xneg"):
+        V, W = (wc.realize_letter(ctx, x) for x in letters)
+        return wc.braiding(ctx, V, W) if kind == "xpos" else wc.braiding_inv(ctx, W, V)
     if kind in ("tpos", "tneg"):
         return wc.twist(ctx, wc.realize_letter(ctx, letters[0]), 1 if kind == "tpos" else -1)
     sign, color = letters[0]
@@ -90,6 +87,11 @@ def _nonzeros(m: np.ndarray):
     count = np.bincount(ins, minlength=m.shape[-1])
     pattern = count.tobytes() + outs.tobytes()
     return count, np.cumsum(count) - count, outs, m[..., outs, ins], pattern
+
+
+def _exact_nonzeros(ctx: ScalarContext, m: np.ndarray) -> tuple:
+    """`_nonzeros` of m, then its values' `la.exact` (values, exponent)."""
+    return (*(nz := _nonzeros(m)), la.exact(ctx, nz[3]))
 
 
 def _on_term_axes(ctx: ScalarContext, f, letters: tuple, kirby: tuple) -> np.ndarray:
@@ -116,7 +118,7 @@ def _cell_nonzeros_cached(ctx: ScalarContext, kind: str, letters: tuple, kirby: 
                           transposed: bool):
     m = (_on_term_axes(ctx, lambda ls, _: _cell_matrix_cached(ctx, kind, ls), letters, kirby)
          if kirby else _cell_matrix_cached(ctx, kind, letters))
-    return _nonzeros(m.swapaxes(-1, -2) if transposed else m)
+    return _exact_nonzeros(ctx, m.swapaxes(-1, -2) if transposed else m)
 
 
 @lru_cache(maxsize=128)
@@ -135,11 +137,12 @@ def _plan(ctx: ScalarContext, slices, word: wc.ObjectWord, kirby: tuple,
     `word`, with a term axis per Kirby color of `kirby`; if `down`, of the
     transposed cells from the identity on the top word down, which take a
     covector on the top word to one on `word`.  Returns (steps, start, put,
-    shape, terms) for `_sweep`: per step the cell's nonzero values (stacked
-    on its term axes, transposed if `down`) and `_indexed`'s index work
-    (shared through `_index_cache` if the start word has src = 1 columns);
-    the identity's stored values, read-only; the flat indices of the last
-    stored entries in the end's dense shape (rows, src); the term axes."""
+    shape, exp, terms) for `_sweep`: per step the cell's exact nonzero values
+    (stacked on its term axes, transposed if `down`) and `_indexed`'s index
+    work (shared through `_index_cache` if the start word has src = 1
+    columns); the identity's stored values, on each term axis, read-only;
+    the flat indices of the last stored entries in the end's dense shape
+    (rows, src); the end's exponent, the steps' sum; the term axes."""
     dims, steps = _letter_dims(ctx, word), []
     bottom = math.prod(dims)
     for cells in slices:
@@ -153,7 +156,7 @@ def _plan(ctx: ScalarContext, slices, word: wc.ObjectWord, kirby: tuple,
                                  math.prod(out), math.prod(dims[pos + nin:]))
             if cell.kind == "coupon":  # a coupon's nonzeros are its own
                 m = cell_matrix(ctx, cell)
-                nonzeros = _nonzeros(m.T if down else m)
+                nonzeros = _exact_nonzeros(ctx, m.T if down else m)
             else:  # a cell on no Kirby color is one matrix, without term axes
                 colors = kirby if kirby and any(c in kirby for _, c in cell.letters) else ()
                 nonzeros = _cell_nonzeros_cached(ctx, cell.kind, cell.letters, colors, down)
@@ -167,12 +170,12 @@ def _plan(ctx: ScalarContext, slices, word: wc.ObjectWord, kirby: tuple,
     # `_indexed` reads; an open one's is used once and would only pin memory
     key = (src, tuple((nz[4], *sizes) for nz, *sizes in steps))
     work, put = _shared(key, lambda: _indexed(steps, src)) if src == 1 else _indexed(steps, src)
-    start = np.full(src, ctx.scalar(1))
-    start.setflags(write=False)
     # a Kirby color on no cell keeps a term axis of size 1
     terms = _coefficients(ctx, kirby).shape
-    return (tuple((nz[3], *w) for (nz, *_), w in zip(steps, work)), start, put,
-            (rows, src), terms)
+    start, exp = la.exact(ctx, np.full((1,) * len(terms) + (src,), ctx.scalar(1)))
+    start.setflags(write=False)
+    return (tuple((nz[5][0], *w) for (nz, *_), w in zip(steps, work)), start, put,
+            (rows, src), exp + sum(nz[5][1] for nz, *_ in steps), terms)
 
 
 def _indexed(steps: list, src: int) -> tuple:
@@ -261,27 +264,29 @@ def evaluate(ctx: ScalarContext, d: dg.Diagram) -> np.ndarray:
     with a term axis per Kirby color of `d.kirby_colors()`, as in
     `expand_formal`.  Functorial under compose, monoidal under tensor."""
     plan = _plan(ctx, d.slices, d.source, d.kirby_colors(), False)
-    return _sweep(ctx, plan) * ctx.scalar(d.prefactor)
+    return la.rounded(ctx, _sweep(ctx, plan), plan[4]) * ctx.scalar(d.prefactor)
 
 
 def _sweep(ctx: ScalarContext, plan: tuple) -> np.ndarray:
     """Run a `_plan`: its steps applied to the identity's stored values,
     then the end made dense (term axes, rows, src) and broadcast to the
-    plan's term axes."""
-    steps, val, put, shape, terms = plan
+    plan's term axes; exact, at the plan's exponent."""
+    steps, val, put, shape, _, terms = plan
+    multiply = la.product(ctx, operator.mul)
     for vals, term, k, first in steps:
-        val = _apply_sparse(val, vals, term, k, first)
-    end = la.zeros(ctx, val.shape[:-1] + (math.prod(shape),))
+        val = _apply_sparse(val, vals, term, k, first, multiply)
+    end = np.zeros(val.shape[:-1] + (math.prod(shape),), val.dtype)
     end[..., put] = val
-    end = end.reshape(*val.shape[:-1], *shape)
-    return np.broadcast_to(end, terms + shape) if terms else end
+    end, full = end.reshape(*val.shape[:-1], *shape), terms + shape
+    # exact values lead with an (re, im) axis
+    return np.broadcast_to(end, end.shape[:-len(full)] + full) if terms else end
 
 
-def _apply_sparse(val: np.ndarray, vals: np.ndarray, term, k, first) -> np.ndarray:
+def _apply_sparse(val, vals, term, k, first, multiply=operator.mul) -> np.ndarray:
     """A step's arithmetic: the stored values `val` times the cell's nonzero
-    values `vals`, paired and summed per output as `_scatter` planned,
-    broadcast over their term axes; the outputs' values."""
-    return np.add.reduceat(vals.take(k, axis=-1) * val.take(term, axis=-1), first, axis=-1)
+    values `vals` (by `multiply`), paired and summed per output as `_scatter`
+    planned, broadcast over their term axes; the outputs' values."""
+    return np.add.reduceat(multiply(vals.take(k, axis=-1), val.take(term, axis=-1)), first, axis=-1)
 
 
 def expand_formal(ctx: ScalarContext, d: dg.Diagram):
@@ -329,10 +334,10 @@ def f_prime(ctx: ScalarContext, d: dg.Diagram,
     p-(a) p+(c) L[a, j, c] U[a, k, c].
     The value sums coefficient times the modified trace of F, s d(V_alpha)
     for F = s id, over the terms of the Kirby expansion in `expand_formal`'s
-    order; it does not depend on the edge.  F of all terms is one product
-    batched over the term axes, checked by one stacked `wc.scalar_of`; the
-    pivots, d(V_alpha) and coefficients on those axes are cached, and the
-    opening, with both halves' plans, is kept on `d` per context and edge.
+    order; it does not depend on the edge.  F of all terms is one exact
+    product over the term axes, rounded once per entry, checked by one
+    stacked `wc.scalar_of`; the pivots, d(V_alpha) and coefficients are
+    cached, and the opening (plans, exact pivots) is kept on `d` per context and edge.
     """
     key = (ctx, edge if edge is None else tuple(edge))
     opening = d._plans.get(key)
@@ -344,17 +349,18 @@ def f_prime(ctx: ScalarContext, d: dg.Diagram,
             raise NotAdmissible("closed diagram has no typical edge to open at")
         (b, i), kirby = e, d.kirby_colors()
         word = dg.edge_word(d.boundary_words(), b, i)
-        dims, closing = _letter_dims(ctx, word), _closing(ctx, word, i, kirby)
+        dims, (pivots, dim, coeff) = _letter_dims(ctx, word), _closing(ctx, word, i, kirby)
         halves = (_plan(ctx, d.slices[:b], d.source, kirby, False),
                   _plan(ctx, d.slices[b:], word, kirby, True))
-        # the coefficients' shape is that of the term axes
-        opening = d._plans[key] = (halves, closing[2].shape + (
-            math.prod(dims[:i]), dims[i], math.prod(dims[i + 1:])), closing)
-    halves, shape, (pivots, dim, coeff) = opening
-    low, up = (_sweep(ctx, plan).reshape(shape) for plan in halves)
-    ends = ((low * pivots).swapaxes(-3, -2).reshape(*shape[:-3], shape[-2], -1)
-            @ up.swapaxes(-2, -1).reshape(*shape[:-3], -1, shape[-2]))
-    values = coeff * (wc.scalar_of(ctx, ends * ctx.scalar(d.prefactor)) * dim)
+        opening = d._plans[key] = (halves, (math.prod(dims[:i]), dims[i], math.prod(dims[i + 1:])),
+                                   *la.exact(ctx, pivots), halves[0][4] + halves[1][4], dim, coeff)
+    halves, (a, j, c), pivots, e_pivots, e_halves, dim, coeff = opening
+    low, up = (h.reshape(*h.shape[:-2], a, j, c) for h in map(partial(_sweep, ctx), halves))
+    low = la.product(ctx, operator.mul)(low, pivots).swapaxes(-3, -2)
+    ends = la.product(ctx, operator.matmul)(low.reshape(*low.shape[:-2], -1),
+                                            up.swapaxes(-2, -1).reshape(*up.shape[:-3], -1, j))
+    ends = la.rounded(ctx, ends, e_pivots + e_halves) * ctx.scalar(d.prefactor)
+    values = coeff * (wc.scalar_of(ctx, ends) * dim)
     return reduce(operator.add, np.ravel(values), ctx.scalar(0))
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import operator
 import tracemalloc
 from functools import reduce
 
@@ -113,6 +114,31 @@ def _matrix(ctx, nonzeros, din, dout):
     m = la.zeros(ctx, vals.shape[:-1] + (dout, din))
     m[..., outs, np.arange(din).repeat(count)] = vals
     return m
+
+
+# far more bits than any exact value of these tests' sweeps and closings
+# holds, so that mpmath at this precision adds and multiplies them exactly
+EXACT_BITS = 1 << 14
+
+
+def _exact_context(ctx):
+    """ctx at 53 bits; above, its level at `EXACT_BITS`."""
+    return ScalarContext(ctx.r, precision=EXACT_BITS) if ctx.high_precision else ctx
+
+
+def _exact_raw(ctx, raw):
+    """The context and the raw steps (as `_unindexed_halves` gives them) of
+    the reference routes: `_exact_context` and each step's `la.exact`
+    values at it, so that above 53 bits the routes compute exactly on the
+    values that the sweep lifted."""
+    x = _exact_context(ctx)
+    return x, ([((*nz[:3], la.rounded(x, *nz[5])), *sizes) for nz, *sizes in raw[0]], *raw[1:])
+
+
+def _round_once(ctx, a):
+    """Each exact value of `a`, at `_exact_context`, rounded to
+    ctx's precision; at 53 bits `a`."""
+    return np.frompyfunc(ctx.scalar, 1, 1)(a) if ctx.high_precision else a
 
 
 def _dense_sweep(ctx, raw, patterns=None):
@@ -243,23 +269,28 @@ def test_planned_sparse_steps_match_the_reference(monkeypatch, precision):
     either precision: each step on random values at its stored entries, and
     whole sweeps, without term axes (a 3-strand closure) and with them (the
     lens's Kirby color).  The whole sweeps match the dense route too, `==`
-    at 106 bits and within rounding at 53.  The planned indices are int32."""
+    at 106 bits and within rounding at 53.  Above 53 bits the references
+    run exactly on the values that the sweep lifted (`_exact_raw`), so they
+    are `==` the sweep's exact values.  The planned indices are int32."""
     ctx = ScalarContext(6, precision=precision)
     rng = np.random.default_rng(13)
     for d in (fx.braid_closure(wc.Typical(GENERIC), 3, [1, -2, 1, 2, -1, 1]),
               sfx.lens_unknot_presentation(ctx, 5, 1).diagram):
         raw, plan = _unindexed_halves(monkeypatch, ctx, d)[1]
-        stored, got = [], rt_eval._sweep(ctx, plan)
-        assert np.all(got == _reference_sweep(ctx, raw, stored))
+        (xctx, xraw), stored = _exact_raw(ctx, raw), []
+        got = la.rounded(xctx, rt_eval._sweep(ctx, plan), plan[4])
+        assert np.all(got == _reference_sweep(xctx, xraw, stored))
         assert np.array_equal(plan[2], stored[-1])
-        for (vals, term, k, first), (nonzeros, dl, din, dout, dr), idx in zip(
-                plan[0], raw[0], stored[:-1], strict=True):
+        for (vals, term, k, first), (nonzeros, dl, din, dout, dr), xstep, idx in zip(
+                plan[0], raw[0], xraw[0], stored[:-1], strict=True):
             assert all(a.dtype == np.int32 for a in (term, k, first))
             # random values on the step's weight sector, on the plan's term axes
-            val = _random(ctx, rng, raw[2] + idx.shape, 1.0)
-            want = _reference_apply_sparse(idx, val, nonzeros[:4], dl, din, dout, dr)[1]
-            assert np.all(rt_eval._apply_sparse(val, vals, term, k, first) == want)
-        dense = _dense_sweep(ctx, raw)
+            val, e = la.exact(ctx, _random(ctx, rng, raw[2] + idx.shape, 1.0))
+            want = _reference_apply_sparse(idx, la.rounded(xctx, val, e), xstep[0][:4],
+                                           dl, din, dout, dr)[1]
+            step = rt_eval._apply_sparse(val, vals, term, k, first, la.product(ctx, operator.mul))
+            assert np.all(la.rounded(xctx, step, e + nonzeros[5][1]) == want)
+        dense = _dense_sweep(xctx, xraw)
         if ctx.high_precision:
             assert np.all(got == dense)
         else:
@@ -312,16 +343,61 @@ def test_53_bit_routes_of_a_cancelling_closure_match_106_bits():
         assert abs(rt_eval.f_prime(ctx, d, edge) - want) <= 1e-11 * abs(want)
 
 
+def test_106_bit_values_match_192_bits():
+    """An independent precision for the exact kernel at 106 bits: F' of
+    the odd T(2, n) closures to n = 9 at r = 4 and of the cancelling
+    closure at r = 10, and cgp of the lens, S^1 x S^2 and the -1-framed
+    unknot at r = 6, against 192-bit runs on the same inputs.  Measured:
+    at most 1.8e-35 relative (the cancelling closure), 4.3e-36 elsewhere."""
+    def torus(n):
+        word = list(range(1, n)) * 2
+        return lambda ctx: rt_eval.f_prime(
+            ctx, fx.braid_closure(wc.Typical(0.37), n, word, [-len(word)]))
+
+    cases = [(4, torus(n)) for n in (3, 5, 7, 9)] + [
+        (10, lambda ctx: rt_eval.f_prime(ctx, _cancelling_closure_routes()[0][0])),
+        (6, lambda ctx: sg.cgp(ctx, sfx.lens_unknot_presentation(ctx, 5, 1))),
+        (6, lambda ctx: sg.cgp(ctx, sfx.s1xs2_presentation(ctx, wc.Degree(GENERIC2)))),
+        (6, lambda ctx: sg.cgp(ctx, sfx.unknot_presentation(ctx, GENERIC, framing=-1)))]
+    for r, value in cases:
+        got, want = (value(ScalarContext(r, precision=bits)) for bits in (106, 192))
+        assert abs(want - got) <= 1e-28 * abs(want)
+
+
+@pytest.mark.parametrize("special", ["inf", "nan"])
+def test_a_non_finite_value_is_refused_not_read_as_zero(special):
+    """An mpmath inf or nan has mantissa 0: lifting it exactly refuses it,
+    and so does F' of a 106-bit closure with a coupon that holds one."""
+    hp = ScalarContext(4, precision=106)
+    value = hp.scalar(getattr(hp._mp, special))
+    with pytest.raises(la.NumericInstability, match="non-finite"):
+        la.exact(hp, np.array([hp.scalar(1), value]))
+    H = fx.hopf_link(wc.Typical(GENERIC), wc.Typical(GENERIC2))
+    words = H.boundary_words()
+    b = next(b for b in range(1, len(words)) if len(words[b]) == 2)
+    m = la.eye(hp, math.prod(wc.color_dim(hp, c) for _, c in words[b]))
+    m[1, 1] = value
+    d = dg.insert_slices(H, b, [[dg.coupon(words[b], words[b], m)]])
+    with pytest.raises(la.NumericInstability, match="non-finite"):
+        rt_eval.f_prime(hp, d)
+
+
 def _f_prime_dense_route(monkeypatch, ctx, d):
-    """f_prime of a copy of `d`, with plans of its own, each half swept by
-    `_dense_sweep` on the steps that its plan indexed, at either precision."""
+    """f_prime of a copy of `d` at 106 bits, with plans of its own, each half
+    swept exactly by `_dense_sweep` on the values that its plan lifted, as
+    `la.exact`'s integers at the plan's exponent."""
     raws, indexed = [], rt_eval._indexed
+
+    def dense(ctx, plan):
+        xctx, raw = _exact_raw(ctx, raws.pop(0) + (plan[-1],))
+        ints, e = la.exact(xctx, _dense_sweep(xctx, raw))
+        return ints << (e - plan[4])
+
     with monkeypatch.context() as mp:
         _fresh_index_cache(mp)
         mp.setattr(rt_eval, "_indexed",
                    lambda steps, src: raws.append((steps, src)) or indexed(steps, src))
-        mp.setattr(rt_eval, "_sweep",
-                   lambda ctx, plan: _dense_sweep(ctx, raws.pop(0) + (plan[-1],)))
+        mp.setattr(rt_eval, "_sweep", dense)
         value = rt_eval.f_prime(ctx, dataclasses.replace(d))
     assert not raws
     return value
@@ -776,11 +852,14 @@ def _uncached_closing(ctx, d):
     """f_prime with each term closed as before its closing data was cached:
     a per-term einsum, `wc._pivot` on each realized letter, the mpmath
     scalar check and the uncached modified dimension; and the sum of the
-    terms' absolute values."""
+    terms' absolute values.  Above 53 bits each half's exact values are
+    closed exactly, at `EXACT_BITS`, and each entry rounded once."""
     (b, i), kirby = rt_eval.find_typical_edge(ctx, d), d.kirby_colors()
     word = d.boundary_words()[b]
-    halves = [rt_eval._sweep(ctx, rt_eval._plan(ctx, d.slices[:b], d.source, kirby, False)),
-              rt_eval._sweep(ctx, rt_eval._plan(ctx, d.slices[b:], word, kirby, True))]
+    xctx = _exact_context(ctx)
+    plans = [rt_eval._plan(ctx, d.slices[:b], d.source, kirby, False),
+             rt_eval._plan(ctx, d.slices[b:], word, kirby, True)]
+    halves = [la.rounded(xctx, rt_eval._sweep(ctx, plan), plan[4]) for plan in plans]
     dims = [wc.color_dim(ctx, c) for _, c in word]
     shape = (-1, math.prod(dims[:i]), dims[i], math.prod(dims[i + 1:]))
     total, size = ctx.scalar(0), 0
@@ -791,7 +870,7 @@ def _uncached_closing(ctx, d):
             wc._pivot(ctx, wc.realize_letter(ctx, x), 1 if k > i else -1)
             for k, x in enumerate(letters) if k != i], ctx.scalar(1))
         end = np.einsum("ajc,akc->jk", low * np.reshape(pivots, (shape[1], 1, shape[3])), up)
-        end = end * ctx.scalar(d.prefactor)
+        end = _round_once(ctx, end) * ctx.scalar(d.prefactor)
         s = end[0, 0]
         assert la.norm_inf(end - la.eye(ctx, dims[i]) * s) <= ctx.tol * max(1.0, abs(s))
         sign, color = letters[i]
@@ -805,7 +884,8 @@ def _uncached_closing(ctx, d):
 def test_cached_closing_matches_the_uncached_route(precision):
     """The cached pivots and modified dimensions, the double scalar check
     and the one-matmul pairing give the bits of the uncached closing at
-    106 bits, and agree within rounding at 53."""
+    106 bits, where it pairs exactly and rounds each entry once, and agree
+    within rounding at 53."""
     ctx6, ctx4 = (ScalarContext(r, precision=precision) for r in (6, 4))
     cases = [(ctx6, sfx.lens_unknot_presentation(ctx6, 5, 1).diagram),
              (ctx6, sfx.unknot_presentation(ctx6, GENERIC, framing=-1).diagram),
