@@ -141,8 +141,3 @@ def rounded(ctx: ScalarContext, g: np.ndarray, e: int) -> np.ndarray:
 
 def norm_inf(a: np.ndarray) -> float:
     return float(np.abs(a).max()) if a.size else 0.0
-
-
-def frobenius_inner(a: np.ndarray, b: np.ndarray):
-    """<a, b> = sum conj(a_ij) b_ij."""
-    return (np.conjugate(a.reshape(-1)) * b.reshape(-1)).sum()

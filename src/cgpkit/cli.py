@@ -136,9 +136,9 @@ def _parse_complex(s: str) -> complex:
 
 def _degree_from_json(v) -> wc.Degree:
     if isinstance(v, (int, float)):
-        return wc.Degree(complex(v))
+        return wc.Degree(dg.complex_from_json(v))
     if isinstance(v, (list, tuple)) and len(v) == 2:
-        return wc.Degree(complex(v[0], v[1]))
+        return wc.Degree(dg.complex_from_json(*v))
     if isinstance(v, str):
         return wc.Degree(_parse_complex(v))
     raise ParseError(f"bad degree {v!r}")

@@ -704,7 +704,7 @@ def _pair(z) -> list[float]:
 
 
 def _terms_from_json(terms) -> FormalColorSum:
-    return FormalColorSum(tuple((complex(co[0], co[1]), color_from_json(c))
+    return FormalColorSum(tuple((complex_from_json(co[0], co[1]), color_from_json(c))
                                 for co, c in terms))
 
 
@@ -729,9 +729,17 @@ def integer_from_json(v) -> int:
     raise ValueError(f"not an integer: {v!r}")
 
 
+def complex_from_json(re, im=0.0) -> complex:
+    """re + i im from JSON numbers; ValueError for any other value, such as true."""
+    for v in (re, im):
+        if isinstance(v, bool) or not isinstance(v, (int, float)):
+            raise ValueError(f"not a number: {v!r}")
+    return complex(re, im)
+
+
 def color_from_json(obj) -> Color:
     if "typical" in obj:
-        return Typical(complex(obj["typical"]["re"], obj["typical"]["im"]))
+        return Typical(complex_from_json(obj["typical"]["re"], obj["typical"]["im"]))
     if "sigma" in obj:
         return Sigma(integer_from_json(obj["sigma"]))
     if "kirby" in obj:
@@ -739,7 +747,7 @@ def color_from_json(obj) -> Color:
         if not isinstance(k["surgery"], bool):
             raise ValueError(f"surgery is not a boolean: {k['surgery']!r}")
         terms = _terms_from_json(k["terms"]) if "terms" in k else None
-        return Kirby(complex(*k["g"]), integer_from_json(k["tag"]), k["surgery"], terms)
+        return Kirby(complex_from_json(*k["g"]), integer_from_json(k["tag"]), k["surgery"], terms)
     raise ValueError(f"bad color: {obj!r}")
 
 
@@ -758,7 +766,7 @@ def _matrix_to_json(m: np.ndarray):
 
 
 def _matrix_from_json(rows) -> np.ndarray:
-    return np.array([[complex(a, b) for a, b in row] for row in rows],
+    return np.array([[complex_from_json(a, b) for a, b in row] for row in rows],
                     dtype=np.complex128)
 
 
@@ -801,7 +809,7 @@ def diagram_from_json(obj) -> Diagram:
     source = tuple(letter_from_json(l) for l in obj["source"])
     slices = [[cell_from_json(c) for c in s["cells"]] for s in obj["slices"]]
     pf = obj.get("prefactor", (1.0, 0.0))
-    d = Diagram(source, slices, complex(pf[0], pf[1]))
+    d = Diagram(source, slices, complex_from_json(pf[0], pf[1]))
     formal = {int(cid): _terms_from_json(terms)
               for cid, terms in obj.get("formal", {}).items()}
     if not formal:

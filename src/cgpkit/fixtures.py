@@ -1,21 +1,17 @@
 """Reusable diagram fixtures: unknots, Hopf links and knots, all braid
 closures framed by twist cells, and the meridian figures that define the
-stabilization coefficients and the relative modularity scalar.
+stabilization coefficients and the relative modularity scalar, each swept
+as one column from the empty word and read by `weightcat.scalar_of`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from . import _linalg as la
 from . import diagrams as dg
 from . import rt_eval
 from . import weightcat as wc
 from .qscalars import ScalarContext, Scalar
-
-
-def strand(color: wc.Color) -> dg.Diagram:
-    return dg.Diagram(((1, color),), [])
 
 
 def unknot(color: wc.Color, framing: int = 0) -> dg.Diagram:
@@ -71,6 +67,16 @@ def hopf_link(c1: wc.Color, c2: wc.Color, framings: tuple[int, int] = (0, 0)) ->
 # ---------------------------------------------------------------------------
 
 
+def _meridian_scalar(ctx: ScalarContext, source: dg.Cell, span: tuple[int, int],
+                     color: wc.Kirby, framing: int = 0) -> Scalar:
+    """The scalar of the (m, m) reshape of the column that the `color`
+    meridian around letters `span` of V (x) V* sweeps from `source`, a
+    cell on the empty word; m = dim V."""
+    d = dg.encircle(dg.Diagram((), [[source]]), span, color, framing)
+    m = wc.color_dim(ctx, source.out_letters()[0][1])
+    return wc.scalar_of(ctx, rt_eval.evaluate_formal(ctx, d).reshape(m, m))
+
+
 def stabilization_coefficient(ctx: ScalarContext, probe_alpha: complex,
                               framing: int) -> Scalar:
     """Negative/positive stabilization coefficient from the meridian figure.
@@ -80,26 +86,18 @@ def stabilization_coefficient(ctx: ScalarContext, probe_alpha: complex,
     twist of the strand; the +1 framed meridian carries index -g and
     evaluates to Delta_+ times a -1 twist.  Blowing the meridian down
     twists the strand, so the extraction divides the compensating twist
-    back out.  The result is independent of the probe.
+    back out.  The result is independent of the probe.  The strand is the
+    first letter of a cap coev_l, which carries no pivot, so the figure X
+    on it sweeps the column of (X (x) id) coev_l, whose (m, m) reshape is X.
     """
     if framing not in (-1, 1):
         raise ValueError("stabilization coefficient needs framing +-1")
     probe = wc.Typical(complex(probe_alpha))
     g = wc.color_degree(probe)
     index = g if framing < 0 else wc.Degree(-g.g)
-    d = dg.encircle(strand(probe), (0, 1), wc.Kirby(index.g), framing)
-    fig = wc.scalar_of(ctx, rt_eval.evaluate_formal(ctx, d))
+    fig = _meridian_scalar(ctx, dg.cap((1, probe), left=True), (0, 1), wc.Kirby(index.g), framing)
     theta = wc.twist(ctx, wc.realize_letter(ctx, (1, probe)))[0, 0]
     return fig / theta if framing < 0 else fig * theta
-
-
-def relative_modularity_matrix(ctx: ScalarContext, wi: complex, wj: complex,
-                               h: wc.Degree) -> np.ndarray:
-    """Evaluation of the index-h Kirby meridian around the pair of strands
-    colored V_i (upward) and V_j (downward)."""
-    word = ((1, wc.Typical(complex(wi))), (-1, wc.Typical(complex(wj))))
-    d = dg.encircle(dg.Diagram(word, []), (0, 2), wc.Kirby(h.g))
-    return rt_eval.evaluate_formal(ctx, d)
 
 
 def relative_modularity_scalar(ctx: ScalarContext, g: wc.Degree) -> Scalar:
@@ -108,16 +106,13 @@ def relative_modularity_scalar(ctx: ScalarContext, g: wc.Degree) -> Scalar:
     The index-g meridian around the V_i / dual-V_i strand pair, V_i of
     degree g, evaluates to the parameter times the through-unit projector,
     normalized by the modified dimension: fig = zeta * (coev_l o ev_r) / d(V_i).
+    On a coupon 1 -> V_i (x) V_i* holding e_0 (x) phi_0 it sweeps the column
+    (zeta p_0 / d(V_i)) sum_j e_j (x) phi_j, with p_0 the pivot of ev_r on
+    e_0, whose (m, m) reshape is scalar times the identity.
     """
     wi = wc.index_set(ctx, g)[0]
-    A = relative_modularity_matrix(ctx, wi, wi, g)
-    Vi = wc.realize_letter(ctx, (1, wc.Typical(wi)))
-    B = wc.ev_coev(ctx, Vi, "coev_l") @ wc.ev_coev(ctx, Vi, "ev_r")
-    denom = la.frobenius_inner(B, B)
-    fit = la.frobenius_inner(B, A) / denom
-    resid = la.norm_inf(A - B * fit)
-    if resid > ctx.tol * max(1.0, la.norm_inf(A)) * 10:
-        raise la.NumericInstability(
-            f"meridian figure is not a multiple of the unit projector "
-            f"(residual {resid:.3e})")
-    return fit * wc.modified_dimension(ctx, wi)
+    letter = (1, wc.Typical(wi))
+    m = wc.color_dim(ctx, letter[1])
+    e0 = dg.coupon((), (letter, dg.flip(letter)), np.eye(m * m, 1, dtype=complex))
+    p0 = wc.ev_coev(ctx, wc.realize_letter(ctx, letter), "ev_r")[0, 0]
+    return _meridian_scalar(ctx, e0, (0, 2), wc.Kirby(g.g)) * wc.modified_dimension(ctx, wi) / p0

@@ -26,13 +26,14 @@ end.  `_linalg` chooses that arithmetic; this module reads no precision.
 A sweep is a plan and its run.  The stored entries depend only on the
 cells' nonzero patterns, so the plan walks them from the identity and does
 each step's index work once (Gustavson's symbolic phase, ACM TOMS 4 (1978)
-250); the run is only gathers, products and `np.add.reduceat`.  Closed
-diagrams of the same patterns and sizes share that index work, at either
+250); the run is only gathers, products and `np.add.reduceat`.  Sweeps
+of the same patterns and sizes share that index work, at either
 precision, on any term axes and in any colours, through a cache of at
 most `_INDEX_BYTES` keyed on the source columns and each step's pattern
 and sizes.  An opening of `f_prime`, per context and edge, holds the
 plans of its two halves; it is kept on the diagram and dies with it.
-`evaluate` keeps nothing: no caller evaluates one diagram twice.
+`evaluate` keeps nothing on the diagram.  Every sweep of the pipeline
+starts from the empty word, `weightcat.constants`' meridians included.
 """
 
 from __future__ import annotations
@@ -139,10 +140,10 @@ def _plan(ctx: ScalarContext, slices, word: wc.ObjectWord, kirby: tuple,
     covector on the top word to one on `word`.  Returns (steps, start, put,
     shape, exp, terms) for `_sweep`: per step the cell's exact nonzero values
     (stacked on its term axes, transposed if `down`) and `_indexed`'s index
-    work (shared through `_index_cache` if the start word has src = 1
-    columns); the identity's stored values, on each term axis, read-only;
-    the flat indices of the last stored entries in the end's dense shape
-    (rows, src); the end's exponent, the steps' sum; the term axes."""
+    work, shared through `_index_cache`; the identity's stored values, on
+    each term axis, read-only; the flat indices of the last stored entries
+    in the end's dense shape (rows, src); the end's exponent, the steps'
+    sum; the term axes."""
     dims, steps = _letter_dims(ctx, word), []
     bottom = math.prod(dims)
     for cells in slices:
@@ -166,10 +167,9 @@ def _plan(ctx: ScalarContext, slices, word: wc.ObjectWord, kirby: tuple,
     steps = steps[::-1] if down else steps
     top = math.prod(dims)
     rows, src = (bottom, top) if down else (top, bottom)
-    # closed diagrams' halves (src 1) share the index work, keyed on all that
-    # `_indexed` reads; an open one's is used once and would only pin memory
+    # plans share the index work, keyed on all that `_indexed` reads
     key = (src, tuple((nz[4], *sizes) for nz, *sizes in steps))
-    work, put = _shared(key, lambda: _indexed(steps, src)) if src == 1 else _indexed(steps, src)
+    work, put = _shared(key, lambda: _indexed(steps, src))
     # a Kirby color on no cell keeps a term axis of size 1
     terms = _coefficients(ctx, kirby).shape
     start, exp = la.exact(ctx, np.full((1,) * len(terms) + (src,), ctx.scalar(1)))

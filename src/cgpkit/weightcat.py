@@ -670,8 +670,9 @@ def constants(ctx: ScalarContext) -> InvariantConstants:
 
     Delta_-/Delta_+ are the scalars of the Kirby-colored -1/+1 framed
     meridian around a typical probe strand, its framing one twist cell
-    (theta^{-+1} on each summand V_i, as in every other diagram).  zeta
-    is extracted from the double-strand projector figure; D is the
+    (theta^{-+1} on each summand V_i, as in every other diagram); zeta
+    is read off the meridian around a V_i / dual-V_i pair.  Each figure
+    is one column swept from the empty word (see `fixtures`).  D is the
     principal square root of Delta_- Delta_+, eta = |Z/Z_+|/D and
     delta = Delta_+/D.  The values do not depend on the probe, here
     V_{1/2} and the degree 1/2; they are memoized per context.

@@ -8,7 +8,10 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np
 import pytest
 
+from cgpkit import _linalg as la
 from cgpkit import diagrams as dg
+from cgpkit import rt_eval
+from cgpkit import weightcat as wc
 from cgpkit.qscalars import ScalarContext
 
 
@@ -25,6 +28,36 @@ def ctx6():
 @pytest.fixture(scope="session", params=[4, 6])
 def ctx(request):
     return ScalarContext(request.param)
+
+
+def strand(color):
+    """One upward letter of `color` and no slices: an open diagram whose
+    evaluation sweeps every column of its source."""
+    return dg.Diagram(((1, color),), [])
+
+
+def relative_modularity_matrix(ctx, wi, wj, h):
+    """Evaluation of the index-h Kirby meridian around the pair of strands
+    colored V_i (upward) and V_j (downward), swept from all m^2 columns of
+    its source."""
+    word = ((1, wc.Typical(complex(wi))), (-1, wc.Typical(complex(wj))))
+    d = dg.encircle(dg.Diagram(word, []), (0, 2), wc.Kirby(h.g))
+    return rt_eval.evaluate_formal(ctx, d)
+
+
+def whole_matrix_zeta(ctx, g):
+    """The modularity parameter fitted to the whole i = j figure, A =
+    zeta (coev_l o ev_r) / d(V_i), by the Frobenius inner product, with V_i
+    the first of the index set of g; the residual of the fit must be at
+    most 10 tol max(1, |A|)."""
+    wi = wc.index_set(ctx, g)[0]
+    A = relative_modularity_matrix(ctx, wi, wi, g)
+    Vi = wc.realize_letter(ctx, (1, wc.Typical(wi)))
+    B = wc.ev_coev(ctx, Vi, "coev_l") @ wc.ev_coev(ctx, Vi, "ev_r")
+    fit = (np.conjugate(B).reshape(-1) * A.reshape(-1)).sum() / (
+        np.conjugate(B).reshape(-1) * B.reshape(-1)).sum()
+    assert la.norm_inf(A - B * fit) <= ctx.tol * max(1.0, la.norm_inf(A)) * 10
+    return fit * wc.modified_dimension(ctx, wi)
 
 
 def drawn_kinks(d):

@@ -17,6 +17,7 @@ from cgpkit import surgery_fixtures as sfx
 from cgpkit import weightcat as wc
 from cgpkit.qscalars import ScalarContext
 import maslov as ms
+from conftest import relative_modularity_matrix
 
 CTX = {r: ScalarContext(r) for r in (4, 6)}
 
@@ -72,7 +73,7 @@ def test_03_relative_modularity():
     off = 0.0
     for i, wi in enumerate(reps):
         for j, wj in enumerate(reps):
-            A = fx.relative_modularity_matrix(ctx, wi, wj, h)
+            A = relative_modularity_matrix(ctx, wi, wj, h)
             n = float(np.abs(A).max())
             if i == j:
                 diag.append(n)

@@ -292,6 +292,36 @@ def test_malformed_colors_and_signs_are_parse_errors(tmp_path, capsys, good, bad
     assert capsys.readouterr().err == f"parse error: bad presentation: {message}\n"
 
 
+def _on_top(*cells):
+    """Add rows of one cell each on top of the diagram of a presentation."""
+    return lambda p: p["diagram"]["slices"].extend({"cells": [c]} for c in cells)
+
+
+_FALSE_KIRBY = ["+", {"kirby": {"g": [0.5, False], "tag": 7, "surgery": False}}]
+
+
+@pytest.mark.parametrize("edit", [
+    lambda p: p["meridian_degrees"].update({"0": True}),
+    lambda p: p["meridian_degrees"].update({"0": [0.8, False]}),
+    lambda p: p["diagram"]["slices"][0]["cells"][0]["letters"][0][1]["typical"].update(im=False),
+    _on_top({"kind": "cap_l", "letters": [_FALSE_KIRBY]},
+            {"kind": "cup_r", "letters": [_FALSE_KIRBY]}),
+    lambda p: p["diagram"].update(formal={"0": [[[True, 0.0], {"typical": {"re": 0.8, "im": 0.0}}]]}),
+    lambda p: p["diagram"].update(prefactor=[1.0, False]),
+    _on_top({"kind": "coupon", "domain": [], "codomain": [], "matrix": [[[1.0, False]]]}),
+], ids=["degree", "degree pair", "typical", "kirby g", "formal terms", "prefactor", "coupon"])
+def test_booleans_in_number_fields_are_parse_errors(tmp_path, capsys, edit):
+    """complex() reads true as 1 and false as 0: degree true would exit 1
+    on the cohomology constraint as degree 1, and "im": false or a coupon
+    entry [1.0, false] would give the value of 0.0."""
+    payload = json.loads(Path(DOCS_EXAMPLE).read_text())
+    edit(payload["presentation"])
+    path = tmp_path / "bool.json"
+    path.write_text(json.dumps(payload))
+    assert run_cli(["cgp", str(path)]) == (cli.EXIT_PARSE, "")
+    assert "bad presentation: not a number: " in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv, code", [
     (["moddim", "4", "abc"], cli.EXIT_PARSE),
     (["statespace", "6", "1", "xyz"], cli.EXIT_PARSE),

@@ -17,7 +17,7 @@ from cgpkit import surgery as sg
 from cgpkit import surgery_fixtures as sfx
 from cgpkit import weightcat as wc
 from cgpkit.qscalars import ScalarContext
-from conftest import assert_one_color_per_strand, assert_within_rounding
+from conftest import assert_one_color_per_strand, assert_within_rounding, strand
 
 GENERIC = 0.37 + 0.2j
 
@@ -163,7 +163,7 @@ def test_auto_stabilization_shifts_only_the_target(ctx6):
 def test_kirby_colored_diagram_roundtrips_through_json(ctx):
     om = wc.kirby_color(ctx, wc.Degree(0.5))
     twisted = wc.FormalColorSum(tuple((co * (0.25 - 1.5j), col) for co, col in om.terms))
-    d = dg.encircle(fx.strand(wc.Typical(GENERIC)), (0, 1), wc.Kirby(0.5, 0, terms=twisted))
+    d = dg.encircle(strand(wc.Typical(GENERIC)), (0, 1), wc.Kirby(0.5, 0, terms=twisted))
     d = dg.encircle(d, (0, 1), wc.Kirby(-0.25 + 0.1j, 1, surgery=True), framing=-1)
     d = dg.encircle(d, (0, 1), wc.Kirby(0.7, 2))
     back = dg.diagram_from_json(dg.diagram_to_json(d))
@@ -178,7 +178,7 @@ def test_kirby_colored_diagram_roundtrips_through_json(ctx):
 
 def test_formal_json_becomes_kirby_letters(ctx):
     om = wc.kirby_color(ctx, wc.Degree(0.5))
-    d = dg.encircle(fx.strand(wc.Typical(GENERIC)), (0, 1), wc.Typical(GENERIC))
+    d = dg.encircle(strand(wc.Typical(GENERIC)), (0, 1), wc.Typical(GENERIC))
     mer = d.ports_and_components()[(1, 0)]
     blob = dg.diagram_to_json(d)
     blob["formal"] = {str(mer): [[[complex(co).real, complex(co).imag], dg.color_to_json(col)]

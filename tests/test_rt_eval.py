@@ -15,7 +15,7 @@ from cgpkit import surgery as sg
 from cgpkit import surgery_fixtures as sfx
 from cgpkit import weightcat as wc
 from cgpkit.qscalars import ScalarContext
-from conftest import assert_within_rounding
+from conftest import assert_within_rounding, relative_modularity_matrix, strand
 
 GENERIC = 0.37 + 0.2j
 GENERIC2 = 0.59 - 0.11j
@@ -545,14 +545,19 @@ def test_a_coupon_with_one_more_nonzero_gets_its_own_entry(monkeypatch):
     assert len(keys[0]) == 2 and len(keys[1]) == 3 and keys[0] < keys[1]
 
 
-def test_open_diagrams_share_no_index_work(monkeypatch):
-    """An open braid evaluated on its source's columns, as `wc.constants`'
-    meridians are, used once: it leaves nothing in the shared cache."""
+def test_open_diagrams_share_index_work(monkeypatch):
+    """An open braid evaluated on its source's columns plans its index work
+    once and leaves it in the shared cache: evaluating it again, and in
+    another colour, plans nothing more."""
     _fresh_index_cache(monkeypatch)
-    ctx, w = ScalarContext(6), wc.ObjectWord([(1, wc.Typical(GENERIC))] * 2)
-    d = dg.apply_cell(dg.identity_diagram(w), 0, dg.cross(*w))
-    assert rt_eval.evaluate(ctx, d).shape == (9, 9)
-    assert not rt_eval._index_cache
+    calls = _counted_indexed(monkeypatch)
+    ctx = ScalarContext(6)
+    for a in (GENERIC, GENERIC, GENERIC2):
+        w = wc.ObjectWord([(1, wc.Typical(a))] * 2)
+        d = dg.apply_cell(dg.identity_diagram(w), 0, dg.cross(*w))
+        assert rt_eval.evaluate(ctx, d).shape == (9, 9)
+    assert len(calls) == 1
+    assert len(rt_eval._index_cache) == 1
 
 
 def test_evaluate_keeps_no_plan(ctx):
@@ -699,7 +704,7 @@ def test_formal_meridian_gives_delta(ctx):
     for fr, expected in ((-1, c.delta_minus * theta), (1, c.delta_plus / theta)):
         g = wc.Degree(a if fr < 0 else -a)
         om = wc.kirby_color(ctx, g)
-        d = dg.encircle(fx.strand(wc.Typical(a)), (0, 1), wc.Kirby(g.g, terms=om), fr)
+        d = dg.encircle(strand(wc.Typical(a)), (0, 1), wc.Kirby(g.g, terms=om), fr)
         mat = rt_eval.evaluate_formal(ctx, d)
         got = wc.scalar_of(ctx, mat)
         assert abs(got - expected) < 1e-8 * max(1, abs(expected))
@@ -708,7 +713,7 @@ def test_formal_meridian_gives_delta(ctx):
 def test_formal_linearity(ctx):
     g = wc.Degree(0.5)
     om = wc.kirby_color(ctx, g)
-    base = fx.strand(wc.Typical(GENERIC))
+    base = strand(wc.Typical(GENERIC))
     d = dg.encircle(base, (0, 1), wc.Kirby(g.g, terms=om), 0)
     total = rt_eval.evaluate_formal(ctx, d)
     comp = next(c for c, col in d.component_colors().items() if isinstance(col, wc.Kirby))
@@ -814,7 +819,7 @@ def test_relative_modularity_offdiagonal(ctx6):
     diag_scale = None
     for i, wi in enumerate(reps):
         for j, wj in enumerate(reps):
-            A = fx.relative_modularity_matrix(ctx6, wi, wj, h)
+            A = relative_modularity_matrix(ctx6, wi, wj, h)
             n = float(np.abs(A).max())
             if i == j:
                 diag_scale = n if diag_scale is None else min(diag_scale, n)
@@ -840,7 +845,7 @@ def test_kirby_expansion_order_independence(ctx):
     g = wc.Degree(0.5)
     om = wc.kirby_color(ctx, g)
     reversed_om = wc.FormalColorSum(tuple(reversed(om.terms)))
-    base = fx.strand(wc.Typical(GENERIC))
+    base = strand(wc.Typical(GENERIC))
     k = wc.Kirby(g.g, terms=om)
     d = dg.encircle(base, (0, 1), k, -1)
     v1 = rt_eval.evaluate_formal(ctx, d)

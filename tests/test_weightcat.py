@@ -11,7 +11,7 @@ from cgpkit import fixtures as fx
 from cgpkit import rt_eval
 from cgpkit import weightcat as wc
 from cgpkit.qscalars import ScalarContext
-from conftest import drawn_kinks
+from conftest import drawn_kinks, strand, whole_matrix_zeta
 
 GENERIC = 0.37 + 0.2j
 GENERIC2 = 0.59 - 0.11j
@@ -506,12 +506,13 @@ def _braiding_oracle(ctx, V, W):
     return P @ theta
 
 
-def _curled_stabilization_oracle(ctx, alpha, framing):
-    """Delta_-+ from the meridian figure with its framing drawn as a curl."""
+def _strand_stabilization(ctx, alpha, framing, draw=lambda d: d):
+    """Delta_-+ from the meridian figure around a strand, swept from all
+    m columns of its source; `draw` redraws the figure first."""
     probe = wc.Typical(alpha)
     g = wc.color_degree(probe)
     index = g if framing < 0 else wc.Degree(-g.g)
-    d = drawn_kinks(dg.encircle(fx.strand(probe), (0, 1), wc.Kirby(index.g), framing))
+    d = draw(dg.encircle(strand(probe), (0, 1), wc.Kirby(index.g), framing))
     fig = wc.scalar_of(ctx, rt_eval.evaluate_formal(ctx, d))
     theta = wc.twist(ctx, wc.realize_letter(ctx, (1, probe)))[0, 0]
     return fig / theta if framing < 0 else fig * theta
@@ -558,13 +559,48 @@ def test_twist_folded_stabilization_matches_curled_figure(r):
     ctx = ScalarContext(r)
     for framing in (-1, 1):
         got = fx.stabilization_coefficient(ctx, GENERIC, framing)
-        want = _curled_stabilization_oracle(ctx, GENERIC, framing)
+        want = _strand_stabilization(ctx, GENERIC, framing, drawn_kinks)
         assert abs(got - want) <= 1e-11 * abs(want)
     hp = ScalarContext(min(r, 6), precision=106)
     for alpha, framing in itertools.product((0.5, GENERIC), (-1, 1)):
         got = fx.stabilization_coefficient(hp, alpha, framing)
-        want = _curled_stabilization_oracle(hp, alpha, framing)
+        want = _strand_stabilization(hp, alpha, framing, drawn_kinks)
         assert abs(got - want) <= 1e-28 * abs(want)
+
+
+@pytest.mark.parametrize("r,precision", itertools.product((4, 6, 10), (53, 106)))
+def test_one_column_constants_match_the_whole_figures(r, precision):
+    """zeta from one column against the Frobenius fit to the whole figure
+    swept from all m^2 columns (1e-12 relative at 53 bits, 1e-30 at 106);
+    Delta_-+ from a cap `==` the figure on a strand swept from m columns."""
+    ctx, g = ScalarContext(r, precision=precision), wc.Degree(0.5)
+    got, want = fx.relative_modularity_scalar(ctx, g), whole_matrix_zeta(ctx, g)
+    assert abs(got - want) <= (1e-12 if precision == 53 else 1e-30) * abs(want)
+    for alpha, framing in itertools.product((0.5, GENERIC), (-1, 1)):
+        got = fx.stabilization_coefficient(ctx, alpha, framing)
+        assert got == _strand_stabilization(ctx, alpha, framing)
+
+
+@pytest.mark.parametrize("r", [22, 26])
+def test_constants_at_the_level_frontier(r):
+    """At 53 bits zeta is (r/2)^3 within 1e-12 relative, and Delta_+
+    Delta_- is |Z/Z_+| zeta within 1e-11 relative, up to r = 26."""
+    c = wc.constants(ScalarContext(r))
+    cube = (r // 2) ** 3
+    assert abs(c.zeta - cube) <= 1e-12 * cube
+    nz_zeta = c.z_mod_zplus * c.zeta
+    assert abs(c.delta_minus * c.delta_plus - nz_zeta) <= 1e-11 * abs(nz_zeta)
+
+
+def test_constants_at_r30_refuse_the_delta_figure():
+    """At r = 30 and 53 bits the Delta_- figure is not scalar times the
+    identity, and `constants` is refused with its deviation."""
+    ctx = ScalarContext(30)
+    with pytest.raises(la.NumericInstability, match="scalar\\*id by") as delta:
+        fx.stabilization_coefficient(ctx, 0.5, -1)
+    with pytest.raises(la.NumericInstability) as refused:
+        wc.constants(ctx)
+    assert str(refused.value) == str(delta.value)
 
 
 def test_constants_r10_high_precision_match_53_bits():
