@@ -145,21 +145,34 @@ def _degree_from_json(v) -> wc.Degree:
 
 
 def load_presentation(obj) -> sg.SurgeryPresentation:
-    """ParseError for malformed input; a component id that names no
-    component the presentation can color raises ValueError."""
+    """The one place where component ids become colors: `formal` sums,
+    `graph_colors` and surgery Kirby colors, tagged from `dg.fresh_tag`,
+    formal sums by id first.  ParseError for malformed input; ComponentError
+    for an id that names no component it can color, or that two maps name."""
     try:
-        d = dg.diagram_from_json(obj["diagram"])
+        # {**m} refuses a map m that is no JSON object, here and below
+        structure = {**obj["diagram"]}
+        formal = {int(cid): dg.terms_from_json(terms)
+                  for cid, terms in {**structure.pop("formal", {})}.items()}
+        d = dg.diagram_from_json(structure)
+        colors = {int(cid): dg.color_from_json(col)
+                  for cid, col in {**obj.get("graph_colors", {})}.items()}
         surgery = frozenset(map(dg.integer_from_json, obj["surgery_components"]))
         degrees = {int(k): _degree_from_json(v)
-                   for k, v in obj.get("meridian_degrees", {}).items()}
-        d = dg.mark_components(d, {int(cid): dg.color_from_json(col)
-                                   for cid, col in obj.get("graph_colors", {}).items()})
+                   for k, v in {**obj.get("meridian_degrees", {})}.items()}
         n = dg.integer_from_json(obj.get("signature_defect", 0))
-    except dg.ComponentError:
-        raise
     except (KeyError, TypeError, ValueError) as e:
         raise ParseError(f"bad presentation: {e}") from e
-    return sg.SurgeryPresentation(d, surgery, degrees, n)
+    if set(degrees) != surgery:
+        raise dg.ComponentError("meridian degrees must cover exactly the surgery components")
+    named = [*formal, *colors, *surgery]
+    if twice := sorted({c for c in named if named.count(c) > 1}):
+        raise dg.ComponentError(f"components {twice} are named by more than one map")
+    kirby = [(c, wc.color_degree(fc.terms[0][1]).g, False, fc) for c, fc in sorted(formal.items())]
+    kirby += [(c, degrees[c].g, True, None) for c in sorted(surgery)]
+    tag = dg.fresh_tag(d)
+    colors.update({c: wc.Kirby(g, tag + t, s, fc) for t, (c, g, s, fc) in enumerate(kirby)})
+    return sg.SurgeryPresentation(dg.mark_components(d, colors), n)
 
 
 def _canonical_digest(payload: dict) -> str:
@@ -194,6 +207,8 @@ def cmd_cgp(args) -> int:
             {"input": payload, "version": __version__, "level": ctx.r,
              "precision": ctx.precision, "tol": args.tol, "auto": bool(args.auto_stabilize)})
         cache_file = Path(args.cache_dir) / f"{key}.json"
+        # an unusable directory fails before the value is computed
+        cache_file.parent.mkdir(parents=True, exist_ok=True)
         if cache_file.exists():
             sys.stdout.write(cache_file.read_text())
             return EXIT_OK
@@ -211,7 +226,6 @@ def cmd_cgp(args) -> int:
     text = render_json(out) + "\n"
     if cache_file is not None:
         # a concurrent reader sees the whole entry or none of it
-        cache_file.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=cache_file.parent, suffix=".tmp")
         with os.fdopen(fd, "w") as f:
             f.write(text)
@@ -244,6 +258,8 @@ def cmd_moddim(args) -> int:
 
 def cmd_statespace(args) -> int:
     ctx = _context(args, args.r)
+    if args.genus < 1:
+        raise ParseError(f"genus must be at least 1, got {args.genus}")
     degrees = [_parse_complex(s) for s in args.degrees]
     if len(degrees) != args.genus:
         raise ParseError(f"genus {args.genus} takes that many meridian classes "
@@ -300,7 +316,7 @@ def main(argv=None) -> int:
     except NumericInstability as e:
         print(f"numeric instability: {e}", file=sys.stderr)
         return EXIT_NUMERIC
-    except ValueError as e:
+    except (OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_ERROR
 

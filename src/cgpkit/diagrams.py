@@ -22,8 +22,8 @@ coupon and reads each other component's one color at its first port.  A
 Kirby color is a color like any other, carried by the letters of one
 coupon-free component, so no edit has to track it; the evaluator
 substitutes its summands cell by cell.  Component ids appear
-only where input names components by id (JSON, surgery presentations),
-in `mark_components`.
+only where input names components by id, in `mark_components`, which the
+JSON presentation loader calls once.
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ from .weightcat import (
     ObjectWord,
     Sigma,
     Typical,
-    color_degree,
     realize_letter,
 )
 
@@ -703,7 +702,7 @@ def _pair(z) -> list[float]:
     return [z.real, z.imag]
 
 
-def _terms_from_json(terms) -> FormalColorSum:
+def terms_from_json(terms) -> FormalColorSum:
     return FormalColorSum(tuple((complex_from_json(co[0], co[1]), color_from_json(c))
                                 for co, c in terms))
 
@@ -746,7 +745,7 @@ def color_from_json(obj) -> Color:
         k = obj["kirby"]
         if not isinstance(k["surgery"], bool):
             raise ValueError(f"surgery is not a boolean: {k['surgery']!r}")
-        terms = _terms_from_json(k["terms"]) if "terms" in k else None
+        terms = terms_from_json(k["terms"]) if "terms" in k else None
         return Kirby(complex_from_json(*k["g"]), integer_from_json(k["tag"]), k["surgery"], terms)
     raise ValueError(f"bad color: {obj!r}")
 
@@ -804,17 +803,11 @@ def diagram_to_json(d: Diagram):
 
 
 def diagram_from_json(obj) -> Diagram:
-    """Also reads `formal`, the color sums of graph components keyed by
-    component id, into Kirby colors on their letters."""
+    """The diagram's structure.  ValueError on a `formal` map, which names
+    components by id and is read with its presentation."""
+    if "formal" in obj:
+        raise ValueError("a formal map is read with its presentation")
     source = tuple(letter_from_json(l) for l in obj["source"])
     slices = [[cell_from_json(c) for c in s["cells"]] for s in obj["slices"]]
     pf = obj.get("prefactor", (1.0, 0.0))
-    d = Diagram(source, slices, complex_from_json(pf[0], pf[1]))
-    formal = {int(cid): _terms_from_json(terms)
-              for cid, terms in obj.get("formal", {}).items()}
-    if not formal:
-        return d
-    tag = fresh_tag(d)
-    return mark_components(d, {
-        cid: Kirby(color_degree(fc.terms[0][1]).g, tag + t, terms=fc)
-        for t, (cid, fc) in enumerate(sorted(formal.items()))})
+    return Diagram(source, slices, complex_from_json(pf[0], pf[1]))

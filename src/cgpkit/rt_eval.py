@@ -30,8 +30,9 @@ each step's index work once (Gustavson's symbolic phase, ACM TOMS 4 (1978)
 of the same patterns and sizes share that index work, at either
 precision, on any term axes and in any colours, through a cache of at
 most `_INDEX_BYTES` keyed on the source columns and each step's pattern
-and sizes.  An opening of `f_prime`, per context and edge, holds the
-plans of its two halves; it is kept on the diagram and dies with it.
+and sizes.  An opening of `f_prime`, per context and edge, holds its
+closing and the plans of its two halves; it is kept on the diagram and
+dies with it.
 `evaluate` keeps nothing on the diagram.  Every sweep of the pipeline
 starts from the empty word, `weightcat.constants`' meridians included.
 """
@@ -57,9 +58,8 @@ class NotAdmissible(ValueError):
 
 
 # the caches keyed on colors are bounded, well above what one pass of every
-# benchmark workload holds (at seed 1: 612 cell matrices, 290 nonzero sets,
-# 36 closings and 36 coefficient stacks), so that recoloring for ever does
-# not grow them for ever
+# benchmark workload holds (at seed 1: 612 cell matrices and 290 nonzero
+# sets), so that recoloring for ever does not grow them for ever
 @lru_cache(maxsize=2048)
 def _cell_matrix_cached(ctx: ScalarContext, kind: str, letters) -> np.ndarray:
     if kind in ("xpos", "xneg"):
@@ -96,19 +96,15 @@ def _exact_nonzeros(ctx: ScalarContext, m: np.ndarray) -> tuple:
 
 
 def _on_term_axes(ctx: ScalarContext, f, letters: tuple, kirby: tuple) -> np.ndarray:
-    """f(letters, coeff) for each term of the expansion of the Kirby colors
-    `kirby`: each color in `letters` replaced by one of its summands, and
-    coeff the product of those summands' coefficients in color order from
-    ctx.scalar(1).  Stacked on one term axis per color of `kirby` (size 1
-    for a color not in `letters`) in the C order of `expand_formal`, then
-    f's own axes; read-only, as the caches share it."""
-    sums = [k.color_sum(ctx).terms if any(c == k for _, c in letters) else ((None, k),)
+    """f(letters) for each term of the expansion of the Kirby colors
+    `kirby`, each color in `letters` replaced by one of its summands.
+    Stacked on one term axis per color of `kirby` (size 1 for a color not
+    in `letters`) in the C order of `expand_formal`, then f's own axes;
+    read-only, as caches and openings share it."""
+    sums = [[c for _, c in k.color_sum(ctx).terms] if any(c == k for _, c in letters) else [k]
             for k in kirby]
-    out = []
-    for combo in itertools.product(*sums):
-        sub = {k: c for k, (_, c) in zip(kirby, combo)}
-        coeff = reduce(operator.mul, (co for co, _ in combo if co is not None), ctx.scalar(1))
-        out.append(f(tuple((sign, sub.get(c, c)) for sign, c in letters), coeff))
+    out = [f(tuple((sign, sub.get(c, c)) for sign, c in letters))
+           for sub in (dict(zip(kirby, combo)) for combo in itertools.product(*sums))]
     out = np.reshape(out, (*map(len, sums), *np.shape(out[0])))
     out.setflags(write=False)
     return out
@@ -117,15 +113,16 @@ def _on_term_axes(ctx: ScalarContext, f, letters: tuple, kirby: tuple) -> np.nda
 @lru_cache(maxsize=1024)
 def _cell_nonzeros_cached(ctx: ScalarContext, kind: str, letters: tuple, kirby: tuple,
                           transposed: bool):
-    m = (_on_term_axes(ctx, lambda ls, _: _cell_matrix_cached(ctx, kind, ls), letters, kirby)
-         if kirby else _cell_matrix_cached(ctx, kind, letters))
+    m = _on_term_axes(ctx, partial(_cell_matrix_cached, ctx, kind), letters, kirby)
     return _exact_nonzeros(ctx, m.swapaxes(-1, -2) if transposed else m)
 
 
-@lru_cache(maxsize=128)
 def _coefficients(ctx: ScalarContext, kirby: tuple) -> np.ndarray:
-    """The coefficient of each term of the expansion, on its term axes."""
-    return _on_term_axes(ctx, lambda _, coeff: coeff, tuple((1, k) for k in kirby), kirby)
+    """The coefficient of each term of the expansion, as `expand_formal`
+    forms it, on its term axes."""
+    sums = [[co for co, _ in k.color_sum(ctx).terms] for k in kirby]
+    return np.reshape([reduce(operator.mul, combo, ctx.scalar(1))
+                       for combo in itertools.product(*sums)], tuple(map(len, sums)))
 
 
 def _letter_dims(ctx: ScalarContext, word: wc.ObjectWord) -> list[int]:
@@ -138,12 +135,12 @@ def _plan(ctx: ScalarContext, slices, word: wc.ObjectWord, kirby: tuple,
     `word`, with a term axis per Kirby color of `kirby`; if `down`, of the
     transposed cells from the identity on the top word down, which take a
     covector on the top word to one on `word`.  Returns (steps, start, put,
-    shape, exp, terms) for `_sweep`: per step the cell's exact nonzero values
+    shape, exp) for `_sweep`: per step the cell's exact nonzero values
     (stacked on its term axes, transposed if `down`) and `_indexed`'s index
     work, shared through `_index_cache`; the identity's stored values, on
     each term axis, read-only; the flat indices of the last stored entries
     in the end's dense shape (rows, src); the end's exponent, the steps'
-    sum; the term axes."""
+    sum."""
     dims, steps = _letter_dims(ctx, word), []
     bottom = math.prod(dims)
     for cells in slices:
@@ -171,11 +168,10 @@ def _plan(ctx: ScalarContext, slices, word: wc.ObjectWord, kirby: tuple,
     key = (src, tuple((nz[4], *sizes) for nz, *sizes in steps))
     work, put = _shared(key, lambda: _indexed(steps, src))
     # a Kirby color on no cell keeps a term axis of size 1
-    terms = _coefficients(ctx, kirby).shape
-    start, exp = la.exact(ctx, np.full((1,) * len(terms) + (src,), ctx.scalar(1)))
+    start, exp = la.exact(ctx, np.full((1,) * len(kirby) + (src,), ctx.scalar(1)))
     start.setflags(write=False)
     return (tuple((nz[5][0], *w) for (nz, *_), w in zip(steps, work)), start, put,
-            (rows, src), exp + sum(nz[5][1] for nz, *_ in steps), terms)
+            (rows, src), exp + sum(nz[5][1] for nz, *_ in steps))
 
 
 def _indexed(steps: list, src: int) -> tuple:
@@ -264,22 +260,22 @@ def evaluate(ctx: ScalarContext, d: dg.Diagram) -> np.ndarray:
     with a term axis per Kirby color of `d.kirby_colors()`, as in
     `expand_formal`.  Functorial under compose, monoidal under tensor."""
     plan = _plan(ctx, d.slices, d.source, d.kirby_colors(), False)
-    return la.rounded(ctx, _sweep(ctx, plan), plan[4]) * ctx.scalar(d.prefactor)
+    end = la.rounded(ctx, _sweep(ctx, plan), plan[4]) * ctx.scalar(d.prefactor)
+    terms = tuple(len(k.color_sum(ctx).terms) for k in d.kirby_colors())
+    return np.broadcast_to(end, terms + end.shape[-2:]) if terms else end
 
 
 def _sweep(ctx: ScalarContext, plan: tuple) -> np.ndarray:
     """Run a `_plan`: its steps applied to the identity's stored values,
-    then the end made dense (term axes, rows, src) and broadcast to the
-    plan's term axes; exact, at the plan's exponent."""
-    steps, val, put, shape, _, terms = plan
+    then the end made dense (term axes, rows, src), a term axis of size 1
+    where no cell holds its color; exact, at the plan's exponent."""
+    steps, val, put, shape, _ = plan
     multiply = la.product(ctx, operator.mul)
     for vals, term, k, first in steps:
         val = _apply_sparse(val, vals, term, k, first, multiply)
     end = np.zeros(val.shape[:-1] + (math.prod(shape),), val.dtype)
     end[..., put] = val
-    end, full = end.reshape(*val.shape[:-1], *shape), terms + shape
-    # exact values lead with an (re, im) axis
-    return np.broadcast_to(end, end.shape[:-len(full)] + full) if terms else end
+    return end.reshape(*val.shape[:-1], *shape)
 
 
 def _apply_sparse(val, vals, term, k, first, multiply=operator.mul) -> np.ndarray:
@@ -336,8 +332,8 @@ def f_prime(ctx: ScalarContext, d: dg.Diagram,
     for F = s id, over the terms of the Kirby expansion in `expand_formal`'s
     order; it does not depend on the edge.  F of all terms is one exact
     product over the term axes, rounded once per entry, checked by one
-    stacked `wc.scalar_of`; the pivots, d(V_alpha) and coefficients are
-    cached, and the opening (plans, exact pivots) is kept on `d` per context and edge.
+    stacked `wc.scalar_of`.  The opening (plans, exact pivots, d(V_alpha)
+    and coefficients) is kept on `d` per context and edge.
     """
     key = (ctx, edge if edge is None else tuple(edge))
     opening = d._plans.get(key)
@@ -349,30 +345,34 @@ def f_prime(ctx: ScalarContext, d: dg.Diagram,
             raise NotAdmissible("closed diagram has no typical edge to open at")
         (b, i), kirby = e, d.kirby_colors()
         word = dg.edge_word(d.boundary_words(), b, i)
+        if not isinstance(word[i][1], (wc.Typical, wc.Kirby)):
+            raise wc.NotProjective(f"f_prime edge must be typical, got {word[i][1]!r}")
         dims, (pivots, dim, coeff) = _letter_dims(ctx, word), _closing(ctx, word, i, kirby)
         halves = (_plan(ctx, d.slices[:b], d.source, kirby, False),
                   _plan(ctx, d.slices[b:], word, kirby, True))
+        pivots, exp = la.exact(ctx, pivots)
         opening = d._plans[key] = (halves, (math.prod(dims[:i]), dims[i], math.prod(dims[i + 1:])),
-                                   *la.exact(ctx, pivots), halves[0][4] + halves[1][4], dim, coeff)
-    halves, (a, j, c), pivots, e_pivots, e_halves, dim, coeff = opening
+                                   pivots, exp + halves[0][4] + halves[1][4], dim, coeff)
+    halves, (a, j, c), pivots, exp, dim, coeff = opening
     low, up = (h.reshape(*h.shape[:-2], a, j, c) for h in map(partial(_sweep, ctx), halves))
     low = la.product(ctx, operator.mul)(low, pivots).swapaxes(-3, -2)
     ends = la.product(ctx, operator.matmul)(low.reshape(*low.shape[:-2], -1),
                                             up.swapaxes(-2, -1).reshape(*up.shape[:-3], -1, j))
-    ends = la.rounded(ctx, ends, e_pivots + e_halves) * ctx.scalar(d.prefactor)
+    ends = la.rounded(ctx, ends, exp) * ctx.scalar(d.prefactor)
     values = coeff * (wc.scalar_of(ctx, ends) * dim)
     return reduce(operator.add, np.ravel(values), ctx.scalar(0))
 
 
-@lru_cache(maxsize=128)
 def _closing(ctx: ScalarContext, letters: tuple, i: int, kirby: tuple) -> tuple:
     """`f_prime`'s `wc.trace_pivots` for edge letter i, d(V_alpha) of that
     letter and the coefficients, on the term axes of `kirby`."""
-    def pivots(ls, _):
+    def pivots(ls):
         return wc.trace_pivots(ctx, [wc.realize_letter(ctx, x) for x in ls], i)
 
-    def dimension(ls, _):  # d(V) is the modified trace of the identity of V
-        return wc.modified_trace(ctx, ls, la.eye(ctx, wc.color_dim(ctx, ls[0][1])))
+    def dimension(ls):  # of the dual's weight for a -letter
+        (sign, color), = ls
+        color = color if sign > 0 else wc.dual_color(ctx, color)
+        return wc.modified_dimension(ctx, complex(color.alpha))
 
     return (_on_term_axes(ctx, pivots, letters, kirby),
             _on_term_axes(ctx, dimension, letters[i:i + 1], kirby), _coefficients(ctx, kirby))

@@ -6,7 +6,7 @@ which carries the degree that the ambient cohomology class takes on the
 component's meridian.  The invariant expands the Kirby colors linearly,
 evaluates the renormalized invariant, and multiplies the normalization
 eta D^{-ell} delta^{n - sigma(L)}.  Component ids name surgery
-components only in the constructor and in what the properties report.
+components only in what the properties report.
 """
 
 from __future__ import annotations
@@ -35,25 +35,13 @@ class CannotStabilize(ValueError):
 class SurgeryPresentation:
     """A closed diagram whose surgery components carry surgery Kirby colors.
 
-    `components` and `degrees` mark further components by id, as JSON
-    input names them: each is recolored by the surgery Kirby color of its
-    meridian degree (see `dg.mark_components`).  `_stabilized` keeps
-    `cgp(auto=True)`'s validated stabilization of a critical presentation
-    per `ScalarContext` (r, precision, tol), so it lives exactly as long as
-    the presentation does.
+    Component ids appear only in what the properties report.  `_stabilized`
+    keeps `cgp(auto=True)`'s validated stabilization of a critical
+    presentation per `ScalarContext` (r, precision, tol), so it lives
+    exactly as long as the presentation does.
     """
 
-    def __init__(self, diagram: dg.Diagram, components=(), degrees=None,
-                 signature_defect: int = 0):
-        degrees = degrees or {}
-        if set(degrees) != set(components):
-            raise dg.ComponentError(
-                "meridian degrees must cover exactly the surgery components")
-        if components:
-            tag = dg.fresh_tag(diagram)
-            diagram = dg.mark_components(diagram, {
-                c: wc.Kirby(g.g if isinstance(g, wc.Degree) else complex(g), tag + t, True)
-                for t, (c, g) in enumerate(sorted(degrees.items()))})
+    def __init__(self, diagram: dg.Diagram, signature_defect: int = 0):
         self.diagram = diagram
         self.signature_defect = signature_defect
         self._stabilized: dict[ScalarContext, SurgeryPresentation] = {}

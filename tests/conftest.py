@@ -11,6 +11,7 @@ import pytest
 from cgpkit import _linalg as la
 from cgpkit import diagrams as dg
 from cgpkit import rt_eval
+from cgpkit import surgery as sg
 from cgpkit import weightcat as wc
 from cgpkit.qscalars import ScalarContext
 
@@ -34,6 +35,15 @@ def strand(color):
     """One upward letter of `color` and no slices: an open diagram whose
     evaluation sweeps every column of its source."""
     return dg.Diagram(((1, color),), [])
+
+
+def marked(d, degrees):
+    """The surgery presentation of `d` whose components named by id in
+    `degrees` carry the surgery Kirby colors of their meridian degrees,
+    tagged from `dg.fresh_tag` in id order, as the JSON loader colors them."""
+    tag = dg.fresh_tag(d)
+    return sg.SurgeryPresentation(dg.mark_components(d, {
+        c: wc.Kirby(g.g, tag + t, True) for t, (c, g) in enumerate(sorted(degrees.items()))}))
 
 
 def relative_modularity_matrix(ctx, wi, wj, h):

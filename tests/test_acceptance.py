@@ -17,7 +17,7 @@ from cgpkit import surgery_fixtures as sfx
 from cgpkit import weightcat as wc
 from cgpkit.qscalars import ScalarContext
 import maslov as ms
-from conftest import relative_modularity_matrix
+from conftest import marked, relative_modularity_matrix
 
 CTX = {r: ScalarContext(r) for r in (4, 6)}
 
@@ -129,10 +129,10 @@ def test_05_surgery_axioms():
         c1 = dg.cut(ctx, T1, *rt_eval.find_typical_edge(ctx, T1))
         c2 = dg.cut(ctx, T2, *rt_eval.find_typical_edge(ctx, T2))
         joined = dg.trace_closure(dg.compose(c1, c2))
-        p_sum = sg.SurgeryPresentation(joined, frozenset(), {})
+        p_sum = sg.SurgeryPresentation(joined)
         lhs = sg.cgp(ctx, p_sum)
         rhs = (1 / (c.eta * d_a)) * sg.cgp(ctx, sfx.unknot_presentation(ctx, a)) \
-            * sg.cgp(ctx, sg.SurgeryPresentation(T2, frozenset(), {}))
+            * sg.cgp(ctx, sg.SurgeryPresentation(T2))
         worst = max(worst, abs(lhs - rhs) / max(1.0, abs(rhs)))
     report(5, "surgery axioms", worst <= 1e-8, f"max rel dev {worst:.2e}")
 
@@ -166,17 +166,16 @@ def test_07_stabilization_invariance():
         p0 = sfx.unknot_presentation(ctx, a)
         v0 = sg.cgp(ctx, p0)
         d1 = dg.stabilize_projective(ctx, p0.diagram, 1, 0, wc.index_set(ctx, wc.Degree(0.7))[0])
-        v1 = sg.cgp(ctx, sg.SurgeryPresentation(d1, frozenset(), {}))
+        v1 = sg.cgp(ctx, sg.SurgeryPresentation(d1))
         worst = max(worst, abs(v1 - v0) / abs(v0))
         d2 = dg.stabilize_generic(ctx, p0.diagram, 1, (0, 1), wc.Degree(a))
-        v2 = sg.cgp(ctx, sg.SurgeryPresentation(d2, frozenset(), {}))
+        v2 = sg.cgp(ctx, sg.SurgeryPresentation(d2))
         worst = max(worst, abs(v2 - v0) / abs(v0))
         ps = sfx.s1xs2_presentation(ctx, 0.5)
         vs = sg.cgp(ctx, ps)
         d3 = dg.stabilize_generic(ctx, ps.diagram, 1, (0, 1), wc.Degree(0.5))
         surg = d3.ports_and_components()[(1, 0)]
-        vs2 = sg.cgp(ctx, sg.SurgeryPresentation(d3, frozenset({surg}),
-                                                 {surg: wc.Degree(0.5)}))
+        vs2 = sg.cgp(ctx, marked(d3, {surg: wc.Degree(0.5)}))
         worst = max(worst, abs(vs2 - vs) / abs(vs))
     report(7, "stabilization invariance", worst <= 1e-8, f"max rel dev {worst:.2e}")
 

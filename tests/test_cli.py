@@ -446,7 +446,15 @@ def test_component_id_errors_exit_1(tmp_path):
     bad_formal = dict(pres, diagram=dict(pres["diagram"], formal={"99": [
         [[1.0, 0.0], {"typical": {"re": 0.5, "im": 0.0}}]]}))
     bad_graph = dict(pres, graph_colors={"7": {"typical": {"re": 0.8, "im": 0.3}}})
-    for i, bad in enumerate((bad_surgery, bad_degrees, bad_formal, bad_graph)):
+    # an id named by two of formal, graph_colors and surgery_components
+    (surg,) = pres["surgery_components"]
+    sums = {str(surg): [[[1.0, 0.0], {"typical": {"re": 0.5, "im": 0.0}}]]}
+    graph = {str(surg): {"typical": {"re": 0.8, "im": 0.3}}}
+    twice = (dict(pres, graph_colors=graph),
+             dict(pres, diagram=dict(pres["diagram"], formal=sums)),
+             dict(pres, graph_colors=graph, surgery_components=[], meridian_degrees={},
+                  diagram=dict(pres["diagram"], formal=sums)))
+    for i, bad in enumerate((bad_surgery, bad_degrees, bad_formal, bad_graph, *twice)):
         path = tmp_path / f"bad{i}.json"
         path.write_text(json.dumps(dict(payload, presentation=bad)))
         code, out = run_cli(["cgp", str(path)])
@@ -472,6 +480,53 @@ def test_malformed_formal_sums_exit_1(tmp_path, capsys, summand):
     err = capsys.readouterr().err
     assert code == cli.EXIT_ERROR and out == ""
     assert err.startswith("error: invalid diagram: Kirby(") and "terms=" in err
+
+
+@pytest.mark.parametrize("key", ["diagram", "formal", "graph_colors", "meridian_degrees"])
+def test_a_map_that_is_no_object_is_a_parse_error(tmp_path, key, capsys):
+    payload = json.loads(Path(DOCS_EXAMPLE).read_text())
+    pres = payload["presentation"]
+    (pres["diagram"] if key == "formal" else pres)[key] = [1, 2]
+    path = tmp_path / "list.json"
+    path.write_text(json.dumps(payload))
+    assert run_cli(["cgp", str(path)]) == (cli.EXIT_PARSE, "")
+    assert capsys.readouterr().err == (
+        "parse error: bad presentation: 'list' object is not a mapping\n")
+
+
+@pytest.mark.parametrize("under", [(), ("sub",)])
+def test_an_unusable_cache_dir_exits_1_before_computing(tmp_path, under, monkeypatch, capsys):
+    """A file given as the cache directory, or a path under one, is one
+    error line and exit 1, before any value is computed."""
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    monkeypatch.setattr(cli, "load_presentation", None)  # computing would raise TypeError
+    assert run_cli(["cgp", DOCS_EXAMPLE, "--cache-dir", str(blocker.joinpath(*under))]) == (
+        cli.EXIT_ERROR, "")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("genus", ["0", "-1"])
+def test_statespace_refuses_a_genus_below_1(genus, capsys):
+    assert run_cli(["statespace", "6", genus, "0.5"]) == (cli.EXIT_PARSE, "")
+    assert capsys.readouterr().err == f"parse error: genus must be at least 1, got {genus}\n"
+
+
+def test_cgp_reads_stdin():
+    """`cgp -` prints the bytes of the file run; a truncated document on
+    stdin is a parse error."""
+    text = Path(DOCS_EXAMPLE).read_text()
+
+    def cgp(source, stdin=None):
+        return subprocess.run([sys.executable, "-m", "cgpkit.cli", "cgp", source],
+                              input=stdin, capture_output=True, text=True)
+
+    from_file, piped, cut = cgp(DOCS_EXAMPLE), cgp("-", text), cgp("-", text[:len(text) // 2])
+    assert from_file.returncode == piped.returncode == 0
+    assert piped.stdout == from_file.stdout and piped.stdout.startswith("{")
+    assert cut.returncode == cli.EXIT_PARSE and cut.stdout == ""
+    assert cut.stderr.startswith("parse error: ") and len(cut.stderr.splitlines()) == 1
 
 
 def test_kirby_letter_of_another_degree_exits_1(tmp_path, capsys):

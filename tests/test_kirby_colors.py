@@ -10,6 +10,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from cgpkit import cli
 from cgpkit import diagrams as dg
 from cgpkit import fixtures as fx
 from cgpkit import rt_eval
@@ -105,9 +106,10 @@ def test_one_opening_per_presentation(monkeypatch, ctx6):
     p = sfx.lens_chain_presentation(ctx6, 2, 3, 1)
     value = sg.cgp(ctx6, p)
     # no cut; one sweep below the edge and one above it carry the 3
-    # summands on each of 2 components at once, on their term axes
+    # summands on each of 2 components at once, on their term axes (size 1
+    # for the component with no cell below the edge)
     assert calls == {"cut": 0, "_plan": 2, "_sweep": 2, "expand_formal": 0}
-    assert [h[:2] for h in halves] == [(3, 3), (3, 3)]
+    assert [h[:2] for h in halves] == [(3, 1), (3, 3)]
     # a second call runs the plans kept on the diagram
     assert sg.cgp(ctx6, p) == value
     assert calls == {"cut": 0, "_plan": 2, "_sweep": 4, "expand_formal": 0}
@@ -183,14 +185,17 @@ def test_formal_json_becomes_kirby_letters(ctx):
     blob = dg.diagram_to_json(d)
     blob["formal"] = {str(mer): [[[complex(co).real, complex(co).imag], dg.color_to_json(col)]
                                  for co, col in om.terms]}
-    back = dg.diagram_from_json(blob)
+    back = cli.load_presentation({"diagram": blob, "surgery_components": []}).diagram
     (k,) = back.kirby_colors()
     assert k.terms == om and back.component_colors()[mer] == k
     direct = rt_eval.evaluate_formal(ctx, d.recolor_component(mer, wc.Kirby(0.5)))
     assert np.abs(rt_eval.evaluate_formal(ctx, back) - direct).max() < 1e-12
+    # the diagram reader alone gives no uncolored diagram
+    with pytest.raises(ValueError, match="formal"):
+        dg.diagram_from_json(blob)
     blob["formal"] = {"99": blob["formal"][str(mer)]}
     with pytest.raises(dg.ComponentError):
-        dg.diagram_from_json(blob)
+        cli.load_presentation({"diagram": blob, "surgery_components": []})
 
 
 def test_a_kirby_color_on_no_cell_keeps_all_its_terms(ctx6):

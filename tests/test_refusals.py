@@ -93,6 +93,9 @@ REFUSALS = {
     "f_prime at a negative boundary": (
         lambda ctx: rt_eval.f_prime(ctx, fx.hopf_link(A, B), (-1, 0)),
         ValueError, "boundary index out of range"),
+    "f_prime at a sigma edge": (
+        lambda ctx: rt_eval.f_prime(ctx, fx.hopf_link(A, wc.Sigma(ctx.rbar)), (2, 1)),
+        wc.NotProjective, "f_prime edge must be typical, got sigma({rbar})"),
     "stabilize_projective at a negative letter": (
         lambda ctx: dg.stabilize_projective(ctx, fx.hopf_link(A, B), 2, -1, GENERIC),
         ValueError, "letter position out of range"),

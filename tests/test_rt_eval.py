@@ -251,7 +251,8 @@ def _fresh_index_cache(mp):
 def _unindexed_halves(monkeypatch, ctx, d, edge=None):
     """The two halves of `d` opened at `edge` (default: the first typical
     one), planned anew: per half, (steps, src, terms) with its steps as
-    `_plan` hands them to `_indexed`, and its plan."""
+    `_plan` hands them to `_indexed` and the diagram's term axes, and its
+    plan."""
     b = (edge or rt_eval.find_typical_edge(ctx, d))[0]
     raws, indexed = [], rt_eval._indexed
     with monkeypatch.context() as mp:
@@ -260,7 +261,12 @@ def _unindexed_halves(monkeypatch, ctx, d, edge=None):
                    lambda steps, src: raws.append(steps) or indexed(steps, src))
         plans = [rt_eval._plan(ctx, d.slices[:b], d.source, d.kirby_colors(), False),
                  rt_eval._plan(ctx, d.slices[b:], d.boundary_words()[b], d.kirby_colors(), True)]
-    return [((steps, 1, plan[-1]), plan) for steps, plan in zip(raws, plans)]
+    return [((steps, 1, _terms(ctx, d)), plan) for steps, plan in zip(raws, plans)]
+
+
+def _terms(ctx, d):
+    """The term axes of `d`'s Kirby expansion, one per Kirby color."""
+    return tuple(len(k.color_sum(ctx).terms) for k in d.kirby_colors())
 
 
 @pytest.mark.parametrize("precision", [53, 106])
@@ -389,7 +395,7 @@ def _f_prime_dense_route(monkeypatch, ctx, d):
     raws, indexed = [], rt_eval._indexed
 
     def dense(ctx, plan):
-        xctx, raw = _exact_raw(ctx, raws.pop(0) + (plan[-1],))
+        xctx, raw = _exact_raw(ctx, raws.pop(0) + (_terms(ctx, d),))
         ints, e = la.exact(xctx, _dense_sweep(xctx, raw))
         return ints << (e - plan[4])
 
@@ -430,10 +436,10 @@ def test_f_prime_high_precision_matches_dense_route(monkeypatch):
 def test_color_keyed_caches_are_bounded():
     """500 recolored 2-strand closures at r = 6, with both crossing signs
     and both twist signs, leave every cache keyed on colors at or under its
-    bound (they add 3,000 cell matrices and 500 closings), and the shared
-    index work within its bytes."""
-    caches = [rt_eval._cell_matrix_cached, rt_eval._cell_nonzeros_cached, rt_eval._closing,
-              rt_eval._coefficients, wc.modified_dimension, wc.realize_letter, wc.kirby_color]
+    bound (they add 3,000 cell matrices), and the shared index work within
+    its bytes."""
+    caches = [rt_eval._cell_matrix_cached, rt_eval._cell_nonzeros_cached,
+              wc.modified_dimension, wc.realize_letter, wc.kirby_color]
     ctx = ScalarContext(6)
     rng = np.random.default_rng(17)
     for _ in range(500):
@@ -507,7 +513,7 @@ def test_plans_share_index_work_across_precisions_and_term_axes(monkeypatch):
     halves = [{key[1:]: plan for key, plan in _half_plans(e).items() if key[0] == c}
               for c, e in cases]
     assert [len(h) for h in halves] == [2, 2, 2]
-    assert all(plan[-1] == (3,) for plan in halves[2].values())
+    assert all(rt_eval._sweep(ctx, plan).shape[0] == 3 for plan in halves[2].values())
     for key, plan in halves[0].items():
         assert plan[0]
         for other in halves[1:]:

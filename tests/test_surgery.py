@@ -12,14 +12,14 @@ from cgpkit import surgery as sg
 from cgpkit import surgery_fixtures as sfx
 from cgpkit import weightcat as wc
 from cgpkit.qscalars import ScalarContext
-from conftest import drawn_kinks
+from conftest import drawn_kinks, marked
 
 GENERIC = 0.37 + 0.2j
 
 
 def _stand_in(ctx):
-    """A typical color for components that the presentation's constructor
-    marks for surgery by id."""
+    """A typical color for components that `marked` marks for surgery by
+    id."""
     return wc.Typical(2 * ctx.nilpotency - 1)
 
 
@@ -28,22 +28,19 @@ def test_linking_data_examples(ctx6):
     # +1 framed unknot
     u = fx.unknot(ph, framing=1)
     comp = u.ports_and_components()[(1, 0)]
-    p = sg.SurgeryPresentation(u, frozenset({comp}), {comp: wc.Degree(0.5)})
+    p = marked(u, {comp: wc.Degree(0.5)})
     link = sg.linking_data(ctx6, p)
     assert link.matrix.tolist() == [[1]] and link.signature == 1
     # 0 framed 2-component unlink
     two = dg.tensor(fx.unknot(ph), fx.unknot(ph))
     comps = sorted(set(two.ports_and_components().values()))
-    p2 = sg.SurgeryPresentation(two, frozenset(comps),
-                                {c: wc.Degree(0.5) for c in comps})
+    p2 = marked(two, {c: wc.Degree(0.5) for c in comps})
     link2 = sg.linking_data(ctx6, p2)
     assert np.all(link2.matrix == 0) and link2.signature == 0
     # positive Hopf link, 0 writhe: eigenvalues +-1
     hopf = fx.hopf_link(ph, ph)
     comps = sorted(set(hopf.ports_and_components().values()))
-    p3 = sg.SurgeryPresentation(hopf, frozenset(comps),
-                                {comps[0]: wc.Degree(0.5),
-                                 comps[1]: wc.Degree(-0.5)})
+    p3 = marked(hopf, {comps[0]: wc.Degree(0.5), comps[1]: wc.Degree(-0.5)})
     link3 = sg.linking_data(ctx6, p3)
     assert link3.matrix.tolist() in ([[0, 1], [1, 0]],)
     assert link3.signature == 0
@@ -107,7 +104,7 @@ def test_cohomology_constraint_enforced(ctx6):
     d = dg.encircle_at(base, 1, (0, 1), wc.Typical(GENERIC), framing=0)
     comp = d.ports_and_components()[(1, 0)]
     # framing 1 with a generic-degree meridian circle cannot balance
-    p = sg.SurgeryPresentation(d, frozenset({comp}), {comp: wc.Degree(0.5)})
+    p = marked(d, {comp: wc.Degree(0.5)})
     with pytest.raises(ValueError):
         sg.validate_presentation(ctx6, p)
 
@@ -168,7 +165,7 @@ def test_projective_stabilization_invariance(ctx):
     p0 = sfx.unknot_presentation(ctx, a)
     v0 = sg.cgp(ctx, p0)
     d = dg.stabilize_projective(ctx, p0.diagram, 1, 0, wc.index_set(ctx, wc.Degree(0.7))[0])
-    v1 = sg.cgp(ctx, sg.SurgeryPresentation(d, frozenset(), {}))
+    v1 = sg.cgp(ctx, sg.SurgeryPresentation(d))
     assert abs(v1 - v0) <= 1e-9 * max(1.0, abs(v0))
 
 
@@ -177,7 +174,7 @@ def test_generic_stabilization_invariance(ctx):
     p0 = sfx.unknot_presentation(ctx, a)
     v0 = sg.cgp(ctx, p0)
     d = dg.stabilize_generic(ctx, p0.diagram, 1, (0, 1), wc.Degree(a))
-    v1 = sg.cgp(ctx, sg.SurgeryPresentation(d, frozenset(), {}))
+    v1 = sg.cgp(ctx, sg.SurgeryPresentation(d))
     assert abs(v1 - v0) <= 1e-9 * max(1.0, abs(v0))
 
 
@@ -186,7 +183,7 @@ def test_generic_stabilization_s1xs2_and_double_surgery(ctx6):
     vs = sg.cgp(ctx6, ps)
     d2 = dg.stabilize_generic(ctx6, ps.diagram, 1, (0, 1), wc.Degree(0.5))
     surg = d2.ports_and_components()[(1, 0)]
-    ps2 = sg.SurgeryPresentation(d2, frozenset({surg}), {surg: wc.Degree(0.5)})
+    ps2 = marked(d2, {surg: wc.Degree(0.5)})
     assert abs(sg.cgp(ctx6, ps2) - vs) <= 1e-9 * max(1.0, abs(vs))
     # undo by a double index-2 surgery: both circles become surgery
     # components and the stabilization prefactor is dropped
@@ -200,7 +197,7 @@ def test_generic_stabilization_s1xs2_and_double_surgery(ctx6):
     mer = {surg: wc.Degree(0.5)}
     for comp in formal_comps:
         mer[comp] = wc.Degree(0.5)
-    ps3 = sg.SurgeryPresentation(d3, frozenset(mer), mer)
+    ps3 = marked(d3, mer)
     assert abs(sg.cgp(ctx6, ps3) - vs) <= 1e-9 * max(1.0, abs(vs))
 
 
@@ -268,10 +265,8 @@ def test_auto_stabilize_slide_consistency(ctx6):
     others = sorted(c for c, col in colors.items() if col == ph and c != u2)
     u1 = next(c for c in others if wr.get(c, 0) == 2)
     u3 = next(c for c in others if wr.get(c, 0) == 3)
-    p = sg.SurgeryPresentation(
-        d, frozenset({u1, u2, u3}),
-        {u2: wc.Degree(-5.6 + 0j), u1: wc.Degree(0.8 + 0j),
-         u3: wc.Degree(-3.2 + 0j)})
+    p = marked(d, {u2: wc.Degree(-5.6 + 0j), u1: wc.Degree(0.8 + 0j),
+                   u3: wc.Degree(-3.2 + 0j)})
     v_direct = sg.cgp(ctx6, p)
     # thread the (computable) middle component: the reading drops by the
     # index, and the value of the presented manifold is unchanged
@@ -369,7 +364,7 @@ def _cable_cases(ctx):
     d = dg.encircle_at(d, 1, (0, 1), ph, framing=2)
     d = dg.encircle_at(d, 1, (1, 2), ph, framing=3)
     comps = [c for c, col in d.component_colors().items() if col == ph]
-    yield "slide", sg.SurgeryPresentation(d, comps, {c: wc.Degree(0.8) for c in comps}).diagram
+    yield "slide", marked(d, {c: wc.Degree(0.8) for c in comps}).diagram
 
 
 def test_rider_is_the_framed_push_off(ctx6):

@@ -766,26 +766,25 @@ def test_modified_trace_keeps_any_typical_letter(r, precision, tol):
 
 def test_cached_letter_data_is_keyed_by_context():
     """Contexts that differ only in precision or tolerance get entries of
-    their own in the closing and modified-dimension caches, and cached
-    closing data cannot be written to."""
+    their own in the modified-dimension cache; the closing is formed per
+    context, from it, and its pivots and dimension cannot be written to."""
     ctxs = [ScalarContext(6), ScalarContext(6, precision=106), ScalarContext(6, tol=1e-6)]
     alpha = 0.123 + 0.321j  # a weight no other test caches
     letters = ((-1, wc.Typical(GENERIC)), (1, wc.Typical(alpha)), (1, wc.Sigma(6)))
-    # the modified dimension first: the closing caches alpha's on its way
-    for cached, args in ((wc.modified_dimension, (alpha,)), (rt_eval._closing, (letters, 1, ()))):
-        before = cached.cache_info().misses
-        values = [cached(ctx, *args) for ctx in ctxs]
-        assert cached.cache_info().misses == before + 3
-        assert all(cached(ctx, *args) is v for ctx, v in zip(ctxs, values))
-        assert values[2] is not values[0]
-        hp = values[1] if cached is wc.modified_dimension else values[1][0].flat[0]
-        assert isinstance(hp, ctxs[1]._mp.mpc)
-    for ctx in ctxs:
+    before = wc.modified_dimension.cache_info().misses
+    values = [wc.modified_dimension(ctx, alpha) for ctx in ctxs]
+    assert wc.modified_dimension.cache_info().misses == before + 3
+    assert all(wc.modified_dimension(ctx, alpha) is v for ctx, v in zip(ctxs, values))
+    assert values[2] is not values[0]
+    assert isinstance(values[1], ctxs[1]._mp.mpc)
+    assert isinstance(rt_eval._closing(ctxs[1], letters, 1, ())[0].flat[0], ctxs[1]._mp.mpc)
+    for ctx, value in zip(ctxs, values):
         pivots, dim, coeff = rt_eval._closing(ctx, letters, 1, ())
         mods = [wc.realize_letter(ctx, x) for x in letters]
         assert pivots.shape == (3, 1, 1)
         assert (pivots == wc.trace_pivots(ctx, mods, 1)).all()
-        for a in (pivots, dim, coeff):
+        assert dim[()] == value
+        for a in (pivots, dim):
             with pytest.raises(ValueError):
                 a.flat[0] = 1
         assert wc.modified_dimension(ctx, alpha) == wc.modified_dimension.__wrapped__(ctx, alpha)
