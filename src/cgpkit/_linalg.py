@@ -5,8 +5,8 @@ object arrays of mpmath complex numbers above it.  The object path reuses
 numpy's generic matmul/kron and routes factorizations through mpmath,
 converting with mpmath's `matrix(list)` and `tolist()`, but `rt_eval`'s
 sweeps and closings run exactly: `exact` lifts mpmath numbers to Gaussian
-integers, `product` multiplies those, and `rounded` rounds each result
-once.  With `qscalars.ScalarContext`, this is the only module that reads
+integers, `product` multiplies those, `rounded` rounds each result once,
+and `magnitude` sizes them in double.  With `qscalars.ScalarContext`, this is the only module that reads
 the precision to choose the arithmetic; the rest of the package gets the
 right types from these helpers and the context's scalars.
 """
@@ -128,6 +128,17 @@ def product(ctx: ScalarContext, op):
         return op
     return lambda a, b: np.stack((op(a[0], b[0]) - op(a[1], b[1]),
                                   op(a[0], b[1]) + op(a[1], b[0])))
+
+
+def magnitude(ctx: ScalarContext, g: np.ndarray) -> np.ndarray:
+    """|re| + |im| of each `exact` value g in double, in units of one power
+    of 2 for all of g (its 2**e, more if the largest passes 2**1000); at 53
+    bits of each complex value."""
+    if not ctx.high_precision:
+        return np.abs(g.real) + np.abs(g.imag)
+    m = np.abs(g).sum(axis=0)
+    bits = max((int(x).bit_length() for x in m.flat), default=0)
+    return (m >> max(0, bits - 1000)).astype(np.float64)
 
 
 def rounded(ctx: ScalarContext, g: np.ndarray, e: int) -> np.ndarray:

@@ -6,7 +6,9 @@ basis of a tensor word is lexicographic in letter position then weight
 index.  A closed diagram with a typical edge is opened there: one column
 swept up to the edge and one swept down to it, on transposed cells, pair
 into the edge letter's endomorphism, whose modified trace does not depend
-on the edge.
+on the edge.  By default the edge lies at the boundary that splits the
+cells evenly between the two sweeps (`find_typical_edge`), which meet in
+the middle.
 
 Kirby colors expand linearly on one term axis per Kirby color, from the
 first cell touching it to the value; `_on_term_axes` alone replaces a
@@ -15,22 +17,27 @@ color by its summands there.
 Every cell is a module map and so preserves weight: each column of the
 state stays in one weight sector, and almost all of it is exact zeros.  So
 the sweep keeps only the state's stored entries, sorted flat indices and
-values over all source columns, from the identity's to the end, where the
-state turns dense once.  A step sums the products of a nonzero cell entry
-with a stored entry per output in increasing input index; its terms are
-one broadcast over the term axes.  The values are `la.exact`'s, Gaussian
-integers above 53 bits at one binary exponent per step: the sweep and
-`f_prime`'s pairing round nothing, and each value is rounded once at the
-end.  `_linalg` chooses that arithmetic; this module reads no precision.
+values over all source columns, from the identity's to the end, and never
+makes it dense: `evaluate` puts the end's stored values into its matrix,
+and `f_prime` pairs the two halves' stored entries.  A step sums the
+products of a nonzero cell entry with a stored entry per output in
+increasing input index; its terms are one broadcast over the term axes.
+The values are `la.exact`'s, Gaussian integers above 53 bits at one
+binary exponent per step: the sweep and `f_prime`'s pairing round
+nothing, and each value is rounded once at the end.  `_linalg` chooses
+that arithmetic; this module reads no precision.
 
 A sweep is a plan and its run.  The stored entries depend only on the
 cells' nonzero patterns, so the plan walks them from the identity and does
 each step's index work once (Gustavson's symbolic phase, ACM TOMS 4 (1978)
-250); the run is only gathers, products and `np.add.reduceat`.  Sweeps
-of the same patterns and sizes share that index work, at either
-precision, on any term axes and in any colours, through a cache of at
-most `_INDEX_BYTES` keyed on the source columns and each step's pattern
-and sizes.  An opening of `f_prime`, per context and edge, holds its
+250); the run is only gathers, products and `np.add.reduceat`, on intp
+indices, the gathers' own type, so that no run converts them.  Sweeps of
+the same patterns and sizes share that index work, at either precision,
+on any term axes and in any colours, through a cache of at most
+`_INDEX_BYTES` keyed on the source columns and each step's pattern and
+sizes; a plan whose index work is larger keeps none and walks it again
+on each run.  `f_prime`'s pairing of the two halves is planned the same
+way, once per opening.  An opening, per context and edge, holds its
 closing and the plans of its two halves; it is kept on the diagram and
 dies with it.
 `evaluate` keeps nothing on the diagram.  Every sweep of the pipeline
@@ -137,10 +144,10 @@ def _plan(ctx: ScalarContext, slices, word: wc.ObjectWord, kirby: tuple,
     covector on the top word to one on `word`.  Returns (steps, start, put,
     shape, exp) for `_sweep`: per step the cell's exact nonzero values
     (stacked on its term axes, transposed if `down`) and `_indexed`'s index
-    work, shared through `_index_cache`; the identity's stored values, on
-    each term axis, read-only; the flat indices of the last stored entries
-    in the end's dense shape (rows, src); the end's exponent, the steps'
-    sum."""
+    work, shared through `_index_cache`, or past `_INDEX_BYTES` a function
+    that walks the steps anew; the identity's stored values, on each term
+    axis, read-only; the flat indices of the last stored entries in the
+    end's layout (rows, src); the end's exponent, the steps' sum."""
     dims, steps = _letter_dims(ctx, word), []
     bottom = math.prod(dims)
     for cells in slices:
@@ -167,28 +174,44 @@ def _plan(ctx: ScalarContext, slices, word: wc.ObjectWord, kirby: tuple,
     # plans share the index work, keyed on all that `_indexed` reads
     key = (src, tuple((nz[4], *sizes) for nz, *sizes in steps))
     work, put = _shared(key, lambda: _indexed(steps, src))
+    vals = [nz[5][0] for nz, *_ in steps]
+    if work is None:  # not kept: each run walks the index work anew
+        run = lambda: ((v, *w) for v, (w, _) in zip(vals, _walk(steps, src)))
+    else:
+        run = tuple((v, *w) for v, w in zip(vals, work))
     # a Kirby color on no cell keeps a term axis of size 1
     start, exp = la.exact(ctx, np.full((1,) * len(kirby) + (src,), ctx.scalar(1)))
     start.setflags(write=False)
-    return (tuple((nz[5][0], *w) for (nz, *_), w in zip(steps, work)), start, put,
-            (rows, src), exp + sum(nz[5][1] for nz, *_ in steps))
+    return run, start, put, (rows, src), exp + sum(nz[5][1] for nz, *_ in steps)
+
+
+def _walk(steps: list, src: int):
+    """Walk `_plan`'s steps (nonzeros, dl, din, dout, dr) from the identity
+    on `src` columns over the entries that the cells' patterns store: per
+    step `_scatter`'s (term, k, first) and the stored entries' flat indices
+    after it."""
+    idx = np.arange(src, dtype=np.intp) * (src + 1)
+    for (count, offset, outs, *_), dl, din, dout, dr in steps:
+        *work, idx = _scatter(idx, count, offset, outs, dl, din, dout, dr * src)
+        yield work, idx
 
 
 def _indexed(steps: list, src: int) -> tuple:
-    """The index work of `_plan`'s steps (nonzeros, dl, din, dout, dr),
-    walked from the identity on `src` columns over the entries that the
-    cells' patterns store: per step `_scatter`'s (term, k, first), then the
-    last stored entries' flat indices."""
-    idx, work = np.arange(src) * (src + 1), []
-    for (count, offset, outs, *_), dl, din, dout, dr in steps:
-        term, k, first, idx = _scatter(idx, count, offset, outs, dl, din, dout, dr * src)
-        work.append((term, k, first))
-    return tuple(work), idx
+    """The index work of `_plan`'s steps: per step `_scatter`'s (term, k,
+    first), or None past `_INDEX_BYTES` of it, which no plan keeps; then
+    the last stored entries' flat indices."""
+    work, size, idx = [], 0, np.arange(src, dtype=np.intp) * (src + 1)
+    for step, idx in _walk(steps, src):
+        size += sum(a.nbytes for a in step)
+        if size <= _INDEX_BYTES:
+            work.append(step)
+    return tuple(work) if size <= _INDEX_BYTES else None, idx
 
 
-# index work is kept up to this many bytes: both halves of the r = 14
-# 4-strand knot plan 11.2 MiB, of the r = 10 5-strand closure 8.1 MiB; the
-# r = 14 5-strand closure's 142 MiB are not kept
+# index work is kept up to this many bytes, in the shared cache and in each
+# plan: both halves of the r = 14 4-strand knot plan 5.4 MiB and of the
+# r = 10 5-strand closure 4.8 MiB, each half of the r = 14 5-strand closure
+# 28 MiB; a half of the r = 10 7-strand closure, 149 MiB, keeps none
 _INDEX_BYTES = 32 * 2 ** 20
 _index_cache: dict = {}  # `_plan`'s key: (plan, bytes), least recently used first
 
@@ -200,7 +223,7 @@ def _shared(key, make):
     if plan is None:
         plan = make()
         work, put = plan
-        size = put.nbytes + sum(a.nbytes for arrays in work for a in arrays)
+        size = put.nbytes + sum(a.nbytes for arrays in work or () for a in arrays)
         if size > _INDEX_BYTES:
             return plan
         while size + sum(n for _, n in _index_cache.values()) > _INDEX_BYTES:
@@ -214,11 +237,10 @@ def _scatter(idx, count, offset, outs, dl: int, din: int, dout: int, rest: int) 
     din, rest) layout, given its cell's `_nonzeros` count, offset and outs:
     per product, in output order, its stored entry `term` and nonzero `k`;
     where each output's products start; the outputs' sorted flat indices in
-    the (dl, dout, rest) layout.  Output positions are computed in int64,
-    whatever `idx`'s dtype, since a step can take the state past 2**31 of
-    them; the arrays are stored int32 where positions and products fit."""
+    the (dl, dout, rest) layout.  All are intp, the gathers' own index type,
+    whatever `idx`'s dtype: a step can take the state past 2**31 positions."""
     # the stored entries come in (l, i, r) order, in blocks of one l * din + i
-    block, r = np.divmod(idx, rest)
+    block, r = np.divmod(idx.astype(np.intp, copy=False), rest)
     bounds = _run_bounds(block)
     start, size = bounds[:-1], bounds[1:] - bounds[:-1]
     l, col = np.divmod(block[start], din)
@@ -227,23 +249,17 @@ def _scatter(idx, count, offset, outs, dl: int, din: int, dout: int, rest: int) 
     # so a stable sort keeps each output's terms in increasing input index
     per = count[col]  # pairs per block
     pair_size = size.repeat(per)
-    n = int(pair_size.sum())
-    it = np.int32 if max(dl * max(din, dout) * rest, n) < 2 ** 31 else np.int64
     # a block's pairs have k = offset[col], ..., offset[col] + per - 1, and
-    # output l * (dout * rest) + outs[k] * rest + r for each entry's r;
-    # all else is below the input layout's size or n, and fits `idx`'s dtype
-    # or `it`, so only l is widened: int64 copies of the per-product arrays
-    # raised the benchmark workers' max RSS by up to 0.5 MiB
-    pair_k = (np.arange(per.sum(), dtype=it)
-              + (offset[col] + per - per.cumsum()).astype(it).repeat(per))
-    pair_base = (l.astype(np.int64) * (dout * rest)).repeat(per) + outs[pair_k] * rest
-    term = np.arange(n, dtype=it) + (start.repeat(per) + pair_size - pair_size.cumsum()).astype(
-        it).repeat(pair_size)
+    # output l * (dout * rest) + outs[k] * rest + r for each entry's r
+    pair_k = np.arange(per.sum(), dtype=np.intp) + (offset[col] + per - per.cumsum()).repeat(per)
+    pair_base = (l * (dout * rest)).repeat(per) + outs[pair_k] * rest
+    term = (np.arange(pair_size.sum(), dtype=np.intp)
+            + (start.repeat(per) + pair_size - pair_size.cumsum()).repeat(pair_size))
     k = pair_k.repeat(pair_size)
-    dst = (pair_base.repeat(pair_size) + r[term]).astype(it)
+    dst = pair_base.repeat(pair_size) + r[term]
     order = dst.argsort(kind="stable")
     dst = dst[order]
-    first = _run_bounds(dst)[:-1].astype(it)
+    first = _run_bounds(dst)[:-1]
     return term[order], k[order], first, dst[first]
 
 
@@ -260,22 +276,25 @@ def evaluate(ctx: ScalarContext, d: dg.Diagram) -> np.ndarray:
     with a term axis per Kirby color of `d.kirby_colors()`, as in
     `expand_formal`.  Functorial under compose, monoidal under tensor."""
     plan = _plan(ctx, d.slices, d.source, d.kirby_colors(), False)
-    end = la.rounded(ctx, _sweep(ctx, plan), plan[4]) * ctx.scalar(d.prefactor)
+    put, val = _sweep(ctx, plan)
+    val = la.rounded(ctx, val, plan[4]) * ctx.scalar(d.prefactor)
+    end = la.zeros(ctx, val.shape[:-1] + (math.prod(plan[3]),))
+    end[..., put] = val
+    end = end.reshape(*val.shape[:-1], *plan[3])
     terms = tuple(len(k.color_sum(ctx).terms) for k in d.kirby_colors())
     return np.broadcast_to(end, terms + end.shape[-2:]) if terms else end
 
 
-def _sweep(ctx: ScalarContext, plan: tuple) -> np.ndarray:
-    """Run a `_plan`: its steps applied to the identity's stored values,
-    then the end made dense (term axes, rows, src), a term axis of size 1
-    where no cell holds its color; exact, at the plan's exponent."""
-    steps, val, put, shape, _ = plan
+def _sweep(ctx: ScalarContext, plan: tuple) -> tuple:
+    """Run a `_plan`: its steps applied to the identity's stored values.
+    Returns the end's stored flat indices in its (rows, src) layout and
+    their values on the term axes, a term axis of size 1 where no cell
+    holds its color; exact, at the plan's exponent."""
+    steps, val, put, _, _ = plan
     multiply = la.product(ctx, operator.mul)
-    for vals, term, k, first in steps:
+    for vals, term, k, first in steps() if callable(steps) else steps:
         val = _apply_sparse(val, vals, term, k, first, multiply)
-    end = np.zeros(val.shape[:-1] + (math.prod(shape),), val.dtype)
-    end[..., put] = val
-    return end.reshape(*val.shape[:-1], *shape)
+    return put, val
 
 
 def _apply_sparse(val, vals, term, k, first, multiply=operator.mul) -> np.ndarray:
@@ -307,14 +326,21 @@ def evaluate_formal(ctx: ScalarContext, d: dg.Diagram) -> np.ndarray:
 
 
 def find_typical_edge(ctx: ScalarContext, d: dg.Diagram) -> tuple[int, int] | None:
-    """The first letter above the source colored by a typical module or by
-    a Kirby color, whose summands are all typical."""
+    """The first letter colored by a typical module or by a Kirby color,
+    whose summands are all typical, at the boundary above the source that
+    splits the cells most evenly between the slices below and above it (the
+    lowest such boundary on a tie).  Identities and twists, which are
+    diagonal and store no new entry, are not counted."""
     words = d.boundary_words()
+    cells = [sum(c.kind not in ("id", "tpos", "tneg") for c in cells) for cells in d.slices]
+    below, total, edges = 0, sum(cells), []
     for b in range(1, len(words)):
-        for i, (sign, color) in enumerate(words[b]):
-            if isinstance(color, (wc.Typical, wc.Kirby)):
-                return (b, i)
-    return None
+        below += cells[b - 1]
+        i = next((i for i, (_, c) in enumerate(words[b])
+                  if isinstance(c, (wc.Typical, wc.Kirby))), None)
+        if i is not None:
+            edges.append((abs(2 * below - total), b, i))
+    return min(edges)[1:] if edges else None
 
 
 def f_prime(ctx: ScalarContext, d: dg.Diagram,
@@ -330,10 +356,13 @@ def f_prime(ctx: ScalarContext, d: dg.Diagram,
     p-(a) p+(c) L[a, j, c] U[a, k, c].
     The value sums coefficient times the modified trace of F, s d(V_alpha)
     for F = s id, over the terms of the Kirby expansion in `expand_formal`'s
-    order; it does not depend on the edge.  F of all terms is one exact
-    product over the term axes, rounded once per entry, checked by one
-    stacked `wc.scalar_of`.  The opening (plans, exact pivots, d(V_alpha)
-    and coefficients) is kept on `d` per context and edge.
+    order; it does not depend on the edge, which defaults to
+    `find_typical_edge`'s.  F pairs the halves' stored entries of equal
+    (a, c) as `_pairing` planned: of all terms at once, exact, rounded once
+    per entry, checked by one stacked `wc.scalar_of`; s is read at the
+    diagonal entry that `_steadiest` finds on the first run.  The opening
+    (plans, pairing, exact pivots at the pairs, d(V_alpha), coefficients
+    and where to read s) is kept on `d` per context and edge.
     """
     key = (ctx, edge if edge is None else tuple(edge))
     opening = d._plans.get(key)
@@ -347,31 +376,101 @@ def f_prime(ctx: ScalarContext, d: dg.Diagram,
         word = dg.edge_word(d.boundary_words(), b, i)
         if not isinstance(word[i][1], (wc.Typical, wc.Kirby)):
             raise wc.NotProjective(f"f_prime edge must be typical, got {word[i][1]!r}")
-        dims, (pivots, dim, coeff) = _letter_dims(ctx, word), _closing(ctx, word, i, kirby)
         halves = (_plan(ctx, d.slices[:b], d.source, kirby, False),
                   _plan(ctx, d.slices[b:], word, kirby, True))
+        pairing, keys = _pairing(halves[0][2], halves[1][2], _letter_dims(ctx, word), i)
+        pivots, dim, coeff = _closing(ctx, word, i, kirby, keys)
         pivots, exp = la.exact(ctx, pivots)
-        opening = d._plans[key] = (halves, (math.prod(dims[:i]), dims[i], math.prod(dims[i + 1:])),
-                                   pivots, exp + halves[0][4] + halves[1][4], dim, coeff)
-    halves, (a, j, c), pivots, exp, dim, coeff = opening
-    low, up = (h.reshape(*h.shape[:-2], a, j, c) for h in map(partial(_sweep, ctx), halves))
-    low = la.product(ctx, operator.mul)(low, pivots).swapaxes(-3, -2)
-    ends = la.product(ctx, operator.matmul)(low.reshape(*low.shape[:-2], -1),
-                                            up.swapaxes(-2, -1).reshape(*up.shape[:-3], -1, j))
+        opening = (halves, pairing, pivots, exp + halves[0][4] + halves[1][4], dim, coeff, None)
+    halves, pairing, pivots, exp, dim, coeff, at = opening
+    if at is None:  # the first run finds where to read s, once
+        at = _steadiest(ctx, halves, pairing, pivots)
+        d._plans[key] = (*opening[:-1], at)
+    low_at, up_at, first, put, n = pairing
+    (_, low), (_, up) = (_sweep(ctx, half) for half in halves)
+    multiply = la.product(ctx, operator.mul)
+    pairs = multiply(multiply(low.take(low_at, axis=-1), pivots), up.take(up_at, axis=-1))
+    ends = np.zeros(pairs.shape[:-1] + (n * n,), pairs.dtype)
+    ends[..., put] = np.add.reduceat(pairs, first, axis=-1)
     ends = la.rounded(ctx, ends, exp) * ctx.scalar(d.prefactor)
-    values = coeff * (wc.scalar_of(ctx, ends) * dim)
+    wc.scalar_of(ctx, ends.reshape(*ends.shape[:-1], n, n))
+    s = ends.reshape(-1)[..., at]
+    values = coeff * (s * dim)
     return reduce(operator.add, np.ravel(values), ctx.scalar(0))
 
 
-def _closing(ctx: ScalarContext, letters: tuple, i: int, kirby: tuple) -> tuple:
-    """`f_prime`'s `wc.trace_pivots` for edge letter i, d(V_alpha) of that
-    letter and the coefficients, on the term axes of `kirby`."""
-    def pivots(ls):
-        return wc.trace_pivots(ctx, [wc.realize_letter(ctx, x) for x in ls], i)
+def _steadiest(ctx: ScalarContext, halves: tuple, pairing: tuple, pivots) -> np.ndarray:
+    """Per term, the flat index in the stack of all terms' F (n by n) of the
+    diagonal entry where F = s id is read: the one of least rounding error
+    bound, found by running both halves and the pairing again on the
+    magnitudes |re| + |im| of every cell value and pivot (each step's
+    scaled by its largest, which scales every entry alike)."""
+    low_at, up_at, first, put, n = pairing
 
-    def dimension(ls):  # of the dual's weight for a -letter
-        (sign, color), = ls
-        color = color if sign > 0 else wc.dual_color(ctx, color)
+    def sweep(plan):
+        steps, val, *_ = plan
+        val = la.magnitude(ctx, val)
+        for vals, term, k, starts in steps() if callable(steps) else steps:
+            size = la.magnitude(ctx, vals)
+            val = _apply_sparse(val, size / size.max(initial=0), term, k, starts)
+        return val
+
+    low, up = map(sweep, halves)
+    size = la.magnitude(ctx, pivots)
+    sizes = np.add.reduceat(low.take(low_at, axis=-1) * size * up.take(up_at, axis=-1),
+                            first, axis=-1)
+    missing = np.setdiff1d(np.arange(n) * (n + 1), put)
+    if missing.size:  # an entry with no product is exact
+        at = np.full(sizes.shape[:-1], missing[0])
+    else:
+        diagonal = put % (n + 1) == 0
+        at = put[diagonal][sizes[..., diagonal].argmin(axis=-1)]
+    return at + n * n * np.arange(at.size).reshape(at.shape)
+
+
+def _pairing(low: np.ndarray, up: np.ndarray, dims: list[int], i: int) -> tuple:
+    """The index work of `f_prime`'s pairing of its halves' stored flat
+    indices `low` and `up` in the (a, j, c) layout of the edge word, j its
+    letter i: each low entry meets the up entries of its key (a, c), found
+    by a search in the up keys, sorted.  Returns, per product in order of
+    F's flat index (j, k), its low and up entry; where each entry of F
+    starts; F's stored flat indices; F's size n, the letter's; and each
+    product's key, the flat index of (a, c)."""
+    n, rest = dims[i], math.prod(dims[i + 1:])
+
+    def split(idx):  # the key and the j of each flat index
+        aj, c = np.divmod(idx, rest)
+        a, j = np.divmod(aj, n)
+        return a * rest + c, j
+
+    (low_key, low_j), (up_key, up_j) = split(low), split(up)
+    up_order = up_key.argsort(kind="stable")
+    up_key = up_key[up_order]
+    start = up_key.searchsorted(low_key)
+    per = up_key.searchsorted(low_key, "right") - start  # up entries per low entry
+    low_at = np.flatnonzero(per)
+    start, per = start[low_at], per[low_at]
+    low_at = low_at.repeat(per)
+    up_at = up_order[np.arange(per.sum(), dtype=np.intp)
+                     + (start + per - per.cumsum()).repeat(per)]
+    dst = low_j[low_at] * n + up_j[up_at]
+    order = dst.argsort(kind="stable")
+    dst, low_at = dst[order], low_at[order]
+    first = _run_bounds(dst)[:-1]
+    return (low_at, up_at[order], first, dst[first], n), low_key[low_at]
+
+
+def _closing(ctx: ScalarContext, letters: tuple, i: int, kirby: tuple, keys: np.ndarray) -> tuple:
+    """`f_prime`'s `wc.trace_pivots` for edge letter i at the flat indices
+    `keys` of (a, c), d(V_alpha) of that letter and the coefficients, on
+    the term axes of `kirby`."""
+    def pivots(ls):
+        return wc.trace_pivots(ctx, [wc.realize_letter(ctx, x) for x in ls], i, keys)
+
+    # d(V*) = d(V): a -letter's own weight, not its dual's, which
+    # `wc.dual_color` rounds to double
+    def dimension(ls):
+        (_, color), = ls
         return wc.modified_dimension(ctx, complex(color.alpha))
 
     return (_on_term_axes(ctx, pivots, letters, kirby),

@@ -23,6 +23,7 @@ letters (sign, color), read left to right.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import lru_cache, partial, reduce
 
@@ -436,14 +437,21 @@ def scalar_of(ctx: ScalarContext, f: np.ndarray) -> Scalar:
 # ---------------------------------------------------------------------------
 
 
-def trace_pivots(ctx: ScalarContext, mods: list[WeightModule], i: int) -> np.ndarray:
-    """p-(a) p+(c) on axes (a, 1, c): the product, in factor order, of the
-    inverse pivot of each factor left of factor i, which closes with the
-    left evaluation, and the pivot of each factor right of it, which closes
-    with the right evaluation."""
-    p = reduce(np.multiply.outer, [_pivot(ctx, M, 1 if k > i else -1)
-                                   for k, M in enumerate(mods) if k != i], ctx.scalar(1))
-    return np.reshape(p, (math.prod(M.dim for M in mods[:i]), 1, -1))
+def trace_pivots(ctx: ScalarContext, mods: list[WeightModule], i: int,
+                 keys: np.ndarray | None = None) -> np.ndarray:
+    """p-(a) p+(c) on axes (a, 1, c), or at the flat indices `keys` of
+    (a, c): the product, in factor order, of the inverse pivot of each
+    factor left of factor i, which closes with the left evaluation, and the
+    pivot of each factor right of it, which closes with the right
+    evaluation."""
+    diagonals = [_pivot(ctx, M, 1 if k > i else -1)
+                 for k, M in enumerate(mods) if k != i]
+    if keys is None:
+        p = reduce(np.multiply.outer, diagonals, ctx.scalar(1))
+        return np.reshape(p, (math.prod(M.dim for M in mods[:i]), 1, -1))
+    digits = np.unravel_index(keys, [p.size for p in diagonals]) if diagonals else ()
+    return reduce(operator.mul, (p[k] for p, k in zip(diagonals, digits)),
+                  np.full(keys.shape, ctx.scalar(1)))
 
 
 def partial_trace(ctx: ScalarContext, f: np.ndarray, mods: list[WeightModule], i: int) -> np.ndarray:
@@ -474,8 +482,9 @@ def modified_trace(ctx: ScalarContext, word: ObjectWord, f: np.ndarray) -> Scala
     total = math.prod(M.dim for M in mods)
     if f.shape != (total, total):
         raise ValueError(f"endomorphism shape {f.shape} does not match word dim {total}")
-    sign, color = word[target]
-    alpha = complex(color.alpha) if sign > 0 else complex(dual_color(ctx, color).alpha)
+    # d(V*) = d(V): a -letter's own weight, not its dual's, which
+    # `dual_color` rounds to double
+    alpha = complex(word[target][1].alpha)
     return scalar_of(ctx, partial_trace(ctx, f, mods, target)) * modified_dimension(ctx, alpha)
 
 

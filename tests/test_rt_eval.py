@@ -15,7 +15,8 @@ from cgpkit import surgery as sg
 from cgpkit import surgery_fixtures as sfx
 from cgpkit import weightcat as wc
 from cgpkit.qscalars import ScalarContext
-from conftest import assert_within_rounding, relative_modularity_matrix, strand
+from conftest import assert_within_rounding, relative_modularity_matrix, strand, typical_edges
+from test_kirby_colors import _figures
 
 GENERIC = 0.37 + 0.2j
 GENERIC2 = 0.59 - 0.11j
@@ -106,6 +107,18 @@ def _reference_sweep(ctx, raw, stored=None):
     end[..., idx] = val
     end = end.reshape(*val.shape[:-1], rows, src)
     return np.broadcast_to(end, terms + end.shape[-2:]) if terms else end
+
+
+def _swept_end(ctx, plan, xctx=None):
+    """The dense end (term axes, rows, src) of `plan`'s sweep:
+    `rt_eval._sweep`'s stored values rounded at `xctx` (default ctx) and
+    put at their flat indices, zeros elsewhere."""
+    xctx = xctx or ctx
+    put, val = rt_eval._sweep(ctx, plan)
+    val = la.rounded(xctx, val, plan[4])
+    end = la.zeros(xctx, val.shape[:-1] + (math.prod(plan[3]),))
+    end[..., put] = val
+    return end.reshape(*val.shape[:-1], *plan[3])
 
 
 def _matrix(ctx, nonzeros, din, dout):
@@ -277,19 +290,19 @@ def test_planned_sparse_steps_match_the_reference(monkeypatch, precision):
     lens's Kirby color).  The whole sweeps match the dense route too, `==`
     at 106 bits and within rounding at 53.  Above 53 bits the references
     run exactly on the values that the sweep lifted (`_exact_raw`), so they
-    are `==` the sweep's exact values.  The planned indices are int32."""
+    are `==` the sweep's exact values.  The planned indices are intp."""
     ctx = ScalarContext(6, precision=precision)
     rng = np.random.default_rng(13)
     for d in (fx.braid_closure(wc.Typical(GENERIC), 3, [1, -2, 1, 2, -1, 1]),
               sfx.lens_unknot_presentation(ctx, 5, 1).diagram):
         raw, plan = _unindexed_halves(monkeypatch, ctx, d)[1]
         (xctx, xraw), stored = _exact_raw(ctx, raw), []
-        got = la.rounded(xctx, rt_eval._sweep(ctx, plan), plan[4])
+        got = _swept_end(ctx, plan, xctx)
         assert np.all(got == _reference_sweep(xctx, xraw, stored))
-        assert np.array_equal(plan[2], stored[-1])
+        assert plan[2].dtype == np.intp and np.array_equal(plan[2], stored[-1])
         for (vals, term, k, first), (nonzeros, dl, din, dout, dr), xstep, idx in zip(
                 plan[0], raw[0], xraw[0], stored[:-1], strict=True):
-            assert all(a.dtype == np.int32 for a in (term, k, first))
+            assert all(a.dtype == np.intp for a in (term, k, first))
             # random values on the step's weight sector, on the plan's term axes
             val, e = la.exact(ctx, _random(ctx, rng, raw[2] + idx.shape, 1.0))
             want = _reference_apply_sparse(idx, la.rounded(xctx, val, e), xstep[0][:4],
@@ -328,7 +341,7 @@ def test_planned_patterns_hold_the_swept_values(monkeypatch):
         seen = 0
         for raw, plan in _unindexed_halves(monkeypatch, ctx, d, edge):
             stored, patterns = [], []
-            assert np.all(rt_eval._sweep(ctx, plan) == _reference_sweep(ctx, raw, stored))
+            assert np.all(_swept_end(ctx, plan) == _reference_sweep(ctx, raw, stored))
             _dense_sweep(ctx, raw, patterns)
             assert len(patterns) == len(stored) - 1
             for idx, pattern in zip(stored[1:], patterns):
@@ -347,6 +360,21 @@ def test_53_bit_routes_of_a_cancelling_closure_match_106_bits():
     want = complex(rt_eval.f_prime(hp, routes[0][0]))
     for d, edge in routes:
         assert abs(rt_eval.f_prime(ctx, d, edge) - want) <= 1e-11 * abs(want)
+
+
+def test_s_is_read_at_the_entry_of_least_rounding_bound():
+    """The closure of s1 s1^-1 s1^3 at r = 14 (the `knots` workload's
+    r14:n2:rotated at seed 2), opened after s1 s1^-1: its 53-bit F' is
+    within 10^3 u |F'| of its 106-bit F'.  Measured: 122 u; read at F[0, 0]
+    it was 5030 u off, and at the entry whose products have the least
+    absolute sum 5171 u on the r = 10 4-strand closure opened at
+    boundary 1."""
+    a, word = wc.Typical(1.258697 + 0.236407j), [1, -1, 1, 1, 1]
+    ctx, hp = ScalarContext(14), ScalarContext(14, precision=106)
+    want = complex(rt_eval.f_prime(hp, fx.braid_closure(a, 2, word)))
+    d = fx.braid_closure(a, 2, word)
+    assert rt_eval.find_typical_edge(ctx, d) == (4, 0)
+    assert abs(rt_eval.f_prime(ctx, d) - want) <= 1e3 * 2.0 ** -53 * abs(want)
 
 
 def test_106_bit_values_match_192_bits():
@@ -388,16 +416,42 @@ def test_a_non_finite_value_is_refused_not_read_as_zero(special):
         rt_eval.f_prime(hp, d)
 
 
+@pytest.mark.parametrize("precision", [53, 106])
+def test_a_zero_coupon_gives_zero_at_every_edge(precision):
+    """A Hopf link through a coupon holding the zero matrix: its step
+    stores no entry, and F' is 0 opened at the default edge and below the
+    coupon."""
+    ctx = ScalarContext(4, precision=precision)
+    H = fx.hopf_link(wc.Typical(GENERIC), wc.Typical(GENERIC2))
+    words = H.boundary_words()
+    b = next(b for b in range(1, len(words)) if len(words[b]) == 2)
+    d = dg.insert_slices(H, b, [[dg.coupon(words[b], words[b], la.zeros(ctx, (4, 4)))]])
+    assert rt_eval.f_prime(ctx, d) == rt_eval.f_prime(ctx, d, edge=(1, 0)) == 0
+
+
+def test_magnitudes_of_exact_values_past_the_double_range():
+    """`la.magnitude` sizes Gaussian integers past 2**1024, which no double
+    holds, in one power of 2 for the whole array: their ratios hold."""
+    hp = ScalarContext(4, precision=106)
+    g = np.array([[3 << 1100, -(1 << 1100), 0], [0, 1 << 1100, 1]], dtype=object)
+    size = la.magnitude(hp, g)
+    assert np.all(np.isfinite(size)) and size[0] == 1.5 * size[1] > 0 == size[2]
+    assert list(la.magnitude(hp, np.array([[3, -1], [-4, 0]], dtype=object))) == [7.0, 1.0]
+
+
 def _f_prime_dense_route(monkeypatch, ctx, d):
     """f_prime of a copy of `d` at 106 bits, with plans of its own, each half
     swept exactly by `_dense_sweep` on the values that its plan lifted, as
-    `la.exact`'s integers at the plan's exponent."""
+    `la.exact`'s integers at the plan's exponent, read at the plan's stored
+    flat indices (the dense end is zero elsewhere)."""
     raws, indexed = [], rt_eval._indexed
 
     def dense(ctx, plan):
         xctx, raw = _exact_raw(ctx, raws.pop(0) + (_terms(ctx, d),))
         ints, e = la.exact(xctx, _dense_sweep(xctx, raw))
-        return ints << (e - plan[4])
+        ints = (ints << (e - plan[4])).reshape(*ints.shape[:-2], -1)
+        assert not np.delete(ints, plan[2], axis=-1).any()
+        return plan[2], ints[..., plan[2]]
 
     with monkeypatch.context() as mp:
         _fresh_index_cache(mp)
@@ -513,7 +567,7 @@ def test_plans_share_index_work_across_precisions_and_term_axes(monkeypatch):
     halves = [{key[1:]: plan for key, plan in _half_plans(e).items() if key[0] == c}
               for c, e in cases]
     assert [len(h) for h in halves] == [2, 2, 2]
-    assert all(rt_eval._sweep(ctx, plan).shape[0] == 3 for plan in halves[2].values())
+    assert all(rt_eval._sweep(ctx, plan)[1].shape[0] == 3 for plan in halves[2].values())
     for key, plan in halves[0].items():
         assert plan[0]
         for other in halves[1:]:
@@ -549,6 +603,21 @@ def test_a_coupon_with_one_more_nonzero_gets_its_own_entry(monkeypatch):
             _fresh_index_cache(mp)
             assert rt_eval.f_prime(ctx, dataclasses.replace(d)) == value
     assert len(keys[0]) == 2 and len(keys[1]) == 3 and keys[0] < keys[1]
+
+
+def test_a_plan_past_its_budget_walks_its_index_work_anew(monkeypatch):
+    """With `_INDEX_BYTES` at 0, no half of a 3-strand closure keeps its
+    index work: each run walks it again, and F' at 53 and 106 bits, cold
+    and warm, has the bits of plans that keep it."""
+    word = [1, -2, 1, 2, -1, 1]
+    for ctx in (ScalarContext(6), ScalarContext(6, precision=106)):
+        want = rt_eval.f_prime(ctx, fx.braid_closure(wc.Typical(GENERIC), 3, word))
+        with monkeypatch.context() as mp:
+            _fresh_index_cache(mp)
+            mp.setattr(rt_eval, "_INDEX_BYTES", 0)
+            d = fx.braid_closure(wc.Typical(GENERIC), 3, word)
+            assert rt_eval.f_prime(ctx, d) == rt_eval.f_prime(ctx, d) == want
+            assert all(callable(half[0]) for halves, *_ in d._plans.values() for half in halves)
 
 
 def test_open_diagrams_share_index_work(monkeypatch):
@@ -784,8 +853,54 @@ def test_opened_f_prime_matches_the_cut_route_at_every_edge(r, precision):
 def test_opened_four_strand_closure_matches_the_cut_route_at_r10():
     ctx = ScalarContext(10)
     d = fx.braid_closure(wc.Typical(GENERIC), 4, [1, -2, -3, -1, 2, 3, 2])
-    e = rt_eval.find_typical_edge(ctx, d)
-    assert_within_rounding(ctx, rt_eval.f_prime(ctx, d), *_cut_route(ctx, d, e))
+    assert_within_rounding(ctx, rt_eval.f_prime(ctx, d), *_cut_route(ctx, d, typical_edges(d)[0]))
+
+
+def _closures(ctx):
+    """A 3- and a 4-strand closure colored GENERIC, by name."""
+    a = wc.Typical(GENERIC)
+    return {"3-strand": fx.braid_closure(a, 3, [1, -2, 1, 2, -1, 1]),
+            "4-strand": fx.braid_closure(a, 4, [1, -2, -3, -1, 2, 3, 2])}
+
+
+def _assert_intp_openings(d):
+    """Every index array of the openings kept on `d` is intp: each half's
+    steps and stored entries, and the pairing."""
+    for halves, pairing, *_ in d._plans.values():
+        arrays = [h[2] for h in halves] + list(pairing[:4])
+        arrays += [a for h in halves for step in (h[0]() if callable(h[0]) else h[0])
+                   for a in step[1:]]
+        assert all(a.dtype == np.intp for a in arrays)
+
+
+@pytest.mark.parametrize("r", [4, 6, 10])
+def test_every_boundary_opens_to_the_cut_value(r):
+    """F' opened at every boundary that has a typical or Kirby letter (at
+    its first one), on the closures and on every surgery fixture of
+    `test_kirby_colors`, Kirby colors included: each value is within
+    10^3 u sum |terms| of the cut route at the lowest such edge, and every
+    index array of the openings is intp."""
+    ctx = ScalarContext(r)
+    for name, d in (_closures(ctx) | _figures(ctx)).items():
+        edges = typical_edges(d)
+        want, size = _cut_route(ctx, d, edges[0])
+        for e in edges:
+            assert_within_rounding(ctx, rt_eval.f_prime(ctx, d, edge=e), want, size)
+        _assert_intp_openings(d)
+
+
+@pytest.mark.parametrize("r", [4, 6])
+def test_every_boundary_opens_to_the_192_bit_value(r):
+    """At 106 bits, F' opened at every boundary of the closures, and at
+    r = 4 of every surgery fixture, against a 192-bit run of the same
+    diagram at its default edge, within the bound of
+    `test_106_bit_values_match_192_bits`."""
+    hp, ref = ScalarContext(r, precision=106), ScalarContext(r, precision=192)
+    figures = [_closures(c) | (_figures(c) if r == 4 else {}) for c in (hp, ref)]
+    for name, d in figures[0].items():
+        want = rt_eval.f_prime(ref, figures[1][name])
+        for e in typical_edges(d):
+            assert abs(want - rt_eval.f_prime(hp, d, edge=e)) <= 1e-28 * abs(want), (name, e)
 
 
 def test_f_prime_split_sigma_factor(ctx):
@@ -862,31 +977,32 @@ def test_kirby_expansion_order_independence(ctx):
 def _uncached_closing(ctx, d):
     """f_prime with each term closed as before its closing data was cached:
     a per-term einsum, `wc._pivot` on each realized letter, the mpmath
-    scalar check and the uncached modified dimension; and the sum of the
-    terms' absolute values.  Above 53 bits each half's exact values are
+    scalar check and the uncached modified dimension (d(V*) = d(V), so a
+    -letter's own weight); and the sum of the terms' absolute values.  s
+    is read at the diagonal entry chosen by the opening that the default
+    `f_prime` kept on `d`.  Above 53 bits each half's exact values are
     closed exactly, at `EXACT_BITS`, and each entry rounded once."""
     (b, i), kirby = rt_eval.find_typical_edge(ctx, d), d.kirby_colors()
     word = d.boundary_words()[b]
     xctx = _exact_context(ctx)
     plans = [rt_eval._plan(ctx, d.slices[:b], d.source, kirby, False),
              rt_eval._plan(ctx, d.slices[b:], word, kirby, True)]
-    halves = [la.rounded(xctx, rt_eval._sweep(ctx, plan), plan[4]) for plan in plans]
+    halves = [_swept_end(ctx, plan, xctx) for plan in plans]
     dims = [wc.color_dim(ctx, c) for _, c in word]
     shape = (-1, math.prod(dims[:i]), dims[i], math.prod(dims[i + 1:]))
+    at = np.broadcast_to(d._plans[ctx, None][-1] % dims[i] ** 2, _terms(ctx, d)).reshape(-1)
     total, size = ctx.scalar(0), 0
-    for (coeff, sub), low, up in zip(rt_eval.expand_formal(ctx, d),
-                                     *(h.reshape(shape) for h in halves)):
+    for (coeff, sub), low, up, j in zip(rt_eval.expand_formal(ctx, d),
+                                        *(h.reshape(shape) for h in halves), at // (dims[i] + 1)):
         letters = tuple((sign, sub.get(c, c)) for sign, c in word)
         pivots = reduce(np.multiply.outer, [
             wc._pivot(ctx, wc.realize_letter(ctx, x), 1 if k > i else -1)
             for k, x in enumerate(letters) if k != i], ctx.scalar(1))
         end = np.einsum("ajc,akc->jk", low * np.reshape(pivots, (shape[1], 1, shape[3])), up)
         end = _round_once(ctx, end) * ctx.scalar(d.prefactor)
-        s = end[0, 0]
+        s = end[j, j]
         assert la.norm_inf(end - la.eye(ctx, dims[i]) * s) <= ctx.tol * max(1.0, abs(s))
-        sign, color = letters[i]
-        alpha = complex((color if sign > 0 else wc.dual_color(ctx, color)).alpha)
-        term = coeff * (s * wc.modified_dimension.__wrapped__(ctx, alpha))
+        term = coeff * (s * wc.modified_dimension.__wrapped__(ctx, complex(letters[i][1].alpha)))
         total, size = total + term, size + abs(term)
     return total, size
 

@@ -777,12 +777,13 @@ def test_cached_letter_data_is_keyed_by_context():
     assert all(wc.modified_dimension(ctx, alpha) is v for ctx, v in zip(ctxs, values))
     assert values[2] is not values[0]
     assert isinstance(values[1], ctxs[1]._mp.mpc)
-    assert isinstance(rt_eval._closing(ctxs[1], letters, 1, ())[0].flat[0], ctxs[1]._mp.mpc)
+    keys = np.arange(3)  # every (a, c) of the word less letter 1
+    assert isinstance(rt_eval._closing(ctxs[1], letters, 1, (), keys)[0].flat[0], ctxs[1]._mp.mpc)
     for ctx, value in zip(ctxs, values):
-        pivots, dim, coeff = rt_eval._closing(ctx, letters, 1, ())
+        pivots, dim, coeff = rt_eval._closing(ctx, letters, 1, (), keys)
         mods = [wc.realize_letter(ctx, x) for x in letters]
-        assert pivots.shape == (3, 1, 1)
-        assert (pivots == wc.trace_pivots(ctx, mods, 1)).all()
+        assert pivots.shape == (3,)
+        assert (pivots == wc.trace_pivots(ctx, mods, 1).reshape(-1)).all()
         assert dim[()] == value
         for a in (pivots, dim):
             with pytest.raises(ValueError):
