@@ -10,7 +10,6 @@ from .weightcat import (
     FormalColorSum,
     InvariantConstants,
     NonTypicalColor,
-    NotProjective,
     ObjectWord,
     Sigma,
     Typical,
@@ -29,7 +28,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ScalarContext", "VanishingDenominator", "Degree", "Typical", "Sigma",
     "ObjectWord", "WeightModule", "FormalColorSum", "InvariantConstants",
-    "NonTypicalColor", "CriticalDegree", "NotProjective", "NumericInstability",
+    "NonTypicalColor", "CriticalDegree", "NumericInstability",
     "realize", "hom_basis", "index_set", "kirby_color", "constants",
     "modified_dimension", "modified_trace", "__version__",
 ]

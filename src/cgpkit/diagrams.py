@@ -29,6 +29,7 @@ JSON presentation loader calls once.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from math import prod
 from types import MappingProxyType
 
@@ -165,40 +166,31 @@ def _extend(words: list[ObjectWord], rows) -> list[ObjectWord]:
 class Diagram:
     """Immutable; `slices` may be given as any iterables of cells and is
     stored as a tuple of tuples.  Boundary words, the component map, the
-    strand pass and the Kirby colors are computed on first use and kept;
-    all are read-only, since every caller gets the same object.  `_plans`
-    holds `rt_eval.f_prime`'s openings of the diagram with their halves'
-    sweep plans, which live as long as it does (their index work, shared,
-    in a byte-bounded cache)."""
+    strand pass and the Kirby colors are cached properties, read-only, as
+    every caller gets the same object; an edit hands over the words and
+    map it knows with `_cache`.  `_plans` holds `rt_eval.f_prime`'s
+    openings of the diagram with their halves' sweep plans, which live as
+    long as it does (their index work, shared, in a byte-bounded cache)."""
 
     source: ObjectWord
     slices: tuple[Slice, ...]
     prefactor: Scalar = 1.0 + 0.0j
-    _words: tuple[ObjectWord, ...] | None = field(
-        default=None, init=False, repr=False, compare=False)
-    _comp: MappingProxyType | None = field(
-        default=None, init=False, repr=False, compare=False)
-    _strands: tuple | None = field(
-        default=None, init=False, repr=False, compare=False)
-    _kirby: tuple[Kirby, ...] | None = field(
-        default=None, init=False, repr=False, compare=False)
     _plans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "slices", tuple(map(tuple, self.slices)))
 
-    def _cache(self, words=None, comp=None) -> "Diagram":
-        if words is not None:
-            object.__setattr__(self, "_words", tuple(words))
-        if comp is not None:
-            object.__setattr__(self, "_comp", comp)
+    def _cache(self, **memos) -> "Diagram":
+        vars(self).update((name, memo) for name, memo in memos.items() if memo is not None)
         return self
 
     # -- structure ---------------------------------------------------------
 
+    @cached_property
+    def _words(self) -> tuple[ObjectWord, ...]:
+        return tuple(_extend([self.source], self.slices))
+
     def boundary_words(self) -> tuple[ObjectWord, ...]:
-        if self._words is None:
-            self._cache(_extend([self.source], self.slices))
         return self._words
 
     @property
@@ -208,13 +200,15 @@ class Diagram:
     def is_closed(self) -> bool:
         return len(self.source) == 0 and len(self.target) == 0
 
+    @cached_property
+    def _kirby(self) -> tuple[Kirby, ...]:
+        return tuple(dict.fromkeys(
+            c for w in self.boundary_words() for _, c in w if isinstance(c, Kirby)))
+
     def kirby_colors(self) -> tuple[Kirby, ...]:
         """The Kirby colors on the letters, by first appearance scanning the
         boundaries bottom to top, left to right: the order of their
         components' ids."""
-        if self._kirby is None:
-            object.__setattr__(self, "_kirby", tuple(dict.fromkeys(
-                c for w in self.boundary_words() for _, c in w if isinstance(c, Kirby))))
         return self._kirby
 
     # -- components ---------------------------------------------------------
@@ -235,8 +229,10 @@ class Diagram:
         by first appearance scanning boundaries bottom to top, left to
         right.
         """
-        if self._comp is not None:
-            return self._comp
+        return self._comp
+
+    @cached_property
+    def _comp(self) -> MappingProxyType:
         words = self.boundary_words()
         parent = {(b, i): (b, i) for b, w in enumerate(words) for i in range(len(w))}
 
@@ -257,33 +253,29 @@ class Diagram:
             for p, q in joins:
                 parent[find(p)] = find(q)
         roots: dict[tuple[int, int], int] = {}
-        self._cache(comp=MappingProxyType(
-            {p: roots.setdefault(find(p), len(roots)) for p in parent}))
-        return self._comp
+        return MappingProxyType({p: roots.setdefault(find(p), len(roots)) for p in parent})
 
-    def _strand_pass(self) -> tuple[set[int], dict[int, Color]]:
+    @cached_property
+    def _strands(self) -> tuple[set[int], dict[int, Color]]:
         """The components running through a coupon, and the color of every
-        other component, read at its first port; found once.
+        other component, read at its first port.
 
         A non-coupon cell puts one letter on all the ports of its strand,
         and `_next_word` checks every port, so a coupon-free component
         carries one color.
         """
-        if self._strands is None:
-            comp, words = self.ports_and_components(), self.boundary_words()
-            # a coupon's legs are one component: look it up at the first leg
-            coupons = {comp[(s, pin) if cell.in_letters() else (s + 1, pout)]
-                       for s, pin, pout, cell in self._placed_cells()
-                       if cell.kind == "coupon" and (cell.in_letters() or cell.out_letters())}
-            first: dict[int, tuple[int, int]] = {}
-            for p, c in comp.items():
-                first.setdefault(c, p)
-            colors = {c: words[b][i][1] for c, (b, i) in first.items() if c not in coupons}
-            object.__setattr__(self, "_strands", (coupons, colors))
-        return self._strands
+        comp, words = self.ports_and_components(), self.boundary_words()
+        # a coupon's legs are one component: look it up at the first leg
+        coupons = {comp[(s, pin) if cell.in_letters() else (s + 1, pout)]
+                   for s, pin, pout, cell in self._placed_cells()
+                   if cell.kind == "coupon" and (cell.in_letters() or cell.out_letters())}
+        first: dict[int, tuple[int, int]] = {}
+        for p, c in comp.items():
+            first.setdefault(c, p)
+        return coupons, {c: words[b][i][1] for c, (b, i) in first.items() if c not in coupons}
 
     def components_with_coupons(self) -> set[int]:
-        return self._strand_pass()[0]
+        return self._strands[0]
 
     def _relettered(self, rl) -> "Diagram":
         """The letter l at port p of the source and of every non-coupon cell
@@ -299,7 +291,7 @@ class Diagram:
                 if letters != cell.letters:
                     cell = Cell(k, letters)
             new_slices[s].append(cell)
-        return Diagram(new_source, new_slices, self.prefactor)._cache(comp=self._comp)
+        return Diagram(new_source, new_slices, self.prefactor)._cache(_comp=vars(self).get("_comp"))
 
     def recolor_component(self, comp_id: int, color: Color) -> "Diagram":
         """Replace the color on every leg of one coupon-free component."""
@@ -331,7 +323,7 @@ class Diagram:
         """The color of each coupon-free component.  Components running
         through coupons are genuine graphs and may carry several edge
         colors; they are omitted here."""
-        return self._strand_pass()[1]
+        return self._strands[1]
 
 
 # ---------------------------------------------------------------------------
@@ -378,18 +370,18 @@ def validate(ctx: ScalarContext, d: Diagram) -> str | None:
 
 def mark_components(d: Diagram, colors: dict[int, Color]) -> Diagram:
     """Recolor the components named by id, as input from outside names
-    them.  ComponentError if an id names no coupon-free component, or one
-    that a graph Kirby color already expands (a surgery color may be
-    replaced)."""
-    now = d.component_colors() if colors else {}
+    them, in one pass over the diagram.  ComponentError if an id names no
+    coupon-free component, or one that a graph Kirby color already expands
+    (a surgery color may be replaced)."""
+    if not colors:
+        return d
+    now, comp = d.component_colors(), d.ports_and_components()
     bad = [c for c in sorted(colors) if c not in now
            or isinstance(now[c], Kirby) and not now[c].surgery]
     if bad:
         raise ComponentError(f"components {bad} are not in the diagram, "
                              f"touch coupons or carry a graph Kirby color")
-    for c in sorted(colors):
-        d = d.recolor_component(c, colors[c])
-    return d
+    return d._relettered(lambda letter, port: (letter[0], colors.get(comp[port], letter[1])))
 
 
 def fresh_tag(d: Diagram) -> int:
@@ -450,7 +442,7 @@ def insert_slices(d: Diagram, boundary: int, rows: list[Slice]) -> Diagram:
     else:
         _extend(words, d.slices[boundary:])
     return Diagram(d.source, d.slices[:boundary] + tuple(rows) + d.slices[boundary:],
-                   d.prefactor)._cache(words)
+                   d.prefactor)._cache(_words=tuple(words))
 
 
 def wrap_slice(word: ObjectWord, pos: int, cell: Cell) -> list[Cell]:
@@ -488,7 +480,7 @@ class Stack:
             self.add([*map(id_cell, w[:nleft]), *s, *map(id_cell, w[len(w) - nright:])])
 
     def diagram(self, prefactor: Scalar) -> Diagram:
-        return Diagram(self.source, self.slices, prefactor)._cache(self.words)
+        return Diagram(self.source, self.slices, prefactor)._cache(_words=tuple(self.words))
 
 
 def apply_cell(d: Diagram, pos: int, cell: Cell) -> Diagram:
@@ -582,7 +574,7 @@ def cut(ctx: ScalarContext, d: Diagram, boundary: int, pos: int) -> Diagram:
     w = edge_word(d.boundary_words(), boundary, pos)
     v = w[pos]
     if not isinstance(v[1], (Typical, Kirby)):
-        raise wc.NotProjective(f"cut edge must be typical, got {v[1]!r}")
+        raise wc.NonTypicalColor(f"cut edge must be typical, got {v[1]!r}")
     x = w[:pos]
     y = w[pos + 1:]
     # one pass, bottom to top, with a running boundary word
@@ -632,7 +624,7 @@ def stabilize_projective(ctx: ScalarContext, d: Diagram, boundary: int, pos: int
     w = edge_word(d.boundary_words(), boundary, pos, lowest=0)
     letter = w[pos]
     if not isinstance(letter[1], Typical):
-        raise wc.NotProjective("projective stabilization needs a typical edge")
+        raise wc.NonTypicalColor("projective stabilization needs a typical edge")
     vi = Typical(complex(index_weight))
     uword = (letter,)
     bigword = (letter, (1, vi), (-1, vi))
@@ -681,7 +673,7 @@ def stabilize_generic(ctx: ScalarContext, d: Diagram, boundary: int,
     out = encircle_at(d, boundary, span, Kirby(deg.g, tag), framing=-1, sign=+1)
     out = encircle_at(out, boundary, span, Kirby(deg.g, tag + 1), framing=+1, sign=-1)
     prefactor = out.prefactor / (consts.delta_minus * consts.delta_plus)
-    return replace(out, prefactor=prefactor)._cache(out._words, out._comp)
+    return replace(out, prefactor=prefactor)._cache(_words=out._words)
 
 
 def encircle_at(d: Diagram, boundary: int, span: tuple[int, int], color: Color,

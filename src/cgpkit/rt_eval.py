@@ -38,8 +38,9 @@ on any term axes and in any colours, through a cache of at most
 sizes; a plan whose index work is larger keeps none and walks it again
 on each run.  `f_prime`'s pairing of the two halves is planned the same
 way, once per opening.  An opening, per context and edge, holds its
-closing and the plans of its two halves; it is kept on the diagram and
-dies with it.
+closing, the entry of F where s is read and the plans of its two halves,
+whose steps one loop, `_run`, applies; it is built whole on first use,
+kept on the diagram and dies with it.
 `evaluate` keeps nothing on the diagram.  Every sweep of the pipeline
 starts from the empty word, `weightcat.constants`' meridians included.
 """
@@ -141,11 +142,11 @@ def _plan(ctx: ScalarContext, slices, word: wc.ObjectWord, kirby: tuple,
     """The sweep of the non-identity cells of `slices` from the identity on
     `word`, with a term axis per Kirby color of `kirby`; if `down`, of the
     transposed cells from the identity on the top word down, which take a
-    covector on the top word to one on `word`.  Returns (steps, start, put,
-    shape, exp) for `_sweep`: per step the cell's exact nonzero values
-    (stacked on its term axes, transposed if `down`) and `_indexed`'s index
-    work, shared through `_index_cache`, or past `_INDEX_BYTES` a function
-    that walks the steps anew; the identity's stored values, on each term
+    covector on the top word to one on `word`.  Returns (run, start, put,
+    shape, exp) for `_sweep`: run() yields per step the cell's exact
+    nonzero values (stacked on its term axes, transposed if `down`) and
+    `_indexed`'s (term, k, first), shared through `_index_cache`, or past
+    `_INDEX_BYTES` walked anew; the identity's stored values, on each term
     axis, read-only; the flat indices of the last stored entries in the
     end's layout (rows, src); the end's exponent, the steps' sum."""
     dims, steps = _letter_dims(ctx, word), []
@@ -175,10 +176,9 @@ def _plan(ctx: ScalarContext, slices, word: wc.ObjectWord, kirby: tuple,
     key = (src, tuple((nz[4], *sizes) for nz, *sizes in steps))
     work, put = _shared(key, lambda: _indexed(steps, src))
     vals = [nz[5][0] for nz, *_ in steps]
-    if work is None:  # not kept: each run walks the index work anew
-        run = lambda: ((v, *w) for v, (w, _) in zip(vals, _walk(steps, src)))
-    else:
-        run = tuple((v, *w) for v, w in zip(vals, work))
+    # past `_INDEX_BYTES` no index work is kept: each run walks it anew
+    run = partial(zip, vals, work) if work is not None else (
+        lambda: zip(vals, (w for w, _ in _walk(steps, src))))
     # a Kirby color on no cell keeps a term axis of size 1
     start, exp = la.exact(ctx, np.full((1,) * len(kirby) + (src,), ctx.scalar(1)))
     start.setflags(write=False)
@@ -290,11 +290,16 @@ def _sweep(ctx: ScalarContext, plan: tuple) -> tuple:
     Returns the end's stored flat indices in its (rows, src) layout and
     their values on the term axes, a term axis of size 1 where no cell
     holds its color; exact, at the plan's exponent."""
-    steps, val, put, _, _ = plan
-    multiply = la.product(ctx, operator.mul)
-    for vals, term, k, first in steps() if callable(steps) else steps:
-        val = _apply_sparse(val, vals, term, k, first, multiply)
-    return put, val
+    run, val, put, _, _ = plan
+    return put, _run(run, val, la.product(ctx, operator.mul))
+
+
+def _run(run, val, multiply=operator.mul, cells=lambda vals: vals) -> np.ndarray:
+    """The stored values `val` through the steps that `run()` yields, each
+    on `cells` of its cell's nonzero values, products by `multiply`."""
+    for vals, (term, k, first) in run():
+        val = _apply_sparse(val, cells(vals), term, k, first, multiply)
+    return val
 
 
 def _apply_sparse(val, vals, term, k, first, multiply=operator.mul) -> np.ndarray:
@@ -360,13 +365,12 @@ def f_prime(ctx: ScalarContext, d: dg.Diagram,
     `find_typical_edge`'s.  F pairs the halves' stored entries of equal
     (a, c) as `_pairing` planned: of all terms at once, exact, rounded once
     per entry, checked by one stacked `wc.scalar_of`; s is read at the
-    diagonal entry that `_steadiest` finds on the first run.  The opening
-    (plans, pairing, exact pivots at the pairs, d(V_alpha), coefficients
-    and where to read s) is kept on `d` per context and edge.
+    diagonal entry that `_steadiest` finds.  The opening (plans, pairing,
+    exact pivots at the pairs, d(V_alpha), coefficients and where to read
+    s) is built whole on the first call and kept on `d` per context and edge.
     """
     key = (ctx, edge if edge is None else tuple(edge))
-    opening = d._plans.get(key)
-    if opening is None:
+    if key not in d._plans:
         if not d.is_closed():
             raise ValueError("renormalized invariant needs a closed diagram")
         e = edge if edge is not None else find_typical_edge(ctx, d)
@@ -375,17 +379,15 @@ def f_prime(ctx: ScalarContext, d: dg.Diagram,
         (b, i), kirby = e, d.kirby_colors()
         word = dg.edge_word(d.boundary_words(), b, i)
         if not isinstance(word[i][1], (wc.Typical, wc.Kirby)):
-            raise wc.NotProjective(f"f_prime edge must be typical, got {word[i][1]!r}")
+            raise wc.NonTypicalColor(f"f_prime edge must be typical, got {word[i][1]!r}")
         halves = (_plan(ctx, d.slices[:b], d.source, kirby, False),
                   _plan(ctx, d.slices[b:], word, kirby, True))
         pairing, keys = _pairing(halves[0][2], halves[1][2], _letter_dims(ctx, word), i)
         pivots, dim, coeff = _closing(ctx, word, i, kirby, keys)
         pivots, exp = la.exact(ctx, pivots)
-        opening = (halves, pairing, pivots, exp + halves[0][4] + halves[1][4], dim, coeff, None)
-    halves, pairing, pivots, exp, dim, coeff, at = opening
-    if at is None:  # the first run finds where to read s, once
-        at = _steadiest(ctx, halves, pairing, pivots)
-        d._plans[key] = (*opening[:-1], at)
+        d._plans[key] = (halves, pairing, pivots, exp + halves[0][4] + halves[1][4], dim, coeff,
+                         _steadiest(ctx, halves, pairing, pivots))
+    halves, pairing, pivots, exp, dim, coeff, at = d._plans[key]
     low_at, up_at, first, put, n = pairing
     (_, low), (_, up) = (_sweep(ctx, half) for half in halves)
     multiply = la.product(ctx, operator.mul)
@@ -402,20 +404,16 @@ def f_prime(ctx: ScalarContext, d: dg.Diagram,
 def _steadiest(ctx: ScalarContext, halves: tuple, pairing: tuple, pivots) -> np.ndarray:
     """Per term, the flat index in the stack of all terms' F (n by n) of the
     diagonal entry where F = s id is read: the one of least rounding error
-    bound, found by running both halves and the pairing again on the
-    magnitudes |re| + |im| of every cell value and pivot (each step's
-    scaled by its largest, which scales every entry alike)."""
+    bound, found by running both halves (through `_run`) and the pairing
+    on the magnitudes |re| + |im| of every cell value and pivot (each
+    step's scaled by its largest, which scales every entry alike)."""
     low_at, up_at, first, put, n = pairing
 
-    def sweep(plan):
-        steps, val, *_ = plan
-        val = la.magnitude(ctx, val)
-        for vals, term, k, starts in steps() if callable(steps) else steps:
-            size = la.magnitude(ctx, vals)
-            val = _apply_sparse(val, size / size.max(initial=0), term, k, starts)
-        return val
+    def scaled(vals):
+        size = la.magnitude(ctx, vals)
+        return size / size.max(initial=0)
 
-    low, up = map(sweep, halves)
+    low, up = (_run(run, la.magnitude(ctx, start), cells=scaled) for run, start, *_ in halves)
     size = la.magnitude(ctx, pivots)
     sizes = np.add.reduceat(low.take(low_at, axis=-1) * size * up.take(up_at, axis=-1),
                             first, axis=-1)

@@ -20,6 +20,7 @@ import numpy as np
 from . import diagrams as dg
 from . import rt_eval
 from . import weightcat as wc
+from ._linalg import NumericInstability
 from .qscalars import ScalarContext, Scalar
 from .rt_eval import NotAdmissible
 
@@ -166,7 +167,9 @@ def cgp(ctx: ScalarContext, p: SurgeryPresentation, auto: bool = False) -> Scala
     degree, expands, applies the renormalized invariant, and multiplies
     eta D^{-ell} delta^{n - sigma(L)}.  `auto` stabilizes a critical `p`
     once per context, kept in `p._stabilized`; `p`'s own checks run on
-    every call, and a refused stabilization keeps nothing.
+    every call, and a refused stabilization keeps nothing.  NumericInstability
+    if |n - sigma(L)| passes tol 2^precision, where delta's power, whose
+    relative error grows like |n - sigma(L)| u, rounds past tol.
     """
     validate_presentation(ctx, p)
     if not check_admissible(ctx, p):
@@ -182,12 +185,14 @@ def cgp(ctx: ScalarContext, p: SurgeryPresentation, auto: bool = False) -> Scala
             validate_presentation(ctx, stab)
             p._stabilized[ctx] = stab
         p = p._stabilized[ctx]
+    power, limit = p.signature_defect - link.signature, ctx.tol * 2 ** ctx.precision
+    if abs(power) > limit:  # int against float: no overflow
+        raise NumericInstability(f"|n - sigma(L)| passes tol 2^precision = {limit:.3g}: "
+                                 "delta's power rounds past tol")
     consts = wc.constants(ctx)
     ell = len(p.surgery_components)
     fp = rt_eval.f_prime(ctx, p.diagram)
-    n = p.signature_defect
-    return (consts.eta * consts.D ** (-ell) * consts.delta ** (n - link.signature)
-            * fp)
+    return consts.eta * consts.D ** (-ell) * consts.delta ** power * fp
 
 
 def cgp_disjoint(ctx: ScalarContext, pieces: list[SurgeryPresentation],

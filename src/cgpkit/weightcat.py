@@ -34,15 +34,12 @@ from .qscalars import ScalarContext, Scalar
 
 
 class NonTypicalColor(ValueError):
-    """A typical simple module was required but the weight is atypical."""
+    """A typical color was required, for a typical simple module or a
+    projective tensor factor, and the given weight or color is not one."""
 
 
 class CriticalDegree(ValueError):
     """A generic degree was required but the given one is critical."""
-
-
-class NotProjective(ValueError):
-    """The operation needs a typical (projective) tensor factor."""
 
 
 # ---------------------------------------------------------------------------
@@ -471,14 +468,14 @@ def modified_trace(ctx: ScalarContext, word: ObjectWord, f: np.ndarray) -> Scala
 
     Closes every letter but the first typical one with `partial_trace`,
     where the result must be scalar*id; the trace is that scalar times the
-    modified dimension of the letter.  Raises NotProjective when the word
+    modified dimension of the letter.  Raises NonTypicalColor when the word
     has no typical letter and NumericInstability when the reduced
     endomorphism is not scalar.
     """
     mods = [realize_letter(ctx, letter) for letter in word]
     target = next((k for k, (_, color) in enumerate(word) if isinstance(color, Typical)), None)
     if target is None:
-        raise NotProjective("modified trace needs a typical tensor factor")
+        raise NonTypicalColor("modified trace needs a typical tensor factor")
     total = math.prod(M.dim for M in mods)
     if f.shape != (total, total):
         raise ValueError(f"endomorphism shape {f.shape} does not match word dim {total}")

@@ -254,6 +254,27 @@ def test_integral_floats_read_as_integers(tmp_path, key, value):
     assert run_cli(["cgp", _docs_with(tmp_path, key, floats)]) == (0, want)
 
 
+def test_a_signature_defect_past_the_precision_is_refused(tmp_path, capsys):
+    """delta^(n - sigma) with |n - sigma| past tol 2^precision: 10**400
+    raised an OverflowError traceback, and 1e300 gave cgp 0 although
+    |delta| = 1 at r = 6.  Each is one stderr line and exit 5 at 53 and at
+    106 bits, while n = 2000 keeps |cgp| within 2000 u-sized drifts of
+    n = 0's (measured: 2.9e-12 relative)."""
+    payload = json.loads(Path(DOCS_EXAMPLE).read_text())
+    for value in (10 ** 400, -10 ** 400, 1e300):
+        payload["presentation"]["signature_defect"] = value
+        path = tmp_path / "defect.json"
+        path.write_text(json.dumps(payload))
+        for bits in ("53", "106"):
+            assert run_cli(["cgp", str(path), "--precision", bits]) == (cli.EXIT_NUMERIC, "")
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1 and "delta's power rounds past tol" in err
+    (code, far), (_, near) = (run_cli(["cgp", _docs_with(tmp_path, "signature_defect", n)])
+                              for n in (2000, 0))
+    far, near = (complex(*json.loads(out)["cgp"]) for out in (far, near))
+    assert code == 0 and abs(abs(far) - abs(near)) <= 1e-10 * abs(near)
+
+
 def _docs_edited(tmp_path, name, edit):
     """The docs example with `edit` applied to its diagram."""
     payload = json.loads(Path(DOCS_EXAMPLE).read_text())

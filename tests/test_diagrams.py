@@ -181,7 +181,7 @@ def test_cut_identity_fixtures(ctx):
 
 def test_cut_requires_typical(ctx):
     s = fx.unknot(wc.Sigma(0))
-    with pytest.raises(wc.NotProjective):
+    with pytest.raises(wc.NonTypicalColor):
         dg.cut(ctx, s, 1, 0)
 
 
@@ -350,6 +350,22 @@ def test_recolor_hands_on_component_map(ctx):
     hopf = fx.hopf_link(A, B)
     comp = hopf.ports_and_components()
     assert hopf.recolor_component(0, B).ports_and_components() is comp
+
+
+def test_mark_components_recolors_in_one_pass(ctx, monkeypatch):
+    """Naming both components of the Hopf link rebuilds it once, to what
+    recoloring them one at a time gives, and hands on its component map."""
+    hopf = fx.hopf_link(A, B)
+    comp, colors = hopf.ports_and_components(), {0: B, 1: wc.Typical(0.37 + 0.21j)}
+    want = hopf.recolor_component(0, colors[0]).recolor_component(1, colors[1])
+    passes, relettered = [], dg.Diagram._relettered
+    monkeypatch.setattr(dg.Diagram, "_relettered",
+                        lambda d, rl: passes.append(d) or relettered(d, rl))
+    got = dg.mark_components(hopf, colors)
+    assert passes == [hopf] and got.ports_and_components() is comp
+    assert [[(c.kind, c.letters) for c in cells] for cells in got.slices] == \
+        [[(c.kind, c.letters) for c in cells] for cells in want.slices]
+    assert got.component_colors() == colors
 
 
 def test_planted_row_mismatch_raises(ctx):

@@ -95,7 +95,7 @@ REFUSALS = {
         ValueError, "boundary index out of range"),
     "f_prime at a sigma edge": (
         lambda ctx: rt_eval.f_prime(ctx, fx.hopf_link(A, wc.Sigma(ctx.rbar)), (2, 1)),
-        wc.NotProjective, "f_prime edge must be typical, got sigma({rbar})"),
+        wc.NonTypicalColor, "f_prime edge must be typical, got sigma({rbar})"),
     "stabilize_projective at a negative letter": (
         lambda ctx: dg.stabilize_projective(ctx, fx.hopf_link(A, B), 2, -1, GENERIC),
         ValueError, "letter position out of range"),
@@ -107,7 +107,7 @@ REFUSALS = {
         ValueError, "boundary index out of range"),
     "stabilize_projective on a sigma edge": (
         lambda ctx: dg.stabilize_projective(ctx, fx.unknot(wc.Sigma(0)), 1, 0, GENERIC),
-        wc.NotProjective, "projective stabilization needs a typical edge"),
+        wc.NonTypicalColor, "projective stabilization needs a typical edge"),
     "stabilize_generic at a critical index": (
         lambda ctx: dg.stabilize_generic(ctx, fx.unknot(A), 1, (0, 1), wc.Degree(1.0)),
         wc.CriticalDegree, "stabilization index 1.0 is critical"),

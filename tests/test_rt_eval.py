@@ -300,8 +300,8 @@ def test_planned_sparse_steps_match_the_reference(monkeypatch, precision):
         got = _swept_end(ctx, plan, xctx)
         assert np.all(got == _reference_sweep(xctx, xraw, stored))
         assert plan[2].dtype == np.intp and np.array_equal(plan[2], stored[-1])
-        for (vals, term, k, first), (nonzeros, dl, din, dout, dr), xstep, idx in zip(
-                plan[0], raw[0], xraw[0], stored[:-1], strict=True):
+        for (vals, (term, k, first)), (nonzeros, dl, din, dout, dr), xstep, idx in zip(
+                plan[0](), raw[0], xraw[0], stored[:-1], strict=True):
             assert all(a.dtype == np.intp for a in (term, k, first))
             # random values on the step's weight sector, on the plan's term axes
             val, e = la.exact(ctx, _random(ctx, rng, raw[2] + idx.shape, 1.0))
@@ -521,10 +521,10 @@ def _half_plans(d):
 
 
 def _assert_shared(plan, other):
-    """`other` holds the index arrays of `plan` (`is`) with nonzero values
-    of its own."""
-    for a, b in zip(plan[0], other[0], strict=True):
-        assert a[0] is not b[0] and all(x is y for x, y in zip(a[1:], b[1:]))
+    """`other`'s steps hold the index arrays of `plan`'s (`is`) with
+    nonzero values of their own."""
+    for (vals, work), (other_vals, other_work) in zip(plan[0](), other[0](), strict=True):
+        assert vals is not other_vals and all(x is y for x, y in zip(work, other_work, strict=True))
     assert plan[2] is other[2]
 
 
@@ -543,7 +543,7 @@ def test_recolored_closures_share_their_index_work(monkeypatch, precision):
     plans = _half_plans(ds[0])
     assert len(plans) == 2
     for key, plan in plans.items():
-        assert plan[0]
+        assert list(plan[0]())
         _assert_shared(plan, _half_plans(ds[1])[key])
     for d, value in zip(ds, values):
         with monkeypatch.context() as mp:
@@ -569,7 +569,7 @@ def test_plans_share_index_work_across_precisions_and_term_axes(monkeypatch):
     assert [len(h) for h in halves] == [2, 2, 2]
     assert all(rt_eval._sweep(ctx, plan)[1].shape[0] == 3 for plan in halves[2].values())
     for key, plan in halves[0].items():
-        assert plan[0]
+        assert list(plan[0]())
         for other in halves[1:]:
             _assert_shared(plan, other[key])
     for (c, e), value in zip(cases, values):
@@ -607,17 +607,21 @@ def test_a_coupon_with_one_more_nonzero_gets_its_own_entry(monkeypatch):
 
 def test_a_plan_past_its_budget_walks_its_index_work_anew(monkeypatch):
     """With `_INDEX_BYTES` at 0, no half of a 3-strand closure keeps its
-    index work: each run walks it again, and F' at 53 and 106 bits, cold
-    and warm, has the bits of plans that keep it."""
+    index work: each warm run walks it again, once per half, and F' at 53
+    and 106 bits, cold and warm, has the bits of plans that keep it."""
     word = [1, -2, 1, 2, -1, 1]
     for ctx in (ScalarContext(6), ScalarContext(6, precision=106)):
         want = rt_eval.f_prime(ctx, fx.braid_closure(wc.Typical(GENERIC), 3, word))
         with monkeypatch.context() as mp:
             _fresh_index_cache(mp)
             mp.setattr(rt_eval, "_INDEX_BYTES", 0)
+            walks, walk = [], rt_eval._walk
+            mp.setattr(rt_eval, "_walk", lambda *args: walks.append(1) or walk(*args))
             d = fx.braid_closure(wc.Typical(GENERIC), 3, word)
-            assert rt_eval.f_prime(ctx, d) == rt_eval.f_prime(ctx, d) == want
-            assert all(callable(half[0]) for halves, *_ in d._plans.values() for half in halves)
+            assert rt_eval.f_prime(ctx, d) == want
+            cold = len(walks)
+            assert rt_eval.f_prime(ctx, d) == want
+            assert len(walks) - cold == 2
 
 
 def test_open_diagrams_share_index_work(monkeypatch):
@@ -868,8 +872,7 @@ def _assert_intp_openings(d):
     steps and stored entries, and the pairing."""
     for halves, pairing, *_ in d._plans.values():
         arrays = [h[2] for h in halves] + list(pairing[:4])
-        arrays += [a for h in halves for step in (h[0]() if callable(h[0]) else h[0])
-                   for a in step[1:]]
+        arrays += [a for h in halves for _, work in h[0]() for a in work]
         assert all(a.dtype == np.intp for a in arrays)
 
 

@@ -321,7 +321,7 @@ def test_modified_trace_basics(ctx):
     t2 = wc.modified_trace(ctx, word2, np.eye(M2.dim))
     expect = wc.modified_dimension(ctx, a) * wc.sigma_dim(ctx, ctx.rbar)
     assert abs(t2 - expect) < 1e-12
-    with pytest.raises(wc.NotProjective):
+    with pytest.raises(wc.NonTypicalColor):
         wc.modified_trace(ctx, wc.ObjectWord([(1, wc.Sigma(0))]), np.eye(1))
 
 
