@@ -291,14 +291,15 @@ def _sweep(ctx: ScalarContext, plan: tuple) -> tuple:
     their values on the term axes, a term axis of size 1 where no cell
     holds its color; exact, at the plan's exponent."""
     run, val, put, _, _ = plan
-    return put, _run(run, val, la.product(ctx, operator.mul))
+    return put, _run(run(), val, la.product(ctx, operator.mul))
 
 
-def _run(run, val, multiply=operator.mul, cells=lambda vals: vals) -> np.ndarray:
-    """The stored values `val` through the steps that `run()` yields, each
-    on `cells` of its cell's nonzero values, products by `multiply`."""
-    for vals, (term, k, first) in run():
-        val = _apply_sparse(val, cells(vals), term, k, first, multiply)
+def _run(steps, val, multiply=operator.mul) -> np.ndarray:
+    """The stored values `val` through `steps`, as a plan's `run()` yields
+    them: each a cell's nonzero values and its index work, products by
+    `multiply`."""
+    for vals, (term, k, first) in steps:
+        val = _apply_sparse(val, vals, term, k, first, multiply)
     return val
 
 
@@ -370,7 +371,8 @@ def f_prime(ctx: ScalarContext, d: dg.Diagram,
     s) is built whole on the first call and kept on `d` per context and edge.
     """
     key = (ctx, edge if edge is None else tuple(edge))
-    if key not in d._plans:
+    opening = d._plans.get(key)
+    if opening is None:
         if not d.is_closed():
             raise ValueError("renormalized invariant needs a closed diagram")
         e = edge if edge is not None else find_typical_edge(ctx, d)
@@ -385,9 +387,9 @@ def f_prime(ctx: ScalarContext, d: dg.Diagram,
         pairing, keys = _pairing(halves[0][2], halves[1][2], _letter_dims(ctx, word), i)
         pivots, dim, coeff = _closing(ctx, word, i, kirby, keys)
         pivots, exp = la.exact(ctx, pivots)
-        d._plans[key] = (halves, pairing, pivots, exp + halves[0][4] + halves[1][4], dim, coeff,
-                         _steadiest(ctx, halves, pairing, pivots))
-    halves, pairing, pivots, exp, dim, coeff, at = d._plans[key]
+        opening = d._plans[key] = (halves, pairing, pivots, exp + halves[0][4] + halves[1][4],
+                                   dim, coeff, _steadiest(ctx, halves, pairing, pivots))
+    halves, pairing, pivots, exp, dim, coeff, at = opening
     low_at, up_at, first, put, n = pairing
     (_, low), (_, up) = (_sweep(ctx, half) for half in halves)
     multiply = la.product(ctx, operator.mul)
@@ -413,7 +415,8 @@ def _steadiest(ctx: ScalarContext, halves: tuple, pairing: tuple, pivots) -> np.
         size = la.magnitude(ctx, vals)
         return size / size.max(initial=0)
 
-    low, up = (_run(run, la.magnitude(ctx, start), cells=scaled) for run, start, *_ in halves)
+    low, up = (_run(((scaled(vals), work) for vals, work in run()), la.magnitude(ctx, start))
+               for run, start, *_ in halves)
     size = la.magnitude(ctx, pivots)
     sizes = np.add.reduceat(low.take(low_at, axis=-1) * size * up.take(up_at, axis=-1),
                             first, axis=-1)

@@ -185,10 +185,10 @@ def cgp(ctx: ScalarContext, p: SurgeryPresentation, auto: bool = False) -> Scala
             validate_presentation(ctx, stab)
             p._stabilized[ctx] = stab
         p = p._stabilized[ctx]
-    power, limit = p.signature_defect - link.signature, ctx.tol * 2 ** ctx.precision
-    if abs(power) > limit:  # int against float: no overflow
-        raise NumericInstability(f"|n - sigma(L)| passes tol 2^precision = {limit:.3g}: "
-                                 "delta's power rounds past tol")
+    power = p.signature_defect - link.signature
+    if abs(power) > ctx.tol * 2 ** ctx.precision:  # int against float: no overflow
+        raise NumericInstability(f"|n - sigma(L)| passes tol 2^precision = "
+                                 f"{ctx.tol * 2 ** ctx.precision:.3g}: delta's power rounds past tol")
     consts = wc.constants(ctx)
     ell = len(p.surgery_components)
     fp = rt_eval.f_prime(ctx, p.diagram)
