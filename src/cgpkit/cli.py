@@ -10,12 +10,15 @@ field order.
 from __future__ import annotations
 
 import argparse
+import cmath
 import dataclasses
 import json
 import os
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from . import diagrams as dg
@@ -44,16 +47,18 @@ class _Parser(argparse.ArgumentParser):
         raise ParseError(f"{self.prog}: {message}")
 
     def _parse_optional(self, arg_string):
-        # a number such as -0.3-0.1j is a positional, not an unknown option
+        # a number such as -0.3-0.1j or -inf is a positional, not an unknown option
         try:
-            _parse_complex(arg_string)
-        except ParseError:
+            complex(arg_string.replace(" ", ""))
+        except ValueError:
             return super()._parse_optional(arg_string)
         return None
 
 
 def _fmt_float(x: float) -> str:
     x = float(x)
+    if not cmath.isfinite(x):
+        raise NumericInstability(f"result {x} is not finite")
     if x == 0.0:
         x = 0.0  # normalize negative zero
     return format(x, ".17g")
@@ -128,10 +133,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _parse_complex(s: str) -> complex:
+    """s as a finite complex number; ParseError for anything else, nan included."""
     try:
-        return complex(s.replace(" ", ""))
+        z = complex(s.replace(" ", ""))
     except ValueError as e:
         raise ParseError(f"bad complex literal {s!r}") from e
+    if not cmath.isfinite(z):
+        raise ParseError(f"complex literal {s!r} is not finite")
+    return z
 
 
 def _degree_from_json(v) -> wc.Degree:
@@ -303,7 +312,9 @@ def main(argv=None) -> int:
     }
     try:
         args = build_parser().parse_args(argv)
-        return handlers[args.command](args)
+        # overflows are refused as one line where values are checked or printed
+        with np.errstate(all="ignore"):
+            return handlers[args.command](args)
     except ParseError as e:
         print(f"parse error: {e}", file=sys.stderr)
         return EXIT_PARSE
@@ -313,7 +324,7 @@ def main(argv=None) -> int:
     except sg.NotAdmissible as e:
         print(f"not admissible: {e}", file=sys.stderr)
         return EXIT_NOT_ADMISSIBLE
-    except NumericInstability as e:
+    except ArithmeticError as e:  # NumericInstability, or an overflow
         print(f"numeric instability: {e}", file=sys.stderr)
         return EXIT_NUMERIC
     except (OSError, ValueError) as e:

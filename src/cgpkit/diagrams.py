@@ -9,11 +9,9 @@ twist cell, `tpos` or `tneg`, which evaluates to theta^{+-1}: what a curl
 drawn as a cap, a self-crossing and a cup evaluates to, two letters
 narrower.  Linking data read a twist cell as that curl's self-crossing.
 
-Diagrams are immutable: every edit returns a new diagram.  Each diagram
-computes its boundary words and finds its strands once, on first use.
-Edits that stack rows on a diagram extend its words row by row, checking
-each row against the word below it, and a recolored diagram takes over
-the component map of the diagram it came from.
+Diagrams are immutable: every edit returns a new diagram of slices,
+checking the rows it adds once, as it is made.  Each diagram computes its
+boundary words and finds its strands itself, once, on first use.
 
 Strand components are recovered by union-find over boundary ports; a
 coupon joins all of its legs into one component.  That map is the one
@@ -28,6 +26,7 @@ JSON presentation loader calls once.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from math import prod
@@ -167,8 +166,7 @@ class Diagram:
     """Immutable; `slices` may be given as any iterables of cells and is
     stored as a tuple of tuples.  Boundary words, the component map, the
     strand pass and the Kirby colors are cached properties, read-only, as
-    every caller gets the same object; an edit hands over the words and
-    map it knows with `_cache`.  `_plans` holds `rt_eval.f_prime`'s
+    every caller gets the same object.  `_plans` holds `rt_eval.f_prime`'s
     openings of the diagram with their halves' sweep plans, which live as
     long as it does (their index work, shared, in a byte-bounded cache)."""
 
@@ -179,10 +177,6 @@ class Diagram:
 
     def __post_init__(self):
         object.__setattr__(self, "slices", tuple(map(tuple, self.slices)))
-
-    def _cache(self, **memos) -> "Diagram":
-        vars(self).update((name, memo) for name, memo in memos.items() if memo is not None)
-        return self
 
     # -- structure ---------------------------------------------------------
 
@@ -279,8 +273,7 @@ class Diagram:
 
     def _relettered(self, rl) -> "Diagram":
         """The letter l at port p of the source and of every non-coupon cell
-        replaced by rl(l, p).  The components stay, so the result takes over
-        this diagram's component map."""
+        replaced by rl(l, p)."""
         new_source = tuple(rl(l, (0, i)) for i, l in enumerate(self.source))
         new_slices: list[list[Cell]] = [[] for _ in self.slices]
         for s, pin, pout, cell in self._placed_cells():
@@ -291,7 +284,7 @@ class Diagram:
                 if letters != cell.letters:
                     cell = Cell(k, letters)
             new_slices[s].append(cell)
-        return Diagram(new_source, new_slices, self.prefactor)._cache(_comp=vars(self).get("_comp"))
+        return Diagram(new_source, new_slices, self.prefactor)
 
     def recolor_component(self, comp_id: int, color: Color) -> "Diagram":
         """Replace the color on every leg of one coupon-free component."""
@@ -429,20 +422,11 @@ def normalized_cell(cells, error=ValueError) -> tuple[int, Cell] | None:
 
 
 def insert_slices(d: Diagram, boundary: int, rows: list[Slice]) -> Diagram:
-    """Insert word-preserving slices at an interior boundary.
-
-    The inserted block must consume and reproduce the boundary word there.
-    """
-    old = d.boundary_words()
-    words = _extend(list(old[:boundary + 1]), rows)
-    # rows that give back the word leave the words above it as they were;
-    # any other word fails at the next slice, or is the new target
-    if words[-1] == old[boundary]:
-        words.extend(old[boundary + 1:])
-    else:
-        _extend(words, d.slices[boundary:])
-    return Diagram(d.source, d.slices[:boundary] + tuple(rows) + d.slices[boundary:],
-                   d.prefactor)._cache(_words=tuple(words))
+    """Insert slices at a boundary.  The rows must consume the word there,
+    and the slices above them what the rows give back (below the top, the
+    same word); both are checked here."""
+    _extend(list(d.boundary_words()[:boundary + 1]), (*rows, *d.slices[boundary:]))
+    return Diagram(d.source, d.slices[:boundary] + tuple(rows) + d.slices[boundary:], d.prefactor)
 
 
 def wrap_slice(word: ObjectWord, pos: int, cell: Cell) -> list[Cell]:
@@ -480,14 +464,12 @@ class Stack:
             self.add([*map(id_cell, w[:nleft]), *s, *map(id_cell, w[len(w) - nright:])])
 
     def diagram(self, prefactor: Scalar) -> Diagram:
-        return Diagram(self.source, self.slices, prefactor)._cache(_words=tuple(self.words))
+        return Diagram(self.source, self.slices, prefactor)
 
 
 def apply_cell(d: Diagram, pos: int, cell: Cell) -> Diagram:
     """Append one slice containing the cell at position pos."""
-    st = Stack(d)
-    st.cell(pos, cell)
-    return st.diagram(d.prefactor)
+    return insert_slices(d, len(d.slices), [wrap_slice(d.target, pos, cell)])
 
 
 def add_curl(d: Diagram, pos: int, positive: bool) -> Diagram:
@@ -496,9 +478,10 @@ def add_curl(d: Diagram, pos: int, positive: bool) -> Diagram:
     return apply_cell(d, pos, Cell("tpos" if positive else "tneg", (d.target[pos],)))
 
 
-def encircle(d: Diagram, span: tuple[int, int], color: Color, framing: int = 0,
-             sign: int = 1) -> Diagram:
-    """Insert a meridian circle of the given color around letters [i, j).
+def encircle_at(d: Diagram, boundary: int, span: tuple[int, int], color: Color,
+                framing: int = 0, sign: int = 1) -> Diagram:
+    """Insert a meridian circle of the given color around letters [i, j)
+    at a slice boundary.
 
     The circle crosses the enclosed strands once in front and once behind,
     linking each enclosed strand by its orientation sign.  Framing is
@@ -506,11 +489,11 @@ def encircle(d: Diagram, span: tuple[int, int], color: Color, framing: int = 0,
     circle is the component of the freshly created letters.
     """
     i, j = span
-    w = d.target
+    w = d.boundary_words()[boundary]
     if not (0 <= i <= j <= len(w)):
         raise ValueError("span out of range")
     mer = (sign, color)
-    st = Stack(d)
+    st = Stack(Diagram(w, []))
     st.cell(i, cap(mer, left=False))  # creates (flip mer, mer) at i
     # meridian letter sits at position i+1; twists for framing
     for _ in range(abs(framing)):
@@ -522,7 +505,13 @@ def encircle(d: Diagram, span: tuple[int, int], color: Color, framing: int = 0,
     for t in range(j - i - 1, -1, -1):
         st.cell(i + 1 + t, cross(w[i + t], mer, positive=True))
     st.cell(i, cup(mer, left=True))
-    return st.diagram(d.prefactor)
+    return insert_slices(d, boundary, st.slices)
+
+
+def encircle(d: Diagram, span: tuple[int, int], color: Color, framing: int = 0,
+             sign: int = 1) -> Diagram:
+    """`encircle_at` the top of the diagram."""
+    return encircle_at(d, len(d.slices), span, color, framing, sign)
 
 
 def trace_closure(d: Diagram) -> Diagram:
@@ -546,11 +535,11 @@ def trace_closure(d: Diagram) -> Diagram:
 # ---------------------------------------------------------------------------
 
 
-def edge_word(words, boundary: int, pos: int, lowest: int = 1) -> ObjectWord:
+def edge_word(words, boundary: int, pos: int) -> ObjectWord:
     """words[boundary], the boundary word holding the edge at letter pos;
-    refuses a boundary outside lowest <= boundary < len(words) or a
-    position outside the word."""
-    if not lowest <= boundary < len(words):
+    refuses a boundary outside 0 <= boundary < len(words) or a position
+    outside the word."""
+    if not 0 <= boundary < len(words):
         raise ValueError("boundary index out of range")
     w = words[boundary]
     if not 0 <= pos < len(w):
@@ -621,7 +610,7 @@ def stabilize_projective(ctx: ScalarContext, d: Diagram, boundary: int, pos: int
     (-1)^{m-1} q^{mu nu} m/d(U), d the modified dimension: nonzero wherever
     U is typical.  A lambda within tol of zero is refused.
     """
-    w = edge_word(d.boundary_words(), boundary, pos, lowest=0)
+    w = edge_word(d.boundary_words(), boundary, pos)
     letter = w[pos]
     if not isinstance(letter[1], Typical):
         raise wc.NonTypicalColor("projective stabilization needs a typical edge")
@@ -673,15 +662,7 @@ def stabilize_generic(ctx: ScalarContext, d: Diagram, boundary: int,
     out = encircle_at(d, boundary, span, Kirby(deg.g, tag), framing=-1, sign=+1)
     out = encircle_at(out, boundary, span, Kirby(deg.g, tag + 1), framing=+1, sign=-1)
     prefactor = out.prefactor / (consts.delta_minus * consts.delta_plus)
-    return replace(out, prefactor=prefactor)._cache(_words=out._words)
-
-
-def encircle_at(d: Diagram, boundary: int, span: tuple[int, int], color: Color,
-                framing: int = 0, sign: int = 1) -> Diagram:
-    """Encircle strands at an interior slice boundary, as `encircle` does."""
-    w = d.boundary_words()[boundary]
-    rows = encircle(Diagram(w, []), span, color, framing=framing, sign=sign).slices
-    return insert_slices(d, boundary, rows)
+    return replace(out, prefactor=prefactor)
 
 
 # ---------------------------------------------------------------------------
@@ -721,10 +702,13 @@ def integer_from_json(v) -> int:
 
 
 def complex_from_json(re, im=0.0) -> complex:
-    """re + i im from JSON numbers; ValueError for any other value, such as true."""
+    """re + i im from JSON numbers; ValueError for any other value, such as
+    true, and for a number no float holds: NaN, Infinity or 10**400."""
     for v in (re, im):
         if isinstance(v, bool) or not isinstance(v, (int, float)):
             raise ValueError(f"not a number: {v!r}")
+        if not abs(v) <= sys.float_info.max:
+            raise ValueError(f"not a finite number: {v!r}")
     return complex(re, im)
 
 

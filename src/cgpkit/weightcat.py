@@ -417,12 +417,13 @@ def scalar_of(ctx: ScalarContext, f: np.ndarray) -> Scalar:
     """Extract s from f = s*id, or each s of a stack of such f on leading
     axes, enforcing the deviation policy: the largest entry of f - s*id,
     measured in double at every precision (the diagonal is subtracted at
-    working precision first), is at most tol*max(1, |s|), else refused."""
+    working precision first), is at most tol*max(1, |s|), else refused, as
+    is a deviation of NaN."""
     s, i = f[..., 0, 0], np.arange(f.shape[-1])
     dev = f.astype(np.complex128)
     dev[..., i, i] = (f[..., i, i] - f[..., :1, 0]).astype(np.complex128)
     dev = np.abs(dev).max(axis=(-2, -1))
-    bad = dev > ctx.tol * np.maximum(1.0, np.abs(np.asarray(s, dtype=np.complex128)))
+    bad = ~(dev <= ctx.tol * np.maximum(1.0, np.abs(np.asarray(s, dtype=np.complex128))))
     if bad.any():
         raise la.NumericInstability(
             f"endomorphism deviates from scalar*id by {dev[bad].max():.3e}")
@@ -435,17 +436,13 @@ def scalar_of(ctx: ScalarContext, f: np.ndarray) -> Scalar:
 
 
 def trace_pivots(ctx: ScalarContext, mods: list[WeightModule], i: int,
-                 keys: np.ndarray | None = None) -> np.ndarray:
-    """p-(a) p+(c) on axes (a, 1, c), or at the flat indices `keys` of
-    (a, c): the product, in factor order, of the inverse pivot of each
-    factor left of factor i, which closes with the left evaluation, and the
-    pivot of each factor right of it, which closes with the right
-    evaluation."""
+                 keys: np.ndarray) -> np.ndarray:
+    """p-(a) p+(c) at the flat indices `keys` of (a, c): the product, in
+    factor order, of the inverse pivot of each factor left of factor i,
+    which closes with the left evaluation, and the pivot of each factor
+    right of it, which closes with the right evaluation."""
     diagonals = [_pivot(ctx, M, 1 if k > i else -1)
                  for k, M in enumerate(mods) if k != i]
-    if keys is None:
-        p = reduce(np.multiply.outer, diagonals, ctx.scalar(1))
-        return np.reshape(p, (math.prod(M.dim for M in mods[:i]), 1, -1))
     digits = np.unravel_index(keys, [p.size for p in diagonals]) if diagonals else ()
     return reduce(operator.mul, (p[k] for p, k in zip(diagonals, digits)),
                   np.full(keys.shape, ctx.scalar(1)))
@@ -455,8 +452,9 @@ def partial_trace(ctx: ScalarContext, f: np.ndarray, mods: list[WeightModule], i
     """Close every factor of End(mods[0] (x) ... ) except factor i:
     F[j, k] = sum over a, c of p-(a) p+(c) f[(a, j, c), (a, k, c)], with
     the pivots of `trace_pivots`."""
-    w = trace_pivots(ctx, mods, i)
-    (na, _, nc), n = w.shape, mods[i].dim
+    na, n, nc = (math.prod(M.dim for M in mods[:i]), mods[i].dim,
+                 math.prod(M.dim for M in mods[i + 1:]))
+    w = trace_pivots(ctx, mods, i, np.arange(na * nc))
     a, c = np.ix_(range(na), range(nc))
     # advanced indices split by slices come first: axes (a, c, j, k)
     diag = f.reshape(na, n, nc, na, n, nc)[a, :, c, a, :, c]

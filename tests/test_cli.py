@@ -1,5 +1,6 @@
 import io
 import json
+import math
 import subprocess
 import sys
 from contextlib import redirect_stdout
@@ -9,6 +10,7 @@ import pytest
 
 from cgpkit import cli
 from cgpkit import diagrams as dg
+from cgpkit import fixtures as fx
 from cgpkit import state_spaces as ss
 from cgpkit import surgery as sg
 from cgpkit import surgery_fixtures as sfx
@@ -365,17 +367,66 @@ def test_booleans_in_number_fields_are_parse_errors(tmp_path, capsys, edit):
     (["moddim", "4", "-0.5+0.2j", "--bogus"], cli.EXIT_PARSE),  # an unknown option
     # level 0 is a level the context refuses, not "no --level"
     (["cgp", DOCS_EXAMPLE, "--level", "0"], cli.EXIT_ERROR),
+    # a number no float holds is a parse error, not an OverflowError or a
+    # failed integer conversion
+    (["moddim", "6", "inf"], cli.EXIT_PARSE),
+    (["moddim", "6", "1e400"], cli.EXIT_PARSE),
+    (["moddim", "6", "nan"], cli.EXIT_PARSE),
+    (["moddim", "6", "-inf"], cli.EXIT_PARSE),
+    (["statespace", "6", "1", "inf"], cli.EXIT_PARSE),
+    # an overflow, a NaN value and a division by zero on the way, not a
+    # traceback or nan on stdout
+    (["moddim", "6", "1000j"], cli.EXIT_NUMERIC),
+    (["moddim", "6", "1e308j"], cli.EXIT_NUMERIC),
+    (["cgp", "TREFOIL_NAN"], cli.EXIT_NUMERIC),
+    (["cgp", "TREFOIL_ZERO"], cli.EXIT_NUMERIC),
 ])
 def test_every_subcommand_exits_by_error_kind(argv, code, tmp_path):
-    if "SPLIT" in argv:
-        split = tmp_path / "split.json"
-        split.write_text(json.dumps(_split_payload(ScalarContext(6))))
-        argv = [str(split) if a == "SPLIT" else a for a in argv]
+    files = {a: tmp_path / f"{a}.json" for a in argv if a in _INPUTS}
+    for a, path in files.items():
+        path.write_text(json.dumps(_INPUTS[a]()))
+    argv = [str(files.get(a, a)) for a in argv]
     proc = subprocess.run([sys.executable, "-m", "cgpkit.cli", *argv],
                           capture_output=True, text=True)
     assert proc.returncode == code
     assert proc.stdout == "" and len(proc.stderr.splitlines()) == 1
     assert "Traceback" not in proc.stderr
+
+
+def _trefoil_payload(alpha):
+    """The trefoil colored alpha as a graph-only presentation at r = 6."""
+    return presentation_payload(None, sg.SurgeryPresentation(fx.trefoil(wc.Typical(alpha))), 6)
+
+
+# inputs that `test_every_subcommand_exits_by_error_kind` writes to a file
+_INPUTS = {
+    "SPLIT": lambda: _split_payload(ScalarContext(6)),
+    "TREFOIL_NAN": lambda: _trefoil_payload(0.3 + 200j),
+    "TREFOIL_ZERO": lambda: _trefoil_payload(0.3 + 1000j),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 10 ** 400],
+                         ids=["NaN", "Infinity", "-Infinity", "integer 1e400"])
+@pytest.mark.parametrize("edit", [
+    lambda p, v: p["meridian_degrees"].update({"0": v}),
+    lambda p, v: p["diagram"]["slices"][0]["cells"][0]["letters"][0][1]["typical"].update(re=v),
+    lambda p, v: p["diagram"].update(formal={"0": [[[v, 0.0], {"typical": {"re": 0.8, "im": 0.0}}]]}),
+    lambda p, v: p["diagram"].update(prefactor=[1.0, v]),
+    lambda p, v: _on_top({"kind": "coupon", "domain": [], "codomain": [],
+                          "matrix": [[[v, 0.0]]]})(p),
+], ids=["degree", "typical", "formal terms", "prefactor", "coupon"])
+def test_non_finite_numbers_in_json_are_parse_errors(tmp_path, capsys, edit, value):
+    """json reads NaN, Infinity and -Infinity, and an integer past the
+    float range: a NaN weight would fail as a boundary mismatch with exit
+    1, Infinity on a failed integer conversion, and the integer as an
+    OverflowError."""
+    payload = json.loads(Path(DOCS_EXAMPLE).read_text())
+    edit(payload["presentation"], value)
+    path = tmp_path / "non_finite.json"
+    path.write_text(json.dumps(payload))
+    assert run_cli(["cgp", str(path)]) == (cli.EXIT_PARSE, "")
+    assert "bad presentation: not a finite number: " in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv, env", [

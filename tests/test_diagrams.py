@@ -331,7 +331,7 @@ EDITS = {
 @pytest.mark.parametrize("edit", sorted(EDITS))
 def test_cached_structure_matches_recomputation(ctx, edit):
     """Every cached view is kept, and equals the view of the same slices
-    built afresh; a recolored diagram takes over only the component map."""
+    built afresh."""
     d = EDITS[edit](ctx)
     assert dg.validate(ctx, d) is None
     fresh = dg.Diagram(d.source, d.slices, d.prefactor)
@@ -346,23 +346,17 @@ def test_coupon_free_strands_carry_one_color(ctx, edit):
     assert_one_color_per_strand(EDITS[edit](ctx))
 
 
-def test_recolor_hands_on_component_map(ctx):
-    hopf = fx.hopf_link(A, B)
-    comp = hopf.ports_and_components()
-    assert hopf.recolor_component(0, B).ports_and_components() is comp
-
-
 def test_mark_components_recolors_in_one_pass(ctx, monkeypatch):
     """Naming both components of the Hopf link rebuilds it once, to what
-    recoloring them one at a time gives, and hands on its component map."""
+    recoloring them one at a time gives."""
     hopf = fx.hopf_link(A, B)
-    comp, colors = hopf.ports_and_components(), {0: B, 1: wc.Typical(0.37 + 0.21j)}
+    colors = {0: B, 1: wc.Typical(0.37 + 0.21j)}
     want = hopf.recolor_component(0, colors[0]).recolor_component(1, colors[1])
     passes, relettered = [], dg.Diagram._relettered
     monkeypatch.setattr(dg.Diagram, "_relettered",
                         lambda d, rl: passes.append(d) or relettered(d, rl))
     got = dg.mark_components(hopf, colors)
-    assert passes == [hopf] and got.ports_and_components() is comp
+    assert passes == [hopf]
     assert [[(c.kind, c.letters) for c in cells] for cells in got.slices] == \
         [[(c.kind, c.letters) for c in cells] for cells in want.slices]
     assert got.component_colors() == colors

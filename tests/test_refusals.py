@@ -64,7 +64,7 @@ REFUSALS = {
         ValueError, "cut needs a closed diagram"),
     "cut at the bottom boundary": (
         lambda ctx: dg.cut(ctx, fx.unknot(A), 0, 0),
-        ValueError, "boundary index out of range"),
+        ValueError, "letter position out of range"),
     "cut at the top boundary": (
         lambda ctx: dg.cut(ctx, fx.unknot(A), 3, 0),
         ValueError, "boundary index out of range"),
@@ -80,7 +80,7 @@ REFUSALS = {
         ValueError, "letter position out of range"),
     "f_prime at the empty bottom word": (
         lambda ctx: rt_eval.f_prime(ctx, fx.hopf_link(A, B), (0, 0)),
-        ValueError, "boundary index out of range"),
+        ValueError, "letter position out of range"),
     "f_prime past the last letter": (
         lambda ctx: rt_eval.f_prime(ctx, fx.hopf_link(A, B), (1, 5)),
         ValueError, "letter position out of range"),

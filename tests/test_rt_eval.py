@@ -416,6 +416,15 @@ def test_a_non_finite_value_is_refused_not_read_as_zero(special):
         rt_eval.f_prime(hp, d)
 
 
+@pytest.mark.parametrize("r, alpha", [(6, 0.3 + 200j), (14, 0.3 + 60j)])
+def test_an_overflowing_closure_is_refused_not_read_as_nan(r, alpha):
+    """A weight this far off the real axis overflows the trefoil's 53-bit
+    cell matrices: F' deviates from a scalar by NaN, which is no smaller
+    than the bound, and is refused, not returned as nan."""
+    with np.errstate(all="ignore"), pytest.raises(la.NumericInstability, match="by nan$"):
+        rt_eval.f_prime(ScalarContext(r), fx.trefoil(wc.Typical(alpha)))
+
+
 @pytest.mark.parametrize("precision", [53, 106])
 def test_a_zero_coupon_gives_zero_at_every_edge(precision):
     """A Hopf link through a coupon holding the zero matrix: its step

@@ -783,7 +783,9 @@ def test_cached_letter_data_is_keyed_by_context():
         pivots, dim, coeff = rt_eval._closing(ctx, letters, 1, (), keys)
         mods = [wc.realize_letter(ctx, x) for x in letters]
         assert pivots.shape == (3,)
-        assert (pivots == wc.trace_pivots(ctx, mods, 1).reshape(-1)).all()
+        # p-(a) p+(c): letter 0 closes on the left, letter 2 on the right
+        outer = np.multiply.outer(wc._pivot(ctx, mods[0], -1), wc._pivot(ctx, mods[2], 1))
+        assert (pivots == outer.reshape(-1)).all()
         assert dim[()] == value
         for a in (pivots, dim):
             with pytest.raises(ValueError):
