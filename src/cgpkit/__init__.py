@@ -2,8 +2,7 @@
 3-manifolds, computed from surgery presentations over the ribbon category
 of weight modules of unrolled quantum sl2 at even roots of unity."""
 
-from ._linalg import NumericInstability
-from .qscalars import ScalarContext, VanishingDenominator
+from .qscalars import NumericInstability, ScalarContext
 from .weightcat import (
     CriticalDegree,
     Degree,
@@ -26,7 +25,7 @@ from .weightcat import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ScalarContext", "VanishingDenominator", "Degree", "Typical", "Sigma",
+    "ScalarContext", "Degree", "Typical", "Sigma",
     "ObjectWord", "WeightModule", "FormalColorSum", "InvariantConstants",
     "NonTypicalColor", "CriticalDegree", "NumericInstability",
     "realize", "hom_basis", "index_set", "kirby_color", "constants",

@@ -6,20 +6,17 @@ numpy's generic matmul/kron and routes factorizations through mpmath,
 converting with mpmath's `matrix(list)` and `tolist()`, but `rt_eval`'s
 sweeps and closings run exactly: `exact` lifts mpmath numbers to Gaussian
 integers, `product` multiplies those, `rounded` rounds each result once,
-and `magnitude` sizes them in double.  With `qscalars.ScalarContext`, this is the only module that reads
-the precision to choose the arithmetic; the rest of the package gets the
-right types from these helpers and the context's scalars.
+and `magnitude` sizes them in double.  With `qscalars.ScalarContext`, this
+is the only module that reads the precision to choose the arithmetic;
+the rest of the package gets the right types from these helpers and the
+context's scalars.  `rank` and `exact` raise `qscalars.NumericInstability`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .qscalars import ScalarContext
-
-
-class NumericInstability(ArithmeticError):
-    """A rank or integrality decision had no clear gap, or a scalar check failed."""
+from .qscalars import NumericInstability, ScalarContext
 
 
 # the smallest ratio between the singular values either side of the rank

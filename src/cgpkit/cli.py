@@ -25,8 +25,7 @@ from . import diagrams as dg
 from . import state_spaces as ss
 from . import surgery as sg
 from . import weightcat as wc
-from ._linalg import NumericInstability
-from .qscalars import ScalarContext
+from .qscalars import NumericInstability, ScalarContext
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -329,6 +328,9 @@ def main(argv=None) -> int:
         return EXIT_NUMERIC
     except (OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return EXIT_ERROR
+    except MemoryError as e:
+        print(f"out of memory: {e}" if str(e) else "out of memory", file=sys.stderr)
         return EXIT_ERROR
 
 

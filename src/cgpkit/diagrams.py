@@ -334,7 +334,7 @@ def validate(ctx: ScalarContext, d: Diagram) -> str | None:
         for cell in cells:
             if cell.kind == "coupon":
                 for _, color in (*cell.domain, *cell.codomain):
-                    wc.check_color(ctx, color)
+                    realize_letter(ctx, (1, color))
                 dom, cod = (prod(wc.color_dim(ctx, c) for _, c in w)
                             for w in (cell.domain, cell.codomain))
                 if cell.matrix.shape != (cod, dom):
@@ -353,7 +353,7 @@ def validate(ctx: ScalarContext, d: Diagram) -> str | None:
                 for _, c in k.terms.terms:
                     if not isinstance(c, Typical):
                         raise wc.NonTypicalColor(f"summand {c!r} is not typical")
-                    wc.check_color(ctx, c)
+                    realize_letter(ctx, (1, c))
                 if not k.terms.degree(ctx).equals(wc.Degree(k.g), ctx.tol):
                     raise ValueError(f"summands are not of degree {k.g}")
             except ValueError as e:
@@ -424,7 +424,8 @@ def normalized_cell(cells, error=ValueError) -> tuple[int, Cell] | None:
 def insert_slices(d: Diagram, boundary: int, rows: list[Slice]) -> Diagram:
     """Insert slices at a boundary.  The rows must consume the word there,
     and the slices above them what the rows give back (below the top, the
-    same word); both are checked here."""
+    same word); both are checked here, as is the boundary."""
+    boundary_word(d, boundary)
     _extend(list(d.boundary_words()[:boundary + 1]), (*rows, *d.slices[boundary:]))
     return Diagram(d.source, d.slices[:boundary] + tuple(rows) + d.slices[boundary:], d.prefactor)
 
@@ -489,7 +490,7 @@ def encircle_at(d: Diagram, boundary: int, span: tuple[int, int], color: Color,
     circle is the component of the freshly created letters.
     """
     i, j = span
-    w = d.boundary_words()[boundary]
+    w = boundary_word(d, boundary)
     if not (0 <= i <= j <= len(w)):
         raise ValueError("span out of range")
     mer = (sign, color)
@@ -535,13 +536,16 @@ def trace_closure(d: Diagram) -> Diagram:
 # ---------------------------------------------------------------------------
 
 
-def edge_word(words, boundary: int, pos: int) -> ObjectWord:
-    """words[boundary], the boundary word holding the edge at letter pos;
-    refuses a boundary outside 0 <= boundary < len(words) or a position
-    outside the word."""
-    if not 0 <= boundary < len(words):
+def boundary_word(d: Diagram, boundary: int) -> ObjectWord:
+    """d's word at a slice boundary, 0 <= boundary <= len(d.slices)."""
+    if not 0 <= boundary <= len(d.slices):
         raise ValueError("boundary index out of range")
-    w = words[boundary]
+    return d.boundary_words()[boundary]
+
+
+def edge_word(d: Diagram, boundary: int, pos: int) -> ObjectWord:
+    """`boundary_word`, holding the edge at letter pos, which must lie in it."""
+    w = boundary_word(d, boundary)
     if not 0 <= pos < len(w):
         raise ValueError("letter position out of range")
     return w
@@ -560,7 +564,7 @@ def cut(ctx: ScalarContext, d: Diagram, boundary: int, pos: int) -> Diagram:
     """
     if not d.is_closed():
         raise ValueError("cut needs a closed diagram")
-    w = edge_word(d.boundary_words(), boundary, pos)
+    w = edge_word(d, boundary, pos)
     v = w[pos]
     if not isinstance(v[1], (Typical, Kirby)):
         raise wc.NonTypicalColor(f"cut edge must be typical, got {v[1]!r}")
@@ -610,7 +614,7 @@ def stabilize_projective(ctx: ScalarContext, d: Diagram, boundary: int, pos: int
     (-1)^{m-1} q^{mu nu} m/d(U), d the modified dimension: nonzero wherever
     U is typical.  A lambda within tol of zero is refused.
     """
-    w = edge_word(d.boundary_words(), boundary, pos)
+    w = edge_word(d, boundary, pos)
     letter = w[pos]
     if not isinstance(letter[1], Typical):
         raise wc.NonTypicalColor("projective stabilization needs a typical edge")

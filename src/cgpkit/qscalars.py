@@ -14,7 +14,9 @@ ScalarContext at that precision: contexts at different precisions never
 interfere with one another, and equal contexts, which share every cached
 matrix, also share the mpmath types of its entries.  This module's
 scalars (`ScalarContext.sqrt` among them) and `_linalg`'s matrices are the
-only places that read the precision to choose the arithmetic.
+only places that read the precision to choose the arithmetic.  Every
+number the package cannot trust is refused as this module's
+`NumericInstability`, which `_linalg` and `cgpkit` import.
 """
 
 from __future__ import annotations
@@ -31,8 +33,8 @@ if TYPE_CHECKING:
 Scalar = complex  # or mpmath.mpc in high-precision mode
 
 
-class VanishingDenominator(ArithmeticError):
-    """A quantum-factorial quotient was requested at a vanishing factor."""
+class NumericInstability(ArithmeticError):
+    """A rank with no clear gap, a failed scalar check, or a bad number."""
 
 
 @lru_cache(maxsize=None)
@@ -113,7 +115,8 @@ class ScalarContext:
         return complex(value)
 
     def q_power(self, z) -> Scalar:
-        """q^z = exp(z * 2*pi*i / r) for an arbitrary complex exponent."""
+        """q^z = exp(z * 2*pi*i / r) for an arbitrary complex exponent; at
+        53 bits NumericInstability unless q^z is a finite nonzero double."""
         if self.high_precision:
             mp = self._mp
             return mp.exp(mp.mpc(z) * 2j * mp.pi / self.r)
@@ -121,7 +124,13 @@ class ScalarContext:
         if z.imag == 0.0:
             # unit-modulus result for real exponents
             return cmath.rect(1.0, 2.0 * math.pi * z.real / self.r)
-        return cmath.exp(z * 2j * math.pi / self.r)
+        try:
+            qz = cmath.exp(z * 2j * math.pi / self.r)
+        except OverflowError:
+            qz = 0j
+        if not (qz and cmath.isfinite(qz)):
+            raise NumericInstability(f"q^{z} is out of double range at level {self.r}")
+        return qz
 
     def sqrt(self, z) -> Scalar:
         """The principal square root of z."""
@@ -143,7 +152,7 @@ class ScalarContext:
         return self.brace(k) / self.brace(1)
 
     def qfact_nonzero(self, k: int) -> Scalar:
-        """[k]!, raising VanishingDenominator if any factor vanishes.
+        """[k]!, raising NumericInstability if any factor vanishes.
 
         Used wherever [k]! sits in a denominator; vanishing happens exactly
         when k >= r/2, which callers are expected to avoid.
@@ -152,6 +161,6 @@ class ScalarContext:
         for j in range(1, k + 1):
             f = self.qint(j)
             if abs(f) <= self.tol:
-                raise VanishingDenominator(f"[{j}] vanishes at level {self.r}")
+                raise NumericInstability(f"[{j}] vanishes at level {self.r}")
             out = out * f
         return out

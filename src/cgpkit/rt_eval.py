@@ -379,7 +379,7 @@ def f_prime(ctx: ScalarContext, d: dg.Diagram,
         if e is None:
             raise NotAdmissible("closed diagram has no typical edge to open at")
         (b, i), kirby = e, d.kirby_colors()
-        word = dg.edge_word(d.boundary_words(), b, i)
+        word = dg.edge_word(d, b, i)
         if not isinstance(word[i][1], (wc.Typical, wc.Kirby)):
             raise wc.NonTypicalColor(f"f_prime edge must be typical, got {word[i][1]!r}")
         halves = (_plan(ctx, d.slices[:b], d.source, kirby, False),

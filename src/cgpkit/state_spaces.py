@@ -76,20 +76,15 @@ def _vertex_words(ctx: ScalarContext, e: complex, ep: complex, epp: complex):
     return wa, wb
 
 
-def graded_vertex_dim(ctx: ScalarContext, word: wc.ObjectWord,
-                      brute: bool = False) -> int:
+def graded_vertex_dim(ctx: ScalarContext, word: wc.ObjectWord) -> int:
     """Total periodicity-graded invariant dimension of a vertex word a b c.
 
-    Default route, for three typical letters with b (x) c generic: with x
-    the highest weight of a letter's module, b (x) c is the sum over j < r/2
-    of V_{x_b + x_c - 2j}, and a summand meets a in one graded invariant
-    iff it is a sigma shift of a's dual, so this counts the j with
-    (x_b + x_c - 2j) - x_a* in rbar*Z.  Brute route, for any word: count
-    joint null vectors of the raising and lowering actions with weight in
-    rbar*Z, directly on the full tensor word.
+    For three typical letters with b (x) c generic: with x the highest
+    weight of a letter's module, b (x) c is the sum over j < r/2 of
+    V_{x_b + x_c - 2j}, and a summand meets a in one graded invariant iff
+    it is a sigma shift of a's dual, so this counts the j with
+    (x_b + x_c - 2j) - x_a* in rbar*Z.  `wc.hom_dim_graded` counts any word.
     """
-    if brute:
-        return wc.hom_dim_graded(ctx, word)
     if len(word) != 3 or not all(isinstance(c, wc.Typical) and wc.is_typical_weight(ctx, c.alpha)
                                  for _, c in word):
         raise ValueError(f"a vertex word has three typical letters, not {word}")
@@ -122,6 +117,7 @@ def genus_n_dim(ctx: ScalarContext, data: TrivalentSurfaceData,
     """
     if not data.all_generic(ctx.tol):
         raise wc.CriticalDegree("all spine meridian classes must be generic")
+    vertex_dim = wc.hom_dim_graded if brute else graded_vertex_dim
     shift = rep_shift * ctx.rbar
     reps0 = [a + shift for a in wc.index_set(ctx, data.m0)]
     total = 1
@@ -134,9 +130,9 @@ def genus_n_dim(ctx: ScalarContext, data: TrivalentSurfaceData,
         sub = 0
         for e, ep, epp in product(reps0, repsp, repspp):
             wa, wb = _vertex_words(ctx, e, ep, epp)
-            da = graded_vertex_dim(ctx, wa, brute=brute)
+            da = vertex_dim(ctx, wa)
             if da:
-                sub += da * graded_vertex_dim(ctx, wb, brute=brute)
+                sub += da * vertex_dim(ctx, wb)
         total *= ways * sub
         if total == 0:
             break

@@ -20,8 +20,7 @@ import numpy as np
 from . import diagrams as dg
 from . import rt_eval
 from . import weightcat as wc
-from ._linalg import NumericInstability
-from .qscalars import ScalarContext, Scalar
+from .qscalars import NumericInstability, ScalarContext, Scalar
 from .rt_eval import NotAdmissible
 
 

@@ -134,19 +134,6 @@ def is_typical_weight(ctx: ScalarContext, alpha: complex) -> bool:
     return n % m == m - 1
 
 
-def check_color(ctx: ScalarContext, color: Color) -> None:
-    if isinstance(color, Typical):
-        if not is_typical_weight(ctx, color.alpha):
-            raise NonTypicalColor(f"weight {color.alpha} is not typical at level {ctx.r}")
-    elif isinstance(color, Sigma):
-        if color.k % ctx.rbar != 0:
-            raise ValueError(f"sigma index {color.k} not a multiple of rbar={ctx.rbar}")
-    elif isinstance(color, Kirby):
-        raise ValueError(f"{color!r} is a formal sum; expand it before realizing")
-    else:
-        raise TypeError(f"not a color: {color!r}")
-
-
 def color_dim(ctx: ScalarContext, color: Color) -> int:
     """r/2 for typical colors and for Kirby colors, whose summands are all
     typical; 1 for sigma(k)."""
@@ -238,11 +225,14 @@ def tensor_module(ctx: ScalarContext, A: WeightModule, B: WeightModule) -> Weigh
 @lru_cache(maxsize=512)  # one pass of every benchmark workload holds 179
 def realize_letter(ctx: ScalarContext, letter: Letter) -> WeightModule:
     sign, color = letter
-    check_color(ctx, color)
     if isinstance(color, Typical):
         M = typical_module(ctx, color.alpha)
-    else:
+    elif isinstance(color, Sigma):
         M = sigma_module(ctx, color.k)
+    elif isinstance(color, Kirby):
+        raise ValueError(f"{color!r} is a formal sum; expand it before realizing")
+    else:
+        raise TypeError(f"not a color: {color!r}")
     return M if sign > 0 else dual_module(ctx, M)
 
 

@@ -393,6 +393,17 @@ def test_every_subcommand_exits_by_error_kind(argv, code, tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("message, line", [
+    ("Unable to allocate 37.3 GiB", "out of memory: Unable to allocate 37.3 GiB"),
+    ("", "out of memory")])
+def test_running_out_of_memory_is_one_line(message, line, monkeypatch, capsys):
+    def constants(ctx):
+        raise MemoryError(message)
+    monkeypatch.setattr(wc, "constants", constants)
+    assert run_cli(["constants", "6"]) == (cli.EXIT_ERROR, "")
+    assert capsys.readouterr().err == line + "\n"
+
+
 def _trefoil_payload(alpha):
     """The trefoil colored alpha as a graph-only presentation at r = 6."""
     return presentation_payload(None, sg.SurgeryPresentation(fx.trefoil(wc.Typical(alpha))), 6)

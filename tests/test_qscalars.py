@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cgpkit.qscalars import ScalarContext, VanishingDenominator
+from cgpkit.qscalars import NumericInstability, ScalarContext
 
 
 def test_context_validation():
@@ -82,8 +82,17 @@ def test_qint_vanishing_pattern():
 
 def test_qfact_nonzero_guard():
     ctx = ScalarContext(6)
-    with pytest.raises(VanishingDenominator):
+    with pytest.raises(NumericInstability):
         ctx.qfact_nonzero(ctx.nilpotency)
+
+
+@pytest.mark.parametrize("z", [1000j, -1000j])
+def test_q_power_out_of_double_range_is_refused(z):
+    """q^1000j underflows to 0 and q^-1000j overflows at r = 6: neither is
+    a double to compute with; 106 bits hold both."""
+    with pytest.raises(NumericInstability, match="out of double range at level 6"):
+        ScalarContext(6).q_power(z)
+    assert ScalarContext(6, precision=106).q_power(z) != 0
 
 
 @settings(max_examples=100, deadline=None)

@@ -108,6 +108,23 @@ REFUSALS = {
     "stabilize_projective on a sigma edge": (
         lambda ctx: dg.stabilize_projective(ctx, fx.unknot(wc.Sigma(0)), 1, 0, GENERIC),
         wc.NonTypicalColor, "projective stabilization needs a typical edge"),
+    # the unknot has 2 slices, so boundaries 0 to 2; the others are
+    # refused, not read as the top or wrapped round from it
+    "insert_slices past the top boundary": (
+        lambda ctx: dg.insert_slices(fx.unknot(A), 99, list(fx.unknot(B).slices)),
+        ValueError, "boundary index out of range"),
+    "insert_slices at a negative boundary": (
+        lambda ctx: dg.insert_slices(fx.unknot(A), -1, list(fx.unknot(B).slices)),
+        ValueError, "boundary index out of range"),
+    "insert_slices at boundary -2": (
+        lambda ctx: dg.insert_slices(fx.unknot(A), -2, list(fx.unknot(B).slices)),
+        ValueError, "boundary index out of range"),
+    "encircle_at past the top boundary": (
+        lambda ctx: dg.encircle_at(fx.unknot(A), 99, (0, 0), B),
+        ValueError, "boundary index out of range"),
+    "encircle_at at a negative boundary": (
+        lambda ctx: dg.encircle_at(fx.unknot(A), -1, (0, 0), B),
+        ValueError, "boundary index out of range"),
     "stabilize_generic at a critical index": (
         lambda ctx: dg.stabilize_generic(ctx, fx.unknot(A), 1, (0, 1), wc.Degree(1.0)),
         wc.CriticalDegree, "stabilization index 1.0 is critical"),
@@ -138,14 +155,11 @@ REFUSALS = {
     "validate_presentation of an open diagram": (
         lambda ctx: sg.validate_presentation(ctx, sg.SurgeryPresentation(LINE)),
         ValueError, "surgery presentations need a closed diagram"),
-    "check_color sigma off rbar Z": (
-        lambda ctx: wc.check_color(ctx, wc.Sigma(ctx.rbar + 1)),
-        ValueError, "sigma index {k} not a multiple of rbar={rbar}"),
     "sigma_module off rbar Z": (
         lambda ctx: wc.sigma_module(ctx, ctx.rbar + 1),
         ValueError, "sigma index {k} not a multiple of rbar={rbar}"),
     "check_color of a non-color": (
-        lambda ctx: wc.check_color(ctx, "red"),
+        lambda ctx: wc.realize_letter(ctx, (1, "red")),
         TypeError, "not a color: 'red'"),
     "ev_coev unknown flavor": (
         lambda ctx: wc.ev_coev(ctx, wc.typical_module(ctx, GENERIC), "ev_x"),

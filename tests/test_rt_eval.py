@@ -425,6 +425,17 @@ def test_an_overflowing_closure_is_refused_not_read_as_nan(r, alpha):
         rt_eval.f_prime(ScalarContext(r), fx.trefoil(wc.Typical(alpha)))
 
 
+@pytest.mark.parametrize("r", [6, 14])
+def test_a_power_of_q_past_double_range_is_refused(r):
+    """Farther off the real axis, q^alpha itself leaves double range: it
+    underflows to 0 in a quantum integer at r = 6 and overflows in K's
+    action at r = 14, and either is refused, not raised as a bare
+    ZeroDivisionError or OverflowError."""
+    with np.errstate(all="ignore"), \
+            pytest.raises(la.NumericInstability, match="out of double range at level"):
+        rt_eval.f_prime(ScalarContext(r), fx.trefoil(wc.Typical(0.3 + 1000j)))
+
+
 @pytest.mark.parametrize("precision", [53, 106])
 def test_a_zero_coupon_gives_zero_at_every_edge(precision):
     """A Hopf link through a coupon holding the zero matrix: its step

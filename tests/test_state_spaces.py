@@ -214,7 +214,7 @@ def test_vertex_count_equals_brute(r, precision, n):
     ctx = ScalarContext(r, precision=precision)
     words = _random_vertex_words(ctx, random.Random(100 + r), n)
     assert [ss.graded_vertex_dim(ctx, w) for w in words] == \
-        [ss.graded_vertex_dim(ctx, w, brute=True) for w in words]
+        [wc.hom_dim_graded(ctx, w) for w in words]
 
 
 def test_vertex_count_refuses_other_words(ctx6):
