@@ -64,34 +64,23 @@ def _fmt_float(x: float) -> str:
 
 
 def render_json(obj, indent=0) -> str:
-    """Deterministic JSON with fixed float formatting and insertion order."""
-    pad = "  " * indent
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = []
-        for k, v in obj.items():
-            items.append(f'{pad}  "{k}": {render_json(v, indent + 1)}')
-        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        flat = all(isinstance(x, (int, float, str, bool)) or x is None for x in obj)
-        if flat:
-            return "[" + ", ".join(render_json(x) for x in obj) + "]"
-        items = [f"{pad}  {render_json(v, indent + 1)}" for v in obj]
-        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if obj is None:
-        return "null"
+    """Deterministic JSON in insertion order: a list of scalars on one line,
+    any other nonempty list or dict one item a line, a complex number as
+    [re, im] and a float by `_fmt_float`; json.dumps writes the rest."""
+    if isinstance(obj, complex):
+        obj = [obj.real, obj.imag]
     if isinstance(obj, float):
         return _fmt_float(obj)
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, complex):
-        return render_json([obj.real, obj.imag])
-    return json.dumps(obj)
+    if not isinstance(obj, (dict, list, tuple)) or not obj:
+        return json.dumps(obj)
+    if isinstance(obj, dict):
+        ends, items = "{}", (f'"{k}": {render_json(v, indent + 1)}' for k, v in obj.items())
+    elif all(isinstance(x, (int, float, str)) or x is None for x in obj):
+        return "[" + ", ".join(map(render_json, obj)) + "]"
+    else:
+        ends, items = "[]", (render_json(v, indent + 1) for v in obj)
+    pad = "  " * indent
+    return ends[0] + "\n" + ",\n".join(f"{pad}  {x}" for x in items) + "\n" + pad + ends[1]
 
 
 def _env_default(name: str, fallback):
@@ -105,8 +94,9 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--version", action="version", version=f"cgpkit {__version__}")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def command(name, summary, *ints):
+    def command(name, run, summary, *ints):
         p = sub.add_parser(name, help=summary)
+        p.set_defaults(run=run)
         p.add_argument("--precision", type=int, default=_env_default("PRECISION", None),
                        help="working precision in bits (default 53, or the input file's)")
         p.add_argument("--tol", type=float, default=_env_default("TOL", 1e-9))
@@ -114,20 +104,20 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(arg, type=int)
         return p
 
-    p = command("cgp", "evaluate a surgery presentation from JSON")
+    p = command("cgp", cmd_cgp, "evaluate a surgery presentation from JSON")
     p.add_argument("--level", type=int, default=_env_default("LEVEL", None),
                    help="even level r (overrides the input file)")
     p.add_argument("input", help="input JSON file, or - for stdin")
     p.add_argument("--auto-stabilize", action="store_true",
                    default=bool(int(_env_default("AUTO_STABILIZE", "0"))))
     p.add_argument("--cache-dir", default=_env_default("CACHE_DIR", None))
-    command("constants", "print the invariant constants at a level", "r")
-    p = command("moddim", "modified dimensions of typical weights", "r")
+    command("constants", cmd_constants, "print the invariant constants at a level", "r")
+    p = command("moddim", cmd_moddim, "modified dimensions of typical weights", "r")
     p.add_argument("alpha", nargs="+", help="weights as floats or re+imj complex literals")
-    p = command("statespace", "state-space dimension table (CSV)", "r", "genus")
+    p = command("statespace", cmd_statespace, "state-space dimension table (CSV)", "r", "genus")
     p.add_argument("degrees", nargs="+",
                    help="meridian classes: m0 for genus 1; m0 m1' ... for higher genus")
-    command("check", "run the axiom/property suite at a level", "r")
+    command("check", cmd_check, "run the axiom/property suite at a level", "r")
     return ap
 
 
@@ -152,25 +142,35 @@ def _degree_from_json(v) -> wc.Degree:
     raise ParseError(f"bad degree {v!r}")
 
 
+def _component_id(key: str) -> int:
+    """A JSON key as a component id, written as str() writes the int."""
+    if key != str(cid := int(key)):
+        raise ValueError(f"bad component id {key!r}")
+    return cid
+
+
 def load_presentation(obj) -> sg.SurgeryPresentation:
     """The one place where component ids become colors: `formal` sums,
     `graph_colors` and surgery Kirby colors, tagged from `dg.fresh_tag`,
     formal sums by id first.  ParseError for malformed input; ComponentError
-    for an id that names no component it can color, or that two maps name."""
+    for an id that names no component it can color, that two maps name, or
+    that `surgery_components` lists twice."""
     try:
         # {**m} refuses a map m that is no JSON object, here and below
         structure = {**obj["diagram"]}
-        formal = {int(cid): dg.terms_from_json(terms)
+        formal = {_component_id(cid): dg.terms_from_json(terms)
                   for cid, terms in {**structure.pop("formal", {})}.items()}
         d = dg.diagram_from_json(structure)
-        colors = {int(cid): dg.color_from_json(col)
+        colors = {_component_id(cid): dg.color_from_json(col)
                   for cid, col in {**obj.get("graph_colors", {})}.items()}
-        surgery = frozenset(map(dg.integer_from_json, obj["surgery_components"]))
-        degrees = {int(k): _degree_from_json(v)
+        listed = list(map(dg.integer_from_json, obj["surgery_components"]))
+        degrees = {_component_id(k): _degree_from_json(v)
                    for k, v in {**obj.get("meridian_degrees", {})}.items()}
         n = dg.integer_from_json(obj.get("signature_defect", 0))
     except (KeyError, TypeError, ValueError) as e:
         raise ParseError(f"bad presentation: {e}") from e
+    if len(surgery := frozenset(listed)) != len(listed):
+        raise dg.ComponentError(f"surgery components {listed} list an id twice")
     if set(degrees) != surgery:
         raise dg.ComponentError("meridian degrees must cover exactly the surgery components")
     named = [*formal, *colors, *surgery]
@@ -302,18 +302,11 @@ def cmd_check(args) -> int:
 def main(argv=None) -> int:
     """Run one subcommand; an error it raises becomes one line on stderr
     and the exit code of its kind."""
-    handlers = {
-        "cgp": cmd_cgp,
-        "constants": cmd_constants,
-        "moddim": cmd_moddim,
-        "statespace": cmd_statespace,
-        "check": cmd_check,
-    }
     try:
         args = build_parser().parse_args(argv)
         # overflows are refused as one line where values are checked or printed
         with np.errstate(all="ignore"):
-            return handlers[args.command](args)
+            return args.run(args)
     except ParseError as e:
         print(f"parse error: {e}", file=sys.stderr)
         return EXIT_PARSE

@@ -250,7 +250,7 @@ class Diagram:
         return MappingProxyType({p: roots.setdefault(find(p), len(roots)) for p in parent})
 
     @cached_property
-    def _strands(self) -> tuple[set[int], dict[int, Color]]:
+    def _strands(self) -> tuple[frozenset[int], MappingProxyType]:
         """The components running through a coupon, and the color of every
         other component, read at its first port.
 
@@ -260,15 +260,16 @@ class Diagram:
         """
         comp, words = self.ports_and_components(), self.boundary_words()
         # a coupon's legs are one component: look it up at the first leg
-        coupons = {comp[(s, pin) if cell.in_letters() else (s + 1, pout)]
-                   for s, pin, pout, cell in self._placed_cells()
-                   if cell.kind == "coupon" and (cell.in_letters() or cell.out_letters())}
+        coupons = frozenset(comp[(s, pin) if cell.in_letters() else (s + 1, pout)]
+                            for s, pin, pout, cell in self._placed_cells()
+                            if cell.kind == "coupon" and (cell.in_letters() or cell.out_letters()))
         first: dict[int, tuple[int, int]] = {}
         for p, c in comp.items():
             first.setdefault(c, p)
-        return coupons, {c: words[b][i][1] for c, (b, i) in first.items() if c not in coupons}
+        return coupons, MappingProxyType(
+            {c: words[b][i][1] for c, (b, i) in first.items() if c not in coupons})
 
-    def components_with_coupons(self) -> set[int]:
+    def components_with_coupons(self) -> frozenset[int]:
         return self._strands[0]
 
     def _relettered(self, rl) -> "Diagram":
@@ -312,7 +313,7 @@ class Diagram:
                             sign, col1, col2))
         return out
 
-    def component_colors(self) -> dict[int, Color]:
+    def component_colors(self) -> MappingProxyType:
         """The color of each coupon-free component.  Components running
         through coupons are genuine graphs and may carry several edge
         colors; they are omitted here."""
@@ -341,10 +342,12 @@ def validate(ctx: ScalarContext, d: Diagram) -> str | None:
                     return (f"slice {s}: coupon matrix shape {cell.matrix.shape} "
                             f"!= ({cod}, {dom})")
     # a Kirby color on a coupon leg was refused above, so every Kirby color
-    # is the color of a coupon-free component
+    # is the color of a coupon-free component; every other color is realized
     owner: dict[Kirby, int] = {}
     for c, color in d.component_colors().items():
-        if isinstance(color, Kirby) and owner.setdefault(color, c) != c:
+        if not isinstance(color, Kirby):
+            realize_letter(ctx, (1, color))
+        elif owner.setdefault(color, c) != c:
             return f"{color!r} on components {owner[color]} and {c}"
     # a Kirby color sums typical colors of one degree, its own
     for k in d.kirby_colors():
@@ -433,7 +436,8 @@ def insert_slices(d: Diagram, boundary: int, rows: list[Slice]) -> Diagram:
 def wrap_slice(word: ObjectWord, pos: int, cell: Cell) -> list[Cell]:
     """One-nontrivial-cell slice acting at a given letter position."""
     ins = cell.in_letters()
-    if word[pos:pos + len(ins)] != ins:
+    # an empty `ins` matches anywhere, a position off the word included
+    if not 0 <= pos <= len(word) - len(ins) or word[pos:pos + len(ins)] != ins:
         raise BoundaryMismatch(f"cell {cell.kind} does not fit word at {pos}")
     row = [id_cell(l) for l in word[:pos]]
     row.append(cell)

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import TYPE_CHECKING
@@ -64,6 +65,11 @@ class ScalarContext:
     _mp: MPContext | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
+        for name, value in (("level", self.r), ("precision", self.precision)):
+            try:
+                operator.index(value)  # what range() and shapes take: no float, however whole
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, got {value!r}") from None
         if self.r < 4 or self.r % 2 != 0:
             raise ValueError(f"level must be an even integer >= 4, got {self.r}")
         if self.r % 8 == 0:

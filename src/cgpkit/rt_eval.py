@@ -70,16 +70,20 @@ class NotAdmissible(ValueError):
 # sets), so that recoloring for ever does not grow them for ever
 @lru_cache(maxsize=2048)
 def _cell_matrix_cached(ctx: ScalarContext, kind: str, letters) -> np.ndarray:
+    """Read-only, as every caller gets the same array."""
     if kind in ("xpos", "xneg"):
         V, W = (wc.realize_letter(ctx, x) for x in letters)
-        return wc.braiding(ctx, V, W) if kind == "xpos" else wc.braiding_inv(ctx, W, V)
-    if kind in ("tpos", "tneg"):
-        return wc.twist(ctx, wc.realize_letter(ctx, letters[0]), 1 if kind == "tpos" else -1)
-    sign, color = letters[0]
-    M = wc.realize_letter(ctx, (1, color))
-    # a cup evaluates, a cap coevaluates; a negative letter swaps the side
-    side = "_l" if kind.endswith("_l") == (sign > 0) else "_r"
-    return wc.ev_coev(ctx, M, ("ev" if kind.startswith("cup") else "coev") + side)
+        m = wc.braiding(ctx, V, W) if kind == "xpos" else wc.braiding_inv(ctx, W, V)
+    elif kind in ("tpos", "tneg"):
+        m = wc.twist(ctx, wc.realize_letter(ctx, letters[0]), 1 if kind == "tpos" else -1)
+    else:
+        sign, color = letters[0]
+        M = wc.realize_letter(ctx, (1, color))
+        # a cup evaluates, a cap coevaluates; a negative letter swaps the side
+        side = "_l" if kind.endswith("_l") == (sign > 0) else "_r"
+        m = wc.ev_coev(ctx, M, ("ev" if kind.startswith("cup") else "coev") + side)
+    m.setflags(write=False)
+    return m
 
 
 def cell_matrix(ctx: ScalarContext, cell: dg.Cell) -> np.ndarray:

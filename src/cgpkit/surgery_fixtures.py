@@ -138,10 +138,8 @@ def slid_lens_presentation(ctx: ScalarContext, p: int, k: int) -> SurgeryPresent
     component slid over a +1-framed stabilization circle, giving Hopf-linked
     framings (p+1, 1) with the meridian decoration carried along.
 
-    The extension constraints force g2 = -g1 and p g1 + (m-1) = 0, the
-    same admissible classes as the one-component presentation.
+    That is the chain with framings (p+1, 1), whose det is p: its class
+    index -(m-1) - k gives g2 = -(m - 1 + 2k)/p and g1 = -g2, the classes
+    of the one-component presentation.
     """
-    alpha = _critical_typical(ctx)
-    g1 = (alpha.real + 2 * k) / p
-    d = fx.hopf_link(_surgery(g1, 0), _surgery(-g1, 1), framings=(p + 1, 1))
-    return SurgeryPresentation(dg.encircle_at(d, 1, (0, 1), wc.Typical(alpha), framing=0))
+    return lens_chain_presentation(ctx, p + 1, 1, -(ctx.nilpotency - 1) - k)

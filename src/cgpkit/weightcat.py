@@ -233,7 +233,11 @@ def realize_letter(ctx: ScalarContext, letter: Letter) -> WeightModule:
         raise ValueError(f"{color!r} is a formal sum; expand it before realizing")
     else:
         raise TypeError(f"not a color: {color!r}")
-    return M if sign > 0 else dual_module(ctx, M)
+    M = M if sign > 0 else dual_module(ctx, M)
+    # read-only, as every caller gets the same module
+    M.actE.setflags(write=False)
+    M.actF.setflags(write=False)
+    return M
 
 
 def realize(ctx: ScalarContext, word: ObjectWord) -> WeightModule:

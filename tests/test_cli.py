@@ -454,6 +454,22 @@ def test_a_non_finite_tolerance_is_refused(argv, env, monkeypatch, capsys):
     assert capsys.readouterr().err == "error: tolerance must be positive and finite\n"
 
 
+def test_render_json_layout_is_pinned():
+    """A list of scalars on one line, any other nonempty list or dict one
+    item a line, complex numbers as [re, im], floats at 17 digits with no
+    negative zero, and json.dumps's escapes."""
+    obj = {"empty": {"map": {}, "list": []}, "rows": [[1, 2], [0.5, "x"]],
+           "zs": [1 + 2j, -0.0 - 0.5j], "scalars": [True, None, 7], "flag": False,
+           "nothing": None, "count": 3, "name": 'say "\u00e9"', "zero": -0.0, "z": 0.25 - 1j}
+    assert cli.render_json(obj) == (
+        '{\n  "empty": {\n    "map": {},\n    "list": []\n  },\n'
+        '  "rows": [\n    [1, 2],\n    [0.5, "x"]\n  ],\n'
+        '  "zs": [\n    [1, 2],\n    [0, -0.5]\n  ],\n'
+        '  "scalars": [true, null, 7],\n  "flag": false,\n  "nothing": null,\n'
+        '  "count": 3,\n  "name": "say \\"\\u00e9\\"",\n  "zero": 0,\n'
+        '  "z": [0.25, -1]\n}')
+
+
 def test_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "cgpkit.cli", "moddim", "6", "0.5"],
@@ -536,12 +552,41 @@ def test_component_id_errors_exit_1(tmp_path):
     twice = (dict(pres, graph_colors=graph),
              dict(pres, diagram=dict(pres["diagram"], formal=sums)),
              dict(pres, graph_colors=graph, surgery_components=[], meridian_degrees={},
-                  diagram=dict(pres["diagram"], formal=sums)))
+                  diagram=dict(pres["diagram"], formal=sums)),
+             # an id that surgery_components lists twice
+             dict(pres, surgery_components=[surg, surg]))
     for i, bad in enumerate((bad_surgery, bad_degrees, bad_formal, bad_graph, *twice)):
         path = tmp_path / f"bad{i}.json"
         path.write_text(json.dumps(dict(payload, presentation=bad)))
         code, out = run_cli(["cgp", str(path)])
         assert code == cli.EXIT_ERROR and out == ""
+
+
+@pytest.mark.parametrize("where, key", [
+    *(("meridian_degrees", k) for k in ("0_0", " 0", "0 ", "+0", "-0", "00", "\u0660")),
+    # component 1 is the meridian circle, colored V_2
+    *((m, k) for m in ("graph_colors", "formal") for k in ("1", "+1", "01", "\u0661"))])
+def test_a_component_id_key_is_written_as_its_int(tmp_path, capsys, where, key):
+    """int() reads each of these keys as component 0 or 1, the
+    Arabic-Indic digits included; only "0" and "1" name them."""
+    payload = json.loads(Path(DOCS_EXAMPLE).read_text())
+    pres = payload["presentation"]
+    color = {"typical": {"re": 2.0, "im": 0.0}}
+    if where == "meridian_degrees":
+        pres[where] = {key: pres[where]["0"]}
+    elif where == "graph_colors":
+        pres[where] = {key: color}
+    else:
+        pres["diagram"][where] = {key: [[[1.0, 0.0], color]]}
+    path = tmp_path / "key.json"
+    path.write_text(json.dumps(payload))
+    code, out = run_cli(["cgp", str(path)])
+    err = capsys.readouterr().err
+    if key == "1":
+        assert code == 0 and json.loads(out)["cgp"]
+    else:
+        assert (code, out) == (cli.EXIT_PARSE, "")
+        assert err == f"parse error: bad presentation: bad component id {key!r}\n"
 
 
 @pytest.mark.parametrize("summand", [

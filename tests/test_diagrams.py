@@ -70,6 +70,22 @@ def test_validate_refuses_a_kirby_colored_coupon_leg(ctx):
     assert str(err.value).startswith(f"{k!r} is a formal sum")
 
 
+@pytest.mark.parametrize("color, kind", [
+    (wc.Typical(1), wc.NonTypicalColor),  # critical at r = 6
+    (wc.Sigma(5), ValueError),  # off 6Z
+])
+def test_validate_realizes_every_strand_color(ctx6, color, kind):
+    """A strand color that no module realizes is refused as the same color
+    on a coupon leg is, not left for the evaluator to trip on."""
+    w = word((1, color))
+    with pytest.raises(kind) as on_leg:
+        dg.validate(ctx6, dg.Diagram(w, [[dg.coupon(w, w, np.eye(1))]]))
+    with pytest.raises(kind) as on_strand:
+        dg.validate(ctx6, fx.unknot(color))
+    assert type(on_strand.value) is type(on_leg.value)
+    assert str(on_strand.value) == str(on_leg.value)
+
+
 def test_compose_requires_matching_boundary(ctx):
     w1 = word((1, wc.Typical(GENERIC)))
     w2 = word((1, wc.Typical(GENERIC2)))

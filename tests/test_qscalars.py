@@ -1,4 +1,5 @@
 import cmath
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +20,20 @@ def test_context_validation():
     for tol in (0.0, float("inf"), float("-inf"), float("nan")):
         with pytest.raises(ValueError, match="tolerance must be positive and finite"):
             ScalarContext(6, tol=tol)
+
+
+@pytest.mark.parametrize("args, kwargs, message", [
+    ((4.0,), {}, "level must be an integer, got 4.0"),
+    ((6.0,), {}, "level must be an integer, got 6.0"),
+    (("6",), {}, "level must be an integer, got '6'"),
+    ((6,), {"precision": 53.5}, "precision must be an integer, got 53.5"),
+    ((6,), {"precision": 106.0}, "precision must be an integer, got 106.0"),
+])
+def test_a_level_or_precision_that_is_no_integer_is_refused(args, kwargs, message):
+    """A whole float is refused too: a float level died later as a bare
+    TypeError, and a fractional precision built a fractional mpmath one."""
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        ScalarContext(*args, **kwargs)
 
 
 def test_rbar_periodicity():

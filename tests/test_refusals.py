@@ -53,6 +53,25 @@ REFUSALS = {
     "wrap_slice misfit": (
         lambda ctx: dg.wrap_slice(LINE.source, 1, dg.cup((1, B), left=True)),
         dg.BoundaryMismatch, "cell cup_l does not fit word at 1"),
+    # a cell that consumes no letters matches an empty slice of any word,
+    # so before the bound it went in before a letter or past the end
+    "apply_cell of a cap at -1": (
+        lambda ctx: dg.apply_cell(LINE, -1, dg.cap((1, A), left=True)),
+        dg.BoundaryMismatch, "cell cap_l does not fit word at -1"),
+    "apply_cell of a cap at -2": (
+        lambda ctx: dg.apply_cell(LINE, -2, dg.cap((1, A), left=True)),
+        dg.BoundaryMismatch, "cell cap_l does not fit word at -2"),
+    "apply_cell of a cap at 3": (
+        lambda ctx: dg.apply_cell(LINE, 3, dg.cap((1, A), left=True)),
+        dg.BoundaryMismatch, "cell cap_l does not fit word at 3"),
+    "apply_cell of a cap at 99": (
+        lambda ctx: dg.apply_cell(LINE, 99, dg.cap((1, A), left=True)),
+        dg.BoundaryMismatch, "cell cap_l does not fit word at 99"),
+    "Stack.cell of a coupon from the empty word at -1": (
+        lambda ctx: dg.Stack(LINE).cell(-1, dg.coupon(
+            wc.ObjectWord([]), wc.ObjectWord([(1, A), (-1, A)]),
+            np.zeros((ctx.nilpotency ** 2, 1)))),
+        dg.BoundaryMismatch, "cell coupon does not fit word at -1"),
     "encircle bad span": (
         lambda ctx: dg.encircle(LINE, (1, 3), B),
         ValueError, "span out of range"),

@@ -29,6 +29,29 @@ def test_identity_evaluates_to_identity(ctx):
     assert np.abs(rt_eval.evaluate(ctx, d) - np.eye(M.dim)).max() < 1e-14
 
 
+def test_cached_values_refuse_in_place_writes(ctx):
+    """Cell matrices, realized letters and a diagram's component views are
+    cached, and every caller gets the same object: a write to one would
+    change every later value built from it, so each write raises."""
+    V, W = (1, wc.Typical(GENERIC)), (-1, wc.Typical(GENERIC2))
+    for cell in (dg.cross(V, W), dg.cross(W, V, positive=False), dg.Cell("tneg", (W,)),
+                 dg.cup(V, left=True), dg.cap(W, left=False)):
+        m = rt_eval.cell_matrix(ctx, cell)
+        with pytest.raises(ValueError, match="read-only"):
+            m *= 2
+    for letter in (V, W, (1, wc.Sigma(0))):
+        M = wc.realize_letter(ctx, letter)
+        for action in (M.actE, M.actF):
+            with pytest.raises(ValueError, match="read-only"):
+                action[:] = 0
+    d = fx.hopf_link(V[1], W[1])
+    with pytest.raises(TypeError):
+        d.component_colors()[0] = wc.Sigma(0)
+    with pytest.raises(AttributeError):
+        d.components_with_coupons().add(0)
+    assert dict(d.component_colors()) == {0: V[1], 1: W[1]}
+
+
 def _apply_local(state, m, dl, din, dr, src):
     """The dense step, the reference for the sparse kernel: m (terms...,
     dout, din) on the middle factor of the state (terms..., dl * din * dr,
